@@ -93,8 +93,6 @@ func run(args []string, out io.Writer) error {
 		maxTicks = fs.Int("maxticks", 0, "tick budget per daemon (0 = gossipd default)")
 		linger   = fs.Duration("linger", 2*time.Second, "daemon linger after local completion")
 		flushWin = fs.Duration("flushwindow", 200*time.Microsecond, "daemon flush window (super-frame aggregation width)")
-		wire     = fs.String("wire", "binary", "wire format: binary or json")
-		batch    = fs.Bool("batch", true, "cross-daemon super-frame batching")
 		nodesPer = fs.Int("nodes-per-shard", 0, "per-daemon shard sizing (0 = gossipd default)")
 		queueCap = fs.Int("queue-frames", 0, "per-connection writer queue cap (0 = gossipd default, negative = unbounded)")
 		mailCap  = fs.Int("mailbox", 0, "per-shard mailbox cap in posts (0 = gossipd default, negative = unbounded)")
@@ -173,7 +171,6 @@ func run(args []string, out io.Writer) error {
 		"-seed", strconv.FormatUint(*seed, 10),
 		"-tick", tick.String(), "-linger", linger.String(),
 		"-flushwindow", flushWin.String(),
-		"-wire", *wire, fmt.Sprintf("-batch=%v", *batch),
 		"-peers", peers,
 	}
 	if *maxTicks > 0 {

@@ -182,7 +182,7 @@ func TestGossipctlFlagErrors(t *testing.T) {
 func TestScanLine(t *testing.T) {
 	var r daemonReport
 	for _, line := range []string{
-		"gossipd: graph=ringchords nodes=400 hosting=100 listen=127.0.0.1:9 proto=flood seed=3 tick=2ms wire=binary batch=true",
+		"gossipd: graph=ringchords nodes=400 hosting=100 listen=127.0.0.1:9 proto=flood seed=3 tick=2ms",
 		"completed=true interrupted=false informed=100/100 ticks=42 messages=1234 bytes=99 wall=1s dropped=0",
 		"membership: packets=10 bytes=100 view-entries alive=64 suspect=0 dead=0",
 		"drain: clean=true queued=0 pending=0 abandoned-timers=0 wall=1ms",

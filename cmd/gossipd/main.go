@@ -19,15 +19,12 @@
 // -load FILE (.json as graphio JSON, anything else as an edge list).
 // Protocols: pushpull, flood, rr.
 //
-// Frames go out as the compact binary wire format by default; -wire json
-// switches to the legacy JSON lines for debugging (inbound frames are
-// auto-detected per connection, so daemons with different -wire settings
-// interoperate). -flushwindow widens write batches by waiting that long
-// after the first queued frame before flushing — more messages per syscall
-// at the cost of up to that much added delivery latency. With the binary
-// format everything bound for the same peer daemon within a flush window
-// coalesces into FrameBatch super-frames (one frame, one ack, one
-// retransmission timer per batch); -batch=false restores per-message frames.
+// Frames are a compact length-prefixed binary format, and everything bound
+// for the same peer daemon within one writer drain coalesces into FrameBatch
+// super-frames (one frame, one ack, one retransmission timer per batch).
+// -flushwindow widens those batches by waiting that long after the first
+// queued frame before flushing — more messages per syscall at the cost of up
+// to that much added delivery latency.
 //
 // -pprof ADDR serves net/http/pprof on ADDR so cluster-scale runs can be
 // profiled in place (see PERFORMANCE.md).
@@ -107,9 +104,7 @@ func run(args []string, out io.Writer) error {
 		partSpec  = fs.String("partition", "", "link cuts, e.g. 50:150:0-31/32-63 (from:until:setA/setB; until 0 = never heal; ';' separates epochs)")
 		faultSeed = fs.Uint64("faultseed", 0, "fault-decision seed (0 = use -seed)")
 		rrK       = fs.Int("rrk", 0, "RR broadcast latency bound k (0 = the graph's max edge latency)")
-		wire      = fs.String("wire", "binary", "wire format for outgoing frames: binary or json (inbound is auto-detected)")
 		flushWin  = fs.Duration("flushwindow", 0, "wait this long after the first queued frame before flushing, widening write batches (0 = flush when the queue drains)")
-		batch     = fs.Bool("batch", true, "coalesce frames bound for the same peer daemon into super-frames (binary wire only)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address, e.g. 127.0.0.1:6060 (empty = off)")
 		chords    = fs.Int("chords", 4, "ringchords: expected chord edges per node")
 		latMax    = fs.Int("latmax", 16, "ringchords: chord latencies drawn uniformly from [1,latmax]")
@@ -166,10 +161,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-partition: %w", err)
 	}
 
-	wf, err := gossip.ParseLiveWireFormat(*wire)
-	if err != nil {
-		return fmt.Errorf("-wire: %w", err)
-	}
 	if *flushWin < 0 {
 		return fmt.Errorf("-flushwindow: must be >= 0")
 	}
@@ -206,9 +197,7 @@ func run(args []string, out io.Writer) error {
 		}
 		tr.SetPeerSockets(socks)
 	}
-	tr.SetWireFormat(wf)
 	tr.SetFlushWindow(*flushWin)
-	tr.SetBatching(*batch)
 	tr.SetOverloadLimits(*queueCap, *pendCap)
 	tr.SetRetransmit(*rto, *maxRetr)
 	// Hosted nodes route in-process; map them to our own address so peer
@@ -308,8 +297,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown protocol %q (want pushpull, flood or rr)", *proto)
 	}
 
-	fmt.Fprintf(out, "gossipd: graph=%s nodes=%d hosting=%d listen=%s proto=%s seed=%d tick=%v wire=%s batch=%v\n",
-		describeGraph(*loadPath, *graphName), g.N(), len(hosted), tr.Addr(), *proto, *seed, *tick, wf, tr.Batching())
+	fmt.Fprintf(out, "gossipd: graph=%s nodes=%d hosting=%d listen=%s proto=%s seed=%d tick=%v\n",
+		describeGraph(*loadPath, *graphName), g.N(), len(hosted), tr.Addr(), *proto, *seed, *tick)
 
 	res, err := gossip.RunLiveTransport(g, lp, tr, opts)
 	informed := 0

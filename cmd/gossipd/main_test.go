@@ -32,9 +32,8 @@ func TestSingleDaemonHostsAll(t *testing.T) {
 }
 
 // TestTwoDaemonCluster runs a real two-daemon push-pull cluster over TCP
-// loopback under every wire-format pairing — including mixed, since inbound
-// frames are auto-detected per connection — plus a batched-writes variant
-// with a -flushwindow. Each daemon hosts one side of a dumbbell.
+// loopback, with and without a -flushwindow widening the write batches. Each
+// daemon hosts one side of a dumbbell.
 func TestTwoDaemonCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster run is not -short friendly")
@@ -45,12 +44,6 @@ func TestTwoDaemonCluster(t *testing.T) {
 		extra1 []string // daemon 1's
 	}{
 		{name: "binary"},
-		{name: "json",
-			extra0: []string{"-wire", "json"},
-			extra1: []string{"-wire", "json"}},
-		{name: "mixed",
-			extra0: []string{"-wire", "binary"},
-			extra1: []string{"-wire", "json"}},
 		{name: "flushwindow",
 			extra0: []string{"-flushwindow", "200us"},
 			extra1: []string{"-flushwindow", "200us"}},
@@ -218,9 +211,14 @@ func TestFlagErrors(t *testing.T) {
 			want: "must be >= 1",
 		},
 		{
-			name: "bad-wire-format",
-			args: []string{"-graph", "clique", "-n", "4", "-wire", "protobuf"},
-			want: "-wire",
+			name: "wire-flag-removed",
+			args: []string{"-graph", "clique", "-n", "4", "-wire", "json"},
+			want: "flag provided but not defined: -wire",
+		},
+		{
+			name: "batch-flag-removed",
+			args: []string{"-graph", "clique", "-n", "4", "-batch=false"},
+			want: "flag provided but not defined: -batch",
 		},
 		{
 			name: "negative-flushwindow",

@@ -555,28 +555,8 @@ func RunLiveTransport(g *Graph, proto LiveProtocol, tr LiveTransport, opts LiveO
 }
 
 // LiveTCPTransport is the multi-process transport: length-prefixed binary
-// frames over TCP (JSON lines behind SetWireFormat(LiveWireJSON)), batched
-// writes, one listener per process.
+// frames over TCP, batched writes, one listener per process.
 type LiveTCPTransport = live.TCPTransport
-
-// LiveWireFormat selects the TCP transport's frame encoding; receivers
-// auto-detect the sender's format per connection, so daemons with different
-// settings interoperate.
-type LiveWireFormat = live.WireFormat
-
-const (
-	// LiveWireBinary is the compact varint frame format (the default).
-	LiveWireBinary = live.WireBinary
-	// LiveWireJSON is the legacy JSON line format, kept for debugging and
-	// wire-level inspection (gossipd -wire json).
-	LiveWireJSON = live.WireJSON
-)
-
-// ParseLiveWireFormat parses a wire format name ("binary" or "json"), as
-// accepted by the gossipd -wire flag.
-func ParseLiveWireFormat(s string) (LiveWireFormat, error) {
-	return live.ParseWireFormat(s)
-}
 
 // NewLiveTCPTransport returns a TCP transport listening on listenAddr and
 // hosting the given nodes; map the remaining nodes to their processes'

@@ -2,7 +2,6 @@ package live
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"testing"
 	"time"
@@ -21,17 +20,13 @@ var benchTick int
 // protocol round trip. Reported metrics: msgs/sec and total wire bytes per
 // delivered message (data frames from the sender plus ack traffic from the
 // receiver).
-func benchLiveStream(b *testing.B, fabric string, format WireFormat, window time.Duration, batched bool) {
+func benchLiveStream(b *testing.B, fabric string, window time.Duration) {
 	src, _ := newFabricTransport(b, fabric, []graph.NodeID{0}, 4096)
 	defer src.Close()
 	dst, dstAddr := newFabricTransport(b, fabric, []graph.NodeID{1}, 4096)
 	defer dst.Close()
-	src.SetWireFormat(format)
-	dst.SetWireFormat(format)
 	src.SetFlushWindow(window)
 	dst.SetFlushWindow(window)
-	src.SetBatching(batched)
-	dst.SetBatching(batched)
 	// A generous RTO keeps retransmissions out of a loopback measurement,
 	// and unbounded queues keep the overload protection from shedding a
 	// deliberately unthrottled firehose (the shed path has its own
@@ -84,44 +79,28 @@ func benchLiveStream(b *testing.B, fabric string, format WireFormat, window time
 	}
 }
 
-// BenchmarkLiveTCPBinary is the historical per-message configuration: binary
-// frames, flush-on-drain write coalescing, one frame and one pend entry per
-// message (batching off so the series stays comparable across PRs).
-func BenchmarkLiveTCPBinary(b *testing.B) { benchLiveStream(b, "tcp", WireBinary, 0, false) }
-
-// BenchmarkLiveTCPBatched is the default configuration since cross-daemon
-// super-frames landed: everything bound for the same daemon that accumulates
-// during the previous socket write coalesces into one FrameBatch frame with
-// one pend entry, one retransmission timer and one ack for the whole batch.
-func BenchmarkLiveTCPBatched(b *testing.B) { benchLiveStream(b, "tcp", WireBinary, 0, true) }
+// BenchmarkLiveTCPBatched is the transport as it ships: everything bound for
+// the same daemon that accumulates during the previous socket write coalesces
+// into one FrameBatch frame with one pend entry, one retransmission timer and
+// one ack for the whole batch.
+func BenchmarkLiveTCPBatched(b *testing.B) { benchLiveStream(b, "tcp", 0) }
 
 // BenchmarkLiveTCPBatchedWindowed widens the aggregation window to 200µs:
 // bigger super-frames still, at the cost of added delivery latency.
 func BenchmarkLiveTCPBatchedWindowed(b *testing.B) {
-	benchLiveStream(b, "tcp", WireBinary, 200*time.Microsecond, true)
-}
-
-// BenchmarkLiveTCPJSON is the legacy JSON line protocol on the same batched
-// writer — the baseline the ≥3× throughput / ≥5× frame-size targets are
-// measured against.
-func BenchmarkLiveTCPJSON(b *testing.B) { benchLiveStream(b, "tcp", WireJSON, 0, false) }
-
-// BenchmarkLiveTCPBinaryWindowed adds a small flush window, trading up to
-// 200µs of latency for wider batches (fewer, larger syscalls).
-func BenchmarkLiveTCPBinaryWindowed(b *testing.B) {
-	benchLiveStream(b, "tcp", WireBinary, 200*time.Microsecond, false)
+	benchLiveStream(b, "tcp", 200*time.Microsecond)
 }
 
 // BenchmarkLiveUDS is BenchmarkLiveTCPBatched with the loopback TCP link
 // replaced by a unix-domain socket: the identical wire bytes skip the TCP
 // stack (checksums, Nagle/cork logic, loopback queueing), which is the
 // entire difference in the numbers.
-func BenchmarkLiveUDS(b *testing.B) { benchLiveStream(b, "unix", WireBinary, 0, true) }
+func BenchmarkLiveUDS(b *testing.B) { benchLiveStream(b, "unix", 0) }
 
 // BenchmarkLiveShmRing is the same workload over the in-process shared-ring
 // fabric: frames move producer-to-consumer through lock-free SPSC byte
 // rings, with no syscall on the hot path.
-func BenchmarkLiveShmRing(b *testing.B) { benchLiveStream(b, "ring", WireBinary, 0, true) }
+func BenchmarkLiveShmRing(b *testing.B) { benchLiveStream(b, "ring", 0) }
 
 // BenchmarkLiveTCPOverloadShed measures the bounded-queue path under
 // deliberate overload: a tiny writer-queue cap against an unthrottled
@@ -191,8 +170,8 @@ func BenchmarkLiveTCPOverloadShed(b *testing.B) {
 	b.ReportMetric(float64(src.Overload().ShedQueue)/float64(b.N), "sheds/op")
 }
 
-// BenchmarkLiveTCPCodec isolates the two codecs with no sockets: one
-// encode+decode round trip of a push-pull frame per iteration.
+// BenchmarkLiveTCPCodec isolates the codec with no sockets: one encode+decode
+// round trip of a push-pull frame per iteration.
 func BenchmarkLiveTCPCodec(b *testing.B) {
 	w := wireMessage{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 1, Latency: 1, SentTick: 1,
 		PayloadType: "live_test.bit", Payload: []byte(`true`)}
@@ -211,22 +190,6 @@ func BenchmarkLiveTCPCodec(b *testing.B) {
 			r.off = 0
 			br.Reset(r)
 			if _, _, err := dec.readFrame(br, &got); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("json", func(b *testing.B) {
-		var got wireMessage
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Seq++
-			w.SentTick++
-			line, err := json.Marshal(&w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := json.Unmarshal(line, &got); err != nil {
 				b.Fatal(err)
 			}
 		}

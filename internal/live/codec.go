@@ -90,9 +90,8 @@ func encodePayload(p sim.Payload) (name string, data []byte, err error) {
 }
 
 // DecodeBit parses the shared one-byte boolean payload encoding used by the
-// hot single-bit protocol payloads: ASCII '0' / '1', which is also a valid
-// JSON number so the same bytes ride the legacy JSON line protocol
-// unwrapped. The legacy JSON bools older senders emit are still accepted.
+// hot single-bit protocol payloads: ASCII '0' / '1'. The JSON bools older
+// senders emit are still accepted.
 func DecodeBit(data []byte) (bool, error) {
 	if len(data) == 1 {
 		switch data[0] {

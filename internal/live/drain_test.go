@@ -48,7 +48,8 @@ func TestChanTransportDrainClean(t *testing.T) {
 }
 
 // TestTCPDrainClean: with a live peer, every queued frame flushes and every
-// pend entry resolves before the transport closes.
+// pend entry resolves before the transport closes — including first
+// transmissions still dialing when the drain begins, which sit in no queue.
 func TestTCPDrainClean(t *testing.T) {
 	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 256)
 	if err != nil {
@@ -80,9 +81,10 @@ func TestTCPDrainClean(t *testing.T) {
 	if err := src.Send(testMsg(1, MsgRequest, 99), 0); !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("Send after Drain = %v, want ErrTransportClosed", err)
 	}
-	// Drain's contract: messages still sitting on latency timers are counted
-	// losses (a leaving process stops initiating), but everything that made
-	// it past admission flushed and was acked — so it reached the peer.
+	// Drain's contract: messages the drain stopped before they reached a
+	// writer queue are counted losses (a leaving process stops initiating),
+	// in the report and in the drop ledger alike; everything else flushed and
+	// was acked — so it reached the peer. Nothing is in neither set.
 	delivered := 0
 	inbox := dst.Recv(1)
 	for {
@@ -98,6 +100,9 @@ func TestTCPDrainClean(t *testing.T) {
 		t.Fatalf("delivered = %d, want %d (%d sends - %d abandoned)",
 			delivered, want, sends, rep.AbandonedTimers)
 	}
+	if dropped := src.Dropped(); int64(delivered)+dropped != sends {
+		t.Fatalf("delivered %d + dropped %d != %d sends", delivered, dropped, sends)
+	}
 }
 
 // TestTCPDrainDeadline: a peer that never acks pins the pend set, so the
@@ -111,7 +116,6 @@ func TestTCPDrainDeadline(t *testing.T) {
 	}
 	tr.SetPeers(map[graph.NodeID]string{1: addr})
 	tr.SetRetransmit(time.Hour, 4) // never resolves by give-up either
-	tr.SetBatching(false)          // per-message pend entries: the counts below are exact
 
 	const sends = 5
 	for i := 0; i < sends; i++ {
@@ -182,7 +186,6 @@ func TestTCPDrainNoRedial(t *testing.T) {
 	}
 	tr.SetPeers(map[graph.NodeID]string{1: addr})
 	tr.SetRetransmit(time.Hour, 4)
-	tr.SetBatching(false) // per-message pend entries: the count below is exact
 
 	// One send first so the connection pool settles (concurrent first sends
 	// may race extra dials); the rest then ride the pooled connection.

@@ -368,7 +368,6 @@ func TestFabricDrainPendingParity(t *testing.T) {
 			defer stop()
 			tr.SetPeers(map[graph.NodeID]string{1: addr})
 			tr.SetRetransmit(time.Hour, 4)
-			tr.SetBatching(false) // per-message pend entries: exact counts
 
 			const pendingSends = 3
 			if err := tr.Send(testMsg(1, MsgRequest, 0), time.Hour); err != nil {
@@ -485,7 +484,7 @@ func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 	}
 	outcomes := make(map[string]outcome, len(fabrics))
 	for _, fabric := range fabrics {
-		got, rep := runScriptedFaults(t, fabric, g, feed, cfg, WireBinary, true)
+		got, rep := runScriptedFaults(t, fabric, g, feed, cfg)
 		outcomes[fabric] = outcome{got, rep}
 	}
 
@@ -512,9 +511,8 @@ func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 // runScriptedFaults feeds a deterministic schedule through per-side
 // FaultTransports over a two-transport cluster on the given fabric, waits
 // for the reliable-delivery layer to drain, and returns the arrival multiset
-// plus the summed injected-fault counters. (The TCP-only tests wrap this via
-// runScriptedTCPFaults.)
-func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Message, cfg FaultConfig, wf WireFormat, batched bool) (map[arrivalKey]int, FaultCounts) {
+// plus the summed injected-fault counters.
+func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Message, cfg FaultConfig) (map[arrivalKey]int, FaultCounts) {
 	t.Helper()
 	half := g.N() / 2
 	side := func(u graph.NodeID) int {
@@ -532,8 +530,6 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 	addrs := make(map[graph.NodeID]string, g.N())
 	for i := range trs {
 		tr, addr := newFabricTransport(t, fabric, hosted[i], 4096)
-		tr.SetWireFormat(wf)
-		tr.SetBatching(batched)
 		tr.SetRetransmit(time.Second, 8)
 		trs[i] = tr
 		for _, u := range hosted[i] {

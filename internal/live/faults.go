@@ -21,9 +21,9 @@ import (
 // attempt). Goroutine scheduling therefore cannot change which messages are
 // dropped, duplicated, or jittered: two runs whose protocols emit the same
 // messages experience byte-identical faults. The decision is also made
-// before the message reaches any wire codec, so it is independent of the
-// encoding: a run behaves identically under the binary and JSON wire
-// formats (and over the in-process channel transport, which never encodes).
+// before the message reaches any transport, so it is independent of what
+// carries it: a run behaves identically over TCP, unix sockets, in-process
+// rings, and the in-process channel transport (which never encodes).
 
 // FaultConfig configures deterministic fault injection. The zero value
 // injects nothing (a pure pass-through that only counts traffic).

@@ -22,8 +22,8 @@
 //     random choices in both runtimes, tick for tick.
 //
 // Two transports ship with the package: ChanTransport (in-process channels,
-// used by gossip.RunLive) and TCPTransport (JSON lines over TCP, one process
-// per node subset, used by cmd/gossipd). A Runtime may host any subset of
+// used by gossip.RunLive) and TCPTransport (binary frames over TCP, one
+// process per node subset, used by cmd/gossipd). A Runtime may host any subset of
 // the graph's nodes; a cluster is several runtimes — in one process or many
 // — whose transports route to each other.
 package live

@@ -147,24 +147,44 @@ func TestOverloadMemberBackpressure(t *testing.T) {
 }
 
 // TestOverloadPendShed: the pend cap sheds the oldest in-flight gossip entry
-// per shard; membership entries are exempt.
+// per shard, and every message of a shed super-frame is a counted loss —
+// whatever the writer's framing, shed + still pending accounts for every send.
 func TestOverloadPendShed(t *testing.T) {
 	tr, cleanup := overloadPair(t)
 	defer cleanup()
-	tr.SetOverloadLimits(-1, pendShards) // one pending gossip frame per shard
-	tr.SetBatching(false)                // per-message pend path: shed math is per frame
+	tr.SetFlushWindow(0)                 // un-park the writer: pend entries register at write time
+	tr.SetOverloadLimits(-1, pendShards) // one pending super-frame per shard
 
-	const sends = 4 * pendShards
-	for i := 0; i < sends; i++ {
-		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
-			t.Fatal(err)
+	// Waves, each registered before the next is sent: every wave ends a
+	// super-frame, and those frames' keys (the wave's last seq, a multiple of
+	// the wave size) land on a quarter of the shards — so sheds are certain
+	// however the writer splits a wave into frames.
+	const wave, sends = 4, 4 * pendShards
+	for sent := 0; sent < sends; {
+		for i := 0; i < wave; i++ {
+			if err := tr.Send(testMsg(1, MsgRequest, sent), 0); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		if !pollUntil(5*time.Second, func() bool {
+			return int(tr.Overload().ShedPend)+tr.pendingCount() == sent
+		}) {
+			t.Fatalf("ShedPend = %d + pendingCount = %d, want %d sent",
+				tr.Overload().ShedPend, tr.pendingCount(), sent)
 		}
 	}
-	if !pollUntil(5*time.Second, func() bool {
-		return tr.Overload().ShedPend == sends-pendShards && tr.pendingCount() == pendShards
-	}) {
-		t.Fatalf("ShedPend = %d, pendingCount = %d; want %d shed, %d pending",
-			tr.Overload().ShedPend, tr.pendingCount(), sends-pendShards, pendShards)
+	if tr.Overload().ShedPend == 0 {
+		t.Fatal("ShedPend = 0: the pend cap never engaged")
+	}
+	entries := 0
+	for i := range tr.pend {
+		tr.pend[i].mu.Lock()
+		entries += len(tr.pend[i].m)
+		tr.pend[i].mu.Unlock()
+	}
+	if entries > pendShards {
+		t.Fatalf("%d pend entries, cap is %d", entries, pendShards)
 	}
 }
 
@@ -174,8 +194,8 @@ func TestOverloadPendShed(t *testing.T) {
 func TestTCPDeadPeerDropsInFlight(t *testing.T) {
 	tr, cleanup := overloadPair(t)
 	defer cleanup()
-	tr.SetBreaker(-1, 0)  // breakers off: the flush must still happen
-	tr.SetBatching(false) // per-message pend entries: pendingCount == sends below
+	tr.SetFlushWindow(0) // un-park the writer: pend entries register at write time
+	tr.SetBreaker(-1, 0) // breakers off: the flush must still happen
 
 	const sends = 8
 	for i := 0; i < sends; i++ {
@@ -223,17 +243,15 @@ func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
 	tr.SetDialTimeout(time.Millisecond)
 	tr.SetRetransmit(time.Hour, 4) // failures come from dials, not give-ups
 	tr.SetBreaker(2, time.Hour)    // trip after 2 failures, stay open
-	tr.SetBatching(false)          // pend entries register at send time in this mode
 
+	// An undialable first transmission is a terminal, counted loss and one
+	// failure toward the breaker.
 	for i := 0; i < 2; i++ {
 		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
 			t.Fatal(err)
 		}
-		if !pollUntil(5*time.Second, func() bool {
-			ov := tr.Overload()
-			return ov.BreakerOpens >= 1 || int(ov.BreakerDrops) == 0 && tr.pendingCount() == i+1
-		}) {
-			t.Fatalf("send %d never registered", i)
+		if !pollUntil(5*time.Second, func() bool { return tr.Dropped() == int64(i+1) }) {
+			t.Fatalf("send %d: Dropped = %d, want %d", i, tr.Dropped(), i+1)
 		}
 	}
 	if !pollUntil(5*time.Second, func() bool { return tr.Overload().BreakerOpens >= 1 }) {

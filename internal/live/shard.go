@@ -89,6 +89,12 @@ func (s *shard) post(msg Message, delayTicks int64) bool {
 func (s *shard) run() {
 	defer s.rt.wg.Done()
 	defer func() {
+		if s.rt.leaving.Load() {
+			// An interrupted run promises that every live node announces its
+			// leave; a shard the scheduler starved through the whole grace
+			// window makes good on it now.
+			s.tick()
+		}
 		s.mu.Lock()
 		s.stopped = true
 		s.mu.Unlock()

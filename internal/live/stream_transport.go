@@ -3,7 +3,6 @@ package live
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -16,27 +15,21 @@ import (
 	"gossip/internal/sim"
 )
 
-// wireMessage is the frame shape shared by both wire formats: the JSON line
-// protocol marshals it directly, the binary codec (wire.go) encodes the same
-// fields as varints. Payloads travel as (registered type name, raw bytes)
-// pairs — see codec.go. Seq is the sender-assigned reliable-delivery
-// sequence number; an ack echoes it back.
+// wireMessage is one data message as the wire codec (wire.go) encodes it.
+// Payloads travel as (registered type name, raw bytes) pairs — see codec.go.
+// Seq is the sender-assigned reliable-delivery sequence number; an ack echoes
+// it back.
 type wireMessage struct {
-	Kind        uint8           `json:"k"`
-	Seq         uint64          `json:"q,omitempty"`
-	From        int             `json:"f"`
-	To          int             `json:"t"`
-	EdgeID      int             `json:"e"`
-	Latency     int             `json:"l"`
-	SentTick    int             `json:"s"`
-	PayloadType string          `json:"pt,omitempty"`
-	Payload     json.RawMessage `json:"p,omitempty"`
+	Kind        uint8
+	Seq         uint64
+	From        int
+	To          int
+	EdgeID      int
+	Latency     int
+	SentTick    int
+	PayloadType string
+	Payload     []byte
 }
-
-// wireAck is the Kind of a standalone JSON acknowledgement frame (only Kind
-// and Seq are meaningful); it never collides with MsgRequest/MsgResponse.
-// The binary format carries acks in each frame's ack section instead.
-const wireAck uint8 = 0xFF
 
 // Reliable-delivery defaults: until a peer has yielded an RTT sample the
 // first retransmission fires after DefaultRetransmitRTO; once acks flow, the
@@ -64,9 +57,8 @@ const (
 	dedupShards = 16
 )
 
-// StreamTransport is the transport-family-generic stream core: framed
-// messages — length-prefixed binary frames by default, JSON lines behind
-// SetWireFormat(WireJSON) — over any ordered byte stream. Three connection
+// StreamTransport is the transport-family-generic stream core: length-prefixed
+// binary frames (wire.go) over any ordered byte stream. Three connection
 // families (fabrics) plug in beneath it:
 //
 //   - TCP (NewTCPTransport): the cross-machine fabric.
@@ -88,30 +80,30 @@ const (
 // Each process hosts a subset of the graph's nodes behind one or more
 // listeners; SetPeers maps every remote node to the listen address of the
 // process hosting it. Messages between two locally hosted nodes
-// short-circuit the socket and are delivered in memory. Receivers auto-detect
-// the peer's format per connection, so mixed-format clusters interoperate.
+// short-circuit the socket and are delivered in memory.
 //
-// Writes are batched: every connection has a writer goroutine draining a
-// frame queue through a buffered writer, so the many messages gossip
-// generates in one tick coalesce into one syscall, and acks ride the ack
-// section of outgoing binary frames instead of paying a frame each.
+// A remote message has one lifecycle: Send arms its latency delay, the delay
+// hands it to the destination connection's writer queue, the writer drains
+// the queue and registers what it is about to write for reliable delivery,
+// and the peer's ack resolves it. Every connection has a writer goroutine
+// draining its queue through a buffered writer, so the many messages gossip
+// generates in one tick coalesce into one syscall, and everything bound for
+// the same destination daemon within one drain coalesces into FrameBatch
+// super-frames — one frame header, one pend entry, one retransmission timer,
+// and one returning ack per batch (a batch of one is still a batch). Acks
+// ride the ack section of outgoing frames instead of paying a frame each,
+// and the receiver decodes a super-frame once and scatters each sub-message
+// straight to the owning shard's mailbox through the DeliverySink seam.
 // SetFlushWindow adds an optional delay that widens the batches further.
 //
-// In batched mode (SetBatching, default on, binary format only) the writer
-// goes further: everything bound for the same destination daemon within one
-// drain coalesces into FrameBatch super-frames — one frame header, one pend
-// entry, one retransmission timer, and one returning ack per batch instead
-// of per message — and the receiver decodes a super-frame once and scatters
-// each sub-message straight to the owning shard's mailbox through the
-// DeliverySink seam.
-//
 // Remote delivery is reliable up to a retransmission budget: every remote
-// message carries a sequence number, the receiver acks it on the same
-// connection, and unacked messages are retransmitted with exponential
-// backoff. A write failure evicts the broken connection and immediately
-// re-queues the affected messages through the retransmit path, so the first
-// retry redials at once instead of waiting out the RTO. A message still
-// unacked after the budget is abandoned and counted as dropped. Receivers
+// message carries a sequence number, the receiver acks each frame on the same
+// connection with the Seq of its last message, and unacked super-frames are
+// retransmitted whole with exponential backoff. A write failure evicts the
+// broken connection and immediately re-queues the affected super-frames
+// through the retransmit path, so the first retry redials at once instead of
+// waiting out the RTO. A super-frame still unacked after the budget is
+// abandoned and its messages counted as dropped. Receivers
 // deduplicate on (EdgeID, From, SentTick, Kind) within a sliding tick window
 // (SetDedupWindow), so retransmissions and network duplicates are idempotent
 // and the dedup set stays bounded over arbitrarily long runs.
@@ -133,11 +125,9 @@ type StreamTransport struct {
 	sink      atomic.Pointer[DeliverySink]
 
 	// Atomic because connection goroutines read them while the owner may
-	// still be configuring (an eager peer can dial in before SetWireFormat).
-	wireFormat  atomic.Int32 // WireFormat
+	// still be configuring (an eager peer can dial in before SetFlushWindow).
 	flushWindow atomic.Int64 // time.Duration
 	dedupWindow atomic.Int64 // ticks
-	batching    atomic.Bool  // FrameBatch super-frame aggregation (binary only)
 
 	peerMu  sync.RWMutex
 	peers   map[graph.NodeID]string
@@ -216,17 +206,16 @@ type pendShard struct {
 	m  map[uint64]*pendingSend
 }
 
-// pendingSend is one unacknowledged reliable send awaiting ack — a single
-// remote message, or (batched mode) one whole FrameBatch super-frame whose
-// sub-messages live in batch and whose pend key is the last sub-message's
-// Seq (mirrored in w). retry is the armed retransmission timer (stopped on
-// ack or Close). sentAt and retransmitted feed the RTT estimator under
-// Karn's rule: only an entry acked on its first attempt yields a sample.
+// pendingSend is one unacknowledged reliable send awaiting ack: one whole
+// FrameBatch super-frame whose sub-messages live in batch and whose pend key
+// is the last sub-message's Seq. retry is the armed retransmission timer
+// (stopped on ack or Close). sentAt and retransmitted feed the RTT estimator
+// under Karn's rule: only an entry acked on its first attempt yields a sample.
 type pendingSend struct {
 	addr          string
 	ps            *peerState // the peer's adaptive state, resolved once at admission
-	w             wireMessage
-	batch         []wireMessage // super-frame sub-messages; nil for a per-message entry
+	key           uint64
+	batch         []wireMessage // super-frame sub-messages
 	member        bool          // batch carries membership traffic: exempt from shedding
 	attempts      int
 	retry         *wheelTimer
@@ -236,20 +225,12 @@ type pendingSend struct {
 
 // msgCount returns the logical data messages this entry carries — the unit
 // the drop and shed ledgers count in.
-func (p *pendingSend) msgCount() int64 {
-	if p.batch != nil {
-		return int64(len(p.batch))
-	}
-	return 1
-}
+func (p *pendingSend) msgCount() int64 { return int64(len(p.batch)) }
 
 // destinedTo reports whether every logical message of this entry targets
 // node u — the per-node flush test for PeerDown. A batch mixing destinations
 // is spared; the address-level breaker flush covers daemon-wide death.
 func (p *pendingSend) destinedTo(u int) bool {
-	if p.batch == nil {
-		return p.w.To == u
-	}
 	for i := range p.batch {
 		if p.batch[i].To != u {
 			return false
@@ -364,7 +345,6 @@ func newStreamTransport(local []graph.NodeID, buffer int) *StreamTransport {
 		closed:      make(chan struct{}),
 	}
 	t.dedupWindow.Store(DefaultDedupWindowTicks)
-	t.batching.Store(true)
 	for _, u := range local {
 		t.hosted[u] = true
 	}
@@ -553,14 +533,6 @@ func addrIsLocalHost(addr string) bool {
 	return localHostIPs.set[ip.String()]
 }
 
-// SetWireFormat selects the outgoing frame encoding (default WireBinary).
-// Call it before the first Send; inbound frames are auto-detected per
-// connection regardless, so peers may differ.
-func (t *StreamTransport) SetWireFormat(f WireFormat) { t.wireFormat.Store(int32(f)) }
-
-// WireFormat returns the transport's outgoing frame encoding.
-func (t *StreamTransport) WireFormat() WireFormat { return WireFormat(t.wireFormat.Load()) }
-
 // SetFlushWindow makes every connection's writer wait this long after the
 // first queued frame before flushing, widening write batches at the cost of
 // up to that much added delivery latency (0, the default, flushes as soon as
@@ -571,24 +543,6 @@ func (t *StreamTransport) SetFlushWindow(d time.Duration) {
 		d = 0
 	}
 	t.flushWindow.Store(int64(d))
-}
-
-// SetBatching toggles cross-daemon super-frame aggregation (default on,
-// binary format only; JSON always sends per-message frames). When enabled,
-// every message bound for the same destination daemon within one writer
-// drain coalesces into FrameBatch super-frames sharing one frame header, one
-// pend entry, one retransmission timer, and one returning ack — the
-// per-message reliable-delivery bookkeeping collapses to per-batch. Call
-// before the first Send.
-func (t *StreamTransport) SetBatching(on bool) { t.batching.Store(on) }
-
-// Batching reports whether super-frame aggregation is enabled.
-func (t *StreamTransport) Batching() bool { return t.batching.Load() }
-
-// batched reports whether outgoing frames actually aggregate: batching is
-// enabled and the outgoing format is binary.
-func (t *StreamTransport) batched() bool {
-	return t.batching.Load() && t.WireFormat() == WireBinary
 }
 
 // SetDedupWindow bounds receiver-side dedup retention to the given number of
@@ -786,7 +740,7 @@ func (t *StreamTransport) Retransmits() int64 { return t.retransmits.Load() }
 func (t *StreamTransport) DupsSuppressed() int64 { return t.dupsSuppressed.Load() }
 
 // WireBytesOut returns the total frame bytes this transport wrote to its
-// sockets (data frames and acks, both formats). Benchmarks divide it by the
+// sockets (data frames and acks). Benchmarks divide it by the
 // message count to report bytes per delivered message.
 func (t *StreamTransport) WireBytesOut() int64 { return t.bytesOut.Load() }
 
@@ -799,13 +753,12 @@ func (t *StreamTransport) WireBytesOut() int64 { return t.bytesOut.Load() }
 func (t *StreamTransport) WireFlushes() int64 { return t.flushes.Load() }
 
 // WireFramesOut returns the physical frames written (a FrameBatch
-// super-frame counts once; JSON counts encoder calls).
+// super-frame counts once).
 func (t *StreamTransport) WireFramesOut() int64 { return t.framesOut.Load() }
 
 // WireMsgsOut returns the logical data messages carried by the frames
-// written: WireMsgsOut/WireFramesOut is the realized aggregation factor
-// (1.0 with batching off), and WireFramesOut/WireFlushes the realized write
-// coalescing.
+// written: WireMsgsOut/WireFramesOut is the realized aggregation factor, and
+// WireFramesOut/WireFlushes the realized write coalescing.
 func (t *StreamTransport) WireMsgsOut() int64 { return t.msgsOut.Load() }
 
 // WireLocalFrames returns the subset of WireFramesOut that traveled a local
@@ -817,12 +770,15 @@ func (t *StreamTransport) WireLocalFrames() int64 { return t.localFrames.Load() 
 // WireLocalBytes returns the subset of WireBytesOut written to local fabrics.
 func (t *StreamTransport) WireLocalBytes() int64 { return t.localBytes.Load() }
 
-// pendingCount returns the number of unacked reliable sends (tests).
+// pendingCount returns the logical messages registered for reliable delivery
+// and not yet acked — the unit every drop and shed counter uses.
 func (t *StreamTransport) pendingCount() int {
 	n := 0
 	for i := range t.pend {
 		t.pend[i].mu.Lock()
-		n += len(t.pend[i].m)
+		for _, p := range t.pend[i].m {
+			n += len(p.batch)
+		}
 		t.pend[i].mu.Unlock()
 	}
 	return n
@@ -932,65 +888,29 @@ func (t *StreamTransport) pendShard(seq uint64) *pendShard {
 	return &t.pend[seq&(pendShards-1)]
 }
 
-// transmit performs the first wire attempt of w and registers it for
-// retransmission until acked (or the budget runs out). This is where the
-// breaker and the pend cap gate admission: a refused send is a terminal,
-// counted loss (same contract as an injected drop — gossip re-converges).
-// In batched mode the message only joins the destination daemon's
-// aggregation queue here; reliable-delivery registration happens per
-// super-frame at flush time (registerBatch).
+// transmit hands w to the destination daemon's aggregation queue once its
+// latency delay has elapsed. This is where the breaker gates admission: a
+// refused send is a terminal, counted loss (same contract as an injected drop
+// — gossip re-converges). Reliable-delivery registration, and the pend cap,
+// happen per super-frame at flush time (registerBatch).
 func (t *StreamTransport) transmit(addr string, w wireMessage) { t.transmitOn(nil, addr, w) }
 
 // transmitOn is transmit with an optional already-resolved connection hint
 // (the send fast path just looked it up; re-resolving costs a map lookup per
 // message). A nil or stale hint falls back to the ordinary dial path.
 func (t *StreamTransport) transmitOn(cs *connState, addr string, w wireMessage) {
-	ps := t.peer(addr)
-	if !t.allowSend(ps) {
+	if !t.allowSend(t.peer(addr)) {
 		t.ovBreakerDrop.Add(1)
 		return
 	}
-	if t.batched() {
-		t.writeQueuedOn(cs, addr, &w)
-		return
-	}
-	p := &pendingSend{addr: addr, ps: ps, w: w, sentAt: time.Now()}
-	sh := t.pendShard(w.Seq)
-	sh.mu.Lock()
-	select {
-	case <-t.closed:
-		sh.mu.Unlock()
-		t.dropsClosed.Add(1)
-		return
-	default:
-	}
-	if sh.m == nil {
-		sh.m = make(map[uint64]*pendingSend)
-	}
-	if t.pendLimit > 0 && MsgKind(w.Kind) != MsgMember {
-		perShard := t.pendLimit / pendShards
-		if perShard < 1 {
-			perShard = 1
-		}
-		if len(sh.m) >= perShard && !t.shedOldestLocked(sh) {
-			// The shard is full of membership entries (exempt from
-			// shedding): shed the gossip newcomer instead.
-			sh.mu.Unlock()
-			t.ovShedPend.Add(1)
-			return
-		}
-	}
-	sh.m[w.Seq] = p
-	t.armRetryLocked(p)
-	sh.mu.Unlock()
-	t.write(addr, &w)
+	t.writeQueuedOn(cs, addr, &w)
 }
 
-// writeQueued queues w on addr's aggregation queue, dialing if needed. In
-// batched mode a message becomes reliable only once its super-frame is
-// flushed; one that never reaches a writer queue — the peer is undialable,
-// or the connection died twice in a row — is a terminal, counted loss,
-// exactly like a retransmission give-up.
+// writeQueued queues w on addr's aggregation queue, dialing if needed. A
+// message becomes reliable only once its super-frame is flushed; one that
+// never reaches a writer queue — the peer is undialable, or the connection
+// died twice in a row — is a terminal, counted loss, exactly like a
+// retransmission give-up.
 func (t *StreamTransport) writeQueued(addr string, w *wireMessage) {
 	t.writeQueuedOn(nil, addr, w)
 }
@@ -1052,7 +972,7 @@ func (t *StreamTransport) registerBatch(addr string, ps *peerState, msgs []wireM
 		}
 	}
 	key = batch[len(batch)-1].Seq
-	p := &pendingSend{addr: addr, ps: ps, w: batch[len(batch)-1], batch: batch, member: member, sentAt: time.Now()}
+	p := &pendingSend{addr: addr, ps: ps, key: key, batch: batch, member: member, sentAt: time.Now()}
 	sh := t.pendShard(key)
 	sh.mu.Lock()
 	select {
@@ -1089,10 +1009,10 @@ func (t *StreamTransport) registerBatch(addr string, ps *peerState, msgs []wireM
 func (t *StreamTransport) shedOldestLocked(sh *pendShard) bool {
 	var oldest *pendingSend
 	for _, q := range sh.m {
-		if q.member || MsgKind(q.w.Kind) == MsgMember {
+		if q.member {
 			continue
 		}
-		if oldest == nil || q.w.Seq < oldest.w.Seq {
+		if oldest == nil || q.key < oldest.key {
 			oldest = q
 		}
 	}
@@ -1100,7 +1020,7 @@ func (t *StreamTransport) shedOldestLocked(sh *pendShard) bool {
 		return false
 	}
 	oldest.retry.Stop()
-	delete(sh.m, oldest.w.Seq)
+	delete(sh.m, oldest.key)
 	t.ovShedPend.Add(oldest.msgCount())
 	return true
 }
@@ -1117,12 +1037,12 @@ func (t *StreamTransport) armRetryLocked(p *pendingSend) {
 	if backoff > t.rtoMax {
 		backoff = t.rtoMax
 	}
-	seq := p.w.Seq
+	seq := p.key
 	p.retry = t.retries.schedule(backoff, func() { t.retry(seq) })
 }
 
-// retry retransmits one unacked message, or abandons it once the budget is
-// spent. A no-op if the ack arrived (or the transport closed) in the
+// retry retransmits one unacked super-frame, or abandons it once the budget
+// is spent. A no-op if the ack arrived (or the transport closed) in the
 // meantime.
 func (t *StreamTransport) retry(seq uint64) {
 	sh := t.pendShard(seq)
@@ -1157,15 +1077,9 @@ func (t *StreamTransport) retry(seq uint64) {
 	}
 	p.retransmitted = true
 	t.armRetryLocked(p)
-	addr, w := p.addr, p.w
-	isBatch := p.batch != nil
 	sh.mu.Unlock()
 	t.retransmits.Add(p.msgCount())
-	if isBatch {
-		t.writeRetry(addr, p)
-		return
-	}
-	t.write(addr, &w)
+	t.writeRetry(p.addr, p)
 }
 
 // writeRetry re-queues a registered super-frame for retransmission on addr's
@@ -1203,9 +1117,9 @@ func (t *StreamTransport) retryNow(seq uint64) {
 	}
 }
 
-// ack resolves one pending message: its retransmission timer is stopped, the
-// entry dropped, and the peer's adaptive state credited — an RTT sample when
-// the message was never retransmitted (Karn's rule), a breaker success
+// ack resolves one pending super-frame: its retransmission timer is stopped,
+// the entry dropped, and the peer's adaptive state credited — an RTT sample
+// when the frame was never retransmitted (Karn's rule), a breaker success
 // either way.
 func (t *StreamTransport) ack(seq uint64) {
 	sh := t.pendShard(seq)
@@ -1221,15 +1135,13 @@ func (t *StreamTransport) ack(seq uint64) {
 	}
 	if !p.retransmitted {
 		p.ps.observeRTT(time.Since(p.sentAt))
-		if p.batch != nil {
-			// Acked on the first attempt: retry() marks retransmitted under
-			// the shard lock before any requeue, and the writer consumed the
-			// original bytes before they could be acked, so this batch slice
-			// is provably unaliased — recycle it.
-			b := p.batch[:0]
-			p.batch = nil
-			batchPool.Put(&b)
-		}
+		// Acked on the first attempt: retry() marks retransmitted under the
+		// shard lock before any requeue, and the writer consumed the original
+		// bytes before they could be acked, so this batch slice is provably
+		// unaliased — recycle it.
+		b := p.batch[:0]
+		p.batch = nil
+		batchPool.Put(&b)
 	}
 	p.ps.success()
 }
@@ -1306,17 +1218,14 @@ func (t *StreamTransport) Close() error {
 			}
 			sh.mu.Unlock()
 		}
-		batched := t.batched()
 		t.connMu.Lock()
 		for _, cs := range t.outs {
-			// Rescue backpressured enqueuers before the socket dies. In
-			// batched mode the queued frames were never pend-registered (the
-			// sweep above missed them), so count them here; queued
-			// retransmissions were swept as pend entries already.
+			// Rescue backpressured enqueuers before the socket dies. The
+			// queued frames were never pend-registered (the sweep above
+			// missed them), so count them here; queued retransmissions were
+			// swept as pend entries already.
 			data, _ := cs.markDead()
-			if batched {
-				t.dropsClosed.Add(int64(len(data)))
-			}
+			t.dropsClosed.Add(int64(len(data)))
 			cs.c.Close()
 		}
 		for _, cs := range t.accepts {
@@ -1326,10 +1235,17 @@ func (t *StreamTransport) Close() error {
 		t.connMu.Unlock()
 	})
 	t.wg.Wait()
+	// Delay callbacks already running when the wheel closed are not in wg; each
+	// sees closed and counts its message. The ledger is final once they finish.
+	for t.delays.len() > 0 {
+		time.Sleep(time.Millisecond)
+	}
 	return nil
 }
 
-// queueDepth returns the total data frames sitting in writer queues.
+// queueDepth returns the messages handed to a connection and not yet
+// registered for reliable delivery: in a writer queue (fresh or awaiting
+// retransmission) or taken by a writer that has not registered them yet.
 func (t *StreamTransport) queueDepth() int {
 	t.connMu.Lock()
 	conns := make([]*connState, 0, len(t.outs)+len(t.accepts))
@@ -1341,7 +1257,7 @@ func (t *StreamTransport) queueDepth() int {
 	n := 0
 	for _, cs := range conns {
 		cs.qmu.Lock()
-		n += cs.qLen + len(cs.qRetry)
+		n += cs.qLen + len(cs.qRetry) + cs.held
 		cs.qmu.Unlock()
 	}
 	return n
@@ -1349,9 +1265,14 @@ func (t *StreamTransport) queueDepth() int {
 
 // Drain implements Drainer: stop admitting sends and stop the latency timers
 // (a draining process is leaving — a not-yet-sent message is a counted loss),
-// then wait for the writer queues to flush and every reliable send to resolve
-// (ack, give-up, or breaker flush) before closing. On deadline expiry the
-// transport closes anyway and the report says what was abandoned.
+// then wait for every message past its timer to resolve before closing. A
+// message is in one stage at a time and only moves forward — delay callback,
+// writer queue, writer-held, pend — so the drain is clean once the four
+// stages, read in that order, are all empty. A first transmission already
+// running when the drain began either finishes its dial and flushes, or is
+// refused by the draining gate: a closed-drop the report shows as abandoned,
+// like the stopped timers. On deadline expiry the transport closes anyway and
+// the report says what was left in each stage.
 func (t *StreamTransport) Drain(ctx context.Context) (DrainReport, error) {
 	start := time.Now()
 	select {
@@ -1360,20 +1281,24 @@ func (t *StreamTransport) Drain(ctx context.Context) (DrainReport, error) {
 	default:
 	}
 	t.draining.Store(true)
-	rep := DrainReport{AbandonedTimers: t.delays.close()}
-	t.dropsClosed.Add(rep.AbandonedTimers)
+	closedBefore := t.dropsClosed.Load()
+	t.dropsClosed.Add(t.delays.close())
+	var rep DrainReport
 	poll := time.NewTimer(2 * time.Millisecond)
 	defer poll.Stop()
 	for {
-		if t.queueDepth() == 0 && t.pendingCount() == 0 {
+		// delays.len() after close: callbacks past its check and still running.
+		if t.delays.len() == 0 && t.queueDepth() == 0 && t.pendingCount() == 0 {
 			rep.Clean = true
+			rep.AbandonedTimers = t.dropsClosed.Load() - closedBefore
 			err := t.Close()
 			rep.Wall = time.Since(start)
 			return rep, err
 		}
 		select {
 		case <-ctx.Done():
-			rep.QueuedAtClose = t.queueDepth()
+			rep.AbandonedTimers = t.dropsClosed.Load() - closedBefore
+			rep.QueuedAtClose = t.delays.len() + t.queueDepth()
 			rep.PendingAtClose = t.pendingCount()
 			t.Close()
 			rep.Wall = time.Since(start)
@@ -1431,6 +1356,7 @@ type connState struct {
 	qLen       int
 	qAcks      []uint64
 	qRetry     []*pendingSend // registered super-frames awaiting retransmission
+	held       int            // data frames the writer took and has not yet registered
 	spillAcks  []uint64       // retired queue slices, reused to avoid reallocating
 	spillRetry []*pendingSend
 	dead       bool
@@ -1439,12 +1365,11 @@ type connState struct {
 	deadCh  chan struct{} // closed by markDead
 	spaceCh chan struct{} // writer signals queue space to backpressured enqueuers
 
-	// Writer-goroutine-owned state: the buffered writer, the binary
-	// encoder's intern table and scratch, and the frame build buffer.
-	bw   *bufio.Writer
-	enc  wireEnc
-	jenc *json.Encoder
-	buf  []byte
+	// Writer-goroutine-owned state: the buffered writer, the encoder's
+	// intern table and scratch, and the frame build buffer.
+	bw  *bufio.Writer
+	enc wireEnc
+	buf []byte
 
 	// Read-loop-owned one-entry payload-decoder memo. The PayloadType
 	// strings a connection delivers come from its decoder's intern table, so
@@ -1526,7 +1451,10 @@ func (cs *connState) decodePayload(name string, data []byte) (sim.Payload, error
 // WireFlushes. Every Write here is one syscall batch: the end-of-drain
 // flushes and the internal spills an oversized batch forces both land on
 // this seam, so the flush count stays consistent between the 0-window
-// coalescing path and widened flush windows.
+// coalescing path and widened flush windows. The ledger is credited before
+// the bytes reach the socket and debited for whatever a short or failed write
+// left unwritten, so a receiver can never observe a delivery the sender's
+// counters do not yet show.
 type countingWriter struct {
 	c       net.Conn
 	n       *atomic.Int64
@@ -1535,13 +1463,24 @@ type countingWriter struct {
 }
 
 func (w countingWriter) Write(p []byte) (int, error) {
+	w.count(int64(len(p)), 1)
 	n, err := w.c.Write(p)
-	w.n.Add(int64(n))
-	if w.localN != nil {
-		w.localN.Add(int64(n))
+	if n < len(p) {
+		flushes := int64(0)
+		if n == 0 {
+			flushes = -1
+		}
+		w.count(int64(n-len(p)), flushes)
 	}
-	w.flushes.Add(1)
 	return n, err
+}
+
+func (w countingWriter) count(bytes, flushes int64) {
+	w.n.Add(bytes)
+	if w.localN != nil {
+		w.localN.Add(bytes)
+	}
+	w.flushes.Add(flushes)
 }
 
 func (t *StreamTransport) newConnState(c net.Conn, addr string, local bool) *connState {
@@ -1549,7 +1488,7 @@ func (t *StreamTransport) newConnState(c net.Conn, addr string, local bool) *con
 	if local {
 		cw.localN = &t.localBytes
 	}
-	cs := &connState{
+	return &connState{
 		t:       t,
 		c:       c,
 		addr:    addr,
@@ -1559,10 +1498,6 @@ func (t *StreamTransport) newConnState(c net.Conn, addr string, local bool) *con
 		spaceCh: make(chan struct{}, 1),
 		bw:      bufio.NewWriterSize(cw, 32<<10),
 	}
-	if t.WireFormat() == WireJSON {
-		cs.jenc = json.NewEncoder(cs.bw)
-	}
-	return cs
 }
 
 // countFrames credits n physical frames to the transport's ledger, and to the
@@ -1582,7 +1517,7 @@ const memberWaitMax = 2 * time.Second
 
 // enqueue queues one data frame for the writer, enforcing the transport's
 // writer-queue cap. Past the cap, gossip frames shed the oldest queued gossip
-// frame (its pend entry is cancelled — a terminal, counted loss; push-pull
+// frame (it has no pend entry yet — a terminal, counted loss; push-pull
 // re-converges) and membership frames apply hard backpressure: they shed
 // gossip to make room for themselves, and block when the queue is entirely
 // membership traffic. Returns false only when the connection is dead (the
@@ -1591,15 +1526,15 @@ func (cs *connState) enqueue(w *wireMessage) bool {
 	t := cs.t
 	limit := t.queueLimit
 	isMember := MsgKind(w.Kind) == MsgMember
-	var shed []uint64
+	shed := int64(0)
 	counted := false // MemberBackpressured once per blocking episode
 	deadline := time.Time{}
 	cs.qmu.Lock()
 	for !cs.dead && limit > 0 && cs.qLen >= limit {
 		// Shed the oldest queued gossip frame; membership frames are never
 		// shed from the queue.
-		if seq, ok := cs.shedOldestGossipLocked(); ok {
-			shed = append(shed, seq)
+		if cs.shedOldestGossipLocked() {
+			shed++
 			continue
 		}
 		// Queue entirely membership frames. A gossip newcomer is shed; a
@@ -1609,7 +1544,7 @@ func (cs *connState) enqueue(w *wireMessage) bool {
 		// the number of waiters).
 		if !isMember {
 			cs.qmu.Unlock()
-			t.dropQueued(append(shed, w.Seq))
+			t.ovShedQueue.Add(shed + 1)
 			return true
 		}
 		if !counted {
@@ -1630,7 +1565,7 @@ func (cs *connState) enqueue(w *wireMessage) bool {
 	}
 	if cs.dead {
 		cs.qmu.Unlock()
-		t.dropQueued(shed)
+		t.ovShedQueue.Add(shed)
 		return false
 	}
 	if cs.qTail == nil || cs.qTail.n == chunkFrames {
@@ -1646,22 +1581,20 @@ func (cs *connState) enqueue(w *wireMessage) bool {
 	cs.qTail.n++
 	cs.qLen++
 	cs.qmu.Unlock()
-	t.dropQueued(shed)
+	t.ovShedQueue.Add(shed)
 	cs.wake()
 	return true
 }
 
-// shedOldestGossipLocked removes the oldest queued gossip frame and returns
-// its seq; ok=false means the queue holds only membership frames. Caller
-// holds qmu.
-func (cs *connState) shedOldestGossipLocked() (seq uint64, ok bool) {
+// shedOldestGossipLocked removes the oldest queued gossip frame; false means
+// the queue holds only membership frames. Caller holds qmu.
+func (cs *connState) shedOldestGossipLocked() bool {
 	var prev *msgChunk
 	for c := cs.qHead; c != nil; prev, c = c, c.next {
 		for i := 0; i < c.n; i++ {
 			if MsgKind(c.msgs[i].Kind) == MsgMember {
 				continue
 			}
-			seq = c.msgs[i].Seq
 			copy(c.msgs[i:], c.msgs[i+1:c.n])
 			c.n--
 			cs.qLen--
@@ -1676,43 +1609,10 @@ func (cs *connState) shedOldestGossipLocked() (seq uint64, ok bool) {
 				}
 				chunkPool.Put(c)
 			}
-			return seq, true
+			return true
 		}
 	}
-	return 0, false
-}
-
-// cancelPend removes seq's pend entry if still present, stopping its timer
-// and counting the terminal loss against counter.
-func (t *StreamTransport) cancelPend(seq uint64, counter *atomic.Int64) {
-	sh := t.pendShard(seq)
-	sh.mu.Lock()
-	p, ok := sh.m[seq]
-	if ok {
-		p.retry.Stop()
-		delete(sh.m, seq)
-	}
-	sh.mu.Unlock()
-	if ok {
-		counter.Add(1)
-	}
-}
-
-// dropQueued counts writer-queue sheds. In batched mode the shed frames had
-// no pend entries yet (registration happens per super-frame at flush), so
-// the loss is counted directly; in per-message mode each seq's pend entry is
-// cancelled and counted if still present.
-func (t *StreamTransport) dropQueued(seqs []uint64) {
-	if len(seqs) == 0 {
-		return
-	}
-	if t.batched() {
-		t.ovShedQueue.Add(int64(len(seqs)))
-		return
-	}
-	for _, seq := range seqs {
-		t.cancelPend(seq, &t.ovShedQueue)
-	}
+	return false
 }
 
 // enqueueRetry queues one already-registered super-frame for retransmission.
@@ -1758,6 +1658,7 @@ func (cs *connState) wake() {
 // retired slices are always consumed before the next swap.
 func (cs *connState) take() (data *msgChunk, acks []uint64, rets []*pendingSend) {
 	cs.qmu.Lock()
+	cs.held += cs.qLen
 	data, cs.qHead, cs.qTail, cs.qLen = cs.qHead, nil, nil, 0
 	acks, cs.qAcks = cs.qAcks, cs.spillAcks[:0]
 	rets, cs.qRetry = cs.qRetry, cs.spillRetry[:0]
@@ -1771,6 +1672,14 @@ func (cs *connState) take() (data *msgChunk, acks []uint64, rets []*pendingSend)
 		}
 	}
 	return data, acks, rets
+}
+
+// registered moves n taken data frames out of the writer-held count: they
+// now have a pend entry, or were refused one and counted.
+func (cs *connState) registered(n int) {
+	cs.qmu.Lock()
+	cs.held -= n
+	cs.qmu.Unlock()
 }
 
 // markDead stops further enqueues and returns whatever was still queued —
@@ -1804,62 +1713,11 @@ const maxBatchBytes = 1 << 20
 
 // writeBatch encodes one drained batch into the buffered writer and returns
 // the pend keys of the super-frames it wrote (for the broken-connection
-// path).
-//
-// In batched binary mode (the default) retransmitted super-frames go first —
-// they are older than anything drained this pass — then the queued data
-// coalesces into FrameBatch super-frames, each registered as ONE reliable
-// send (registerBatch) before its bytes are written; pending acks hoist to
-// the first frame's header. In per-message binary mode every data frame is
-// its own frame with its own pend entry (registered at transmit time); in
-// JSON mode acks are standalone frames, as the legacy protocol requires.
+// path). Retransmitted super-frames go first — they are older than anything
+// drained this pass — then the queued data coalesces into FrameBatch
+// super-frames, each registered as ONE reliable send (registerBatch) before
+// its bytes are written; pending acks hoist to the first frame's header.
 func (t *StreamTransport) writeBatch(cs *connState, data []wireMessage, acks []uint64, rets []*pendingSend) ([]uint64, error) {
-	if cs.jenc != nil {
-		for _, seq := range acks {
-			if err := cs.jenc.Encode(&wireMessage{Kind: wireAck, Seq: seq}); err != nil {
-				return nil, err
-			}
-			cs.countFrames(1)
-		}
-		// Registered super-frames can only reach a JSON writer if the format
-		// was toggled mid-run; keep the retransmission contract by sending
-		// their sub-messages individually.
-		for _, p := range rets {
-			for i := range p.batch {
-				if err := cs.jenc.Encode(&p.batch[i]); err != nil {
-					return nil, err
-				}
-				cs.countFrames(1)
-				t.msgsOut.Add(1)
-			}
-		}
-		for i := range data {
-			if err := cs.jenc.Encode(&data[i]); err != nil {
-				return nil, err
-			}
-			cs.countFrames(1)
-			t.msgsOut.Add(1)
-		}
-		return nil, nil
-	}
-	if !t.batched() && len(rets) == 0 {
-		buf := cs.buf[:0]
-		if len(data) == 0 {
-			buf = cs.enc.appendFrame(buf, nil, acks)
-			cs.countFrames(1)
-		} else {
-			buf = cs.enc.appendFrame(buf, &data[0], acks)
-			for i := 1; i < len(data); i++ {
-				buf = cs.enc.appendFrame(buf, &data[i], nil)
-			}
-			cs.countFrames(int64(len(data)))
-			t.msgsOut.Add(int64(len(data)))
-		}
-		cs.buf = buf
-		_, err := cs.bw.Write(buf)
-		return nil, err
-	}
-
 	var keys []uint64
 	buf := cs.buf[:0]
 	for ri, p := range rets {
@@ -1867,7 +1725,7 @@ func (t *StreamTransport) writeBatch(cs *connState, data []wireMessage, acks []u
 		acks = nil
 		cs.countFrames(1)
 		t.msgsOut.Add(int64(len(p.batch)))
-		keys = append(keys, p.w.Seq)
+		keys = append(keys, p.key)
 		rets[ri] = nil // the slice is recycled; don't pin acked batches
 	}
 	ps := (*peerState)(nil)
@@ -1884,6 +1742,7 @@ func (t *StreamTransport) writeBatch(cs *connState, data []wireMessage, acks []u
 		chunk := data[start:end]
 		start = end
 		key, ok := t.registerBatch(cs.addr, ps, chunk)
+		cs.registered(len(chunk))
 		if !ok {
 			continue // refused admission: a counted terminal loss, not written
 		}
@@ -1907,8 +1766,9 @@ func (t *StreamTransport) writeBatch(cs *connState, data []wireMessage, acks []u
 
 // writeLoop drains the connection's frame queue: wait for work, optionally
 // let a flush window accumulate a wider batch, write everything queued, then
-// flush once. On a write error the connection is evicted and every possibly
-// unsent data frame is pushed straight back through the retransmit path.
+// flush once. On a write error the connection is evicted, every possibly
+// unsent super-frame is pushed straight back through the retransmit path, and
+// the data frames not yet registered re-queue toward a fresh connection.
 func (t *StreamTransport) writeLoop(cs *connState) {
 	defer t.wg.Done()
 	for {
@@ -1946,19 +1806,13 @@ func (t *StreamTransport) writeLoop(cs *connState) {
 				keys, err := t.writeBatch(cs, data, acks, rets)
 				if err != nil {
 					// Super-frames registered this cycle retry via their keys.
-					// In batched mode the current chunk is fully registered (or
-					// counted) by the time a write can fail, so only the
-					// untouched remainder of the chain re-queues; in per-message
-					// mode the chunk's frames carry their own pend entries and
-					// are handed over for the seq scan.
+					// The current chunk is fully registered (or counted) by the
+					// time a write can fail, so only the untouched remainder of
+					// the chain re-queues.
 					var rest []wireMessage
 					if c != nil {
-						if t.batched() {
-							rest = flattenChunks(c.next)
-							chunkPool.Put(c)
-						} else {
-							rest = flattenChunks(c)
-						}
+						rest = flattenChunks(c.next)
+						chunkPool.Put(c)
 					}
 					t.connBroken(cs, rest, append(cycleKeys, keys...))
 					return
@@ -1984,13 +1838,14 @@ func (t *StreamTransport) writeLoop(cs *connState) {
 
 // connBroken handles a dead connection, from either loop: stop enqueues,
 // evict it from the pool, and make sure nothing vanishes silently. Reliable
-// in-flight work — per-message pend entries (unbatched mode), or registered
-// super-frames (inFlightKeys plus anything on the retransmission queue) —
-// goes through retryNow, which redials immediately; retransmission keeps it
-// pending, so over-retrying is safe (the receiver dedups). In batched mode
-// the data frames still queued were never registered: they re-queue toward a
-// fresh connection, or count as lost when the transport is draining or
-// closed. Acks are dropped (the peer retransmits and is deduplicated).
+// in-flight work — registered super-frames (inFlightKeys plus anything on the
+// retransmission queue) — goes through retryNow, which redials immediately;
+// retransmission keeps it pending, so over-retrying is safe (the receiver
+// dedups). The data frames still queued were never registered, nor was
+// inFlight — the remainder of the writer's taken chain, older than anything
+// still queued at death: both re-queue toward a fresh connection, or count as
+// lost when the transport is draining or closed. Acks are dropped (the peer
+// retransmits and is deduplicated).
 func (t *StreamTransport) connBroken(cs *connState, inFlight []wireMessage, inFlightKeys []uint64) {
 	leftover, leftRets := cs.markDead()
 	t.evict(cs)
@@ -1998,24 +1853,11 @@ func (t *StreamTransport) connBroken(cs *connState, inFlight []wireMessage, inFl
 		t.peerFailure(cs.addr)
 	}
 	var seqs []uint64
-	var requeue []wireMessage
 	seqs = append(seqs, inFlightKeys...)
 	for _, p := range leftRets {
-		seqs = append(seqs, p.w.Seq)
+		seqs = append(seqs, p.key)
 	}
-	if t.batched() {
-		// inFlight here is the unregistered remainder of the writer's taken
-		// chain (older than anything still queued at death).
-		requeue = append(inFlight, leftover...)
-	} else {
-		for _, batch := range [2][]wireMessage{inFlight, leftover} {
-			for i := range batch {
-				if batch[i].Seq != 0 && batch[i].Kind != wireAck {
-					seqs = append(seqs, batch[i].Seq)
-				}
-			}
-		}
-	}
+	requeue := append(inFlight, leftover...)
 	if len(seqs) == 0 && len(requeue) == 0 {
 		return
 	}
@@ -2027,8 +1869,8 @@ func (t *StreamTransport) connBroken(cs *connState, inFlight []wireMessage, inFl
 	}
 	if stopping {
 		// Registered work stays pending — RTO timers or Close's sweep govern
-		// it — but unregistered batched frames would vanish silently: count
-		// them as closed-at-drop.
+		// it — but unregistered frames would vanish silently: count them as
+		// closed-at-drop.
 		t.dropsClosed.Add(int64(len(requeue)))
 		return
 	}
@@ -2055,43 +1897,20 @@ func (t *StreamTransport) connBroken(cs *connState, inFlight []wireMessage, inFl
 	}()
 }
 
-// readLoop sniffs the peer's wire format from the first byte — '{' opens a
-// JSON line stream, a version byte opens binary frames — then decodes
-// frames: acks resolve pending sends, data messages are acked back on the
-// same connection, deduplicated, and routed to the local inboxes.
+// readLoop decodes the connection's frames: acks resolve pending sends, data
+// messages are acked back on the same connection, deduplicated, and routed to
+// the local shards or inboxes.
 func (t *StreamTransport) readLoop(cs *connState) {
 	defer t.wg.Done()
 	defer t.connBroken(cs, nil, nil)
 	defer cs.c.Close()
-	br := bufio.NewReaderSize(cs.c, 32<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == '{' {
-		t.readJSON(cs, br)
-		return
-	}
-	t.readBinary(cs, br)
-}
-
-func (t *StreamTransport) readJSON(cs *connState, br *bufio.Reader) {
-	dec := json.NewDecoder(br)
-	for {
-		var w wireMessage
-		if err := dec.Decode(&w); err != nil {
-			return // EOF or closed
-		}
-		if !t.deliverWire(cs, &w, nil) {
-			return
-		}
-	}
+	t.readBinary(cs, bufio.NewReaderSize(cs.c, 32<<10))
 }
 
 func (t *StreamTransport) readBinary(cs *connState, br *bufio.Reader) {
 	var dec wireDec
 	for {
-		acks, msgs, batch, err := dec.readFrameMulti(br)
+		acks, msgs, _, err := dec.readFrameMulti(br)
 		if err != nil {
 			if errors.Is(err, errMalformedFrame) {
 				t.dropsDecode.Add(1) // corrupt frame; io errors are teardown
@@ -2101,60 +1920,27 @@ func (t *StreamTransport) readBinary(cs *connState, br *bufio.Reader) {
 		for _, seq := range acks {
 			t.ack(seq)
 		}
-		if batch {
-			// One ack resolves the whole super-frame: the sender keyed its
-			// pend entry by the last sub-message's Seq. Ack first — even for
-			// a duplicate batch — so retransmission stops; then scatter each
-			// sub-message to its owning shard through deliverData.
-			cs.enqueueAck(msgs[len(msgs)-1].Seq)
-			for i := range msgs {
-				if !t.deliverData(cs, &msgs[i]) {
-					return
-				}
+		if len(msgs) == 0 {
+			continue // ack-only frame
+		}
+		// One ack resolves the whole frame: the sender keyed its pend entry
+		// by the last sub-message's Seq. Ack first — even for a duplicate —
+		// so retransmission stops (a lost ack only costs a deduplicated
+		// retry); then scatter each sub-message to its owning shard.
+		cs.enqueueAck(msgs[len(msgs)-1].Seq)
+		for i := range msgs {
+			if !t.deliverData(cs, &msgs[i]) {
+				return
 			}
-			continue
-		}
-		if len(msgs) == 1 && !t.deliverSingle(cs, &msgs[0]) {
-			return
 		}
 	}
 }
 
-// deliverWire processes one decoded frame: resolve acks, ack data back,
-// deduplicate, decode the payload, and route to the local inbox. It reports
-// false when the transport closed mid-delivery.
-func (t *StreamTransport) deliverWire(cs *connState, w *wireMessage, acks []uint64) bool {
-	for _, seq := range acks {
-		t.ack(seq)
-	}
-	if w == nil {
-		return true
-	}
-	return t.deliverSingle(cs, w)
-}
-
-// deliverSingle acks one per-message data frame back to the sender, then
-// routes it — the single-frame tail shared by the JSON and unbatched binary
-// paths.
-func (t *StreamTransport) deliverSingle(cs *connState, w *wireMessage) bool {
-	if w.Kind != wireAck && w.Seq != 0 {
-		// Ack first — even duplicates — so the sender stops retransmitting.
-		// Best effort: a lost ack only costs another (deduplicated) retry.
-		cs.enqueueAck(w.Seq)
-	}
-	return t.deliverData(cs, w)
-}
-
-// deliverData deduplicates, decodes, and routes one logical data message —
-// the shared tail of the single-frame and batch-scatter paths. The caller
-// has already queued the ack (per message, or once per super-frame); cs is
-// the connection it arrived on, whose read loop owns the decoder memo. It
-// reports false when the transport closed mid-delivery.
+// deliverData deduplicates, decodes, and routes one logical data message.
+// The caller has already queued the frame's ack; cs is the connection it
+// arrived on, whose read loop owns the decoder memo. It reports false when
+// the transport closed mid-delivery.
 func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) bool {
-	if w.Kind == wireAck {
-		t.ack(w.Seq)
-		return true
-	}
 	if !t.hosted[graph.NodeID(w.To)] {
 		t.dropsMisroute.Add(1) // misrouted: not hosted here
 		return true
@@ -2197,25 +1983,6 @@ func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) bool {
 		return true
 	case <-t.closed:
 		return false
-	}
-}
-
-// write queues one frame toward addr, dialing if needed. If the pooled
-// connection died between lookup and enqueue, one fresh dial is attempted
-// before giving up to the retransmission timers; nothing is silently lost
-// here — the message stays pending either way.
-func (t *StreamTransport) write(addr string, w *wireMessage) {
-	for attempt := 0; attempt < 2; attempt++ {
-		cs, err := t.conn(addr)
-		if err != nil {
-			if !errors.Is(err, ErrTransportClosed) {
-				t.peerFailure(addr) // unreachable: one failure toward the breaker
-			}
-			return // retransmission will redial
-		}
-		if cs.enqueue(w) {
-			return
-		}
 	}
 }
 
@@ -2272,6 +2039,9 @@ func (t *StreamTransport) conn(addr string) (*connState, error) {
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("live: dial %s: %w", addr, err)
+		}
+		if t.draining.Load() {
+			return nil, ErrTransportClosed // a drain does not wait out an unreachable peer
 		}
 		select {
 		case <-t.closed:

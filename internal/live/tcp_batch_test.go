@@ -13,9 +13,6 @@ import (
 // every message still arrives exactly once.
 func TestTCPBatchedAggregation(t *testing.T) {
 	a, b := tcpPair(t)
-	if !a.Batching() {
-		t.Fatal("batching is not the default")
-	}
 	a.SetFlushWindow(20 * time.Millisecond)
 
 	const n = 64
@@ -53,6 +50,7 @@ func TestTCPFlushAccountingConsistency(t *testing.T) {
 
 	// Zero window, serialized sends: every message is its own cycle, so all
 	// three counters must agree — one logical message per frame per flush.
+	// This is the batch-of-one pin: a lone message is a one-entry super-frame.
 	a, b := tcpPair(t)
 	for i := 0; i < n; i++ {
 		if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: i, Payload: bitp{}}, 0); err != nil {
@@ -94,10 +92,9 @@ func TestTCPFlushAccountingConsistency(t *testing.T) {
 	}
 }
 
-// TestTCPBatchedDeadPeerFlush is the batched analog of
-// TestTCPDeadPeerDropsInFlight: pend entries are per super-frame, but the
-// dead-peer flush still counts every LOGICAL message the dead node had in
-// flight.
+// TestTCPBatchedDeadPeerFlush: pend entries are per super-frame, but the
+// in-flight count and the dead-peer flush both count every LOGICAL message
+// the dead node had in flight.
 func TestTCPBatchedDeadPeerFlush(t *testing.T) {
 	addr, _, closeLn := quietListener(t)
 	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
@@ -119,8 +116,8 @@ func TestTCPBatchedDeadPeerFlush(t *testing.T) {
 	if !pollUntil(5*time.Second, func() bool { return tr.WireMsgsOut() == sends }) {
 		t.Fatalf("WireMsgsOut = %d, want %d", tr.WireMsgsOut(), sends)
 	}
-	if n := tr.pendingCount(); n < 1 || n > sends {
-		t.Fatalf("pendingCount = %d batch entries, want 1..%d", n, sends)
+	if n := tr.pendingCount(); n != sends {
+		t.Fatalf("pendingCount = %d, want %d logical messages", n, sends)
 	}
 
 	tr.PeerDown(1)
@@ -160,45 +157,6 @@ func TestTCPBatchedCloseCountsQueued(t *testing.T) {
 	}
 	if got := tr.Dropped(); got != sends {
 		t.Errorf("Dropped = %d after Close with %d queued, want %d", got, sends, sends)
-	}
-}
-
-// TestTCPBatchedMixedFormatInterop (satellite: mixed-format clusters): a
-// binary transport with batching on talks to a JSON peer. Each connection
-// negotiates independently off the first byte — the JSON side reads the
-// binary side's super-frames, the binary side reads JSON lines — and traffic
-// flows both ways.
-func TestTCPBatchedMixedFormatInterop(t *testing.T) {
-	a, b := tcpPair(t)
-	b.SetWireFormat(WireJSON)
-	a.SetFlushWindow(10 * time.Millisecond)
-
-	const n = 32
-	for i := 0; i < n; i++ {
-		if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: i, Payload: bitp{informed: true}}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for got := 0; got < n; got++ {
-		m := recvWithin(t, b.Recv(1), 10*time.Second)
-		if !m.Payload.(bitp).informed {
-			t.Fatal("payload lost its state crossing a batched binary -> JSON hop")
-		}
-	}
-	if frames := a.WireFramesOut(); frames >= n/2 {
-		t.Errorf("binary side wrote %d frames for %d messages — batching off toward a JSON-reading peer?", frames, n)
-	}
-	// Reverse direction: JSON frames into the batched binary transport.
-	for i := 0; i < 4; i++ {
-		if err := b.Send(Message{Kind: MsgResponse, From: 1, To: 0, EdgeID: 1, SentTick: i, Payload: bitp{}}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for got := 0; got < 4; got++ {
-		recvWithin(t, a.Recv(0), 10*time.Second)
-	}
-	if a.Dropped() != 0 || b.Dropped() != 0 {
-		t.Errorf("drops on a healthy mixed-format pair: a=%d b=%d", a.Dropped(), b.Dropped())
 	}
 }
 

@@ -177,112 +177,6 @@ func TestFaultTCPAckClearsPending(t *testing.T) {
 	}
 }
 
-// runScriptedTCPFaults feeds a deterministic schedule through per-side
-// FaultTransports over a two-transport TCP cluster speaking wire format wf,
-// waits for the reliable-delivery layer to drain, and returns the arrival
-// multiset plus the summed injected-fault counters. It is the TCP face of
-// the fabric-generic runScriptedFaults (fabric_test.go).
-func runScriptedTCPFaults(t *testing.T, g *graph.Graph, feed []Message, cfg FaultConfig, wf WireFormat, batched bool) (map[arrivalKey]int, FaultCounts) {
-	t.Helper()
-	return runScriptedFaults(t, "tcp", g, feed, cfg, wf, batched)
-}
-
-// TestFaultTCPDeterministicAcrossWireFormats is the chaos determinism check
-// across encodings: the same fault plan over the same message schedule must
-// drop, duplicate and jitter exactly the same messages whether the frames on
-// the wire are binary or JSON. Fault decisions are a PRF of message identity
-// taken before any codec runs, so the wire format cannot perturb them.
-func TestFaultTCPDeterministicAcrossWireFormats(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP cluster run is not -short friendly")
-	}
-	g := graph.Dumbbell(4, 2)
-	var left, right []graph.NodeID
-	for u := 0; u < g.N(); u++ {
-		if u < g.N()/2 {
-			left = append(left, graph.NodeID(u))
-		} else {
-			right = append(right, graph.NodeID(u))
-		}
-	}
-	cfg := FaultConfig{
-		Seed:        77,
-		Drop:        0.10,
-		Duplicate:   0.05,
-		JitterTicks: 2,
-		Tick:        time.Millisecond,
-		Partitions:  []Partition{{From: 2, Until: 4, Edges: CutBetween(g, left, right)}},
-	}
-	feed := scriptedFeed(g, 6)
-
-	gotBin, repBin := runScriptedTCPFaults(t, g, feed, cfg, WireBinary, true)
-	gotJSON, repJSON := runScriptedTCPFaults(t, g, feed, cfg, WireJSON, true)
-
-	if repBin != repJSON {
-		t.Errorf("injected fault counters differ across wire formats:\nbinary: %+v\njson:   %+v", repBin, repJSON)
-	}
-	if repBin.InjectedDrops == 0 || repBin.Jittered == 0 || repBin.PartitionDrops == 0 {
-		t.Errorf("fault plan injected nothing on some axis: %+v", repBin)
-	}
-	if len(gotBin) != len(gotJSON) {
-		t.Fatalf("arrival multisets differ in size: binary=%d json=%d", len(gotBin), len(gotJSON))
-	}
-	for k, n := range gotBin {
-		if gotJSON[k] != n {
-			t.Errorf("arrival %+v: binary=%d json=%d deliveries", k, n, gotJSON[k])
-		}
-	}
-}
-
-// TestFaultTCPDeterministicAcrossBatching is the chaos-parity check for the
-// super-frame path: FaultTransport decisions are made per LOGICAL message in
-// Send, before the transport ever aggregates, so running the identical fault
-// plan with batching on and off must yield the identical FaultReport and the
-// identical arrival multiset. If a fault decision ever moved to super-frame
-// granularity, one dropped frame would take out a whole batch and this
-// diverges immediately.
-func TestFaultTCPDeterministicAcrossBatching(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP cluster run is not -short friendly")
-	}
-	g := graph.Dumbbell(4, 2)
-	var left, right []graph.NodeID
-	for u := 0; u < g.N(); u++ {
-		if u < g.N()/2 {
-			left = append(left, graph.NodeID(u))
-		} else {
-			right = append(right, graph.NodeID(u))
-		}
-	}
-	cfg := FaultConfig{
-		Seed:        913,
-		Drop:        0.10,
-		Duplicate:   0.05,
-		JitterTicks: 2,
-		Tick:        time.Millisecond,
-		Partitions:  []Partition{{From: 2, Until: 4, Edges: CutBetween(g, left, right)}},
-	}
-	feed := scriptedFeed(g, 6)
-
-	gotBatched, repBatched := runScriptedTCPFaults(t, g, feed, cfg, WireBinary, true)
-	gotSingle, repSingle := runScriptedTCPFaults(t, g, feed, cfg, WireBinary, false)
-
-	if repBatched != repSingle {
-		t.Errorf("injected fault counters differ across batching modes:\nbatched:   %+v\nunbatched: %+v", repBatched, repSingle)
-	}
-	if repBatched.InjectedDrops == 0 || repBatched.Jittered == 0 || repBatched.PartitionDrops == 0 {
-		t.Errorf("fault plan injected nothing on some axis: %+v", repBatched)
-	}
-	if len(gotBatched) != len(gotSingle) {
-		t.Fatalf("arrival multisets differ in size: batched=%d unbatched=%d", len(gotBatched), len(gotSingle))
-	}
-	for k, n := range gotBatched {
-		if gotSingle[k] != n {
-			t.Errorf("arrival %+v: batched=%d unbatched=%d deliveries", k, n, gotSingle[k])
-		}
-	}
-}
-
 // TestFaultTCPCloseCountsPendingTimers checks Close-time accounting: armed
 // latency timers and unacked pending sends both land in Dropped().
 func TestFaultTCPCloseCountsPendingTimers(t *testing.T) {

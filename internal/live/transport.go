@@ -69,13 +69,16 @@ type DrainReport struct {
 	// Clean is true when every queue emptied and every reliable send
 	// resolved before the deadline.
 	Clean bool
-	// AbandonedTimers counts armed latency-delay deliveries stopped at the
-	// start of the drain (they are also counted as transport drops — a
-	// draining process is leaving, so a not-yet-sent message is a loss).
+	// AbandonedTimers counts latency-delay deliveries the drain stopped
+	// before they reached the wire: timers still armed when it began, plus
+	// any already firing that the draining gate then refused (they are also
+	// counted as transport drops — a draining process is leaving, so a
+	// not-yet-sent message is a loss).
 	AbandonedTimers int64
-	// QueuedAtClose and PendingAtClose count writer-queue frames and unacked
-	// reliable sends still outstanding when the deadline expired (both zero
-	// on a clean drain).
+	// QueuedAtClose and PendingAtClose count, in logical messages, what was
+	// still outstanding when the deadline expired: messages not yet written
+	// (a delay callback still running, a writer queue, a writer's hands) and
+	// unacked reliable sends (both zero on a clean drain).
 	QueuedAtClose  int
 	PendingAtClose int
 	// Wall is the drain's duration.

@@ -6,14 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
-// This file is the binary wire codec of the TCP transport: a length-prefixed
-// frame format that replaces the JSON line protocol on the hot path. The JSON
-// format is retained behind WireJSON for debugging (gossipd -wire json);
-// receivers auto-detect the format per connection from the first byte, so a
-// binary daemon and a JSON daemon interoperate.
+// This file is the wire codec of the stream transport: a length-prefixed
+// binary frame format, the only one the transport speaks.
 //
 // Frame layout (all integers varint-encoded unless noted):
 //
@@ -32,13 +28,13 @@ import (
 //	         | n>=2                               // reference to table[n-2]
 //	payload := len(uvarint) bytes
 //
-// The header's version nibble (0x10 for v1) doubles as the format detector:
-// no JSON frame starts with 0x10..0x1F, and no binary frame starts with '{'.
-// Signed fields use zigzag varints (binary.AppendVarint) so any int
-// round-trips; acks are sorted and delta-encoded, so a batch of k
-// consecutive acks costs ~k+3 bytes instead of k frames. Payload type names
-// are interned per connection: the first frame carrying a type pays for the
-// name, every later frame references it with one byte.
+// A first byte outside the version nibble (0x10..0x1F for v1) — a peer
+// speaking anything else — is a malformed frame. Signed fields use zigzag
+// varints (binary.AppendVarint) so any int round-trips; acks are sorted and
+// delta-encoded, so a batch of k consecutive acks costs ~k+3 bytes instead of
+// k frames. Payload type names are interned per connection: the first frame
+// carrying a type pays for the name, every later frame references it with one
+// byte.
 //
 // A FrameBatch super-frame (flag 0x4) carries N data sub-messages under one
 // header: every sub-message uses the identical field encoding as a single
@@ -47,7 +43,9 @@ import (
 // handful of bytes each. Acks hoist to the batch header exactly as on single
 // frames. The receiver acknowledges a batch once, with the Seq of its last
 // sub-message — the sender bookkeeps reliable delivery per batch, not per
-// message.
+// message. The transport's writer emits data only as FrameBatch frames (a
+// batch of one is a batch); the decoder still accepts a single data frame
+// (flag 0x1) from a peer, and the receiver treats it as a batch of one.
 //
 // Seq and SentTick are delta-encoded against per-connection running state
 // (seqDelta is relative to lastSeq+1, tickDelta to lastTick, both with
@@ -57,39 +55,6 @@ import (
 // connection state (these deltas, the intern table), so a decoder must see a
 // connection's frames in order from the start — exactly what a TCP stream
 // provides.
-
-// WireFormat selects the TCP transport's frame encoding.
-type WireFormat uint8
-
-const (
-	// WireBinary is the length-prefixed binary format above (the default).
-	WireBinary WireFormat = iota
-	// WireJSON is the legacy JSON line format, kept for debugging and
-	// wire-level inspection (gossipd -wire json).
-	WireJSON
-)
-
-// String returns the gossipd -wire spelling of the format.
-func (f WireFormat) String() string {
-	switch f {
-	case WireBinary:
-		return "binary"
-	case WireJSON:
-		return "json"
-	}
-	return fmt.Sprintf("WireFormat(%d)", uint8(f))
-}
-
-// ParseWireFormat parses a -wire flag value.
-func ParseWireFormat(s string) (WireFormat, error) {
-	switch strings.ToLower(s) {
-	case "binary", "bin":
-		return WireBinary, nil
-	case "json":
-		return WireJSON, nil
-	}
-	return WireBinary, fmt.Errorf("live: unknown wire format %q (want binary or json)", s)
-}
 
 const (
 	wireVersion     = 0x10 // version 1 in the high nibble

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -18,7 +17,7 @@ func batchMsgs(n int, firstSeq uint64) []wireMessage {
 		msgs[i] = wireMessage{
 			Kind: 1, Seq: firstSeq + uint64(i),
 			From: i, To: i + 1, EdgeID: i, Latency: 1 + i%3, SentTick: 10 + i/4,
-			PayloadType: "live_test.bit", Payload: json.RawMessage(`true`),
+			PayloadType: "live_test.bit", Payload: []byte(`true`),
 		}
 	}
 	return msgs
@@ -77,10 +76,10 @@ func TestWireBatchRoundTrip(t *testing.T) {
 // shapes in stream order.
 func TestWireBatchSharesConnectionState(t *testing.T) {
 	single := wireMessage{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 9,
-		PayloadType: "live_test.bit", Payload: json.RawMessage(`true`)}
+		PayloadType: "live_test.bit", Payload: []byte(`true`)}
 	batch := batchMsgs(8, 2) // references the type `single` defined
 	tail := wireMessage{Kind: 2, Seq: 10, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 12,
-		PayloadType: "live_test.bit", Payload: json.RawMessage(`false`)}
+		PayloadType: "live_test.bit", Payload: []byte(`false`)}
 
 	var enc wireEnc
 	wire := enc.appendFrame(nil, &single, nil)

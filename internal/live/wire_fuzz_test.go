@@ -4,24 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
-	"unicode/utf8"
 )
 
-// FuzzWireFrame cross-checks the two wire codecs: any wireMessage the fuzzer
-// constructs must round-trip the binary framing byte-exactly AND agree with
-// what the JSON line protocol reconstructs, so the formats stay semantically
-// interchangeable (the interop guarantee behind per-connection format
-// auto-detection).
-//
-// Payload bytes are wrapped as a JSON string before use: the JSON wire
-// requires payloads to be valid JSON documents (json.RawMessage), and every
-// registered payload codec produces one. The binary codec itself is
-// payload-agnostic, so the wrapping loses no binary-side coverage of the
-// length-prefixed framing.
+// FuzzWireFrame checks the encoder half of the codec: any wireMessage the
+// fuzzer constructs must round-trip the framing byte-exactly — the codec is
+// payload-agnostic and byte-faithful on type names.
 func FuzzWireFrame(f *testing.F) {
 	f.Add(uint8(1), uint64(1), 0, 1, 0, 1, 0, "", []byte(nil), uint64(0), uint64(0))
 	f.Add(uint8(2), uint64(1)<<40, 255, -256, 12345, -7, 99, "live_test.bit", []byte("true"), uint64(3), uint64(4))
@@ -34,39 +23,26 @@ func FuzzWireFrame(f *testing.F) {
 			Kind: kind, Seq: seq, From: from, To: to, EdgeID: edge,
 			Latency: latency, SentTick: sentTick,
 		}
-		// Registered payload type names are Go string literals, always valid
-		// UTF-8; the JSON codec would coerce anything else to U+FFFD while
-		// the binary codec is byte-faithful. Mirror the registry invariant.
-		if !utf8.ValidString(ptype) {
-			ptype = strings.ToValidUTF8(ptype, "_")
-		}
 		if len(payload) > 0 {
 			// A payload without a type never occurs on the real wire (the
 			// codec seam always pairs them); mirror that invariant.
 			if ptype == "" {
 				ptype = "fuzz"
 			}
-			enc, err := json.Marshal(string(payload))
-			if err != nil {
-				t.Skip()
-			}
-			w.Payload = enc
-		}
-		if len(w.Payload) > 0 {
-			w.PayloadType = ptype
+			w.PayloadType, w.Payload = ptype, payload
 		}
 
-		// Binary round trip, with a piggybacked ack pair.
+		// Round trip, with a piggybacked ack pair.
 		var enc wireEnc
 		wire := enc.appendFrame(nil, &w, []uint64{ack1, ack2})
 		var dec wireDec
-		var gotB wireMessage
-		acks, hasData, err := dec.readFrame(bufio.NewReader(bytes.NewReader(wire)), &gotB)
+		var got wireMessage
+		acks, hasData, err := dec.readFrame(bufio.NewReader(bytes.NewReader(wire)), &got)
 		if err != nil {
-			t.Fatalf("binary decode of own encoding: %v", err)
+			t.Fatalf("decode of own encoding: %v", err)
 		}
 		if !hasData {
-			t.Fatal("binary frame lost its data section")
+			t.Fatal("frame lost its data section")
 		}
 		lo, hi := ack1, ack2
 		if lo > hi {
@@ -75,25 +51,11 @@ func FuzzWireFrame(f *testing.F) {
 		if len(acks) != 2 || acks[0] != lo || acks[1] != hi {
 			t.Fatalf("ack batch %v from (%d, %d)", acks, ack1, ack2)
 		}
-
-		// JSON round trip of the same message.
-		line, err := json.Marshal(&w)
-		if err != nil {
-			t.Fatalf("json encode: %v", err)
-		}
-		var gotJ wireMessage
-		if err := json.Unmarshal(line, &gotJ); err != nil {
-			t.Fatalf("json decode of own encoding: %v", err)
-		}
-
-		// Both decodes must equal the original and therefore each other.
-		for name, got := range map[string]*wireMessage{"binary": &gotB, "json": &gotJ} {
-			if got.Kind != w.Kind || got.Seq != w.Seq || got.From != w.From ||
-				got.To != w.To || got.EdgeID != w.EdgeID || got.Latency != w.Latency ||
-				got.SentTick != w.SentTick || got.PayloadType != w.PayloadType ||
-				!bytes.Equal(got.Payload, w.Payload) {
-				t.Errorf("%s round trip mutated the message:\n got %+v\nwant %+v", name, *got, w)
-			}
+		if got.Kind != w.Kind || got.Seq != w.Seq || got.From != w.From ||
+			got.To != w.To || got.EdgeID != w.EdgeID || got.Latency != w.Latency ||
+			got.SentTick != w.SentTick || got.PayloadType != w.PayloadType ||
+			!bytes.Equal(got.Payload, w.Payload) {
+			t.Errorf("round trip mutated the message:\n got %+v\nwant %+v", got, w)
 		}
 	})
 }
@@ -116,7 +78,7 @@ func FuzzWireDecode(f *testing.F) {
 		Latency: 2, SentTick: 7, PayloadType: "core.rumors", Payload: []byte(`{"x":1}`)}
 	f.Add(frame(msg, []uint64{3, 4, 9})) // well-formed data + acks
 	f.Add(frame(nil, []uint64{1}))       // ack-only frame
-	f.Add([]byte(`{"kind":1}` + "\n"))   // JSON line: unknown header byte
+	f.Add([]byte(`{"kind":1}` + "\n"))   // not this framing at all: unknown header byte
 
 	// A two-frame stream: the first defines the payload type, the second
 	// references it through the intern table.

@@ -3,9 +3,10 @@ package live
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -32,10 +33,10 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	msgs := []wireMessage{
 		{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 0},
 		{Kind: 2, Seq: 1 << 40, From: 255, To: 256, EdgeID: 12345, Latency: 7, SentTick: 99,
-			PayloadType: "live_test.bit", Payload: json.RawMessage(`true`)},
+			PayloadType: "live_test.bit", Payload: []byte(`true`)},
 		{Kind: 0xFF, Seq: 0, From: -1, To: -7, EdgeID: -3, Latency: -100, SentTick: -1 << 30},
 		{Kind: 1, Seq: 2, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 7,
-			PayloadType: "live_test.bit", Payload: json.RawMessage(`false`)},
+			PayloadType: "live_test.bit", Payload: []byte(`false`)},
 	}
 	var enc wireEnc
 	wire := encodeFrames(&enc, msgs, nil)
@@ -68,7 +69,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 // so repeat frames are strictly smaller.
 func TestWirePayloadTypeInterning(t *testing.T) {
 	m := wireMessage{Kind: 1, Seq: 9, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
-		PayloadType: "core.rumors", Payload: json.RawMessage(`{"n":4,"s":"0a"}`)}
+		PayloadType: "core.rumors", Payload: []byte(`{"n":4,"s":"0a"}`)}
 	var enc wireEnc
 	first := enc.appendFrame(nil, &m, nil)
 	second := enc.appendFrame(nil, &m, nil)
@@ -133,7 +134,7 @@ func TestWireAckBatch(t *testing.T) {
 func TestWireMalformedFrames(t *testing.T) {
 	var enc wireEnc
 	m := wireMessage{Kind: 1, Seq: 3, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
-		PayloadType: "live_test.bit", Payload: json.RawMessage(`true`)}
+		PayloadType: "live_test.bit", Payload: []byte(`true`)}
 	good := enc.appendFrame(nil, &m, []uint64{1, 2})
 
 	cases := map[string][]byte{
@@ -172,7 +173,7 @@ func TestWireInternTableBounded(t *testing.T) {
 	frame := func(ptype string) {
 		seq++
 		m := wireMessage{Kind: 1, Seq: seq, From: 1, To: 2, EdgeID: 3, Latency: 4,
-			SentTick: int(seq), PayloadType: ptype, Payload: json.RawMessage(`true`)}
+			SentTick: int(seq), PayloadType: ptype, Payload: []byte(`true`)}
 		wire = enc.appendFrame(wire, &m, nil)
 	}
 	for i := 0; i < maxInternedTypes; i++ {
@@ -201,7 +202,7 @@ func TestWireInternTableBounded(t *testing.T) {
 	enc2.lastSeq, enc2.lastTick = enc.lastSeq, enc.lastTick
 	seq++
 	m := wireMessage{Kind: 1, Seq: seq, From: 1, To: 2, EdgeID: 3, Latency: 4,
-		SentTick: int(seq), PayloadType: "live_test.flood000", Payload: json.RawMessage(`true`)}
+		SentTick: int(seq), PayloadType: "live_test.flood000", Payload: []byte(`true`)}
 	wire2 = enc2.appendFrame(wire2, &m, nil)
 	br2 := bufio.NewReader(bytes.NewReader(wire2))
 	var got wireMessage
@@ -213,66 +214,54 @@ func TestWireInternTableBounded(t *testing.T) {
 	}
 }
 
-// TestWireFormatParse covers the -wire flag vocabulary.
-func TestWireFormatParse(t *testing.T) {
-	for s, want := range map[string]WireFormat{"binary": WireBinary, "bin": WireBinary, "JSON": WireJSON} {
-		got, err := ParseWireFormat(s)
-		if err != nil || got != want {
-			t.Errorf("ParseWireFormat(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseWireFormat("protobuf"); err == nil {
-		t.Error("ParseWireFormat accepted an unknown format")
-	}
-	if WireBinary.String() != "binary" || WireJSON.String() != "json" {
-		t.Error("WireFormat.String mismatch")
-	}
-}
-
-// wirePair is tcpPair with explicit per-side wire formats.
-func wirePair(t *testing.T, fa, fb WireFormat) (a, b *TCPTransport) {
-	t.Helper()
-	a, b = tcpPair(t)
-	a.SetWireFormat(fa)
-	b.SetWireFormat(fb)
-	return a, b
-}
-
-// TestTCPWireInterop runs one exchange in each direction for every format
-// pairing: receivers auto-detect the sender's format per connection, so
-// mixed-format clusters interoperate.
+// TestTCPWireInterop checks what a transport does with a peer that is not its
+// own writer. The writer only emits FrameBatch frames, but the decoder still
+// accepts a single data frame (flag 0x1): it must be acked with its Seq and
+// delivered once — a batch of one, literally. A peer speaking anything other
+// than the binary framing (here a JSON line) is one malformed frame: counted
+// as a decode drop, connection closed, nothing delivered.
 func TestTCPWireInterop(t *testing.T) {
-	for _, tc := range []struct{ fa, fb WireFormat }{
-		{WireBinary, WireBinary},
-		{WireJSON, WireJSON},
-		{WireBinary, WireJSON},
-		{WireJSON, WireBinary},
+	single := wireMessage{Kind: uint8(MsgRequest), Seq: 41, From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3}
+	single.PayloadType, single.Payload, _ = encodePayload(bitp{informed: true})
+	for _, tc := range []struct {
+		name      string
+		wire      []byte
+		wantAck   uint64 // 0: the connection must be closed without an ack
+		wantDrops int64
+	}{
+		{"single-data-frame", new(wireEnc).appendFrame(nil, &single, nil), single.Seq, 0},
+		{"json-first-byte", []byte(`{"k":1,"q":41,"f":0,"t":1}` + "\n"), 0, 1},
 	} {
-		t.Run(tc.fa.String()+"-to-"+tc.fb.String(), func(t *testing.T) {
-			a, b := wirePair(t, tc.fa, tc.fb)
-			if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3,
-				Payload: bitp{informed: true}}, 0); err != nil {
+		t.Run(tc.name, func(t *testing.T) {
+			_, b := tcpPair(t)
+			c, err := net.Dial("tcp", b.Addr().String())
+			if err != nil {
 				t.Fatal(err)
 			}
-			got := recvWithin(t, b.Recv(1), 5*time.Second)
-			if p, ok := got.Payload.(bitp); !ok || !p.informed || got.EdgeID != 8 {
-				t.Fatalf("a→b arrived mangled: %+v", got)
-			}
-			if err := b.Send(Message{Kind: MsgResponse, From: 1, To: 0, EdgeID: 8, Latency: 2, SentTick: 3,
-				Payload: bitp{}}, 0); err != nil {
+			defer c.Close()
+			if _, err := c.Write(tc.wire); err != nil {
 				t.Fatal(err)
 			}
-			got = recvWithin(t, a.Recv(0), 5*time.Second)
-			if got.Kind != MsgResponse {
-				t.Fatalf("b→a arrived mangled: %+v", got)
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			acks, _, _, err := new(wireDec).readFrameMulti(bufio.NewReader(c))
+			if tc.wantAck != 0 {
+				if err != nil || len(acks) != 1 || acks[0] != tc.wantAck {
+					t.Fatalf("reply acks = %v, err = %v; want one ack of seq %d", acks, err, tc.wantAck)
+				}
+				got := recvWithin(t, b.Recv(1), 5*time.Second)
+				if p, ok := got.Payload.(bitp); !ok || !p.informed || got.EdgeID != single.EdgeID {
+					t.Fatalf("arrived mangled: %+v", got)
+				}
+			} else if !errors.Is(err, io.EOF) {
+				t.Fatalf("read from rejected connection: acks = %v, err = %v; want EOF", acks, err)
 			}
-			// Both directions acked: pendings must drain without retransmits.
-			deadline := time.Now().Add(3 * time.Second)
-			for a.pendingCount()+b.pendingCount() > 0 && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
+			select {
+			case m := <-b.Recv(1):
+				t.Fatalf("unexpected delivery: %+v", m)
+			case <-time.After(50 * time.Millisecond):
 			}
-			if n := a.pendingCount() + b.pendingCount(); n != 0 {
-				t.Errorf("%d sends still pending after acks", n)
+			if got := b.dropsDecode.Load(); got != tc.wantDrops {
+				t.Errorf("decode drops = %d, want %d", got, tc.wantDrops)
 			}
 		})
 	}
@@ -402,80 +391,73 @@ func TestTCPBrokenConnImmediateRedial(t *testing.T) {
 	}
 }
 
-// TestTCPClusterBothFormats re-runs a small two-transport push-pull cluster
-// under each wire format, checking the protocol outcome is identical: the
-// encoding must be invisible to the algorithm.
+// TestTCPClusterBothFormats runs a 16-node clique split across two TCP
+// transports to push-pull completion: every node on both sides ends informed.
 func TestTCPClusterBothFormats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster is not -short friendly")
 	}
 	g := graph.Clique(16, 2)
-	for _, f := range []WireFormat{WireBinary, WireJSON} {
-		t.Run(f.String(), func(t *testing.T) {
-			left := make([]graph.NodeID, 0, 8)
-			right := make([]graph.NodeID, 0, 8)
-			for u := 0; u < g.N(); u++ {
-				if u < g.N()/2 {
-					left = append(left, graph.NodeID(u))
-				} else {
-					right = append(right, graph.NodeID(u))
-				}
-			}
-			ta, err := NewTCPTransport("127.0.0.1:0", left, 1024)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ta.Close()
-			tb, err := NewTCPTransport("127.0.0.1:0", right, 1024)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tb.Close()
-			ta.SetWireFormat(f)
-			tb.SetWireFormat(f)
-			addrs := make(map[graph.NodeID]string)
-			for _, u := range left {
-				addrs[u] = ta.Addr().String()
-			}
-			for _, u := range right {
-				addrs[u] = tb.Addr().String()
-			}
-			ta.SetPeers(addrs)
-			tb.SetPeers(addrs)
+	left := make([]graph.NodeID, 0, 8)
+	right := make([]graph.NodeID, 0, 8)
+	for u := 0; u < g.N(); u++ {
+		if u < g.N()/2 {
+			left = append(left, graph.NodeID(u))
+		} else {
+			right = append(right, graph.NodeID(u))
+		}
+	}
+	ta, err := NewTCPTransport("127.0.0.1:0", left, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ta.Close()
+	tb, err := NewTCPTransport("127.0.0.1:0", right, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	addrs := make(map[graph.NodeID]string)
+	for _, u := range left {
+		addrs[u] = ta.Addr().String()
+	}
+	for _, u := range right {
+		addrs[u] = tb.Addr().String()
+	}
+	ta.SetPeers(addrs)
+	tb.SetPeers(addrs)
 
-			var ra, rb Result
-			var ea, eb error
-			done := make(chan struct{}, 2)
-			go func() {
-				ra, ea = Run(g, ppProto{source: 0}, ta, Options{Seed: 5, Tick: time.Millisecond, Nodes: left, Linger: 2 * time.Second})
-				done <- struct{}{}
-			}()
-			go func() {
-				rb, eb = Run(g, ppProto{source: 0}, tb, Options{Seed: 5, Tick: time.Millisecond, Nodes: right, Linger: 2 * time.Second})
-				done <- struct{}{}
-			}()
-			<-done
-			<-done
-			if ea != nil || eb != nil {
-				t.Fatalf("run errors: %v / %v", ea, eb)
-			}
-			if !ra.Completed || !rb.Completed {
-				t.Fatalf("cluster incomplete under %s wire", f)
-			}
-			informed := 0
-			for _, u := range left {
-				if ra.Done[u] {
-					informed++
-				}
-			}
-			for _, u := range right {
-				if rb.Done[u] {
-					informed++
-				}
-			}
-			if informed != g.N() {
-				t.Errorf("informed %d/%d under %s wire", informed, g.N(), f)
-			}
-		})
+	var ra, rb Result
+	var ea, eb error
+	done := make(chan struct{}, 2)
+	go func() {
+		ra, ea = Run(g, ppProto{source: 0}, ta, Options{Seed: 5, Tick: time.Millisecond, Nodes: left, Linger: 2 * time.Second})
+		done <- struct{}{}
+	}()
+	go func() {
+		rb, eb = Run(g, ppProto{source: 0}, tb, Options{Seed: 5, Tick: time.Millisecond, Nodes: right, Linger: 2 * time.Second})
+		done <- struct{}{}
+	}()
+	<-done
+	<-done
+	if ea != nil || eb != nil {
+		t.Fatalf("run errors: %v / %v", ea, eb)
+	}
+	if !ra.Completed || !rb.Completed {
+		t.Fatal("cluster incomplete")
+	}
+	informed := 0
+	for _, u := range left {
+		if ra.Done[u] {
+			informed++
+		}
+	}
+	for _, u := range right {
+		if rb.Done[u] {
+			informed++
+		}
+	}
+	if informed != g.N() {
+		t.Errorf("informed %d/%d", informed, g.N())
 	}
 }

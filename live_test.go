@@ -55,18 +55,11 @@ func TestLiveMatchesSimPushPull(t *testing.T) {
 
 // TestRunLiveTCPRingOfCliques is the acceptance check for the second
 // transport: push-pull on the 64-node ring of cliques completes over real
-// TCP loopback sockets, with the cluster split across two runtimes — under
-// both wire formats, since the encoding must be invisible to the protocol.
+// TCP loopback sockets, with the cluster split across two runtimes.
 func TestRunLiveTCPRingOfCliques(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP cluster run is not -short friendly")
 	}
-	for _, wf := range []LiveWireFormat{LiveWireBinary, LiveWireJSON} {
-		t.Run(wf.String(), func(t *testing.T) { runLiveTCPRingOfCliques(t, wf) })
-	}
-}
-
-func runLiveTCPRingOfCliques(t *testing.T, wf LiveWireFormat) {
 	g := RingOfCliques(8, 8, 4)
 	half := g.N() / 2
 	var hosted [2][]NodeID
@@ -82,7 +75,6 @@ func runLiveTCPRingOfCliques(t *testing.T, wf LiveWireFormat) {
 			t.Fatalf("transport %d: %v", i, err)
 		}
 		defer tr.Close()
-		tr.SetWireFormat(wf)
 		trs[i] = tr
 		for _, u := range hosted[i] {
 			addrs[u] = tr.Addr().String()

@@ -77,8 +77,8 @@ func benchGraphs() (*graph.Graph, *graph.Graph) {
 
 // BenchmarkWeightedConductanceChungLu20k is the headline ladder benchmark:
 // the CSR engine on a 20k-node Chung-Lu graph. Compare against the *Ref
-// variant below for the engine-vs-frozen-pipeline speedup recorded in
-// BENCH_pr5.json.
+// variant below for the engine-vs-frozen-pipeline speedup
+// (docs/PERFORMANCE.md, "The conductance engine").
 func BenchmarkWeightedConductanceChungLu20k(b *testing.B) {
 	g, _ := benchGraphs()
 	b.ResetTimer()

@@ -15,7 +15,7 @@ import (
 // ladder independently: one spectral power iteration at the full budget, one
 // set of BFS/random orderings, and one Subgraph build per distinct latency.
 // Nothing in the live engine may call into it; changes here invalidate the
-// recorded baselines in BENCH_pr5.json.
+// reference side of every recorded engine-vs-reference comparison.
 
 // WeightedConductanceRef computes φ* and ℓ* with the pre-CSR per-level
 // pipeline. It is exported for benchmarks and equivalence tests only; use

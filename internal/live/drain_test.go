@@ -331,9 +331,11 @@ func TestRunLiveInterruptLeaves(t *testing.T) {
 	}
 	resCh := make(chan out, 1)
 	go func() {
-		// Crash the source forever so the protocol cannot complete: the run
-		// is guaranteed to still be in flight when the signal lands.
-		res, err := Run(g, ppProto{source: 0}, tr, Options{
+		// No node reports done before an unreachable tick count, so the run
+		// is still in flight when the signal lands however fast the rumor
+		// spreads. The source crashes forever so one node is down, not
+		// leaving, at the interrupt.
+		res, err := Run(g, slowProto{source: 0, minTick: 1 << 30}, tr, Options{
 			Seed: 3, Tick: testTick, DrainTicks: 2,
 			Interrupt:  interrupt,
 			Crashes:    map[graph.NodeID]CrashPlan{0: {At: 1}},

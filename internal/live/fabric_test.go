@@ -1,16 +1,12 @@
 package live
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,9 +16,7 @@ import (
 // fabrics are the connection families under test. Every fabric speaks the
 // identical wire protocol through the same stream core, so every test here
 // is a parity check: behavior proven for TCP must hold verbatim.
-var fabrics = []string{"tcp", "unix", "ring"}
-
-var ringNameSeq atomic.Int64
+var fabrics = []string{"tcp", "unix"}
 
 // newFabricTransport builds one transport of the given fabric hosting the
 // given nodes, returning it and the address peers should dial.
@@ -49,65 +43,11 @@ func newFabricTransport(t testing.TB, fabric string, hosted []graph.NodeID, buff
 			t.Fatal(err)
 		}
 		return tr, unixScheme + path
-	case "ring":
-		name := fmt.Sprintf("t%d", ringNameSeq.Add(1))
-		tr, err := NewRingTransport(name, hosted, buffer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr, ringScheme + name
 	default:
 		t.Fatalf("unknown fabric %q", fabric)
 		return nil, ""
 	}
 }
-
-// TestByteRingSplice unit-tests the SPSC ring under the stream core:
-// byte-exact transfer across many wraparounds with concurrent producer and
-// consumer, then drain-to-EOF close semantics.
-func TestByteRingSplice(t *testing.T) {
-	r := newByteRing()
-	rng := rand.New(rand.NewSource(42))
-	// 8 MiB through a 1 MiB ring: every offset wraps several times.
-	data := make([]byte, 8<<20)
-	rng.Read(data)
-
-	go func() {
-		for off := 0; off < len(data); {
-			n := 1 + rng.Intn(64<<10)
-			if off+n > len(data) {
-				n = len(data) - off
-			}
-			if _, err := r.write(data[off : off+n]); err != nil {
-				t.Error(err)
-				return
-			}
-			off += n
-		}
-		r.closeWrite()
-	}()
-
-	got, err := io.ReadAll(ringReader{r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("ring corrupted the stream: %d bytes read, want %d", len(got), len(data))
-	}
-	// Reads after EOF stay EOF; writes after consumer abandonment fail.
-	if _, err := r.read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("read after drain = %v, want io.EOF", err)
-	}
-	r.closeRead()
-	if _, err := r.write([]byte("x")); err == nil {
-		t.Fatal("write after closeRead succeeded")
-	}
-}
-
-// ringReader adapts byteRing.read to io.Reader for io.ReadAll.
-type ringReader struct{ r *byteRing }
-
-func (rr ringReader) Read(p []byte) (int, error) { return rr.r.read(p) }
 
 // TestAddrIsLocalHost pins the auto-upgrade predicate: loopback and
 // localhost qualify, remote IPs and unparseable hosts do not.
@@ -217,10 +157,10 @@ func TestFabricAutoUpgradeToUnix(t *testing.T) {
 	}
 }
 
-// TestFabricMixedInterop runs one cluster across all three fabrics at once:
-// a TCP-listening transport, a unix-listening transport, and a ring
-// transport exchange a full mesh of messages. The wire format is
-// fabric-invariant, so everything interoperates through one peer map.
+// TestFabricMixedInterop runs one cluster across both fabrics at once: a
+// TCP-listening transport and a unix-listening transport exchange a full
+// mesh of messages. The wire format is fabric-invariant, so everything
+// interoperates through one peer map.
 func TestFabricMixedInterop(t *testing.T) {
 	trs := make([]*StreamTransport, len(fabrics))
 	addrs := make(map[graph.NodeID]string, len(fabrics))
@@ -422,14 +362,6 @@ func quietFabricPeer(t testing.TB, fabric string) (addr string, stop func()) {
 		}
 		go discardAccepts(l)
 		return unixScheme + path, func() { l.Close(); os.RemoveAll(dir) }
-	case "ring":
-		name := fmt.Sprintf("quiet%d", ringNameSeq.Add(1))
-		l, err := registerRing(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go discardAccepts(l)
-		return ringScheme + name, func() { l.Close() }
 	default:
 		t.Fatalf("unknown fabric %q", fabric)
 		return "", nil
@@ -448,13 +380,13 @@ func discardAccepts(l net.Listener) {
 	}
 }
 
-// TestFaultDeterministicAcrossFabrics is the chaos-parity check for the new
+// TestFaultDeterministicAcrossFabrics is the chaos-parity check for the
 // fabrics: the identical fault plan over the identical message schedule must
 // produce the identical injected-fault counters and the identical arrival
-// multiset whether the cluster's links are TCP, unix sockets, or in-process
-// rings. Fault decisions are a PRF of message identity taken above the
-// transport, and the stream core is fabric-blind, so any divergence means a
-// fabric leaked into delivery semantics.
+// multiset whether the cluster's links are TCP or unix sockets. Fault
+// decisions are a PRF of message identity taken above the transport, and the
+// stream core is fabric-blind, so any divergence means a fabric leaked into
+// delivery semantics.
 func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-transport cluster run is not -short friendly")

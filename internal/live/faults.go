@@ -22,8 +22,8 @@ import (
 // dropped, duplicated, or jittered: two runs whose protocols emit the same
 // messages experience byte-identical faults. The decision is also made
 // before the message reaches any transport, so it is independent of what
-// carries it: a run behaves identically over TCP, unix sockets, in-process
-// rings, and the in-process channel transport (which never encodes).
+// carries it: a run behaves identically over TCP, unix sockets, and the
+// in-process channel transport (which never encodes).
 
 // FaultConfig configures deterministic fault injection. The zero value
 // injects nothing (a pure pass-through that only counts traffic).

@@ -15,8 +15,8 @@ import (
 // bounded queue reports what it shed. The queue caps themselves live in
 // tcp_transport.go, next to the queues they bound.
 
-// Overload-protection defaults. Caps are configurable via SetOverloadLimits
-// and SetBreaker; zero keeps these, negative disables the mechanism.
+// Overload-protection defaults. The caps are configurable via
+// SetOverloadLimits; zero keeps these, negative disables the cap.
 const (
 	// DefaultQueueLimit bounds each connection's writer queue, in frames.
 	// Past it, gossip frames are shed oldest-first (push-pull and

@@ -195,7 +195,7 @@ func TestTCPDeadPeerDropsInFlight(t *testing.T) {
 	tr, cleanup := overloadPair(t)
 	defer cleanup()
 	tr.SetFlushWindow(0) // un-park the writer: pend entries register at write time
-	tr.SetBreaker(-1, 0) // breakers off: the flush must still happen
+	tr.breakerN = -1     // breakers off: the flush must still happen
 
 	const sends = 8
 	for i := 0; i < sends; i++ {
@@ -240,9 +240,10 @@ func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
 	}
 	defer tr.Close()
 	tr.SetPeers(map[graph.NodeID]string{1: deadAddr})
-	tr.SetDialTimeout(time.Millisecond)
+	tr.dialTimeout = time.Millisecond
 	tr.SetRetransmit(time.Hour, 4) // failures come from dials, not give-ups
-	tr.SetBreaker(2, time.Hour)    // trip after 2 failures, stay open
+	tr.breakerN = 2                // trip after 2 failures,
+	tr.breakerWait = time.Hour     // and stay open
 
 	// An undialable first transmission is a terminal, counted loss and one
 	// failure toward the breaker.

@@ -58,7 +58,7 @@ const (
 )
 
 // StreamTransport is the transport-family-generic stream core: length-prefixed
-// binary frames (wire.go) over any ordered byte stream. Three connection
+// binary frames (wire.go) over any ordered byte stream. Two connection
 // families (fabrics) plug in beneath it:
 //
 //   - TCP (NewTCPTransport): the cross-machine fabric.
@@ -67,15 +67,12 @@ const (
 //     queueing. Dialed explicitly via "unix://PATH" peer addresses, or
 //     automatically when SetPeerSockets advertises a socket for a peer whose
 //     TCP address resolves to this host.
-//   - In-process shared rings (NewRingTransport): one pair of lock-free SPSC
-//     byte rings per connection, frames spliced between co-hosted runtimes
-//     without crossing the kernel. Dialed via "ring://NAME" peer addresses.
 //
-// All fabrics share the wire codec, the super-frame batching, the reliable
+// Both fabrics share the wire codec, the super-frame batching, the reliable
 // delivery machinery, and every counter below, so a mixed-fabric cluster is
 // just a peers map with mixed address forms. Frames and bytes that traveled
-// a local fabric (unix or ring) are additionally counted in WireLocalFrames
-// / WireLocalBytes, so harnesses can verify the fast path was actually taken.
+// a unix socket are additionally counted in WireLocalFrames /
+// WireLocalBytes, so harnesses can verify the fast path was actually taken.
 //
 // Each process hosts a subset of the graph's nodes behind one or more
 // listeners; SetPeers maps every remote node to the listen address of the
@@ -105,15 +102,15 @@ const (
 // waiting out the RTO. A super-frame still unacked after the budget is
 // abandoned and its messages counted as dropped. Receivers
 // deduplicate on (EdgeID, From, SentTick, Kind) within a sliding tick window
-// (SetDedupWindow), so retransmissions and network duplicates are idempotent
-// and the dedup set stays bounded over arbitrarily long runs.
+// (DefaultDedupWindowTicks), so retransmissions and network duplicates are
+// idempotent and the dedup set stays bounded over arbitrarily long runs.
 //
 // Outbound connections are dialed lazily (with retries, so a cluster's
 // processes may start in any order) and pooled per destination address.
 type StreamTransport struct {
 	hosted map[graph.NodeID]bool // read-only after construction
 
-	// listeners are the transport's accept sockets (TCP, unix, ring — a
+	// listeners are the transport's accept sockets (TCP, unix — a
 	// daemon typically has one TCP listener plus an optional unix socket).
 	// Guarded by connMu; the first listener's address is Addr().
 	listeners []streamListener
@@ -138,13 +135,13 @@ type StreamTransport struct {
 	outsSnap atomic.Pointer[map[string]*connState] // republished under connMu on every change
 	accepts  []*connState
 
-	dialTimeout time.Duration
+	dialTimeout time.Duration // how long conn retries dialing an unreachable peer
 	rto         time.Duration
 	maxRetrans  int
 	rtoMin      time.Duration // adaptive-RTO floor (raised by SetRetransmit)
 	rtoMax      time.Duration // adaptive-RTO and backoff ceiling
 
-	// Overload-protection knobs (SetOverloadLimits / SetBreaker); <= 0
+	// Overload-protection knobs (caps tunable via SetOverloadLimits); <= 0
 	// disables the corresponding mechanism.
 	queueLimit  int // frames per connection writer queue
 	pendLimit   int // unacked reliable sends across the transport
@@ -194,7 +191,7 @@ var _ Drainer = (*StreamTransport)(nil)
 var _ PeerStatusSink = (*StreamTransport)(nil)
 
 // streamListener is one accept socket plus its fabric locality: connections
-// accepted from a unix or ring listener count toward the WireLocal* ledger.
+// accepted from a unix listener count toward the WireLocal* ledger.
 type streamListener struct {
 	ln    net.Listener
 	local bool
@@ -319,8 +316,8 @@ func (s *dedupShard) size() int {
 }
 
 // newStreamTransport builds the stream core with no listeners attached; the
-// family constructors (NewTCPTransport, NewUnixTransport, NewRingTransport)
-// attach theirs with addListener before the transport is handed out.
+// family constructors (NewTCPTransport, NewUnixTransport) attach theirs with
+// addListener before the transport is handed out.
 func newStreamTransport(local []graph.NodeID, buffer int) *StreamTransport {
 	if buffer <= 0 {
 		buffer = DefaultInboxBuffer
@@ -333,7 +330,7 @@ func newStreamTransport(local []graph.NodeID, buffer int) *StreamTransport {
 		delays:      newTimerWheel(0),
 		retries:     newTimerWheel(0),
 		outs:        make(map[string]*connState),
-		dialTimeout: 10 * time.Second,
+		dialTimeout: 10 * time.Second, // generous, so a cluster's processes may start in any order
 		rto:         DefaultRetransmitRTO,
 		maxRetrans:  DefaultMaxRetransmits,
 		rtoMin:      DefaultRTOMin,
@@ -372,7 +369,7 @@ func (t *StreamTransport) addListener(ln net.Listener, local bool) error {
 
 // Addr returns the transport's primary bound listen address (the first
 // listener attached — the TCP address for NewTCPTransport, the socket path
-// for NewUnixTransport, the ring name for NewRingTransport).
+// for NewUnixTransport).
 func (t *StreamTransport) Addr() net.Addr {
 	t.connMu.Lock()
 	defer t.connMu.Unlock()
@@ -382,8 +379,8 @@ func (t *StreamTransport) Addr() net.Addr {
 // SetPeers installs (or extends) the node→address map used to route remote
 // sends. Locally hosted nodes need no entry. Addresses select the fabric by
 // form: "host:port" dials TCP (upgraded to a unix socket when SetPeerSockets
-// advertises one and the host is local), "unix://PATH" dials a unix socket
-// directly, and "ring://NAME" splices to an in-process ring listener.
+// advertises one and the host is local) and "unix://PATH" dials a unix socket
+// directly.
 func (t *StreamTransport) SetPeers(addrs map[graph.NodeID]string) {
 	t.peerMu.Lock()
 	defer t.peerMu.Unlock()
@@ -422,13 +419,10 @@ func (t *StreamTransport) socketFor(addr string) string {
 	return sock
 }
 
-// Peer-address schemes. A plain "host:port" address dials TCP (possibly
-// upgraded to an advertised unix socket); these prefixes select a local
-// fabric explicitly.
-const (
-	unixScheme = "unix://"
-	ringScheme = "ring://"
-)
+// unixScheme is the peer-address prefix that selects the unix fabric
+// explicitly. A plain "host:port" address dials TCP (possibly upgraded to an
+// advertised unix socket).
+const unixScheme = "unix://"
 
 // unixPreferGrace is how long conn keeps retrying an advertised unix socket
 // before degrading to TCP. Co-located daemons may accept TCP before their
@@ -457,23 +451,19 @@ func tuneUnixConn(c net.Conn) net.Conn {
 }
 
 // dialPeer opens one stream to addr, choosing the connection family from the
-// address: "unix://PATH" and "ring://NAME" dial that fabric directly, plain
-// "host:port" dials TCP — upgraded to a unix socket when SetPeerSockets
-// advertised one for a peer on this host. elapsed is how long conn has been
+// address: "unix://PATH" dials the socket directly, plain "host:port" dials
+// TCP — upgraded to a unix socket when SetPeerSockets advertised one for a
+// peer on this host. elapsed is how long conn has been
 // retrying this address, for the unix-preference grace window. The returned
-// flag reports whether the stream is a local fabric (unix or ring), which
-// routes its traffic into the WireLocal* counters.
+// flag reports whether the stream is a unix socket, which routes its traffic
+// into the WireLocal* counters.
 func (t *StreamTransport) dialPeer(addr string, elapsed time.Duration) (net.Conn, bool, error) {
-	switch {
-	case strings.HasPrefix(addr, unixScheme):
-		c, err := net.DialTimeout("unix", strings.TrimPrefix(addr, unixScheme), 2*time.Second)
+	if path, ok := strings.CutPrefix(addr, unixScheme); ok {
+		c, err := net.DialTimeout("unix", path, 2*time.Second)
 		if err != nil {
 			return nil, true, err
 		}
 		return tuneUnixConn(c), true, nil
-	case strings.HasPrefix(addr, ringScheme):
-		c, err := dialRing(strings.TrimPrefix(addr, ringScheme))
-		return c, true, err
 	}
 	if sock := t.socketFor(addr); sock != "" {
 		c, err := net.DialTimeout("unix", sock, 2*time.Second)
@@ -545,23 +535,6 @@ func (t *StreamTransport) SetFlushWindow(d time.Duration) {
 	t.flushWindow.Store(int64(d))
 }
 
-// SetDedupWindow bounds receiver-side dedup retention to the given number of
-// ticks (default DefaultDedupWindowTicks): entries are reclaimed once the
-// newest SentTick their shard has seen passes them by one to two windows.
-// The window must comfortably exceed the retransmission lifetime
-// (RTO·2^maxRetransmits) in ticks, or a late retransmission could be
-// delivered twice. Call before the first Send.
-func (t *StreamTransport) SetDedupWindow(ticks int) {
-	if ticks > 0 {
-		t.dedupWindow.Store(int64(ticks))
-	}
-}
-
-// SetDialTimeout bounds how long a remote write retries dialing an
-// unreachable peer before failing the attempt (default 10s — generous so a
-// cluster's processes may start in any order).
-func (t *StreamTransport) SetDialTimeout(d time.Duration) { t.dialTimeout = d }
-
 // SetRetransmit tunes reliable delivery: rto is the wait before the first
 // retransmission (doubling per attempt), maxRetransmits the budget before a
 // message is abandoned and counted as dropped. Zero values keep defaults;
@@ -594,20 +567,6 @@ func (t *StreamTransport) SetOverloadLimits(queueFrames, pending int) {
 	}
 	if pending != 0 {
 		t.pendLimit = pending
-	}
-}
-
-// SetBreaker tunes the per-peer circuit breakers: threshold is the number of
-// consecutive delivery failures that opens a peer's breaker, cooldown how
-// long an open breaker waits before half-opening for a single probe. Zero
-// keeps the current value, threshold < 0 disables breakers (including the
-// membership-driven trip). Call before the first Send.
-func (t *StreamTransport) SetBreaker(threshold int, cooldown time.Duration) {
-	if threshold != 0 {
-		t.breakerN = threshold
-	}
-	if cooldown > 0 {
-		t.breakerWait = cooldown
 	}
 }
 
@@ -762,9 +721,9 @@ func (t *StreamTransport) WireFramesOut() int64 { return t.framesOut.Load() }
 func (t *StreamTransport) WireMsgsOut() int64 { return t.msgsOut.Load() }
 
 // WireLocalFrames returns the subset of WireFramesOut that traveled a local
-// fabric — a unix socket or an in-process ring — instead of TCP. A cluster
-// harness expecting the zero-TCP fast path between co-located daemons
-// asserts this is positive on every daemon.
+// fabric — a unix socket — instead of TCP. A cluster harness expecting the
+// zero-TCP fast path between co-located daemons asserts this is positive on
+// every daemon.
 func (t *StreamTransport) WireLocalFrames() int64 { return t.localFrames.Load() }
 
 // WireLocalBytes returns the subset of WireBytesOut written to local fabrics.
@@ -1348,7 +1307,7 @@ type connState struct {
 	t     *StreamTransport
 	c     net.Conn
 	addr  string // peer listen address for pooled outbound conns; "" for accepted
-	local bool   // connection rides a local fabric (unix socket or ring)
+	local bool   // connection rides a local fabric (unix socket)
 
 	qmu        sync.Mutex
 	qHead      *msgChunk // chunked data-frame queue; see msgChunk

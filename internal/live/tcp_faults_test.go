@@ -133,7 +133,7 @@ func TestFaultTCPGiveUpCountsDrop(t *testing.T) {
 	probe.Close()
 
 	a.SetPeers(map[graph.NodeID]string{1: dead})
-	a.SetDialTimeout(50 * time.Millisecond)
+	a.dialTimeout = 50 * time.Millisecond
 	a.SetRetransmit(20*time.Millisecond, 2)
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)

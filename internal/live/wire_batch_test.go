@@ -137,6 +137,33 @@ func TestWireBatchAmortization(t *testing.T) {
 	if len(singles)-len(batched) < k {
 		t.Errorf("batch saved only %dB over %d messages", len(singles)-len(batched), k)
 	}
+
+	// The steady-state cost of the push-pull request a saturated connection
+	// carries: a full super-frame on a warm connection (payload type
+	// interned, seq and tick chains advancing by one). Encoding is
+	// deterministic, so the size is pinned exactly: 10 B per sub-message
+	// (kind, seq delta, from, to, edge, latency, tick delta, type ref,
+	// payload length, payload) under 5 B of frame header, body length and
+	// count. A codec change that moves wire bytes per message must move this.
+	pt, data, err := encodePayload(bitp{informed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([]wireMessage, maxBatchMsgs)
+	var enc wireEnc
+	var frame []byte
+	for round := 0; round < 2; round++ { // first frame warms the connection
+		for i := range full {
+			n := round*maxBatchMsgs + i
+			full[i] = wireMessage{Kind: uint8(MsgRequest), Seq: uint64(1 + n), From: 0, To: 1,
+				EdgeID: 1, Latency: 1, SentTick: n, PayloadType: pt, Payload: data}
+		}
+		frame = enc.appendBatchFrame(frame[:0], full, nil)
+	}
+	if want := 10*maxBatchMsgs + 5; len(frame) != want {
+		t.Errorf("steady-state full batch = %dB (%.3f B/msg), want exactly %dB",
+			len(frame), float64(len(frame))/maxBatchMsgs, want)
+	}
 }
 
 // TestWireBatchMalformed covers the batch-specific rejection paths: both

@@ -296,7 +296,7 @@ func TestDedupShardEviction(t *testing.T) {
 func TestTCPDedupWindowEviction(t *testing.T) {
 	a, b := tcpPair(t)
 	const window = 32
-	b.SetDedupWindow(window)
+	b.dedupWindow.Store(window)
 	// Establish the pooled connection first so the burst below is delivered
 	// in tick order (the pre-pool dial window delivers concurrently-queued
 	// sends in arbitrary order, which legitimately delays rotation).

@@ -35,7 +35,8 @@ func BenchmarkMembershipConvergence(b *testing.B) {
 
 // BenchmarkMembershipDetection crashes one node of a converged 64-node
 // cluster and measures per-observer detection latency, reporting the p50 and
-// p99 ticks-to-detect metrics that benchreport regression-gates.
+// p99 ticks-to-detect in lockstep ticks (deterministic per seed; the
+// DetectionBound tests hold the same quantity under its analytic bound).
 func BenchmarkMembershipDetection(b *testing.B) {
 	var all []int
 	for i := 0; i < b.N; i++ {

@@ -79,8 +79,8 @@ func TestChaosPushPullRingOfCliques(t *testing.T) {
 				Seed:      1234,
 				Drop:      0.10,
 				Duplicate: 0.05,
-				Partitions: []LivePartition{
-					{From: 5, Until: 40, Edges: LiveCutBetween(g, cliqueA, rest)},
+				Phases: []LiveFaultPhase{
+					{From: 5, Until: 40, Cut: LiveCutBetween(g, cliqueA, rest)},
 				},
 			},
 			Crashes: map[NodeID]LiveCrash{crashed: {At: 1}},
@@ -108,8 +108,8 @@ func TestChaosPushPullRingOfCliques(t *testing.T) {
 	if r1.Faults.Dropped() == 0 || r1.Faults.InjectedDups == 0 {
 		t.Errorf("chaos plan injected nothing: %+v", r1.Faults.FaultCounts)
 	}
-	if len(r1.Faults.Partitions) != 1 {
-		t.Errorf("partition epoch not echoed in the report: %+v", r1.Faults.Partitions)
+	if len(r1.Faults.Phases) != 1 {
+		t.Errorf("partition epoch not echoed in the report: %+v", r1.Faults.Phases)
 	}
 	if len(r1.Faults.InformedOverTime) == 0 {
 		t.Error("informed-over-time series missing")
@@ -176,8 +176,8 @@ func TestPartitionRRBroadcastFailsClosed(t *testing.T) {
 		MaxTicks: 4000,
 		Faults: &LiveFaultConfig{
 			Seed: 3,
-			Partitions: []LivePartition{
-				{From: 4, Until: 0, Edges: LiveCutBetween(g, left, right)}, // never heals
+			Phases: []LiveFaultPhase{
+				{From: 4, Until: 0, Cut: LiveCutBetween(g, left, right)}, // never heals
 			},
 		},
 	}

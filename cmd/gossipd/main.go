@@ -156,7 +156,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-crash: %w", err)
 	}
-	partitions, err := parsePartitions(*partSpec, g)
+	phases, err := parsePartitions(*partSpec, g)
 	if err != nil {
 		return fmt.Errorf("-partition: %w", err)
 	}
@@ -260,7 +260,7 @@ func run(args []string, out io.Writer) error {
 	} else if *memDump {
 		return fmt.Errorf("-memberdump requires membership (-join)")
 	}
-	if *drop > 0 || *dup > 0 || *jitter > 0 || len(partitions) > 0 {
+	if *drop > 0 || *dup > 0 || *jitter > 0 || len(phases) > 0 {
 		fseed := *faultSeed
 		if fseed == 0 {
 			fseed = *seed
@@ -270,7 +270,7 @@ func run(args []string, out io.Writer) error {
 			Drop:        *drop,
 			Duplicate:   *dup,
 			JitterTicks: *jitter,
-			Partitions:  partitions,
+			Phases:      phases,
 		}
 	}
 
@@ -310,10 +310,10 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "completed=%v interrupted=%v informed=%d/%d ticks=%d messages=%d bytes=%d wall=%v dropped=%d\n",
 		res.Completed, res.Interrupted, informed, len(hosted), res.Metrics.Ticks, res.Metrics.Messages(),
 		res.Metrics.Bytes, res.Metrics.Wall.Round(time.Millisecond), tr.Dropped())
-	if f := res.Faults; f.Dropped() > 0 || f.InjectedDups > 0 || f.Retransmits > 0 || len(f.Partitions) > 0 {
+	if f := res.Faults; f.Dropped() > 0 || f.InjectedDups > 0 || f.Retransmits > 0 || len(f.Phases) > 0 {
 		fmt.Fprintf(out, "faults: injected-drops=%d partition-drops=%d transport-drops=%d dups=%d jittered=%d retransmits=%d dedup-hits=%d partitions=%d\n",
 			f.InjectedDrops, f.PartitionDrops, f.TransportDrops, f.InjectedDups, f.Jittered,
-			f.Retransmits, f.DupsSuppressed, len(f.Partitions))
+			f.Retransmits, f.DupsSuppressed, len(f.Phases))
 	}
 	if ov := res.Faults.Overload; ov != (gossip.LiveOverloadCounts{}) {
 		fmt.Fprintf(out, "overload: shed-queue=%d shed-pend=%d member-backpressured=%d retry-trimmed=%d dropped-dead-peer=%d breaker-opens=%d breaker-drops=%d\n",
@@ -551,12 +551,13 @@ func parseCrashes(spec string, n int) (map[gossip.NodeID]gossip.LiveCrash, error
 }
 
 // parsePartitions parses "from:until:setA/setB" epochs separated by ";" into
-// partition schedules, deriving each epoch's cut edge set from the graph.
-func parsePartitions(spec string, g *gossip.Graph) ([]gossip.LivePartition, error) {
+// fault phases, each cutting the epoch's edge set (derived from the graph)
+// for its whole window.
+func parsePartitions(spec string, g *gossip.Graph) ([]gossip.LiveFaultPhase, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	var parts []gossip.LivePartition
+	var parts []gossip.LiveFaultPhase
 	for _, epoch := range strings.Split(spec, ";") {
 		fields := strings.SplitN(epoch, ":", 3)
 		if len(fields) != 3 {
@@ -586,7 +587,7 @@ func parsePartitions(spec string, g *gossip.Graph) ([]gossip.LivePartition, erro
 		if len(edges) == 0 {
 			return nil, fmt.Errorf("epoch %q cuts no edges", epoch)
 		}
-		parts = append(parts, gossip.LivePartition{From: from, Until: until, Edges: edges})
+		parts = append(parts, gossip.LiveFaultPhase{From: from, Until: until, Cut: edges})
 	}
 	return parts, nil
 }

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
+
+	"gossip"
 )
 
 // TestSingleDaemonHostsAll is the smoke test: one daemon hosting every node
@@ -333,6 +336,43 @@ func TestParsePeers(t *testing.T) {
 	}
 	if len(peers) != 3 || peers[0] != "a:1" || peers[1] != "a:1" || peers[3] != "b:2" {
 		t.Errorf("parsePeers = %v", peers)
+	}
+}
+
+// TestParsePartitions: each -partition epoch becomes one fault phase that
+// cuts the epoch's edge set for its whole window, and the faults: ledger
+// line counts the configured phases.
+func TestParsePartitions(t *testing.T) {
+	g := gossip.Dumbbell(4, 1) // 0-3 | 4-7, one bridge
+	phases, err := parsePartitions("5:40:0-3/4-7; 50:0:0-3/4-7", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge := gossip.LiveCutBetween(g, []gossip.NodeID{0, 1, 2, 3}, []gossip.NodeID{4, 5, 6, 7})
+	want := []gossip.LiveFaultPhase{{From: 5, Until: 40, Cut: bridge}, {From: 50, Until: 0, Cut: bridge}}
+	if !reflect.DeepEqual(phases, want) {
+		t.Errorf("parsePartitions = %+v, want %+v", phases, want)
+	}
+	for _, bad := range []string{"5:40", "x:40:0/4", "9:5:0/4", "5:40:0-3", "5:40:1/6"} {
+		if _, err := parsePartitions(bad, g); err == nil {
+			t.Errorf("parsePartitions(%q) accepted", bad)
+		}
+	}
+
+	var sb strings.Builder
+	args := []string{
+		"-graph", "dumbbell", "-s", "4", "-listen", "127.0.0.1:0",
+		"-tick", "500us", "-linger", "0s", "-seed", "3",
+		"-drop", "0.1", "-partition", "2:10:0-3/4-7",
+	}
+	if err := run(args, &sb); err != nil {
+		t.Fatalf("run(%v): %v\n%s", args, err, sb.String())
+	}
+	out := sb.String()
+	for _, w := range []string{"completed=true", "faults: injected-drops=", " retransmits=", "partitions=1\n"} {
+		if !strings.Contains(out, w) {
+			t.Errorf("output missing %q:\n%s", w, out)
+		}
 	}
 }
 

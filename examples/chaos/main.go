@@ -37,8 +37,8 @@ func main() {
 			Drop:        0.10,
 			Duplicate:   0.05,
 			JitterTicks: 2,
-			Partitions: []gossip.LivePartition{
-				{From: 5, Until: 40, Edges: gossip.LiveCutBetween(g, cliqueA, rest)},
+			Phases: []gossip.LiveFaultPhase{
+				{From: 5, Until: 40, Cut: gossip.LiveCutBetween(g, cliqueA, rest)},
 			},
 		},
 		Crashes: map[gossip.NodeID]gossip.LiveCrash{12: {At: 2, RecoverAt: 30}},
@@ -73,8 +73,8 @@ func main() {
 		MaxTicks: 4000,
 		Faults: &gossip.LiveFaultConfig{
 			Seed: 3,
-			Partitions: []gossip.LivePartition{
-				{From: 4, Until: 0, Edges: gossip.LiveCutBetween(d, left, right)}, // never heals
+			Phases: []gossip.LiveFaultPhase{
+				{From: 4, Until: 0, Cut: gossip.LiveCutBetween(d, left, right)}, // never heals
 			},
 		},
 	}

@@ -305,15 +305,17 @@ type LiveResult = live.Result
 // RecoverAt == 0 means the crash is permanent.
 type LiveCrash = live.CrashPlan
 
-// LiveFaultConfig configures deterministic fault injection for a live run:
-// message drop and duplication probabilities, latency jitter, and scheduled
-// link partitions. Every fault decision is a pure function of (Seed, message
+// LiveFaultConfig is a deterministic fault plan for a live run: whole-run
+// message drop and duplication probabilities and latency jitter, plus staged
+// Phases (partitions, one-way cuts, flapping links, slow nodes, loss
+// bursts). Every fault decision is a pure function of (Seed, phase, message
 // identity), so a fault plan replays identically across runs.
 type LiveFaultConfig = live.FaultConfig
 
-// LivePartition cuts a set of edges during a tick window (see LiveCutBetween
-// for deriving the edge set from a node bipartition).
-type LivePartition = live.Partition
+// LiveFaultPhase is one staged fault epoch of a LiveFaultConfig, active over
+// a tick window (see LiveCutBetween for deriving a Cut from a node
+// bipartition).
+type LiveFaultPhase = live.FaultPhase
 
 // LiveFaultCounts aggregates fault accounting across the transport stack;
 // Dropped() totals losses from every cause.
@@ -329,25 +331,8 @@ type LiveOverloadCounts = live.OverloadCounts
 type LiveDrainReport = live.DrainReport
 
 // LiveDrainer is implemented by transports supporting graceful shutdown;
-// the TCP and channel transports and both chaos decorators implement it.
+// the TCP and channel transports and the chaos decorator implement it.
 type LiveDrainer = live.Drainer
-
-// LiveNemesis is the staged chaos orchestrator: a transport decorator that
-// schedules fault phases — asymmetric partitions, flapping links, latency
-// ramps, loss bursts — over tick windows, deterministically per seed.
-type LiveNemesis = live.Nemesis
-
-// LiveNemesisPhase is one staged fault epoch of a LiveNemesis.
-type LiveNemesisPhase = live.NemesisPhase
-
-// LiveNemesisReport is one phase's fault ledger.
-type LiveNemesisReport = live.NemesisPhaseReport
-
-// NewLiveNemesis wraps a transport with a staged chaos schedule; seed drives
-// the loss draws and tick scales the latency ramps (0 = the default tick).
-func NewLiveNemesis(inner LiveTransport, seed uint64, tick time.Duration, phases []LiveNemesisPhase) *LiveNemesis {
-	return live.NewNemesis(inner, seed, tick, phases)
-}
 
 // LiveVerifyRecovery asserts the post-heal invariants of a chaos run: the
 // run completed, every survivor is informed, and no false dead declaration
@@ -356,8 +341,8 @@ func LiveVerifyRecovery(res LiveResult, survivors []NodeID) error {
 	return live.VerifyRecovery(res, survivors)
 }
 
-// LiveFaultReport is the fault ledger of a live run: counters, partition
-// epochs, and the informed-fraction-over-time trajectory.
+// LiveFaultReport is the fault ledger of a live run: counters, one row per
+// configured fault phase, and the informed-fraction-over-time trajectory.
 type LiveFaultReport = live.FaultReport
 
 // LiveFaultTransport decorates any LiveTransport with seeded fault
@@ -372,7 +357,7 @@ func NewLiveFaultTransport(inner LiveTransport, cfg LiveFaultConfig) *LiveFaultT
 }
 
 // LiveCutBetween returns the IDs of all edges between node sets a and b —
-// the cut's edge set, ready for LivePartition.Edges.
+// the cut's edge set, ready for LiveFaultPhase.Cut.
 func LiveCutBetween(g *Graph, a, b []NodeID) []int {
 	return live.CutBetween(g, a, b)
 }
@@ -404,7 +389,7 @@ type LiveOptions struct {
 	Crashes map[NodeID]LiveCrash
 	// Faults, when non-nil, wraps the run's transport in a
 	// LiveFaultTransport injecting the configured chaos (drops, dups,
-	// jitter, partitions); the resulting ledger lands in LiveResult.Faults.
+	// jitter, staged phases); the resulting ledger lands in LiveResult.Faults.
 	Faults *LiveFaultConfig
 	// Nodes restricts this runtime to a subset of the graph's nodes (nil =
 	// all) — the multi-process deployment case; see RunLiveTransport.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -382,11 +383,13 @@ func discardAccepts(l net.Listener) {
 
 // TestFaultDeterministicAcrossFabrics is the chaos-parity check for the
 // fabrics: the identical fault plan over the identical message schedule must
-// produce the identical injected-fault counters and the identical arrival
-// multiset whether the cluster's links are TCP or unix sockets. Fault
-// decisions are a PRF of message identity taken above the transport, and the
-// stream core is fabric-blind, so any divergence means a fabric leaked into
-// delivery semantics.
+// produce the identical injected-fault counters, the identical per-phase
+// rows and the identical arrival multiset whether the cluster's links are
+// TCP or unix sockets. Fault decisions are a PRF of message identity taken
+// above the transport, and the stream core is fabric-blind, so any
+// divergence means a fabric leaked into delivery semantics. Two plans run:
+// whole-run weather with one partition epoch, and the same weather under a
+// staged phase list (a one-way cut, a flapping cut, a slow-node ramp).
 func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-transport cluster run is not -short friendly")
@@ -400,51 +403,71 @@ func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 			right = append(right, graph.NodeID(u))
 		}
 	}
-	cfg := FaultConfig{
+	bridge := CutBetween(g, left, right)
+	weather := FaultConfig{
 		Seed:        5519,
 		Drop:        0.10,
 		Duplicate:   0.05,
 		JitterTicks: 2,
 		Tick:        time.Millisecond,
-		Partitions:  []Partition{{From: 2, Until: 4, Edges: CutBetween(g, left, right)}},
+	}
+	partitioned, staged := weather, weather
+	partitioned.Phases = []FaultPhase{{From: 2, Until: 4, Cut: bridge}}
+	staged.Phases = []FaultPhase{
+		{Name: "asym", From: 0, Until: 3, AsymFrom: left, AsymTo: right},
+		{Name: "flap", From: 1, Until: 6, Cut: bridge, FlapPeriod: 2, FlapUp: 1},
+		{Name: "slow", From: 0, Until: 6, SlowNodes: []graph.NodeID{0, 3, 4}, SlowMaxTicks: 3},
 	}
 	feed := scriptedFeed(g, 6)
 
 	type outcome struct {
-		got map[arrivalKey]int
-		rep FaultCounts
+		got    map[arrivalKey]int
+		rep    FaultCounts
+		phases []FaultPhaseReport
 	}
-	outcomes := make(map[string]outcome, len(fabrics))
-	for _, fabric := range fabrics {
-		got, rep := runScriptedFaults(t, fabric, g, feed, cfg)
-		outcomes[fabric] = outcome{got, rep}
-	}
-
-	ref := outcomes["tcp"]
-	if ref.rep.InjectedDrops == 0 || ref.rep.Jittered == 0 || ref.rep.PartitionDrops == 0 {
-		t.Errorf("fault plan injected nothing on some axis: %+v", ref.rep)
-	}
-	for _, fabric := range fabrics[1:] {
-		o := outcomes[fabric]
-		if o.rep != ref.rep {
-			t.Errorf("injected fault counters diverge on %s:\ntcp: %+v\n%s: %+v", fabric, ref.rep, fabric, o.rep)
-		}
-		if len(o.got) != len(ref.got) {
-			t.Fatalf("arrival multisets differ in size: tcp=%d %s=%d", len(ref.got), fabric, len(o.got))
-		}
-		for k, n := range ref.got {
-			if o.got[k] != n {
-				t.Errorf("arrival %+v: tcp=%d %s=%d deliveries", k, n, fabric, o.got[k])
+	for name, cfg := range map[string]FaultConfig{"partition": partitioned, "staged": staged} {
+		t.Run(name, func(t *testing.T) {
+			outcomes := make(map[string]outcome, len(fabrics))
+			for _, fabric := range fabrics {
+				got, rep, phases := runScriptedFaults(t, fabric, g, feed, cfg)
+				outcomes[fabric] = outcome{got, rep, phases}
 			}
-		}
+
+			ref := outcomes["tcp"]
+			if ref.rep.InjectedDrops == 0 || ref.rep.Jittered == 0 || ref.rep.PartitionDrops == 0 {
+				t.Errorf("fault plan injected nothing on some axis: %+v", ref.rep)
+			}
+			for i, row := range ref.phases {
+				if row.CutDrops+row.AsymDrops+row.Delayed == 0 {
+					t.Errorf("phase %d injected nothing: %+v", i, row)
+				}
+			}
+			for _, fabric := range fabrics[1:] {
+				o := outcomes[fabric]
+				if o.rep != ref.rep {
+					t.Errorf("injected fault counters diverge on %s:\ntcp: %+v\n%s: %+v", fabric, ref.rep, fabric, o.rep)
+				}
+				if !reflect.DeepEqual(o.phases, ref.phases) {
+					t.Errorf("per-phase rows diverge on %s:\ntcp: %+v\n%s: %+v", fabric, ref.phases, fabric, o.phases)
+				}
+				if len(o.got) != len(ref.got) {
+					t.Fatalf("arrival multisets differ in size: tcp=%d %s=%d", len(ref.got), fabric, len(o.got))
+				}
+				for k, n := range ref.got {
+					if o.got[k] != n {
+						t.Errorf("arrival %+v: tcp=%d %s=%d deliveries", k, n, fabric, o.got[k])
+					}
+				}
+			}
+		})
 	}
 }
 
 // runScriptedFaults feeds a deterministic schedule through per-side
 // FaultTransports over a two-transport cluster on the given fabric, waits
 // for the reliable-delivery layer to drain, and returns the arrival multiset
-// plus the summed injected-fault counters.
-func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Message, cfg FaultConfig) (map[arrivalKey]int, FaultCounts) {
+// plus the summed injected-fault counters and per-phase rows.
+func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Message, cfg FaultConfig) (map[arrivalKey]int, FaultCounts, []FaultPhaseReport) {
 	t.Helper()
 	half := g.N() / 2
 	side := func(u graph.NodeID) int {
@@ -478,9 +501,14 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	// Wait for jittered deliveries to be scheduled and the reliable layer to
-	// drain every surviving send.
-	time.Sleep(50*time.Millisecond + time.Duration(2*(cfg.JitterTicks+1))*cfg.Tick)
+	// Wait for delayed deliveries (jitter, the duplicate's trailing offset, a
+	// slow ramp) to be scheduled and the reliable layer to drain every
+	// surviving send.
+	extra := 2 * (cfg.JitterTicks + 1)
+	for _, p := range cfg.Phases {
+		extra += p.SlowMaxTicks
+	}
+	time.Sleep(50*time.Millisecond + time.Duration(extra)*cfg.Tick)
 	deadline := time.Now().Add(10 * time.Second)
 	for (trs[0].pendingCount() != 0 || trs[1].pendingCount() != 0) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -499,12 +527,20 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 		}
 	}
 	var sum FaultCounts
+	phases := make([]FaultPhaseReport, len(cfg.Phases))
 	for i := range fts {
 		rep := fts[i].Faults()
 		sum.InjectedDrops += rep.InjectedDrops
 		sum.InjectedDups += rep.InjectedDups
 		sum.Jittered += rep.Jittered
 		sum.PartitionDrops += rep.PartitionDrops
+		for j, row := range rep.Phases {
+			phases[j].Name = row.Name
+			phases[j].CutDrops += row.CutDrops
+			phases[j].AsymDrops += row.AsymDrops
+			phases[j].LossDrops += row.LossDrops
+			phases[j].Delayed += row.Delayed
+		}
 	}
-	return got, sum
+	return got, sum, phases
 }

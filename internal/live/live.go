@@ -181,7 +181,7 @@ type Result struct {
 	// cleared state (hosted nodes only).
 	Recovered []bool
 	// Faults is the run's fault ledger: injected and real message losses,
-	// duplication, retransmissions, partition epochs, and the
+	// duplication, retransmissions, per-phase fault rows, and the
 	// informed-fraction trajectory. Zero-valued when the transport stack
 	// keeps no fault accounting.
 	Faults FaultReport

@@ -12,7 +12,7 @@ import (
 // runtime. With Options.Membership set, every hosted node runs a failure
 // detector alongside its protocol handler: probes, ping-req relays, and
 // anti-entropy syncs travel as MsgMember messages over the run's ordinary
-// transport — the same binary wire frames, fault injectors, and latency
+// transport — the same binary wire frames, fault injector, and latency
 // machinery as protocol traffic — with membership deltas piggybacked on every
 // packet under the detector's per-frame budget. Nodes bootstrap from a seed
 // peer list instead of trusting the static roster, and the runtime's

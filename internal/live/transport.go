@@ -87,8 +87,8 @@ type DrainReport struct {
 
 // Drainer is implemented by transports that support graceful shutdown:
 // Drain stops admitting new sends, flushes what is already queued until ctx
-// expires, then closes the transport. Decorators (FaultTransport, Nemesis)
-// forward Drain to their inner transport.
+// expires, then closes the transport. The FaultTransport decorator forwards
+// Drain to its inner transport.
 type Drainer interface {
 	Drain(ctx context.Context) (DrainReport, error)
 }

@@ -27,9 +27,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+const hashInit = 0x51ab_de37_91c0_ffee
+
 // Hash mixes an arbitrary tuple of integers into a single 64-bit value.
-func Hash(vals ...uint64) uint64 {
-	h := uint64(0x51ab_de37_91c0_ffee)
+func Hash(vals ...uint64) uint64 { return fold(hashInit, vals) }
+
+// fold mixes vals into the hash state h and finalizes it.
+func fold(h uint64, vals []uint64) uint64 {
 	for _, v := range vals {
 		h = splitmix64(h ^ v)
 	}
@@ -47,7 +51,8 @@ func Coin(p float64, seed uint64, vals ...uint64) bool {
 	if p >= 1 {
 		return true
 	}
-	h := Hash(append([]uint64{seed}, vals...)...)
+	// Hash(seed, vals...), without building the tuple.
+	h := fold(splitmix64(hashInit^seed), vals)
 	// Use the top 53 bits for a uniform float in [0,1).
 	u := float64(h>>11) / float64(1<<53)
 	return u < p

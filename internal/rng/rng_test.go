@@ -43,6 +43,21 @@ func TestCoinSharedRandomness(t *testing.T) {
 	}
 }
 
+func TestCoinIsHashOfSeededTuple(t *testing.T) {
+	// Coin(p, seed, vals...) maps the top 53 bits of Hash(seed, vals...) to
+	// [0, 1), so coins drawn before and after a caller switches between the
+	// two forms agree.
+	for i := uint64(0); i < 1000; i++ {
+		vals := []uint64{i, i * 3, 7}
+		u := float64(Hash(append([]uint64{i ^ 99}, vals...)...)>>11) / (1 << 53)
+		for _, p := range []float64{0.01, 0.3, 0.5, 0.99} {
+			if got := Coin(p, i^99, vals...); got != (u < p) {
+				t.Fatalf("Coin(%g, %d, %v) = %v, Hash says %v", p, i^99, vals, got, u < p)
+			}
+		}
+	}
+}
+
 func TestCoinBias(t *testing.T) {
 	for _, p := range []float64{0.1, 0.5, 0.9} {
 		hits := 0

@@ -95,7 +95,7 @@ func run(args []string, out io.Writer) error {
 		flushWin = fs.Duration("flushwindow", 200*time.Microsecond, "daemon flush window (super-frame aggregation width)")
 		nodesPer = fs.Int("nodes-per-shard", 0, "per-daemon shard sizing (0 = gossipd default)")
 		queueCap = fs.Int("queue-frames", 0, "per-connection writer queue cap (0 = gossipd default, negative = unbounded)")
-		mailCap  = fs.Int("mailbox", 0, "per-shard mailbox cap in posts (0 = gossipd default, negative = unbounded)")
+		mailCap  = fs.Int("mailbox", 0, "per-shard cap on waiting network arrivals, in posts (0 = gossipd default, negative = unbounded)")
 		pendCap  = fs.Int("max-pend", 0, "unacked reliable-send cap per daemon (0 = gossipd default, negative = unbounded)")
 		rto      = fs.Duration("rto", 0, "initial retransmission timeout / adaptive-RTO floor (0 = gossipd default)")
 		maxRetr  = fs.Int("retrans", 0, "retransmission budget (0 = gossipd default, negative = off)")

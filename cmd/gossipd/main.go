@@ -113,7 +113,7 @@ func run(args []string, out io.Writer) error {
 		shards    = fs.Int("shards", 0, "event-loop shards hosted nodes are multiplexed onto (0 = one per CPU core)")
 		nodesPer  = fs.Int("nodes-per-shard", 0, "size shards by node count instead: ceil(hosted/this) shards (0 = use -shards)")
 		queueCap  = fs.Int("queue-frames", 0, "per-connection writer queue cap in frames; overflow sheds gossip oldest-first (0 = default, negative = unbounded — for dedicated bulk runs)")
-		mailCap   = fs.Int("mailbox", 0, "per-shard mailbox cap in posts; overflow sheds locally delivered gossip, which has no retransmit under it (0 = default, negative = unbounded)")
+		mailCap   = fs.Int("mailbox", 0, "per-shard cap on waiting network arrivals, in posts; overflow sheds gossip from other daemons (0 = default, negative = unbounded)")
 		pendCap   = fs.Int("max-pend", 0, "transport-wide unacked reliable-send cap; overflow evicts oldest gossip (0 = default, negative = unbounded)")
 		rto       = fs.Duration("rto", 0, "initial retransmission timeout, also the adaptive RTO's floor (0 = default)")
 		maxRetr   = fs.Int("retrans", 0, "retransmission budget before a message is abandoned (0 = default, negative = no retransmission)")

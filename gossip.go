@@ -414,11 +414,10 @@ type LiveOptions struct {
 	// the hosted node count). Goroutine and timer cost scale with shards,
 	// not nodes.
 	Shards int
-	// MailboxCap bounds each shard's mailbox, in posts (0 = a protective
-	// default, negative = unbounded). Overflowing gossip posts are shed —
-	// and locally delivered messages have no retransmit layer, so
-	// repair-free protocols never recover them; bulk runs on dedicated
-	// hardware should lift the cap and buffer the frontier in memory.
+	// MailboxCap bounds the network arrivals waiting in each shard's
+	// mailbox, in posts (0 = a protective default, negative = unbounded).
+	// Overflowing gossip arrivals are shed and counted; messages between
+	// the runtime's own nodes never count against it and are never shed.
 	MailboxCap int
 }
 

@@ -23,7 +23,8 @@ const DefaultInboxBuffer = 1024
 //
 // When the sharded runtime installs a DeliverySink, locally destined traffic
 // bypasses inbox channels entirely — the sink hands each message to the
-// owning shard, which applies the delay on its own wheel. Inbox channels are
+// sending node's shard, which applies the delay on its own calendar or hands
+// the message to the owning shard. Inbox channels are
 // materialized lazily, only for nodes a caller actually Recvs on (raw
 // transport tests, foreign runtimes), so hosting 100k nodes does not allocate
 // 100k buffered channels up front.

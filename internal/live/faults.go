@@ -159,7 +159,10 @@ type FaultCounts struct {
 	PartitionDrops int64
 	// TransportDrops counts messages the underlying transport lost for real
 	// reasons: retransmission give-ups, undecodable or misrouted wire
-	// messages, and deliveries abandoned at Close.
+	// messages, and deliveries abandoned at Close. A runtime's Result adds
+	// the posts its shards abandoned when it stopped: whatever was still
+	// queued or armed, and posts to a shard that had already stopped — on
+	// a completed run too, as messages in flight at the stop.
 	TransportDrops int64
 	// Retransmits counts reliable-delivery retransmissions (TCP transport).
 	Retransmits int64

@@ -2,10 +2,11 @@
 // sim.Handler protocol state machines as the lockstep round simulator, but
 // against real time and a pluggable Transport. Hosted nodes are multiplexed
 // onto a sharded event loop — N shards (default GOMAXPROCS), each owning a
-// contiguous range of nodes as a dense slice, an MPSC mailbox, and a
-// hierarchical timer wheel — so a runtime costs O(shards) goroutines and
-// zero per-node tickers regardless of how many nodes it hosts (see shard.go;
-// 100k+ in-process nodes is the design point).
+// contiguous range of nodes as a dense slice, a flat calendar of delayed
+// deliveries, per-destination outboxes and a mailbox for network arrivals —
+// so a runtime costs O(shards) goroutines and zero per-node tickers
+// regardless of how many nodes it hosts (see shard.go; 100k+ in-process
+// nodes is the design point).
 //
 // The mapping from the paper's synchronous model to wall-clock time is:
 //
@@ -15,7 +16,7 @@
 //     deployment has;
 //   - an exchange over an edge of latency ℓ is a request delivered ⌈ℓ/2⌉
 //     ticks after initiation and a response ⌊ℓ/2⌋ ticks after the answer,
-//     armed on the owning shard's timer wheel (or injected by the transport
+//     armed on the owning shard's calendar (or injected by the transport
 //     as a real timer delay when a runtime's sink is not installed);
 //   - per-node randomness comes from the same seeded streams as the
 //     simulator (rng.Stream(seed, node)), so a protocol makes identical
@@ -111,13 +112,11 @@ type Options struct {
 	// the hosted node count). More shards buy parallelism, fewer buy cache
 	// density; the default is right for almost everything.
 	Shards int
-	// MailboxCap bounds each shard's mailbox, in posts (0 = the protective
-	// DefaultMailboxCap, negative = unbounded). When full, gossip posts are
-	// shed into the overload ledger; membership traffic is always admitted.
-	// Locally delivered messages have no retransmit layer under them, so a
-	// repair-free protocol (flood) never recovers a shed post — bulk
-	// experiments on dedicated hardware should raise or lift the cap and
-	// let memory absorb the frontier burst instead.
+	// MailboxCap bounds the network arrivals waiting in each shard's
+	// mailbox, in posts (0 = the protective DefaultMailboxCap, negative =
+	// unbounded). When full, gossip arrivals are shed into the overload
+	// ledger; membership traffic is always admitted. Messages between this
+	// runtime's own nodes never count against it and are never shed.
 	MailboxCap int
 }
 
@@ -214,7 +213,8 @@ type Runtime struct {
 	leaving   atomic.Bool  // interrupted: broadcast leave, answer, don't initiate
 	doneN     atomic.Int64 // hosted nodes whose done flag is set (watch fast path)
 	stopN     atomic.Int64 // hosted nodes whose exhausted flag is set
-	mailShed  atomic.Int64 // gossip posts shed by full shard mailboxes
+	mailShed  atomic.Int64 // gossip arrivals shed by full shard mailboxes
+	abandoned atomic.Int64 // posts a stopped shard never delivered
 	mailCap   int          // resolved Options.MailboxCap (<=0 = unbounded)
 	peerSink  PeerStatusSink
 	wg        sync.WaitGroup
@@ -330,13 +330,7 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 		if hi > len(hosted) {
 			hi = len(hosted)
 		}
-		sh := &shard{
-			rt:     rt,
-			id:     len(rt.shards),
-			nodes:  make([]node, hi-lo),
-			wheel:  newWheel[Message](),
-			notify: make(chan struct{}, 1),
-		}
+		sh := newShard(rt, len(rt.shards), nShards, hi-lo)
 		for j, u := range hosted[lo:hi] {
 			plan := opts.Crashes[u]
 			n := &sh.nodes[j]
@@ -356,8 +350,8 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 	}
 
 	// Fast path: the transport hands locally destined messages straight to
-	// the owning shard. Fallback: one forwarder goroutine per node pumps the
-	// transport's inbox channel into the shard mailboxes.
+	// the runtime's sink (see shard.go). Fallback: one forwarder goroutine
+	// per node pumps the transport's inbox channel into the shard mailboxes.
 	sinkMode := st != nil && st.SetSink(rt.sink)
 
 	start := time.Now()
@@ -399,6 +393,7 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 		res.Faults = fr.Faults()
 	}
 	res.Faults.Overload.ShedQueue += rt.mailShed.Load()
+	res.Faults.TransportDrops += rt.abandoned.Load()
 	res.Faults.InformedOverTime = informedOverTime
 	if !completed && !interrupted {
 		return res, fmt.Errorf("%w (%d ticks, %d nodes done)", ErrMaxTicks, res.Metrics.Ticks, countTrue(res.Done))

@@ -93,8 +93,11 @@ func (n *node) Initiate(idx int, payload sim.Payload) (uint64, error) {
 
 // onTick advances the node's round counter and runs the handler's Tick, the
 // live analogue of the simulator's phase B. The wall counter keeps advancing
-// while the node is down so a scheduled recovery knows when to fire.
-func (n *node) onTick() {
+// while the node is down so a scheduled recovery knows when to fire. hold is
+// the shard's backpressure: the wall clock, crash and recovery plans, leave
+// and the failure detector still run, but the protocol takes no round, so
+// the node starts no exchange.
+func (n *node) onTick(hold bool) {
 	n.wall++
 	if n.halted {
 		if n.recoverAt > 0 && n.wall >= n.recoverAt {
@@ -135,6 +138,9 @@ func (n *node) onTick() {
 		// a fixed-schedule protocol that missed its window fails closed
 		// instead of hanging until the tick budget runs dry.
 		n.setExhausted(true)
+		return
+	}
+	if hold {
 		return
 	}
 	n.tick++

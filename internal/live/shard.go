@@ -2,6 +2,7 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossip/internal/graph"
@@ -9,16 +10,36 @@ import (
 
 // This file is the sharded event loop that multiplexes every locally hosted
 // node onto a fixed set of workers. One shard owns a contiguous range of the
-// runtime's hosted nodes as a dense slice, a hierarchical timer wheel holding
-// that range's delayed deliveries (ticks = protocol ticks), and an MPSC
-// mailbox through which transports and other shards post messages. The shard
+// runtime's hosted nodes as a dense slice, a flat calendar holding that
+// range's delayed deliveries (ticks = protocol ticks), and a mailbox through
+// which other shards and the transport's readers hand it messages. The shard
 // goroutine is the only thing that touches its nodes' handler state, so the
 // sim.Handler single-goroutine contract holds exactly as it did when each
 // node had a goroutine of its own — but a runtime hosting 100k nodes now
 // costs O(shards) goroutines and zero per-node tickers.
+//
+// A message moves by who sent it, not by who receives it (Runtime.sink):
+//
+//   - sent by a node of this shard to a node of this shard: armed on the
+//     calendar, or appended to the current drain when its delay is zero —
+//     no lock at all;
+//   - sent by a node of this shard to another shard of the runtime: appended
+//     to a per-destination outbox, which the end of every drain or sweep pass
+//     hands over in one locked append — one lock per destination per pass;
+//   - arriving from the network (the sender is hosted elsewhere): posted to
+//     the owner's mailbox under its lock, capped and shed when full.
+//
+// Posts within the process are never shed. What bounds memory instead is
+// flow control on initiation: a shard's nodes start no new exchanges while
+// any destination still holds more than one sweep's worth of the posts this
+// shard handed it (its hosted count). Everything else goes on — the sweep
+// still advances wall clocks, crash and recovery plans and the failure
+// detector, and the shard keeps firing its calendar, draining its mailbox
+// and answering requests — so no response is ever refused and two shards
+// waiting on each other both keep draining: backpressure cannot deadlock.
 
-// post is one mailbox entry: a message and its remaining delivery delay in
-// protocol ticks (<= 0 delivers on the next drain).
+// post is one mailbox or outbox entry: a message and its remaining delivery
+// delay in protocol ticks (<= 0 delivers on the owner's next drain).
 type post struct {
 	msg        Message
 	delayTicks int64
@@ -37,54 +58,128 @@ type shard struct {
 	id    int
 	nodes []node // dense, contiguous slice of the runtime's hosted nodes
 
-	wheel *wheel[Message] // delayed deliveries; one tick = one protocol tick
-	now   int64           // protocol ticks elapsed, advanced toward wall time
-	fired []Message       // scratch for wheel.advance
+	// Owned by the shard goroutine (and sim.Proc coroutines, which run in
+	// lockstep with it).
+	cal calendar  // delayed deliveries to this shard's nodes; its now is the shard's protocol tick
+	due []Message // zero-delay same-shard deliveries joining the current drain
+	out [][]post  // out[d]: posts for shard d, handed over once per pass
 
 	mu      sync.Mutex
 	q       []post // mailbox, guarded by mu
 	qSpare  []post // drained buffer kept for reuse
+	netQ    int    // network arrivals in q: the part MailboxCap bounds
 	stopped bool
+	// fromQ[d] is the number of shard d's handed-over posts in q: handover
+	// adds to it and drainMail zeroes it, both under mu; shard d reads it
+	// without the lock to decide whether to hold back (backpressured).
+	fromQ []atomic.Int64
 
 	notify chan struct{} // cap 1: wakes the loop for a fresh mailbox post
 }
 
-// DefaultMailboxCap bounds a shard's mailbox. Without it a degree hotspot
-// (say a star center) lets producer shards outrun the owning shard and the
-// queue — and the process — grows without bound. When full, gossip posts are
-// shed and counted in the overload ledger; membership traffic is always
-// admitted (hard backpressure, matching the transports' inbox policy).
-// Options.MailboxCap overrides it per run (negative = unbounded): a shard
-// hosting 100k+ nodes sees flood frontiers far wider than this default, and
-// shed local posts — which have no retransmit layer under them — stall a
-// repair-free protocol for good.
+// DefaultMailboxCap bounds the network arrivals waiting in one shard's
+// mailbox. Without it a degree hotspot (say a star center) lets a remote
+// sender outrun the owning shard and the queue — and the process — grows
+// without bound. When full, gossip arrivals are shed and counted in the
+// overload ledger (ShedQueue); membership traffic is always admitted (hard
+// backpressure, matching the transports' inbox policy). Posts from this
+// process's own nodes never count against it and are never shed.
+// Options.MailboxCap overrides it per run (negative = unbounded).
 const DefaultMailboxCap = 1 << 16
 
-// post enqueues msg for delivery to a node this shard owns, reporting false
-// once the shard has stopped (the caller falls back to its legacy path; the
-// message is lost exactly as a post-shutdown inbox delivery was).
-func (s *shard) post(msg Message, delayTicks int64) bool {
+// newShard builds shard id of nShards hosting nNodes nodes.
+func newShard(rt *Runtime, id, nShards, nNodes int) *shard {
+	return &shard{
+		rt:     rt,
+		id:     id,
+		nodes:  make([]node, nNodes),
+		out:    make([][]post, nShards),
+		fromQ:  make([]atomic.Int64, nShards),
+		notify: make(chan struct{}, 1),
+	}
+}
+
+// post enqueues a network arrival for a node this shard owns. A full mailbox
+// sheds gossip into the overload ledger; a stopped shard counts the message
+// as abandoned. Either way the message is handled: it never goes back to the
+// transport, whose fallback inbox nothing reads.
+func (s *shard) post(msg Message, delayTicks int64) {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		return false
+		s.rt.abandoned.Add(1)
+		return
 	}
-	if mc := s.rt.mailCap; mc > 0 && len(s.q) >= mc && msg.Kind != MsgMember {
+	if mc := s.rt.mailCap; mc > 0 && s.netQ >= mc && msg.Kind != MsgMember {
 		s.mu.Unlock()
 		s.rt.mailShed.Add(1)
-		return true // handled: shed, not eligible for the legacy fallback
+		return
 	}
 	s.q = append(s.q, post{msg: msg, delayTicks: delayTicks})
+	s.netQ++
 	s.mu.Unlock()
+	s.wake()
+}
+
+// wake nudges the shard loop to drain its mailbox.
+func (s *shard) wake() {
 	select {
 	case s.notify <- struct{}{}:
 	default:
 	}
-	return true
+}
+
+// send routes a message one of this shard's nodes sent to a node of shard
+// dst. It runs on this shard's goroutine, so it touches only this shard's
+// own state.
+func (s *shard) send(dst int32, msg Message, delayTicks int64) {
+	switch {
+	case int(dst) != s.id:
+		s.out[dst] = append(s.out[dst], post{msg: msg, delayTicks: delayTicks})
+	case delayTicks <= 0:
+		s.due = append(s.due, msg)
+	default:
+		s.cal.arm(delayTicks, msg)
+	}
+}
+
+// handover moves every outbox into its destination's mailbox, one locked
+// append per destination. A destination that has stopped counts the batch
+// as abandoned.
+func (s *shard) handover() {
+	for d, batch := range s.out {
+		if len(batch) == 0 {
+			continue
+		}
+		dst := s.rt.shards[d]
+		dst.mu.Lock()
+		if dst.stopped {
+			dst.mu.Unlock()
+			s.rt.abandoned.Add(int64(len(batch)))
+		} else {
+			dst.q = append(dst.q, batch...)
+			dst.fromQ[s.id].Add(int64(len(batch)))
+			dst.mu.Unlock()
+			dst.wake()
+		}
+		s.out[d] = batch[:0]
+	}
+}
+
+// backpressured reports whether some destination still holds more than one
+// sweep's worth (this shard's hosted count) of its posts undrained.
+func (s *shard) backpressured() bool {
+	limit := int64(len(s.nodes))
+	for _, dst := range s.rt.shards {
+		if dst.fromQ[s.id].Load() > limit {
+			return true
+		}
+	}
+	return false
 }
 
 // run is the shard's event loop: start every handler, then alternate between
-// protocol ticks (wheel deliveries + a node sweep) and mailbox drains until
+// protocol ticks (calendar deliveries + a node sweep) and mailbox drains until
 // the runtime stops.
 func (s *shard) run() {
 	defer s.rt.wg.Done()
@@ -95,8 +190,12 @@ func (s *shard) run() {
 			// window makes good on it now.
 			s.tick()
 		}
+		s.handover() // whatever Start sent, if the runtime stopped before a pass
 		s.mu.Lock()
 		s.stopped = true
+		// Whatever is still queued or armed here will never be delivered:
+		// count it, as a transport counts the deliveries it abandons at Close.
+		s.rt.abandoned.Add(int64(len(s.q) + s.cal.armed + len(s.due)))
 		s.mu.Unlock()
 		// Unwind coroutine handlers (sim.Proc) so a shut-down runtime never
 		// leaks a parked proc goroutine.
@@ -115,7 +214,7 @@ func (s *shard) run() {
 	timer := time.NewTimer(tick)
 	defer timer.Stop()
 	for {
-		wait := time.Duration(s.now+1)*tick - time.Since(s.rt.epoch)
+		wait := time.Duration(s.cal.now+1)*tick - time.Since(s.rt.epoch)
 		if wait <= 0 {
 			s.tick()
 			// Re-check stop between back-to-back catch-up ticks.
@@ -138,56 +237,80 @@ func (s *shard) run() {
 			return
 		case <-s.notify:
 			s.drainMail()
+			s.handover()
 		case <-timer.C:
 			s.tick()
 		}
 	}
 }
 
-// tick advances the shard to the current wall tick: every due wheel delivery
-// fires (in deadline order — a long scheduler stall is a jump, not a spin),
-// the mailbox drains, and each owned node takes one onTick. A stalled shard
-// runs one node sweep per loop pass, mirroring how a per-node ticker dropped
-// missed ticks instead of replaying them.
+// tick advances the shard to the current wall tick: every due calendar
+// delivery fires (in deadline order — a long scheduler stall is a jump, not a
+// spin), the mailbox drains, each owned node takes one onTick — which starts
+// no exchange while backpressure holds it — and the outboxes are handed over. A
+// stalled shard runs one node sweep per loop pass, mirroring how a per-node
+// ticker dropped missed ticks instead of replaying them.
 func (s *shard) tick() {
 	target := int64(time.Since(s.rt.epoch) / s.rt.opts.Tick)
-	if target <= s.now {
-		target = s.now + 1
+	if target <= s.cal.now {
+		target = s.cal.now + 1
 	}
-	s.fired = s.wheel.advance(target, s.fired[:0])
-	s.now = target
-	for _, msg := range s.fired {
-		s.deliver(msg)
+	for {
+		slot, ok := s.cal.next(target)
+		if !ok {
+			break
+		}
+		for _, msg := range slot {
+			s.deliver(msg)
+		}
+		s.drainDue()
+		s.cal.recycle(slot)
 	}
 	s.drainMail()
+	hold := s.backpressured()
 	for i := range s.nodes {
-		s.nodes[i].onTick()
+		s.nodes[i].onTick(hold)
 	}
+	s.drainDue()
+	s.handover()
 }
 
-// drainMail swaps out the mailbox under the lock and processes it outside:
-// due posts deliver immediately (a zero-delay response reaches its initiator
-// within the same tick, as the timer transports guaranteed), delayed posts
-// arm on the wheel.
+// drainMail delivers the zero-delay same-shard posts, then takes the mailbox
+// once — swapped out under the lock, processed outside: due posts deliver
+// immediately (a zero-delay response reaches its initiator within the same
+// tick, as the timer transports guaranteed), delayed posts arm on the
+// calendar. What arrives meanwhile waits for the next drain, so producers
+// that keep pace with the drain cannot keep the shard from its calendar and
+// keep their backpressure in step with it.
 func (s *shard) drainMail() {
-	for {
-		s.mu.Lock()
-		if len(s.q) == 0 {
-			s.mu.Unlock()
-			return
+	s.drainDue()
+	s.mu.Lock()
+	q := s.q
+	s.q, s.netQ = s.qSpare[:0], 0
+	if len(q) > 0 {
+		for i := range s.fromQ {
+			s.fromQ[i].Store(0)
 		}
-		q := s.q
-		s.q = s.qSpare[:0]
-		s.mu.Unlock()
-		for _, p := range q {
-			if p.delayTicks <= 0 {
-				s.deliver(p.msg)
-			} else {
-				s.wheel.arm(s.now+p.delayTicks, p.msg)
-			}
-		}
-		s.qSpare = q[:0]
 	}
+	s.mu.Unlock()
+	for _, p := range q {
+		if p.delayTicks <= 0 {
+			s.deliver(p.msg)
+		} else {
+			s.cal.arm(p.delayTicks, p.msg)
+		}
+	}
+	s.qSpare = q[:0]
+	s.drainDue()
+}
+
+// drainDue delivers zero-delay same-shard posts until none are left; the
+// deliveries may append more.
+func (s *shard) drainDue() {
+	for i := 0; i < len(s.due); i++ {
+		s.deliver(s.due[i])
+	}
+	s.due = s.due[:0]
 }
 
 // deliver hands one due message to its destination node. A halted (crashed)
@@ -204,23 +327,32 @@ func (s *shard) deliver(msg Message) {
 	n.handle(msg)
 }
 
-// sink is the DeliverySink the runtime installs on SinkTransports: route the
-// message to its owning shard, converting the wall-clock delay to whole
-// protocol ticks (rounded up, matching the transports' quantization of
-// latency to tick multiples).
+// sink is the DeliverySink the runtime installs on SinkTransports. It
+// converts the wall-clock delay to whole protocol ticks (rounded up, matching
+// the transports' quantization of latency to tick multiples) and routes by
+// sender: a sender hosted here means the call runs on the sender's shard
+// goroutine (see DeliverySink), so the sending shard routes it on its own
+// state; any other sender is a network arrival for the owner's mailbox.
 func (rt *Runtime) sink(msg Message, delay time.Duration) bool {
 	if msg.To < 0 || int(msg.To) >= len(rt.loc) {
 		return false
 	}
-	loc := rt.loc[msg.To]
-	if loc.shard < 0 {
+	to := rt.loc[msg.To].shard
+	if to < 0 {
 		return false
 	}
 	var ticks int64
 	if delay > 0 {
 		ticks = int64((delay + rt.opts.Tick - 1) / rt.opts.Tick)
 	}
-	return rt.shards[loc.shard].post(msg, ticks)
+	if msg.From >= 0 && int(msg.From) < len(rt.loc) {
+		if from := rt.loc[msg.From].shard; from >= 0 {
+			rt.shards[from].send(to, msg, ticks)
+			return true
+		}
+	}
+	rt.shards[to].post(msg, ticks)
+	return true
 }
 
 // forward is the fallback for transports that don't implement SinkTransport:
@@ -239,4 +371,66 @@ func (rt *Runtime) forward(u graph.NodeID, inbox <-chan Message) {
 			sh.post(msg, 0)
 		}
 	}
+}
+
+// calendar is the shard's schedule of delayed deliveries: a ring of per-tick
+// message slots covering the ticks (now, now+len(slots)), one slot longer
+// than the longest delay armed so far and grown when a longer one arrives.
+// Arming appends to a slot; advancing detaches the due slots in tick order
+// and takes their arrays back once delivered, so each slot's array is reused
+// tick after tick and an armed message costs one flat slot entry — no
+// per-message node, pointer or allocation. It is owned by one goroutine.
+type calendar struct {
+	now   int64
+	slots [][]Message
+	armed int
+}
+
+// arm schedules msg delay ticks from now (at least one).
+func (c *calendar) arm(delay int64, msg Message) {
+	delay = max(delay, 1)
+	if delay >= int64(len(c.slots)) {
+		c.grow(int(delay) + 1)
+	}
+	i := (c.now + delay) % int64(len(c.slots))
+	c.slots[i] = append(c.slots[i], msg)
+	c.armed++
+}
+
+// grow re-spreads the ring over size slots; every armed tick keeps its
+// messages (and every slot its array), only its index changes.
+func (c *calendar) grow(size int) {
+	old, n := c.slots, int64(len(c.slots))
+	c.slots = make([][]Message, size)
+	for t := c.now + 1; t <= c.now+n; t++ {
+		c.slots[t%int64(size)] = old[t%n]
+	}
+}
+
+// next moves the calendar to the earliest tick at or before target that has
+// messages due, detaches that tick's slot and returns it (FIFO within the
+// tick); with none left it moves to target and reports false. While the
+// caller delivers a slot, now is the slot's tick: what the deliveries arm is
+// due after it, less than a ring ahead, in a slot the walk has not reached
+// yet, and comes out of a later next of the same pass when due at or before
+// target.
+func (c *calendar) next(target int64) ([]Message, bool) {
+	for c.armed > 0 && c.now < target {
+		c.now++
+		i := c.now % int64(len(c.slots))
+		if slot := c.slots[i]; len(slot) > 0 {
+			c.slots[i] = nil
+			c.armed -= len(slot)
+			return slot, true
+		}
+	}
+	c.now = max(c.now, target)
+	return nil, false
+}
+
+// recycle hands a delivered slot's array back to the slot it was detached
+// from. That slot is still empty: nothing arms a whole ring ahead, and a ring
+// grown meanwhile left it unfilled.
+func (c *calendar) recycle(slot []Message) {
+	c.slots[c.now%int64(len(c.slots))] = slot[:0]
 }

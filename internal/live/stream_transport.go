@@ -165,7 +165,7 @@ type StreamTransport struct {
 	dropsGiveUp    atomic.Int64 // retransmission budget exhausted
 	dropsClosed    atomic.Int64 // unacked or undelivered at Close
 	dropsDecode    atomic.Int64 // undecodable wire payloads or corrupt frames
-	dropsMisroute  atomic.Int64 // wire messages for nodes not hosted here
+	dropsMisroute  atomic.Int64 // wire messages for nodes not hosted here, or from nodes that are
 	retransmits    atomic.Int64
 	dupsSuppressed atomic.Int64
 
@@ -1900,8 +1900,11 @@ func (t *StreamTransport) readBinary(cs *connState, br *bufio.Reader) {
 // arrived on, whose read loop owns the decoder memo. It reports false when
 // the transport closed mid-delivery.
 func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) bool {
-	if !t.hosted[graph.NodeID(w.To)] {
-		t.dropsMisroute.Add(1) // misrouted: not hosted here
+	if !t.hosted[graph.NodeID(w.To)] || t.hosted[graph.NodeID(w.From)] {
+		// Misrouted (not hosted here), or forged: a node hosted here never
+		// reaches this transport over the wire, and the sink takes a hosted
+		// sender as proof that it runs on that node's shard goroutine.
+		t.dropsMisroute.Add(1)
 		return true
 	}
 	key := dedupKey{edge: w.EdgeID, from: graph.NodeID(w.From), sentTick: w.SentTick, kind: MsgKind(w.Kind)}

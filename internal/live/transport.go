@@ -95,13 +95,19 @@ type Drainer interface {
 
 // DeliverySink is the sharded runtime's fast path into a transport: instead
 // of buffering locally destined messages on per-node inbox channels, a
-// transport hands them straight to the owning shard, which applies delay on
-// its own timer wheel. The sink reports false when it cannot accept the
+// transport hands them straight to the runtime, which applies delay on its
+// shards' calendars. The sink reports false when it cannot accept the
 // message (runtime not running, node not hosted by the sink); the transport
 // must then fall back to its legacy inbox delivery so raw-transport users
 // (tests, benchmarks, foreign runtimes) keep working.
 //
-// Sinks must be non-blocking and safe for concurrent use.
+// Sinks must be non-blocking and safe for concurrent use, with one rule on
+// who calls them: the runtime routes a message whose From it hosts on that
+// node's own shard state, without a lock. So while a runtime is attached,
+// only its shard goroutines (and sim.Proc coroutines, which run in lockstep
+// with their shard) may Send a message from a node it hosts, and a
+// transport must never hand the sink a network arrival claiming such a
+// sender — it drops and counts it as misrouted instead.
 type DeliverySink func(msg Message, delay time.Duration) bool
 
 // SinkTransport is implemented by transports that can route locally hosted

@@ -11,9 +11,9 @@ import (
 // runtime. Two layers:
 //
 //   - wheel[T]: the caller-synchronized core. Time is an abstract int64 tick
-//     counter; arm/cancel/advance are O(1) amortized. The sharded event loop
-//     owns one per shard (ticks = protocol ticks, no lock), and timerWheel
-//     wraps one for transports (ticks = wall-clock granules, mutex).
+//     counter; arm/cancel/advance are O(1) amortized. timerWheel wraps one
+//     for transports (ticks = wall-clock granules, mutex). The shard loop
+//     needs no cancel and keeps a flat calendar instead (shard.go).
 //   - timerWheel: the concurrent wall-clock wrapper transports use for
 //     latency-delay deliveries and retransmit RTOs. A single lazily-started
 //     driver goroutine advances the wheel, replacing one goroutine per armed

@@ -185,7 +185,7 @@ func TestScanLine(t *testing.T) {
 		"gossipd: graph=ringchords nodes=400 hosting=100 listen=127.0.0.1:9 proto=flood seed=3 tick=2ms",
 		"completed=true interrupted=false informed=100/100 ticks=42 messages=1234 bytes=99 wall=1s dropped=0",
 		"membership: packets=10 bytes=100 view-entries alive=64 suspect=0 dead=0",
-		"drain: clean=true queued=0 pending=0 abandoned-timers=0 wall=1ms",
+		"drain: clean=true queued=0 pending=0 wall=1ms",
 		"wire: frames=5000 bytes=60000 local-frames=5000 local-bytes=60000",
 	} {
 		scanLine(&r, line)
@@ -199,7 +199,7 @@ func TestScanLine(t *testing.T) {
 	}
 	var bad daemonReport
 	scanLine(&bad, "completed=false interrupted=true informed=3/100 ticks=9 messages=1 bytes=2 wall=1s dropped=5")
-	scanLine(&bad, "drain: clean=false queued=7 pending=1 abandoned-timers=0 wall=1ms")
+	scanLine(&bad, "drain: clean=false queued=7 pending=1 wall=1ms")
 	if bad.completed || bad.drainClean || bad.informed != 3 {
 		t.Errorf("scan of failing daemon: %+v", bad)
 	}

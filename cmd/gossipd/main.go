@@ -329,8 +329,8 @@ func run(args []string, out io.Writer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	rep, derr := tr.Drain(ctx)
 	cancel()
-	fmt.Fprintf(out, "drain: clean=%v queued=%d pending=%d abandoned-timers=%d wall=%v\n",
-		rep.Clean, rep.QueuedAtClose, rep.PendingAtClose, rep.AbandonedTimers,
+	fmt.Fprintf(out, "drain: clean=%v queued=%d pending=%d wall=%v\n",
+		rep.Clean, rep.QueuedAtClose, rep.PendingAtClose,
 		rep.Wall.Round(time.Millisecond))
 	// The wire ledger, printed after the drain so the tail of the ack traffic
 	// is included. local-frames/local-bytes are the subset that rode a local

@@ -16,7 +16,6 @@ func BenchmarkLiveTCPCodec(b *testing.B) {
 		var dec wireDec
 		r := &loopReader{}
 		br := bufio.NewReader(r)
-		var got wireMessage
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -25,7 +24,7 @@ func BenchmarkLiveTCPCodec(b *testing.B) {
 			r.buf = enc.appendFrame(r.buf[:0], &w, nil)
 			r.off = 0
 			br.Reset(r)
-			if _, _, err := dec.readFrame(br, &got); err != nil {
+			if _, _, _, err := dec.readFrameMulti(br); err != nil {
 				b.Fatal(err)
 			}
 		}

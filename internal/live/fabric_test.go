@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,7 +99,7 @@ func TestFabricRoundTripCountsLocal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Drain: %v", err)
 			}
-			if !rep.Clean || rep.QueuedAtClose != 0 || rep.PendingAtClose != 0 || rep.AbandonedTimers != 0 {
+			if !rep.Clean || rep.QueuedAtClose != 0 || rep.PendingAtClose != 0 {
 				t.Fatalf("drain not exactly clean on %s: %+v", fabric, rep)
 			}
 			local := fabric != "tcp"
@@ -298,9 +301,10 @@ func TestFabricStaleSocketReclaim(t *testing.T) {
 }
 
 // TestFabricDrainPendingParity stages the same un-drainable state on every
-// fabric — one armed delivery timer plus three unacked sends against a peer
-// that accepts but never acks — and requires the DrainReport close-time
-// accounting to be exactly equal across them.
+// fabric — four unacked sends against a peer that accepts but never acks,
+// one of them an hour-delayed send, which goes on the wire at once like the
+// rest (the receiver applies the delay) — and requires the DrainReport
+// close-time accounting to be exactly equal across them.
 func TestFabricDrainPendingParity(t *testing.T) {
 	for _, fabric := range fabrics {
 		t.Run(fabric, func(t *testing.T) {
@@ -310,11 +314,11 @@ func TestFabricDrainPendingParity(t *testing.T) {
 			tr.SetPeers(map[graph.NodeID]string{1: addr})
 			tr.SetRetransmit(time.Hour, 4)
 
-			const pendingSends = 3
+			const pendingSends = 4
 			if err := tr.Send(testMsg(1, MsgRequest, 0), time.Hour); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < pendingSends; i++ {
+			for i := 0; i < pendingSends-1; i++ {
 				if err := tr.Send(testMsg(1, MsgRequest, i+1), 0); err != nil {
 					t.Fatal(err)
 				}
@@ -332,11 +336,9 @@ func TestFabricDrainPendingParity(t *testing.T) {
 			if rep.Clean {
 				t.Fatal("deadline-expired drain reported clean")
 			}
-			if rep.PendingAtClose != pendingSends {
-				t.Errorf("PendingAtClose = %d, want %d", rep.PendingAtClose, pendingSends)
-			}
-			if rep.AbandonedTimers != 1 {
-				t.Errorf("AbandonedTimers = %d, want 1", rep.AbandonedTimers)
+			if rep.PendingAtClose != pendingSends || rep.QueuedAtClose != 0 {
+				t.Errorf("PendingAtClose = %d, QueuedAtClose = %d, want %d, 0",
+					rep.PendingAtClose, rep.QueuedAtClose, pendingSends)
 			}
 		})
 	}
@@ -543,4 +545,301 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 		}
 	}
 	return got, sum, phases
+}
+
+// lateFabricPeer returns an address on the given fabric that nothing listens
+// on yet, and a function that brings up a transport hosting the given nodes
+// there.
+func lateFabricPeer(t *testing.T, fabric string) (addr string, listen func(hosted []graph.NodeID) *StreamTransport) {
+	t.Helper()
+	switch fabric {
+	case "tcp":
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr = ln.Addr().String()
+		ln.Close()
+		return addr, func(hosted []graph.NodeID) *StreamTransport {
+			tr, err := NewTCPTransport(addr, hosted, 1024)
+			if err != nil {
+				t.Fatalf("late listener on %s: %v", addr, err)
+			}
+			return tr
+		}
+	case "unix":
+		dir, err := os.MkdirTemp("", "gsp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { os.RemoveAll(dir) })
+		path := filepath.Join(dir, "late.sock")
+		return unixScheme + path, func(hosted []graph.NodeID) *StreamTransport {
+			tr, err := NewUnixTransport(path, hosted, 1024)
+			if err != nil {
+				t.Fatalf("late listener on %s: %v", path, err)
+			}
+			return tr
+		}
+	default:
+		t.Fatalf("unknown fabric %q", fabric)
+		return "", nil
+	}
+}
+
+// TestFabricDialOnceForManySenders: sends from several goroutines toward a
+// peer whose listener comes up 100 ms later never wait for the dial — every
+// one returns while nothing listens yet, queued behind the connection's
+// writer, which is the only goroutine the dial costs. Once the peer is up,
+// the writer's single dial carries all of them: exactly one connection is
+// accepted, everything arrives, and nothing is dropped.
+func TestFabricDialOnceForManySenders(t *testing.T) {
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			addr, listen := lateFabricPeer(t, fabric)
+			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 8)
+			defer a.Close()
+			a.SetPeers(map[graph.NodeID]string{1: addr})
+			baseline := runtime.NumGoroutine()
+			start := time.Now()
+
+			const senders, sends = 4, 1000
+			var wg sync.WaitGroup
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for i := s; i < sends; i += senders {
+						if err := a.Send(testMsg(1, MsgRequest, i), 0); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(s)
+			}
+			wg.Wait()
+			// Nothing listens yet, so no dial can have succeeded: every send
+			// returned without one and sits in the dialing connection's queue.
+			if q := a.queueDepth(); q != sends {
+				t.Fatalf("queued behind the dial = %d, want %d", q, sends)
+			}
+			if !pollUntil(time.Second, func() bool { return runtime.NumGoroutine() <= baseline+2 }) {
+				t.Fatalf("goroutines during the dial = %d, baseline %d", runtime.NumGoroutine(), baseline)
+			}
+
+			time.Sleep(100*time.Millisecond - time.Since(start))
+			b := listen([]graph.NodeID{1})
+			defer b.Close()
+			for i := 0; i < sends; i++ {
+				recvWithin(t, b.Recv(1), 10*time.Second)
+			}
+			b.connMu.Lock()
+			accepted := len(b.accepts)
+			b.connMu.Unlock()
+			if accepted != 1 {
+				t.Errorf("accepted connections = %d, want 1", accepted)
+			}
+			if n := a.Dropped(); n != 0 {
+				t.Errorf("Dropped = %d, want 0", n)
+			}
+		})
+	}
+}
+
+// TestFabricDialAbandonedByDrainOrClose: frames queued behind a dial that
+// keeps failing are never lost silently. A Drain stops the dial — a leaving
+// process waits out no unreachable peer — and reports every frame in
+// QueuedAtClose; a Close counts every frame; either way each is in
+// Dropped(), so sends == delivered (none) + Dropped().
+func TestFabricDialAbandonedByDrainOrClose(t *testing.T) {
+	for _, fabric := range fabrics {
+		for _, stop := range []string{"drain", "close"} {
+			t.Run(fabric+"/"+stop, func(t *testing.T) {
+				addr, _ := lateFabricPeer(t, fabric) // never comes up
+				a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 8)
+				a.SetPeers(map[graph.NodeID]string{1: addr})
+
+				const sends = 20
+				for i := 0; i < sends; i++ {
+					if err := a.Send(testMsg(1, MsgRequest, i), 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				time.Sleep(60 * time.Millisecond) // the writer has failed a dial or two
+				switch stop {
+				case "drain":
+					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					rep, err := a.Drain(ctx)
+					if err != nil {
+						t.Fatalf("Drain: %v", err)
+					}
+					if rep.QueuedAtClose != sends || rep.PendingAtClose != 0 {
+						t.Errorf("drain report %+v, want QueuedAtClose %d, PendingAtClose 0", rep, sends)
+					}
+				case "close":
+					if err := a.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := a.Dropped(); n != sends {
+					t.Errorf("Dropped = %d, want %d", n, sends)
+				}
+			})
+		}
+	}
+}
+
+// wirePeer listens on the given fabric and decodes the data sub-messages it
+// receives onto the returned channel, acking nothing — the raw view of what
+// a sender put on the wire.
+func wirePeer(t *testing.T, fabric string) (addr string, got <-chan wireMessage) {
+	t.Helper()
+	var ln net.Listener
+	var err error
+	switch fabric {
+	case "tcp":
+		ln, err = net.Listen("tcp", "127.0.0.1:0")
+		if err == nil {
+			addr = ln.Addr().String()
+		}
+	case "unix":
+		dir, derr := os.MkdirTemp("", "gsp")
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		t.Cleanup(func() { os.RemoveAll(dir) })
+		path := filepath.Join(dir, "w.sock")
+		ln, err = listenUnixSocket(path)
+		addr = unixScheme + path
+	default:
+		t.Fatalf("unknown fabric %q", fabric)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan wireMessage, 1024)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var dec wireDec
+		br := bufio.NewReader(c)
+		for {
+			_, msgs, _, err := dec.readFrameMulti(br)
+			if err != nil {
+				return
+			}
+			for _, m := range msgs {
+				m.PayloadType, m.Payload = "", nil
+				ch <- m
+			}
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return addr, ch
+}
+
+// TestFabricLatencyOnTheWire is the deterministic half of the one-delay-stage
+// contract: a remote message carries the delay its sender passed, and the
+// receiving transport hands exactly that delay to its sink, whose calendar
+// applies it. FaultTransport jitter rides the same field, and so does a
+// duplicate's trailing 1+jitter ticks: the receiver deduplicates the copy,
+// so its delay is checked on the raw wire.
+func TestFabricLatencyOnTheWire(t *testing.T) {
+	const tick = time.Millisecond
+	cfg := FaultConfig{Seed: 11, Duplicate: 1, JitterTicks: 3, Tick: tick}
+	const sends = 16
+	msgs := make([]Message, sends)
+	base := make([]time.Duration, sends)
+	for i := range msgs {
+		msgs[i] = testMsg(1, MsgRequest, i)
+		msgs[i].EdgeID = i
+		base[i] = time.Duration(i%5) * tick
+	}
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			type arrival struct {
+				msg   Message
+				delay time.Duration
+			}
+			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 64)
+			b, baddr := newFabricTransport(t, fabric, []graph.NodeID{1}, 64)
+			defer b.Close()
+			arrivals := make(chan arrival, 2*sends)
+			b.SetSink(func(m Message, d time.Duration) bool {
+				arrivals <- arrival{m, d}
+				return true
+			})
+			a.SetPeers(map[graph.NodeID]string{1: baddr})
+			ft := NewFaultTransport(a, cfg)
+			defer ft.Close()
+
+			jittered := 0
+			for i, m := range msgs {
+				if ft.jitterOf(m, 0) > 0 {
+					jittered++
+				}
+				if err := ft.Send(m, base[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if jittered == 0 || jittered == sends {
+				t.Fatalf("jitter drew %d of %d nonzero: the plan does not exercise it", jittered, sends)
+			}
+			for range msgs {
+				select {
+				case got := <-arrivals:
+					i := got.msg.SentTick
+					want := base[i] + time.Duration(ft.jitterOf(msgs[i], 0))*tick
+					if got.delay != want {
+						t.Errorf("message %d: sink delay %v, want %v", i, got.delay, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("message never reached the sink")
+				}
+			}
+			if !pollUntil(5*time.Second, func() bool { return b.DupsSuppressed() == sends }) {
+				t.Fatalf("DupsSuppressed = %d, want %d", b.DupsSuppressed(), sends)
+			}
+
+			// The raw wire: each message twice, the copy later in the queue
+			// (higher Seq) and trailing the original by 1+jitter ticks.
+			waddr, wire := wirePeer(t, fabric)
+			a2, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 64)
+			a2.SetPeers(map[graph.NodeID]string{1: waddr})
+			a2.SetRetransmit(time.Hour, 4)
+			ft2 := NewFaultTransport(a2, cfg)
+			defer ft2.Close()
+			for i, m := range msgs {
+				if err := ft2.Send(m, base[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seen := make([][]wireMessage, sends)
+			for n := 0; n < 2*sends; n++ {
+				select {
+				case w := <-wire:
+					seen[w.SentTick] = append(seen[w.SentTick], w)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%d of %d sub-messages on the wire", n, 2*sends)
+				}
+			}
+			for i, ws := range seen {
+				orig := base[i] + time.Duration(ft2.jitterOf(msgs[i], 0))*tick
+				dup := orig + time.Duration(1+ft2.jitterOf(msgs[i], 1))*tick
+				if len(ws) != 2 || ws[0].Seq > ws[1].Seq {
+					t.Fatalf("message %d: wire copies %+v", i, ws)
+				}
+				if got := time.Duration(ws[0].DelayUS) * time.Microsecond; got != orig {
+					t.Errorf("message %d: original's wire delay %v, want %v", i, got, orig)
+				}
+				if got := time.Duration(ws[1].DelayUS) * time.Microsecond; got != dup {
+					t.Errorf("message %d: duplicate's wire delay %v, want %v", i, got, dup)
+				}
+			}
+		})
+	}
 }

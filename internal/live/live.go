@@ -16,8 +16,8 @@
 //     deployment has;
 //   - an exchange over an edge of latency ℓ is a request delivered ⌈ℓ/2⌉
 //     ticks after initiation and a response ⌊ℓ/2⌋ ticks after the answer,
-//     armed on the owning shard's calendar (or injected by the transport
-//     as a real timer delay when a runtime's sink is not installed);
+//     armed on the receiving node's shard calendar (a remote message
+//     carries its delay on the wire and is armed when it arrives);
 //   - per-node randomness comes from the same seeded streams as the
 //     simulator (rng.Stream(seed, node)), so a protocol makes identical
 //     random choices in both runtimes, tick for tick.

@@ -8,12 +8,12 @@ import (
 	"gossip/internal/graph"
 )
 
-// This file is the overload-protection half of the TCP transport: per-peer
-// adaptive retransmission state (a Jacobson-style RTT estimator driving the
-// RTO), per-peer circuit breakers that stop retransmission spend on peers the
-// cluster has given up on, and the OverloadCounts ledger through which every
-// bounded queue reports what it shed. The queue caps themselves live in
-// tcp_transport.go, next to the queues they bound.
+// This file is the overload-protection half of the stream transport:
+// per-peer adaptive retransmission state (a Jacobson-style RTT estimator
+// driving the RTO), per-peer circuit breakers that stop retransmission spend
+// on peers the cluster has given up on, and the OverloadCounts ledger through
+// which every bounded queue reports what it shed. The queue caps themselves
+// live in stream_transport.go, next to the queues they bound.
 
 // Overload-protection defaults. The caps are configurable via
 // SetOverloadLimits; zero keeps these, negative disables the cap.

@@ -18,7 +18,8 @@ import (
 // wireMessage is one data message as the wire codec (wire.go) encodes it.
 // Payloads travel as (registered type name, raw bytes) pairs — see codec.go.
 // Seq is the sender-assigned reliable-delivery sequence number; an ack echoes
-// it back.
+// it back. DelayUS is the delay Send was given, in whole microseconds: the
+// receiver hands it to its sink, whose calendar applies it.
 type wireMessage struct {
 	Kind        uint8
 	Seq         uint64
@@ -27,6 +28,7 @@ type wireMessage struct {
 	EdgeID      int
 	Latency     int
 	SentTick    int
+	DelayUS     uint64
 	PayloadType string
 	Payload     []byte
 }
@@ -79,18 +81,19 @@ const (
 // process hosting it. Messages between two locally hosted nodes
 // short-circuit the socket and are delivered in memory.
 //
-// A remote message has one lifecycle: Send arms its latency delay, the delay
-// hands it to the destination connection's writer queue, the writer drains
-// the queue and registers what it is about to write for reliable delivery,
-// and the peer's ack resolves it. Every connection has a writer goroutine
-// draining its queue through a buffered writer, so the many messages gossip
-// generates in one tick coalesce into one syscall, and everything bound for
-// the same destination daemon within one drain coalesces into FrameBatch
-// super-frames — one frame header, one pend entry, one retransmission timer,
-// and one returning ack per batch (a batch of one is still a batch). Acks
-// ride the ack section of outgoing frames instead of paying a frame each,
-// and the receiver decodes a super-frame once and scatters each sub-message
-// straight to the owning shard's mailbox through the DeliverySink seam.
+// A remote message has one lifecycle: Send queues it, its delay on the wire
+// for the receiver's sink to apply, on the destination connection's writer
+// queue, the writer drains the queue and registers what it is about to write
+// for reliable delivery, and the peer's ack resolves it. Every connection
+// has a writer goroutine draining its queue through a buffered writer, so
+// the many messages gossip generates in one tick coalesce into one syscall,
+// and everything bound for the same destination daemon within one drain
+// coalesces into FrameBatch super-frames — one frame header, one pend entry,
+// one retransmission timer, and one returning ack per batch (a batch of one
+// is still a batch). Acks ride the ack section of outgoing frames instead of
+// paying a frame each, and the receiver decodes a super-frame once and
+// scatters each sub-message straight to the owning shard's mailbox through
+// the DeliverySink seam.
 // SetFlushWindow adds an optional delay that widens the batches further.
 //
 // Remote delivery is reliable up to a retransmission budget: every remote
@@ -105,8 +108,10 @@ const (
 // (DefaultDedupWindowTicks), so retransmissions and network duplicates are
 // idempotent and the dedup set stays bounded over arbitrarily long runs.
 //
-// Outbound connections are dialed lazily (with retries, so a cluster's
-// processes may start in any order) and pooled per destination address.
+// Outbound connections are created on first use and pooled per destination
+// address; each one's writer dials (with retries, so a cluster's processes
+// may start in any order) before it writes, and frames sent meanwhile wait
+// in its queue, so Send never blocks on the network.
 type StreamTransport struct {
 	hosted map[graph.NodeID]bool // read-only after construction
 
@@ -135,7 +140,7 @@ type StreamTransport struct {
 	outsSnap atomic.Pointer[map[string]*connState] // republished under connMu on every change
 	accepts  []*connState
 
-	dialTimeout time.Duration // how long conn retries dialing an unreachable peer
+	dialTimeout time.Duration // how long a writer retries dialing an unreachable peer
 	rto         time.Duration
 	maxRetrans  int
 	rtoMin      time.Duration // adaptive-RTO floor (raised by SetRetransmit)
@@ -154,7 +159,6 @@ type StreamTransport struct {
 	pend  [pendShards]pendShard
 	dedup [dedupShards]dedupShard
 
-	delays         *timerWheel  // armed latency delays for not-yet-sent messages
 	retries        *timerWheel  // armed retransmission timeouts (RTOs)
 	bytesOut       atomic.Int64 // frame bytes written to sockets
 	flushes        atomic.Int64 // socket write batches (syscalls; see countingWriter)
@@ -327,7 +331,6 @@ func newStreamTransport(local []graph.NodeID, buffer int) *StreamTransport {
 		buffer:      buffer,
 		inboxes:     make(map[graph.NodeID]chan Message),
 		peers:       make(map[graph.NodeID]string),
-		delays:      newTimerWheel(0),
 		retries:     newTimerWheel(0),
 		outs:        make(map[string]*connState),
 		dialTimeout: 10 * time.Second, // generous, so a cluster's processes may start in any order
@@ -354,11 +357,9 @@ func newStreamTransport(local []graph.NodeID, buffer int) *StreamTransport {
 func (t *StreamTransport) addListener(ln net.Listener, local bool) error {
 	sl := streamListener{ln: ln, local: local}
 	t.connMu.Lock()
-	select {
-	case <-t.closed:
+	if t.isClosed() {
 		t.connMu.Unlock()
 		return ErrTransportClosed
-	default:
 	}
 	t.listeners = append(t.listeners, sl)
 	t.wg.Add(1)
@@ -424,7 +425,7 @@ func (t *StreamTransport) socketFor(addr string) string {
 // advertised unix socket).
 const unixScheme = "unix://"
 
-// unixPreferGrace is how long conn keeps retrying an advertised unix socket
+// unixPreferGrace is how long a writer keeps retrying an advertised unix socket
 // before degrading to TCP. Co-located daemons may accept TCP before their
 // unix listener exists (gossipctl hands gossipd a pre-bound TCP listener fd,
 // while the unix socket is only bound during startup); without the grace
@@ -453,7 +454,7 @@ func tuneUnixConn(c net.Conn) net.Conn {
 // dialPeer opens one stream to addr, choosing the connection family from the
 // address: "unix://PATH" dials the socket directly, plain "host:port" dials
 // TCP — upgraded to a unix socket when SetPeerSockets advertised one for a
-// peer on this host. elapsed is how long conn has been
+// peer on this host. elapsed is how long the writer has been
 // retrying this address, for the unix-preference grace window. The returned
 // flag reports whether the stream is a unix socket, which routes its traffic
 // into the WireLocal* counters.
@@ -765,25 +766,18 @@ func (t *StreamTransport) Faults() FaultReport {
 	}
 }
 
-// Send implements Transport. Local destinations are delivered in memory;
-// remote destinations are encoded eagerly (so codec errors surface here)
-// and handed to reliable delivery after the latency delay.
+// Send implements Transport. A local destination goes to the sink (or its
+// inbox); a remote one is encoded at once (so codec errors surface here) and
+// queued with its delay in whole µs, rounded up. The breaker gates
+// admission: a refused send is a terminal, counted loss, like an injected
+// drop. Send never waits for a dial.
 func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
-	select {
-	case <-t.closed:
-		return ErrTransportClosed
-	default:
-	}
-	if t.draining.Load() {
+	if t.stopping() {
 		return ErrTransportClosed
 	}
 	if t.hosted[msg.To] {
-		if s := t.sink.Load(); s != nil && (*s)(msg, delay) {
-			return nil
-		}
-		if t.delays.schedule(delay, func() { t.deliverLocal(msg) }) == nil {
-			t.dropsClosed.Add(1)
-			return ErrTransportClosed
+		if s := t.sink.Load(); s == nil || !(*s)(msg, delay) {
+			t.deliverLocal(msg)
 		}
 		return nil
 	}
@@ -797,6 +791,10 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if err != nil {
 		return err
 	}
+	if !t.allowSend(t.peer(addr)) {
+		t.ovBreakerDrop.Add(1)
+		return nil
+	}
 	w := wireMessage{
 		Kind:        uint8(msg.Kind),
 		Seq:         t.seq.Add(1),
@@ -808,95 +806,68 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 		PayloadType: pt,
 		Payload:     data,
 	}
-	if delay <= 0 {
-		// Zero-latency fast path: when the connection is already pooled,
-		// enqueueing is non-blocking, so the timer goroutine (the dominant
-		// per-message cost at high rates) is skipped entirely. The first
-		// message to a peer — or a redial after a break — still takes the
-		// timer path so the dial never blocks the caller.
-		if cs, ok := t.pooled(addr); ok {
-			t.transmitOn(cs, addr, w)
-			return nil
-		}
+	if delay > 0 {
+		w.DelayUS = uint64((delay + time.Microsecond - 1) / time.Microsecond)
 	}
-	if t.delays.schedule(delay, func() { t.transmit(addr, w) }) == nil {
-		t.dropsClosed.Add(1)
-		return ErrTransportClosed
-	}
+	t.enqueue(addr, &w)
 	return nil
 }
 
-// deliverLocal pushes msg onto its destination's inbox channel — the legacy
-// delivery path for raw-transport users; the sharded runtime's sink bypasses
-// it entirely.
-func (t *StreamTransport) deliverLocal(msg Message) {
+// deliverLocal pushes msg onto its destination's inbox channel, undelayed —
+// the delivery path for raw-transport users; the sharded runtime's sink,
+// which applies delays, bypasses it entirely. A full inbox blocks the
+// caller until it drains or the transport closes (reported as false).
+func (t *StreamTransport) deliverLocal(msg Message) bool {
+	// Non-blocking send first: a two-way select costs a full selectgo pass
+	// per message, which local fabrics feel; the slow path only runs when
+	// the inbox is full.
 	ch := t.inbox(msg.To)
 	select {
 	case ch <- msg:
-		return
+		return true
 	default:
 	}
 	select {
 	case ch <- msg:
+		return true
 	case <-t.closed:
+		return false
 	}
 }
+
+// isClosed reports whether Close has begun.
+func (t *StreamTransport) isClosed() bool {
+	select {
+	case <-t.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// stopping reports whether the transport is closed or draining: it admits
+// no sends and opens no connections.
+func (t *StreamTransport) stopping() bool { return t.isClosed() || t.draining.Load() }
 
 // pendShard returns the shard owning seq.
 func (t *StreamTransport) pendShard(seq uint64) *pendShard {
 	return &t.pend[seq&(pendShards-1)]
 }
 
-// transmit hands w to the destination daemon's aggregation queue once its
-// latency delay has elapsed. This is where the breaker gates admission: a
-// refused send is a terminal, counted loss (same contract as an injected drop
-// — gossip re-converges). Reliable-delivery registration, and the pend cap,
-// happen per super-frame at flush time (registerBatch).
-func (t *StreamTransport) transmit(addr string, w wireMessage) { t.transmitOn(nil, addr, w) }
-
-// transmitOn is transmit with an optional already-resolved connection hint
-// (the send fast path just looked it up; re-resolving costs a map lookup per
-// message). A nil or stale hint falls back to the ordinary dial path.
-func (t *StreamTransport) transmitOn(cs *connState, addr string, w wireMessage) {
-	if !t.allowSend(t.peer(addr)) {
-		t.ovBreakerDrop.Add(1)
-		return
-	}
-	t.writeQueuedOn(cs, addr, &w)
-}
-
-// writeQueued queues w on addr's aggregation queue, dialing if needed. A
-// message becomes reliable only once its super-frame is flushed; one that
-// never reaches a writer queue — the peer is undialable, or the connection
-// died twice in a row — is a terminal, counted loss, exactly like a
-// retransmission give-up.
-func (t *StreamTransport) writeQueued(addr string, w *wireMessage) {
-	t.writeQueuedOn(nil, addr, w)
-}
-
-// writeQueuedOn is writeQueued with an optional pre-resolved connection: when
-// the caller already holds the pooled connState for addr the first attempt
-// skips the conn() lookup entirely. A failed enqueue clears the hint so the
-// next attempt re-dials through the ordinary path.
-func (t *StreamTransport) writeQueuedOn(cs *connState, addr string, w *wireMessage) {
+// enqueue queues w on addr's connection, creating it if needed. It becomes
+// reliable once its super-frame is written (registerBatch); missing every
+// queue — the transport is stopping, or the connection died twice in a row —
+// is a terminal, counted loss.
+func (t *StreamTransport) enqueue(addr string, w *wireMessage) {
 	for attempt := 0; attempt < 2; attempt++ {
-		if cs == nil {
-			var err error
-			cs, err = t.conn(addr)
-			if err != nil {
-				if errors.Is(err, ErrTransportClosed) {
-					t.dropsClosed.Add(1)
-				} else {
-					t.peerFailure(addr)
-					t.dropsGiveUp.Add(1)
-				}
-				return
-			}
+		cs, err := t.conn(addr)
+		if err != nil {
+			t.dropsClosed.Add(1)
+			return
 		}
 		if cs.enqueue(w) {
 			return
 		}
-		cs = nil
 	}
 	t.dropsGiveUp.Add(1)
 }
@@ -934,12 +905,10 @@ func (t *StreamTransport) registerBatch(addr string, ps *peerState, msgs []wireM
 	p := &pendingSend{addr: addr, ps: ps, key: key, batch: batch, member: member, sentAt: time.Now()}
 	sh := t.pendShard(key)
 	sh.mu.Lock()
-	select {
-	case <-t.closed:
+	if t.isClosed() {
 		sh.mu.Unlock()
 		t.dropsClosed.Add(int64(len(batch)))
 		return 0, false
-	default:
 	}
 	if sh.m == nil {
 		sh.m = make(map[uint64]*pendingSend)
@@ -1011,11 +980,9 @@ func (t *StreamTransport) retry(seq uint64) {
 		sh.mu.Unlock()
 		return
 	}
-	select {
-	case <-t.closed:
+	if t.isClosed() {
 		sh.mu.Unlock()
 		return // Close sweeps and counts the pending map
-	default:
 	}
 	p.attempts++
 	if t.maxRetrans < 0 || p.attempts > t.maxRetrans {
@@ -1043,18 +1010,13 @@ func (t *StreamTransport) retry(seq uint64) {
 
 // writeRetry re-queues a registered super-frame for retransmission on addr's
 // writer (qRetry, drained ahead of fresh data — the batch is older than
-// anything queued since). The batch stays pending either way: a failed dial
-// or dead connection leaves delivery to the next RTO firing.
+// anything queued since). The batch stays pending either way: a stopping
+// transport, a failed dial or a dead connection leaves it to the next RTO
+// firing or Close's sweep.
 func (t *StreamTransport) writeRetry(addr string, p *pendingSend) {
 	for attempt := 0; attempt < 2; attempt++ {
 		cs, err := t.conn(addr)
-		if err != nil {
-			if !errors.Is(err, ErrTransportClosed) {
-				t.peerFailure(addr)
-			}
-			return
-		}
-		if cs.enqueueRetry(p) {
+		if err != nil || cs.enqueueRetry(p) {
 			return
 		}
 	}
@@ -1154,8 +1116,9 @@ func (t *StreamTransport) SetSink(sink DeliverySink) bool {
 	return true
 }
 
-// Close implements Transport: it stops the listener, all connections and
-// delivery timers, and counts undelivered or unacked messages as dropped.
+// Close implements Transport: it stops the listeners, every connection
+// (dialing ones too; each writer first flushes the acks it owes) and the
+// RTOs, and counts unwritten or unacked messages as dropped.
 func (t *StreamTransport) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.closed)
@@ -1165,7 +1128,6 @@ func (t *StreamTransport) Close() error {
 		for _, sl := range lns {
 			sl.ln.Close()
 		}
-		t.dropsClosed.Add(t.delays.close())
 		t.retries.close() // RTOs aren't deliveries; the pend sweep below counts them
 		for i := range t.pend {
 			sh := &t.pend[i]
@@ -1185,26 +1147,27 @@ func (t *StreamTransport) Close() error {
 			// swept as pend entries already.
 			data, _ := cs.markDead()
 			t.dropsClosed.Add(int64(len(data)))
-			cs.c.Close()
+			if cs.c != nil { // nil while its writer is still dialing
+				cs.c.SetWriteDeadline(time.Now().Add(closeAckWait))
+			}
 		}
 		for _, cs := range t.accepts {
 			cs.markDead()
-			cs.c.Close()
+			cs.c.SetWriteDeadline(time.Now().Add(closeAckWait))
 		}
 		t.connMu.Unlock()
 	})
 	t.wg.Wait()
-	// Delay callbacks already running when the wheel closed are not in wg; each
-	// sees closed and counts its message. The ledger is final once they finish.
-	for t.delays.len() > 0 {
-		time.Sleep(time.Millisecond)
-	}
 	return nil
 }
 
+// closeAckWait bounds a closing connection's last ack flush (see finish).
+const closeAckWait = 100 * time.Millisecond
+
 // queueDepth returns the messages handed to a connection and not yet
 // registered for reliable delivery: in a writer queue (fresh or awaiting
-// retransmission) or taken by a writer that has not registered them yet.
+// retransmission, the queue of a connection still dialing included) or taken
+// by a writer that has not registered them yet.
 func (t *StreamTransport) queueDepth() int {
 	t.connMu.Lock()
 	conns := make([]*connState, 0, len(t.outs)+len(t.accepts))
@@ -1222,42 +1185,35 @@ func (t *StreamTransport) queueDepth() int {
 	return n
 }
 
-// Drain implements Drainer: stop admitting sends and stop the latency timers
-// (a draining process is leaving — a not-yet-sent message is a counted loss),
-// then wait for every message past its timer to resolve before closing. A
-// message is in one stage at a time and only moves forward — delay callback,
-// writer queue, writer-held, pend — so the drain is clean once the four
-// stages, read in that order, are all empty. A first transmission already
-// running when the drain began either finishes its dial and flushes, or is
-// refused by the draining gate: a closed-drop the report shows as abandoned,
-// like the stopped timers. On deadline expiry the transport closes anyway and
-// the report says what was left in each stage.
+// Drain implements Drainer: stop admitting sends, then wait for every sent
+// message to resolve before closing. A message moves forward through one
+// stage at a time — writer queue (a dialing connection's too), writer-held,
+// pend — so the drain is clean once the three, read in that order, are
+// empty. A leaving process waits out no dial: a dialing connection gives up
+// at its next failure, its queue a counted loss in QueuedAtClose. On
+// deadline expiry the transport closes anyway and reports what was left.
 func (t *StreamTransport) Drain(ctx context.Context) (DrainReport, error) {
 	start := time.Now()
-	select {
-	case <-t.closed:
+	if t.isClosed() {
 		return DrainReport{}, ErrTransportClosed
-	default:
 	}
 	t.draining.Store(true)
 	closedBefore := t.dropsClosed.Load()
-	t.dropsClosed.Add(t.delays.close())
+	abandoned := func() int { return int(t.dropsClosed.Load() - closedBefore) }
 	var rep DrainReport
 	poll := time.NewTimer(2 * time.Millisecond)
 	defer poll.Stop()
 	for {
-		// delays.len() after close: callbacks past its check and still running.
-		if t.delays.len() == 0 && t.queueDepth() == 0 && t.pendingCount() == 0 {
+		if t.queueDepth() == 0 && t.pendingCount() == 0 {
 			rep.Clean = true
-			rep.AbandonedTimers = t.dropsClosed.Load() - closedBefore
+			rep.QueuedAtClose = abandoned()
 			err := t.Close()
 			rep.Wall = time.Since(start)
 			return rep, err
 		}
 		select {
 		case <-ctx.Done():
-			rep.AbandonedTimers = t.dropsClosed.Load() - closedBefore
-			rep.QueuedAtClose = t.delays.len() + t.queueDepth()
+			rep.QueuedAtClose = abandoned() + t.queueDepth()
 			rep.PendingAtClose = t.pendingCount()
 			t.Close()
 			rep.Wall = time.Since(start)
@@ -1279,16 +1235,15 @@ func (t *StreamTransport) acceptLoop(sl streamListener) {
 			return // listener closed
 		}
 		tuneUnixConn(c)
-		cs := t.newConnState(c, "", sl.local)
+		cs := t.newConnState("")
+		cs.attach(c, sl.local)
 		t.connMu.Lock()
-		select {
-		case <-t.closed:
+		if t.isClosed() {
 			// Accepted in the middle of Close after it swept the conn
 			// lists; drop the connection instead of leaking it.
 			t.connMu.Unlock()
 			c.Close()
 			continue
-		default:
 		}
 		t.accepts = append(t.accepts, cs)
 		t.wg.Add(2)
@@ -1304,10 +1259,13 @@ func (t *StreamTransport) acceptLoop(sl streamListener) {
 // available — data frames and pending acks — through one buffered writer, so
 // a burst of same-tick messages costs one syscall instead of one each.
 type connState struct {
-	t     *StreamTransport
+	t    *StreamTransport
+	addr string // peer listen address for pooled outbound conns; "" for accepted
+
+	// Set by attach: before the read and write loops start on an accepted
+	// connection, by the writer's dial (under connMu) on an outbound one.
 	c     net.Conn
-	addr  string // peer listen address for pooled outbound conns; "" for accepted
-	local bool   // connection rides a local fabric (unix socket)
+	local bool // connection rides a local fabric (unix socket)
 
 	qmu        sync.Mutex
 	qHead      *msgChunk // chunked data-frame queue; see msgChunk
@@ -1442,21 +1400,24 @@ func (w countingWriter) count(bytes, flushes int64) {
 	w.flushes.Add(flushes)
 }
 
-func (t *StreamTransport) newConnState(c net.Conn, addr string, local bool) *connState {
-	cw := countingWriter{c: c, n: &t.bytesOut, flushes: &t.flushes}
-	if local {
-		cw.localN = &t.localBytes
-	}
+func (t *StreamTransport) newConnState(addr string) *connState {
 	return &connState{
 		t:       t,
-		c:       c,
 		addr:    addr,
-		local:   local,
 		notify:  make(chan struct{}, 1),
 		deadCh:  make(chan struct{}),
 		spaceCh: make(chan struct{}, 1),
-		bw:      bufio.NewWriterSize(cw, 32<<10),
 	}
+}
+
+// attach binds the connection to its established stream.
+func (cs *connState) attach(c net.Conn, local bool) {
+	cw := countingWriter{c: c, n: &cs.t.bytesOut, flushes: &cs.t.flushes}
+	if local {
+		cw.localN = &cs.t.localBytes
+	}
+	cs.c, cs.local = c, local
+	cs.bw = bufio.NewWriterSize(cw, 32<<10)
 }
 
 // countFrames credits n physical frames to the transport's ledger, and to the
@@ -1643,8 +1604,9 @@ func (cs *connState) registered(n int) {
 
 // markDead stops further enqueues and returns whatever was still queued —
 // data frames (for re-queue or loss accounting) and registered
-// retransmissions (their pend entries redial via retryNow). Idempotent; the
-// second caller gets nil.
+// retransmissions (their pend entries redial via retryNow). Queued acks stay
+// for the writer's last flush (finish). Idempotent; the second caller gets
+// nil.
 func (cs *connState) markDead() ([]wireMessage, []*pendingSend) {
 	cs.qmu.Lock()
 	if cs.dead {
@@ -1654,7 +1616,7 @@ func (cs *connState) markDead() ([]wireMessage, []*pendingSend) {
 	cs.dead = true
 	head, rets := cs.qHead, cs.qRetry
 	cs.qHead, cs.qTail, cs.qLen = nil, nil, 0
-	cs.qAcks, cs.qRetry = nil, nil
+	cs.qRetry = nil
 	cs.qmu.Unlock()
 	close(cs.deadCh)
 	return flattenChunks(head), rets
@@ -1723,13 +1685,18 @@ func (t *StreamTransport) writeBatch(cs *connState, data []wireMessage, acks []u
 	return keys, err
 }
 
-// writeLoop drains the connection's frame queue: wait for work, optionally
-// let a flush window accumulate a wider batch, write everything queued, then
-// flush once. On a write error the connection is evicted, every possibly
-// unsent super-frame is pushed straight back through the retransmit path, and
-// the data frames not yet registered re-queue toward a fresh connection.
+// writeLoop dials (outbound) then drains the connection's frame queue: wait
+// for work, optionally let a flush window accumulate a wider batch, write
+// everything queued, then flush once. On a write error the connection is
+// evicted, every possibly unsent super-frame is pushed straight back through
+// the retransmit path, and the data frames not yet registered re-queue
+// toward a fresh connection.
 func (t *StreamTransport) writeLoop(cs *connState) {
 	defer t.wg.Done()
+	if cs.c == nil && !t.dial(cs) {
+		return
+	}
+	defer cs.finish()
 	for {
 		select {
 		case <-t.closed:
@@ -1795,10 +1762,27 @@ func (t *StreamTransport) writeLoop(cs *connState) {
 	}
 }
 
+// finish is the writer's exit: write the acks still owed, then close the
+// stream (ending the read loop too). An unpaid ack makes the peer resend a
+// delivered message, twice-delivered if this process restarts at the same
+// address. Close bounds the write with closeAckWait.
+func (cs *connState) finish() {
+	cs.qmu.Lock()
+	acks := cs.qAcks
+	cs.qAcks = nil
+	cs.qmu.Unlock()
+	if len(acks) > 0 {
+		cs.countFrames(1)
+		cs.bw.Write(cs.enc.appendFrame(cs.buf[:0], nil, acks)) // a failed write surfaces in Flush
+		_ = cs.bw.Flush()                                      // best effort: the stream closes either way
+	}
+	cs.c.Close()
+}
+
 // connBroken handles a dead connection, from either loop: stop enqueues,
 // evict it from the pool, and make sure nothing vanishes silently. Reliable
 // in-flight work — registered super-frames (inFlightKeys plus anything on the
-// retransmission queue) — goes through retryNow, which redials immediately;
+// retransmission queue) — goes through retryNow, which redials at once;
 // retransmission keeps it pending, so over-retrying is safe (the receiver
 // dedups). The data frames still queued were never registered, nor was
 // inFlight — the remainder of the writer's taken chain, older than anything
@@ -1820,13 +1804,7 @@ func (t *StreamTransport) connBroken(cs *connState, inFlight []wireMessage, inFl
 	if len(seqs) == 0 && len(requeue) == 0 {
 		return
 	}
-	stopping := t.draining.Load()
-	select {
-	case <-t.closed:
-		stopping = true
-	default:
-	}
-	if stopping {
+	if t.stopping() {
 		// Registered work stays pending — RTO timers or Close's sweep govern
 		// it — but unregistered frames would vanish silently: count them as
 		// closed-at-drop.
@@ -1841,19 +1819,13 @@ func (t *StreamTransport) connBroken(cs *connState, inFlight []wireMessage, inFl
 		t.ovRetryTrim.Add(int64(len(seqs) - t.queueLimit))
 		seqs = seqs[:t.queueLimit]
 	}
-	// The redial may block in the dialer; do it off the conn's loops. The
-	// caller still holds a wg slot, so adding one here cannot race Close.
-	addr := cs.addr
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		for _, seq := range seqs {
-			t.retryNow(seq)
-		}
-		for i := range requeue {
-			t.writeQueued(addr, &requeue[i])
-		}
-	}()
+	// A fresh connection's own writer dials, so nothing here blocks.
+	for _, seq := range seqs {
+		t.retryNow(seq)
+	}
+	for i := range requeue {
+		t.enqueue(cs.addr, &requeue[i])
+	}
 }
 
 // readLoop decodes the connection's frames: acks resolve pending sends, data
@@ -1926,26 +1898,11 @@ func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) bool {
 		SentTick: w.SentTick,
 		Payload:  payload,
 	}
-	// The wire already spent the edge's latency on the sender side, so the
-	// sink delivery is immediate.
-	if s := t.sink.Load(); s != nil && (*s)(msg, 0) {
+	// The sender's delay rides the wire; the sink's calendar waits it out.
+	if s := t.sink.Load(); s != nil && (*s)(msg, time.Duration(w.DelayUS)*time.Microsecond) {
 		return true
 	}
-	// Non-blocking send first: a two-way select costs a full selectgo pass
-	// per message, which local fabrics feel; the slow path only runs when the
-	// inbox is full.
-	ch := t.inbox(msg.To)
-	select {
-	case ch <- msg:
-		return true
-	default:
-	}
-	select {
-	case ch <- msg:
-		return true
-	case <-t.closed:
-		return false
-	}
+	return t.deliverLocal(msg)
 }
 
 // publishOuts republishes the lock-free snapshot of the outbound pool.
@@ -1970,73 +1927,69 @@ func (t *StreamTransport) pooled(addr string) (*connState, bool) {
 	return nil, false
 }
 
-// conn returns the pooled connection to addr, dialing with retries until
-// dialTimeout so peers may come up after us.
+// conn returns the pooled connection to addr, creating it on first use. It
+// never blocks on the network: a new connection's writer dials (see dial)
+// while frames queue behind it. A stopping transport opens no connections.
 func (t *StreamTransport) conn(addr string) (*connState, error) {
 	if cs, ok := t.pooled(addr); ok {
 		return cs, nil
 	}
 	t.connMu.Lock()
+	defer t.connMu.Unlock()
 	if cs, ok := t.outs[addr]; ok {
-		t.connMu.Unlock()
 		return cs, nil
 	}
-	t.connMu.Unlock()
-
-	if t.draining.Load() {
-		// A draining transport flushes what it has; it does not open new
-		// connections (a broken conn's frames are already counted pending —
-		// they are abandoned with the rest when the deadline expires).
+	if t.stopping() {
 		return nil, ErrTransportClosed
 	}
+	cs := t.newConnState(addr)
+	t.outs[addr] = cs
+	t.publishOuts()
+	// wg.Add under connMu: Close sweeps conns behind it before it waits.
+	t.wg.Add(1)
+	go t.writeLoop(cs)
+	return cs, nil
+}
+
+// dial connects an outbound connection from its writer, retrying until
+// dialTimeout so peers may start after us, and starts its read loop. False
+// means it stopped: closed (Close counts the queue), draining (the queue is
+// a closed-drop) or unreachable (a give-up each, one breaker failure).
+func (t *StreamTransport) dial(cs *connState) bool {
 	start := time.Now()
-	deadline := start.Add(t.dialTimeout)
-	var c net.Conn
-	var local bool
-	var err error
 	for {
-		c, local, err = t.dialPeer(addr, time.Since(start))
+		c, local, err := t.dialPeer(cs.addr, time.Since(start))
 		if err == nil {
-			break
+			t.connMu.Lock()
+			if t.isClosed() {
+				t.connMu.Unlock()
+				c.Close()
+				return false
+			}
+			cs.attach(c, local)
+			t.wg.Add(1)
+			t.connMu.Unlock()
+			go t.readLoop(cs)
+			return true
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("live: dial %s: %w", addr, err)
-		}
-		if t.draining.Load() {
-			return nil, ErrTransportClosed // a drain does not wait out an unreachable peer
+		draining := t.draining.Load()
+		if draining || time.Since(start) > t.dialTimeout {
+			data, _ := cs.markDead()
+			t.evict(cs)
+			if draining {
+				t.dropsClosed.Add(int64(len(data)))
+			} else {
+				t.dropsGiveUp.Add(int64(len(data)))
+				t.peerFailure(cs.addr)
+			}
+			return false
 		}
 		select {
 		case <-t.closed:
-			return nil, ErrTransportClosed
+			return false
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-
-	cs := t.newConnState(c, addr, local)
-	t.connMu.Lock()
-	if prior, ok := t.outs[addr]; ok {
-		// Lost a dial race; keep the first connection.
-		t.connMu.Unlock()
-		c.Close()
-		return prior, nil
-	}
-	select {
-	case <-t.closed:
-		t.connMu.Unlock()
-		c.Close()
-		return nil, ErrTransportClosed
-	default:
-	}
-	t.outs[addr] = cs
-	t.publishOuts()
-	// Outbound connections carry the peer's acks back to us. The wg.Add sits
-	// inside the lock: Close checks closed, sweeps conns, and only then
-	// waits, all behind the same mutex, so it cannot miss this registration.
-	t.wg.Add(2)
-	t.connMu.Unlock()
-	go t.readLoop(cs)
-	go t.writeLoop(cs)
-	return cs, nil
 }
 
 // evict removes a broken connection from the pool (or the accepted list) so
@@ -2057,5 +2010,7 @@ func (t *StreamTransport) evict(cs *connState) {
 		}
 	}
 	t.connMu.Unlock()
-	cs.c.Close()
+	if cs.c != nil { // nil when the dial gave up
+		cs.c.Close()
+	}
 }

@@ -177,15 +177,16 @@ func TestFaultTCPAckClearsPending(t *testing.T) {
 	}
 }
 
-// TestFaultTCPCloseCountsPendingTimers checks Close-time accounting: armed
-// latency timers and unacked pending sends both land in Dropped().
+// TestFaultTCPCloseCountsPendingTimers checks Close-time accounting: a
+// message still queued behind a dial that keeps failing lands in Dropped(),
+// however long its delay.
 func TestFaultTCPCloseCountsPendingTimers(t *testing.T) {
 	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.SetPeers(map[graph.NodeID]string{1: "127.0.0.1:1"})
-	// An hour out: still an armed timer at Close.
+	// An hour out, toward a port nothing listens on: queued at Close.
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, Payload: bitp{}}, time.Hour); err != nil {
 		t.Fatal(err)
 	}

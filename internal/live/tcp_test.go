@@ -138,36 +138,6 @@ func TestTCPSendUnknownPeer(t *testing.T) {
 	}
 }
 
-// TestTCPLatencyDelay checks that the transport actually injects the delay:
-// a message sent with 40ms delay must not arrive markedly earlier.
-func TestTCPLatencyDelay(t *testing.T) {
-	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.SetPeers(map[graph.NodeID]string{1: b.Addr().String()})
-
-	const delay = 40 * time.Millisecond
-	start := time.Now()
-	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, Payload: bitp{}}, delay); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-b.Recv(1):
-		if elapsed := time.Since(start); elapsed < delay-5*time.Millisecond {
-			t.Errorf("message arrived after %v, want >= %v", elapsed, delay)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("message never arrived")
-	}
-}
-
 // TestTCPDialRetry checks a cluster can start in any order: the sender's
 // first write happens before the receiver exists.
 func TestTCPDialRetry(t *testing.T) {

@@ -46,14 +46,17 @@ var ErrTransportClosed = errors.New("live: transport closed")
 // concurrent use: every node goroutine sends through the same transport.
 //
 // Send schedules msg for delivery to msg.To after delay — this is where an
-// edge's latency becomes real wall-clock time. Send must not block on slow
-// receivers (delivery happens asynchronously); a delivery that cannot
+// edge's latency becomes real wall-clock time, applied by the receiving
+// runtime: the transport hands delay to the destination's DeliverySink (a
+// stream transport carries it on the wire). Send must not block on slow
+// receivers or the network; a delivery that cannot
 // complete by the time the transport closes is dropped, mirroring a message
 // lost to a crashed node. Payloads must be treated as immutable once passed
 // to Send, exactly as the round engine requires.
 //
 // Recv returns the inbox of a node hosted by this transport, or nil for
-// nodes hosted elsewhere (multi-process deployments).
+// nodes hosted elsewhere (multi-process deployments); a StreamTransport
+// fills it undelayed, since no runtime is there to apply the delay.
 //
 // Close stops all delivery and releases listeners, connections, and pending
 // timers. Close the transport only after every runtime using it returned.
@@ -69,16 +72,10 @@ type DrainReport struct {
 	// Clean is true when every queue emptied and every reliable send
 	// resolved before the deadline.
 	Clean bool
-	// AbandonedTimers counts latency-delay deliveries the drain stopped
-	// before they reached the wire: timers still armed when it began, plus
-	// any already firing that the draining gate then refused (they are also
-	// counted as transport drops — a draining process is leaving, so a
-	// not-yet-sent message is a loss).
-	AbandonedTimers int64
-	// QueuedAtClose and PendingAtClose count, in logical messages, what was
-	// still outstanding when the deadline expired: messages not yet written
-	// (a delay callback still running, a writer queue, a writer's hands) and
-	// unacked reliable sends (both zero on a clean drain).
+	// QueuedAtClose counts, in logical messages, what the drain gave up on
+	// before it reached the wire — behind a dial it stopped, on a connection
+	// that broke, and at the deadline in writer queues — all also transport
+	// drops. PendingAtClose counts unacked sends left at the deadline.
 	QueuedAtClose  int
 	PendingAtClose int
 	// Wall is the drain's duration.
@@ -94,12 +91,13 @@ type Drainer interface {
 }
 
 // DeliverySink is the sharded runtime's fast path into a transport: instead
-// of buffering locally destined messages on per-node inbox channels, a
+// of buffering messages for hosted nodes on per-node inbox channels, a
 // transport hands them straight to the runtime, which applies delay on its
-// shards' calendars. The sink reports false when it cannot accept the
-// message (runtime not running, node not hosted by the sink); the transport
-// must then fall back to its legacy inbox delivery so raw-transport users
-// (tests, benchmarks, foreign runtimes) keep working.
+// shards' calendars, for local sends and network arrivals alike. The sink
+// reports false when it cannot accept the message (runtime not running, node
+// not hosted by the sink); the transport must then fall back to its legacy
+// inbox delivery so raw-transport users (tests, benchmarks, foreign
+// runtimes) keep working.
 //
 // Sinks must be non-blocking and safe for concurrent use, with one rule on
 // who calls them: the runtime routes a message whose From it hosts on that

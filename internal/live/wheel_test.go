@@ -263,7 +263,7 @@ func TestTimerWheelFireAndStop(t *testing.T) {
 }
 
 // TestTimerWheelCloseAccounting: close abandons exactly the still-armed
-// callbacks (the DrainReport.AbandonedTimers contract) and schedule after
+// callbacks (what ChanTransport.Close counts as dropped) and schedule after
 // close returns nil without arming.
 func TestTimerWheelCloseAccounting(t *testing.T) {
 	tw := newTimerWheel(0)

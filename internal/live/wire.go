@@ -14,7 +14,7 @@ import (
 // Frame layout (all integers varint-encoded unless noted):
 //
 //	frame   := header(1B) bodyLen(uvarint) body
-//	header  := version nibble (0001) | flag nibble
+//	header  := version nibble (0010) | flag nibble
 //	flags   := 0x1 frame carries a data message
 //	           0x2 frame carries piggybacked acks
 //	           0x4 frame is a FrameBatch super-frame (excludes 0x1)
@@ -22,19 +22,20 @@ import (
 //	         | [acks] count(uvarint) data ...      // FrameBatch: count >= 1
 //	acks    := count(uvarint) seq0(uvarint) delta1(uvarint) ...   // ascending
 //	data    := kind(1B) seqDelta(varint) from(varint) to(varint) edge(varint)
-//	           latency(varint) tickDelta(varint) ptype payload
+//	           latency(varint) tickDelta(varint) delay(uvarint) ptype payload
 //	ptype   := 0                                  // no payload type
 //	         | 1 nameLen(uvarint) name            // define: appended to table
 //	         | n>=2                               // reference to table[n-2]
 //	payload := len(uvarint) bytes
 //
-// A first byte outside the version nibble (0x10..0x1F for v1) — a peer
-// speaking anything else — is a malformed frame. Signed fields use zigzag
-// varints (binary.AppendVarint) so any int round-trips; acks are sorted and
-// delta-encoded, so a batch of k consecutive acks costs ~k+3 bytes instead of
-// k frames. Payload type names are interned per connection: the first frame
-// carrying a type pays for the name, every later frame references it with one
-// byte.
+// delay is the wait in µs the sender passed to Send; the receiver applies it.
+// A first byte outside the version nibble (0x20..0x2F for v2) — a peer
+// speaking anything else, v1 included — is a malformed frame. Signed fields
+// use zigzag varints (binary.AppendVarint) so any int round-trips; acks are
+// sorted and delta-encoded, so a batch of k consecutive acks costs ~k+3 bytes
+// instead of k frames. Payload type names are interned per connection: the
+// first frame carrying a type pays for the name, every later frame references
+// it with one byte.
 //
 // A FrameBatch super-frame (flag 0x4) carries N data sub-messages under one
 // header: every sub-message uses the identical field encoding as a single
@@ -57,7 +58,7 @@ import (
 // provides.
 
 const (
-	wireVersion     = 0x10 // version 1 in the high nibble
+	wireVersion     = 0x20 // version 2 in the high nibble
 	wireVersionMask = 0xF0
 	wireFlagData    = 0x01
 	wireFlagAcks    = 0x02
@@ -123,6 +124,7 @@ func (e *wireEnc) appendSub(body []byte, w *wireMessage) []byte {
 	body = binary.AppendVarint(body, int64(w.Latency))
 	body = binary.AppendVarint(body, int64(w.SentTick)-e.lastTick)
 	e.lastTick = int64(w.SentTick)
+	body = binary.AppendUvarint(body, w.DelayUS)
 	switch {
 	case w.PayloadType == "":
 		body = binary.AppendUvarint(body, 0)
@@ -224,6 +226,9 @@ func (d *wireDec) decodeSub(body []byte, off int, w *wireMessage) (int, error) {
 	}
 	d.lastTick += tickDelta
 	w.SentTick = int(d.lastTick)
+	if w.DelayUS, off, err = uvarintAt(body, off); err != nil {
+		return off, err
+	}
 	code, off, err := uvarintAt(body, off)
 	if err != nil {
 		return off, err
@@ -372,27 +377,6 @@ func (d *wireDec) readFrameMulti(br *bufio.Reader) (acks []uint64, msgs []wireMe
 		return nil, nil, false, errMalformedFrame
 	}
 	return acks, d.msgs, batch, nil
-}
-
-// readFrame reads and decodes one frame carrying at most one data message —
-// the pre-batching call shape, kept for tests and the codec benchmark. On
-// hasData it fills *w; the returned ack slice and w.Payload alias
-// decoder-owned buffers that are reused by the next call, so both must be
-// consumed before then. A FrameBatch super-frame is rejected here; stream
-// consumers use readFrameMulti.
-func (d *wireDec) readFrame(br *bufio.Reader, w *wireMessage) (acks []uint64, hasData bool, err error) {
-	acks, msgs, batch, err := d.readFrameMulti(br)
-	if err != nil {
-		return nil, false, err
-	}
-	if batch {
-		return nil, false, fmt.Errorf("%w: unexpected batch frame", errMalformedFrame)
-	}
-	if len(msgs) == 0 {
-		return acks, false, nil
-	}
-	*w = msgs[0]
-	return acks, true, nil
 }
 
 // uvarintAt decodes a uvarint at off, returning the value and the new offset.

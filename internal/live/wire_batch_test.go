@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -140,9 +139,9 @@ func TestWireBatchAmortization(t *testing.T) {
 
 	// The steady-state cost of the push-pull request a saturated connection
 	// carries: a full super-frame on a warm connection (payload type
-	// interned, seq and tick chains advancing by one). Encoding is
-	// deterministic, so the size is pinned exactly: 10 B per sub-message
-	// (kind, seq delta, from, to, edge, latency, tick delta, type ref,
+	// interned, seq and tick chains advancing by one, no delay). Encoding is
+	// deterministic, so the size is pinned exactly: 11 B per sub-message
+	// (kind, seq delta, from, to, edge, latency, tick delta, delay, type ref,
 	// payload length, payload) under 5 B of frame header, body length and
 	// count. A codec change that moves wire bytes per message must move this.
 	pt, data, err := encodePayload(bitp{informed: true})
@@ -160,7 +159,7 @@ func TestWireBatchAmortization(t *testing.T) {
 		}
 		frame = enc.appendBatchFrame(frame[:0], full, nil)
 	}
-	if want := 10*maxBatchMsgs + 5; len(frame) != want {
+	if want := 11*maxBatchMsgs + 5; len(frame) != want {
 		t.Errorf("steady-state full batch = %dB (%.3f B/msg), want exactly %dB",
 			len(frame), float64(len(frame))/maxBatchMsgs, want)
 	}
@@ -199,13 +198,6 @@ func TestWireBatchMalformed(t *testing.T) {
 		if _, _, _, err := dec.readFrameMulti(br); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
-	}
-
-	// The single-frame wrapper must refuse batch frames outright.
-	br := bufio.NewReader(bytes.NewReader(good))
-	var dec wireDec
-	if _, _, err := dec.readFrame(br, &wireMessage{}); !errors.Is(err, errMalformedFrame) {
-		t.Errorf("readFrame on batch frame: err = %v, want errMalformedFrame", err)
 	}
 }
 

@@ -12,16 +12,16 @@ import (
 // fuzzer constructs must round-trip the framing byte-exactly — the codec is
 // payload-agnostic and byte-faithful on type names.
 func FuzzWireFrame(f *testing.F) {
-	f.Add(uint8(1), uint64(1), 0, 1, 0, 1, 0, "", []byte(nil), uint64(0), uint64(0))
-	f.Add(uint8(2), uint64(1)<<40, 255, -256, 12345, -7, 99, "live_test.bit", []byte("true"), uint64(3), uint64(4))
-	f.Add(uint8(0xFF), uint64(0), -1, -1, -1, -1, -1, "core.rumors", []byte{0x00, 0xFF, 0x7B}, uint64(1), uint64(1))
-	f.Add(uint8(0), uint64(1<<63), 1<<31, -1<<31, 0, 0, -1<<40, "x", bytes.Repeat([]byte{0x7B}, 64), uint64(9), uint64(90))
+	f.Add(uint8(1), uint64(1), 0, 1, 0, 1, 0, "", []byte(nil), uint64(0), uint64(0), uint64(0))
+	f.Add(uint8(2), uint64(1)<<40, 255, -256, 12345, -7, 99, "live_test.bit", []byte("true"), uint64(3), uint64(4), uint64(4000))
+	f.Add(uint8(0xFF), uint64(0), -1, -1, -1, -1, -1, "core.rumors", []byte{0x00, 0xFF, 0x7B}, uint64(1), uint64(1), uint64(1)<<63)
+	f.Add(uint8(0), uint64(1<<63), 1<<31, -1<<31, 0, 0, -1<<40, "x", bytes.Repeat([]byte{0x7B}, 64), uint64(9), uint64(90), ^uint64(0))
 
 	f.Fuzz(func(t *testing.T, kind uint8, seq uint64, from, to, edge, latency, sentTick int,
-		ptype string, payload []byte, ack1, ack2 uint64) {
+		ptype string, payload []byte, ack1, ack2, delayUS uint64) {
 		w := wireMessage{
 			Kind: kind, Seq: seq, From: from, To: to, EdgeID: edge,
-			Latency: latency, SentTick: sentTick,
+			Latency: latency, SentTick: sentTick, DelayUS: delayUS,
 		}
 		if len(payload) > 0 {
 			// A payload without a type never occurs on the real wire (the
@@ -36,14 +36,14 @@ func FuzzWireFrame(f *testing.F) {
 		var enc wireEnc
 		wire := enc.appendFrame(nil, &w, []uint64{ack1, ack2})
 		var dec wireDec
-		var got wireMessage
-		acks, hasData, err := dec.readFrame(bufio.NewReader(bytes.NewReader(wire)), &got)
+		acks, msgs, _, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(wire)))
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
-		if !hasData {
-			t.Fatal("frame lost its data section")
+		if len(msgs) != 1 {
+			t.Fatalf("frame decoded to %d messages, want 1", len(msgs))
 		}
+		got := msgs[0]
 		lo, hi := ack1, ack2
 		if lo > hi {
 			lo, hi = hi, lo
@@ -53,8 +53,8 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		if got.Kind != w.Kind || got.Seq != w.Seq || got.From != w.From ||
 			got.To != w.To || got.EdgeID != w.EdgeID || got.Latency != w.Latency ||
-			got.SentTick != w.SentTick || got.PayloadType != w.PayloadType ||
-			!bytes.Equal(got.Payload, w.Payload) {
+			got.SentTick != w.SentTick || got.DelayUS != w.DelayUS ||
+			got.PayloadType != w.PayloadType || !bytes.Equal(got.Payload, w.Payload) {
 			t.Errorf("round trip mutated the message:\n got %+v\nwant %+v", got, w)
 		}
 	})
@@ -75,7 +75,7 @@ func FuzzWireDecode(f *testing.F) {
 		return enc.appendFrame(nil, w, acks)
 	}
 	msg := &wireMessage{Kind: 1, Seq: 5, From: 0, To: 1, EdgeID: 3,
-		Latency: 2, SentTick: 7, PayloadType: "core.rumors", Payload: []byte(`{"x":1}`)}
+		Latency: 2, SentTick: 7, DelayUS: 1000, PayloadType: "core.rumors", Payload: []byte(`{"x":1}`)}
 	f.Add(frame(msg, []uint64{3, 4, 9})) // well-formed data + acks
 	f.Add(frame(nil, []uint64{1}))       // ack-only frame
 	f.Add([]byte(`{"kind":1}` + "\n"))   // not this framing at all: unknown header byte
@@ -95,7 +95,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	dataPrefix := func(kind byte) []byte {
 		body := []byte{kind}
-		for i := 0; i < 6; i++ { // seqDelta, from, to, edge, latency, tickDelta
+		for i := 0; i < 7; i++ { // seqDelta, from, to, edge, latency, tickDelta, delay
 			body = binary.AppendVarint(body, 0)
 		}
 		return body
@@ -133,7 +133,7 @@ func FuzzWireDecode(f *testing.F) {
 				PayloadType: "core.rumors", Payload: []byte(`{"x":1}`)},
 			{Kind: 1, Seq: 6, From: 1, To: 2, EdgeID: 4, Latency: 1, SentTick: 7,
 				PayloadType: "core.rumors", Payload: []byte(`{"x":2}`)},
-			{Kind: 3, Seq: 7, From: 2, To: 0, EdgeID: 5, Latency: 3, SentTick: 8},
+			{Kind: 3, Seq: 7, From: 2, To: 0, EdgeID: 5, Latency: 3, SentTick: 8, DelayUS: 1 << 40},
 		}
 		return enc.appendBatchFrame(nil, msgs, []uint64{2, 9})
 	}
@@ -247,8 +247,8 @@ func FuzzWireDecode(f *testing.F) {
 				got, want := msgs2[i], msgCopy[i]
 				if got.Kind != want.Kind || got.Seq != want.Seq || got.From != want.From ||
 					got.To != want.To || got.EdgeID != want.EdgeID || got.Latency != want.Latency ||
-					got.SentTick != want.SentTick || got.PayloadType != want.PayloadType ||
-					!bytes.Equal(got.Payload, want.Payload) {
+					got.SentTick != want.SentTick || got.DelayUS != want.DelayUS ||
+					got.PayloadType != want.PayloadType || !bytes.Equal(got.Payload, want.Payload) {
 					t.Fatalf("re-encode round trip mutated sub-message %d:\n got %+v\nwant %+v", i, got, want)
 				}
 			}

@@ -3,6 +3,7 @@ package live
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,14 +28,15 @@ func encodeFrames(e *wireEnc, frames []wireMessage, acks [][]uint64) []byte {
 }
 
 // TestWireFrameRoundTrip encodes a table of messages and decodes them back,
-// checking every field survives — including negative ints (zigzag varints)
-// and empty payloads.
+// checking every field survives — including negative ints (zigzag varints),
+// delays up to the full uvarint range, and empty payloads.
 func TestWireFrameRoundTrip(t *testing.T) {
 	msgs := []wireMessage{
 		{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 0},
 		{Kind: 2, Seq: 1 << 40, From: 255, To: 256, EdgeID: 12345, Latency: 7, SentTick: 99,
-			PayloadType: "live_test.bit", Payload: []byte(`true`)},
-		{Kind: 0xFF, Seq: 0, From: -1, To: -7, EdgeID: -3, Latency: -100, SentTick: -1 << 30},
+			DelayUS: 3500, PayloadType: "live_test.bit", Payload: []byte(`true`)},
+		{Kind: 0xFF, Seq: 0, From: -1, To: -7, EdgeID: -3, Latency: -100, SentTick: -1 << 30,
+			DelayUS: ^uint64(0)},
 		{Kind: 1, Seq: 2, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 7,
 			PayloadType: "live_test.bit", Payload: []byte(`false`)},
 	}
@@ -44,22 +46,22 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
 	for i, want := range msgs {
-		var got wireMessage
-		acks, hasData, err := dec.readFrame(br, &got)
+		acks, msgs, _, err := dec.readFrameMulti(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !hasData || len(acks) != 0 {
-			t.Fatalf("frame %d: hasData=%v acks=%v", i, hasData, acks)
+		if len(msgs) != 1 || len(acks) != 0 {
+			t.Fatalf("frame %d: %d messages, acks=%v", i, len(msgs), acks)
 		}
+		got := msgs[0]
 		if got.Kind != want.Kind || got.Seq != want.Seq || got.From != want.From ||
 			got.To != want.To || got.EdgeID != want.EdgeID || got.Latency != want.Latency ||
-			got.SentTick != want.SentTick || got.PayloadType != want.PayloadType ||
-			!bytes.Equal(got.Payload, want.Payload) {
+			got.SentTick != want.SentTick || got.DelayUS != want.DelayUS ||
+			got.PayloadType != want.PayloadType || !bytes.Equal(got.Payload, want.Payload) {
 			t.Errorf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, _, err := dec.readFrame(br, &wireMessage{}); err == nil {
+	if _, _, _, err := dec.readFrameMulti(br); err == nil {
 		t.Error("expected EOF after last frame")
 	}
 }
@@ -83,12 +85,12 @@ func TestWirePayloadTypeInterning(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), first...), second...)))
 	var dec wireDec
 	for i := 0; i < 2; i++ {
-		var got wireMessage
-		if _, _, err := dec.readFrame(br, &got); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		_, msgs, _, err := dec.readFrameMulti(br)
+		if err != nil || len(msgs) != 1 {
+			t.Fatalf("frame %d: %d messages, err %v", i, len(msgs), err)
 		}
-		if got.PayloadType != m.PayloadType {
-			t.Errorf("frame %d: PayloadType %q", i, got.PayloadType)
+		if msgs[0].PayloadType != m.PayloadType {
+			t.Errorf("frame %d: PayloadType %q", i, msgs[0].PayloadType)
 		}
 	}
 }
@@ -107,13 +109,13 @@ func TestWireAckBatch(t *testing.T) {
 	for name, wire := range map[string][]byte{"ack-only": ackOnly, "piggybacked": withData} {
 		br := bufio.NewReader(bytes.NewReader(wire))
 		var dec wireDec
-		var got wireMessage
-		gotAcks, hasData, err := dec.readFrame(br, &got)
+		gotAcks, msgs, _, err := dec.readFrameMulti(br)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		hasData := len(msgs) == 1
 		if hasData != (name == "piggybacked") {
-			t.Errorf("%s: hasData = %v", name, hasData)
+			t.Errorf("%s: %d messages", name, len(msgs))
 		}
 		if len(gotAcks) != len(want) {
 			t.Fatalf("%s: acks %v, want %v", name, gotAcks, want)
@@ -123,8 +125,8 @@ func TestWireAckBatch(t *testing.T) {
 				t.Fatalf("%s: acks %v, want %v", name, gotAcks, want)
 			}
 		}
-		if hasData && got.Seq != m.Seq {
-			t.Errorf("%s: data seq %d", name, got.Seq)
+		if hasData && msgs[0].Seq != m.Seq {
+			t.Errorf("%s: data seq %d", name, msgs[0].Seq)
 		}
 	}
 }
@@ -139,7 +141,7 @@ func TestWireMalformedFrames(t *testing.T) {
 
 	cases := map[string][]byte{
 		"json leading byte":  []byte(`{"k":1}` + "\n"),
-		"bad version nibble": append([]byte{0x20}, good[1:]...),
+		"bad version nibble": append([]byte{0x30 | good[0]&^wireVersionMask}, good[1:]...),
 		"truncated body":     good[:len(good)-3],
 		"body length lies":   append([]byte{good[0], byte(len(good))}, good[2:]...),
 		"type ref oob": (&wireEnc{names: map[string]uint64{m.PayloadType: 5}}).
@@ -148,8 +150,7 @@ func TestWireMalformedFrames(t *testing.T) {
 	for name, wire := range cases {
 		br := bufio.NewReader(bytes.NewReader(wire))
 		var dec wireDec
-		_, _, err := dec.readFrame(br, &wireMessage{})
-		if err == nil {
+		if _, _, _, err := dec.readFrameMulti(br); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -157,7 +158,7 @@ func TestWireMalformedFrames(t *testing.T) {
 	// errMalformedFrame so the transport counts it as a decode drop.
 	br := bufio.NewReader(bytes.NewReader([]byte{wireVersion | wireFlagData, 1, 0x01}))
 	var dec wireDec
-	if _, _, err := dec.readFrame(br, &wireMessage{}); !errors.Is(err, errMalformedFrame) {
+	if _, _, _, err := dec.readFrameMulti(br); !errors.Is(err, errMalformedFrame) {
 		t.Errorf("truncated data section: err = %v, want errMalformedFrame", err)
 	}
 }
@@ -184,11 +185,11 @@ func TestWireInternTableBounded(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
 	for i := 0; i < maxInternedTypes; i++ {
-		if _, _, err := dec.readFrame(br, &wireMessage{}); err != nil {
+		if _, _, _, err := dec.readFrameMulti(br); err != nil {
 			t.Fatalf("frame %d (within cap): %v", i, err)
 		}
 	}
-	if _, _, err := dec.readFrame(br, &wireMessage{}); !errors.Is(err, errMalformedFrame) {
+	if _, _, _, err := dec.readFrameMulti(br); !errors.Is(err, errMalformedFrame) {
 		t.Fatalf("define past cap: err = %v, want errMalformedFrame", err)
 	}
 	if len(dec.names) != maxInternedTypes {
@@ -205,12 +206,12 @@ func TestWireInternTableBounded(t *testing.T) {
 		SentTick: int(seq), PayloadType: "live_test.flood000", Payload: []byte(`true`)}
 	wire2 = enc2.appendFrame(wire2, &m, nil)
 	br2 := bufio.NewReader(bytes.NewReader(wire2))
-	var got wireMessage
-	if _, _, err := dec.readFrame(br2, &got); err != nil {
-		t.Fatalf("reference at cap: %v", err)
+	_, msgs, _, err := dec.readFrameMulti(br2)
+	if err != nil || len(msgs) != 1 {
+		t.Fatalf("reference at cap: %d messages, err %v", len(msgs), err)
 	}
-	if got.PayloadType != "live_test.flood000" {
-		t.Fatalf("reference at cap resolved to %q", got.PayloadType)
+	if msgs[0].PayloadType != "live_test.flood000" {
+		t.Fatalf("reference at cap resolved to %q", msgs[0].PayloadType)
 	}
 }
 
@@ -218,11 +219,20 @@ func TestWireInternTableBounded(t *testing.T) {
 // own writer. The writer only emits FrameBatch frames, but the decoder still
 // accepts a single data frame (flag 0x1): it must be acked with its Seq and
 // delivered once — a batch of one, literally. A peer speaking anything other
-// than the binary framing (here a JSON line) is one malformed frame: counted
+// than this version of the binary framing (a JSON line, or a version-1 frame,
+// whose sub-messages lack the delay field) is one malformed frame: counted
 // as a decode drop, connection closed, nothing delivered.
 func TestTCPWireInterop(t *testing.T) {
 	single := wireMessage{Kind: uint8(MsgRequest), Seq: 41, From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3}
 	single.PayloadType, single.Payload, _ = encodePayload(bitp{informed: true})
+	// The same message as a version-1 peer framed it: header 0x11, the
+	// sub-message fields without the delay, no payload type.
+	v1body := []byte{single.Kind}
+	for _, v := range []int{int(single.Seq) - 1, single.From, single.To, single.EdgeID, single.Latency, single.SentTick} {
+		v1body = binary.AppendVarint(v1body, int64(v))
+	}
+	v1body = append(v1body, 0, 0) // no payload type, empty payload
+	v1 := append(binary.AppendUvarint([]byte{0x10 | wireFlagData}, uint64(len(v1body))), v1body...)
 	for _, tc := range []struct {
 		name      string
 		wire      []byte
@@ -231,6 +241,7 @@ func TestTCPWireInterop(t *testing.T) {
 	}{
 		{"single-data-frame", new(wireEnc).appendFrame(nil, &single, nil), single.Seq, 0},
 		{"json-first-byte", []byte(`{"k":1,"q":41,"f":0,"t":1}` + "\n"), 0, 1},
+		{"v1-frame", v1, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, b := tcpPair(t)

@@ -1,11 +1,16 @@
 package gossip
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gossip/internal/live"
+	"gossip/internal/sim"
 )
 
 // TestLiveMatchesSimPushPull is the sim/live equivalence check: a seeded
@@ -163,4 +168,88 @@ func bridgeEndpoint(t *testing.T, g *Graph) NodeID {
 	}
 	t.Fatal("no bridge found")
 	return -1
+}
+
+// clusterDone is a live protocol whose local goal is the whole cluster's:
+// a node counts as done only once every node of the graph reached the
+// inner protocol's goal. Two runtimes driving one small graph stay active
+// (initiating, not lingering) until the broadcast is over everywhere — as
+// the lockstep simulator's nodes do.
+type clusterDone struct {
+	LiveProtocol
+	done []atomic.Bool
+}
+
+func (p *clusterDone) LocalDone(u NodeID, h sim.Handler) bool {
+	p.done[u].Store(p.LiveProtocol.LocalDone(u, h))
+	for i := range p.done {
+		if !p.done[i].Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLiveLatencyEdgeMatchesSim is the live twin of internal/sim's
+// TestExchangeRoundTripEqualsLatency: two runtimes over unix sockets, one
+// node each, joined by a single ℓ = 8 edge and paced at a 10 ms tick. The
+// request's ⌈ℓ/2⌉ ticks ride the wire and are waited out on the receiver's
+// calendar, so the broadcast completes in the simulator's rounds on the
+// same seed, give or take the one tick two runtimes' clocks may disagree by.
+func TestLiveLatencyEdgeMatchesSim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paced two-runtime run is not -short friendly")
+	}
+	g := NewGraph(2)
+	if _, err := g.AddEdge(0, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	const seed = 7
+	simRes, err := RunPushPull(g, 0, Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir, err := os.MkdirTemp("", "gsp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	var trs [2]*live.TCPTransport
+	addrs := make(map[NodeID]string, 2)
+	for i := range trs {
+		path := filepath.Join(dir, fmt.Sprintf("%d.sock", i))
+		tr, err := NewLiveUnixTransport(path, []NodeID{NodeID(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[i] = tr
+		addrs[NodeID(i)] = "unix://" + path
+	}
+	proto := &clusterDone{LiveProtocol: LivePushPull(0), done: make([]atomic.Bool, g.N())}
+	var wg sync.WaitGroup
+	var results [2]LiveResult
+	var errs [2]error
+	for i := range trs {
+		trs[i].SetPeers(addrs)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = RunLiveTransport(g, proto, trs[i], LiveOptions{
+				Seed: seed, Tick: 10 * time.Millisecond, Nodes: []NodeID{NodeID(i)},
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i := range trs {
+		if errs[i] != nil || !results[i].Completed {
+			t.Fatalf("runtime %d: completed=%v err=%v", i, results[i].Completed, errs[i])
+		}
+	}
+	ticks := results[1].Metrics.Ticks
+	if d := ticks - simRes.Metrics.Rounds; d < -1 || d > 1 {
+		t.Errorf("informed after %d ticks live, %d rounds simulated: off by more than one tick", ticks, simRes.Metrics.Rounds)
+	}
+	t.Logf("sim %d rounds (node 1 informed at %d); live %d / %d ticks", simRes.Metrics.Rounds, simRes.InformedAt[1], results[0].Metrics.Ticks, ticks)
 }

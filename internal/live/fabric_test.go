@@ -2,6 +2,7 @@ package live
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,35 +24,55 @@ import (
 // is a parity check: behavior proven for TCP must hold verbatim.
 var fabrics = []string{"tcp", "unix"}
 
+// fabricListen listens on the given fabric at addr, or at a fresh address
+// when addr is "" (an ephemeral loopback port, or a socket in a short temp
+// dir), and returns the listener and the address peers dial it by.
+func fabricListen(t testing.TB, fabric, addr string) (net.Listener, string) {
+	t.Helper()
+	var ln net.Listener
+	var err error
+	switch fabric {
+	case "tcp":
+		if ln, err = net.Listen("tcp", cmp.Or(addr, "127.0.0.1:0")); err == nil {
+			addr = ln.Addr().String()
+		}
+	case "unix":
+		if addr == "" {
+			// Short MkdirTemp dir, not t.TempDir(): sun_path caps at ~108
+			// bytes and long test names would overflow it.
+			dir, derr := os.MkdirTemp("", "gsp")
+			if derr != nil {
+				t.Fatal(derr)
+			}
+			t.Cleanup(func() { os.RemoveAll(dir) })
+			addr = unixScheme + filepath.Join(dir, "d.sock")
+		}
+		ln, err = listenUnixSocket(strings.TrimPrefix(addr, unixScheme))
+	default:
+		t.Fatalf("unknown fabric %q", fabric)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln, addr
+}
+
 // newFabricTransport builds one transport of the given fabric hosting the
 // given nodes, returning it and the address peers should dial.
 func newFabricTransport(t testing.TB, fabric string, hosted []graph.NodeID, buffer int) (*StreamTransport, string) {
+	return newFabricTransportAt(t, fabric, "", hosted, buffer)
+}
+
+// newFabricTransportAt is newFabricTransport listening at addr (see
+// fabricListen).
+func newFabricTransportAt(t testing.TB, fabric, addr string, hosted []graph.NodeID, buffer int) (*StreamTransport, string) {
 	t.Helper()
-	switch fabric {
-	case "tcp":
-		tr, err := NewTCPTransport("127.0.0.1:0", hosted, buffer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr, tr.Addr().String()
-	case "unix":
-		// Short MkdirTemp dir, not t.TempDir(): sun_path caps at ~108 bytes
-		// and long test names would overflow it.
-		dir, err := os.MkdirTemp("", "gsp")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { os.RemoveAll(dir) })
-		path := filepath.Join(dir, "d.sock")
-		tr, err := NewUnixTransport(path, hosted, buffer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr, unixScheme + path
-	default:
-		t.Fatalf("unknown fabric %q", fabric)
-		return nil, ""
+	ln, addr := fabricListen(t, fabric, addr)
+	tr := newStreamTransport(hosted, buffer)
+	if err := tr.addListener(ln, fabric == "unix"); err != nil {
+		t.Fatal(err)
 	}
+	return tr, addr
 }
 
 // TestAddrIsLocalHost pins the auto-upgrade predicate: loopback and
@@ -309,7 +331,7 @@ func TestFabricDrainPendingParity(t *testing.T) {
 	for _, fabric := range fabrics {
 		t.Run(fabric, func(t *testing.T) {
 			tr, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 64)
-			addr, stop := quietFabricPeer(t, fabric)
+			addr, stop := quietFabricPeer(t, fabric, nil)
 			defer stop()
 			tr.SetPeers(map[graph.NodeID]string{1: addr})
 			tr.SetRetransmit(time.Hour, 4)
@@ -344,43 +366,25 @@ func TestFabricDrainPendingParity(t *testing.T) {
 	}
 }
 
-// quietFabricPeer returns an address on the given fabric that accepts
-// connections and discards all input — so frames transmit but are never
-// acked, pinning the sender's pend set.
-func quietFabricPeer(t testing.TB, fabric string) (addr string, stop func()) {
+// quietFabricPeer listens on the given fabric and hands every accepted
+// connection to serve — nil reads and discards its input, so frames transmit
+// but are never acked, pinning the sender's pend set.
+func quietFabricPeer(t testing.TB, fabric string, serve func(net.Conn)) (addr string, stop func()) {
 	t.Helper()
-	switch fabric {
-	case "tcp":
-		a, _, closeAll := quietListener(t)
-		return a, closeAll
-	case "unix":
-		dir, err := os.MkdirTemp("", "gsp")
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "q.sock")
-		l, err := listenUnixSocket(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go discardAccepts(l)
-		return unixScheme + path, func() { l.Close(); os.RemoveAll(dir) }
-	default:
-		t.Fatalf("unknown fabric %q", fabric)
-		return "", nil
+	if serve == nil {
+		serve = func(c net.Conn) { io.Copy(io.Discard, c) }
 	}
-}
-
-// discardAccepts drains a listener: every accepted connection's input is
-// read and thrown away, so the dialer's frames transmit but nothing answers.
-func discardAccepts(l net.Listener) {
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			return
+	ln, addr := fabricListen(t, fabric, "")
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(c)
 		}
-		go io.Copy(io.Discard, c)
-	}
+	}()
+	return addr, func() { ln.Close() }
 }
 
 // TestFaultDeterministicAcrossFabrics is the chaos-parity check for the
@@ -551,39 +555,11 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 // on yet, and a function that brings up a transport hosting the given nodes
 // there.
 func lateFabricPeer(t *testing.T, fabric string) (addr string, listen func(hosted []graph.NodeID) *StreamTransport) {
-	t.Helper()
-	switch fabric {
-	case "tcp":
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr = ln.Addr().String()
-		ln.Close()
-		return addr, func(hosted []graph.NodeID) *StreamTransport {
-			tr, err := NewTCPTransport(addr, hosted, 1024)
-			if err != nil {
-				t.Fatalf("late listener on %s: %v", addr, err)
-			}
-			return tr
-		}
-	case "unix":
-		dir, err := os.MkdirTemp("", "gsp")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { os.RemoveAll(dir) })
-		path := filepath.Join(dir, "late.sock")
-		return unixScheme + path, func(hosted []graph.NodeID) *StreamTransport {
-			tr, err := NewUnixTransport(path, hosted, 1024)
-			if err != nil {
-				t.Fatalf("late listener on %s: %v", path, err)
-			}
-			return tr
-		}
-	default:
-		t.Fatalf("unknown fabric %q", fabric)
-		return "", nil
+	ln, addr := fabricListen(t, fabric, "")
+	ln.Close() // a unix listener unlinks its socket file
+	return addr, func(hosted []graph.NodeID) *StreamTransport {
+		tr, _ := newFabricTransportAt(t, fabric, addr, hosted, 1024)
+		return tr
 	}
 }
 
@@ -694,36 +670,8 @@ func TestFabricDialAbandonedByDrainOrClose(t *testing.T) {
 // receives onto the returned channel, acking nothing — the raw view of what
 // a sender put on the wire.
 func wirePeer(t *testing.T, fabric string) (addr string, got <-chan wireMessage) {
-	t.Helper()
-	var ln net.Listener
-	var err error
-	switch fabric {
-	case "tcp":
-		ln, err = net.Listen("tcp", "127.0.0.1:0")
-		if err == nil {
-			addr = ln.Addr().String()
-		}
-	case "unix":
-		dir, derr := os.MkdirTemp("", "gsp")
-		if derr != nil {
-			t.Fatal(derr)
-		}
-		t.Cleanup(func() { os.RemoveAll(dir) })
-		path := filepath.Join(dir, "w.sock")
-		ln, err = listenUnixSocket(path)
-		addr = unixScheme + path
-	default:
-		t.Fatalf("unknown fabric %q", fabric)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	ch := make(chan wireMessage, 1024)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
+	addr, stop := quietFabricPeer(t, fabric, func(c net.Conn) {
 		defer c.Close()
 		var dec wireDec
 		br := bufio.NewReader(c)
@@ -737,8 +685,8 @@ func wirePeer(t *testing.T, fabric string) (addr string, got <-chan wireMessage)
 				ch <- m
 			}
 		}
-	}()
-	t.Cleanup(func() { ln.Close() })
+	})
+	t.Cleanup(stop)
 	return addr, ch
 }
 

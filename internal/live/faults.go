@@ -162,7 +162,8 @@ type FaultCounts struct {
 	// messages, and deliveries abandoned at Close. A runtime's Result adds
 	// the posts its shards abandoned when it stopped: whatever was still
 	// queued or armed, and posts to a shard that had already stopped — on
-	// a completed run too, as messages in flight at the stop.
+	// a completed run too, as messages in flight at the stop — and the
+	// messages whose delay ran past the calendar's horizon.
 	TransportDrops int64
 	// Retransmits counts reliable-delivery retransmissions (TCP transport).
 	Retransmits int64

@@ -214,7 +214,7 @@ type Runtime struct {
 	doneN     atomic.Int64 // hosted nodes whose done flag is set (watch fast path)
 	stopN     atomic.Int64 // hosted nodes whose exhausted flag is set
 	mailShed  atomic.Int64 // gossip arrivals shed by full shard mailboxes
-	abandoned atomic.Int64 // posts a stopped shard never delivered
+	abandoned atomic.Int64 // posts a stopped shard never delivered, delays past maxDelayTicks
 	mailCap   int          // resolved Options.MailboxCap (<=0 = unbounded)
 	peerSink  PeerStatusSink
 	wg        sync.WaitGroup

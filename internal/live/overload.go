@@ -263,16 +263,16 @@ func (p *peerState) success() {
 	}
 }
 
-// failure records one delivery failure and reports whether the breaker
+// failure records n delivery failures and reports whether the breaker
 // tripped open on this call (so the caller can count the trip and flush the
 // peer's pend entries exactly once per trip).
-func (p *peerState) failure(threshold int, cooldown time.Duration, now time.Time) (tripped bool) {
+func (p *peerState) failure(threshold int, cooldown time.Duration, now time.Time, n int) (tripped bool) {
 	if threshold <= 0 {
 		return false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.fails++
+	p.fails += n
 	p.probing = false
 	switch p.st {
 	case breakerHalfOpen:

@@ -272,6 +272,40 @@ func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
 	}
 }
 
+// TestTCPBreakerOpensAtFirstDialGiveUp: a burst queued behind one dial that
+// gives up is one breaker failure per message, as if each had dialed for
+// itself, so at the default threshold the first give-up opens the breaker
+// instead of one give-up per dialTimeout.
+func TestTCPBreakerOpensAtFirstDialGiveUp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := ln.Addr().String()
+	ln.Close()
+
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.SetPeers(map[graph.NodeID]string{1: deadAddr})
+	tr.dialTimeout = 200 * time.Millisecond // the whole burst queues behind the first dial
+	tr.breakerWait = time.Hour
+
+	for i := 0; i < DefaultBreakerThreshold; i++ {
+		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !pollUntil(5*time.Second, func() bool { return tr.Dropped() == DefaultBreakerThreshold }) {
+		t.Fatalf("Dropped = %d, want %d given up", tr.Dropped(), DefaultBreakerThreshold)
+	}
+	if got := tr.Overload().BreakerOpens; got != 1 {
+		t.Fatalf("BreakerOpens = %d after one give-up of %d queued messages, want 1", got, DefaultBreakerThreshold)
+	}
+}
+
 // TestTCPPeerDownTripsBreakerPeerUpHeals: a membership Dead verdict for the
 // only node at an address opens its breaker; an Alive verdict re-admits it.
 func TestTCPPeerDownTripsBreakerPeerUpHeals(t *testing.T) {
@@ -329,13 +363,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !ps.allow(3, now) {
 		t.Fatal("closed breaker refused a send")
 	}
-	if ps.failure(3, cooldown, now) {
+	if ps.failure(3, cooldown, now, 1) {
 		t.Fatal("tripped below threshold")
 	}
-	if ps.failure(3, cooldown, now) {
+	if ps.failure(3, cooldown, now, 1) {
 		t.Fatal("tripped below threshold")
 	}
-	if !ps.failure(3, cooldown, now) {
+	if !ps.failure(3, cooldown, now, 1) {
 		t.Fatal("did not trip at threshold")
 	}
 	if ps.state() != breakerOpen {
@@ -372,7 +406,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Trip again; this time the probe fails → straight back to open.
 	for i := 0; i < 3; i++ {
-		ps.failure(3, cooldown, probeAt)
+		ps.failure(3, cooldown, probeAt, 1)
 	}
 	probe2 := probeAt.Add(2 * cooldown)
 	if !ps.allow(3, probe2) {
@@ -380,7 +414,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	// The relapse is not a fresh trip (it was counted when the breaker first
 	// opened), but it must swing the state back to open.
-	if ps.failure(3, cooldown, probe2) {
+	if ps.failure(3, cooldown, probe2, 1) {
 		t.Fatal("half-open relapse reported a fresh trip")
 	}
 	if ps.state() != breakerOpen {

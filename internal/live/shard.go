@@ -327,6 +327,11 @@ func (s *shard) deliver(msg Message) {
 	n.handle(msg)
 }
 
+// maxDelayTicks is the calendar's horizon, far past any latency a run
+// waits out: the sink counts a longer delay as abandoned instead of arming
+// it, so no delay, one forged on the wire included, grows a ring past it.
+const maxDelayTicks = 1 << 16
+
 // sink is the DeliverySink the runtime installs on SinkTransports. It
 // converts the wall-clock delay to whole protocol ticks (rounded up, matching
 // the transports' quantization of latency to tick multiples) and routes by
@@ -344,6 +349,10 @@ func (rt *Runtime) sink(msg Message, delay time.Duration) bool {
 	var ticks int64
 	if delay > 0 {
 		ticks = int64((delay + rt.opts.Tick - 1) / rt.opts.Tick)
+	}
+	if ticks > maxDelayTicks {
+		rt.abandoned.Add(1)
+		return true
 	}
 	if msg.From >= 0 && int(msg.From) < len(rt.loc) {
 		if from := rt.loc[msg.From].shard; from >= 0 {

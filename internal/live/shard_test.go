@@ -63,6 +63,27 @@ func TestShardMailboxCap(t *testing.T) {
 	}
 }
 
+// TestSinkDelayHorizon: a delay past the calendar's horizon — the longest a
+// wire frame may carry, for one — is counted as abandoned and never reaches
+// the shard, so it cannot grow the ring; a delay at the horizon is posted.
+func TestSinkDelayHorizon(t *testing.T) {
+	rt := &Runtime{opts: Options{Tick: time.Millisecond}, loc: []nodeLoc{{0, 0}, {-1, -1}}}
+	s := &shard{rt: rt, notify: make(chan struct{}, 1)}
+	rt.shards = []*shard{s}
+	msg := Message{Kind: MsgRequest, From: 1, To: 0} // a network arrival for node 0
+
+	if !rt.sink(msg, maxWireDelayUS*time.Microsecond) {
+		t.Fatal("sink refused a message for a hosted node")
+	}
+	if got := rt.abandoned.Load(); got != 1 || len(s.q) != 0 {
+		t.Fatalf("delay past the horizon: abandoned = %d, posts = %d; want 1, 0", got, len(s.q))
+	}
+	rt.sink(msg, maxDelayTicks*time.Millisecond)
+	if len(s.q) != 1 || s.q[0].delayTicks != maxDelayTicks || rt.abandoned.Load() != 1 {
+		t.Fatalf("delay at the horizon: posts = %+v, abandoned = %d", s.q, rt.abandoned.Load())
+	}
+}
+
 // TestRunGoroutinesBoundedByShards: hosted nodes are multiplexed onto
 // O(shards) workers. A 10k-node run is sampled while it executes and the
 // peak goroutine count above the test's baseline must stay within shard

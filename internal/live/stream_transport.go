@@ -604,14 +604,14 @@ func (t *StreamTransport) allowSend(ps *peerState) bool {
 	return ps.allow(t.breakerN, time.Now())
 }
 
-// peerFailure records one delivery failure against addr; if that trips the
+// peerFailure records n delivery failures against addr; if that trips the
 // breaker, the peer's pend entries are flushed so retransmission spend stops
 // immediately.
-func (t *StreamTransport) peerFailure(addr string) {
+func (t *StreamTransport) peerFailure(addr string, n int) {
 	if t.breakerN <= 0 {
 		return
 	}
-	if t.peer(addr).failure(t.breakerN, t.breakerWait, time.Now()) {
+	if t.peer(addr).failure(t.breakerN, t.breakerWait, time.Now(), n) {
 		t.ovBreakerOpen.Add(1)
 		t.ovBreakerDrop.Add(t.flushPend(func(p *pendingSend) bool { return p.addr == addr }))
 	}
@@ -767,17 +767,17 @@ func (t *StreamTransport) Faults() FaultReport {
 }
 
 // Send implements Transport. A local destination goes to the sink (or its
-// inbox); a remote one is encoded at once (so codec errors surface here) and
-// queued with its delay in whole µs, rounded up. The breaker gates
-// admission: a refused send is a terminal, counted loss, like an injected
-// drop. Send never waits for a dial.
+// inbox, waiting for room); a remote one is encoded at once (so codec errors
+// and delays past maxWireDelayUS surface here) and queued with its delay in
+// whole µs, rounded up. The breaker gates admission: a refused send is a
+// terminal, counted loss, like an injected drop. Send never waits for a dial.
 func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if t.stopping() {
 		return ErrTransportClosed
 	}
 	if t.hosted[msg.To] {
-		if s := t.sink.Load(); s == nil || !(*s)(msg, delay) {
-			t.deliverLocal(msg)
+		if s := t.sink.Load(); (s == nil || !(*s)(msg, delay)) && !t.deliverLocal(msg) {
+			t.dropsClosed.Add(1)
 		}
 		return nil
 	}
@@ -786,6 +786,9 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	t.peerMu.RUnlock()
 	if !ok {
 		return fmt.Errorf("live: no peer address for node %d", msg.To)
+	}
+	if delay > maxWireDelayUS*time.Microsecond {
+		return fmt.Errorf("live: delay %v exceeds the wire limit", delay)
 	}
 	pt, data, err := encodePayload(msg.Payload)
 	if err != nil {
@@ -803,11 +806,9 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 		EdgeID:      msg.EdgeID,
 		Latency:     msg.Latency,
 		SentTick:    msg.SentTick,
+		DelayUS:     uint64((max(delay, 0) + time.Microsecond - 1) / time.Microsecond),
 		PayloadType: pt,
 		Payload:     data,
-	}
-	if delay > 0 {
-		w.DelayUS = uint64((delay + time.Microsecond - 1) / time.Microsecond)
 	}
 	t.enqueue(addr, &w)
 	return nil
@@ -818,17 +819,8 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 // which applies delays, bypasses it entirely. A full inbox blocks the
 // caller until it drains or the transport closes (reported as false).
 func (t *StreamTransport) deliverLocal(msg Message) bool {
-	// Non-blocking send first: a two-way select costs a full selectgo pass
-	// per message, which local fabrics feel; the slow path only runs when
-	// the inbox is full.
-	ch := t.inbox(msg.To)
 	select {
-	case ch <- msg:
-		return true
-	default:
-	}
-	select {
-	case ch <- msg:
+	case t.inbox(msg.To) <- msg:
 		return true
 	case <-t.closed:
 		return false
@@ -990,7 +982,7 @@ func (t *StreamTransport) retry(seq uint64) {
 		delete(sh.m, seq)
 		sh.mu.Unlock()
 		t.dropsGiveUp.Add(p.msgCount())
-		t.peerFailure(addr)
+		t.peerFailure(addr, 1)
 		return
 	}
 	if t.breakerN > 0 && !p.ps.fastClosed() && !p.ps.allowRetry(t.breakerN, time.Now()) {
@@ -1128,17 +1120,8 @@ func (t *StreamTransport) Close() error {
 		for _, sl := range lns {
 			sl.ln.Close()
 		}
-		t.retries.close() // RTOs aren't deliveries; the pend sweep below counts them
-		for i := range t.pend {
-			sh := &t.pend[i]
-			sh.mu.Lock()
-			for seq, p := range sh.m {
-				p.retry.Stop()
-				delete(sh.m, seq)
-				t.dropsClosed.Add(p.msgCount())
-			}
-			sh.mu.Unlock()
-		}
+		t.retries.close() // RTOs aren't deliveries; the pend sweep counts them
+		t.dropsClosed.Add(t.flushPend(func(*pendingSend) bool { return true }))
 		t.connMu.Lock()
 		for _, cs := range t.outs {
 			// Rescue backpressured enqueuers before the socket dies. The
@@ -1793,10 +1776,9 @@ func (t *StreamTransport) connBroken(cs *connState, inFlight []wireMessage, inFl
 	leftover, leftRets := cs.markDead()
 	t.evict(cs)
 	if cs.addr != "" {
-		t.peerFailure(cs.addr)
+		t.peerFailure(cs.addr, 1)
 	}
-	var seqs []uint64
-	seqs = append(seqs, inFlightKeys...)
+	seqs := inFlightKeys
 	for _, p := range leftRets {
 		seqs = append(seqs, p.key)
 	}
@@ -1835,10 +1817,7 @@ func (t *StreamTransport) readLoop(cs *connState) {
 	defer t.wg.Done()
 	defer t.connBroken(cs, nil, nil)
 	defer cs.c.Close()
-	t.readBinary(cs, bufio.NewReaderSize(cs.c, 32<<10))
-}
-
-func (t *StreamTransport) readBinary(cs *connState, br *bufio.Reader) {
+	br := bufio.NewReaderSize(cs.c, 32<<10)
 	var dec wireDec
 	for {
 		acks, msgs, _, err := dec.readFrameMulti(br)
@@ -1954,7 +1933,9 @@ func (t *StreamTransport) conn(addr string) (*connState, error) {
 // dial connects an outbound connection from its writer, retrying until
 // dialTimeout so peers may start after us, and starts its read loop. False
 // means it stopped: closed (Close counts the queue), draining (the queue is
-// a closed-drop) or unreachable (a give-up each, one breaker failure).
+// a closed-drop) or unreachable (a give-up and a breaker failure for each
+// message and retransmission queued behind the dial, so a burst opens the
+// breaker at the first give-up).
 func (t *StreamTransport) dial(cs *connState) bool {
 	start := time.Now()
 	for {
@@ -1974,13 +1955,13 @@ func (t *StreamTransport) dial(cs *connState) bool {
 		}
 		draining := t.draining.Load()
 		if draining || time.Since(start) > t.dialTimeout {
-			data, _ := cs.markDead()
+			data, rets := cs.markDead()
 			t.evict(cs)
 			if draining {
 				t.dropsClosed.Add(int64(len(data)))
 			} else {
 				t.dropsGiveUp.Add(int64(len(data)))
-				t.peerFailure(cs.addr)
+				t.peerFailure(cs.addr, max(len(data)+len(rets), 1))
 			}
 			return false
 		}

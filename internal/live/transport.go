@@ -49,10 +49,11 @@ var ErrTransportClosed = errors.New("live: transport closed")
 // edge's latency becomes real wall-clock time, applied by the receiving
 // runtime: the transport hands delay to the destination's DeliverySink (a
 // stream transport carries it on the wire). Send must not block on slow
-// receivers or the network; a delivery that cannot
-// complete by the time the transport closes is dropped, mirroring a message
-// lost to a crashed node. Payloads must be treated as immutable once passed
-// to Send, exactly as the round engine requires.
+// receivers or the network — only a StreamTransport with no sink installed
+// waits for room in a local raw inbox; a delivery that cannot complete by
+// the time the transport closes is dropped, mirroring a message lost to a
+// crashed node. Payloads must be treated as immutable once passed to Send,
+// exactly as the round engine requires.
 //
 // Recv returns the inbox of a node hosted by this transport, or nil for
 // nodes hosted elsewhere (multi-process deployments); a StreamTransport

@@ -28,7 +28,8 @@ import (
 //	         | n>=2                               // reference to table[n-2]
 //	payload := len(uvarint) bytes
 //
-// delay is the wait in µs the sender passed to Send; the receiver applies it.
+// delay is the wait in µs the sender passed to Send, at most maxWireDelayUS;
+// the receiver applies it.
 // A first byte outside the version nibble (0x20..0x2F for v2) — a peer
 // speaking anything else, v1 included — is a malformed frame. Signed fields
 // use zigzag varints (binary.AppendVarint) so any int round-trips; acks are
@@ -80,6 +81,11 @@ const (
 	// RegisterPayload refuses registrations past the same cap, so a
 	// conforming encoder can never hit it.
 	maxInternedTypes = 64
+
+	// maxWireDelayUS bounds a sub-message's delay at one hour: a larger one
+	// is malformed, so no forged delay reaches the receiver's arithmetic,
+	// and Send refuses it, so a conforming sender never writes one.
+	maxWireDelayUS = 3_600_000_000
 )
 
 var errMalformedFrame = fmt.Errorf("live: malformed binary frame")
@@ -228,6 +234,9 @@ func (d *wireDec) decodeSub(body []byte, off int, w *wireMessage) (int, error) {
 	w.SentTick = int(d.lastTick)
 	if w.DelayUS, off, err = uvarintAt(body, off); err != nil {
 		return off, err
+	}
+	if w.DelayUS > maxWireDelayUS {
+		return off, fmt.Errorf("%w: delay of %d µs exceeds limit", errMalformedFrame, w.DelayUS)
 	}
 	code, off, err := uvarintAt(body, off)
 	if err != nil {

@@ -4,13 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 )
 
 // FuzzWireFrame checks the encoder half of the codec: any wireMessage the
 // fuzzer constructs must round-trip the framing byte-exactly — the codec is
-// payload-agnostic and byte-faithful on type names.
+// payload-agnostic and byte-faithful on type names — except that a delay
+// past maxWireDelayUS, which Send refuses, must decode as malformed.
 func FuzzWireFrame(f *testing.F) {
 	f.Add(uint8(1), uint64(1), 0, 1, 0, 1, 0, "", []byte(nil), uint64(0), uint64(0), uint64(0))
 	f.Add(uint8(2), uint64(1)<<40, 255, -256, 12345, -7, 99, "live_test.bit", []byte("true"), uint64(3), uint64(4), uint64(4000))
@@ -37,6 +39,12 @@ func FuzzWireFrame(f *testing.F) {
 		wire := enc.appendFrame(nil, &w, []uint64{ack1, ack2})
 		var dec wireDec
 		acks, msgs, _, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(wire)))
+		if delayUS > maxWireDelayUS {
+			if !errors.Is(err, errMalformedFrame) || len(msgs) > 0 {
+				t.Fatalf("delay %d µs past the limit: %d messages, err %v; want malformed", delayUS, len(msgs), err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
@@ -133,11 +141,18 @@ func FuzzWireDecode(f *testing.F) {
 				PayloadType: "core.rumors", Payload: []byte(`{"x":1}`)},
 			{Kind: 1, Seq: 6, From: 1, To: 2, EdgeID: 4, Latency: 1, SentTick: 7,
 				PayloadType: "core.rumors", Payload: []byte(`{"x":2}`)},
-			{Kind: 3, Seq: 7, From: 2, To: 0, EdgeID: 5, Latency: 3, SentTick: 8, DelayUS: 1 << 40},
+			{Kind: 3, Seq: 7, From: 2, To: 0, EdgeID: 5, Latency: 3, SentTick: 8, DelayUS: maxWireDelayUS},
 		}
 		return enc.appendBatchFrame(nil, msgs, []uint64{2, 9})
 	}
 	f.Add(batchFrame())
+	// A sub-message delay past the limit (2^40 µs, about 12.7 days): the
+	// whole frame is malformed.
+	{
+		late := *msg
+		late.DelayUS = 1 << 40
+		f.Add(frame(&late, nil))
+	}
 	// Truncated batch: the count promises three sub-messages, the body ends
 	// mid-way through the second.
 	{

@@ -29,14 +29,14 @@ func encodeFrames(e *wireEnc, frames []wireMessage, acks [][]uint64) []byte {
 
 // TestWireFrameRoundTrip encodes a table of messages and decodes them back,
 // checking every field survives — including negative ints (zigzag varints),
-// delays up to the full uvarint range, and empty payloads.
+// delays up to the wire's limit, and empty payloads.
 func TestWireFrameRoundTrip(t *testing.T) {
 	msgs := []wireMessage{
 		{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 0},
 		{Kind: 2, Seq: 1 << 40, From: 255, To: 256, EdgeID: 12345, Latency: 7, SentTick: 99,
 			DelayUS: 3500, PayloadType: "live_test.bit", Payload: []byte(`true`)},
 		{Kind: 0xFF, Seq: 0, From: -1, To: -7, EdgeID: -3, Latency: -100, SentTick: -1 << 30,
-			DelayUS: ^uint64(0)},
+			DelayUS: maxWireDelayUS},
 		{Kind: 1, Seq: 2, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 7,
 			PayloadType: "live_test.bit", Payload: []byte(`false`)},
 	}
@@ -220,8 +220,9 @@ func TestWireInternTableBounded(t *testing.T) {
 // accepts a single data frame (flag 0x1): it must be acked with its Seq and
 // delivered once — a batch of one, literally. A peer speaking anything other
 // than this version of the binary framing (a JSON line, or a version-1 frame,
-// whose sub-messages lack the delay field) is one malformed frame: counted
-// as a decode drop, connection closed, nothing delivered.
+// whose sub-messages lack the delay field), or one whose delay is past the
+// wire's limit, is one malformed frame: counted as a decode drop, connection
+// closed, nothing delivered.
 func TestTCPWireInterop(t *testing.T) {
 	single := wireMessage{Kind: uint8(MsgRequest), Seq: 41, From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3}
 	single.PayloadType, single.Payload, _ = encodePayload(bitp{informed: true})
@@ -233,6 +234,8 @@ func TestTCPWireInterop(t *testing.T) {
 	}
 	v1body = append(v1body, 0, 0) // no payload type, empty payload
 	v1 := append(binary.AppendUvarint([]byte{0x10 | wireFlagData}, uint64(len(v1body))), v1body...)
+	late := single
+	late.DelayUS = maxWireDelayUS + 1
 	for _, tc := range []struct {
 		name      string
 		wire      []byte
@@ -242,6 +245,7 @@ func TestTCPWireInterop(t *testing.T) {
 		{"single-data-frame", new(wireEnc).appendFrame(nil, &single, nil), single.Seq, 0},
 		{"json-first-byte", []byte(`{"k":1,"q":41,"f":0,"t":1}` + "\n"), 0, 1},
 		{"v1-frame", v1, 0, 1},
+		{"delay-past-limit", new(wireEnc).appendFrame(nil, &late, nil), 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, b := tcpPair(t)

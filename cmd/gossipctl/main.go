@@ -96,9 +96,6 @@ func run(args []string, out io.Writer) error {
 		nodesPer = fs.Int("nodes-per-shard", 0, "per-daemon shard sizing (0 = gossipd default)")
 		queueCap = fs.Int("queue-frames", 0, "per-connection writer queue cap (0 = gossipd default, negative = unbounded)")
 		mailCap  = fs.Int("mailbox", 0, "per-shard cap on waiting network arrivals, in posts (0 = gossipd default, negative = unbounded)")
-		pendCap  = fs.Int("max-pend", 0, "unacked reliable-send cap per daemon (0 = gossipd default, negative = unbounded)")
-		rto      = fs.Duration("rto", 0, "initial retransmission timeout / adaptive-RTO floor (0 = gossipd default)")
-		maxRetr  = fs.Int("retrans", 0, "retransmission budget (0 = gossipd default, negative = off)")
 		join     = fs.Bool("join", false, "enable SWIM membership from seed node 0 and check convergence")
 		timeout  = fs.Duration("timeout", 10*time.Minute, "kill the fleet and fail after this long")
 		verbose  = fs.Bool("v", false, "stream per-daemon output, prefixed d<i>:")
@@ -184,15 +181,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *mailCap != 0 {
 		common = append(common, "-mailbox", strconv.Itoa(*mailCap))
-	}
-	if *pendCap != 0 {
-		common = append(common, "-max-pend", strconv.Itoa(*pendCap))
-	}
-	if *rto != 0 {
-		common = append(common, "-rto", rto.String())
-	}
-	if *maxRetr != 0 {
-		common = append(common, "-retrans", strconv.Itoa(*maxRetr))
 	}
 	if *join {
 		common = append(common, "-join", "0")

@@ -121,15 +121,13 @@ func TestGossipctlMembership(t *testing.T) {
 //
 //	GOSSIPCTL_1M=1 go test ./cmd/gossipctl -run MillionNodes -timeout 30m -v
 //
-// The run lifts the overload caps (-mailbox -1, -queue-frames -1) and
-// widens the RTO floor: a 1M-node flood frontier is wider than the
-// protective defaults, and flood has no protocol-level repair, so a shed
-// cross-daemon arrival can strand a hosted range a few nodes short of
-// completion. (Posts between a daemon's own nodes are never shed; the
-// mailbox cap only bounds arrivals from other daemons.) On a dedicated box
-// the right configuration is deep queues (memory is the buffer) and a
-// patient RTO (acks legitimately sit behind seconds of queued bulk), which
-// is exactly what these knobs are for.
+// The run lifts the overload caps (-mailbox -1, -queue-frames -1): a
+// 1M-node flood frontier is wider than the protective defaults, and flood
+// has no protocol-level repair, so a shed cross-daemon arrival can strand a
+// hosted range a few nodes short of completion. (Posts between a daemon's
+// own nodes are never shed; the mailbox cap only bounds arrivals from other
+// daemons.) On a dedicated box the right configuration is deep queues
+// (memory is the buffer), which is exactly what these knobs are for.
 func TestGossipctlMillionNodes(t *testing.T) {
 	if os.Getenv("GOSSIPCTL_1M") == "" {
 		t.Skip("set GOSSIPCTL_1M=1 to run the 1M-node cluster experiment")
@@ -142,7 +140,7 @@ func TestGossipctlMillionNodes(t *testing.T) {
 		"-proto", "flood", "-seed", "9",
 		"-tick", "50ms", "-linger", "10s",
 		"-flushwindow", "2ms", "-nodes-per-shard", "200000",
-		"-mailbox", "-1", "-queue-frames", "-1", "-rto", "2s", "-retrans", "8",
+		"-mailbox", "-1", "-queue-frames", "-1",
 		"-timeout", "25m", "-v",
 	}
 	err := run(args, &sb)

@@ -21,7 +21,8 @@
 //
 // Frames are a compact length-prefixed binary format, and everything bound
 // for the same peer daemon within one writer drain coalesces into FrameBatch
-// super-frames (one frame, one ack, one retransmission timer per batch).
+// super-frames under one frame header; the peer acks with one cumulative
+// count per connection, and the byte stream is the only retransmitter.
 // -flushwindow widens those batches by waiting that long after the first
 // queued frame before flushing — more messages per syscall at the cost of up
 // to that much added delivery latency.
@@ -114,9 +115,6 @@ func run(args []string, out io.Writer) error {
 		nodesPer  = fs.Int("nodes-per-shard", 0, "size shards by node count instead: ceil(hosted/this) shards (0 = use -shards)")
 		queueCap  = fs.Int("queue-frames", 0, "per-connection writer queue cap in frames; overflow sheds gossip oldest-first (0 = default, negative = unbounded — for dedicated bulk runs)")
 		mailCap   = fs.Int("mailbox", 0, "per-shard cap on waiting network arrivals, in posts; overflow sheds gossip from other daemons (0 = default, negative = unbounded)")
-		pendCap   = fs.Int("max-pend", 0, "transport-wide unacked reliable-send cap; overflow evicts oldest gossip (0 = default, negative = unbounded)")
-		rto       = fs.Duration("rto", 0, "initial retransmission timeout, also the adaptive RTO's floor (0 = default)")
-		maxRetr   = fs.Int("retrans", 0, "retransmission budget before a message is abandoned (0 = default, negative = no retransmission)")
 
 		joinSpec = fs.String("join", "", "enable SWIM membership, bootstrapping from these seed nodes, e.g. 0 or 0,32 (empty = membership off)")
 		probeIvl = fs.Int("probe-interval", 0, "membership probe interval in ticks (0 = default)")
@@ -198,8 +196,7 @@ func run(args []string, out io.Writer) error {
 		tr.SetPeerSockets(socks)
 	}
 	tr.SetFlushWindow(*flushWin)
-	tr.SetOverloadLimits(*queueCap, *pendCap)
-	tr.SetRetransmit(*rto, *maxRetr)
+	tr.SetOverloadLimits(*queueCap)
 	// Hosted nodes route in-process; map them to our own address so peer
 	// validation below only flags genuinely unreachable nodes.
 	for _, u := range hosted {
@@ -310,15 +307,14 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "completed=%v interrupted=%v informed=%d/%d ticks=%d messages=%d bytes=%d wall=%v dropped=%d\n",
 		res.Completed, res.Interrupted, informed, len(hosted), res.Metrics.Ticks, res.Metrics.Messages(),
 		res.Metrics.Bytes, res.Metrics.Wall.Round(time.Millisecond), tr.Dropped())
-	if f := res.Faults; f.Dropped() > 0 || f.InjectedDups > 0 || f.Retransmits > 0 || len(f.Phases) > 0 {
-		fmt.Fprintf(out, "faults: injected-drops=%d partition-drops=%d transport-drops=%d dups=%d jittered=%d retransmits=%d dedup-hits=%d partitions=%d\n",
+	if f := res.Faults; f.Dropped() > 0 || f.InjectedDups > 0 || len(f.Phases) > 0 {
+		fmt.Fprintf(out, "faults: injected-drops=%d partition-drops=%d transport-drops=%d dups=%d jittered=%d dedup-hits=%d partitions=%d\n",
 			f.InjectedDrops, f.PartitionDrops, f.TransportDrops, f.InjectedDups, f.Jittered,
-			f.Retransmits, f.DupsSuppressed, len(f.Phases))
+			f.DupsSuppressed, len(f.Phases))
 	}
 	if ov := res.Faults.Overload; ov != (gossip.LiveOverloadCounts{}) {
-		fmt.Fprintf(out, "overload: shed-queue=%d shed-pend=%d member-backpressured=%d retry-trimmed=%d dropped-dead-peer=%d breaker-opens=%d breaker-drops=%d\n",
-			ov.ShedQueue, ov.ShedPend, ov.MemberBackpressured, ov.RetryBurstTrimmed,
-			ov.DroppedDeadPeer, ov.BreakerOpens, ov.BreakerDrops)
+		fmt.Fprintf(out, "overload: shed-queue=%d shed-pend=%d member-backpressured=%d breaker-opens=%d breaker-drops=%d\n",
+			ov.ShedQueue, ov.ShedPend, ov.MemberBackpressured, ov.BreakerOpens, ov.BreakerDrops)
 	}
 	if opts.Membership != nil {
 		printMembership(out, res, hosted, *memDump)

@@ -224,6 +224,21 @@ func TestFlagErrors(t *testing.T) {
 			want: "flag provided but not defined: -batch",
 		},
 		{
+			name: "rto-flag-removed",
+			args: []string{"-graph", "clique", "-n", "4", "-rto", "2s"},
+			want: "flag provided but not defined: -rto",
+		},
+		{
+			name: "retrans-flag-removed",
+			args: []string{"-graph", "clique", "-n", "4", "-retrans", "8"},
+			want: "flag provided but not defined: -retrans",
+		},
+		{
+			name: "max-pend-flag-removed",
+			args: []string{"-graph", "clique", "-n", "4", "-max-pend", "100"},
+			want: "flag provided but not defined: -max-pend",
+		},
+		{
 			name: "negative-flushwindow",
 			args: []string{"-graph", "clique", "-n", "4", "-flushwindow", "-1ms"},
 			want: "-flushwindow",
@@ -369,7 +384,7 @@ func TestParsePartitions(t *testing.T) {
 		t.Fatalf("run(%v): %v\n%s", args, err, sb.String())
 	}
 	out := sb.String()
-	for _, w := range []string{"completed=true", "faults: injected-drops=", " retransmits=", "partitions=1\n"} {
+	for _, w := range []string{"completed=true", "faults: injected-drops=", " dedup-hits=", "partitions=1\n"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("output missing %q:\n%s", w, out)
 		}

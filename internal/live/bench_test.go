@@ -9,7 +9,7 @@ import (
 // BenchmarkLiveTCPCodec isolates the codec with no sockets: one encode+decode
 // round trip of a push-pull frame per iteration.
 func BenchmarkLiveTCPCodec(b *testing.B) {
-	w := wireMessage{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 1, Latency: 1, SentTick: 1,
+	w := wireMessage{Kind: 1, From: 0, To: 1, EdgeID: 1, Latency: 1, SentTick: 1,
 		PayloadType: "live_test.bit", Payload: []byte(`true`)}
 	b.Run("binary", func(b *testing.B) {
 		var enc wireEnc
@@ -19,9 +19,8 @@ func BenchmarkLiveTCPCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.Seq++
 			w.SentTick++
-			r.buf = enc.appendFrame(r.buf[:0], &w, nil)
+			r.buf = enc.appendFrame(r.buf[:0], &w, 0)
 			r.off = 0
 			br.Reset(r)
 			if _, _, _, err := dec.readFrameMulti(br); err != nil {

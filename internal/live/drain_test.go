@@ -48,7 +48,7 @@ func TestChanTransportDrainClean(t *testing.T) {
 }
 
 // TestTCPDrainClean: with a live peer, every queued frame flushes and every
-// pend entry resolves before the transport closes — including the frames
+// written message is acked before the transport closes — including the frames
 // queued behind the connection's first dial, which the drain lets finish.
 func TestTCPDrainClean(t *testing.T) {
 	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 256)
@@ -102,7 +102,7 @@ func TestTCPDrainClean(t *testing.T) {
 	}
 }
 
-// TestTCPDrainDeadline: a peer that never acks pins the pend set, so the
+// TestTCPDrainDeadline: a peer that never acks pins the unacked count, so the
 // drain gives up at the context deadline and reports what it abandoned.
 func TestTCPDrainDeadline(t *testing.T) {
 	addr, _, closeLn := quietListener(t)
@@ -112,7 +112,6 @@ func TestTCPDrainDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.SetPeers(map[graph.NodeID]string{1: addr})
-	tr.SetRetransmit(time.Hour, 4) // never resolves by give-up either
 
 	const sends = 5
 	for i := 0; i < sends; i++ {
@@ -120,8 +119,8 @@ func TestTCPDrainDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !pollUntil(5*time.Second, func() bool { return tr.pendingCount() == sends }) {
-		t.Fatalf("pendingCount = %d, want %d", tr.pendingCount(), sends)
+	if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == sends }) {
+		t.Fatalf("unacked = %d, want %d", tr.unackedCount(), sends)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
@@ -182,7 +181,6 @@ func TestTCPDrainNoRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.SetPeers(map[graph.NodeID]string{1: addr})
-	tr.SetRetransmit(time.Hour, 4)
 
 	// One send first so the connection pool settles (concurrent first sends
 	// may race extra dials); the rest then ride the pooled connection.
@@ -190,16 +188,16 @@ func TestTCPDrainNoRedial(t *testing.T) {
 	if err := tr.Send(testMsg(1, MsgRequest, 0), 0); err != nil {
 		t.Fatal(err)
 	}
-	if !pollUntil(5*time.Second, func() bool { return tr.pendingCount() == 1 }) {
-		t.Fatalf("first send never transmitted: pending = %d", tr.pendingCount())
+	if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == 1 }) {
+		t.Fatalf("first send never written: unacked = %d", tr.unackedCount())
 	}
 	for i := 1; i < sends; i++ {
 		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !pollUntil(5*time.Second, func() bool { return tr.pendingCount() == sends }) {
-		t.Fatalf("pending = %d, want %d", tr.pendingCount(), sends)
+	if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == sends }) {
+		t.Fatalf("unacked = %d, want %d", tr.unackedCount(), sends)
 	}
 	acceptsBefore := accepts.Load()
 
@@ -244,7 +242,6 @@ func TestTCPClusterDrainLeaksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		trs[i] = tr
-		tr.SetRetransmit(5*time.Millisecond, 8)
 		for _, v := range nodes {
 			addrOf[v] = tr.Addr().String()
 		}
@@ -289,11 +286,8 @@ func TestTCPClusterDrainLeaksNothing(t *testing.T) {
 		}
 	}
 	for i, tr := range trs {
-		if n := tr.retries.len(); n != 0 {
-			t.Fatalf("transport %d: %d retry timers leaked", i, n)
-		}
-		if n := tr.pendingCount(); n != 0 {
-			t.Fatalf("transport %d: %d pend entries leaked", i, n)
+		if n := tr.unackedCount(); n != 0 {
+			t.Fatalf("transport %d: %d unacked messages leaked", i, n)
 		}
 		if n := tr.queueDepth(); n != 0 {
 			t.Fatalf("transport %d: %d queued frames leaked", i, n)

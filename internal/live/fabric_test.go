@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,7 +234,8 @@ func TestFabricMixedInterop(t *testing.T) {
 // TestFabricUnixRedialAfterSocketRemoval: the unix analogue of TCP
 // connection-loss recovery. The server's socket is torn down and re-created
 // at the same path (a daemon restart), the pooled connection is severed, and
-// the retransmission path must redial the fresh socket and deliver.
+// the next send — re-queued if its write hit the dead socket — must redial
+// the fresh socket and deliver.
 func TestFabricUnixRedialAfterSocketRemoval(t *testing.T) {
 	dir, err := os.MkdirTemp("", "gsp")
 	if err != nil {
@@ -252,7 +254,6 @@ func TestFabricUnixRedialAfterSocketRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetPeers(map[graph.NodeID]string{1: unixScheme + sock})
-	a.SetRetransmit(30*time.Millisecond, 8)
 
 	if err := a.Send(testMsg(1, MsgRequest, 1), 0); err != nil {
 		t.Fatal(err)
@@ -279,6 +280,80 @@ func TestFabricUnixRedialAfterSocketRemoval(t *testing.T) {
 	}
 	if a.Dropped() != 0 {
 		t.Errorf("Dropped = %d after successful redial", a.Dropped())
+	}
+}
+
+// TestFabricBrokenConnCountsUnacked: a peer decodes every message written on
+// its connection, acks only the first K, and closes. The byte stream
+// delivered in order, so the sender counts exactly the N − K unacked
+// messages as lost — whether or not they arrived, nothing else — and the
+// next send redials and arrives over a fresh connection.
+func TestFabricBrokenConnCountsUnacked(t *testing.T) {
+	const n, k = 12, 5
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			var conns atomic.Int64
+			later := make(chan wireMessage, 1)
+			addr, stop := quietFabricPeer(t, fabric, func(c net.Conn) {
+				defer c.Close()
+				first := conns.Add(1) == 1
+				var dec wireDec
+				br := bufio.NewReader(c)
+				decoded := 0
+				for {
+					_, msgs, _, err := dec.readFrameMulti(br)
+					if err != nil {
+						return
+					}
+					if !first {
+						for _, m := range msgs {
+							later <- m
+						}
+						continue
+					}
+					if decoded += len(msgs); decoded >= n {
+						c.Write(new(wireEnc).appendFrame(nil, nil, k))
+						return
+					}
+				}
+			})
+			defer stop()
+			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 8)
+			defer a.Close()
+			a.SetPeers(map[graph.NodeID]string{1: addr})
+
+			for i := 0; i < n; i++ {
+				if err := a.Send(testMsg(1, MsgRequest, i), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !pollUntil(5*time.Second, func() bool { return a.Dropped() == n-k }) {
+				t.Fatalf("Dropped = %d after the break, want %d", a.Dropped(), n-k)
+			}
+			if !pollUntil(5*time.Second, func() bool { _, pooled := a.pooled(addr); return !pooled }) {
+				t.Fatal("broken connection still pooled")
+			}
+			if err := a.Send(testMsg(1, MsgRequest, n), 0); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case m := <-later:
+				if m.SentTick != n {
+					t.Fatalf("fresh connection carried tick %d, want %d", m.SentTick, n)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("send after the break never arrived")
+			}
+			if got := conns.Load(); got != 2 {
+				t.Errorf("connections = %d, want 2", got)
+			}
+			if got := a.Dropped(); got != n-k {
+				t.Errorf("Dropped = %d once the fresh connection delivered, want %d", got, n-k)
+			}
+			if got := a.dropsBroken.Load(); got != n-k {
+				t.Errorf("broken-connection drops = %d, want %d", got, n-k)
+			}
+		})
 	}
 }
 
@@ -334,7 +409,6 @@ func TestFabricDrainPendingParity(t *testing.T) {
 			addr, stop := quietFabricPeer(t, fabric, nil)
 			defer stop()
 			tr.SetPeers(map[graph.NodeID]string{1: addr})
-			tr.SetRetransmit(time.Hour, 4)
 
 			const pendingSends = 4
 			if err := tr.Send(testMsg(1, MsgRequest, 0), time.Hour); err != nil {
@@ -345,8 +419,8 @@ func TestFabricDrainPendingParity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !pollUntil(5*time.Second, func() bool { return tr.pendingCount() == pendingSends }) {
-				t.Fatalf("pendingCount = %d, want %d", tr.pendingCount(), pendingSends)
+			if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == pendingSends }) {
+				t.Fatalf("unacked = %d, want %d", tr.unackedCount(), pendingSends)
 			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
@@ -368,7 +442,7 @@ func TestFabricDrainPendingParity(t *testing.T) {
 
 // quietFabricPeer listens on the given fabric and hands every accepted
 // connection to serve — nil reads and discards its input, so frames transmit
-// but are never acked, pinning the sender's pend set.
+// but are never acked, pinning the sender's unacked count.
 func quietFabricPeer(t testing.TB, fabric string, serve func(net.Conn)) (addr string, stop func()) {
 	t.Helper()
 	if serve == nil {
@@ -471,7 +545,7 @@ func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 
 // runScriptedFaults feeds a deterministic schedule through per-side
 // FaultTransports over a two-transport cluster on the given fabric, waits
-// for the reliable-delivery layer to drain, and returns the arrival multiset
+// for every written send to be acked, and returns the arrival multiset
 // plus the summed injected-fault counters and per-phase rows.
 func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Message, cfg FaultConfig) (map[arrivalKey]int, FaultCounts, []FaultPhaseReport) {
 	t.Helper()
@@ -491,7 +565,6 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 	addrs := make(map[graph.NodeID]string, g.N())
 	for i := range trs {
 		tr, addr := newFabricTransport(t, fabric, hosted[i], 4096)
-		tr.SetRetransmit(time.Second, 8)
 		trs[i] = tr
 		for _, u := range hosted[i] {
 			addrs[u] = addr
@@ -508,15 +581,14 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 		}
 	}
 	// Wait for delayed deliveries (jitter, the duplicate's trailing offset, a
-	// slow ramp) to be scheduled and the reliable layer to drain every
-	// surviving send.
+	// slow ramp) to be scheduled and every surviving send to be acked.
 	extra := 2 * (cfg.JitterTicks + 1)
 	for _, p := range cfg.Phases {
 		extra += p.SlowMaxTicks
 	}
 	time.Sleep(50*time.Millisecond + time.Duration(extra)*cfg.Tick)
 	deadline := time.Now().Add(10 * time.Second)
-	for (trs[0].pendingCount() != 0 || trs[1].pendingCount() != 0) && time.Now().Before(deadline) {
+	for (trs[0].unackedCount() != 0 || trs[1].unackedCount() != 0) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	got := make(map[arrivalKey]int)
@@ -610,7 +682,7 @@ func TestFabricDialOnceForManySenders(t *testing.T) {
 				recvWithin(t, b.Recv(1), 10*time.Second)
 			}
 			b.connMu.Lock()
-			accepted := len(b.accepts)
+			accepted := len(b.conns)
 			b.connMu.Unlock()
 			if accepted != 1 {
 				t.Errorf("accepted connections = %d, want 1", accepted)
@@ -753,12 +825,11 @@ func TestFabricLatencyOnTheWire(t *testing.T) {
 				t.Fatalf("DupsSuppressed = %d, want %d", b.DupsSuppressed(), sends)
 			}
 
-			// The raw wire: each message twice, the copy later in the queue
-			// (higher Seq) and trailing the original by 1+jitter ticks.
+			// The raw wire: each message twice, the copy later in the stream
+			// and trailing the original by 1+jitter ticks.
 			waddr, wire := wirePeer(t, fabric)
 			a2, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 64)
 			a2.SetPeers(map[graph.NodeID]string{1: waddr})
-			a2.SetRetransmit(time.Hour, 4)
 			ft2 := NewFaultTransport(a2, cfg)
 			defer ft2.Close()
 			for i, m := range msgs {
@@ -778,7 +849,7 @@ func TestFabricLatencyOnTheWire(t *testing.T) {
 			for i, ws := range seen {
 				orig := base[i] + time.Duration(ft2.jitterOf(msgs[i], 0))*tick
 				dup := orig + time.Duration(1+ft2.jitterOf(msgs[i], 1))*tick
-				if len(ws) != 2 || ws[0].Seq > ws[1].Seq {
+				if len(ws) != 2 {
 					t.Fatalf("message %d: wire copies %+v", i, ws)
 				}
 				if got := time.Duration(ws[0].DelayUS) * time.Microsecond; got != orig {

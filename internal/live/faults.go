@@ -158,14 +158,17 @@ type FaultCounts struct {
 	// asymmetric partition.
 	PartitionDrops int64
 	// TransportDrops counts messages the underlying transport lost for real
-	// reasons: retransmission give-ups, undecodable or misrouted wire
-	// messages, and deliveries abandoned at Close. A runtime's Result adds
+	// reasons: messages behind a dial that gave up, written and unacked
+	// when their connection broke, undecodable or misrouted wire messages,
+	// and deliveries abandoned at Close. A runtime's Result adds
 	// the posts its shards abandoned when it stopped: whatever was still
 	// queued or armed, and posts to a shard that had already stopped — on
 	// a completed run too, as messages in flight at the stop — and the
 	// messages whose delay ran past the calendar's horizon.
 	TransportDrops int64
-	// Retransmits counts reliable-delivery retransmissions (TCP transport).
+	// Retransmits is always 0: no transport retransmits (a stream
+	// transport leaves that to its byte stream). It stays only while the
+	// benchmark harness still reads it.
 	Retransmits int64
 	// DupsSuppressed counts receiver-side deduplication hits (TCP transport).
 	DupsSuppressed int64
@@ -183,7 +186,6 @@ func (c *FaultCounts) add(other FaultCounts) {
 	c.Jittered += other.Jittered
 	c.PartitionDrops += other.PartitionDrops
 	c.TransportDrops += other.TransportDrops
-	c.Retransmits += other.Retransmits
 	c.DupsSuppressed += other.DupsSuppressed
 }
 
@@ -399,8 +401,7 @@ func (t *FaultTransport) SetSink(sink DeliverySink) bool {
 func (t *FaultTransport) Close() error { return t.inner.Close() }
 
 // Faults implements FaultReporter: the per-phase ledger and its totals, plus
-// whatever the inner transport reports (real TCP losses, retransmissions,
-// dedup).
+// whatever the inner transport reports (real stream losses, dedup).
 func (t *FaultTransport) Faults() FaultReport {
 	rep := FaultReport{FaultCounts: FaultCounts{InjectedDups: t.dups.Load()}}
 	for i := range t.phases {

@@ -180,7 +180,7 @@ type Result struct {
 	// cleared state (hosted nodes only).
 	Recovered []bool
 	// Faults is the run's fault ledger: injected and real message losses,
-	// duplication, retransmissions, per-phase fault rows, and the
+	// duplication and its suppression, per-phase fault rows, and the
 	// informed-fraction trajectory. Zero-valued when the transport stack
 	// keeps no fault accounting.
 	Faults FaultReport
@@ -270,8 +270,8 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 		}
 		rt.memberCfg = opts.Membership.memberConfig(opts.Seed, g.N(), false)
 		// Feed membership verdicts to the transport's overload protection:
-		// a peer the detector declares dead stops earning retransmissions
-		// (its breaker trips), a refuted or recovered one is re-admitted.
+		// sends to a peer the detector declares dead stop (its breaker
+		// trips), a refuted or recovered one is re-admitted.
 		rt.peerSink, _ = tr.(PeerStatusSink)
 	}
 	if opts.DrainTicks <= 0 {

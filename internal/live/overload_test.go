@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"sync/atomic"
@@ -23,7 +24,7 @@ func pollUntil(d time.Duration, cond func() bool) bool {
 }
 
 // quietListener accepts connections and discards everything it reads — a
-// peer that takes frames but never acks, so pend entries stay in flight.
+// peer that takes frames but never acks, so written messages stay unacked.
 // It counts accepted connections for redial assertions.
 func quietListener(t testing.TB) (addr string, accepts *atomic.Int64, closeAll func()) {
 	t.Helper()
@@ -57,7 +58,7 @@ func quietListener(t testing.TB) (addr string, accepts *atomic.Int64, closeAll f
 
 // overloadPair builds a transport hosting node 0 whose peer 1 is a quiet
 // listener and whose writer is parked behind an hour-long flush window, so
-// frames pile up in the writer queue and pend shards deterministically.
+// frames pile up in the writer queue deterministically.
 func overloadPair(t *testing.T) (*TCPTransport, func()) {
 	t.Helper()
 	addr, _, closeLn := quietListener(t)
@@ -67,8 +68,7 @@ func overloadPair(t *testing.T) (*TCPTransport, func()) {
 		t.Fatal(err)
 	}
 	tr.SetPeers(map[graph.NodeID]string{1: addr})
-	tr.SetFlushWindow(time.Hour)   // park the writer: nothing reaches the wire
-	tr.SetRetransmit(time.Hour, 4) // and nothing retransmits mid-test
+	tr.SetFlushWindow(time.Hour) // park the writer: nothing reaches the wire
 	return tr, func() { tr.Close(); closeLn() }
 }
 
@@ -82,7 +82,7 @@ func testMsg(to graph.NodeID, kind MsgKind, tick int) Message {
 func TestOverloadQueueShedOldest(t *testing.T) {
 	tr, cleanup := overloadPair(t)
 	defer cleanup()
-	tr.SetOverloadLimits(4, -1)
+	tr.SetOverloadLimits(4)
 
 	const sends = 20
 	for i := 0; i < sends; i++ {
@@ -110,7 +110,7 @@ func TestOverloadQueueShedOldest(t *testing.T) {
 func TestOverloadMemberBackpressure(t *testing.T) {
 	tr, cleanup := overloadPair(t)
 	defer cleanup()
-	tr.SetOverloadLimits(2, -1)
+	tr.SetOverloadLimits(2)
 
 	// Fill the queue with membership frames.
 	for i := 0; i < 2; i++ {
@@ -146,83 +146,6 @@ func TestOverloadMemberBackpressure(t *testing.T) {
 	}
 }
 
-// TestOverloadPendShed: the pend cap sheds the oldest in-flight gossip entry
-// per shard, and every message of a shed super-frame is a counted loss —
-// whatever the writer's framing, shed + still pending accounts for every send.
-func TestOverloadPendShed(t *testing.T) {
-	tr, cleanup := overloadPair(t)
-	defer cleanup()
-	tr.SetFlushWindow(0)                 // un-park the writer: pend entries register at write time
-	tr.SetOverloadLimits(-1, pendShards) // one pending super-frame per shard
-
-	// Waves, each registered before the next is sent: every wave ends a
-	// super-frame, and those frames' keys (the wave's last seq, a multiple of
-	// the wave size) land on a quarter of the shards — so sheds are certain
-	// however the writer splits a wave into frames.
-	const wave, sends = 4, 4 * pendShards
-	for sent := 0; sent < sends; {
-		for i := 0; i < wave; i++ {
-			if err := tr.Send(testMsg(1, MsgRequest, sent), 0); err != nil {
-				t.Fatal(err)
-			}
-			sent++
-		}
-		if !pollUntil(5*time.Second, func() bool {
-			return int(tr.Overload().ShedPend)+tr.pendingCount() == sent
-		}) {
-			t.Fatalf("ShedPend = %d + pendingCount = %d, want %d sent",
-				tr.Overload().ShedPend, tr.pendingCount(), sent)
-		}
-	}
-	if tr.Overload().ShedPend == 0 {
-		t.Fatal("ShedPend = 0: the pend cap never engaged")
-	}
-	entries := 0
-	for i := range tr.pend {
-		tr.pend[i].mu.Lock()
-		entries += len(tr.pend[i].m)
-		tr.pend[i].mu.Unlock()
-	}
-	if entries > pendShards {
-		t.Fatalf("%d pend entries, cap is %d", entries, pendShards)
-	}
-}
-
-// TestTCPDeadPeerDropsInFlight: a PeerDown verdict flushes the dead node's
-// in-flight messages even with circuit breakers disabled — the dead-peer
-// drop is a membership feature, not a breaker feature.
-func TestTCPDeadPeerDropsInFlight(t *testing.T) {
-	tr, cleanup := overloadPair(t)
-	defer cleanup()
-	tr.SetFlushWindow(0) // un-park the writer: pend entries register at write time
-	tr.breakerN = -1     // breakers off: the flush must still happen
-
-	const sends = 8
-	for i := 0; i < sends; i++ {
-		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !pollUntil(5*time.Second, func() bool { return tr.pendingCount() == sends }) {
-		t.Fatalf("pendingCount = %d, want %d", tr.pendingCount(), sends)
-	}
-
-	tr.PeerDown(1)
-	ov := tr.Overload()
-	if ov.DroppedDeadPeer != sends {
-		t.Fatalf("DroppedDeadPeer = %d, want %d", ov.DroppedDeadPeer, sends)
-	}
-	if ov.BreakerOpens != 0 || ov.BreakerDrops != 0 {
-		t.Fatalf("breaker engaged while disabled: %+v", ov)
-	}
-	if n := tr.pendingCount(); n != 0 {
-		t.Fatalf("pendingCount = %d after PeerDown, want 0", n)
-	}
-	if got := tr.Dropped(); got < sends {
-		t.Fatalf("Dropped() = %d, want >= %d", got, sends)
-	}
-}
-
 // TestTCPBreakerTripsOnDialFailures: consecutive unreachable-peer failures
 // trip the breaker; once open, sends are refused without spending a dial.
 func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
@@ -241,9 +164,8 @@ func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
 	defer tr.Close()
 	tr.SetPeers(map[graph.NodeID]string{1: deadAddr})
 	tr.dialTimeout = time.Millisecond
-	tr.SetRetransmit(time.Hour, 4) // failures come from dials, not give-ups
-	tr.breakerN = 2                // trip after 2 failures,
-	tr.breakerWait = time.Hour     // and stay open
+	tr.breakerN = 2            // trip after 2 failures,
+	tr.breakerWait = time.Hour // and stay open
 
 	// An undialable first transmission is a terminal, counted loss and one
 	// failure toward the breaker.
@@ -258,9 +180,9 @@ func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
 	if !pollUntil(5*time.Second, func() bool { return tr.Overload().BreakerOpens >= 1 }) {
 		t.Fatalf("breaker never opened: %+v", tr.Overload())
 	}
-	// Tripping flushed the unreachable peer's pend entries.
-	if !pollUntil(5*time.Second, func() bool { return tr.pendingCount() == 0 }) {
-		t.Fatalf("pendingCount = %d after trip, want 0", tr.pendingCount())
+	// Nothing reached the wire, so nothing is left unacked.
+	if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == 0 }) {
+		t.Fatalf("unacked = %d after trip, want 0", tr.unackedCount())
 	}
 	// While open, admission is refused outright.
 	before := tr.Overload().BreakerDrops
@@ -319,7 +241,6 @@ func TestTCPPeerDownTripsBreakerPeerUpHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	src.SetRetransmit(time.Hour, 4)
 	src.SetPeers(map[graph.NodeID]string{1: dst.Addr().String()})
 
 	if err := src.Send(testMsg(1, MsgRequest, 1), 0); err != nil {
@@ -353,14 +274,88 @@ func TestTCPPeerDownTripsBreakerPeerUpHeals(t *testing.T) {
 	}
 }
 
+// TestTCPBreakerHalfOpenProbeExpires: a half-open probe to a peer that never
+// acks does not strand the breaker. Once the probe has gone one cooldown
+// unacked, the next send is admitted as a new probe, and an ack from the
+// peer closes the breaker.
+func TestTCPBreakerHalfOpenProbeExpires(t *testing.T) {
+	const cooldown = 100 * time.Millisecond
+	var acking atomic.Bool
+	addr, stop := quietFabricPeer(t, "tcp", func(c net.Conn) {
+		defer c.Close()
+		var dec wireDec
+		br := bufio.NewReader(c)
+		decoded := uint64(0)
+		for {
+			_, msgs, _, err := dec.readFrameMulti(br)
+			if err != nil {
+				return
+			}
+			decoded += uint64(len(msgs))
+			if acking.Load() {
+				c.Write(new(wireEnc).appendFrame(nil, nil, decoded))
+			}
+		}
+	})
+	defer stop()
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.SetPeers(map[graph.NodeID]string{1: addr})
+	tr.breakerWait = cooldown
+	ps := tr.peer(addr)
+
+	tr.PeerDown(1) // the only node at addr: the breaker opens
+	if ps.state() != breakerOpen {
+		t.Fatalf("state = %v after PeerDown, want open", ps.state())
+	}
+	time.Sleep(cooldown)
+	refused := func() int64 { return tr.Overload().BreakerDrops }
+
+	// The first send after the cooldown is the probe; it is written and
+	// never acked, and the send right behind it is refused.
+	if err := tr.Send(testMsg(1, MsgRequest, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == 1 }) {
+		t.Fatalf("probe never written: unacked = %d", tr.unackedCount())
+	}
+	if err := tr.Send(testMsg(1, MsgRequest, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if refused() != 1 || ps.state() != breakerHalfOpen {
+		t.Fatalf("second send during the probe: refused %d, state %v; want 1, half-open", refused(), ps.state())
+	}
+
+	// One cooldown later the silent probe has failed: the next send is the
+	// new probe, and the peer's ack for it closes the breaker.
+	time.Sleep(cooldown)
+	acking.Store(true)
+	if err := tr.Send(testMsg(1, MsgRequest, 3), 0); err != nil {
+		t.Fatal(err)
+	}
+	if refused() != 1 {
+		t.Fatalf("new probe refused: %d refusals", refused())
+	}
+	if !pollUntil(5*time.Second, func() bool { return ps.state() == breakerClosed }) {
+		t.Fatalf("state = %v after the probe was acked, want closed", ps.state())
+	}
+	if n := tr.unackedCount(); n != 0 {
+		t.Fatalf("unacked = %d after the cumulative ack, want 0", n)
+	}
+}
+
 // TestBreakerStateMachine drives peerState directly through closed → open →
-// half-open → closed, and the half-open → open relapse.
+// half-open → closed, a half-open probe that expires unacked, and the
+// half-open → open relapse.
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(0, 0)
 	cooldown := time.Second
 	ps := &peerState{}
 
-	if !ps.allow(3, now) {
+	if !ps.allow(3, cooldown, now) {
 		t.Fatal("closed breaker refused a send")
 	}
 	if ps.failure(3, cooldown, now, 1) {
@@ -375,24 +370,35 @@ func TestBreakerStateMachine(t *testing.T) {
 	if ps.state() != breakerOpen {
 		t.Fatalf("state = %v, want open", ps.state())
 	}
-	if ps.allow(3, now.Add(cooldown/2)) {
+	if ps.allow(3, cooldown, now.Add(cooldown/2)) {
 		t.Fatal("open breaker admitted a send inside cooldown")
 	}
 
 	// Cooldown elapsed: exactly one probe passes.
 	probeAt := now.Add(2 * cooldown)
-	if !ps.allow(3, probeAt) {
+	if !ps.allow(3, cooldown, probeAt) {
 		t.Fatal("half-open breaker refused the probe")
 	}
 	if ps.state() != breakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", ps.state())
 	}
-	if ps.allow(3, probeAt) {
+	if ps.allow(3, cooldown, probeAt) {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
-	// The probe's own retransmission is probe traffic, not a new send.
-	if !ps.allowRetry(3, probeAt) {
-		t.Fatal("half-open breaker refused the probe's retransmission")
+	// A probe that goes one cooldown without an ack has failed: the next
+	// send is admitted as the new probe, and only one.
+	if ps.allow(3, cooldown, probeAt.Add(cooldown/2)) {
+		t.Fatal("half-open breaker admitted a send while its probe was young")
+	}
+	probeAt = probeAt.Add(cooldown)
+	if !ps.allow(3, cooldown, probeAt) {
+		t.Fatal("half-open breaker refused a new probe after the last went a cooldown unacked")
+	}
+	if ps.state() != breakerHalfOpen {
+		t.Fatalf("state = %v after an unacked probe, want half-open", ps.state())
+	}
+	if ps.allow(3, cooldown, probeAt) {
+		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 
 	// Probe succeeds: closed, failure count cleared.
@@ -400,7 +406,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if ps.state() != breakerClosed {
 		t.Fatalf("state = %v after probe success, want closed", ps.state())
 	}
-	if !ps.allow(3, probeAt) {
+	if !ps.allow(3, cooldown, probeAt) {
 		t.Fatal("healed breaker refused a send")
 	}
 
@@ -409,7 +415,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		ps.failure(3, cooldown, probeAt, 1)
 	}
 	probe2 := probeAt.Add(2 * cooldown)
-	if !ps.allow(3, probe2) {
+	if !ps.allow(3, cooldown, probe2) {
 		t.Fatal("second half-open probe refused")
 	}
 	// The relapse is not a fresh trip (it was counted when the breaker first
@@ -419,68 +425,5 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	if ps.state() != breakerOpen {
 		t.Fatalf("state = %v after failed probe, want open", ps.state())
-	}
-}
-
-// TestAdaptiveRTOEstimator checks the Jacobson/Karn arithmetic and clamps.
-func TestAdaptiveRTOEstimator(t *testing.T) {
-	ps := &peerState{}
-	fallback := time.Second
-	if got := ps.rto(fallback, time.Millisecond, time.Minute); got != fallback {
-		t.Fatalf("no-sample rto = %v, want fallback %v", got, fallback)
-	}
-
-	// First sample: srtt = rtt, rttvar = rtt/2 → RTO = rtt + 4·rttvar = 3·rtt.
-	ps.observeRTT(10 * time.Millisecond)
-	if got := ps.rto(fallback, time.Millisecond, time.Minute); got != 30*time.Millisecond {
-		t.Fatalf("rto after first sample = %v, want 30ms", got)
-	}
-	// Second identical sample: rttvar decays to 3.75ms → RTO = 25ms.
-	ps.observeRTT(10 * time.Millisecond)
-	if got := ps.rto(fallback, time.Millisecond, time.Minute); got != 25*time.Millisecond {
-		t.Fatalf("rto after second sample = %v, want 25ms", got)
-	}
-
-	// Clamps: a microsecond network floors at rtoMin, a dead-slow one at max.
-	fast := &peerState{}
-	fast.observeRTT(10 * time.Microsecond)
-	if got := fast.rto(fallback, 50*time.Millisecond, time.Minute); got != 50*time.Millisecond {
-		t.Fatalf("fast-path rto = %v, want floored to 50ms", got)
-	}
-	slow := &peerState{}
-	slow.observeRTT(time.Hour)
-	if got := slow.rto(fallback, time.Millisecond, time.Minute); got != time.Minute {
-		t.Fatalf("slow-path rto = %v, want capped at 1m", got)
-	}
-}
-
-// TestTCPAdaptiveRTOFromLiveTraffic: acked exchanges feed the estimator, so
-// the effective RTO shrinks from the configured fallback toward wire RTT.
-func TestTCPAdaptiveRTOFromLiveTraffic(t *testing.T) {
-	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	addr := dst.Addr().String()
-	src.SetPeers(map[graph.NodeID]string{1: addr})
-
-	for i := 0; i < 4; i++ {
-		if err := src.Send(testMsg(1, MsgRequest, i), 0); err != nil {
-			t.Fatal(err)
-		}
-		<-dst.Recv(1)
-	}
-	if !pollUntil(5*time.Second, func() bool { return src.pendingCount() == 0 }) {
-		t.Fatalf("acks never resolved: pendingCount = %d", src.pendingCount())
-	}
-	// A loopback RTT is far below a 10s fallback; the estimator must be live.
-	if got := src.peer(addr).rto(10*time.Second, time.Millisecond, time.Hour); got >= time.Second {
-		t.Fatalf("estimated rto = %v, want loopback-scale (estimator not fed)", got)
 	}
 }

@@ -431,6 +431,23 @@ func unixPair(t *testing.T, g *graph.Graph, proto Protocol, opts Options) ([2]*S
 	return trs, func() [2]Result { wg.Wait(); return res }
 }
 
+// TestShardSaturatedUnixNoDuplicates: two runtimes over unix:// with no
+// faults, ticking faster than they can keep up, deliver every message once.
+// The byte stream is the only retransmitter, so nothing reaches a receiver
+// twice and its dedup suppresses nothing.
+func TestShardSaturatedUnixNoDuplicates(t *testing.T) {
+	g := graph.RingChords(4000, 4, 16, 1)
+	trs, wait := unixPair(t, g, ppProto{source: -1}, Options{
+		Seed: 1, Tick: 100 * time.Microsecond, MaxTicks: 200, Shards: 2,
+	})
+	wait()
+	for i, tr := range trs {
+		if d := tr.DupsSuppressed(); d != 0 {
+			t.Errorf("runtime %d: DupsSuppressed = %d with no faults injected, want 0", i, d)
+		}
+	}
+}
+
 // TestShardCapShedsRemoteArrivals: the mailbox cap keeps its job for socket
 // traffic. Two runtimes over unix:// at MailboxCap 1 shed arrivals from the
 // other runtime and count them in ShedQueue, beside whatever the
@@ -471,7 +488,7 @@ func TestShardForgedFromDropped(t *testing.T) {
 			edge = he.ID
 		}
 	}
-	forged := wireMessage{Kind: uint8(MsgRequest), Seq: 1, From: int(u), To: int(v), EdgeID: edge, Latency: 1, SentTick: 1}
+	forged := wireMessage{Kind: uint8(MsgRequest), From: int(u), To: int(v), EdgeID: edge, Latency: 1, SentTick: 1}
 	forged.PayloadType, forged.Payload, _ = encodePayload(bitp{informed: true})
 	if !pollUntil(5*time.Second, func() bool { return b.sink.Load() != nil }) {
 		t.Fatal("runtime never attached its sink")
@@ -481,7 +498,7 @@ func TestShardForgedFromDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write(new(wireEnc).appendFrame(nil, &forged, nil)); err != nil {
+	if _, err := c.Write(new(wireEnc).appendFrame(nil, &forged, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if !pollUntil(5*time.Second, func() bool { return b.dropsMisroute.Load() == 1 }) {

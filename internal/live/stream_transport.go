@@ -17,12 +17,10 @@ import (
 
 // wireMessage is one data message as the wire codec (wire.go) encodes it.
 // Payloads travel as (registered type name, raw bytes) pairs — see codec.go.
-// Seq is the sender-assigned reliable-delivery sequence number; an ack echoes
-// it back. DelayUS is the delay Send was given, in whole microseconds: the
-// receiver hands it to its sink, whose calendar applies it.
+// DelayUS is the delay Send was given, in whole microseconds: the receiver
+// hands it to its sink, whose calendar applies it.
 type wireMessage struct {
 	Kind        uint8
-	Seq         uint64
 	From        int
 	To          int
 	EdgeID      int
@@ -33,31 +31,18 @@ type wireMessage struct {
 	Payload     []byte
 }
 
-// Reliable-delivery defaults: until a peer has yielded an RTT sample the
-// first retransmission fires after DefaultRetransmitRTO; once acks flow, the
-// RTO adapts per peer (Jacobson-style srtt + 4·rttvar, clamped to
-// [DefaultRTOMin, DefaultRTOMax] — see overload.go). Each retransmission
-// doubles the wait, and after DefaultMaxRetransmits unacknowledged
-// retransmissions the message is abandoned and counted as dropped.
-const (
-	DefaultRetransmitRTO  = 250 * time.Millisecond
-	DefaultMaxRetransmits = 4
-)
-
 // DefaultDedupWindowTicks is the receiver dedup retention window: an entry
 // is evicted once the newest SentTick seen by its shard has advanced past it
-// by one to two windows. At the default 1ms tick this retains entries for
-// ~8–16s, comfortably beyond the longest retransmission lifetime
-// (250ms·(1+2+4+8) ≈ 3.8s), so bounded memory never re-admits a live
-// retransmission.
+// by one to two windows. The longest-lived copy dedup must still catch is a
+// duplicate FaultTransport injects, which trails its original by 1+jitter
+// ticks, and at the default 1ms tick the window retains entries for ~8–16s —
+// a wide margin that also covers a frame re-queued after a connection break,
+// so bounded memory never re-admits a live copy.
 const DefaultDedupWindowTicks = 8192
 
-// pendShards and dedupShards split the reliable-delivery and dedup state so
-// concurrent connections and node goroutines don't serialize on one lock.
-const (
-	pendShards  = 16
-	dedupShards = 16
-)
+// dedupShards splits the dedup state so concurrent connections don't
+// serialize on one lock.
+const dedupShards = 16
 
 // StreamTransport is the transport-family-generic stream core: length-prefixed
 // binary frames (wire.go) over any ordered byte stream. Two connection
@@ -70,8 +55,8 @@ const (
 //     automatically when SetPeerSockets advertises a socket for a peer whose
 //     TCP address resolves to this host.
 //
-// Both fabrics share the wire codec, the super-frame batching, the reliable
-// delivery machinery, and every counter below, so a mixed-fabric cluster is
+// Both fabrics share the wire codec, the super-frame batching, the ack and
+// loss accounting, and every counter below, so a mixed-fabric cluster is
 // just a peers map with mixed address forms. Frames and bytes that traveled
 // a unix socket are additionally counted in WireLocalFrames /
 // WireLocalBytes, so harnesses can verify the fast path was actually taken.
@@ -83,30 +68,28 @@ const (
 //
 // A remote message has one lifecycle: Send queues it, its delay on the wire
 // for the receiver's sink to apply, on the destination connection's writer
-// queue, the writer drains the queue and registers what it is about to write
-// for reliable delivery, and the peer's ack resolves it. Every connection
-// has a writer goroutine draining its queue through a buffered writer, so
-// the many messages gossip generates in one tick coalesce into one syscall,
-// and everything bound for the same destination daemon within one drain
-// coalesces into FrameBatch super-frames — one frame header, one pend entry,
-// one retransmission timer, and one returning ack per batch (a batch of one
-// is still a batch). Acks ride the ack section of outgoing frames instead of
-// paying a frame each, and the receiver decodes a super-frame once and
-// scatters each sub-message straight to the owning shard's mailbox through
-// the DeliverySink seam.
-// SetFlushWindow adds an optional delay that widens the batches further.
+// queue; the writer takes the queue, encodes it, and writes it; once that
+// write cycle's flush returns, the message is written and the sender keeps
+// no copy. Every connection has a writer goroutine draining its queue
+// through a buffered writer, so the many messages gossip generates in one
+// tick coalesce into one syscall, and everything bound for the same
+// destination daemon within one drain coalesces into FrameBatch super-frames
+// (a batch of one is still a batch). The receiver decodes a super-frame once
+// and scatters each sub-message straight to the owning shard's mailbox
+// through the DeliverySink seam. SetFlushWindow adds an optional delay that
+// widens the batches further.
 //
-// Remote delivery is reliable up to a retransmission budget: every remote
-// message carries a sequence number, the receiver acks each frame on the same
-// connection with the Seq of its last message, and unacked super-frames are
-// retransmitted whole with exponential backoff. A write failure evicts the
-// broken connection and immediately re-queues the affected super-frames
-// through the retransmit path, so the first retry redials at once instead of
-// waiting out the RTO. A super-frame still unacked after the budget is
-// abandoned and its messages counted as dropped. Receivers
-// deduplicate on (EdgeID, From, SentTick, Kind) within a sliding tick window
-// (DefaultDedupWindowTicks), so retransmissions and network duplicates are
-// idempotent and the dedup set stays bounded over arbitrarily long runs.
+// The byte stream is the only retransmitter. Each connection counts the
+// messages written on it, and the peer returns one cumulative ack — how many
+// it has decoded — piggybacked on its frames or in an ack-only frame. A
+// stream delivers in order, so written − acked is exactly the set a broken
+// connection may have lost: it counts as dropped, and so does Close's. The
+// write cycle that failed, and everything still queued, re-queue toward a
+// fresh connection, whose writer redials at once. Receivers deduplicate on
+// (EdgeID, From, SentTick, Kind) within a sliding tick window
+// (DefaultDedupWindowTicks), so a re-queued frame that partly got out and
+// injected duplicates are idempotent, and the dedup set stays bounded over
+// arbitrarily long runs.
 //
 // Outbound connections are created on first use and pooled per destination
 // address; each one's writer dials (with retries, so a cluster's processes
@@ -135,50 +118,43 @@ type StreamTransport struct {
 	peers   map[graph.NodeID]string
 	sockets map[string]string // peer TCP addr -> advertised unix socket path
 
+	// outs is the routing pool: one outbound connection per peer address,
+	// evicted the moment it breaks so the next send redials. conns holds
+	// every connection, outbound and accepted, from creation until its
+	// loss count is settled, for Close and Drain to sweep.
 	connMu   sync.Mutex
 	outs     map[string]*connState
 	outsSnap atomic.Pointer[map[string]*connState] // republished under connMu on every change
-	accepts  []*connState
+	conns    map[*connState]struct{}
 
 	dialTimeout time.Duration // how long a writer retries dialing an unreachable peer
-	rto         time.Duration
-	maxRetrans  int
-	rtoMin      time.Duration // adaptive-RTO floor (raised by SetRetransmit)
-	rtoMax      time.Duration // adaptive-RTO and backoff ceiling
 
-	// Overload-protection knobs (caps tunable via SetOverloadLimits); <= 0
-	// disables the corresponding mechanism.
+	// Overload-protection knobs (the queue cap is tunable via
+	// SetOverloadLimits); <= 0 disables the corresponding mechanism.
 	queueLimit  int // frames per connection writer queue
-	pendLimit   int // unacked reliable sends across the transport
 	breakerN    int // consecutive failures before a peer's breaker opens
 	breakerWait time.Duration
 
 	peerSt sync.Map // addr string -> *peerState, per peer listen address
 
-	seq   atomic.Uint64
-	pend  [pendShards]pendShard
 	dedup [dedupShards]dedupShard
 
-	retries        *timerWheel  // armed retransmission timeouts (RTOs)
 	bytesOut       atomic.Int64 // frame bytes written to sockets
 	flushes        atomic.Int64 // socket write batches (syscalls; see countingWriter)
 	framesOut      atomic.Int64 // physical frames written (a super-frame counts once)
 	msgsOut        atomic.Int64 // logical data messages those frames carried
 	localBytes     atomic.Int64 // subset of bytesOut that traveled a local fabric
 	localFrames    atomic.Int64 // subset of framesOut that traveled a local fabric
-	dropsGiveUp    atomic.Int64 // retransmission budget exhausted
-	dropsClosed    atomic.Int64 // unacked or undelivered at Close
+	dropsGiveUp    atomic.Int64 // behind a dial that gave up, or refused by two dead connections
+	dropsBroken    atomic.Int64 // written and unacked when their connection broke
+	dropsClosed    atomic.Int64 // unacked or unwritten at Close, or abandoned by a drain
 	dropsDecode    atomic.Int64 // undecodable wire payloads or corrupt frames
 	dropsMisroute  atomic.Int64 // wire messages for nodes not hosted here, or from nodes that are
-	retransmits    atomic.Int64
 	dupsSuppressed atomic.Int64
 
 	// Overload ledger (see OverloadCounts for the meaning of each).
 	ovShedQueue   atomic.Int64
-	ovShedPend    atomic.Int64
 	ovMemberWait  atomic.Int64
-	ovRetryTrim   atomic.Int64
-	ovDeadPeer    atomic.Int64
 	ovBreakerOpen atomic.Int64
 	ovBreakerDrop atomic.Int64
 
@@ -199,45 +175,6 @@ var _ PeerStatusSink = (*StreamTransport)(nil)
 type streamListener struct {
 	ln    net.Listener
 	local bool
-}
-
-// pendShard is one slice of the unacked-message map, guarded by its own lock.
-type pendShard struct {
-	mu sync.Mutex
-	m  map[uint64]*pendingSend
-}
-
-// pendingSend is one unacknowledged reliable send awaiting ack: one whole
-// FrameBatch super-frame whose sub-messages live in batch and whose pend key
-// is the last sub-message's Seq. retry is the armed retransmission timer
-// (stopped on ack or Close). sentAt and retransmitted feed the RTT estimator
-// under Karn's rule: only an entry acked on its first attempt yields a sample.
-type pendingSend struct {
-	addr          string
-	ps            *peerState // the peer's adaptive state, resolved once at admission
-	key           uint64
-	batch         []wireMessage // super-frame sub-messages
-	member        bool          // batch carries membership traffic: exempt from shedding
-	attempts      int
-	retry         *wheelTimer
-	sentAt        time.Time
-	retransmitted bool
-}
-
-// msgCount returns the logical data messages this entry carries — the unit
-// the drop and shed ledgers count in.
-func (p *pendingSend) msgCount() int64 { return int64(len(p.batch)) }
-
-// destinedTo reports whether every logical message of this entry targets
-// node u — the per-node flush test for PeerDown. A batch mixing destinations
-// is spared; the address-level breaker flush covers daemon-wide death.
-func (p *pendingSend) destinedTo(u int) bool {
-	for i := range p.batch {
-		if p.batch[i].To != u {
-			return false
-		}
-	}
-	return true
 }
 
 // dedupKey identifies a message for receiver-side deduplication: the node
@@ -331,15 +268,10 @@ func newStreamTransport(local []graph.NodeID, buffer int) *StreamTransport {
 		buffer:      buffer,
 		inboxes:     make(map[graph.NodeID]chan Message),
 		peers:       make(map[graph.NodeID]string),
-		retries:     newTimerWheel(0),
 		outs:        make(map[string]*connState),
+		conns:       make(map[*connState]struct{}),
 		dialTimeout: 10 * time.Second, // generous, so a cluster's processes may start in any order
-		rto:         DefaultRetransmitRTO,
-		maxRetrans:  DefaultMaxRetransmits,
-		rtoMin:      DefaultRTOMin,
-		rtoMax:      DefaultRTOMax,
 		queueLimit:  DefaultQueueLimit,
-		pendLimit:   DefaultPendingLimit,
 		breakerN:    DefaultBreakerThreshold,
 		breakerWait: DefaultBreakerCooldown,
 		closed:      make(chan struct{}),
@@ -536,38 +468,12 @@ func (t *StreamTransport) SetFlushWindow(d time.Duration) {
 	t.flushWindow.Store(int64(d))
 }
 
-// SetRetransmit tunes reliable delivery: rto is the wait before the first
-// retransmission (doubling per attempt), maxRetransmits the budget before a
-// message is abandoned and counted as dropped. Zero values keep defaults;
-// maxRetransmits < 0 disables retransmission entirely.
-//
-// An explicit rto also becomes the adaptive RTO's floor: the per-peer RTT
-// estimator may only raise the timeout above it, never undercut it, so a
-// caller that asked for a quiet wire (a long rto) or a deterministic test
-// cadence (a short one) keeps what it asked for.
-func (t *StreamTransport) SetRetransmit(rto time.Duration, maxRetransmits int) {
-	if rto > 0 {
-		t.rto = rto
-		t.rtoMin = rto
-		if t.rtoMax < 16*rto {
-			t.rtoMax = 16 * rto
-		}
-	}
-	if maxRetransmits != 0 {
-		t.maxRetrans = maxRetransmits
-	}
-}
-
 // SetOverloadLimits tunes the transport's bounded queues: queueFrames caps
-// each connection's writer queue, pending caps the transport-wide unacked
-// reliable-send set. Zero keeps the current value, negative disables the cap.
-// Call before the first Send.
-func (t *StreamTransport) SetOverloadLimits(queueFrames, pending int) {
+// each connection's writer queue. Zero keeps the current value, negative
+// disables the cap. Call before the first Send.
+func (t *StreamTransport) SetOverloadLimits(queueFrames int) {
 	if queueFrames != 0 {
 		t.queueLimit = queueFrames
-	}
-	if pending != 0 {
-		t.pendLimit = pending
 	}
 }
 
@@ -577,10 +483,7 @@ func (t *StreamTransport) SetOverloadLimits(queueFrames, pending int) {
 func (t *StreamTransport) Overload() OverloadCounts {
 	return OverloadCounts{
 		ShedQueue:           t.ovShedQueue.Load(),
-		ShedPend:            t.ovShedPend.Load(),
 		MemberBackpressured: t.ovMemberWait.Load(),
-		RetryBurstTrimmed:   t.ovRetryTrim.Load(),
-		DroppedDeadPeer:     t.ovDeadPeer.Load(),
 		BreakerOpens:        t.ovBreakerOpen.Load(),
 		BreakerDrops:        t.ovBreakerDrop.Load(),
 	}
@@ -601,50 +504,26 @@ func (t *StreamTransport) allowSend(ps *peerState) bool {
 	if t.breakerN <= 0 || ps.fastClosed() {
 		return true
 	}
-	return ps.allow(t.breakerN, time.Now())
+	return ps.allow(t.breakerN, t.breakerWait, time.Now())
 }
 
-// peerFailure records n delivery failures against addr; if that trips the
-// breaker, the peer's pend entries are flushed so retransmission spend stops
-// immediately.
+// peerFailure records n delivery failures against addr, counting the trip
+// when they open its breaker.
 func (t *StreamTransport) peerFailure(addr string, n int) {
 	if t.breakerN <= 0 {
 		return
 	}
 	if t.peer(addr).failure(t.breakerN, t.breakerWait, time.Now(), n) {
 		t.ovBreakerOpen.Add(1)
-		t.ovBreakerDrop.Add(t.flushPend(func(p *pendingSend) bool { return p.addr == addr }))
 	}
-}
-
-// flushPend removes every pend entry matching keep==true, stopping its
-// retransmission timer, and returns how many logical messages it removed
-// (a super-frame entry counts its sub-messages). Callers must not hold any
-// pend shard lock.
-func (t *StreamTransport) flushPend(match func(*pendingSend) bool) int64 {
-	var n int64
-	for i := range t.pend {
-		sh := &t.pend[i]
-		sh.mu.Lock()
-		for seq, p := range sh.m {
-			if match(p) {
-				p.retry.Stop()
-				delete(sh.m, seq)
-				n += p.msgCount()
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // PeerDown implements PeerStatusSink: the membership layer declared node u
-// dead. In-flight seqs destined to u are flushed and counted (whether or not
-// breakers are enabled — a dead destination earns no retransmission budget),
-// and when every node hosted at u's address is believed dead the address's
-// breaker trips, halting new sends until a cooldown probe or PeerUp.
+// dead. When every node hosted at u's address is believed dead the address's
+// breaker trips, halting new sends until a cooldown probe or PeerUp. What is
+// already written is left to the connection: acked, or counted lost if it
+// breaks.
 func (t *StreamTransport) PeerDown(u graph.NodeID) {
-	t.ovDeadPeer.Add(t.flushPend(func(p *pendingSend) bool { return p.destinedTo(int(u)) }))
 	t.peerMu.RLock()
 	addr, ok := t.peers[u]
 	hosted := 0
@@ -660,11 +539,8 @@ func (t *StreamTransport) PeerDown(u graph.NodeID) {
 		return
 	}
 	ps := t.peer(addr)
-	if ps.markDead(u, hosted) && t.breakerN > 0 {
-		if ps.trip(t.breakerWait, time.Now()) {
-			t.ovBreakerOpen.Add(1)
-			t.ovBreakerDrop.Add(t.flushPend(func(p *pendingSend) bool { return p.addr == addr }))
-		}
+	if ps.markDead(u, hosted) && t.breakerN > 0 && ps.trip(t.breakerWait, time.Now()) {
+		t.ovBreakerOpen.Add(1)
 	}
 }
 
@@ -683,17 +559,17 @@ func (t *StreamTransport) PeerUp(u graph.NodeID) {
 }
 
 // Dropped returns the number of messages lost for any terminal reason since
-// the transport started: retransmission give-ups, messages unacked or
-// undelivered at Close, undecodable payloads, misroutes, and everything the
-// overload protection shed or refused. Suppressed duplicates are not drops
-// (their content arrived).
+// the transport started: messages behind a dial that gave up, written and
+// unacked when their connection broke or at Close, unwritten at Close,
+// undecodable payloads, misroutes, and everything the overload protection
+// shed or refused. A message whose ack a break destroyed counts even though
+// it may have arrived, so after a break delivered + Dropped() may exceed the
+// sends; without one it is exact. Suppressed duplicates are not drops (their
+// content arrived).
 func (t *StreamTransport) Dropped() int64 {
-	return t.dropsGiveUp.Load() + t.dropsClosed.Load() + t.dropsDecode.Load() +
-		t.dropsMisroute.Load() + t.Overload().Shed()
+	return t.dropsGiveUp.Load() + t.dropsBroken.Load() + t.dropsClosed.Load() +
+		t.dropsDecode.Load() + t.dropsMisroute.Load() + t.Overload().Shed()
 }
-
-// Retransmits returns the number of reliable-delivery retransmissions.
-func (t *StreamTransport) Retransmits() int64 { return t.retransmits.Load() }
 
 // DupsSuppressed returns the number of duplicate arrivals the receiver-side
 // dedup swallowed.
@@ -730,20 +606,6 @@ func (t *StreamTransport) WireLocalFrames() int64 { return t.localFrames.Load() 
 // WireLocalBytes returns the subset of WireBytesOut written to local fabrics.
 func (t *StreamTransport) WireLocalBytes() int64 { return t.localBytes.Load() }
 
-// pendingCount returns the logical messages registered for reliable delivery
-// and not yet acked — the unit every drop and shed counter uses.
-func (t *StreamTransport) pendingCount() int {
-	n := 0
-	for i := range t.pend {
-		t.pend[i].mu.Lock()
-		for _, p := range t.pend[i].m {
-			n += len(p.batch)
-		}
-		t.pend[i].mu.Unlock()
-	}
-	return n
-}
-
 // dedupSize returns the number of live dedup entries (tests verify the
 // tick-windowed eviction with it).
 func (t *StreamTransport) dedupSize() int {
@@ -759,7 +621,6 @@ func (t *StreamTransport) Faults() FaultReport {
 	return FaultReport{
 		FaultCounts: FaultCounts{
 			TransportDrops: t.Dropped(),
-			Retransmits:    t.retransmits.Load(),
 			DupsSuppressed: t.dupsSuppressed.Load(),
 		},
 		Overload: t.Overload(),
@@ -800,7 +661,6 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	}
 	w := wireMessage{
 		Kind:        uint8(msg.Kind),
-		Seq:         t.seq.Add(1),
 		From:        int(msg.From),
 		To:          int(msg.To),
 		EdgeID:      msg.EdgeID,
@@ -841,15 +701,9 @@ func (t *StreamTransport) isClosed() bool {
 // no sends and opens no connections.
 func (t *StreamTransport) stopping() bool { return t.isClosed() || t.draining.Load() }
 
-// pendShard returns the shard owning seq.
-func (t *StreamTransport) pendShard(seq uint64) *pendShard {
-	return &t.pend[seq&(pendShards-1)]
-}
-
-// enqueue queues w on addr's connection, creating it if needed. It becomes
-// reliable once its super-frame is written (registerBatch); missing every
-// queue — the transport is stopping, or the connection died twice in a row —
-// is a terminal, counted loss.
+// enqueue queues w on addr's connection, creating it if needed. Missing
+// every queue — the transport is stopping, or the connection died twice in a
+// row — is a terminal, counted loss.
 func (t *StreamTransport) enqueue(addr string, w *wireMessage) {
 	for attempt := 0; attempt < 2; attempt++ {
 		cs, err := t.conn(addr)
@@ -862,201 +716,6 @@ func (t *StreamTransport) enqueue(addr string, w *wireMessage) {
 		}
 	}
 	t.dropsGiveUp.Add(1)
-}
-
-// batchPool recycles super-frame batch slices between registerBatch and the
-// first-attempt ack path. In the steady state every super-frame is acked on
-// its first attempt, so without recycling each one allocates (and the GC
-// zeroes, copies, and scans) up to maxBatchMsgs of wireMessage — the single
-// largest allocation source on the local-fabric hot path. Entries hold
-// *[]wireMessage to keep Get/Put free of slice-header boxing allocations.
-var batchPool sync.Pool
-
-// registerBatch admits one about-to-be-written super-frame to reliable
-// delivery: one pend entry and one retransmission timer for the whole batch,
-// keyed by its last sub-message's Seq — the receiver decodes the batch once
-// and acks exactly that Seq. The sub-messages are copied out of the drained
-// queue slice (which the writer recycles). ok=false means the batch was
-// refused admission — transport closed, or the pend cap with no gossip left
-// to shed — a terminal, counted loss; the caller must not write the frame.
-func (t *StreamTransport) registerBatch(addr string, ps *peerState, msgs []wireMessage) (key uint64, ok bool) {
-	var batch []wireMessage
-	if v, _ := batchPool.Get().(*[]wireMessage); v != nil {
-		batch = append((*v)[:0], msgs...)
-	} else {
-		batch = append([]wireMessage(nil), msgs...)
-	}
-	member := false
-	for i := range batch {
-		if MsgKind(batch[i].Kind) == MsgMember {
-			member = true
-			break
-		}
-	}
-	key = batch[len(batch)-1].Seq
-	p := &pendingSend{addr: addr, ps: ps, key: key, batch: batch, member: member, sentAt: time.Now()}
-	sh := t.pendShard(key)
-	sh.mu.Lock()
-	if t.isClosed() {
-		sh.mu.Unlock()
-		t.dropsClosed.Add(int64(len(batch)))
-		return 0, false
-	}
-	if sh.m == nil {
-		sh.m = make(map[uint64]*pendingSend)
-	}
-	if t.pendLimit > 0 && !member {
-		perShard := t.pendLimit / pendShards
-		if perShard < 1 {
-			perShard = 1
-		}
-		if len(sh.m) >= perShard && !t.shedOldestLocked(sh) {
-			sh.mu.Unlock()
-			t.ovShedPend.Add(int64(len(batch)))
-			return 0, false
-		}
-	}
-	sh.m[key] = p
-	t.armRetryLocked(p)
-	sh.mu.Unlock()
-	return key, true
-}
-
-// shedOldestLocked evicts the lowest-seq gossip entry of a full pend shard
-// (oldest-first shedding: the oldest in-flight payload is the most likely to
-// have been superseded by a later exchange). False when the shard holds only
-// membership entries. The caller holds sh.mu.
-func (t *StreamTransport) shedOldestLocked(sh *pendShard) bool {
-	var oldest *pendingSend
-	for _, q := range sh.m {
-		if q.member {
-			continue
-		}
-		if oldest == nil || q.key < oldest.key {
-			oldest = q
-		}
-	}
-	if oldest == nil {
-		return false
-	}
-	oldest.retry.Stop()
-	delete(sh.m, oldest.key)
-	t.ovShedPend.Add(oldest.msgCount())
-	return true
-}
-
-// armRetryLocked schedules the next retransmission for p; p's pend shard
-// must be locked by the caller. The base timeout adapts to the peer's
-// measured round trip (see peerState.rto) and doubles per attempt up to
-// rtoMax.
-func (t *StreamTransport) armRetryLocked(p *pendingSend) {
-	backoff := p.ps.rto(t.rto, t.rtoMin, t.rtoMax)
-	for i := 0; i < p.attempts && backoff < t.rtoMax; i++ {
-		backoff <<= 1
-	}
-	if backoff > t.rtoMax {
-		backoff = t.rtoMax
-	}
-	seq := p.key
-	p.retry = t.retries.schedule(backoff, func() { t.retry(seq) })
-}
-
-// retry retransmits one unacked super-frame, or abandons it once the budget
-// is spent. A no-op if the ack arrived (or the transport closed) in the
-// meantime.
-func (t *StreamTransport) retry(seq uint64) {
-	sh := t.pendShard(seq)
-	sh.mu.Lock()
-	p, ok := sh.m[seq]
-	if !ok {
-		sh.mu.Unlock()
-		return
-	}
-	if t.isClosed() {
-		sh.mu.Unlock()
-		return // Close sweeps and counts the pending map
-	}
-	p.attempts++
-	if t.maxRetrans < 0 || p.attempts > t.maxRetrans {
-		addr := p.addr
-		delete(sh.m, seq)
-		sh.mu.Unlock()
-		t.dropsGiveUp.Add(p.msgCount())
-		t.peerFailure(addr, 1)
-		return
-	}
-	if t.breakerN > 0 && !p.ps.fastClosed() && !p.ps.allowRetry(t.breakerN, time.Now()) {
-		// The peer's breaker opened since this message was sent: stop
-		// spending retransmission budget on it.
-		delete(sh.m, seq)
-		sh.mu.Unlock()
-		t.ovBreakerDrop.Add(p.msgCount())
-		return
-	}
-	p.retransmitted = true
-	t.armRetryLocked(p)
-	sh.mu.Unlock()
-	t.retransmits.Add(p.msgCount())
-	t.writeRetry(p.addr, p)
-}
-
-// writeRetry re-queues a registered super-frame for retransmission on addr's
-// writer (qRetry, drained ahead of fresh data — the batch is older than
-// anything queued since). The batch stays pending either way: a stopping
-// transport, a failed dial or a dead connection leaves it to the next RTO
-// firing or Close's sweep.
-func (t *StreamTransport) writeRetry(addr string, p *pendingSend) {
-	for attempt := 0; attempt < 2; attempt++ {
-		cs, err := t.conn(addr)
-		if err != nil || cs.enqueueRetry(p) {
-			return
-		}
-	}
-}
-
-// retryNow fires seq's retransmission immediately — the broken-connection
-// path: a failed write evicts the connection and calls this, so the first
-// retry redials at once instead of waiting out the RTO backoff.
-func (t *StreamTransport) retryNow(seq uint64) {
-	sh := t.pendShard(seq)
-	sh.mu.Lock()
-	p, ok := sh.m[seq]
-	if ok && p.retry != nil {
-		p.retry.Stop()
-	}
-	sh.mu.Unlock()
-	if ok {
-		t.retry(seq)
-	}
-}
-
-// ack resolves one pending super-frame: its retransmission timer is stopped,
-// the entry dropped, and the peer's adaptive state credited — an RTT sample
-// when the frame was never retransmitted (Karn's rule), a breaker success
-// either way.
-func (t *StreamTransport) ack(seq uint64) {
-	sh := t.pendShard(seq)
-	sh.mu.Lock()
-	p, ok := sh.m[seq]
-	if ok {
-		p.retry.Stop()
-		delete(sh.m, seq)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return
-	}
-	if !p.retransmitted {
-		p.ps.observeRTT(time.Since(p.sentAt))
-		// Acked on the first attempt: retry() marks retransmitted under the
-		// shard lock before any requeue, and the writer consumed the original
-		// bytes before they could be acked, so this batch slice is provably
-		// unaliased — recycle it.
-		b := p.batch[:0]
-		p.batch = nil
-		batchPool.Put(&b)
-	}
-	p.ps.success()
 }
 
 // Recv implements Transport. Inbox channels exist only for nodes actually
@@ -1108,9 +767,11 @@ func (t *StreamTransport) SetSink(sink DeliverySink) bool {
 	return true
 }
 
-// Close implements Transport: it stops the listeners, every connection
-// (dialing ones too; each writer first flushes the acks it owes) and the
-// RTOs, and counts unwritten or unacked messages as dropped.
+// Close implements Transport: it stops the listeners and every connection
+// (dialing ones too; each writer first pays the ack it owes), and counts
+// every message still queued, or written and unacked, as dropped — the
+// unacked when each connection's read loop settles it, before Close
+// returns.
 func (t *StreamTransport) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.closed)
@@ -1120,23 +781,14 @@ func (t *StreamTransport) Close() error {
 		for _, sl := range lns {
 			sl.ln.Close()
 		}
-		t.retries.close() // RTOs aren't deliveries; the pend sweep counts them
-		t.dropsClosed.Add(t.flushPend(func(*pendingSend) bool { return true }))
 		t.connMu.Lock()
-		for _, cs := range t.outs {
-			// Rescue backpressured enqueuers before the socket dies. The
-			// queued frames were never pend-registered (the sweep above
-			// missed them), so count them here; queued retransmissions were
-			// swept as pend entries already.
+		for cs := range t.conns {
+			// Rescue backpressured enqueuers before the socket dies.
 			data, _ := cs.markDead()
 			t.dropsClosed.Add(int64(len(data)))
 			if cs.c != nil { // nil while its writer is still dialing
 				cs.c.SetWriteDeadline(time.Now().Add(closeAckWait))
 			}
-		}
-		for _, cs := range t.accepts {
-			cs.markDead()
-			cs.c.SetWriteDeadline(time.Now().Add(closeAckWait))
 		}
 		t.connMu.Unlock()
 	})
@@ -1144,60 +796,78 @@ func (t *StreamTransport) Close() error {
 	return nil
 }
 
-// closeAckWait bounds a closing connection's last ack flush (see finish).
+// closeAckWait bounds a closing connection's last ack flush and how long
+// its read loop then waits for the peer's last acks (see finish).
 const closeAckWait = 100 * time.Millisecond
 
-// queueDepth returns the messages handed to a connection and not yet
-// registered for reliable delivery: in a writer queue (fresh or awaiting
-// retransmission, the queue of a connection still dialing included) or taken
-// by a writer that has not registered them yet.
-func (t *StreamTransport) queueDepth() int {
+// stages returns, over every connection not yet settled, the messages not
+// yet written — in a writer queue (a dialing connection's included) or held
+// by a writer whose cycle has not flushed — and those written but not yet
+// acked.
+func (t *StreamTransport) stages() (queued, unacked int) {
 	t.connMu.Lock()
-	conns := make([]*connState, 0, len(t.outs)+len(t.accepts))
-	for _, cs := range t.outs {
+	conns := make([]*connState, 0, len(t.conns))
+	for cs := range t.conns {
 		conns = append(conns, cs)
 	}
-	conns = append(conns, t.accepts...)
 	t.connMu.Unlock()
-	n := 0
 	for _, cs := range conns {
 		cs.qmu.Lock()
-		n += cs.qLen + len(cs.qRetry) + cs.held
+		queued += cs.qLen + cs.held
+		unacked += int(cs.unackedLocked())
 		cs.qmu.Unlock()
 	}
-	return n
+	return queued, unacked
+}
+
+// queueDepth returns the messages queued or held on live connections.
+func (t *StreamTransport) queueDepth() int {
+	q, _ := t.stages()
+	return q
+}
+
+// unackedCount returns the messages written on live connections and not yet
+// acked.
+func (t *StreamTransport) unackedCount() int {
+	_, u := t.stages()
+	return u
 }
 
 // Drain implements Drainer: stop admitting sends, then wait for every sent
 // message to resolve before closing. A message moves forward through one
 // stage at a time — writer queue (a dialing connection's too), writer-held,
-// pend — so the drain is clean once the three, read in that order, are
-// empty. A leaving process waits out no dial: a dialing connection gives up
-// at its next failure, its queue a counted loss in QueuedAtClose. On
-// deadline expiry the transport closes anyway and reports what was left.
+// written and unacked — and each connection reports its three under one
+// lock until its loss count is settled, so the drain is clean once all are
+// empty. A leaving process waits out no dial and redials nothing: a dialing
+// connection gives up at its next failure, its queue a counted loss in
+// QueuedAtClose, and a connection that breaks loses its unacked messages to
+// PendingAtClose. On deadline expiry
+// the transport closes anyway and reports what was left.
 func (t *StreamTransport) Drain(ctx context.Context) (DrainReport, error) {
 	start := time.Now()
 	if t.isClosed() {
 		return DrainReport{}, ErrTransportClosed
 	}
 	t.draining.Store(true)
-	closedBefore := t.dropsClosed.Load()
+	closedBefore, brokenBefore := t.dropsClosed.Load(), t.dropsBroken.Load()
 	abandoned := func() int { return int(t.dropsClosed.Load() - closedBefore) }
+	broken := func() int { return int(t.dropsBroken.Load() - brokenBefore) }
 	var rep DrainReport
 	poll := time.NewTimer(2 * time.Millisecond)
 	defer poll.Stop()
 	for {
-		if t.queueDepth() == 0 && t.pendingCount() == 0 {
+		if queued, unacked := t.stages(); queued == 0 && unacked == 0 {
 			rep.Clean = true
-			rep.QueuedAtClose = abandoned()
+			rep.QueuedAtClose, rep.PendingAtClose = abandoned(), broken()
 			err := t.Close()
 			rep.Wall = time.Since(start)
 			return rep, err
 		}
 		select {
 		case <-ctx.Done():
-			rep.QueuedAtClose = abandoned() + t.queueDepth()
-			rep.PendingAtClose = t.pendingCount()
+			queued, unacked := t.stages()
+			rep.QueuedAtClose = abandoned() + queued
+			rep.PendingAtClose = broken() + unacked
 			t.Close()
 			rep.Wall = time.Since(start)
 			return rep, ctx.Err()
@@ -1228,7 +898,7 @@ func (t *StreamTransport) acceptLoop(sl streamListener) {
 			c.Close()
 			continue
 		}
-		t.accepts = append(t.accepts, cs)
+		t.conns[cs] = struct{}{}
 		t.wg.Add(2)
 		t.connMu.Unlock()
 		go t.readLoop(cs)
@@ -1239,27 +909,37 @@ func (t *StreamTransport) acceptLoop(sl streamListener) {
 // connState is one connection (pooled outbound or accepted inbound). Frames
 // are not written by senders directly: they are queued under qmu and drained
 // by the connection's writer goroutine (writeLoop), which batches everything
-// available — data frames and pending acks — through one buffered writer, so
-// a burst of same-tick messages costs one syscall instead of one each.
+// available — data frames and the ack it owes — through one buffered writer,
+// so a burst of same-tick messages costs one syscall instead of one each.
 type connState struct {
 	t    *StreamTransport
-	addr string // peer listen address for pooled outbound conns; "" for accepted
+	addr string     // peer listen address for pooled outbound conns; "" for accepted
+	ps   *peerState // the peer's breaker; nil on accepted conns
 
 	// Set by attach: before the read and write loops start on an accepted
 	// connection, by the writer's dial (under connMu) on an outbound one.
 	c     net.Conn
 	local bool // connection rides a local fabric (unix socket)
 
-	qmu        sync.Mutex
-	qHead      *msgChunk // chunked data-frame queue; see msgChunk
-	qTail      *msgChunk
-	qLen       int
-	qAcks      []uint64
-	qRetry     []*pendingSend // registered super-frames awaiting retransmission
-	held       int            // data frames the writer took and has not yet registered
-	spillAcks  []uint64       // retired queue slices, reused to avoid reallocating
-	spillRetry []*pendingSend
-	dead       bool
+	qmu   sync.Mutex
+	qHead *msgChunk // chunked data-frame queue; see msgChunk
+	qTail *msgChunk
+	qLen  int
+	held  int // data frames the writer took and has not yet written
+	dead  bool
+
+	// The delivery ledger of what this side sent, under qmu. written counts
+	// data messages whose write cycle flushed; acked is the peer's
+	// cumulative count of them. settle counts written − acked into lostTo
+	// once the read loop has taken every ack the peer sent; lost is that
+	// count, topped up by a cycle that flushes afterwards.
+	written, acked, lost int64
+	lostTo               *atomic.Int64 // non-nil once settled
+
+	// recvd counts the data sub-messages the read loop decoded — the ack
+	// this side owes; ackSent is the last count the writer put on the wire.
+	recvd   atomic.Int64
+	ackSent int64
 
 	notify  chan struct{} // wake the writer (capacity 1)
 	deadCh  chan struct{} // closed by markDead
@@ -1310,8 +990,8 @@ func getChunk() *msgChunk {
 	return c
 }
 
-// flattenChunks copies a chunk chain into one slice (cold paths only:
-// connection teardown and drain accounting), recycling the chunks.
+// flattenChunks copies a chunk chain into one slice (cold path: connection
+// teardown), recycling the chunks.
 func flattenChunks(head *msgChunk) []wireMessage {
 	n := 0
 	for c := head; c != nil; c = c.next {
@@ -1384,13 +1064,17 @@ func (w countingWriter) count(bytes, flushes int64) {
 }
 
 func (t *StreamTransport) newConnState(addr string) *connState {
-	return &connState{
+	cs := &connState{
 		t:       t,
 		addr:    addr,
 		notify:  make(chan struct{}, 1),
 		deadCh:  make(chan struct{}),
 		spaceCh: make(chan struct{}, 1),
 	}
+	if addr != "" {
+		cs.ps = t.peer(addr)
+	}
+	return cs
 }
 
 // attach binds the connection to its established stream.
@@ -1413,15 +1097,14 @@ func (cs *connState) countFrames(n int64) {
 }
 
 // memberWaitMax bounds how long a backpressured membership enqueue blocks
-// before leaving delivery to its RTO timer — the escape hatch that keeps a
+// before it queues past the cap anyway — the escape hatch that keeps a
 // stalled connection from wedging a node goroutine (and with it the whole
 // runtime's shutdown) forever.
 const memberWaitMax = 2 * time.Second
 
 // enqueue queues one data frame for the writer, enforcing the transport's
 // writer-queue cap. Past the cap, gossip frames shed the oldest queued gossip
-// frame (it has no pend entry yet — a terminal, counted loss; push-pull
-// re-converges) and membership frames apply hard backpressure: they shed
+// frame (a terminal, counted loss; push-pull re-converges) and membership frames apply hard backpressure: they shed
 // gossip to make room for themselves, and block when the queue is entirely
 // membership traffic. Returns false only when the connection is dead (the
 // caller redials); a shed newcomer returns true — it was handled, terminally.
@@ -1518,35 +1201,6 @@ func (cs *connState) shedOldestGossipLocked() bool {
 	return false
 }
 
-// enqueueRetry queues one already-registered super-frame for retransmission.
-// No cap applies: the population is bounded by the pend cap, and shedding
-// here would break the retransmission contract. False when the connection is
-// dead (the caller redials once; the entry stays pending either way).
-func (cs *connState) enqueueRetry(p *pendingSend) bool {
-	cs.qmu.Lock()
-	if cs.dead {
-		cs.qmu.Unlock()
-		return false
-	}
-	cs.qRetry = append(cs.qRetry, p)
-	cs.qmu.Unlock()
-	cs.wake()
-	return true
-}
-
-// enqueueAck queues one ack seq; best effort (a lost ack only costs the peer
-// a deduplicated retransmission).
-func (cs *connState) enqueueAck(seq uint64) {
-	cs.qmu.Lock()
-	if cs.dead {
-		cs.qmu.Unlock()
-		return
-	}
-	cs.qAcks = append(cs.qAcks, seq)
-	cs.qmu.Unlock()
-	cs.wake()
-}
-
 func (cs *connState) wake() {
 	select {
 	case cs.notify <- struct{}{}:
@@ -1554,18 +1208,13 @@ func (cs *connState) wake() {
 	}
 }
 
-// take swaps the queues out: the data-frame chunk chain whole (the writer
-// consumes it chunk by chunk and recycles each through chunkPool), the ack
-// and retry slices against recycled spill backing so steady-state batching
-// performs no allocations. Only the writer goroutine calls it, so the
-// retired slices are always consumed before the next swap.
-func (cs *connState) take() (data *msgChunk, acks []uint64, rets []*pendingSend) {
+// take swaps the data-frame chunk chain out whole; the writer holds it
+// until its write cycle flushes, then recycles each chunk through chunkPool.
+func (cs *connState) take() *msgChunk {
 	cs.qmu.Lock()
 	cs.held += cs.qLen
-	data, cs.qHead, cs.qTail, cs.qLen = cs.qHead, nil, nil, 0
-	acks, cs.qAcks = cs.qAcks, cs.spillAcks[:0]
-	rets, cs.qRetry = cs.qRetry, cs.spillRetry[:0]
-	cs.spillAcks, cs.spillRetry = acks, rets
+	data := cs.qHead
+	cs.qHead, cs.qTail, cs.qLen = nil, nil, 0
 	cs.qmu.Unlock()
 	if data != nil {
 		// The queue emptied: wake one backpressured membership enqueuer.
@@ -1574,35 +1223,80 @@ func (cs *connState) take() (data *msgChunk, acks []uint64, rets []*pendingSend)
 		default:
 		}
 	}
-	return data, acks, rets
+	return data
 }
 
-// registered moves n taken data frames out of the writer-held count: they
-// now have a pend entry, or were refused one and counted.
-func (cs *connState) registered(n int) {
+// wrote moves n held data frames to written: their write cycle flushed. On a
+// connection already settled they can never be acked, so they join its lost
+// count.
+func (cs *connState) wrote(n int) {
+	cs.qmu.Lock()
+	cs.held -= n
+	cs.written += int64(n)
+	late := int64(0)
+	if cs.lostTo != nil {
+		late = cs.unackedLocked() - cs.lost
+		cs.lost += late
+	}
+	cs.qmu.Unlock()
+	if late > 0 {
+		cs.lostTo.Add(late)
+	}
+}
+
+// release drops n held data frames whose write cycle failed; the caller has
+// re-queued or counted them.
+func (cs *connState) release(n int) {
 	cs.qmu.Lock()
 	cs.held -= n
 	cs.qmu.Unlock()
 }
 
-// markDead stops further enqueues and returns whatever was still queued —
-// data frames (for re-queue or loss accounting) and registered
-// retransmissions (their pend entries redial via retryNow). Queued acks stay
-// for the writer's last flush (finish). Idempotent; the second caller gets
-// nil.
-func (cs *connState) markDead() ([]wireMessage, []*pendingSend) {
+// ackedUpTo records the peer's cumulative ack and reports whether it
+// advanced. Only the read loop calls it, so settle sees the final count.
+func (cs *connState) ackedUpTo(n int64) bool {
+	cs.qmu.Lock()
+	advanced := n > cs.acked
+	if advanced {
+		cs.acked = n
+	}
+	cs.qmu.Unlock()
+	return advanced
+}
+
+// unackedLocked returns the written messages the peer has not acked. An ack
+// past written — the peer decoded part of a cycle whose flush then failed,
+// or a misbehaving peer — leaves nothing unacked. Caller holds qmu.
+func (cs *connState) unackedLocked() int64 {
+	return max(cs.written-cs.acked, 0)
+}
+
+// markDead stops further enqueues and returns whatever was still queued
+// (for re-queue or loss accounting) and whether this call was the one that
+// killed the connection. Idempotent; a later caller gets nil, false.
+func (cs *connState) markDead() ([]wireMessage, bool) {
 	cs.qmu.Lock()
 	if cs.dead {
 		cs.qmu.Unlock()
-		return nil, nil
+		return nil, false
 	}
 	cs.dead = true
-	head, rets := cs.qHead, cs.qRetry
+	head := cs.qHead
 	cs.qHead, cs.qTail, cs.qLen = nil, nil, 0
-	cs.qRetry = nil
 	cs.qmu.Unlock()
 	close(cs.deadCh)
-	return flattenChunks(head), rets
+	return flattenChunks(head), true
+}
+
+// settle counts the written messages the peer never acked into lostTo. The
+// read loop calls it on its way out, once it has taken every ack the peer
+// sent.
+func (cs *connState) settle(lostTo *atomic.Int64) {
+	cs.qmu.Lock()
+	lost := cs.unackedLocked()
+	cs.lostTo, cs.lost = lostTo, lost
+	cs.qmu.Unlock()
+	lostTo.Add(lost)
 }
 
 // batchMsgBytes estimates one sub-message's encoded footprint for splitting
@@ -1615,65 +1309,60 @@ func batchMsgBytes(w *wireMessage) int {
 // maxBatchBytes bounds the estimated bytes one super-frame aggregates.
 const maxBatchBytes = 1 << 20
 
-// writeBatch encodes one drained batch into the buffered writer and returns
-// the pend keys of the super-frames it wrote (for the broken-connection
-// path). Retransmitted super-frames go first — they are older than anything
-// drained this pass — then the queued data coalesces into FrameBatch
-// super-frames, each registered as ONE reliable send (registerBatch) before
-// its bytes are written; pending acks hoist to the first frame's header.
-func (t *StreamTransport) writeBatch(cs *connState, data []wireMessage, acks []uint64, rets []*pendingSend) ([]uint64, error) {
-	var keys []uint64
-	buf := cs.buf[:0]
-	for ri, p := range rets {
-		buf = cs.enc.appendBatchFrame(buf, p.batch, acks)
-		acks = nil
-		cs.countFrames(1)
-		t.msgsOut.Add(int64(len(p.batch)))
-		keys = append(keys, p.key)
-		rets[ri] = nil // the slice is recycled; don't pin acked batches
+// writeCycle writes one taken chain: each chunk coalesces into FrameBatch
+// super-frames, the ack owed rides the first frame (or an ack-only frame when
+// there is no data), and one flush ends the cycle. Only once the flush
+// returns are the frames written; until then the writer holds their chunks,
+// so a failed cycle can re-queue them. It returns how many data messages the
+// cycle carried.
+func (t *StreamTransport) writeCycle(cs *connState, chain *msgChunk) (int, error) {
+	ack := cs.recvd.Load()
+	pendingAck := uint64(0)
+	if ack != cs.ackSent {
+		pendingAck = uint64(ack)
 	}
-	ps := (*peerState)(nil)
-	if len(data) > 0 {
-		ps = t.peer(cs.addr)
-	}
-	for start := 0; start < len(data); {
-		end := start + 1
-		size := batchMsgBytes(&data[start])
-		for end < len(data) && end-start < maxBatchMsgs && size < maxBatchBytes {
-			size += batchMsgBytes(&data[end])
-			end++
+	n := 0
+	for c := chain; c != nil; c = c.next {
+		buf := cs.buf[:0]
+		data := c.msgs[:c.n]
+		for start := 0; start < len(data); {
+			end := start + 1
+			size := batchMsgBytes(&data[start])
+			for end < len(data) && end-start < maxBatchMsgs && size < maxBatchBytes {
+				size += batchMsgBytes(&data[end])
+				end++
+			}
+			buf = cs.enc.appendBatchFrame(buf, data[start:end], pendingAck)
+			pendingAck = 0
+			cs.countFrames(1)
+			start = end
 		}
-		chunk := data[start:end]
-		start = end
-		key, ok := t.registerBatch(cs.addr, ps, chunk)
-		cs.registered(len(chunk))
-		if !ok {
-			continue // refused admission: a counted terminal loss, not written
+		t.msgsOut.Add(int64(len(data)))
+		n += len(data)
+		cs.buf = buf
+		if _, err := cs.bw.Write(buf); err != nil {
+			return n, err
 		}
-		buf = cs.enc.appendBatchFrame(buf, chunk, acks)
-		acks = nil
+	}
+	if pendingAck != 0 {
+		cs.buf = cs.enc.appendFrame(cs.buf[:0], nil, pendingAck)
 		cs.countFrames(1)
-		t.msgsOut.Add(int64(len(chunk)))
-		keys = append(keys, key)
+		if _, err := cs.bw.Write(cs.buf); err != nil {
+			return n, err
+		}
 	}
-	if len(acks) > 0 {
-		buf = cs.enc.appendFrame(buf, nil, acks)
-		cs.countFrames(1)
+	if err := cs.bw.Flush(); err != nil {
+		return n, err
 	}
-	cs.buf = buf
-	if len(buf) == 0 {
-		return keys, nil
-	}
-	_, err := cs.bw.Write(buf)
-	return keys, err
+	cs.ackSent = ack
+	return n, nil
 }
 
 // writeLoop dials (outbound) then drains the connection's frame queue: wait
-// for work, optionally let a flush window accumulate a wider batch, write
-// everything queued, then flush once. On a write error the connection is
-// evicted, every possibly unsent super-frame is pushed straight back through
-// the retransmit path, and the data frames not yet registered re-queue
-// toward a fresh connection.
+// for work, optionally let a flush window accumulate a wider batch, then
+// write cycle after cycle until nothing is queued and no ack is owed. On a
+// write error the connection is evicted and the failed cycle re-queues,
+// ahead of everything still queued, toward a fresh connection.
 func (t *StreamTransport) writeLoop(cs *connState) {
 	defer t.wg.Done()
 	if cs.c == nil && !t.dial(cs) {
@@ -1697,149 +1386,115 @@ func (t *StreamTransport) writeLoop(cs *connState) {
 			case <-time.After(fw):
 			}
 		}
-		var cycleKeys []uint64
 		for {
-			chain, acks, rets := cs.take()
-			if chain == nil && len(acks) == 0 && len(rets) == 0 {
+			chain := cs.take()
+			if chain == nil && cs.recvd.Load() == cs.ackSent {
 				break
 			}
-			// Consume the chain one chunk per writeBatch call — acks and
-			// retransmissions ride the first — recycling each chunk as soon as
-			// its frames are encoded (registerBatch copies sub-messages out).
-			c := chain
-			for first := true; first || c != nil; first = false {
-				var data []wireMessage
-				if c != nil {
-					data = c.msgs[:c.n]
-				}
-				keys, err := t.writeBatch(cs, data, acks, rets)
-				if err != nil {
-					// Super-frames registered this cycle retry via their keys.
-					// The current chunk is fully registered (or counted) by the
-					// time a write can fail, so only the untouched remainder of
-					// the chain re-queues.
-					var rest []wireMessage
-					if c != nil {
-						rest = flattenChunks(c.next)
-						chunkPool.Put(c)
-					}
-					t.connBroken(cs, rest, append(cycleKeys, keys...))
-					return
-				}
-				cycleKeys = append(cycleKeys, keys...)
-				acks, rets = nil, nil
-				if c != nil {
-					next := c.next
-					chunkPool.Put(c)
-					c = next
-				}
+			n, err := t.writeCycle(cs, chain)
+			if err != nil {
+				failed := flattenChunks(chain)
+				t.connBroken(cs, failed)
+				cs.release(len(failed))
+				return
+			}
+			cs.wrote(n)
+			for c := chain; c != nil; {
+				next := c.next
+				chunkPool.Put(c)
+				c = next
 			}
 		}
-		// Super-frames written into the buffered writer are not on the wire
-		// until this flush; on error their keys retry immediately rather than
-		// waiting out the RTO (over-retrying is safe — the receiver dedups).
-		if err := cs.bw.Flush(); err != nil {
-			t.connBroken(cs, nil, cycleKeys)
-			return
-		}
 	}
 }
 
-// finish is the writer's exit: write the acks still owed, then close the
-// stream (ending the read loop too). An unpaid ack makes the peer resend a
-// delivered message, twice-delivered if this process restarts at the same
-// address. Close bounds the write with closeAckWait.
+// finish is the writer's exit: write the ack still owed, then close this
+// side of the stream. Without the ack the peer would count messages this
+// side decoded as lost. Close bounds the write with closeAckWait. The read
+// loop keeps taking the peer's acks until the peer closes too, or for
+// closeAckWait at most, and then closes the stream.
 func (cs *connState) finish() {
-	cs.qmu.Lock()
-	acks := cs.qAcks
-	cs.qAcks = nil
-	cs.qmu.Unlock()
-	if len(acks) > 0 {
+	if ack := cs.recvd.Load(); ack != cs.ackSent {
 		cs.countFrames(1)
-		cs.bw.Write(cs.enc.appendFrame(cs.buf[:0], nil, acks)) // a failed write surfaces in Flush
-		_ = cs.bw.Flush()                                      // best effort: the stream closes either way
+		cs.bw.Write(cs.enc.appendFrame(cs.buf[:0], nil, uint64(ack))) // a failed write surfaces in Flush
+		_ = cs.bw.Flush()                                             // best effort: the stream closes either way
 	}
-	cs.c.Close()
+	if hc, ok := cs.c.(interface{ CloseWrite() error }); ok {
+		hc.CloseWrite()
+	} else {
+		cs.c.Close()
+	}
+	cs.c.SetReadDeadline(time.Now().Add(closeAckWait))
 }
 
-// connBroken handles a dead connection, from either loop: stop enqueues,
-// evict it from the pool, and make sure nothing vanishes silently. Reliable
-// in-flight work — registered super-frames (inFlightKeys plus anything on the
-// retransmission queue) — goes through retryNow, which redials at once;
-// retransmission keeps it pending, so over-retrying is safe (the receiver
-// dedups). The data frames still queued were never registered, nor was
-// inFlight — the remainder of the writer's taken chain, older than anything
-// still queued at death: both re-queue toward a fresh connection, or count as
-// lost when the transport is draining or closed. Acks are dropped (the peer
-// retransmits and is deduplicated).
-func (t *StreamTransport) connBroken(cs *connState, inFlight []wireMessage, inFlightKeys []uint64) {
-	leftover, leftRets := cs.markDead()
-	t.evict(cs)
-	if cs.addr != "" {
+// connBroken handles a dead connection, from either loop: evict it from the
+// routing pool, stop enqueues, and record one breaker failure. failed — the
+// frames of the writer's cycle that did not flush, older than anything
+// still queued — and the queued frames re-queue toward a fresh connection,
+// or count as lost when the transport is draining or closed. A failed frame
+// may have partly got out; the receiver's dedup absorbs the second copy.
+// What the connection wrote and never got acked is counted when its read
+// loop settles it.
+func (t *StreamTransport) connBroken(cs *connState, failed []wireMessage) {
+	t.evict(cs) // first, so a send racing the death finds the queue markDead takes
+	leftover, first := cs.markDead()
+	if first && cs.addr != "" {
 		t.peerFailure(cs.addr, 1)
 	}
-	seqs := inFlightKeys
-	for _, p := range leftRets {
-		seqs = append(seqs, p.key)
-	}
-	requeue := append(inFlight, leftover...)
-	if len(seqs) == 0 && len(requeue) == 0 {
+	requeue := append(failed, leftover...)
+	if len(requeue) == 0 {
 		return
 	}
 	if t.stopping() {
-		// Registered work stays pending — RTO timers or Close's sweep govern
-		// it — but unregistered frames would vanish silently: count them as
-		// closed-at-drop.
 		t.dropsClosed.Add(int64(len(requeue)))
 		return
 	}
-	// Cap the immediate-retry burst: a connection that died with a deep queue
-	// would otherwise re-inject every frame at once into a freshly dialed
-	// (cold, possibly struggling) peer. Frames past the cap stay pending and
-	// keep their ordinary RTO timers — trimmed, not lost.
-	if t.queueLimit > 0 && len(seqs) > t.queueLimit {
-		t.ovRetryTrim.Add(int64(len(seqs) - t.queueLimit))
-		seqs = seqs[:t.queueLimit]
-	}
 	// A fresh connection's own writer dials, so nothing here blocks.
-	for _, seq := range seqs {
-		t.retryNow(seq)
-	}
 	for i := range requeue {
 		t.enqueue(cs.addr, &requeue[i])
 	}
 }
 
-// readLoop decodes the connection's frames: acks resolve pending sends, data
-// messages are acked back on the same connection, deduplicated, and routed to
-// the local shards or inboxes.
+// readLoop decodes the connection's frames: an ack that advances the
+// count credits the peer's breaker, and data messages are deduplicated,
+// routed to the local shards or inboxes, and counted toward the ack this
+// side owes. On its way out it settles the connection's loss count and
+// retires it.
 func (t *StreamTransport) readLoop(cs *connState) {
 	defer t.wg.Done()
-	defer t.connBroken(cs, nil, nil)
-	defer cs.c.Close()
+	defer t.retire(cs)
 	br := bufio.NewReaderSize(cs.c, 32<<10)
 	var dec wireDec
 	for {
-		acks, msgs, _, err := dec.readFrameMulti(br)
+		ack, msgs, _, err := dec.readFrameMulti(br)
 		if err != nil {
 			if errors.Is(err, errMalformedFrame) {
 				t.dropsDecode.Add(1) // corrupt frame; io errors are teardown
 			}
 			return
 		}
-		for _, seq := range acks {
-			t.ack(seq)
+		if ack > 0 && cs.ackedUpTo(int64(ack)) && cs.ps != nil {
+			cs.ps.success()
 		}
 		if len(msgs) == 0 {
 			continue // ack-only frame
 		}
-		// One ack resolves the whole frame: the sender keyed its pend entry
-		// by the last sub-message's Seq. Ack first — even for a duplicate —
-		// so retransmission stops (a lost ack only costs a deduplicated
-		// retry); then scatter each sub-message to its owning shard.
-		cs.enqueueAck(msgs[len(msgs)-1].Seq)
+		select {
+		case <-cs.deadCh:
+			// The writer is gone or going, so no ack can follow: the peer
+			// counts these as lost, and delivering them would count them
+			// twice.
+			continue
+		default:
+		}
+		// Ack first, so a delivery the caller can see is already owed its
+		// ack (finish pays it even if the transport closes right after);
+		// what the close then keeps from delivery is counted here.
+		cs.recvd.Add(int64(len(msgs)))
+		cs.wake()
 		for i := range msgs {
 			if !t.deliverData(cs, &msgs[i]) {
+				t.dropsClosed.Add(int64(len(msgs) - i))
 				return
 			}
 		}
@@ -1847,9 +1502,8 @@ func (t *StreamTransport) readLoop(cs *connState) {
 }
 
 // deliverData deduplicates, decodes, and routes one logical data message.
-// The caller has already queued the frame's ack; cs is the connection it
-// arrived on, whose read loop owns the decoder memo. It reports false when
-// the transport closed mid-delivery.
+// cs is the connection it arrived on, whose read loop owns the decoder memo.
+// It reports false when the transport closed mid-delivery.
 func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) bool {
 	if !t.hosted[graph.NodeID(w.To)] || t.hosted[graph.NodeID(w.From)] {
 		// Misrouted (not hosted here), or forged: a node hosted here never
@@ -1923,6 +1577,7 @@ func (t *StreamTransport) conn(addr string) (*connState, error) {
 	}
 	cs := t.newConnState(addr)
 	t.outs[addr] = cs
+	t.conns[cs] = struct{}{}
 	t.publishOuts()
 	// wg.Add under connMu: Close sweeps conns behind it before it waits.
 	t.wg.Add(1)
@@ -1934,8 +1589,8 @@ func (t *StreamTransport) conn(addr string) (*connState, error) {
 // dialTimeout so peers may start after us, and starts its read loop. False
 // means it stopped: closed (Close counts the queue), draining (the queue is
 // a closed-drop) or unreachable (a give-up and a breaker failure for each
-// message and retransmission queued behind the dial, so a burst opens the
-// breaker at the first give-up).
+// message queued behind the dial, so a burst opens the breaker at the first
+// give-up).
 func (t *StreamTransport) dial(cs *connState) bool {
 	start := time.Now()
 	for {
@@ -1955,13 +1610,14 @@ func (t *StreamTransport) dial(cs *connState) bool {
 		}
 		draining := t.draining.Load()
 		if draining || time.Since(start) > t.dialTimeout {
-			data, rets := cs.markDead()
 			t.evict(cs)
+			data, _ := cs.markDead()
+			t.forget(cs) // no read loop: nothing was written
 			if draining {
 				t.dropsClosed.Add(int64(len(data)))
 			} else {
 				t.dropsGiveUp.Add(int64(len(data)))
-				t.peerFailure(cs.addr, max(len(data)+len(rets), 1))
+				t.peerFailure(cs.addr, max(len(data), 1))
 			}
 			return false
 		}
@@ -1973,25 +1629,35 @@ func (t *StreamTransport) dial(cs *connState) bool {
 	}
 }
 
-// evict removes a broken connection from the pool (or the accepted list) so
-// the next write redials.
+// evict removes a broken connection from the routing pool so the next send
+// redials.
 func (t *StreamTransport) evict(cs *connState) {
 	t.connMu.Lock()
-	if cs.addr != "" {
-		if t.outs[cs.addr] == cs {
-			delete(t.outs, cs.addr)
-			t.publishOuts()
-		}
-	} else {
-		for i, other := range t.accepts {
-			if other == cs {
-				t.accepts = append(t.accepts[:i], t.accepts[i+1:]...)
-				break
-			}
-		}
+	if cs.addr != "" && t.outs[cs.addr] == cs {
+		delete(t.outs, cs.addr)
+		t.publishOuts()
 	}
 	t.connMu.Unlock()
-	if cs.c != nil { // nil when the dial gave up
-		cs.c.Close()
+}
+
+// retire is the read loop's exit: the connection is broken if nothing else
+// killed it yet, and every ack the peer sent has been taken, so what it
+// wrote and never got acked is counted — lost with a broken connection, or
+// with the transport at Close — and it leaves the connection set.
+func (t *StreamTransport) retire(cs *connState) {
+	t.connBroken(cs, nil)
+	cs.c.Close()
+	if t.isClosed() {
+		cs.settle(&t.dropsClosed)
+	} else {
+		cs.settle(&t.dropsBroken)
 	}
+	t.forget(cs)
+}
+
+// forget removes a finished connection from the connection set.
+func (t *StreamTransport) forget(cs *connState) {
+	t.connMu.Lock()
+	delete(t.conns, cs)
+	t.connMu.Unlock()
 }

@@ -92,46 +92,6 @@ func TestTCPFlushAccountingConsistency(t *testing.T) {
 	}
 }
 
-// TestTCPBatchedDeadPeerFlush: pend entries are per super-frame, but the
-// in-flight count and the dead-peer flush both count every LOGICAL message
-// the dead node had in flight.
-func TestTCPBatchedDeadPeerFlush(t *testing.T) {
-	addr, _, closeLn := quietListener(t)
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
-	if err != nil {
-		closeLn()
-		t.Fatal(err)
-	}
-	defer func() { tr.Close(); closeLn() }()
-	tr.SetPeers(map[graph.NodeID]string{1: addr})
-	tr.SetRetransmit(time.Hour, 4) // the quiet listener never acks; entries sit pending
-
-	const sends = 8
-	for i := 0; i < sends; i++ {
-		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All written ⇒ all registered (registration precedes the write).
-	if !pollUntil(5*time.Second, func() bool { return tr.WireMsgsOut() == sends }) {
-		t.Fatalf("WireMsgsOut = %d, want %d", tr.WireMsgsOut(), sends)
-	}
-	if n := tr.pendingCount(); n != sends {
-		t.Fatalf("pendingCount = %d, want %d logical messages", n, sends)
-	}
-
-	tr.PeerDown(1)
-	if ov := tr.Overload(); ov.DroppedDeadPeer != sends {
-		t.Fatalf("DroppedDeadPeer = %d, want %d logical messages", ov.DroppedDeadPeer, sends)
-	}
-	if n := tr.pendingCount(); n != 0 {
-		t.Fatalf("pendingCount = %d after PeerDown, want 0", n)
-	}
-	if got := tr.Dropped(); got < sends {
-		t.Fatalf("Dropped() = %d, want >= %d", got, sends)
-	}
-}
-
 // TestTCPBatchedCloseCountsQueued: messages batched-queued but never flushed
 // when Close lands must surface in Dropped() — batch bookkeeping cannot make
 // losses invisible.
@@ -143,8 +103,7 @@ func TestTCPBatchedCloseCountsQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.SetPeers(map[graph.NodeID]string{1: addr})
-	tr.SetFlushWindow(time.Hour) // park the writer: sends stay queued, unregistered
-	tr.SetRetransmit(time.Hour, 4)
+	tr.SetFlushWindow(time.Hour) // park the writer: sends stay queued, unwritten
 
 	const sends = 5
 	for i := 0; i < sends; i++ {
@@ -157,36 +116,5 @@ func TestTCPBatchedCloseCountsQueued(t *testing.T) {
 	}
 	if got := tr.Dropped(); got != sends {
 		t.Errorf("Dropped = %d after Close with %d queued, want %d", got, sends, sends)
-	}
-}
-
-// TestTCPBatchedRetransmitWholeBatch: an unacked super-frame retransmits as a
-// unit and one ack resolves all of its sub-messages — the per-batch
-// bookkeeping the tentpole promises.
-func TestTCPBatchedRetransmitWholeBatch(t *testing.T) {
-	a, b := tcpPair(t)
-	a.SetFlushWindow(10 * time.Millisecond)
-	a.SetRetransmit(200*time.Millisecond, 8)
-
-	const n = 16
-	for i := 0; i < n; i++ {
-		if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: i, Payload: bitp{}}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for got := 0; got < n; got++ {
-		recvWithin(t, b.Recv(1), 10*time.Second)
-	}
-	// The batch ack resolves every sub-message: nothing stays pending, and
-	// the happy path never retransmits.
-	if !pollUntil(5*time.Second, func() bool { return a.pendingCount() == 0 }) {
-		t.Fatalf("pendingCount = %d after delivery + ack, want 0", a.pendingCount())
-	}
-	time.Sleep(500 * time.Millisecond)
-	if r := a.Retransmits(); r != 0 {
-		t.Errorf("Retransmits = %d on the happy path, want 0", r)
-	}
-	if b.DupsSuppressed() != 0 {
-		t.Errorf("DupsSuppressed = %d with no retransmissions", b.DupsSuppressed())
 	}
 }

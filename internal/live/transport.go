@@ -70,13 +70,15 @@ type Transport interface {
 // DrainReport summarizes a graceful transport drain: what was flushed, what
 // the deadline abandoned, and whether the drain finished clean.
 type DrainReport struct {
-	// Clean is true when every queue emptied and every reliable send
-	// resolved before the deadline.
+	// Clean is true when every queue emptied and every written message was
+	// acked, or lost with its connection, before the deadline.
 	Clean bool
 	// QueuedAtClose counts, in logical messages, what the drain gave up on
 	// before it reached the wire — behind a dial it stopped, on a connection
-	// that broke, and at the deadline in writer queues — all also transport
-	// drops. PendingAtClose counts unacked sends left at the deadline.
+	// that broke, and at the deadline in writer queues. PendingAtClose
+	// counts written messages it gave up on unacked: lost with a connection
+	// that broke during the drain, or left at the deadline. All are also
+	// transport drops.
 	QueuedAtClose  int
 	PendingAtClose int
 	// Wall is the drain's duration.

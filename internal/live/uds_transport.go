@@ -11,7 +11,7 @@ import (
 // NewUnixTransport listens on a unix-domain stream socket at path and
 // returns a transport hosting the given node IDs. The wire protocol is
 // byte-identical to TCP — same codec, same FrameBatch super-frames, same
-// reliable-delivery machinery — only the kernel path shrinks: no checksums,
+// cumulative acks and loss accounting — only the kernel path shrinks: no checksums,
 // no Nagle/cork logic, no loopback queueing. Peers dial it either explicitly
 // ("unix://PATH" in SetPeers) or automatically when their transport learns
 // the path via SetPeerSockets. buffer is as for NewTCPTransport.

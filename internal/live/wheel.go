@@ -14,10 +14,10 @@ import (
 //     counter; arm/cancel/advance are O(1) amortized. timerWheel wraps one
 //     for transports (ticks = wall-clock granules, mutex). The shard loop
 //     needs no cancel and keeps a flat calendar instead (shard.go).
-//   - timerWheel: the concurrent wall-clock wrapper transports use for
-//     latency-delay deliveries and retransmit RTOs. A single lazily-started
-//     driver goroutine advances the wheel, replacing one goroutine per armed
-//     time.Timer with one per transport.
+//   - timerWheel: the concurrent wall-clock wrapper ChanTransport uses for
+//     its latency-delay deliveries. A single lazily-started driver goroutine
+//     advances the wheel, replacing one goroutine per armed time.Timer with
+//     one per transport.
 //
 // Layout: wheelLevels levels of wheelSlots slots. Level L slot s holds
 // entries with (when >> (L*wheelBits)) & wheelMask == s; an entry is placed
@@ -330,9 +330,9 @@ func (w *wheel[T]) rescanOverflow() {
 	}
 }
 
-// defaultWheelGranule is the timerWheel's tick: delivery delays and RTOs are
+// defaultWheelGranule is the timerWheel's tick: delivery delays are
 // quantized up to it. 100µs is well under the runtime's default 1ms protocol
-// tick and the 50ms RTO floor.
+// tick.
 const defaultWheelGranule = 100 * time.Microsecond
 
 // timerWheel is the concurrent wall-clock face of the wheel, the transports'

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // This file is the wire codec of the stream transport: a length-prefixed
@@ -14,15 +13,15 @@ import (
 // Frame layout (all integers varint-encoded unless noted):
 //
 //	frame   := header(1B) bodyLen(uvarint) body
-//	header  := version nibble (0010) | flag nibble
+//	header  := version nibble (0011) | flag nibble
 //	flags   := 0x1 frame carries a data message
-//	           0x2 frame carries piggybacked acks
+//	           0x2 frame carries a piggybacked ack
 //	           0x4 frame is a FrameBatch super-frame (excludes 0x1)
-//	body    := [acks] [data]                       // single-message frame
-//	         | [acks] count(uvarint) data ...      // FrameBatch: count >= 1
-//	acks    := count(uvarint) seq0(uvarint) delta1(uvarint) ...   // ascending
-//	data    := kind(1B) seqDelta(varint) from(varint) to(varint) edge(varint)
-//	           latency(varint) tickDelta(varint) delay(uvarint) ptype payload
+//	body    := [ack] [data]                        // single-message frame
+//	         | [ack] count(uvarint) data ...       // FrameBatch: count >= 1
+//	ack     := decoded(uvarint)                    // cumulative, see below
+//	data    := kind(1B) from(varint) to(varint) edge(varint) latency(varint)
+//	           tickDelta(varint) delay(uvarint) ptype payload
 //	ptype   := 0                                  // no payload type
 //	         | 1 nameLen(uvarint) name            // define: appended to table
 //	         | n>=2                               // reference to table[n-2]
@@ -30,39 +29,39 @@ import (
 //
 // delay is the wait in µs the sender passed to Send, at most maxWireDelayUS;
 // the receiver applies it.
-// A first byte outside the version nibble (0x20..0x2F for v2) — a peer
-// speaking anything else, v1 included — is a malformed frame. Signed fields
-// use zigzag varints (binary.AppendVarint) so any int round-trips; acks are
-// sorted and delta-encoded, so a batch of k consecutive acks costs ~k+3 bytes
-// instead of k frames. Payload type names are interned per connection: the
-// first frame carrying a type pays for the name, every later frame references
-// it with one byte.
+// A first byte outside the version nibble (0x30..0x3F for v3) — a peer
+// speaking anything else, v1 and v2 included — is a malformed frame. Signed
+// fields use zigzag varints (binary.AppendVarint) so any int round-trips.
+// Payload type names are interned per connection: the first frame carrying a
+// type pays for the name, every later frame references it with one byte.
+//
+// The ack is one number per connection and direction: how many data
+// sub-messages the frame's sender has decoded from this connection so far. A
+// byte stream delivers in order, so an ack of k tells the peer its first k
+// written sub-messages arrived. It rides the first frame a writer emits after
+// the count changed, or an ack-only frame when no data is going that way.
 //
 // A FrameBatch super-frame (flag 0x4) carries N data sub-messages under one
 // header: every sub-message uses the identical field encoding as a single
 // data frame and the whole batch shares the connection's intern table and
-// Seq/SentTick delta chains, so a run of near-consecutive messages costs a
-// handful of bytes each. Acks hoist to the batch header exactly as on single
-// frames. The receiver acknowledges a batch once, with the Seq of its last
-// sub-message — the sender bookkeeps reliable delivery per batch, not per
-// message. The transport's writer emits data only as FrameBatch frames (a
-// batch of one is a batch); the decoder still accepts a single data frame
+// SentTick delta chain, so a run of near-consecutive messages costs a handful
+// of bytes each. The transport's writer emits data only as FrameBatch frames
+// (a batch of one is a batch); the decoder still accepts a single data frame
 // (flag 0x1) from a peer, and the receiver treats it as a batch of one.
 //
-// Seq and SentTick are delta-encoded against per-connection running state
-// (seqDelta is relative to lastSeq+1, tickDelta to lastTick, both with
-// two's-complement wraparound so every value round-trips): a connection's
-// sequence numbers and ticks are near-monotonic, so both usually cost one
-// byte instead of growing with the run length. Both codec halves carry
-// connection state (these deltas, the intern table), so a decoder must see a
-// connection's frames in order from the start — exactly what a TCP stream
-// provides.
+// SentTick is delta-encoded against per-connection running state (tickDelta
+// is relative to the previous sub-message's tick, with two's-complement
+// wraparound so every value round-trips): a connection's ticks are
+// near-monotonic, so the field usually costs one byte instead of growing with
+// the run length. Both codec halves carry connection state (this delta, the
+// intern table), so a decoder must see a connection's frames in order from
+// the start — exactly what a byte stream provides.
 
 const (
-	wireVersion     = 0x20 // version 2 in the high nibble
+	wireVersion     = 0x30 // version 3 in the high nibble
 	wireVersionMask = 0xF0
 	wireFlagData    = 0x01
-	wireFlagAcks    = 0x02
+	wireFlagAck     = 0x02
 	wireFlagBatch   = 0x04
 
 	// maxWireBody bounds one frame body so a corrupt length prefix cannot
@@ -96,25 +95,7 @@ var errMalformedFrame = fmt.Errorf("live: malformed binary frame")
 type wireEnc struct {
 	names    map[string]uint64
 	scratch  []byte
-	lastSeq  uint64
 	lastTick int64
-}
-
-// appendAcks appends the sorted, delta-encoded ack block to body. acks is
-// sorted in place.
-func appendAcks(body []byte, acks []uint64) []byte {
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
-	body = binary.AppendUvarint(body, uint64(len(acks)))
-	prev := uint64(0)
-	for i, s := range acks {
-		if i == 0 {
-			body = binary.AppendUvarint(body, s)
-		} else {
-			body = binary.AppendUvarint(body, s-prev)
-		}
-		prev = s
-	}
-	return body
 }
 
 // appendSub appends one data sub-message to body, advancing the connection's
@@ -122,8 +103,6 @@ func appendAcks(body []byte, acks []uint64) []byte {
 // super-frames — both carry the identical field encoding.
 func (e *wireEnc) appendSub(body []byte, w *wireMessage) []byte {
 	body = append(body, w.Kind)
-	body = binary.AppendVarint(body, int64(w.Seq-(e.lastSeq+1)))
-	e.lastSeq = w.Seq
 	body = binary.AppendVarint(body, int64(w.From))
 	body = binary.AppendVarint(body, int64(w.To))
 	body = binary.AppendVarint(body, int64(w.EdgeID))
@@ -153,13 +132,13 @@ func (e *wireEnc) appendSub(body []byte, w *wireMessage) []byte {
 }
 
 // appendFrame appends one encoded frame to dst: the data message (nil for an
-// ack-only frame) plus any piggybacked acks. acks is sorted in place.
-func (e *wireEnc) appendFrame(dst []byte, w *wireMessage, acks []uint64) []byte {
+// ack-only frame) plus the cumulative ack, when ack > 0.
+func (e *wireEnc) appendFrame(dst []byte, w *wireMessage, ack uint64) []byte {
 	body := e.scratch[:0]
 	var flags byte
-	if len(acks) > 0 {
-		flags |= wireFlagAcks
-		body = appendAcks(body, acks)
+	if ack > 0 {
+		flags |= wireFlagAck
+		body = binary.AppendUvarint(body, ack)
 	}
 	if w != nil {
 		flags |= wireFlagData
@@ -173,14 +152,14 @@ func (e *wireEnc) appendFrame(dst []byte, w *wireMessage, acks []uint64) []byte 
 
 // appendBatchFrame appends one FrameBatch super-frame to dst: len(msgs) >= 1
 // data sub-messages sharing this connection's intern table and delta chains
-// under a single header, plus any piggybacked acks hoisted to the batch
-// header. acks is sorted in place.
-func (e *wireEnc) appendBatchFrame(dst []byte, msgs []wireMessage, acks []uint64) []byte {
+// under a single header, plus the cumulative ack in the batch header when
+// ack > 0.
+func (e *wireEnc) appendBatchFrame(dst []byte, msgs []wireMessage, ack uint64) []byte {
 	body := e.scratch[:0]
 	flags := byte(wireFlagBatch)
-	if len(acks) > 0 {
-		flags |= wireFlagAcks
-		body = appendAcks(body, acks)
+	if ack > 0 {
+		flags |= wireFlagAck
+		body = binary.AppendUvarint(body, ack)
 	}
 	body = binary.AppendUvarint(body, uint64(len(msgs)))
 	for i := range msgs {
@@ -193,14 +172,12 @@ func (e *wireEnc) appendBatchFrame(dst []byte, msgs []wireMessage, acks []uint64
 }
 
 // wireDec is the decoder half of one connection: the mirrored intern table
-// plus reusable body, ack, and sub-message buffers. Owned by the
-// connection's read loop.
+// plus reusable body and sub-message buffers. Owned by the connection's read
+// loop.
 type wireDec struct {
 	names    []string
 	body     []byte
-	acks     []uint64
 	msgs     []wireMessage
-	lastSeq  uint64
 	lastTick int64
 }
 
@@ -212,12 +189,6 @@ func (d *wireDec) decodeSub(body []byte, off int, w *wireMessage) (int, error) {
 	}
 	*w = wireMessage{Kind: body[off]}
 	off++
-	seqDelta, off, err := varintAt(body, off)
-	if err != nil {
-		return off, err
-	}
-	w.Seq = d.lastSeq + 1 + uint64(seqDelta)
-	d.lastSeq = w.Seq
 	ints := [4]*int{&w.From, &w.To, &w.EdgeID, &w.Latency}
 	for _, p := range ints {
 		v, o, err := varintAt(body, off)
@@ -282,73 +253,58 @@ func (d *wireDec) decodeSub(body []byte, off int, w *wireMessage) (int, error) {
 	return off, nil
 }
 
-// readFrameMulti reads one frame and decodes every data message it carries:
-// zero (an ack-only frame), one (a single data frame), or N (a FrameBatch
-// super-frame — batch reports which, so the receiver can acknowledge the
-// whole batch once with the last sub-message's Seq). The returned slices and
-// every msg's Payload alias decoder-owned buffers that are reused by the
-// next call, so all must be consumed before then. On error nothing is
-// returned: a frame decodes whole or not at all.
-func (d *wireDec) readFrameMulti(br *bufio.Reader) (acks []uint64, msgs []wireMessage, batch bool, err error) {
+// readFrameMulti reads one frame and decodes the cumulative ack it carries
+// (0 without one) and every data message: zero (an ack-only frame), one (a
+// single data frame), or N (a FrameBatch super-frame — batch reports which).
+// The returned slice and every msg's Payload alias decoder-owned buffers
+// that are reused by the next call, so all must be consumed before then. On
+// error nothing is returned: a frame decodes whole or not at all.
+func (d *wireDec) readFrameMulti(br *bufio.Reader) (ack uint64, msgs []wireMessage, batch bool, err error) {
 	b0, err := br.ReadByte()
 	if err != nil {
-		return nil, nil, false, err
+		return 0, nil, false, err
 	}
 	if b0&wireVersionMask != wireVersion {
-		return nil, nil, false, fmt.Errorf("%w: unknown header 0x%02x", errMalformedFrame, b0)
+		return 0, nil, false, fmt.Errorf("%w: unknown header 0x%02x", errMalformedFrame, b0)
 	}
 	flags := b0 &^ byte(wireVersionMask)
 	if flags&wireFlagBatch != 0 && flags&wireFlagData != 0 {
-		return nil, nil, false, fmt.Errorf("%w: batch and data flags together", errMalformedFrame)
+		return 0, nil, false, fmt.Errorf("%w: batch and data flags together", errMalformedFrame)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, nil, false, err
+		return 0, nil, false, err
 	}
 	if n > maxWireBody {
-		return nil, nil, false, fmt.Errorf("%w: body of %d bytes exceeds limit", errMalformedFrame, n)
+		return 0, nil, false, fmt.Errorf("%w: body of %d bytes exceeds limit", errMalformedFrame, n)
 	}
 	if uint64(cap(d.body)) < n {
 		d.body = make([]byte, n)
 	}
 	body := d.body[:n]
 	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, nil, false, err
+		return 0, nil, false, err
 	}
 
-	// Delta chains and the intern table advance as we decode; snapshot them so
-	// a malformed tail can roll the connection state back to the frame
-	// boundary (the caller tears the connection down on errMalformedFrame, but
-	// the all-or-nothing contract keeps fuzzing oracles honest).
-	savedSeq, savedTick, savedNames := d.lastSeq, d.lastTick, len(d.names)
+	// The delta chain and the intern table advance as we decode; snapshot
+	// them so a malformed tail can roll the connection state back to the
+	// frame boundary (the caller tears the connection down on
+	// errMalformedFrame, but the all-or-nothing contract keeps fuzzing
+	// oracles honest).
+	savedTick, savedNames := d.lastTick, len(d.names)
 	defer func() {
 		if err != nil {
-			d.lastSeq, d.lastTick, d.names = savedSeq, savedTick, d.names[:savedNames]
+			d.lastTick, d.names = savedTick, d.names[:savedNames]
 		}
 	}()
 
 	off := 0
-	if flags&wireFlagAcks != 0 {
-		count, o, err := uvarintAt(body, off)
+	if flags&wireFlagAck != 0 {
+		a, o, err := uvarintAt(body, off)
 		if err != nil {
-			return nil, nil, false, err
+			return 0, nil, false, err
 		}
-		off = o
-		if count > uint64(len(body)) { // each ack costs at least one byte
-			return nil, nil, false, errMalformedFrame
-		}
-		d.acks = d.acks[:0]
-		seq := uint64(0)
-		for i := uint64(0); i < count; i++ {
-			delta, o, err := uvarintAt(body, off)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			off = o
-			seq += delta
-			d.acks = append(d.acks, seq)
-		}
-		acks = d.acks
+		ack, off = a, o
 	}
 
 	count := uint64(0)
@@ -356,20 +312,20 @@ func (d *wireDec) readFrameMulti(br *bufio.Reader) (acks []uint64, msgs []wireMe
 	case flags&wireFlagBatch != 0:
 		c, o, err := uvarintAt(body, off)
 		if err != nil {
-			return nil, nil, false, err
+			return 0, nil, false, err
 		}
 		off = o
 		if c == 0 || c > uint64(len(body)) { // each sub-message costs >= 1 byte
-			return nil, nil, false, fmt.Errorf("%w: batch of %d sub-messages in %d-byte body", errMalformedFrame, c, len(body))
+			return 0, nil, false, fmt.Errorf("%w: batch of %d sub-messages in %d-byte body", errMalformedFrame, c, len(body))
 		}
 		count, batch = c, true
 	case flags&wireFlagData != 0:
 		count = 1
 	default:
 		if off != len(body) {
-			return nil, nil, false, errMalformedFrame
+			return 0, nil, false, errMalformedFrame
 		}
-		return acks, nil, false, nil
+		return ack, nil, false, nil
 	}
 
 	d.msgs = d.msgs[:0]
@@ -377,15 +333,15 @@ func (d *wireDec) readFrameMulti(br *bufio.Reader) (acks []uint64, msgs []wireMe
 		var w wireMessage
 		o, err := d.decodeSub(body, off, &w)
 		if err != nil {
-			return nil, nil, false, err
+			return 0, nil, false, err
 		}
 		off = o
 		d.msgs = append(d.msgs, w)
 	}
 	if off != len(body) {
-		return nil, nil, false, errMalformedFrame
+		return 0, nil, false, errMalformedFrame
 	}
-	return acks, d.msgs, batch, nil
+	return ack, d.msgs, batch, nil
 }
 
 // uvarintAt decodes a uvarint at off, returning the value and the new offset.

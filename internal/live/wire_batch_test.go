@@ -8,13 +8,13 @@ import (
 	"testing"
 )
 
-// batchMsgs builds n wireMessages with consecutive seqs and near-monotonic
-// ticks, the shape a real aggregation pass hands appendBatchFrame.
-func batchMsgs(n int, firstSeq uint64) []wireMessage {
+// batchMsgs builds n wireMessages with near-monotonic ticks, the shape a
+// real aggregation pass hands appendBatchFrame.
+func batchMsgs(n int) []wireMessage {
 	msgs := make([]wireMessage, n)
 	for i := range msgs {
 		msgs[i] = wireMessage{
-			Kind: 1, Seq: firstSeq + uint64(i),
+			Kind: 1,
 			From: i, To: i + 1, EdgeID: i, Latency: 1 + i%3, SentTick: 10 + i/4,
 			PayloadType: "live_test.bit", Payload: []byte(`true`),
 		}
@@ -22,42 +22,36 @@ func batchMsgs(n int, firstSeq uint64) []wireMessage {
 	return msgs
 }
 
-// TestWireBatchRoundTrip encodes a FrameBatch super-frame with piggybacked
-// acks and decodes it back: every sub-message field survives, the acks come
-// back sorted, and the decoder flags the frame as a batch.
+// TestWireBatchRoundTrip encodes a FrameBatch super-frame with a
+// piggybacked ack and decodes it back: every sub-message field survives, so
+// does the ack, and the decoder flags the frame as a batch.
 func TestWireBatchRoundTrip(t *testing.T) {
-	msgs := batchMsgs(17, 100)
-	// Make a few sub-messages adversarial: out-of-run seq, negative fields.
-	msgs[5] = wireMessage{Kind: 0xFE, Seq: 1 << 40, From: -1, To: -9, EdgeID: -2, Latency: -5, SentTick: -1 << 20}
-	acks := []uint64{42, 7, 9000}
+	msgs := batchMsgs(17)
+	// Make a sub-message adversarial: negative fields, a tick far out of run.
+	msgs[5] = wireMessage{Kind: 0xFE, From: -1, To: -9, EdgeID: -2, Latency: -5, SentTick: -1 << 20}
+	const ack = 9000
 
 	var enc wireEnc
-	wire := enc.appendBatchFrame(nil, msgs, append([]uint64(nil), acks...))
+	wire := enc.appendBatchFrame(nil, msgs, ack)
 
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
-	gotAcks, got, batch, err := dec.readFrameMulti(br)
+	gotAck, got, batch, err := dec.readFrameMulti(br)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !batch {
 		t.Fatal("decoder did not flag a batch frame")
 	}
-	wantAcks := []uint64{7, 42, 9000}
-	if len(gotAcks) != len(wantAcks) {
-		t.Fatalf("acks %v, want %v", gotAcks, wantAcks)
-	}
-	for i := range wantAcks {
-		if gotAcks[i] != wantAcks[i] {
-			t.Fatalf("acks %v, want %v", gotAcks, wantAcks)
-		}
+	if gotAck != ack {
+		t.Fatalf("ack %d, want %d", gotAck, ack)
 	}
 	if len(got) != len(msgs) {
 		t.Fatalf("decoded %d sub-messages, want %d", len(got), len(msgs))
 	}
 	for i, want := range msgs {
 		g := got[i]
-		if g.Kind != want.Kind || g.Seq != want.Seq || g.From != want.From ||
+		if g.Kind != want.Kind || g.From != want.From ||
 			g.To != want.To || g.EdgeID != want.EdgeID || g.Latency != want.Latency ||
 			g.SentTick != want.SentTick || g.PayloadType != want.PayloadType ||
 			!bytes.Equal(g.Payload, want.Payload) {
@@ -71,20 +65,20 @@ func TestWireBatchRoundTrip(t *testing.T) {
 
 // TestWireBatchSharesConnectionState interleaves single frames and batch
 // frames through one encoder/decoder pair: the intern table and the
-// Seq/SentTick delta chains are connection state, shared across both frame
+// SentTick delta chain are connection state, shared across both frame
 // shapes in stream order.
 func TestWireBatchSharesConnectionState(t *testing.T) {
-	single := wireMessage{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 9,
+	single := wireMessage{Kind: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 9,
 		PayloadType: "live_test.bit", Payload: []byte(`true`)}
-	batch := batchMsgs(8, 2) // references the type `single` defined
-	tail := wireMessage{Kind: 2, Seq: 10, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 12,
+	batch := batchMsgs(8) // references the type `single` defined
+	tail := wireMessage{Kind: 2, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 12,
 		PayloadType: "live_test.bit", Payload: []byte(`false`)}
 
 	var enc wireEnc
-	wire := enc.appendFrame(nil, &single, nil)
+	wire := enc.appendFrame(nil, &single, 0)
 	defineCost := len(wire)
-	wire = enc.appendBatchFrame(wire, batch, nil)
-	wire = enc.appendFrame(wire, &tail, nil)
+	wire = enc.appendBatchFrame(wire, batch, 0)
+	wire = enc.appendFrame(wire, &tail, 0)
 
 	// The batch must reference the interned type, never re-define it: 8
 	// sub-messages in well under 8 single defining frames' worth of bytes.
@@ -107,7 +101,7 @@ func TestWireBatchSharesConnectionState(t *testing.T) {
 				t.Fatalf("frame %d sub %d: PayloadType %q", i, j, g.PayloadType)
 			}
 		}
-		if wantLen == 1 && i == 2 && (msgs[0].Seq != tail.Seq || msgs[0].SentTick != tail.SentTick) {
+		if wantLen == 1 && i == 2 && msgs[0].SentTick != tail.SentTick {
 			t.Fatalf("tail frame decoded %+v, want %+v", msgs[0], tail)
 		}
 	}
@@ -118,15 +112,15 @@ func TestWireBatchSharesConnectionState(t *testing.T) {
 // identical messages.
 func TestWireBatchAmortization(t *testing.T) {
 	const k = 64
-	msgs := batchMsgs(k, 1)
+	msgs := batchMsgs(k)
 
 	var encSingle wireEnc
 	var singles []byte
 	for i := range msgs {
-		singles = encSingle.appendFrame(singles, &msgs[i], nil)
+		singles = encSingle.appendFrame(singles, &msgs[i], 0)
 	}
 	var encBatch wireEnc
-	batched := encBatch.appendBatchFrame(nil, msgs, nil)
+	batched := encBatch.appendBatchFrame(nil, msgs, 0)
 
 	if len(batched) >= len(singles) {
 		t.Fatalf("batch of %d = %dB, singles = %dB — no amortization", k, len(batched), len(singles))
@@ -139,11 +133,11 @@ func TestWireBatchAmortization(t *testing.T) {
 
 	// The steady-state cost of the push-pull request a saturated connection
 	// carries: a full super-frame on a warm connection (payload type
-	// interned, seq and tick chains advancing by one, no delay). Encoding is
-	// deterministic, so the size is pinned exactly: 11 B per sub-message
-	// (kind, seq delta, from, to, edge, latency, tick delta, delay, type ref,
-	// payload length, payload) under 5 B of frame header, body length and
-	// count. A codec change that moves wire bytes per message must move this.
+	// interned, the tick chain advancing by one, no delay). Encoding is
+	// deterministic, so the size is pinned exactly: 10 B per sub-message
+	// (kind, from, to, edge, latency, tick delta, delay, type ref, payload
+	// length, payload) under 5 B of frame header, body length and count. A
+	// codec change that moves wire bytes per message must move this.
 	pt, data, err := encodePayload(bitp{informed: true})
 	if err != nil {
 		t.Fatal(err)
@@ -154,12 +148,12 @@ func TestWireBatchAmortization(t *testing.T) {
 	for round := 0; round < 2; round++ { // first frame warms the connection
 		for i := range full {
 			n := round*maxBatchMsgs + i
-			full[i] = wireMessage{Kind: uint8(MsgRequest), Seq: uint64(1 + n), From: 0, To: 1,
+			full[i] = wireMessage{Kind: uint8(MsgRequest), From: 0, To: 1,
 				EdgeID: 1, Latency: 1, SentTick: n, PayloadType: pt, Payload: data}
 		}
-		frame = enc.appendBatchFrame(frame[:0], full, nil)
+		frame = enc.appendBatchFrame(frame[:0], full, 0)
 	}
-	if want := 11*maxBatchMsgs + 5; len(frame) != want {
+	if want := 10*maxBatchMsgs + 5; len(frame) != want {
 		t.Errorf("steady-state full batch = %dB (%.3f B/msg), want exactly %dB",
 			len(frame), float64(len(frame))/maxBatchMsgs, want)
 	}
@@ -170,7 +164,7 @@ func TestWireBatchAmortization(t *testing.T) {
 // truncated sub-message run, and trailing garbage after the last sub-message.
 func TestWireBatchMalformed(t *testing.T) {
 	var enc wireEnc
-	good := enc.appendBatchFrame(nil, batchMsgs(3, 1), nil)
+	good := enc.appendBatchFrame(nil, batchMsgs(3), 0)
 
 	reflag := func(wire []byte, flags byte) []byte {
 		out := append([]byte(nil), wire...)
@@ -202,26 +196,26 @@ func TestWireBatchMalformed(t *testing.T) {
 }
 
 // TestWireBatchDecodeRollback checks the all-or-nothing decode contract: a
-// batch whose tail is corrupt must not advance the connection's delta chains
+// batch whose tail is corrupt must not advance the connection's delta chain
 // or intern table, so a fuzzing oracle (or a tolerant caller) sees state
 // only from frames that decoded whole.
 func TestWireBatchDecodeRollback(t *testing.T) {
 	var enc wireEnc
-	first := enc.appendFrame(nil, &wireMessage{Kind: 1, Seq: 5, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 7}, nil)
-	bad := enc.appendBatchFrame(nil, batchMsgs(4, 6), nil)
+	first := enc.appendFrame(nil, &wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 7}, 0)
+	bad := enc.appendBatchFrame(nil, batchMsgs(4), 0)
 	bad = bad[:len(bad)-3] // corrupt the final sub-message
 
 	var dec wireDec
 	if _, msgs, _, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(first))); err != nil || len(msgs) != 1 {
 		t.Fatalf("good frame: msgs=%d err=%v", len(msgs), err)
 	}
-	seq, tick, names := dec.lastSeq, dec.lastTick, len(dec.names)
+	tick, names := dec.lastTick, len(dec.names)
 	if _, _, _, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(bad))); err == nil {
 		t.Fatal("corrupt batch decoded without error")
 	}
-	if dec.lastSeq != seq || dec.lastTick != tick || len(dec.names) != names {
-		t.Fatalf("decoder state advanced on a failed decode: seq %d→%d tick %d→%d names %d→%d",
-			seq, dec.lastSeq, tick, dec.lastTick, names, len(dec.names))
+	if dec.lastTick != tick || len(dec.names) != names {
+		t.Fatalf("decoder state advanced on a failed decode: tick %d→%d names %d→%d",
+			tick, dec.lastTick, names, len(dec.names))
 	}
 }
 
@@ -229,12 +223,12 @@ func TestWireBatchDecodeRollback(t *testing.T) {
 // maxBatchMsgs sub-messages with distinct payload types stays within one
 // frame and round-trips.
 func TestWireBatchLarge(t *testing.T) {
-	msgs := batchMsgs(maxBatchMsgs, 1)
+	msgs := batchMsgs(maxBatchMsgs)
 	for i := 0; i < 8; i++ {
 		msgs[i].PayloadType = fmt.Sprintf("live_test.t%d", i)
 	}
 	var enc wireEnc
-	wire := enc.appendBatchFrame(nil, msgs, nil)
+	wire := enc.appendBatchFrame(nil, msgs, 0)
 	if len(wire) > maxWireBody {
 		t.Fatalf("max batch encodes to %dB, beyond maxWireBody %d", len(wire), maxWireBody)
 	}

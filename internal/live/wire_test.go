@@ -15,14 +15,10 @@ import (
 )
 
 // encodeFrames is a test helper running appendFrame through one encoder.
-func encodeFrames(e *wireEnc, frames []wireMessage, acks [][]uint64) []byte {
+func encodeFrames(e *wireEnc, frames []wireMessage) []byte {
 	var out []byte
 	for i := range frames {
-		var a []uint64
-		if acks != nil {
-			a = acks[i]
-		}
-		out = e.appendFrame(out, &frames[i], a)
+		out = e.appendFrame(out, &frames[i], 0)
 	}
 	return out
 }
@@ -32,29 +28,29 @@ func encodeFrames(e *wireEnc, frames []wireMessage, acks [][]uint64) []byte {
 // delays up to the wire's limit, and empty payloads.
 func TestWireFrameRoundTrip(t *testing.T) {
 	msgs := []wireMessage{
-		{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 0},
-		{Kind: 2, Seq: 1 << 40, From: 255, To: 256, EdgeID: 12345, Latency: 7, SentTick: 99,
+		{Kind: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 0},
+		{Kind: 2, From: 255, To: 256, EdgeID: 12345, Latency: 7, SentTick: 99,
 			DelayUS: 3500, PayloadType: "live_test.bit", Payload: []byte(`true`)},
-		{Kind: 0xFF, Seq: 0, From: -1, To: -7, EdgeID: -3, Latency: -100, SentTick: -1 << 30,
+		{Kind: 0xFF, From: -1, To: -7, EdgeID: -3, Latency: -100, SentTick: -1 << 30,
 			DelayUS: maxWireDelayUS},
-		{Kind: 1, Seq: 2, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 7,
+		{Kind: 1, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 7,
 			PayloadType: "live_test.bit", Payload: []byte(`false`)},
 	}
 	var enc wireEnc
-	wire := encodeFrames(&enc, msgs, nil)
+	wire := encodeFrames(&enc, msgs)
 
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
 	for i, want := range msgs {
-		acks, msgs, _, err := dec.readFrameMulti(br)
+		ack, msgs, _, err := dec.readFrameMulti(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if len(msgs) != 1 || len(acks) != 0 {
-			t.Fatalf("frame %d: %d messages, acks=%v", i, len(msgs), acks)
+		if len(msgs) != 1 || ack != 0 {
+			t.Fatalf("frame %d: %d messages, ack=%d", i, len(msgs), ack)
 		}
 		got := msgs[0]
-		if got.Kind != want.Kind || got.Seq != want.Seq || got.From != want.From ||
+		if got.Kind != want.Kind || got.From != want.From ||
 			got.To != want.To || got.EdgeID != want.EdgeID || got.Latency != want.Latency ||
 			got.SentTick != want.SentTick || got.DelayUS != want.DelayUS ||
 			got.PayloadType != want.PayloadType || !bytes.Equal(got.Payload, want.Payload) {
@@ -70,11 +66,11 @@ func TestWireFrameRoundTrip(t *testing.T) {
 // first frame carrying a type pays for its name, later frames reference it,
 // so repeat frames are strictly smaller.
 func TestWirePayloadTypeInterning(t *testing.T) {
-	m := wireMessage{Kind: 1, Seq: 9, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
+	m := wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
 		PayloadType: "core.rumors", Payload: []byte(`{"n":4,"s":"0a"}`)}
 	var enc wireEnc
-	first := enc.appendFrame(nil, &m, nil)
-	second := enc.appendFrame(nil, &m, nil)
+	first := enc.appendFrame(nil, &m, 0)
+	second := enc.appendFrame(nil, &m, 0)
 	if len(second) >= len(first) {
 		t.Errorf("interned frame is %dB, first was %dB — expected smaller", len(second), len(first))
 	}
@@ -95,39 +91,44 @@ func TestWirePayloadTypeInterning(t *testing.T) {
 	}
 }
 
-// TestWireAckBatch checks piggybacked ack batches: unsorted input seqs come
-// back sorted (they are delta-encoded ascending), both standalone and folded
-// into a data frame.
+// TestWireAckBatch checks the cumulative ack: one uvarint, round-tripped
+// standalone and piggybacked on a data frame, and a frame without one
+// decodes as 0.
 func TestWireAckBatch(t *testing.T) {
-	acks := []uint64{90, 7, 8, 1000000, 9}
+	const ack = 1000000
 	var enc wireEnc
-	ackOnly := enc.appendFrame(nil, nil, append([]uint64(nil), acks...))
-	m := wireMessage{Kind: 2, Seq: 4, From: 1, To: 0, EdgeID: 2, Latency: 3, SentTick: 6}
-	withData := enc.appendFrame(nil, &m, append([]uint64(nil), acks...))
+	ackOnly := enc.appendFrame(nil, nil, ack)
+	m := wireMessage{Kind: 2, From: 1, To: 0, EdgeID: 2, Latency: 3, SentTick: 6}
+	withData := enc.appendFrame(nil, &m, ack)
+	without := new(wireEnc).appendFrame(nil, &m, 0)
 
-	want := []uint64{7, 8, 9, 90, 1000000}
-	for name, wire := range map[string][]byte{"ack-only": ackOnly, "piggybacked": withData} {
-		br := bufio.NewReader(bytes.NewReader(wire))
-		var dec wireDec
-		gotAcks, msgs, _, err := dec.readFrameMulti(br)
+	for _, tc := range []struct {
+		name    string
+		wire    []byte
+		ack     uint64
+		hasData bool
+	}{
+		{"ack-only", ackOnly, ack, false},
+		{"piggybacked", withData, ack, true},
+		{"no-ack", without, 0, true},
+	} {
+		gotAck, msgs, _, err := new(wireDec).readFrameMulti(bufio.NewReader(bytes.NewReader(tc.wire)))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		hasData := len(msgs) == 1
-		if hasData != (name == "piggybacked") {
-			t.Errorf("%s: %d messages", name, len(msgs))
+		if gotAck != tc.ack {
+			t.Errorf("%s: ack %d, want %d", tc.name, gotAck, tc.ack)
 		}
-		if len(gotAcks) != len(want) {
-			t.Fatalf("%s: acks %v, want %v", name, gotAcks, want)
+		if hasData := len(msgs) == 1; hasData != tc.hasData {
+			t.Errorf("%s: %d messages", tc.name, len(msgs))
 		}
-		for i := range want {
-			if gotAcks[i] != want[i] {
-				t.Fatalf("%s: acks %v, want %v", name, gotAcks, want)
-			}
+		if tc.hasData && msgs[0].SentTick != m.SentTick {
+			t.Errorf("%s: data tick %d", tc.name, msgs[0].SentTick)
 		}
-		if hasData && msgs[0].Seq != m.Seq {
-			t.Errorf("%s: data seq %d", name, msgs[0].Seq)
-		}
+	}
+	// An ack-only frame is the ack's cost alone: header, body length, ack.
+	if want := 2 + len(binary.AppendUvarint(nil, ack)); len(ackOnly) != want {
+		t.Errorf("ack-only frame = %dB, want %dB", len(ackOnly), want)
 	}
 }
 
@@ -135,17 +136,17 @@ func TestWireAckBatch(t *testing.T) {
 // errMalformedFrame (or a version error) instead of misreading it.
 func TestWireMalformedFrames(t *testing.T) {
 	var enc wireEnc
-	m := wireMessage{Kind: 1, Seq: 3, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
+	m := wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
 		PayloadType: "live_test.bit", Payload: []byte(`true`)}
-	good := enc.appendFrame(nil, &m, []uint64{1, 2})
+	good := enc.appendFrame(nil, &m, 2)
 
 	cases := map[string][]byte{
 		"json leading byte":  []byte(`{"k":1}` + "\n"),
-		"bad version nibble": append([]byte{0x30 | good[0]&^wireVersionMask}, good[1:]...),
+		"bad version nibble": append([]byte{0x20 | good[0]&^wireVersionMask}, good[1:]...),
 		"truncated body":     good[:len(good)-3],
 		"body length lies":   append([]byte{good[0], byte(len(good))}, good[2:]...),
 		"type ref oob": (&wireEnc{names: map[string]uint64{m.PayloadType: 5}}).
-			appendFrame(nil, &m, nil), // encoder emits a table ref the decoder never saw defined
+			appendFrame(nil, &m, 0), // encoder emits a table ref the decoder never saw defined
 	}
 	for name, wire := range cases {
 		br := bufio.NewReader(bytes.NewReader(wire))
@@ -173,9 +174,9 @@ func TestWireInternTableBounded(t *testing.T) {
 	seq := uint64(0)
 	frame := func(ptype string) {
 		seq++
-		m := wireMessage{Kind: 1, Seq: seq, From: 1, To: 2, EdgeID: 3, Latency: 4,
+		m := wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4,
 			SentTick: int(seq), PayloadType: ptype, Payload: []byte(`true`)}
-		wire = enc.appendFrame(wire, &m, nil)
+		wire = enc.appendFrame(wire, &m, 0)
 	}
 	for i := 0; i < maxInternedTypes; i++ {
 		frame(fmt.Sprintf("live_test.flood%03d", i))
@@ -200,11 +201,11 @@ func TestWireInternTableBounded(t *testing.T) {
 	var enc2 wireEnc
 	var wire2 []byte
 	enc2.names = enc.names // pretend the same defines happened
-	enc2.lastSeq, enc2.lastTick = enc.lastSeq, enc.lastTick
+	enc2.lastTick = enc.lastTick
 	seq++
-	m := wireMessage{Kind: 1, Seq: seq, From: 1, To: 2, EdgeID: 3, Latency: 4,
+	m := wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4,
 		SentTick: int(seq), PayloadType: "live_test.flood000", Payload: []byte(`true`)}
-	wire2 = enc2.appendFrame(wire2, &m, nil)
+	wire2 = enc2.appendFrame(wire2, &m, 0)
 	br2 := bufio.NewReader(bytes.NewReader(wire2))
 	_, msgs, _, err := dec.readFrameMulti(br2)
 	if err != nil || len(msgs) != 1 {
@@ -217,23 +218,29 @@ func TestWireInternTableBounded(t *testing.T) {
 
 // TestTCPWireInterop checks what a transport does with a peer that is not its
 // own writer. The writer only emits FrameBatch frames, but the decoder still
-// accepts a single data frame (flag 0x1): it must be acked with its Seq and
-// delivered once — a batch of one, literally. A peer speaking anything other
-// than this version of the binary framing (a JSON line, or a version-1 frame,
-// whose sub-messages lack the delay field), or one whose delay is past the
-// wire's limit, is one malformed frame: counted as a decode drop, connection
-// closed, nothing delivered.
+// accepts a single data frame (flag 0x1): it must be acked with a cumulative
+// count of 1 and delivered once — a batch of one, literally. A peer speaking
+// anything other than this version of the binary framing (a JSON line, a
+// version-1 frame, whose sub-messages lack the delay field, or a version-2
+// frame, whose sub-messages carry a sequence number), or one whose delay is
+// past the wire's limit, is one malformed frame: counted as a decode drop,
+// connection closed, nothing delivered.
 func TestTCPWireInterop(t *testing.T) {
-	single := wireMessage{Kind: uint8(MsgRequest), Seq: 41, From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3}
+	single := wireMessage{Kind: uint8(MsgRequest), From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3}
 	single.PayloadType, single.Payload, _ = encodePayload(bitp{informed: true})
-	// The same message as a version-1 peer framed it: header 0x11, the
-	// sub-message fields without the delay, no payload type.
+	// The same message as older peers framed it, without a payload type:
+	// version 1 (header 0x11) with a sequence delta and no delay, version 2
+	// (header 0x21) with both.
+	const seq = 41
 	v1body := []byte{single.Kind}
-	for _, v := range []int{int(single.Seq) - 1, single.From, single.To, single.EdgeID, single.Latency, single.SentTick} {
+	for _, v := range []int{seq - 1, single.From, single.To, single.EdgeID, single.Latency, single.SentTick} {
 		v1body = binary.AppendVarint(v1body, int64(v))
 	}
-	v1body = append(v1body, 0, 0) // no payload type, empty payload
+	v2body := binary.AppendUvarint(append([]byte(nil), v1body...), 0) // delay
+	v1body = append(v1body, 0, 0)                                     // no payload type, empty payload
+	v2body = append(v2body, 0, 0)
 	v1 := append(binary.AppendUvarint([]byte{0x10 | wireFlagData}, uint64(len(v1body))), v1body...)
+	v2 := append(binary.AppendUvarint([]byte{0x20 | wireFlagData}, uint64(len(v2body))), v2body...)
 	late := single
 	late.DelayUS = maxWireDelayUS + 1
 	for _, tc := range []struct {
@@ -242,10 +249,11 @@ func TestTCPWireInterop(t *testing.T) {
 		wantAck   uint64 // 0: the connection must be closed without an ack
 		wantDrops int64
 	}{
-		{"single-data-frame", new(wireEnc).appendFrame(nil, &single, nil), single.Seq, 0},
+		{"single-data-frame", new(wireEnc).appendFrame(nil, &single, 0), 1, 0},
 		{"json-first-byte", []byte(`{"k":1,"q":41,"f":0,"t":1}` + "\n"), 0, 1},
 		{"v1-frame", v1, 0, 1},
-		{"delay-past-limit", new(wireEnc).appendFrame(nil, &late, nil), 0, 1},
+		{"v2-frame", v2, 0, 1},
+		{"delay-past-limit", new(wireEnc).appendFrame(nil, &late, 0), 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, b := tcpPair(t)
@@ -258,17 +266,17 @@ func TestTCPWireInterop(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.SetReadDeadline(time.Now().Add(5 * time.Second))
-			acks, _, _, err := new(wireDec).readFrameMulti(bufio.NewReader(c))
+			ack, _, _, err := new(wireDec).readFrameMulti(bufio.NewReader(c))
 			if tc.wantAck != 0 {
-				if err != nil || len(acks) != 1 || acks[0] != tc.wantAck {
-					t.Fatalf("reply acks = %v, err = %v; want one ack of seq %d", acks, err, tc.wantAck)
+				if err != nil || ack != tc.wantAck {
+					t.Fatalf("reply ack = %d, err = %v; want an ack of %d", ack, err, tc.wantAck)
 				}
 				got := recvWithin(t, b.Recv(1), 5*time.Second)
 				if p, ok := got.Payload.(bitp); !ok || !p.informed || got.EdgeID != single.EdgeID {
 					t.Fatalf("arrived mangled: %+v", got)
 				}
 			} else if !errors.Is(err, io.EOF) {
-				t.Fatalf("read from rejected connection: acks = %v, err = %v; want EOF", acks, err)
+				t.Fatalf("read from rejected connection: ack = %d, err = %v; want EOF", ack, err)
 			}
 			select {
 			case m := <-b.Recv(1):
@@ -336,8 +344,8 @@ func TestTCPDedupWindowEviction(t *testing.T) {
 		t.Errorf("dedup holds %d entries after %d distinct ticks — eviction not reclaiming", size, n)
 	}
 	// An entry a hundred windows old must be gone: re-sending it is
-	// delivered again rather than suppressed (it is far outside any
-	// retransmission lifetime, so this cannot double-deliver live traffic).
+	// delivered again rather than suppressed (it is far outside any live
+	// copy's lifetime, so this cannot double-deliver live traffic).
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 1, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -369,18 +377,21 @@ func TestTCPFlushCoalescing(t *testing.T) {
 	}
 }
 
-// TestTCPBrokenConnImmediateRedial is the satellite-2 check: when a write
-// hits a dead connection, the affected messages re-enter the retransmit path
-// immediately instead of waiting out the RTO. With a 5s RTO, delivery well
-// under that proves the immediate redial.
+// TestTCPBrokenConnImmediateRedial: when a write hits a dead connection, the
+// failed write cycle re-queues toward a fresh connection at once, whose
+// writer redials immediately — delivery well under two seconds proves no
+// timer stands in between.
 func TestTCPBrokenConnImmediateRedial(t *testing.T) {
 	a, b := tcpPair(t)
-	a.SetRetransmit(5*time.Second, 8)
 
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 1, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	recvWithin(t, b.Recv(1), 5*time.Second) // connection now pooled
+	// Acked too: a break counts whatever it leaves unacked as lost.
+	if !pollUntil(5*time.Second, func() bool { return allAcked(a) }) {
+		t.Fatal("first send never acked")
+	}
 
 	a.connMu.Lock()
 	cs := a.outs[b.Addr().String()]
@@ -399,7 +410,7 @@ func TestTCPBrokenConnImmediateRedial(t *testing.T) {
 		t.Fatalf("unexpected arrival %+v", got)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("redelivery took %v with a 5s RTO — broken-conn path did not retry immediately", elapsed)
+		t.Errorf("redelivery took %v — the broken-conn path did not re-queue immediately", elapsed)
 	}
 	if a.Dropped() != 0 {
 		t.Errorf("Dropped = %d after successful recovery", a.Dropped())

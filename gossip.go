@@ -520,7 +520,7 @@ func LiveRRBroadcast(g *Graph, k, spannerK int, opts LiveOptions) (LiveProtocol,
 // in-process channel transport hosting every node: a sharded event loop,
 // real latency delays, same seeded randomness as the simulator.
 func RunLive(g *Graph, proto LiveProtocol, opts LiveOptions) (LiveResult, error) {
-	tr := opts.faultWrap(live.NewChanTransport(g.N(), 0))
+	tr := opts.faultWrap(live.NewChanTransport(g.N()))
 	defer tr.Close()
 	o := opts.liveOptions()
 	o.Nodes = nil // the in-process transport hosts everyone
@@ -546,14 +546,14 @@ type LiveTCPTransport = live.TCPTransport
 // hosting the given nodes; map the remaining nodes to their processes'
 // addresses with SetPeers before running. See cmd/gossipd for the CLI.
 func NewLiveTCPTransport(listenAddr string, local []NodeID) (*LiveTCPTransport, error) {
-	return live.NewTCPTransport(listenAddr, local, 0)
+	return live.NewTCPTransport(listenAddr, local)
 }
 
 // NewLiveTCPTransportFromListener is NewLiveTCPTransport over an
 // already-bound listener, so a supervisor can reserve ports race-free and
 // hand each daemon its socket (see cmd/gossipctl's fd-passing launch).
 func NewLiveTCPTransportFromListener(ln net.Listener, local []NodeID) (*LiveTCPTransport, error) {
-	return live.NewTCPTransportFromListener(ln, local, 0)
+	return live.NewTCPTransportFromListener(ln, local)
 }
 
 // NewLiveUnixTransport returns a stream transport listening on a unix domain
@@ -561,7 +561,7 @@ func NewLiveTCPTransportFromListener(ln net.Listener, local []NodeID) (*LiveTCPT
 // stack. Peers dial it when their transports advertise the path via
 // SetPeerSockets.
 func NewLiveUnixTransport(path string, local []NodeID) (*LiveTCPTransport, error) {
-	return live.NewUnixTransport(path, local, 0)
+	return live.NewUnixTransport(path, local)
 }
 
 // Conductance reports the weighted conductance analysis of a graph.

@@ -20,8 +20,7 @@ import (
 
 // Preallocated one-byte bit-payload encodings: encoders return them by
 // reference, so the hot path allocates nothing. The transport treats
-// payload bytes as read-only. ASCII digits keep the bytes valid JSON for
-// the legacy line protocol (see live.DecodeBit).
+// payload bytes as read-only (see live.DecodeBit).
 var (
 	bitFalse = []byte{'0'}
 	bitTrue  = []byte{'1'}
@@ -30,8 +29,7 @@ var (
 func init() {
 	// bitPayload crosses the wire as a single byte. It is by far the
 	// hottest payload (every push-pull exchange carries two), so it skips
-	// the JSON machinery entirely; the decoder still accepts the JSON bools
-	// older senders emit.
+	// the JSON machinery entirely.
 	live.RegisterPayload("core.bit",
 		func(p sim.Payload) ([]byte, bool) {
 			b, ok := p.(bitPayload)

@@ -16,7 +16,7 @@
 // converged vector, and independent ladder levels are fanned across the
 // shared worker pool (internal/par) with an index-ordered merge, so results
 // are byte-identical at any worker count. See engine.go and ladder.go; the
-// pre-CSR pipeline is frozen in reference.go for the equivalence suite.
+// pre-CSR pipeline is frozen in reference_test.go for the equivalence suite.
 package cut
 
 import (

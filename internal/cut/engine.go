@@ -13,7 +13,7 @@ import (
 // This file is the CSR-backed conductance engine shared by the single-level
 // entry points (PhiHeuristic, PhiHeuristicCut, PhiRefined, Refine) and the
 // ladder driver in ladder.go. Three ideas carry the speedup over the frozen
-// pipeline in reference.go:
+// pipeline in reference_test.go:
 //
 //   - Prefix views. All inner loops — sweeps, refinement moves, spectral
 //     walk steps — iterate csr.Prefix(u, ends), a contiguous slice of the

@@ -69,7 +69,7 @@ func TestLadderWorkerCountInvariance(t *testing.T) {
 }
 
 // TestLadderMatchesReferenceOnStructuredFamilies pins the engine to the
-// frozen per-level pipeline (reference.go) where the sweep heuristic is
+// frozen per-level pipeline (reference_test.go) where the sweep heuristic is
 // stable: on structured families the minimum cut is found by every candidate
 // ordering regardless of the spectral start vector, so the warm-started
 // engine must reproduce the pre-CSR ladder byte for byte — Phi, Ratio, φ*,

@@ -10,68 +10,30 @@ import (
 	"gossip/internal/graph"
 )
 
-// DefaultInboxBuffer is the per-node inbox capacity used when a transport is
-// built with buffer <= 0. It only bounds memory: a full inbox delays the
-// sender's delivery callback, it never drops a message while the transport is
-// open.
-const DefaultInboxBuffer = 1024
-
-// ChanTransport is the in-process transport, with each edge's latency
-// injected as a real timer delay on a shared hierarchical timer wheel. It is
-// the live counterpart of the simulator's round calendar and the transport
-// used by gossip.RunLive.
-//
-// When the sharded runtime installs a DeliverySink, locally destined traffic
-// bypasses inbox channels entirely — the sink hands each message to the
-// sending node's shard, which applies the delay on its own calendar or hands
-// the message to the owning shard. Inbox channels are
-// materialized lazily, only for nodes a caller actually Recvs on (raw
-// transport tests, foreign runtimes), so hosting 100k nodes does not allocate
-// 100k buffered channels up front.
+// ChanTransport is the in-process transport and the one gossip.RunLive
+// uses; the name survives from when it buffered each node's deliveries on a
+// channel. Send hands every message straight to the runtime's DeliverySink,
+// which arms the edge's latency on the sending shard's calendar or hands
+// the message to the owning shard, so the transport holds nothing in
+// flight. A send no sink takes is counted in TransportDrops.
 type ChanTransport struct {
-	n           int
-	buffer      int
-	mu          sync.Mutex     // guards inboxes
-	inboxes     []chan Message // lazily created; nil until first use
-	sink        atomic.Pointer[DeliverySink]
-	delays      *timerWheel  // armed latency delays for legacy inbox deliveries
-	dropsClosed atomic.Int64 // deliveries abandoned at Close
-	closed      chan struct{}
-	closeOnce   sync.Once
+	n         int
+	sink      atomic.Pointer[DeliverySink]
+	drops     atomic.Int64 // sends no sink took
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 var _ Transport = (*ChanTransport)(nil)
 var _ SinkTransport = (*ChanTransport)(nil)
 var _ FaultReporter = (*ChanTransport)(nil)
 
-// NewChanTransport builds an in-process transport hosting nodes 0..n-1 with
-// the given per-node inbox capacity (<= 0 means DefaultInboxBuffer).
-func NewChanTransport(n, buffer int) *ChanTransport {
-	if buffer <= 0 {
-		buffer = DefaultInboxBuffer
-	}
-	return &ChanTransport{
-		n:       n,
-		buffer:  buffer,
-		inboxes: make([]chan Message, n),
-		delays:  newTimerWheel(0),
-		closed:  make(chan struct{}),
-	}
+// NewChanTransport builds an in-process transport hosting nodes 0..n-1.
+func NewChanTransport(n int) *ChanTransport {
+	return &ChanTransport{n: n, closed: make(chan struct{})}
 }
 
-// inbox returns u's inbox channel, creating it on first use.
-func (t *ChanTransport) inbox(u graph.NodeID) chan Message {
-	t.mu.Lock()
-	ch := t.inboxes[u]
-	if ch == nil {
-		ch = make(chan Message, t.buffer)
-		t.inboxes[u] = ch
-	}
-	t.mu.Unlock()
-	return ch
-}
-
-// Send implements Transport by scheduling an in-memory delivery after delay.
+// Send implements Transport by handing msg and its delay to the sink.
 func (t *ChanTransport) Send(msg Message, delay time.Duration) error {
 	select {
 	case <-t.closed:
@@ -84,28 +46,14 @@ func (t *ChanTransport) Send(msg Message, delay time.Duration) error {
 	if s := t.sink.Load(); s != nil && (*s)(msg, delay) {
 		return nil
 	}
-	tm := t.delays.schedule(delay, func() {
-		select {
-		case t.inbox(msg.To) <- msg:
-		case <-t.closed:
-		}
-	})
-	if tm == nil {
-		t.dropsClosed.Add(1)
-		return ErrTransportClosed
-	}
+	t.drops.Add(1)
 	return nil
 }
 
-// Recv implements Transport.
-func (t *ChanTransport) Recv(u graph.NodeID) <-chan Message {
-	if u < 0 || int(u) >= t.n {
-		return nil
-	}
-	return t.inbox(u)
-}
+// Recv implements Transport's stub (see Transport): always nil.
+func (t *ChanTransport) Recv(graph.NodeID) <-chan Message { return nil }
 
-// Hosts implements SinkTransport without materializing an inbox.
+// Hosts implements SinkTransport.
 func (t *ChanTransport) Hosts(u graph.NodeID) bool {
 	return u >= 0 && int(u) < t.n
 }
@@ -120,50 +68,21 @@ func (t *ChanTransport) SetSink(sink DeliverySink) bool {
 	return true
 }
 
-// Close implements Transport; pending deliveries are stopped, counted, and
-// abandoned.
+// Close implements Transport: later sends are refused.
 func (t *ChanTransport) Close() error {
-	t.closeOnce.Do(func() {
-		close(t.closed)
-		t.dropsClosed.Add(t.delays.close())
-	})
+	t.closeOnce.Do(func() { close(t.closed) })
 	return nil
 }
 
-// PendingDeliveries returns the number of armed delivery timers — zero after
-// Close (the timer-hygiene guarantee tests rely on).
-func (t *ChanTransport) PendingDeliveries() int { return t.delays.len() }
-
-// Drain implements Drainer: in-process delivery has no write queues to
-// flush, so draining means letting the armed latency delays fire until ctx
-// expires, then closing (which abandons and counts whatever remains).
-func (t *ChanTransport) Drain(ctx context.Context) (DrainReport, error) {
-	start := time.Now()
-	rep := DrainReport{}
-	poll := time.NewTimer(time.Millisecond)
-	defer poll.Stop()
-	for t.delays.len() > 0 {
-		select {
-		case <-ctx.Done():
-			rep.QueuedAtClose = t.delays.len()
-			t.Close()
-			rep.Wall = time.Since(start)
-			return rep, ctx.Err()
-		case <-t.closed:
-			rep.Wall = time.Since(start)
-			return rep, ErrTransportClosed
-		case <-poll.C:
-			poll.Reset(time.Millisecond)
-		}
-	}
-	rep.Clean = true
+// Drain implements Drainer: with nothing in flight there is nothing to
+// flush, so draining is closing, and always clean.
+func (t *ChanTransport) Drain(context.Context) (DrainReport, error) {
 	t.Close()
-	rep.Wall = time.Since(start)
-	return rep, nil
+	return DrainReport{Clean: true}, nil
 }
 
-// Faults implements FaultReporter: the channel transport's only loss path is
-// deliveries abandoned at Close.
+// Faults implements FaultReporter: the in-process transport's only loss path
+// is a send no sink took.
 func (t *ChanTransport) Faults() FaultReport {
-	return FaultReport{FaultCounts: FaultCounts{TransportDrops: t.dropsClosed.Load()}}
+	return FaultReport{FaultCounts: FaultCounts{TransportDrops: t.drops.Load()}}
 }

@@ -90,8 +90,7 @@ func encodePayload(p sim.Payload) (name string, data []byte, err error) {
 }
 
 // DecodeBit parses the shared one-byte boolean payload encoding used by the
-// hot single-bit protocol payloads: ASCII '0' / '1'. The JSON bools older
-// senders emit are still accepted.
+// hot single-bit protocol payloads: ASCII '0' / '1', nothing else.
 func DecodeBit(data []byte) (bool, error) {
 	if len(data) == 1 {
 		switch data[0] {
@@ -100,12 +99,6 @@ func DecodeBit(data []byte) (bool, error) {
 		case '1':
 			return true, nil
 		}
-	}
-	switch string(data) {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
 	}
 	return false, fmt.Errorf("live: malformed bit payload %q", data)
 }

@@ -15,10 +15,12 @@ import (
 	"gossip/internal/member"
 )
 
-// TestChanTransportDrainClean: Drain waits out every armed delivery timer,
-// then closes; sends after the drain are refused.
+// TestChanTransportDrainClean: a send reaches the sink at once, delay and
+// all, so the transport holds nothing in flight and Drain closes clean;
+// sends after the drain are refused.
 func TestChanTransportDrainClean(t *testing.T) {
-	tr := NewChanTransport(2, 0)
+	tr := NewChanTransport(2)
+	inbox := sinkInbox(t, tr)
 	msg := Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, Latency: 1,
 		SentTick: 1, Payload: bitp{informed: true}}
 	if err := tr.Send(msg, 20*time.Millisecond); err != nil {
@@ -35,12 +37,12 @@ func TestChanTransportDrainClean(t *testing.T) {
 		t.Fatalf("Drain report not clean: %+v", rep)
 	}
 	select {
-	case got := <-tr.Recv(1):
+	case got := <-inbox(1):
 		if got.SentTick != 1 {
 			t.Fatalf("delivered tick %d, want 1", got.SentTick)
 		}
 	default:
-		t.Fatal("in-flight message lost during drain")
+		t.Fatal("send never reached the sink")
 	}
 	if err := tr.Send(msg, 0); !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("Send after Drain = %v, want ErrTransportClosed", err)
@@ -51,15 +53,16 @@ func TestChanTransportDrainClean(t *testing.T) {
 // written message is acked before the transport closes — including the frames
 // queued behind the connection's first dial, which the drain lets finish.
 func TestTCPDrainClean(t *testing.T) {
-	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 256)
+	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1}, 256)
+	dst, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
+	dstIn := sinkInbox(t, dst)
 	src.SetPeers(map[graph.NodeID]string{1: dst.Addr().String()})
 
 	const sends = 50
@@ -84,7 +87,7 @@ func TestTCPDrainClean(t *testing.T) {
 	// Every send was queued before the drain began, and the peer is live:
 	// all of them flushed and were acked, so all reached the peer.
 	delivered := 0
-	inbox := dst.Recv(1)
+	inbox := dstIn(1)
 	for {
 		select {
 		case <-inbox:
@@ -107,7 +110,7 @@ func TestTCPDrainClean(t *testing.T) {
 func TestTCPDrainDeadline(t *testing.T) {
 	addr, _, closeLn := quietListener(t)
 	defer closeLn()
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,7 @@ func TestTCPDrainNoRedial(t *testing.T) {
 	defer breakConns()
 	addr := ln.Addr().String()
 
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +240,7 @@ func TestTCPClusterDrainLeaksNothing(t *testing.T) {
 		for v := i * per; v < (i+1)*per; v++ {
 			nodes = append(nodes, graph.NodeID(v))
 		}
-		tr, err := NewTCPTransport("127.0.0.1:0", nodes, 1024)
+		tr, err := NewTCPTransport("127.0.0.1:0", nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +312,7 @@ func TestTCPClusterDrainLeaksNothing(t *testing.T) {
 // returns Interrupted without an error.
 func TestRunLiveInterruptLeaves(t *testing.T) {
 	g := graph.Clique(6, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 
 	interrupt := make(chan struct{})

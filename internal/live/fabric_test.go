@@ -60,16 +60,10 @@ func fabricListen(t testing.TB, fabric, addr string) (net.Listener, string) {
 
 // newFabricTransport builds one transport of the given fabric hosting the
 // given nodes, returning it and the address peers should dial.
-func newFabricTransport(t testing.TB, fabric string, hosted []graph.NodeID, buffer int) (*StreamTransport, string) {
-	return newFabricTransportAt(t, fabric, "", hosted, buffer)
-}
-
-// newFabricTransportAt is newFabricTransport listening at addr (see
-// fabricListen).
-func newFabricTransportAt(t testing.TB, fabric, addr string, hosted []graph.NodeID, buffer int) (*StreamTransport, string) {
+func newFabricTransport(t testing.TB, fabric string, hosted []graph.NodeID) (*StreamTransport, string) {
 	t.Helper()
-	ln, addr := fabricListen(t, fabric, addr)
-	tr := newStreamTransport(hosted, buffer)
+	ln, addr := fabricListen(t, fabric, "")
+	tr := newStreamTransport(hosted)
 	if err := tr.addListener(ln, fabric == "unix"); err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +95,10 @@ func TestAddrIsLocalHost(t *testing.T) {
 func TestFabricRoundTripCountsLocal(t *testing.T) {
 	for _, fabric := range fabrics {
 		t.Run(fabric, func(t *testing.T) {
-			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 64)
-			b, baddr := newFabricTransport(t, fabric, []graph.NodeID{1}, 64)
+			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0})
+			b, baddr := newFabricTransport(t, fabric, []graph.NodeID{1})
 			defer b.Close()
+			bIn := sinkInbox(t, b)
 			a.SetPeers(map[graph.NodeID]string{1: baddr})
 
 			const sends = 32
@@ -113,7 +108,7 @@ func TestFabricRoundTripCountsLocal(t *testing.T) {
 				}
 			}
 			for i := 0; i < sends; i++ {
-				recvWithin(t, b.Recv(1), 5*time.Second)
+				recvWithin(t, bIn(1), 5*time.Second)
 			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -141,21 +136,77 @@ func TestFabricRoundTripCountsLocal(t *testing.T) {
 	}
 }
 
+// TestFabricSinkMissCountsDrop: over each fabric, a message no sink takes —
+// none installed, or the sink refused it — is one misroute drop on the
+// transport that had it, a local send and a wire arrival alike. Neither
+// blocks: the send returns, and the read loop goes on delivering and
+// acking. The next message, with a sink installed, is delivered.
+func TestFabricSinkMissCountsDrop(t *testing.T) {
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0, 2})
+			defer a.Close()
+			b, baddr := newFabricTransport(t, fabric, []graph.NodeID{1})
+			defer b.Close()
+			a.SetPeers(map[graph.NodeID]string{1: baddr})
+			tick := 0
+			send := func(to graph.NodeID) {
+				t.Helper()
+				tick++
+				if err := a.Send(testMsg(to, MsgRequest, tick), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for drops, refuse := range []bool{false, true} {
+				if refuse {
+					no := func(Message, time.Duration) bool { return false }
+					a.SetSink(no)
+					b.SetSink(no)
+				}
+				send(2)
+				if got := a.Dropped(); got != int64(drops+1) {
+					t.Fatalf("refuse=%v: local Dropped = %d, want %d", refuse, got, drops+1)
+				}
+				send(1)
+				if !pollUntil(5*time.Second, func() bool { return b.Dropped() == int64(drops+1) }) {
+					t.Fatalf("refuse=%v: arrival Dropped = %d, want %d", refuse, b.Dropped(), drops+1)
+				}
+			}
+			aIn, bIn := sinkInbox(t, a), sinkInbox(t, b)
+			send(2)
+			select {
+			case <-aIn(2):
+			default:
+				t.Fatal("local send never reached the installed sink")
+			}
+			send(1)
+			recvWithin(t, bIn(1), 5*time.Second)
+			if !pollUntil(5*time.Second, func() bool { return allAcked(a) }) {
+				t.Fatal("arrivals no sink took stalled the acks")
+			}
+			if da, db := a.Dropped(), b.Dropped(); da != 2 || db != 2 {
+				t.Fatalf("Dropped = %d, %d after delivered sends, want 2, 2", da, db)
+			}
+		})
+	}
+}
+
 // TestFabricAutoUpgradeToUnix is the co-location fast path: both transports
 // listen on TCP, the peer advertises a unix socket for its TCP address via
 // SetPeerSockets, and the dialer must route every frame over the socket —
 // proven by the local counters — without any peer-map change.
 func TestFabricAutoUpgradeToUnix(t *testing.T) {
-	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1}, 64)
+	b, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	bIn := sinkInbox(t, b)
 	dir, err := os.MkdirTemp("", "gsp")
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +226,7 @@ func TestFabricAutoUpgradeToUnix(t *testing.T) {
 	if err := a.Send(testMsg(1, MsgRequest, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, b.Recv(1), 5*time.Second)
+	recvWithin(t, bIn(1), 5*time.Second)
 	if a.WireLocalFrames() == 0 {
 		t.Fatal("advertised socket for a local peer was not dialed")
 	}
@@ -190,11 +241,13 @@ func TestFabricAutoUpgradeToUnix(t *testing.T) {
 // interoperates through one peer map.
 func TestFabricMixedInterop(t *testing.T) {
 	trs := make([]*StreamTransport, len(fabrics))
+	ins := make([]func(graph.NodeID) <-chan Message, len(fabrics))
 	addrs := make(map[graph.NodeID]string, len(fabrics))
 	for i, fabric := range fabrics {
-		tr, addr := newFabricTransport(t, fabric, []graph.NodeID{graph.NodeID(i)}, 64)
+		tr, addr := newFabricTransport(t, fabric, []graph.NodeID{graph.NodeID(i)})
 		defer tr.Close()
 		trs[i] = tr
+		ins[i] = sinkInbox(t, tr)
 		addrs[graph.NodeID(i)] = addr
 	}
 	for _, tr := range trs {
@@ -218,7 +271,7 @@ func TestFabricMixedInterop(t *testing.T) {
 	}
 	for to := range trs {
 		for i := 0; i < perPair*(len(trs)-1); i++ {
-			recvWithin(t, trs[to].Recv(graph.NodeID(to)), 5*time.Second)
+			recvWithin(t, ins[to](graph.NodeID(to)), 5*time.Second)
 		}
 	}
 	for i, tr := range trs {
@@ -244,37 +297,39 @@ func TestFabricUnixRedialAfterSocketRemoval(t *testing.T) {
 	defer os.RemoveAll(dir)
 	sock := filepath.Join(dir, "d.sock")
 
-	a, err := NewUnixTransport(filepath.Join(dir, "a.sock"), []graph.NodeID{0}, 8)
+	a, err := NewUnixTransport(filepath.Join(dir, "a.sock"), []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewUnixTransport(sock, []graph.NodeID{1}, 8)
+	b, err := NewUnixTransport(sock, []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.SetPeers(map[graph.NodeID]string{1: unixScheme + sock})
+	bIn := sinkInbox(t, b)
 
 	if err := a.Send(testMsg(1, MsgRequest, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, b.Recv(1), 5*time.Second)
+	recvWithin(t, bIn(1), 5*time.Second)
 
 	// Daemon restart: old listener (and its socket file) gone, new one at
 	// the same path, pooled connection severed under the sender.
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := NewUnixTransport(sock, []graph.NodeID{1}, 8)
+	b2, err := NewUnixTransport(sock, []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
+	b2In := sinkInbox(t, b2)
 
 	if err := a.Send(testMsg(1, MsgRequest, 2), 0); err != nil {
 		t.Fatal(err)
 	}
-	got := recvWithin(t, b2.Recv(1), 5*time.Second)
+	got := recvWithin(t, b2In(1), 5*time.Second)
 	if got.SentTick != 2 {
 		t.Fatalf("unexpected arrival %+v", got)
 	}
@@ -318,7 +373,7 @@ func TestFabricBrokenConnCountsUnacked(t *testing.T) {
 				}
 			})
 			defer stop()
-			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 8)
+			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0})
 			defer a.Close()
 			a.SetPeers(map[graph.NodeID]string{1: addr})
 
@@ -369,11 +424,11 @@ func TestFabricStaleSocketReclaim(t *testing.T) {
 	sock := filepath.Join(dir, "d.sock")
 
 	// Live listener: the path is taken, binding again must fail.
-	live, err := NewUnixTransport(sock, []graph.NodeID{0}, 8)
+	live, err := NewUnixTransport(sock, []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewUnixTransport(sock, []graph.NodeID{1}, 8); err == nil {
+	if _, err := NewUnixTransport(sock, []graph.NodeID{1}); err == nil {
 		t.Fatal("second listener on a live socket succeeded")
 	}
 	live.Close()
@@ -390,7 +445,7 @@ func TestFabricStaleSocketReclaim(t *testing.T) {
 	if _, err := os.Stat(sock); err != nil {
 		t.Fatalf("stale socket file missing before reclaim test: %v", err)
 	}
-	tr, err := NewUnixTransport(sock, []graph.NodeID{0}, 8)
+	tr, err := NewUnixTransport(sock, []graph.NodeID{0})
 	if err != nil {
 		t.Fatalf("stale socket not reclaimed: %v", err)
 	}
@@ -405,7 +460,7 @@ func TestFabricStaleSocketReclaim(t *testing.T) {
 func TestFabricDrainPendingParity(t *testing.T) {
 	for _, fabric := range fabrics {
 		t.Run(fabric, func(t *testing.T) {
-			tr, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 64)
+			tr, _ := newFabricTransport(t, fabric, []graph.NodeID{0})
 			addr, stop := quietFabricPeer(t, fabric, nil)
 			defer stop()
 			tr.SetPeers(map[graph.NodeID]string{1: addr})
@@ -562,9 +617,10 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 	}
 	var trs [2]*StreamTransport
 	var fts [2]*FaultTransport
+	var ins [2]func(graph.NodeID) <-chan Message
 	addrs := make(map[graph.NodeID]string, g.N())
 	for i := range trs {
-		tr, addr := newFabricTransport(t, fabric, hosted[i], 4096)
+		tr, addr := newFabricTransport(t, fabric, hosted[i])
 		trs[i] = tr
 		for _, u := range hosted[i] {
 			addrs[u] = addr
@@ -574,14 +630,15 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 		trs[i].SetPeers(addrs)
 		fts[i] = NewFaultTransport(trs[i], cfg)
 		defer fts[i].Close()
+		ins[i] = sinkInbox(t, fts[i])
 	}
 	for _, m := range feed {
 		if err := fts[side(m.From)].Send(m, 0); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	// Wait for delayed deliveries (jitter, the duplicate's trailing offset, a
-	// slow ramp) to be scheduled and every surviving send to be acked.
+	// Give every surviving send time to arrive and be acked (the sink gets
+	// a message at once; its delay is a runtime's to apply).
 	extra := 2 * (cfg.JitterTicks + 1)
 	for _, p := range cfg.Phases {
 		extra += p.SlowMaxTicks
@@ -593,7 +650,7 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 	}
 	got := make(map[arrivalKey]int)
 	for u := 0; u < g.N(); u++ {
-		ch := fts[side(graph.NodeID(u))].Recv(graph.NodeID(u))
+		ch := ins[side(graph.NodeID(u))](graph.NodeID(u))
 		for {
 			select {
 			case m := <-ch:
@@ -625,13 +682,18 @@ func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Messa
 
 // lateFabricPeer returns an address on the given fabric that nothing listens
 // on yet, and a function that brings up a transport hosting the given nodes
-// there.
-func lateFabricPeer(t *testing.T, fabric string) (addr string, listen func(hosted []graph.NodeID) *StreamTransport) {
+// there, its sinkInbox installed before it accepts a waiting dialer.
+func lateFabricPeer(t *testing.T, fabric string) (addr string, listen func(hosted []graph.NodeID) (*StreamTransport, func(graph.NodeID) <-chan Message)) {
 	ln, addr := fabricListen(t, fabric, "")
 	ln.Close() // a unix listener unlinks its socket file
-	return addr, func(hosted []graph.NodeID) *StreamTransport {
-		tr, _ := newFabricTransportAt(t, fabric, addr, hosted, 1024)
-		return tr
+	return addr, func(hosted []graph.NodeID) (*StreamTransport, func(graph.NodeID) <-chan Message) {
+		ln, _ := fabricListen(t, fabric, addr)
+		tr := newStreamTransport(hosted)
+		inbox := sinkInbox(t, tr)
+		if err := tr.addListener(ln, fabric == "unix"); err != nil {
+			t.Fatal(err)
+		}
+		return tr, inbox
 	}
 }
 
@@ -645,7 +707,7 @@ func TestFabricDialOnceForManySenders(t *testing.T) {
 	for _, fabric := range fabrics {
 		t.Run(fabric, func(t *testing.T) {
 			addr, listen := lateFabricPeer(t, fabric)
-			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 8)
+			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0})
 			defer a.Close()
 			a.SetPeers(map[graph.NodeID]string{1: addr})
 			baseline := runtime.NumGoroutine()
@@ -676,10 +738,10 @@ func TestFabricDialOnceForManySenders(t *testing.T) {
 			}
 
 			time.Sleep(100*time.Millisecond - time.Since(start))
-			b := listen([]graph.NodeID{1})
+			b, bIn := listen([]graph.NodeID{1})
 			defer b.Close()
 			for i := 0; i < sends; i++ {
-				recvWithin(t, b.Recv(1), 10*time.Second)
+				recvWithin(t, bIn(1), 10*time.Second)
 			}
 			b.connMu.Lock()
 			accepted := len(b.conns)
@@ -704,7 +766,7 @@ func TestFabricDialAbandonedByDrainOrClose(t *testing.T) {
 		for _, stop := range []string{"drain", "close"} {
 			t.Run(fabric+"/"+stop, func(t *testing.T) {
 				addr, _ := lateFabricPeer(t, fabric) // never comes up
-				a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 8)
+				a, _ := newFabricTransport(t, fabric, []graph.NodeID{0})
 				a.SetPeers(map[graph.NodeID]string{1: addr})
 
 				const sends = 20
@@ -785,8 +847,8 @@ func TestFabricLatencyOnTheWire(t *testing.T) {
 				msg   Message
 				delay time.Duration
 			}
-			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 64)
-			b, baddr := newFabricTransport(t, fabric, []graph.NodeID{1}, 64)
+			a, _ := newFabricTransport(t, fabric, []graph.NodeID{0})
+			b, baddr := newFabricTransport(t, fabric, []graph.NodeID{1})
 			defer b.Close()
 			arrivals := make(chan arrival, 2*sends)
 			b.SetSink(func(m Message, d time.Duration) bool {
@@ -828,7 +890,7 @@ func TestFabricLatencyOnTheWire(t *testing.T) {
 			// The raw wire: each message twice, the copy later in the stream
 			// and trailing the original by 1+jitter ticks.
 			waddr, wire := wirePeer(t, fabric)
-			a2, _ := newFabricTransport(t, fabric, []graph.NodeID{0}, 64)
+			a2, _ := newFabricTransport(t, fabric, []graph.NodeID{0})
 			a2.SetPeers(map[graph.NodeID]string{1: waddr})
 			ft2 := NewFaultTransport(a2, cfg)
 			defer ft2.Close()

@@ -28,8 +28,8 @@ import (
 // or delayed: two runs whose protocols emit the same messages experience
 // byte-identical faults. The decision is also made before the message
 // reaches any transport, so it is independent of what carries it: a run
-// behaves identically over TCP, unix sockets, and the in-process channel
-// transport (which never encodes).
+// behaves identically over TCP, unix sockets, and the in-process transport
+// (which never encodes).
 
 // FaultConfig is a fault plan. Drop, Duplicate and JitterTicks are whole-run
 // weather: they compile to an unbounded phase 0 that precedes Phases. The
@@ -375,16 +375,14 @@ func (t *FaultTransport) Send(msg Message, delay time.Duration) error {
 	return nil
 }
 
-// Recv implements Transport.
-func (t *FaultTransport) Recv(u graph.NodeID) <-chan Message { return t.inner.Recv(u) }
+// Recv implements Transport's stub (see Transport): always nil.
+func (t *FaultTransport) Recv(graph.NodeID) <-chan Message { return nil }
 
-// Hosts implements SinkTransport by asking the inner transport (falling back
-// to a Recv probe for foreign transports).
+// Hosts implements SinkTransport by asking the inner transport; one that
+// cannot take a sink hosts nothing.
 func (t *FaultTransport) Hosts(u graph.NodeID) bool {
-	if st, ok := t.inner.(SinkTransport); ok {
-		return st.Hosts(u)
-	}
-	return t.inner.Recv(u) != nil
+	st, ok := t.inner.(SinkTransport)
+	return ok && st.Hosts(u)
 }
 
 // SetSink forwards the runtime's sink to the inner transport. The chaos layer

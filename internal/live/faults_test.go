@@ -43,24 +43,25 @@ type arrivalKey struct {
 }
 
 // runScripted feeds the schedule through a FaultTransport over a channel
-// transport, waits out all delays, and returns the arrival multiset and the
-// fault report (taken before Close so shutdown accounting can't leak in).
+// transport and returns the arrival multiset and the fault report (taken
+// before Close so shutdown accounting can't leak in). The sink takes every
+// surviving message inside Send, delay and all, so nothing is left to wait
+// out.
 func runScripted(t *testing.T, g *graph.Graph, feed []Message, cfg FaultConfig) (map[arrivalKey]int, FaultReport) {
 	t.Helper()
-	inner := NewChanTransport(g.N(), 4096)
+	inner := NewChanTransport(g.N())
 	ft := NewFaultTransport(inner, cfg)
+	inbox := sinkInbox(t, ft)
 	for _, m := range feed {
 		if err := ft.Send(m, 0); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	// Worst-case extra delay: jitter plus the duplicate's trailing offset.
-	time.Sleep(50*time.Millisecond + time.Duration(2*(cfg.JitterTicks+1))*cfg.Tick)
 	got := make(map[arrivalKey]int)
 	for u := 0; u < g.N(); u++ {
 		for {
 			select {
-			case m := <-ft.Recv(graph.NodeID(u)):
+			case m := <-inbox(graph.NodeID(u)):
 				got[arrivalKey{edge: m.EdgeID, from: m.From, sentTick: m.SentTick}]++
 				continue
 			default:
@@ -157,19 +158,19 @@ func TestFaultTransportZeroRatePassThrough(t *testing.T) {
 	}
 
 	// The bare transport delivers the identical multiset.
-	bare := NewChanTransport(g.N(), 4096)
+	bare := NewChanTransport(g.N())
 	defer bare.Close()
+	bareIn := sinkInbox(t, bare)
 	for _, m := range feed {
 		if err := bare.Send(m, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(50 * time.Millisecond)
 	bareGot := make(map[arrivalKey]int)
 	for u := 0; u < g.N(); u++ {
 		for {
 			select {
-			case m := <-bare.Recv(graph.NodeID(u)):
+			case m := <-bareIn(graph.NodeID(u)):
 				bareGot[arrivalKey{edge: m.EdgeID, from: m.From, sentTick: m.SentTick}]++
 				continue
 			default:
@@ -251,44 +252,12 @@ func TestPartitionCutBetween(t *testing.T) {
 	}
 }
 
-// TestFaultTimerHygieneOnClose is the deliverAfter leak check: a delivery
-// armed with an hour of delay must be stopped and counted at Close, leaving
-// no armed timer and no lingering goroutine behind.
-func TestFaultTimerHygieneOnClose(t *testing.T) {
-	before := runtime.NumGoroutine()
-	tr := NewChanTransport(2, 8)
-	if err := tr.Send(Message{Kind: MsgRequest, From: 0, To: 1}, time.Hour); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if n := tr.PendingDeliveries(); n != 1 {
-		t.Fatalf("PendingDeliveries = %d before Close, want 1", n)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if n := tr.PendingDeliveries(); n != 0 {
-		t.Errorf("PendingDeliveries = %d after Close, want 0", n)
-	}
-	if got := tr.Faults().TransportDrops; got != 1 {
-		t.Errorf("TransportDrops = %d, want 1 abandoned delivery", got)
-	}
-	// The timer goroutine must be gone promptly, not after the hour.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked after Close: before=%d after=%d", before, runtime.NumGoroutine())
-}
-
 // TestChaosCrashRecoveryPushPull checks crash-recovery end to end: a node
 // that crashes mid-run and rejoins with cleared state gets re-informed by
 // push-pull, and the run completes counting it as a reachable survivor.
 func TestChaosCrashRecoveryPushPull(t *testing.T) {
 	g := graph.Clique(6, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{
 		Seed:    5,
@@ -327,7 +296,7 @@ func TestChaosCrashRecoveryPushPull(t *testing.T) {
 // TestFaultTransportClosePropagates checks the decorator's lifecycle: closing
 // the FaultTransport closes the inner transport.
 func TestFaultTransportClosePropagates(t *testing.T) {
-	inner := NewChanTransport(2, 8)
+	inner := NewChanTransport(2)
 	ft := NewFaultTransport(inner, FaultConfig{})
 	if err := ft.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -357,7 +326,7 @@ func TestFaultPhaseZeroKeepsWholeRunDraws(t *testing.T) {
 	for _, seed := range []uint64{1, 99, 5519} {
 		for _, p := range []float64{0, 0.01, 0.05, 0.3, 0.5, 1} {
 			for _, j := range []int{0, 1, 2, 5} {
-				inner := NewChanTransport(9, 0)
+				inner := NewChanTransport(9)
 				inner.SetSink(func(Message, time.Duration) bool { return true })
 				ft := NewFaultTransport(inner, FaultConfig{Seed: seed, Drop: p, Duplicate: p, JitterTicks: j})
 				var want FaultCounts
@@ -408,7 +377,7 @@ func TestFaultSendAllocs(t *testing.T) {
 		"staged":  {Seed: 1, Phases: []FaultPhase{{Name: "loss", Loss: 0.05}}},
 	}
 	for name, cfg := range plans {
-		inner := NewChanTransport(2, 0)
+		inner := NewChanTransport(2)
 		inner.SetSink(func(Message, time.Duration) bool { return true })
 		ft := NewFaultTransport(inner, cfg)
 		msg := Message{Kind: MsgRequest, From: 0, To: 1, Payload: bitp{informed: true}}
@@ -473,7 +442,7 @@ func TestNemesisStagedChaosHeals(t *testing.T) {
 	})
 	lossPhase := len(phases) - 1
 
-	inner := NewChanTransport(n, 0)
+	inner := NewChanTransport(n)
 	ft := NewFaultTransport(inner, FaultConfig{Seed: 99, Tick: testTick, Phases: phases})
 
 	res, err := Run(g, ppProto{source: 0}, ft, Options{
@@ -536,9 +505,6 @@ func TestNemesisStagedChaosHeals(t *testing.T) {
 	if !drep.Clean {
 		t.Fatalf("post-chaos drain not clean: %+v", drep)
 	}
-	if pd := inner.PendingDeliveries(); pd != 0 {
-		t.Fatalf("%d delivery timers leaked after drain", pd)
-	}
 	if !pollUntil(10*time.Second, func() bool {
 		return runtime.NumGoroutine() <= baseline+2
 	}) {
@@ -556,18 +522,20 @@ func TestNemesisDeterministicLoss(t *testing.T) {
 			SentTick: tick, Payload: bitp{informed: true}}
 	}
 	outcomes := func(seed uint64) []bool {
-		inner := NewChanTransport(2, 0)
+		inner := NewChanTransport(2)
 		defer inner.Close()
 		ft := NewFaultTransport(inner, FaultConfig{Seed: seed, Tick: testTick, Phases: phase})
+		inbox := sinkInbox(t, ft)
 		var got []bool
 		for tick := 0; tick < 64; tick++ {
 			if err := ft.Send(msg(tick), 0); err != nil {
 				t.Fatal(err)
 			}
+			// The sink takes a surviving message inside Send.
 			select {
-			case <-ft.Recv(1):
+			case <-inbox(1):
 				got = append(got, true)
-			case <-time.After(50 * time.Millisecond):
+			default:
 				got = append(got, false)
 			}
 		}
@@ -605,22 +573,24 @@ func TestNemesisDeterministicLoss(t *testing.T) {
 // TestNemesisPhaseWindows: phases only touch exchanges initiated inside
 // their tick window; the asymmetric cut is one-way.
 func TestNemesisPhaseWindows(t *testing.T) {
-	inner := NewChanTransport(2, 0)
+	inner := NewChanTransport(2)
 	defer inner.Close()
 	ft := NewFaultTransport(inner, FaultConfig{Seed: 1, Tick: testTick, Phases: []FaultPhase{{
 		Name: "asym", From: 10, Until: 20,
 		AsymFrom: []graph.NodeID{0}, AsymTo: []graph.NodeID{1},
 	}}})
+	inbox := sinkInbox(t, ft)
 	send := func(from, to graph.NodeID, tick int) bool {
 		msg := Message{Kind: MsgRequest, From: from, To: to, EdgeID: 3,
 			Latency: 1, SentTick: tick, Payload: bitp{informed: true}}
 		if err := ft.Send(msg, 0); err != nil {
 			t.Fatal(err)
 		}
+		// The sink takes a surviving message inside Send.
 		select {
-		case <-ft.Recv(to):
+		case <-inbox(to):
 			return true
-		case <-time.After(100 * time.Millisecond):
+		default:
 			return false
 		}
 	}

@@ -22,11 +22,12 @@
 //     simulator (rng.Stream(seed, node)), so a protocol makes identical
 //     random choices in both runtimes, tick for tick.
 //
-// Two transports ship with the package: ChanTransport (in-process channels,
-// used by gossip.RunLive) and TCPTransport (binary frames over TCP, one
-// process per node subset, used by cmd/gossipd). A Runtime may host any subset of
-// the graph's nodes; a cluster is several runtimes — in one process or many
-// — whose transports route to each other.
+// Two transports ship with the package, both delivering through the
+// runtime's sink: ChanTransport (in-process, used by gossip.RunLive) and
+// TCPTransport (binary frames over TCP, one process per node subset, used by
+// cmd/gossipd). A Runtime may host any subset of the graph's nodes; a
+// cluster is several runtimes — in one process or many — whose transports
+// route to each other.
 package live
 
 import (
@@ -286,7 +287,12 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 			hosted[u] = graph.NodeID(u)
 		}
 	}
-	st, _ := tr.(SinkTransport)
+	// Delivery goes through the runtime's sink alone, so a transport that
+	// cannot take one cannot run.
+	st, ok := tr.(SinkTransport)
+	if !ok {
+		return Result{}, errors.New("live: transport cannot deliver to a runtime (not a SinkTransport)")
+	}
 	seen := make(map[graph.NodeID]bool, len(hosted))
 	for _, u := range hosted {
 		if u < 0 || u >= g.N() {
@@ -296,13 +302,7 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 			return Result{}, fmt.Errorf("live: node %d hosted twice", u)
 		}
 		seen[u] = true
-		// Hosting check without materializing an inbox channel: at 100k
-		// nodes, eager per-node buffers are the memory bottleneck.
-		if st != nil {
-			if !st.Hosts(u) {
-				return Result{}, fmt.Errorf("live: transport does not host node %d", u)
-			}
-		} else if tr.Recv(u) == nil {
+		if !st.Hosts(u) {
 			return Result{}, fmt.Errorf("live: transport does not host node %d", u)
 		}
 	}
@@ -349,22 +349,18 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 		rt.shards = append(rt.shards, sh)
 	}
 
-	// Fast path: the transport hands locally destined messages straight to
-	// the runtime's sink (see shard.go). Fallback: one forwarder goroutine
-	// per node pumps the transport's inbox channel into the shard mailboxes.
-	sinkMode := st != nil && st.SetSink(rt.sink)
+	// The transport hands every message for a hosted node to the runtime's
+	// sink (see shard.go). Installed only now, once the shards it routes to
+	// exist, and checked before any of them starts.
+	if !st.SetSink(rt.sink) {
+		return Result{}, errors.New("live: transport refused the runtime's delivery sink")
+	}
 
 	start := time.Now()
 	rt.epoch = start
 	for _, sh := range rt.shards {
 		rt.wg.Add(1)
 		go sh.run()
-	}
-	if !sinkMode {
-		for _, u := range hosted {
-			rt.wg.Add(1)
-			go rt.forward(u, tr.Recv(u))
-		}
 	}
 
 	completed, interrupted, informedOverTime := rt.watch()
@@ -382,9 +378,7 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 	}
 	close(rt.stopCh)
 	rt.wg.Wait()
-	if sinkMode {
-		st.SetSink(nil)
-	}
+	st.SetSink(nil)
 
 	res := rt.collect(wall)
 	res.Completed = completed

@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func (p ppProto) LocalDone(_ graph.NodeID, h sim.Handler) bool {
 
 func TestInProcPushPullCompletes(t *testing.T) {
 	g := graph.RingOfCliques(4, 4, 3)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{Seed: 1, Tick: testTick})
 	if err != nil {
@@ -114,7 +115,7 @@ func TestSeedDeterminesChoices(t *testing.T) {
 	// path (degree <= 2, so any divergence would strand the rumor) and
 	// checking both complete.
 	g := graph.Path(8, 2)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{Seed: 7, Tick: testTick})
 	if err != nil || !res.Completed {
@@ -126,7 +127,7 @@ func TestCrashInjection(t *testing.T) {
 	// Crash a middle node of a path before the rumor can pass it: the far
 	// side must never be informed and the run must exhaust its budget.
 	g := graph.Path(5, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{
 		Seed:     3,
@@ -150,7 +151,7 @@ func TestCrashInjection(t *testing.T) {
 
 func TestAllCrashedCompletesVacuously(t *testing.T) {
 	g := graph.Clique(3, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{
 		Seed:    1,
@@ -167,7 +168,7 @@ func TestAllCrashedCompletesVacuously(t *testing.T) {
 
 func TestHostedSubsetValidation(t *testing.T) {
 	g := graph.Clique(4, 1)
-	tr := NewChanTransport(2, 0) // transport only hosts nodes 0,1
+	tr := NewChanTransport(2) // transport only hosts nodes 0,1
 	defer tr.Close()
 	_, err := Run(g, ppProto{source: 0}, tr, Options{Seed: 1, Tick: testTick})
 	if err == nil {
@@ -183,13 +184,84 @@ func TestHostedSubsetValidation(t *testing.T) {
 }
 
 func TestChanTransportClosed(t *testing.T) {
-	tr := NewChanTransport(2, 0)
+	tr := NewChanTransport(2)
 	tr.Close()
 	if err := tr.Send(Message{To: 1}, 0); !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("want ErrTransportClosed, got %v", err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestChanTransportSinkMissCountsDrop: a send with no sink installed, and
+// one the sink refuses, each count one transport drop and return at once;
+// the next send, with a sink installed, is delivered.
+func TestChanTransportSinkMissCountsDrop(t *testing.T) {
+	tr := NewChanTransport(2)
+	defer tr.Close()
+	send := func(tick int) {
+		t.Helper()
+		if err := tr.Send(Message{Kind: MsgRequest, From: 0, To: 1, SentTick: tick}, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1)
+	if got := tr.Faults().TransportDrops; got != 1 {
+		t.Fatalf("TransportDrops = %d after a sink-less send, want 1", got)
+	}
+	tr.SetSink(func(Message, time.Duration) bool { return false })
+	send(2)
+	if got := tr.Faults().TransportDrops; got != 2 {
+		t.Fatalf("TransportDrops = %d after a refused send, want 2", got)
+	}
+	inbox := sinkInbox(t, tr)
+	send(3)
+	select {
+	case got := <-inbox(1):
+		if got.SentTick != 3 {
+			t.Fatalf("delivered tick %d, want 3", got.SentTick)
+		}
+	default:
+		t.Fatal("send never reached the installed sink")
+	}
+	if got := tr.Faults().TransportDrops; got != 2 {
+		t.Fatalf("TransportDrops = %d after a delivered send, want 2", got)
+	}
+}
+
+// bareTransport has only Transport's three methods, with a real inbox per
+// node behind Recv: no sink to install, so nothing a runtime can run on.
+type bareTransport struct{ inbox []chan Message }
+
+func (b *bareTransport) Send(Message, time.Duration) error  { return nil }
+func (b *bareTransport) Recv(u graph.NodeID) <-chan Message { return b.inbox[u] }
+func (b *bareTransport) Close() error                       { return nil }
+
+// TestRunRequiresSink: Run over a transport that cannot take the runtime's
+// sink — bare, or behind a FaultTransport — returns an error before any
+// shard starts.
+func TestRunRequiresSink(t *testing.T) {
+	g := graph.Clique(4, 1)
+	bare := &bareTransport{inbox: make([]chan Message, g.N())}
+	for u := range bare.inbox {
+		bare.inbox[u] = make(chan Message)
+	}
+	baseline := runtime.NumGoroutine()
+	for name, tr := range map[string]Transport{
+		"bare":  bare,
+		"fault": NewFaultTransport(bare, FaultConfig{}),
+	} {
+		res, err := Run(g, ppProto{source: 0}, tr, Options{Seed: 1, Tick: testTick})
+		if err == nil {
+			t.Fatalf("%s: Run over a sink-less transport returned no error", name)
+		}
+		if res.Metrics.Ticks != 0 || res.Done != nil {
+			t.Fatalf("%s: Run ran before failing: %+v", name, res.Metrics)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("%s: goroutines %d after a refused Run, baseline %d", name, n, baseline)
+		}
 	}
 }
 
@@ -218,6 +290,21 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodePayload("no-such-codec", nil); err == nil {
 		t.Fatal("want error for unknown wire name")
+	}
+}
+
+// TestDecodeBit pins the bit payload's one-byte encoding: '0' and '1'
+// decode, anything else — the JSON bools included — is malformed.
+func TestDecodeBit(t *testing.T) {
+	for in, want := range map[string]bool{"0": false, "1": true} {
+		if got, err := DecodeBit([]byte(in)); err != nil || got != want {
+			t.Errorf("DecodeBit(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"true", "false", "", "2", "01", "1\n"} {
+		if _, err := DecodeBit([]byte(in)); err == nil {
+			t.Errorf("DecodeBit(%q) accepted", in)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func TestCrashPlanValidation(t *testing.T) {
 	}
 	for name, crashes := range cases {
 		t.Run(name, func(t *testing.T) {
-			tr := NewChanTransport(g.N(), 0)
+			tr := NewChanTransport(g.N())
 			defer tr.Close()
 			_, err := Run(g, ppProto{source: 0}, tr, Options{
 				Seed: 1, Tick: testTick, Crashes: crashes,
@@ -44,7 +44,7 @@ func TestCrashPlanValidation(t *testing.T) {
 	}
 	// Control: a valid plan (including an entry for a non-hosted node in a
 	// subset runtime) still passes validation.
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{
 		Seed: 1, Tick: testTick,
@@ -59,7 +59,7 @@ func TestCrashPlanValidation(t *testing.T) {
 // graph.
 func TestMemberLiveSeedValidation(t *testing.T) {
 	g := graph.Clique(4, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	mc := memberTestConfig()
 	mc.Seeds = []graph.NodeID{0, 9}
@@ -75,7 +75,7 @@ func TestMemberLiveSeedValidation(t *testing.T) {
 // accounted separately, and every node's final table holds the full cluster.
 func TestMemberLiveConvergence(t *testing.T) {
 	g := graph.Clique(8, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{
 		Seed: 1, Tick: testTick, Membership: memberTestConfig(),
@@ -113,7 +113,7 @@ func TestMemberLiveConvergence(t *testing.T) {
 // completes as soon as the cluster has declared it dead.
 func TestMemberLiveCompletionSkipsDetectedDead(t *testing.T) {
 	g := graph.Clique(6, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	const recoverAt = 3000
 	res, err := Run(g, ppProto{source: 0}, tr, Options{
@@ -154,7 +154,7 @@ func TestMemberLiveCompletionSkipsDetectedDead(t *testing.T) {
 // and the run completes with the node recovered.
 func TestMemberLiveRecoveryReadmission(t *testing.T) {
 	g := graph.Clique(6, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	// slowProto keeps the run alive long past the crash-recovery epoch so
 	// completion genuinely waits for the recovered node to catch up.

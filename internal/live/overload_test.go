@@ -62,7 +62,7 @@ func quietListener(t testing.TB) (addr string, accepts *atomic.Int64, closeAll f
 func overloadPair(t *testing.T) (*TCPTransport, func()) {
 	t.Helper()
 	addr, _, closeLn := quietListener(t)
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		closeLn()
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestTCPBreakerOpensAtFirstDialGiveUp(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,22 +231,23 @@ func TestTCPBreakerOpensAtFirstDialGiveUp(t *testing.T) {
 // TestTCPPeerDownTripsBreakerPeerUpHeals: a membership Dead verdict for the
 // only node at an address opens its breaker; an Alive verdict re-admits it.
 func TestTCPPeerDownTripsBreakerPeerUpHeals(t *testing.T) {
-	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	dst, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1}, 64)
+	dst, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
+	dstIn := sinkInbox(t, dst)
 	src.SetPeers(map[graph.NodeID]string{1: dst.Addr().String()})
 
 	if err := src.Send(testMsg(1, MsgRequest, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	<-dst.Recv(1)
+	<-dstIn(1)
 
 	src.PeerDown(1)
 	if ov := src.Overload(); ov.BreakerOpens != 1 {
@@ -265,7 +266,7 @@ func TestTCPPeerDownTripsBreakerPeerUpHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case msg := <-dst.Recv(1):
+	case msg := <-dstIn(1):
 		if msg.SentTick != 3 {
 			t.Fatalf("delivered tick %d, want 3", msg.SentTick)
 		}
@@ -298,7 +299,7 @@ func TestTCPBreakerHalfOpenProbeExpires(t *testing.T) {
 		}
 	})
 	defer stop()
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"gossip/internal/graph"
 )
 
 // This file is the sharded event loop that multiplexes every locally hosted
@@ -81,9 +79,8 @@ type shard struct {
 // mailbox. Without it a degree hotspot (say a star center) lets a remote
 // sender outrun the owning shard and the queue — and the process — grows
 // without bound. When full, gossip arrivals are shed and counted in the
-// overload ledger (ShedQueue); membership traffic is always admitted (hard
-// backpressure, matching the transports' inbox policy). Posts from this
-// process's own nodes never count against it and are never shed.
+// overload ledger (ShedQueue); membership traffic is always admitted. Posts
+// from this process's own nodes never count against it and are never shed.
 // Options.MailboxCap overrides it per run (negative = unbounded).
 const DefaultMailboxCap = 1 << 16
 
@@ -101,8 +98,8 @@ func newShard(rt *Runtime, id, nShards, nNodes int) *shard {
 
 // post enqueues a network arrival for a node this shard owns. A full mailbox
 // sheds gossip into the overload ledger; a stopped shard counts the message
-// as abandoned. Either way the message is handled: it never goes back to the
-// transport, whose fallback inbox nothing reads.
+// as abandoned. Either way the message is handled: the sink never refuses
+// it back to the transport.
 func (s *shard) post(msg Message, delayTicks int64) {
 	s.mu.Lock()
 	if s.stopped {
@@ -362,24 +359,6 @@ func (rt *Runtime) sink(msg Message, delay time.Duration) bool {
 	}
 	rt.shards[to].post(msg, ticks)
 	return true
-}
-
-// forward is the fallback for transports that don't implement SinkTransport:
-// one goroutine per hosted node pumps its inbox into the owning shard. The
-// transport has already applied the latency delay by the time a message
-// surfaces in the inbox, so posts carry no extra ticks.
-func (rt *Runtime) forward(u graph.NodeID, inbox <-chan Message) {
-	defer rt.wg.Done()
-	loc := rt.loc[u]
-	sh := rt.shards[loc.shard]
-	for {
-		select {
-		case <-rt.stopCh:
-			return
-		case msg := <-inbox:
-			sh.post(msg, 0)
-		}
-	}
 }
 
 // calendar is the shard's schedule of delayed deliveries: a ring of per-tick

@@ -87,7 +87,7 @@ func TestSinkDelayHorizon(t *testing.T) {
 // TestRunGoroutinesBoundedByShards: hosted nodes are multiplexed onto
 // O(shards) workers. A 10k-node run is sampled while it executes and the
 // peak goroutine count above the test's baseline must stay within shard
-// loops + wheel driver + watcher + runtime helpers; a goroutine-per-node
+// loops + watcher + runtime helpers; a goroutine-per-node
 // runtime (the pre-shard design: 1 node = 1 goroutine + 1 ticker) overshoots
 // the bound by two orders of magnitude.
 func TestRunGoroutinesBoundedByShards(t *testing.T) {
@@ -96,7 +96,7 @@ func TestRunGoroutinesBoundedByShards(t *testing.T) {
 	shards := par.MaxWorkers()
 	base := runtime.NumGoroutine()
 
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	done := make(chan struct{})
 	go func() {
@@ -217,7 +217,7 @@ func TestCalendarAgainstReference(t *testing.T) {
 // flow control on initiation bounds them instead.
 func TestShardLosslessAtMailboxCapOne(t *testing.T) {
 	g := graph.RingChords(20_000, 4, 16, 1)
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{Seed: 1, Tick: 200 * time.Microsecond, Shards: 4, MailboxCap: 1})
 	if err != nil || !res.Completed {
@@ -255,7 +255,7 @@ func TestShardHotspotStar(t *testing.T) {
 		t.Fatalf("simulator: completed=%v err=%v", want.Completed, err)
 	}
 
-	tr := NewChanTransport(g.N(), 0)
+	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	res, err := Run(g, ppProto{source: 0}, tr, Options{Seed: 1, Tick: 200 * time.Microsecond, Shards: 4, MaxTicks: 500})
 	if err != nil || !res.Completed {
@@ -350,7 +350,7 @@ func TestShardHeldBackKeepsClock(t *testing.T) {
 		round: new(atomic.Int64), built: new(atomic.Int32),
 		rejoined: sync.OnceFunc(func() { close(rejoined) }),
 	}
-	tr := &memberSends{ChanTransport: NewChanTransport(g.N(), 0), below: half}
+	tr := &memberSends{ChanTransport: NewChanTransport(g.N()), below: half}
 	defer tr.Close()
 	type out struct {
 		res Result
@@ -403,7 +403,7 @@ func unixPair(t *testing.T, g *graph.Graph, proto Protocol, opts Options) ([2]*S
 		for u := i * g.N() / 2; u < (i+1)*g.N()/2; u++ {
 			hosted[i] = append(hosted[i], graph.NodeID(u))
 		}
-		tr, addr := newFabricTransport(t, "unix", hosted[i], 0)
+		tr, addr := newFabricTransport(t, "unix", hosted[i])
 		t.Cleanup(func() { tr.Close() })
 		trs[i] = tr
 		for _, u := range hosted[i] {
@@ -560,7 +560,7 @@ func TestShardStopAccountsEveryMessage(t *testing.T) {
 	g := graph.RingChords(4000, 4, 16, 1)
 	var counted int64
 	for round := 0; round < 5; round++ {
-		tr := NewChanTransport(g.N(), 0)
+		tr := NewChanTransport(g.N())
 		interrupt := make(chan struct{})
 		proto := countProto{stopAt: 20, stop: sync.OnceFunc(func() { close(interrupt) })}
 		res, err := Run(g, proto, tr, Options{

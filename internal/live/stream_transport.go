@@ -64,7 +64,8 @@ const dedupShards = 16
 // Each process hosts a subset of the graph's nodes behind one or more
 // listeners; SetPeers maps every remote node to the listen address of the
 // process hosting it. Messages between two locally hosted nodes
-// short-circuit the socket and are delivered in memory.
+// short-circuit the socket and go straight to the sink. A message no sink
+// takes, local or arrived, is counted as dropped; nothing holds it.
 //
 // A remote message has one lifecycle: Send queues it, its delay on the wire
 // for the receiver's sink to apply, on the destination connection's writer
@@ -94,7 +95,8 @@ const dedupShards = 16
 // Outbound connections are created on first use and pooled per destination
 // address; each one's writer dials (with retries, so a cluster's processes
 // may start in any order) before it writes, and frames sent meanwhile wait
-// in its queue, so Send never blocks on the network.
+// in its queue, so Send never blocks on the network, and a read loop waits
+// only on its socket.
 type StreamTransport struct {
 	hosted map[graph.NodeID]bool // read-only after construction
 
@@ -103,11 +105,7 @@ type StreamTransport struct {
 	// Guarded by connMu; the first listener's address is Addr().
 	listeners []streamListener
 
-	buffer    int
-	inboxMu   sync.Mutex
-	inboxes   map[graph.NodeID]chan Message // lazily created on first Recv/legacy delivery
-	inboxSnap atomic.Pointer[map[graph.NodeID]chan Message]
-	sink      atomic.Pointer[DeliverySink]
+	sink atomic.Pointer[DeliverySink]
 
 	// Atomic because connection goroutines read them while the owner may
 	// still be configuring (an eager peer can dial in before SetFlushWindow).
@@ -149,7 +147,7 @@ type StreamTransport struct {
 	dropsBroken    atomic.Int64 // written and unacked when their connection broke
 	dropsClosed    atomic.Int64 // unacked or unwritten at Close, or abandoned by a drain
 	dropsDecode    atomic.Int64 // undecodable wire payloads or corrupt frames
-	dropsMisroute  atomic.Int64 // wire messages for nodes not hosted here, or from nodes that are
+	dropsMisroute  atomic.Int64 // not hosted here, forged, or no runtime attached to take it
 	dupsSuppressed atomic.Int64
 
 	// Overload ledger (see OverloadCounts for the meaning of each).
@@ -259,14 +257,9 @@ func (s *dedupShard) size() int {
 // newStreamTransport builds the stream core with no listeners attached; the
 // family constructors (NewTCPTransport, NewUnixTransport) attach theirs with
 // addListener before the transport is handed out.
-func newStreamTransport(local []graph.NodeID, buffer int) *StreamTransport {
-	if buffer <= 0 {
-		buffer = DefaultInboxBuffer
-	}
+func newStreamTransport(local []graph.NodeID) *StreamTransport {
 	t := &StreamTransport{
 		hosted:      make(map[graph.NodeID]bool, len(local)),
-		buffer:      buffer,
-		inboxes:     make(map[graph.NodeID]chan Message),
 		peers:       make(map[graph.NodeID]string),
 		outs:        make(map[string]*connState),
 		conns:       make(map[*connState]struct{}),
@@ -627,18 +620,19 @@ func (t *StreamTransport) Faults() FaultReport {
 	}
 }
 
-// Send implements Transport. A local destination goes to the sink (or its
-// inbox, waiting for room); a remote one is encoded at once (so codec errors
-// and delays past maxWireDelayUS surface here) and queued with its delay in
-// whole µs, rounded up. The breaker gates admission: a refused send is a
-// terminal, counted loss, like an injected drop. Send never waits for a dial.
+// Send implements Transport. A local destination goes to the sink (a send
+// it does not take is a misroute drop); a remote one is encoded at once (so
+// codec errors and delays past maxWireDelayUS surface here) and queued with
+// its delay in whole µs, rounded up. The breaker gates admission: a refused
+// send is a terminal, counted loss, like an injected drop. Send never waits
+// for a dial.
 func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if t.stopping() {
 		return ErrTransportClosed
 	}
 	if t.hosted[msg.To] {
-		if s := t.sink.Load(); (s == nil || !(*s)(msg, delay)) && !t.deliverLocal(msg) {
-			t.dropsClosed.Add(1)
+		if s := t.sink.Load(); s == nil || !(*s)(msg, delay) {
+			t.dropsMisroute.Add(1) // no runtime took it; nothing holds it
 		}
 		return nil
 	}
@@ -674,19 +668,6 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	return nil
 }
 
-// deliverLocal pushes msg onto its destination's inbox channel, undelayed —
-// the delivery path for raw-transport users; the sharded runtime's sink,
-// which applies delays, bypasses it entirely. A full inbox blocks the
-// caller until it drains or the transport closes (reported as false).
-func (t *StreamTransport) deliverLocal(msg Message) bool {
-	select {
-	case t.inbox(msg.To) <- msg:
-		return true
-	case <-t.closed:
-		return false
-	}
-}
-
 // isClosed reports whether Close has begun.
 func (t *StreamTransport) isClosed() bool {
 	select {
@@ -718,46 +699,14 @@ func (t *StreamTransport) enqueue(addr string, w *wireMessage) {
 	t.dropsGiveUp.Add(1)
 }
 
-// Recv implements Transport. Inbox channels exist only for nodes actually
-// received on — the sharded runtime never calls Recv, so hosting 100k nodes
-// costs a set entry each, not a buffered channel.
-func (t *StreamTransport) Recv(u graph.NodeID) <-chan Message {
-	if !t.hosted[u] {
-		return nil
-	}
-	return t.inbox(u)
-}
+// Recv implements Transport's stub (see Transport): always nil.
+func (t *StreamTransport) Recv(graph.NodeID) <-chan Message { return nil }
 
-// inbox returns u's inbox channel, creating it on first use. Callers must
-// have checked t.hosted[u]. The steady state is one atomic load and a map
-// read of an immutable snapshot — the delivery path calls this per message,
-// and a shared mutex here serializes otherwise-independent read loops.
-func (t *StreamTransport) inbox(u graph.NodeID) chan Message {
-	if m := t.inboxSnap.Load(); m != nil {
-		if ch, ok := (*m)[u]; ok {
-			return ch
-		}
-	}
-	t.inboxMu.Lock()
-	ch := t.inboxes[u]
-	if ch == nil {
-		ch = make(chan Message, t.buffer)
-		t.inboxes[u] = ch
-		next := make(map[graph.NodeID]chan Message, len(t.inboxes))
-		for k, v := range t.inboxes {
-			next[k] = v
-		}
-		t.inboxSnap.Store(&next)
-	}
-	t.inboxMu.Unlock()
-	return ch
-}
-
-// Hosts implements SinkTransport without materializing an inbox.
+// Hosts implements SinkTransport.
 func (t *StreamTransport) Hosts(u graph.NodeID) bool { return t.hosted[u] }
 
 // SetSink implements SinkTransport: locally destined sends and wire arrivals
-// for hosted nodes are handed to sink instead of inbox channels.
+// for hosted nodes are handed to sink.
 func (t *StreamTransport) SetSink(sink DeliverySink) bool {
 	if sink == nil {
 		t.sink.Store(nil)
@@ -1457,9 +1406,8 @@ func (t *StreamTransport) connBroken(cs *connState, failed []wireMessage) {
 
 // readLoop decodes the connection's frames: an ack that advances the
 // count credits the peer's breaker, and data messages are deduplicated,
-// routed to the local shards or inboxes, and counted toward the ack this
-// side owes. On its way out it settles the connection's loss count and
-// retires it.
+// handed to the sink, and counted toward the ack this side owes. On its way
+// out it settles the connection's loss count and retires it.
 func (t *StreamTransport) readLoop(cs *connState) {
 	defer t.wg.Done()
 	defer t.retire(cs)
@@ -1488,39 +1436,34 @@ func (t *StreamTransport) readLoop(cs *connState) {
 		default:
 		}
 		// Ack first, so a delivery the caller can see is already owed its
-		// ack (finish pays it even if the transport closes right after);
-		// what the close then keeps from delivery is counted here.
+		// ack (finish pays it even if the transport closes right after).
 		cs.recvd.Add(int64(len(msgs)))
 		cs.wake()
 		for i := range msgs {
-			if !t.deliverData(cs, &msgs[i]) {
-				t.dropsClosed.Add(int64(len(msgs) - i))
-				return
-			}
+			t.deliverData(cs, &msgs[i])
 		}
 	}
 }
 
 // deliverData deduplicates, decodes, and routes one logical data message.
 // cs is the connection it arrived on, whose read loop owns the decoder memo.
-// It reports false when the transport closed mid-delivery.
-func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) bool {
+func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) {
 	if !t.hosted[graph.NodeID(w.To)] || t.hosted[graph.NodeID(w.From)] {
 		// Misrouted (not hosted here), or forged: a node hosted here never
 		// reaches this transport over the wire, and the sink takes a hosted
 		// sender as proof that it runs on that node's shard goroutine.
 		t.dropsMisroute.Add(1)
-		return true
+		return
 	}
 	key := dedupKey{edge: w.EdgeID, from: graph.NodeID(w.From), sentTick: w.SentTick, kind: MsgKind(w.Kind)}
 	if t.dedup[key.shard()].seen(key, int(t.dedupWindow.Load())) {
 		t.dupsSuppressed.Add(1)
-		return true
+		return
 	}
 	payload, err := cs.decodePayload(w.PayloadType, w.Payload)
 	if err != nil {
 		t.dropsDecode.Add(1)
-		return true
+		return
 	}
 	msg := Message{
 		Kind:     MsgKind(w.Kind),
@@ -1532,10 +1475,9 @@ func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) bool {
 		Payload:  payload,
 	}
 	// The sender's delay rides the wire; the sink's calendar waits it out.
-	if s := t.sink.Load(); s != nil && (*s)(msg, time.Duration(w.DelayUS)*time.Microsecond) {
-		return true
+	if s := t.sink.Load(); s == nil || !(*s)(msg, time.Duration(w.DelayUS)*time.Microsecond) {
+		t.dropsMisroute.Add(1) // no runtime took it; nothing holds it
 	}
-	return t.deliverLocal(msg)
 }
 
 // publishOuts republishes the lock-free snapshot of the outbound pool.

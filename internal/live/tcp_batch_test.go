@@ -13,6 +13,7 @@ import (
 // every message still arrives exactly once.
 func TestTCPBatchedAggregation(t *testing.T) {
 	a, b := tcpPair(t)
+	bIn := sinkInbox(t, b)
 	a.SetFlushWindow(20 * time.Millisecond)
 
 	const n = 64
@@ -23,7 +24,7 @@ func TestTCPBatchedAggregation(t *testing.T) {
 	}
 	seen := make(map[int]bool, n)
 	for got := 0; got < n; got++ {
-		m := recvWithin(t, b.Recv(1), 10*time.Second)
+		m := recvWithin(t, bIn(1), 10*time.Second)
 		if seen[m.SentTick] {
 			t.Fatalf("duplicate delivery for SentTick %d", m.SentTick)
 		}
@@ -52,11 +53,12 @@ func TestTCPFlushAccountingConsistency(t *testing.T) {
 	// three counters must agree — one logical message per frame per flush.
 	// This is the batch-of-one pin: a lone message is a one-entry super-frame.
 	a, b := tcpPair(t)
+	bIn := sinkInbox(t, b)
 	for i := 0; i < n; i++ {
 		if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: i, Payload: bitp{}}, 0); err != nil {
 			t.Fatal(err)
 		}
-		recvWithin(t, b.Recv(1), 10*time.Second)
+		recvWithin(t, bIn(1), 10*time.Second)
 	}
 	if msgs, frames := a.WireMsgsOut(), a.WireFramesOut(); msgs != n || frames != n {
 		t.Errorf("0-window: msgs = %d, frames = %d, want %d each", msgs, frames, n)
@@ -68,6 +70,7 @@ func TestTCPFlushAccountingConsistency(t *testing.T) {
 	// Windowed burst on a fresh pair: frames and flushes both collapse, and
 	// the factor msgs/frames is what the PERFORMANCE.md accounting reports.
 	c, d := tcpPair(t)
+	dIn := sinkInbox(t, d)
 	c.SetFlushWindow(20 * time.Millisecond)
 	for i := 0; i < n; i++ {
 		if err := c.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: i, Payload: bitp{}}, 0); err != nil {
@@ -75,7 +78,7 @@ func TestTCPFlushAccountingConsistency(t *testing.T) {
 		}
 	}
 	for got := 0; got < n; got++ {
-		recvWithin(t, d.Recv(1), 10*time.Second)
+		recvWithin(t, dIn(1), 10*time.Second)
 	}
 	msgs, frames, flushes := c.WireMsgsOut(), c.WireFramesOut(), c.WireFlushes()
 	if msgs != n {
@@ -98,7 +101,7 @@ func TestTCPFlushAccountingConsistency(t *testing.T) {
 func TestTCPBatchedCloseCountsQueued(t *testing.T) {
 	addr, _, closeLn := quietListener(t)
 	defer closeLn()
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 64)
+	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}

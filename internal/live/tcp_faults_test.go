@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -10,12 +11,12 @@ import (
 // tcpPair builds two connected single-node transports for reliability tests.
 func tcpPair(t *testing.T) (a, b *TCPTransport) {
 	t.Helper()
-	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 8)
+	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
-	b, err = NewTCPTransport("127.0.0.1:0", []graph.NodeID{1}, 8)
+	b, err = NewTCPTransport("127.0.0.1:0", []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +31,41 @@ func tcpPair(t *testing.T) (a, b *TCPTransport) {
 func allAcked(tr *StreamTransport) bool {
 	queued, unacked := tr.stages()
 	return queued == 0 && unacked == 0
+}
+
+// sinkInbox installs on tr a sink that feeds one buffered channel per
+// destination and returns the lookup: the test's view of what the
+// transport delivered. Install it before the first send, as a runtime
+// would. The delay is the runtime's to apply, so the channel gets the
+// message at once; a full channel fails the test instead of blocking the
+// transport.
+func sinkInbox(t testing.TB, tr SinkTransport) func(graph.NodeID) <-chan Message {
+	var mu sync.Mutex
+	chs := make(map[graph.NodeID]chan Message)
+	of := func(u graph.NodeID) chan Message {
+		mu.Lock()
+		defer mu.Unlock()
+		ch := chs[u]
+		if ch == nil {
+			// Room for the largest burst a test sends before it reads
+			// (2,049 in TestTCPDedupWindowEviction).
+			ch = make(chan Message, 4096)
+			chs[u] = ch
+		}
+		return ch
+	}
+	if !tr.SetSink(func(msg Message, _ time.Duration) bool {
+		select {
+		case of(msg.To) <- msg:
+			return true
+		default:
+			t.Errorf("test inbox of node %d full", msg.To)
+			return false
+		}
+	}) {
+		t.Fatal("transport refused the sink")
+	}
+	return func(u graph.NodeID) <-chan Message { return of(u) }
 }
 
 func recvWithin(t *testing.T, ch <-chan Message, d time.Duration) Message {
@@ -50,12 +86,13 @@ func recvWithin(t *testing.T, ch <-chan Message, d time.Duration) Message {
 // no drop recorded.
 func TestFaultTCPRequeueRecoversConnLoss(t *testing.T) {
 	a, b := tcpPair(t)
+	bIn := sinkInbox(t, b)
 
 	first := Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 1, Payload: bitp{}}
 	if err := a.Send(first, 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, b.Recv(1), 5*time.Second) // connection now pooled
+	recvWithin(t, bIn(1), 5*time.Second) // connection now pooled
 	// Acked too: a break counts whatever it leaves unacked as lost.
 	if !pollUntil(5*time.Second, func() bool { return allAcked(a) }) {
 		t.Fatal("first send never acked")
@@ -74,7 +111,7 @@ func TestFaultTCPRequeueRecoversConnLoss(t *testing.T) {
 	if err := a.Send(second, 0); err != nil {
 		t.Fatal(err)
 	}
-	got := recvWithin(t, b.Recv(1), 5*time.Second)
+	got := recvWithin(t, bIn(1), 5*time.Second)
 	if got.SentTick != 2 {
 		t.Errorf("unexpected arrival %+v", got)
 	}
@@ -87,6 +124,8 @@ func TestFaultTCPRequeueRecoversConnLoss(t *testing.T) {
 // the receiver must deliver it once and count the duplicate.
 func TestFaultTCPDedupSuppressesDuplicates(t *testing.T) {
 	a, b := tcpPair(t)
+	aIn := sinkInbox(t, a)
+	bIn := sinkInbox(t, b)
 	msg := Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 4, SentTick: 7, Payload: bitp{informed: true}}
 	if err := a.Send(msg, 0); err != nil {
 		t.Fatal(err)
@@ -94,7 +133,7 @@ func TestFaultTCPDedupSuppressesDuplicates(t *testing.T) {
 	if err := a.Send(msg, 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, b.Recv(1), 5*time.Second)
+	recvWithin(t, bIn(1), 5*time.Second)
 
 	deadline := time.Now().Add(3 * time.Second)
 	for b.DupsSuppressed() == 0 && time.Now().Before(deadline) {
@@ -104,7 +143,7 @@ func TestFaultTCPDedupSuppressesDuplicates(t *testing.T) {
 		t.Fatalf("DupsSuppressed = %d, want 1", got)
 	}
 	select {
-	case m := <-b.Recv(1):
+	case m := <-bIn(1):
 		t.Fatalf("duplicate delivered: %+v", m)
 	case <-time.After(100 * time.Millisecond):
 	}
@@ -113,20 +152,20 @@ func TestFaultTCPDedupSuppressesDuplicates(t *testing.T) {
 	if err := b.Send(Message{Kind: MsgRequest, From: 1, To: 0, EdgeID: 4, SentTick: 7, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, a.Recv(0), 5*time.Second)
+	recvWithin(t, aIn(0), 5*time.Second)
 }
 
 // TestFaultTCPGiveUpCountsDrop sends to a peer that never exists: the dial
 // gives up, and the message queued behind it must surface in Dropped() —
 // every drop path is a visible counter, never a silent loss.
 func TestFaultTCPGiveUpCountsDrop(t *testing.T) {
-	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 8)
+	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	// Reserve-and-release a port so nothing listens there.
-	probe, err := NewTCPTransport("127.0.0.1:0", nil, 8)
+	probe, err := NewTCPTransport("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +193,11 @@ func TestFaultTCPGiveUpCountsDrop(t *testing.T) {
 // ack returns, nothing is left unacked and no copy arrives twice.
 func TestFaultTCPAckClearsPending(t *testing.T) {
 	a, b := tcpPair(t)
+	bIn := sinkInbox(t, b)
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 2, SentTick: 3, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, b.Recv(1), 5*time.Second)
+	recvWithin(t, bIn(1), 5*time.Second)
 
 	if !pollUntil(3*time.Second, func() bool { return allAcked(a) }) {
 		t.Fatalf("send still unacked after ack: %d queued or held, %d unacked", a.queueDepth(), a.unackedCount())
@@ -175,7 +215,7 @@ func TestFaultTCPAckClearsPending(t *testing.T) {
 // message still queued behind a dial that keeps failing lands in Dropped(),
 // however long its delay.
 func TestFaultTCPCloseCountsPendingTimers(t *testing.T) {
-	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 8)
+	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func TestTCPClusterPushPull(t *testing.T) {
 		for u := i * per; u < (i+1)*per; u++ {
 			hosted[i] = append(hosted[i], graph.NodeID(u))
 		}
-		tr, err := NewTCPTransport("127.0.0.1:0", hosted[i], 4096)
+		tr, err := NewTCPTransport("127.0.0.1:0", hosted[i])
 		if err != nil {
 			t.Fatalf("transport %d: %v", i, err)
 		}
@@ -85,16 +86,17 @@ func TestTCPClusterPushPull(t *testing.T) {
 // TestTCPWireRoundTrip sends one request through a real socket pair and
 // checks the decoded message matches, payload included.
 func TestTCPWireRoundTrip(t *testing.T) {
-	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 8)
+	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1}, 8)
+	b, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	bIn := sinkInbox(t, b)
 	a.SetPeers(map[graph.NodeID]string{1: b.Addr().String()})
 
 	want := Message{
@@ -105,7 +107,7 @@ func TestTCPWireRoundTrip(t *testing.T) {
 		t.Fatalf("Send: %v", err)
 	}
 	select {
-	case got := <-b.Recv(1):
+	case got := <-bIn(1):
 		if got.Kind != want.Kind || got.From != want.From || got.To != want.To ||
 			got.EdgeID != want.EdgeID || got.Latency != want.Latency || got.SentTick != want.SentTick {
 			t.Errorf("header mismatch: got %+v want %+v", got, want)
@@ -124,7 +126,7 @@ func TestTCPWireRoundTrip(t *testing.T) {
 // TestTCPSendUnknownPeer checks the error paths: unmapped destination and
 // unregistered payload type.
 func TestTCPSendUnknownPeer(t *testing.T) {
-	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 8)
+	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +143,14 @@ func TestTCPSendUnknownPeer(t *testing.T) {
 // TestTCPDialRetry checks a cluster can start in any order: the sender's
 // first write happens before the receiver exists.
 func TestTCPDialRetry(t *testing.T) {
-	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0}, 8)
+	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 
 	// Reserve an address, then release it so the peer can claim it later.
-	probe, err := NewTCPTransport("127.0.0.1:0", nil, 8)
+	probe, err := NewTCPTransport("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +162,19 @@ func TestTCPDialRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond) // sender is already retrying the dial
-	b, err := NewTCPTransport(addr, []graph.NodeID{1}, 8)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("late receiver on %s: %v", addr, err)
 	}
+	// The sink goes on before the listener accepts the retrying dialer.
+	b := newStreamTransport([]graph.NodeID{1})
+	bIn := sinkInbox(t, b)
+	if err := b.addListener(ln, false); err != nil {
+		t.Fatal(err)
+	}
 	defer b.Close()
 	select {
-	case got := <-b.Recv(1):
+	case got := <-bIn(1):
 		if got.From != 0 {
 			t.Errorf("unexpected sender %d", got.From)
 		}

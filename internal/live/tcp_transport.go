@@ -15,15 +15,14 @@ import (
 type TCPTransport = StreamTransport
 
 // NewTCPTransport listens on listenAddr (e.g. "127.0.0.1:0") and returns a
-// transport hosting the given node IDs. buffer sizes each node's inbox
-// channel (<=0 means DefaultInboxBuffer). The transport accepts connections
+// transport hosting the given node IDs. The transport accepts connections
 // immediately; peers are added with SetPeers before the first Send.
-func NewTCPTransport(listenAddr string, local []graph.NodeID, buffer int) (*TCPTransport, error) {
+func NewTCPTransport(listenAddr string, local []graph.NodeID) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("live: listen %s: %w", listenAddr, err)
 	}
-	t := newStreamTransport(local, buffer)
+	t := newStreamTransport(local)
 	if err := t.addListener(ln, false); err != nil {
 		ln.Close()
 		return nil, err
@@ -37,8 +36,8 @@ func NewTCPTransport(listenAddr string, local []graph.NodeID, buffer int) (*TCPT
 // the listener instead of an address closes the reserve/rebind window in
 // which another process could steal the port. The transport owns ln and
 // closes it on Close.
-func NewTCPTransportFromListener(ln net.Listener, local []graph.NodeID, buffer int) (*TCPTransport, error) {
-	t := newStreamTransport(local, buffer)
+func NewTCPTransportFromListener(ln net.Listener, local []graph.NodeID) (*TCPTransport, error) {
+	t := newStreamTransport(local)
 	if err := t.addListener(ln, false); err != nil {
 		return nil, err
 	}

@@ -47,20 +47,24 @@ var ErrTransportClosed = errors.New("live: transport closed")
 //
 // Send schedules msg for delivery to msg.To after delay — this is where an
 // edge's latency becomes real wall-clock time, applied by the receiving
-// runtime: the transport hands delay to the destination's DeliverySink (a
-// stream transport carries it on the wire). Send must not block on slow
-// receivers or the network — only a StreamTransport with no sink installed
-// waits for room in a local raw inbox; a delivery that cannot complete by
-// the time the transport closes is dropped, mirroring a message lost to a
-// crashed node. Payloads must be treated as immutable once passed to Send,
-// exactly as the round engine requires.
+// runtime: the transport hands msg and delay to the destination's
+// DeliverySink (a stream transport carries the delay on the wire). Send
+// never blocks on delivery, on any transport: not on a receiver, not on the
+// network. (The one wait left is local and bounded: a membership frame's
+// backpressure on a stream connection's full writer queue, at most
+// memberWaitMax.) A message no sink takes — none is installed, or the sink
+// refused it — is a counted drop, mirroring a message lost to a crashed
+// node; a stream transport's read loop likewise waits only on its socket.
+// Payloads must be treated as immutable once passed to Send, exactly as the
+// round engine requires.
 //
-// Recv returns the inbox of a node hosted by this transport, or nil for
-// nodes hosted elsewhere (multi-process deployments); a StreamTransport
-// fills it undelayed, since no runtime is there to apply the delay.
+// Recv is a stub that returns nil on every transport in this package:
+// delivery goes through the sink alone. It stays on the interface only
+// because a frozen benchmark test still calls it through Transport; that
+// call goes first (ROADMAP item 1(a)), then the method (item 2).
 //
-// Close stops all delivery and releases listeners, connections, and pending
-// timers. Close the transport only after every runtime using it returned.
+// Close stops all delivery and releases listeners and connections. Close
+// the transport only after every runtime using it returned.
 type Transport interface {
 	Send(msg Message, delay time.Duration) error
 	Recv(u graph.NodeID) <-chan Message
@@ -93,14 +97,12 @@ type Drainer interface {
 	Drain(ctx context.Context) (DrainReport, error)
 }
 
-// DeliverySink is the sharded runtime's fast path into a transport: instead
-// of buffering messages for hosted nodes on per-node inbox channels, a
-// transport hands them straight to the runtime, which applies delay on its
-// shards' calendars, for local sends and network arrivals alike. The sink
-// reports false when it cannot accept the message (runtime not running, node
-// not hosted by the sink); the transport must then fall back to its legacy
-// inbox delivery so raw-transport users (tests, benchmarks, foreign
-// runtimes) keep working.
+// DeliverySink is how a transport delivers: it hands every message for a
+// hosted node — local sends and network arrivals alike — straight to the
+// runtime, which applies delay on its shards' calendars. The sink reports
+// false when it cannot accept the message (node not hosted by the runtime);
+// the transport then counts the message as dropped, as it does when no sink
+// is installed.
 //
 // Sinks must be non-blocking and safe for concurrent use, with one rule on
 // who calls them: the runtime routes a message whose From it hosts on that
@@ -111,14 +113,12 @@ type Drainer interface {
 // sender — it drops and counts it as misrouted instead.
 type DeliverySink func(msg Message, delay time.Duration) bool
 
-// SinkTransport is implemented by transports that can route locally hosted
-// traffic through a DeliverySink and can answer hosting queries without
-// materializing an inbox channel. Hosts reports whether this transport is
-// responsible for delivering to u (Recv(u) would be non-nil), without the
-// allocation. SetSink installs (or, with nil, removes) the runtime's sink and
-// reports whether the transport honors it — decorators forward SetSink to
-// their inner transport and report false when it doesn't participate, in
-// which case the runtime falls back to inbox-forwarding goroutines.
+// SinkTransport is implemented by every transport a runtime can run on.
+// Hosts reports whether this transport is responsible for delivering to u.
+// SetSink installs (or, with nil, removes) the runtime's sink and reports
+// whether the transport honors it — decorators forward SetSink to their
+// inner transport and report false when it doesn't participate, in which
+// case Run refuses the transport.
 type SinkTransport interface {
 	Hosts(u graph.NodeID) bool
 	SetSink(sink DeliverySink) bool

@@ -14,9 +14,9 @@ import (
 // cumulative acks and loss accounting — only the kernel path shrinks: no checksums,
 // no Nagle/cork logic, no loopback queueing. Peers dial it either explicitly
 // ("unix://PATH" in SetPeers) or automatically when their transport learns
-// the path via SetPeerSockets. buffer is as for NewTCPTransport.
-func NewUnixTransport(path string, local []graph.NodeID, buffer int) (*StreamTransport, error) {
-	t := newStreamTransport(local, buffer)
+// the path via SetPeerSockets.
+func NewUnixTransport(path string, local []graph.NodeID) (*StreamTransport, error) {
+	t := newStreamTransport(local)
 	if err := t.ListenUnix(path); err != nil {
 		return nil, err
 	}

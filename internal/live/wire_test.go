@@ -257,6 +257,7 @@ func TestTCPWireInterop(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, b := tcpPair(t)
+			bIn := sinkInbox(t, b)
 			c, err := net.Dial("tcp", b.Addr().String())
 			if err != nil {
 				t.Fatal(err)
@@ -271,7 +272,7 @@ func TestTCPWireInterop(t *testing.T) {
 				if err != nil || ack != tc.wantAck {
 					t.Fatalf("reply ack = %d, err = %v; want an ack of %d", ack, err, tc.wantAck)
 				}
-				got := recvWithin(t, b.Recv(1), 5*time.Second)
+				got := recvWithin(t, bIn(1), 5*time.Second)
 				if p, ok := got.Payload.(bitp); !ok || !p.informed || got.EdgeID != single.EdgeID {
 					t.Fatalf("arrived mangled: %+v", got)
 				}
@@ -279,7 +280,7 @@ func TestTCPWireInterop(t *testing.T) {
 				t.Fatalf("read from rejected connection: ack = %d, err = %v; want EOF", ack, err)
 			}
 			select {
-			case m := <-b.Recv(1):
+			case m := <-bIn(1):
 				t.Fatalf("unexpected delivery: %+v", m)
 			case <-time.After(50 * time.Millisecond):
 			}
@@ -318,6 +319,7 @@ func TestDedupShardEviction(t *testing.T) {
 // a long run of distinct ticks must not grow the dedup set without bound.
 func TestTCPDedupWindowEviction(t *testing.T) {
 	a, b := tcpPair(t)
+	bIn := sinkInbox(t, b)
 	const window = 32
 	b.dedupWindow.Store(window)
 	// Establish the pooled connection first so the burst below is delivered
@@ -326,7 +328,7 @@ func TestTCPDedupWindowEviction(t *testing.T) {
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 0, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, b.Recv(1), 10*time.Second)
+	recvWithin(t, bIn(1), 10*time.Second)
 
 	const n = 2048
 	for tick := 1; tick <= n; tick++ {
@@ -335,7 +337,7 @@ func TestTCPDedupWindowEviction(t *testing.T) {
 		}
 	}
 	for got := 0; got < n; got++ {
-		recvWithin(t, b.Recv(1), 10*time.Second)
+		recvWithin(t, bIn(1), 10*time.Second)
 	}
 	// Each of the 16 shards retains two generations of roughly a window of
 	// its ticks each, so the live set stays far below the n distinct keys
@@ -349,7 +351,7 @@ func TestTCPDedupWindowEviction(t *testing.T) {
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 1, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, b.Recv(1), 10*time.Second)
+	recvWithin(t, bIn(1), 10*time.Second)
 	if got := b.DupsSuppressed(); got != 0 {
 		t.Errorf("DupsSuppressed = %d — evicted entry still deduplicating", got)
 	}
@@ -359,6 +361,7 @@ func TestTCPDedupWindowEviction(t *testing.T) {
 // of sends shares a handful of flushes instead of paying one per message.
 func TestTCPFlushCoalescing(t *testing.T) {
 	a, b := tcpPair(t)
+	bIn := sinkInbox(t, b)
 	a.SetFlushWindow(20 * time.Millisecond)
 	const n = 64
 	for i := 0; i < n; i++ {
@@ -367,7 +370,7 @@ func TestTCPFlushCoalescing(t *testing.T) {
 		}
 	}
 	for got := 0; got < n; got++ {
-		recvWithin(t, b.Recv(1), 10*time.Second)
+		recvWithin(t, bIn(1), 10*time.Second)
 	}
 	if f := a.WireFlushes(); f >= n/4 {
 		t.Errorf("%d flushes for %d messages — writes are not batching", f, n)
@@ -383,11 +386,12 @@ func TestTCPFlushCoalescing(t *testing.T) {
 // timer stands in between.
 func TestTCPBrokenConnImmediateRedial(t *testing.T) {
 	a, b := tcpPair(t)
+	bIn := sinkInbox(t, b)
 
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 1, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	recvWithin(t, b.Recv(1), 5*time.Second) // connection now pooled
+	recvWithin(t, bIn(1), 5*time.Second) // connection now pooled
 	// Acked too: a break counts whatever it leaves unacked as lost.
 	if !pollUntil(5*time.Second, func() bool { return allAcked(a) }) {
 		t.Fatal("first send never acked")
@@ -405,7 +409,7 @@ func TestTCPBrokenConnImmediateRedial(t *testing.T) {
 	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 2, Payload: bitp{}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	got := recvWithin(t, b.Recv(1), 4*time.Second)
+	got := recvWithin(t, bIn(1), 4*time.Second)
 	if got.SentTick != 2 {
 		t.Fatalf("unexpected arrival %+v", got)
 	}
@@ -433,12 +437,12 @@ func TestTCPClusterBothFormats(t *testing.T) {
 			right = append(right, graph.NodeID(u))
 		}
 	}
-	ta, err := NewTCPTransport("127.0.0.1:0", left, 1024)
+	ta, err := NewTCPTransport("127.0.0.1:0", left)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ta.Close()
-	tb, err := NewTCPTransport("127.0.0.1:0", right, 1024)
+	tb, err := NewTCPTransport("127.0.0.1:0", right)
 	if err != nil {
 		t.Fatal(err)
 	}

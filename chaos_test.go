@@ -2,8 +2,14 @@ package gossip
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+
+	"gossip/internal/live"
 )
 
 // chaosTick keeps chaos runs fast while staying coarse enough for timer
@@ -256,5 +262,120 @@ func TestChaosCrashRecoveryPublicAPI(t *testing.T) {
 	if !res.Recovered[3] || res.Crashed[3] || !res.Done[3] {
 		t.Errorf("recovery outcome wrong: recovered=%v crashed=%v done=%v",
 			res.Recovered[3], res.Crashed[3], res.Done[3])
+	}
+}
+
+// dupPlan duplicates every other message and loses none: every transport
+// delivers both copies, so the run exercises the handlers' idempotence and
+// nothing else.
+func dupPlan(seed uint64) *LiveFaultConfig {
+	return &LiveFaultConfig{Seed: seed, Tick: chaosTick, Duplicate: 0.5}
+}
+
+// TestDuplicatingFabricSameDone: every live protocol merges what it learns
+// by union, so a repeated request or response is a no-op. Under a plan that
+// duplicates half the messages, push-pull, flood and RR Broadcast reach the
+// same Done set as the fault-free run on the same seed.
+func TestDuplicatingFabricSameDone(t *testing.T) {
+	g := RingOfCliques(8, 8, 4)
+	protos := map[string]func(LiveOptions) (LiveProtocol, error){
+		"pushpull": func(LiveOptions) (LiveProtocol, error) { return LivePushPull(0), nil },
+		"flood":    func(LiveOptions) (LiveProtocol, error) { return LiveFlood(0), nil },
+		"rr":       func(o LiveOptions) (LiveProtocol, error) { return LiveRRBroadcast(g, 4, 0, o) },
+	}
+	for name, mk := range protos {
+		t.Run(name, func(t *testing.T) {
+			run := func(faults *LiveFaultConfig) LiveResult {
+				t.Helper()
+				opts := LiveOptions{Seed: 11, Tick: chaosTick, MaxTicks: 4000, Faults: faults}
+				proto, err := mk(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunLive(g, proto, opts)
+				if err != nil {
+					t.Fatalf("faults=%v: %v", faults != nil, err)
+				}
+				return res
+			}
+			clean, dup := run(nil), run(dupPlan(5))
+			if !clean.Completed || !dup.Completed {
+				t.Fatalf("completed: fault-free %v, duplicating %v", clean.Completed, dup.Completed)
+			}
+			for u := 0; u < g.N(); u++ {
+				if clean.Done[u] != dup.Done[u] {
+					t.Errorf("node %d: done %v fault-free, %v with duplicates", u, clean.Done[u], dup.Done[u])
+				}
+			}
+			// TransportDrops may be nonzero: they count what was in flight
+			// when the runtime stopped.
+			if f := dup.Faults; f.InjectedDups == 0 || f.InjectedDrops+f.PartitionDrops != 0 {
+				t.Errorf("plan did not duplicate without loss: %+v", f.FaultCounts)
+			}
+		})
+	}
+}
+
+// TestDuplicatingUnixPairPushPull: push-pull split across two runtimes over
+// unix sockets completes under the duplicating plan. The stream transports
+// deliver both copies of every duplicated message that crosses the socket.
+func TestDuplicatingUnixPairPushPull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket cluster run is not -short friendly")
+	}
+	g := RingOfCliques(8, 8, 4)
+	half := g.N() / 2
+	var hosted [2][]NodeID
+	for u := 0; u < g.N(); u++ {
+		hosted[u/half] = append(hosted[u/half], NodeID(u))
+	}
+	dir, err := os.MkdirTemp("", "gsp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	var trs [2]*live.TCPTransport
+	addrs := make(map[NodeID]string, g.N())
+	for i := range trs {
+		path := filepath.Join(dir, fmt.Sprintf("%d.sock", i))
+		tr, err := NewLiveUnixTransport(path, hosted[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[i] = tr
+		for _, u := range hosted[i] {
+			addrs[u] = "unix://" + path
+		}
+	}
+	var wg sync.WaitGroup
+	var results [2]LiveResult
+	var errs [2]error
+	for i := range trs {
+		trs[i].SetPeers(addrs)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = RunLiveTransport(g, LivePushPull(0), trs[i], LiveOptions{
+				Seed: 11, Tick: time.Millisecond, Nodes: hosted[i], Linger: 200 * time.Millisecond,
+				Faults: dupPlan(5),
+			})
+		}(i)
+	}
+	wg.Wait()
+	var dups int64
+	for i, r := range results {
+		if errs[i] != nil || !r.Completed {
+			t.Fatalf("runtime %d: completed=%v err=%v", i, r.Completed, errs[i])
+		}
+		for _, u := range hosted[i] {
+			if !r.Done[u] {
+				t.Errorf("node %d not informed", u)
+			}
+		}
+		dups += r.Faults.InjectedDups
+	}
+	if dups == 0 {
+		t.Error("plan duplicated nothing")
 	}
 }

@@ -308,9 +308,8 @@ func run(args []string, out io.Writer) error {
 		res.Completed, res.Interrupted, informed, len(hosted), res.Metrics.Ticks, res.Metrics.Messages(),
 		res.Metrics.Bytes, res.Metrics.Wall.Round(time.Millisecond), tr.Dropped())
 	if f := res.Faults; f.Dropped() > 0 || f.InjectedDups > 0 || len(f.Phases) > 0 {
-		fmt.Fprintf(out, "faults: injected-drops=%d partition-drops=%d transport-drops=%d dups=%d jittered=%d dedup-hits=%d partitions=%d\n",
-			f.InjectedDrops, f.PartitionDrops, f.TransportDrops, f.InjectedDups, f.Jittered,
-			f.DupsSuppressed, len(f.Phases))
+		fmt.Fprintf(out, "faults: injected-drops=%d partition-drops=%d transport-drops=%d dups=%d jittered=%d partitions=%d\n",
+			f.InjectedDrops, f.PartitionDrops, f.TransportDrops, f.InjectedDups, f.Jittered, len(f.Phases))
 	}
 	if ov := res.Faults.Overload; ov != (gossip.LiveOverloadCounts{}) {
 		fmt.Fprintf(out, "overload: shed-queue=%d shed-pend=%d member-backpressured=%d breaker-opens=%d breaker-drops=%d\n",

@@ -384,7 +384,7 @@ func TestParsePartitions(t *testing.T) {
 		t.Fatalf("run(%v): %v\n%s", args, err, sb.String())
 	}
 	out := sb.String()
-	for _, w := range []string{"completed=true", "faults: injected-drops=", " dedup-hits=", "partitions=1\n"} {
+	for _, w := range []string{"completed=true", "faults: injected-drops=", " dups=", "partitions=1\n"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("output missing %q:\n%s", w, out)
 		}

@@ -519,10 +519,11 @@ func quietFabricPeer(t testing.TB, fabric string, serve func(net.Conn)) (addr st
 // TestFaultDeterministicAcrossFabrics is the chaos-parity check for the
 // fabrics: the identical fault plan over the identical message schedule must
 // produce the identical injected-fault counters, the identical per-phase
-// rows and the identical arrival multiset whether the cluster's links are
-// TCP or unix sockets. Fault decisions are a PRF of message identity taken
-// above the transport, and the stream core is fabric-blind, so any
-// divergence means a fabric leaked into delivery semantics. Two plans run:
+// rows and the identical arrival multiset whether the messages travel the
+// in-process transport, TCP or unix sockets. Fault decisions are a PRF of
+// message identity taken above the transport, and every transport delivers
+// each copy it is given, injected duplicates included, so any divergence
+// means a fabric leaked into delivery semantics. Two plans run:
 // whole-run weather with one partition epoch, and the same weather under a
 // staged phase list (a one-way cut, a flapping cut, a slow-node ramp).
 func TestFaultDeterministicAcrossFabrics(t *testing.T) {
@@ -562,14 +563,16 @@ func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 	}
 	for name, cfg := range map[string]FaultConfig{"partition": partitioned, "staged": staged} {
 		t.Run(name, func(t *testing.T) {
-			outcomes := make(map[string]outcome, len(fabrics))
-			for _, fabric := range fabrics {
-				got, rep, phases := runScriptedFaults(t, fabric, g, feed, cfg)
-				outcomes[fabric] = outcome{got, rep, phases}
-			}
-
-			ref := outcomes["tcp"]
-			if ref.rep.InjectedDrops == 0 || ref.rep.Jittered == 0 || ref.rep.PartitionDrops == 0 {
+			// The in-process transport is the reference: it never encodes,
+			// and it delivers every copy it is given.
+			got, rep := runScripted(t, g, feed, cfg)
+			ref := outcome{got, FaultCounts{
+				InjectedDrops:  rep.InjectedDrops,
+				InjectedDups:   rep.InjectedDups,
+				Jittered:       rep.Jittered,
+				PartitionDrops: rep.PartitionDrops,
+			}, rep.Phases}
+			if ref.rep.InjectedDrops == 0 || ref.rep.InjectedDups == 0 || ref.rep.Jittered == 0 || ref.rep.PartitionDrops == 0 {
 				t.Errorf("fault plan injected nothing on some axis: %+v", ref.rep)
 			}
 			for i, row := range ref.phases {
@@ -577,21 +580,29 @@ func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 					t.Errorf("phase %d injected nothing: %+v", i, row)
 				}
 			}
-			for _, fabric := range fabrics[1:] {
-				o := outcomes[fabric]
+			for _, fabric := range fabrics {
+				got, rep, phases := runScriptedFaults(t, fabric, g, feed, cfg)
+				o := outcome{got, rep, phases}
 				if o.rep != ref.rep {
-					t.Errorf("injected fault counters diverge on %s:\ntcp: %+v\n%s: %+v", fabric, ref.rep, fabric, o.rep)
+					t.Errorf("injected fault counters diverge on %s:\ninproc: %+v\n%s: %+v", fabric, ref.rep, fabric, o.rep)
 				}
 				if !reflect.DeepEqual(o.phases, ref.phases) {
-					t.Errorf("per-phase rows diverge on %s:\ntcp: %+v\n%s: %+v", fabric, ref.phases, fabric, o.phases)
-				}
-				if len(o.got) != len(ref.got) {
-					t.Fatalf("arrival multisets differ in size: tcp=%d %s=%d", len(ref.got), fabric, len(o.got))
+					t.Errorf("per-phase rows diverge on %s:\ninproc: %+v\n%s: %+v", fabric, ref.phases, fabric, o.phases)
 				}
 				for k, n := range ref.got {
 					if o.got[k] != n {
-						t.Errorf("arrival %+v: tcp=%d %s=%d deliveries", k, n, fabric, o.got[k])
+						t.Errorf("arrival %+v: inproc=%d %s=%d deliveries", k, n, fabric, o.got[k])
 					}
+				}
+				delivered := int64(0)
+				for k, n := range o.got {
+					delivered += int64(n)
+					if _, ok := ref.got[k]; !ok {
+						t.Errorf("arrival %+v: inproc=0 %s=%d deliveries", k, fabric, n)
+					}
+				}
+				if want := int64(len(feed)) - o.rep.InjectedDrops - o.rep.PartitionDrops + o.rep.InjectedDups; delivered != want {
+					t.Errorf("%s delivery ledger does not balance: delivered=%d, want %d (%+v)", fabric, delivered, want, o.rep)
 				}
 			}
 		})
@@ -601,16 +612,11 @@ func TestFaultDeterministicAcrossFabrics(t *testing.T) {
 // runScriptedFaults feeds a deterministic schedule through per-side
 // FaultTransports over a two-transport cluster on the given fabric, waits
 // for every written send to be acked, and returns the arrival multiset
-// plus the summed injected-fault counters and per-phase rows.
+// plus the summed injected-fault counters and per-phase rows. The sides
+// host alternate nodes, so most of the schedule crosses the sockets.
 func runScriptedFaults(t *testing.T, fabric string, g *graph.Graph, feed []Message, cfg FaultConfig) (map[arrivalKey]int, FaultCounts, []FaultPhaseReport) {
 	t.Helper()
-	half := g.N() / 2
-	side := func(u graph.NodeID) int {
-		if int(u) < half {
-			return 0
-		}
-		return 1
-	}
+	side := func(u graph.NodeID) int { return int(u) % 2 }
 	var hosted [2][]graph.NodeID
 	for u := 0; u < g.N(); u++ {
 		hosted[side(graph.NodeID(u))] = append(hosted[side(graph.NodeID(u))], graph.NodeID(u))
@@ -828,8 +834,8 @@ func wirePeer(t *testing.T, fabric string) (addr string, got <-chan wireMessage)
 // contract: a remote message carries the delay its sender passed, and the
 // receiving transport hands exactly that delay to its sink, whose calendar
 // applies it. FaultTransport jitter rides the same field, and so does a
-// duplicate's trailing 1+jitter ticks: the receiver deduplicates the copy,
-// so its delay is checked on the raw wire.
+// duplicate's trailing 1+jitter ticks: the receiver delivers both copies,
+// each with its own delay, and the raw wire carries them in that order.
 func TestFabricLatencyOnTheWire(t *testing.T) {
 	const tick = time.Millisecond
 	cfg := FaultConfig{Seed: 11, Duplicate: 1, JitterTicks: 3, Tick: tick}
@@ -871,20 +877,24 @@ func TestFabricLatencyOnTheWire(t *testing.T) {
 			if jittered == 0 || jittered == sends {
 				t.Fatalf("jitter drew %d of %d nonzero: the plan does not exercise it", jittered, sends)
 			}
-			for range msgs {
+			// One stream carries both copies in send order, so each message's
+			// original reaches the sink before its copy.
+			delays := make([][]time.Duration, sends)
+			for n := 0; n < 2*sends; n++ {
 				select {
 				case got := <-arrivals:
 					i := got.msg.SentTick
-					want := base[i] + time.Duration(ft.jitterOf(msgs[i], 0))*tick
-					if got.delay != want {
-						t.Errorf("message %d: sink delay %v, want %v", i, got.delay, want)
-					}
+					delays[i] = append(delays[i], got.delay)
 				case <-time.After(5 * time.Second):
-					t.Fatal("message never reached the sink")
+					t.Fatalf("%d of %d copies reached the sink", n, 2*sends)
 				}
 			}
-			if !pollUntil(5*time.Second, func() bool { return b.DupsSuppressed() == sends }) {
-				t.Fatalf("DupsSuppressed = %d, want %d", b.DupsSuppressed(), sends)
+			for i, ds := range delays {
+				orig := base[i] + time.Duration(ft.jitterOf(msgs[i], 0))*tick
+				dup := orig + time.Duration(1+ft.jitterOf(msgs[i], 1))*tick
+				if len(ds) != 2 || ds[0] != orig || ds[1] != dup {
+					t.Errorf("message %d: sink delays %v, want [%v %v]", i, ds, orig, dup)
+				}
 			}
 
 			// The raw wire: each message twice, the copy later in the stream

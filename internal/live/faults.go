@@ -170,7 +170,9 @@ type FaultCounts struct {
 	// transport leaves that to its byte stream). It stays only while the
 	// benchmark harness still reads it.
 	Retransmits int64
-	// DupsSuppressed counts receiver-side deduplication hits (TCP transport).
+	// DupsSuppressed is always 0: every transport delivers each copy it
+	// is given, and a repeated message is the handlers' to absorb. It stays
+	// only while the benchmark harness still reads it.
 	DupsSuppressed int64
 }
 
@@ -186,7 +188,6 @@ func (c *FaultCounts) add(other FaultCounts) {
 	c.Jittered += other.Jittered
 	c.PartitionDrops += other.PartitionDrops
 	c.TransportDrops += other.TransportDrops
-	c.DupsSuppressed += other.DupsSuppressed
 }
 
 // FaultPhaseReport is one configured phase's fault ledger.
@@ -399,7 +400,7 @@ func (t *FaultTransport) SetSink(sink DeliverySink) bool {
 func (t *FaultTransport) Close() error { return t.inner.Close() }
 
 // Faults implements FaultReporter: the per-phase ledger and its totals, plus
-// whatever the inner transport reports (real stream losses, dedup).
+// whatever the inner transport reports (its real losses and overload).
 func (t *FaultTransport) Faults() FaultReport {
 	rep := FaultReport{FaultCounts: FaultCounts{InjectedDups: t.dups.Load()}}
 	for i := range t.phases {

@@ -172,9 +172,9 @@ func (n *node) memberTick() {
 
 // sendMember ships membership envelopes as MsgMember messages. Each packet
 // gets a unique synthetic (negative) edge ID: membership traffic flows
-// between arbitrary node pairs, not graph edges, and the unique ID keeps the
-// TCP receiver's (edge, from, tick, kind) dedup from collapsing distinct
-// packets sent in the same tick.
+// between arbitrary node pairs, not graph edges, and the fault plan keys its
+// decisions on message identity (EdgeID, Kind, From, SentTick), so the unique
+// ID gives distinct packets sent in the same tick distinct fault draws.
 func (n *node) sendMember(envs []member.Envelope) {
 	for _, env := range envs {
 		n.memEdge--

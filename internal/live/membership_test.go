@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -212,4 +213,39 @@ type slowNode struct {
 func (n *slowNode) Tick(ctx *sim.Context) {
 	n.ticks++
 	n.ppNode.Tick(ctx)
+}
+
+// TestMemberDuplicatingFabricNoFalseDead: membership over a fabric that
+// duplicates half its messages. A repeated ping, ack or gossip record is a
+// no-op for the detector (an ack for a settled probe and a record at a known
+// incarnation change nothing), so no node is ever declared dead.
+func TestMemberDuplicatingFabricNoFalseDead(t *testing.T) {
+	g := graph.Clique(8, 1)
+	ft := NewFaultTransport(NewChanTransport(g.N()), FaultConfig{Seed: 5, Tick: testTick, Duplicate: 0.5})
+	defer ft.Close()
+	// No source, so the run spans the whole tick budget: many probe rounds.
+	res, err := Run(g, ppProto{source: -1}, ft, Options{
+		Seed: 1, Tick: testTick, MaxTicks: 300, Membership: memberTestConfig(),
+	})
+	if err != nil && !errors.Is(err, ErrMaxTicks) {
+		t.Fatalf("Run: %v", err)
+	}
+	if ft.Faults().InjectedDups == 0 || res.Metrics.MemberPackets == 0 {
+		t.Fatalf("no duplicated membership traffic: %d dups, %d member packets",
+			ft.Faults().InjectedDups, res.Metrics.MemberPackets)
+	}
+	for v, ups := range res.Members {
+		for _, up := range ups {
+			if up.St == member.Dead {
+				t.Errorf("node %d holds a dead record %+v with no crash injected", v, up)
+			}
+		}
+	}
+	for v, evs := range res.MemberEvents {
+		for _, ev := range evs {
+			if ev.St == member.Dead {
+				t.Errorf("node %d logged a dead verdict with no crash injected: %v", v, ev)
+			}
+		}
+	}
 }

@@ -391,28 +391,62 @@ func TestShardHeldBackKeepsClock(t *testing.T) {
 	}
 }
 
-// unixPair runs proto on two runtimes over unix:// transports, each hosting
-// one contiguous half of g, with opts (Nodes filled in). It returns the
-// transports at once and a wait function reporting both runs' results.
-func unixPair(t *testing.T, g *graph.Graph, proto Protocol, opts Options) ([2]*StreamTransport, func() [2]Result) {
+// tappedTransport is a stream transport whose sink counts every remote
+// arrival the runtime's sink took, and hands it to onTake when that is set:
+// the receive side of a two-runtime ledger.
+type tappedTransport struct {
+	*StreamTransport
+	nodes  []graph.NodeID // hosted, in order
+	took   atomic.Int64
+	onTake func(Message) // set before the first run
+}
+
+func (tr *tappedTransport) SetSink(sink DeliverySink) bool {
+	if sink == nil {
+		return tr.StreamTransport.SetSink(nil)
+	}
+	return tr.StreamTransport.SetSink(func(m Message, d time.Duration) bool {
+		if !sink(m, d) {
+			return false
+		}
+		if !tr.Hosts(m.From) {
+			tr.took.Add(1)
+			if tr.onTake != nil {
+				tr.onTake(m)
+			}
+		}
+		return true
+	})
+}
+
+// streamPair builds two tapped transports on fabric, each hosting one
+// contiguous half of g, peered with each other.
+func streamPair(t *testing.T, fabric string, g *graph.Graph) [2]*tappedTransport {
 	t.Helper()
-	var trs [2]*StreamTransport
-	var hosted [2][]graph.NodeID
+	var trs [2]*tappedTransport
 	addrs := map[graph.NodeID]string{}
 	for i := range trs {
+		var hosted []graph.NodeID
 		for u := i * g.N() / 2; u < (i+1)*g.N()/2; u++ {
-			hosted[i] = append(hosted[i], graph.NodeID(u))
+			hosted = append(hosted, graph.NodeID(u))
 		}
-		tr, addr := newFabricTransport(t, "unix", hosted[i])
+		tr, addr := newFabricTransport(t, fabric, hosted)
 		t.Cleanup(func() { tr.Close() })
-		trs[i] = tr
-		for _, u := range hosted[i] {
+		trs[i] = &tappedTransport{StreamTransport: tr, nodes: hosted}
+		for _, u := range hosted {
 			addrs[u] = addr
 		}
 	}
 	for _, tr := range trs {
 		tr.SetPeers(addrs)
 	}
+	return trs
+}
+
+// runPair runs proto on both runtimes of a pair at once, with opts (Nodes
+// filled in), and returns a wait function reporting both runs' results.
+func runPair(t *testing.T, g *graph.Graph, proto Protocol, trs [2]*tappedTransport, opts Options) func() [2]Result {
+	t.Helper()
 	var wg sync.WaitGroup
 	var res [2]Result
 	for i := range trs {
@@ -420,7 +454,7 @@ func unixPair(t *testing.T, g *graph.Graph, proto Protocol, opts Options) ([2]*S
 		go func(i int) {
 			defer wg.Done()
 			o := opts
-			o.Nodes = hosted[i]
+			o.Nodes = trs[i].nodes
 			var err error
 			res[i], err = Run(g, proto, trs[i], o)
 			if err != nil && !errors.Is(err, ErrMaxTicks) {
@@ -428,23 +462,118 @@ func unixPair(t *testing.T, g *graph.Graph, proto Protocol, opts Options) ([2]*S
 			}
 		}(i)
 	}
-	return trs, func() [2]Result { wg.Wait(); return res }
+	return func() [2]Result { wg.Wait(); return res }
+}
+
+// unixPair runs proto on two runtimes over unix:// transports, each hosting
+// one contiguous half of g, with opts (Nodes filled in). It returns the
+// transports at once and a wait function reporting both runs' results.
+func unixPair(t *testing.T, g *graph.Graph, proto Protocol, opts Options) ([2]*tappedTransport, func() [2]Result) {
+	t.Helper()
+	trs := streamPair(t, "unix", g)
+	return trs, runPair(t, g, proto, trs, opts)
 }
 
 // TestShardSaturatedUnixNoDuplicates: two runtimes over unix:// with no
 // faults, ticking faster than they can keep up, deliver every message once.
-// The byte stream is the only retransmitter, so nothing reaches a receiver
-// twice and its dedup suppresses nothing.
+// The byte stream is the only retransmitter, so no message identity
+// (edge, from, tick, kind, to) reaches a receiver's sink twice.
 func TestShardSaturatedUnixNoDuplicates(t *testing.T) {
 	g := graph.RingChords(4000, 4, 16, 1)
-	trs, wait := unixPair(t, g, ppProto{source: -1}, Options{
-		Seed: 1, Tick: 100 * time.Microsecond, MaxTicks: 200, Shards: 2,
-	})
-	wait()
-	for i, tr := range trs {
-		if d := tr.DupsSuppressed(); d != 0 {
-			t.Errorf("runtime %d: DupsSuppressed = %d with no faults injected, want 0", i, d)
+	trs := streamPair(t, "unix", g)
+	type key struct {
+		edge     int
+		from, to graph.NodeID
+		sentTick int
+		kind     MsgKind
+	}
+	var mu sync.Mutex
+	seen := map[key]bool{}
+	repeats := 0
+	for _, tr := range trs {
+		tr.onTake = func(m Message) {
+			k := key{m.EdgeID, m.From, m.To, m.SentTick, m.Kind}
+			mu.Lock()
+			if seen[k] {
+				repeats++
+			}
+			seen[k] = true
+			mu.Unlock()
 		}
+	}
+	runPair(t, g, ppProto{source: -1}, trs, Options{
+		Seed: 1, Tick: 100 * time.Microsecond, MaxTicks: 200, Shards: 2,
+	})()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) == 0 {
+		t.Fatal("no message crossed the pair")
+	}
+	if repeats != 0 {
+		t.Errorf("%d of %d remote arrivals repeated a message with no faults injected", repeats, len(seen)+repeats)
+	}
+}
+
+// TestStreamRerunLosesNothing: two consecutive push-pull runs over one pair
+// of transports, on each fabric. The second run restarts SentTick at 0, so
+// its messages repeat the first run's identities (edge, from, tick, kind),
+// yet each is a new message: on each run every message a peer wrote reaches
+// the receiver's sink or counts in the receiver's Dropped() as a decode or
+// misroute drop (its queue sheds and breaks are losses of its own sends,
+// which the peer never wrote).
+func TestStreamRerunLosesNothing(t *testing.T) {
+	g := graph.RingChords(4000, 4, 16, 1)
+	opts := Options{Seed: 1, Tick: time.Millisecond, Linger: 100 * time.Millisecond}
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			trs := streamPair(t, fabric, g)
+			type ledger struct{ wrote, took, recvDrops int64 }
+			// settle waits until both sides have every written message acked
+			// and returns each side's ledger.
+			settle := func() (l [2]ledger) {
+				t.Helper()
+				if !pollUntil(10*time.Second, func() bool {
+					return allAcked(trs[0].StreamTransport) && allAcked(trs[1].StreamTransport)
+				}) {
+					t.Fatal("writes still unacked after the run")
+				}
+				for i, tr := range trs {
+					l[i] = ledger{tr.WireMsgsOut(), tr.took.Load(), tr.dropsDecode.Load() + tr.dropsMisroute.Load()}
+				}
+				return l
+			}
+			for run := 1; run <= 2; run++ {
+				before := settle()
+				res := runPair(t, g, ppProto{source: 0}, trs, opts)()
+				for i, r := range res {
+					if !r.Completed {
+						t.Fatalf("run %d, runtime %d did not complete", run, i)
+					}
+				}
+				// An ack counts a message decoded; its delivery follows at
+				// once, so give the last arrivals a moment to reach the sink.
+				var after [2]ledger
+				balanced := func() bool {
+					after = settle()
+					for i := range trs {
+						wrote := after[1-i].wrote - before[1-i].wrote
+						took := after[i].took - before[i].took
+						if took != wrote-(after[i].recvDrops-before[i].recvDrops) {
+							return false
+						}
+					}
+					return true
+				}
+				if pollUntil(time.Second, balanced) {
+					continue
+				}
+				for i := range trs {
+					t.Errorf("run %d, runtime %d: sink took %d of the %d messages its peer wrote, %d dropped on arrival",
+						run, i, after[i].took-before[i].took, after[1-i].wrote-before[1-i].wrote,
+						after[i].recvDrops-before[i].recvDrops)
+				}
+			}
+		})
 	}
 }
 

@@ -31,19 +31,6 @@ type wireMessage struct {
 	Payload     []byte
 }
 
-// DefaultDedupWindowTicks is the receiver dedup retention window: an entry
-// is evicted once the newest SentTick seen by its shard has advanced past it
-// by one to two windows. The longest-lived copy dedup must still catch is a
-// duplicate FaultTransport injects, which trails its original by 1+jitter
-// ticks, and at the default 1ms tick the window retains entries for ~8–16s —
-// a wide margin that also covers a frame re-queued after a connection break,
-// so bounded memory never re-admits a live copy.
-const DefaultDedupWindowTicks = 8192
-
-// dedupShards splits the dedup state so concurrent connections don't
-// serialize on one lock.
-const dedupShards = 16
-
 // StreamTransport is the transport-family-generic stream core: length-prefixed
 // binary frames (wire.go) over any ordered byte stream. Two connection
 // families (fabrics) plug in beneath it:
@@ -86,11 +73,10 @@ const dedupShards = 16
 // stream delivers in order, so written − acked is exactly the set a broken
 // connection may have lost: it counts as dropped, and so does Close's. The
 // write cycle that failed, and everything still queued, re-queue toward a
-// fresh connection, whose writer redials at once. Receivers deduplicate on
-// (EdgeID, From, SentTick, Kind) within a sliding tick window
-// (DefaultDedupWindowTicks), so a re-queued frame that partly got out and
-// injected duplicates are idempotent, and the dedup set stays bounded over
-// arbitrarily long runs.
+// fresh connection, whose writer redials at once, so a cycle that partly got
+// out may arrive twice. Receivers deliver every copy they decode, as the
+// in-process transport does: a repeated message, re-queued or injected, is
+// the handlers' to absorb, and every handler merges by union.
 //
 // Outbound connections are created on first use and pooled per destination
 // address; each one's writer dials (with retries, so a cluster's processes
@@ -107,10 +93,9 @@ type StreamTransport struct {
 
 	sink atomic.Pointer[DeliverySink]
 
-	// Atomic because connection goroutines read them while the owner may
+	// Atomic because connection goroutines read it while the owner may
 	// still be configuring (an eager peer can dial in before SetFlushWindow).
 	flushWindow atomic.Int64 // time.Duration
-	dedupWindow atomic.Int64 // ticks
 
 	peerMu  sync.RWMutex
 	peers   map[graph.NodeID]string
@@ -135,20 +120,17 @@ type StreamTransport struct {
 
 	peerSt sync.Map // addr string -> *peerState, per peer listen address
 
-	dedup [dedupShards]dedupShard
-
-	bytesOut       atomic.Int64 // frame bytes written to sockets
-	flushes        atomic.Int64 // socket write batches (syscalls; see countingWriter)
-	framesOut      atomic.Int64 // physical frames written (a super-frame counts once)
-	msgsOut        atomic.Int64 // logical data messages those frames carried
-	localBytes     atomic.Int64 // subset of bytesOut that traveled a local fabric
-	localFrames    atomic.Int64 // subset of framesOut that traveled a local fabric
-	dropsGiveUp    atomic.Int64 // behind a dial that gave up, or refused by two dead connections
-	dropsBroken    atomic.Int64 // written and unacked when their connection broke
-	dropsClosed    atomic.Int64 // unacked or unwritten at Close, or abandoned by a drain
-	dropsDecode    atomic.Int64 // undecodable wire payloads or corrupt frames
-	dropsMisroute  atomic.Int64 // not hosted here, forged, or no runtime attached to take it
-	dupsSuppressed atomic.Int64
+	bytesOut      atomic.Int64 // frame bytes written to sockets
+	flushes       atomic.Int64 // socket write batches (syscalls; see countingWriter)
+	framesOut     atomic.Int64 // physical frames written (a super-frame counts once)
+	msgsOut       atomic.Int64 // logical data messages those frames carried
+	localBytes    atomic.Int64 // subset of bytesOut that traveled a local fabric
+	localFrames   atomic.Int64 // subset of framesOut that traveled a local fabric
+	dropsGiveUp   atomic.Int64 // behind a dial that gave up, or refused by two dead connections
+	dropsBroken   atomic.Int64 // written and unacked when their connection broke
+	dropsClosed   atomic.Int64 // unacked or unwritten at Close, or abandoned by a drain
+	dropsDecode   atomic.Int64 // undecodable wire payloads or corrupt frames
+	dropsMisroute atomic.Int64 // not hosted here, forged, or no runtime attached to take it
 
 	// Overload ledger (see OverloadCounts for the meaning of each).
 	ovShedQueue   atomic.Int64
@@ -175,85 +157,6 @@ type streamListener struct {
 	local bool
 }
 
-// dedupKey identifies a message for receiver-side deduplication: the node
-// pair and tick of the exchange half. From disambiguates the two endpoints
-// initiating on the same edge in the same tick.
-type dedupKey struct {
-	edge     int
-	from     graph.NodeID
-	sentTick int
-	kind     MsgKind
-}
-
-// shard spreads keys over the dedup shards with a cheap integer mix.
-func (k dedupKey) shard() uint64 {
-	h := uint64(k.edge)*0x9E3779B97F4A7C15 + uint64(k.from)*0xBF58476D1CE4E5B9 +
-		uint64(uint32(k.sentTick))*0x94D049BB133111EB + uint64(k.kind)
-	return (h >> 32) & (dedupShards - 1)
-}
-
-// dedupShard holds a generation pair of dedup sets. New entries land in cur;
-// when the newest SentTick observed advances past the shard's horizon, prev
-// is discarded and cur rotates into its place, reclaiming entries one to two
-// windows old. Lookups consult both generations.
-type dedupShard struct {
-	mu      sync.Mutex
-	cur     map[dedupKey]struct{}
-	prev    map[dedupKey]struct{}
-	maxTick int
-	horizon int
-}
-
-// seen records k and reports whether it was already present (a duplicate).
-// The hot path — a fresh key — costs a single map operation: inserting and
-// checking whether the length grew detects cur-presence without a separate
-// lookup, and only a fresh key pays the prev probe. A prev-duplicate leaves
-// its insert in cur behind, which just extends its suppression by a window.
-func (s *dedupShard) seen(k dedupKey, window int) bool {
-	s.mu.Lock()
-	if s.cur == nil {
-		s.cur = make(map[dedupKey]struct{})
-		s.horizon = k.sentTick + window
-	}
-	before := len(s.cur)
-	s.cur[k] = struct{}{}
-	if len(s.cur) == before {
-		s.mu.Unlock()
-		return true
-	}
-	if _, dup := s.prev[k]; dup {
-		s.mu.Unlock()
-		return true
-	}
-	if k.sentTick > s.maxTick {
-		s.maxTick = k.sentTick
-		if s.maxTick >= s.horizon {
-			// Rotate by recycling the discarded generation: clear keeps the
-			// map's buckets, so steady-state rotation never regrows a table
-			// (rehash storms dominated this path when each window started
-			// from a fresh map).
-			old := s.prev
-			s.prev = s.cur
-			if old == nil {
-				old = make(map[dedupKey]struct{})
-			} else {
-				clear(old)
-			}
-			s.cur = old
-			s.horizon = s.maxTick + window
-		}
-	}
-	s.mu.Unlock()
-	return false
-}
-
-// size reports the shard's live entry count (tests verify eviction with it).
-func (s *dedupShard) size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cur) + len(s.prev)
-}
-
 // newStreamTransport builds the stream core with no listeners attached; the
 // family constructors (NewTCPTransport, NewUnixTransport) attach theirs with
 // addListener before the transport is handed out.
@@ -269,7 +172,6 @@ func newStreamTransport(local []graph.NodeID) *StreamTransport {
 		breakerWait: DefaultBreakerCooldown,
 		closed:      make(chan struct{}),
 	}
-	t.dedupWindow.Store(DefaultDedupWindowTicks)
 	for _, u := range local {
 		t.hosted[u] = true
 	}
@@ -557,16 +459,11 @@ func (t *StreamTransport) PeerUp(u graph.NodeID) {
 // undecodable payloads, misroutes, and everything the overload protection
 // shed or refused. A message whose ack a break destroyed counts even though
 // it may have arrived, so after a break delivered + Dropped() may exceed the
-// sends; without one it is exact. Suppressed duplicates are not drops (their
-// content arrived).
+// sends; without one it is exact.
 func (t *StreamTransport) Dropped() int64 {
 	return t.dropsGiveUp.Load() + t.dropsBroken.Load() + t.dropsClosed.Load() +
 		t.dropsDecode.Load() + t.dropsMisroute.Load() + t.Overload().Shed()
 }
-
-// DupsSuppressed returns the number of duplicate arrivals the receiver-side
-// dedup swallowed.
-func (t *StreamTransport) DupsSuppressed() int64 { return t.dupsSuppressed.Load() }
 
 // WireBytesOut returns the total frame bytes this transport wrote to its
 // sockets (data frames and acks). Benchmarks divide it by the
@@ -599,24 +496,11 @@ func (t *StreamTransport) WireLocalFrames() int64 { return t.localFrames.Load() 
 // WireLocalBytes returns the subset of WireBytesOut written to local fabrics.
 func (t *StreamTransport) WireLocalBytes() int64 { return t.localBytes.Load() }
 
-// dedupSize returns the number of live dedup entries (tests verify the
-// tick-windowed eviction with it).
-func (t *StreamTransport) dedupSize() int {
-	n := 0
-	for i := range t.dedup {
-		n += t.dedup[i].size()
-	}
-	return n
-}
-
 // Faults implements FaultReporter with the transport's real-network ledger.
 func (t *StreamTransport) Faults() FaultReport {
 	return FaultReport{
-		FaultCounts: FaultCounts{
-			TransportDrops: t.Dropped(),
-			DupsSuppressed: t.dupsSuppressed.Load(),
-		},
-		Overload: t.Overload(),
+		FaultCounts: FaultCounts{TransportDrops: t.Dropped()},
+		Overload:    t.Overload(),
 	}
 }
 
@@ -1381,7 +1265,8 @@ func (cs *connState) finish() {
 // frames of the writer's cycle that did not flush, older than anything
 // still queued — and the queued frames re-queue toward a fresh connection,
 // or count as lost when the transport is draining or closed. A failed frame
-// may have partly got out; the receiver's dedup absorbs the second copy.
+// may have partly got out, so its messages may arrive twice; the handlers
+// absorb the second copy.
 // What the connection wrote and never got acked is counted when its read
 // loop settles it.
 func (t *StreamTransport) connBroken(cs *connState, failed []wireMessage) {
@@ -1405,9 +1290,9 @@ func (t *StreamTransport) connBroken(cs *connState, failed []wireMessage) {
 }
 
 // readLoop decodes the connection's frames: an ack that advances the
-// count credits the peer's breaker, and data messages are deduplicated,
-// handed to the sink, and counted toward the ack this side owes. On its way
-// out it settles the connection's loss count and retires it.
+// count credits the peer's breaker, and data messages are handed to the
+// sink and counted toward the ack this side owes. On its way out it settles
+// the connection's loss count and retires it.
 func (t *StreamTransport) readLoop(cs *connState) {
 	defer t.wg.Done()
 	defer t.retire(cs)
@@ -1445,7 +1330,7 @@ func (t *StreamTransport) readLoop(cs *connState) {
 	}
 }
 
-// deliverData deduplicates, decodes, and routes one logical data message.
+// deliverData decodes and routes one logical data message.
 // cs is the connection it arrived on, whose read loop owns the decoder memo.
 func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) {
 	if !t.hosted[graph.NodeID(w.To)] || t.hosted[graph.NodeID(w.From)] {
@@ -1453,11 +1338,6 @@ func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) {
 		// reaches this transport over the wire, and the sink takes a hosted
 		// sender as proof that it runs on that node's shard goroutine.
 		t.dropsMisroute.Add(1)
-		return
-	}
-	key := dedupKey{edge: w.EdgeID, from: graph.NodeID(w.From), sentTick: w.SentTick, kind: MsgKind(w.Kind)}
-	if t.dedup[key.shard()].seen(key, int(t.dedupWindow.Load())) {
-		t.dupsSuppressed.Add(1)
 		return
 	}
 	payload, err := cs.decodePayload(w.PayloadType, w.Payload)

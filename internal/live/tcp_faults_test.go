@@ -47,8 +47,7 @@ func sinkInbox(t testing.TB, tr SinkTransport) func(graph.NodeID) <-chan Message
 		defer mu.Unlock()
 		ch := chs[u]
 		if ch == nil {
-			// Room for the largest burst a test sends before it reads
-			// (2,049 in TestTCPDedupWindowEviction).
+			// Room for the largest burst a test sends before it reads.
 			ch = make(chan Message, 4096)
 			chs[u] = ch
 		}
@@ -120,41 +119,6 @@ func TestFaultTCPRequeueRecoversConnLoss(t *testing.T) {
 	}
 }
 
-// TestFaultTCPDedupSuppressesDuplicates sends the same exchange half twice:
-// the receiver must deliver it once and count the duplicate.
-func TestFaultTCPDedupSuppressesDuplicates(t *testing.T) {
-	a, b := tcpPair(t)
-	aIn := sinkInbox(t, a)
-	bIn := sinkInbox(t, b)
-	msg := Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 4, SentTick: 7, Payload: bitp{informed: true}}
-	if err := a.Send(msg, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(msg, 0); err != nil {
-		t.Fatal(err)
-	}
-	recvWithin(t, bIn(1), 5*time.Second)
-
-	deadline := time.Now().Add(3 * time.Second)
-	for b.DupsSuppressed() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := b.DupsSuppressed(); got != 1 {
-		t.Fatalf("DupsSuppressed = %d, want 1", got)
-	}
-	select {
-	case m := <-bIn(1):
-		t.Fatalf("duplicate delivered: %+v", m)
-	case <-time.After(100 * time.Millisecond):
-	}
-	// A different exchange half on the same edge and tick (the peer's own
-	// initiation) is NOT a duplicate: From disambiguates.
-	if err := b.Send(Message{Kind: MsgRequest, From: 1, To: 0, EdgeID: 4, SentTick: 7, Payload: bitp{}}, 0); err != nil {
-		t.Fatal(err)
-	}
-	recvWithin(t, aIn(0), 5*time.Second)
-}
-
 // TestFaultTCPGiveUpCountsDrop sends to a peer that never exists: the dial
 // gives up, and the message queued behind it must surface in Dropped() —
 // every drop path is a visible counter, never a silent loss.
@@ -203,8 +167,10 @@ func TestFaultTCPAckClearsPending(t *testing.T) {
 		t.Fatalf("send still unacked after ack: %d queued or held, %d unacked", a.queueDepth(), a.unackedCount())
 	}
 	time.Sleep(150 * time.Millisecond)
-	if got := b.DupsSuppressed(); got != 0 {
-		t.Errorf("DupsSuppressed = %d after clean ack, want 0", got)
+	select {
+	case m := <-bIn(1):
+		t.Errorf("a second copy arrived after a clean ack: %+v", m)
+	default:
 	}
 	if a.Dropped() != 0 {
 		t.Errorf("Dropped = %d on the happy path", a.Dropped())

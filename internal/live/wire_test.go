@@ -291,72 +291,6 @@ func TestTCPWireInterop(t *testing.T) {
 	}
 }
 
-// TestDedupShardEviction drives the tick-windowed rotation directly: entries
-// a window or more behind the newest tick are reclaimed, recent entries
-// still deduplicate.
-func TestDedupShardEviction(t *testing.T) {
-	var s dedupShard
-	const window = 64
-	key := func(tick int) dedupKey { return dedupKey{edge: 1, from: 2, sentTick: tick, kind: MsgRequest} }
-	for tick := 0; tick < 100*window; tick++ {
-		if s.seen(key(tick), window) {
-			t.Fatalf("fresh tick %d reported duplicate", tick)
-		}
-		if max := 2 * window; s.size() > max {
-			t.Fatalf("shard holds %d entries at tick %d, want <= %d", s.size(), tick, max)
-		}
-	}
-	last := 100*window - 1
-	if !s.seen(key(last), window) {
-		t.Error("entry within the window was evicted")
-	}
-	if s.seen(key(0), window) {
-		t.Error("entry 100 windows old still deduplicated — never evicted")
-	}
-}
-
-// TestTCPDedupWindowEviction is the transport-level half of the satellite:
-// a long run of distinct ticks must not grow the dedup set without bound.
-func TestTCPDedupWindowEviction(t *testing.T) {
-	a, b := tcpPair(t)
-	bIn := sinkInbox(t, b)
-	const window = 32
-	b.dedupWindow.Store(window)
-	// Establish the pooled connection first so the burst below is delivered
-	// in tick order (the pre-pool dial window delivers concurrently-queued
-	// sends in arbitrary order, which legitimately delays rotation).
-	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 0, Payload: bitp{}}, 0); err != nil {
-		t.Fatal(err)
-	}
-	recvWithin(t, bIn(1), 10*time.Second)
-
-	const n = 2048
-	for tick := 1; tick <= n; tick++ {
-		if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: tick, Payload: bitp{}}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for got := 0; got < n; got++ {
-		recvWithin(t, bIn(1), 10*time.Second)
-	}
-	// Each of the 16 shards retains two generations of roughly a window of
-	// its ticks each, so the live set stays far below the n distinct keys
-	// it observed.
-	if size := b.dedupSize(); size >= n/4 {
-		t.Errorf("dedup holds %d entries after %d distinct ticks — eviction not reclaiming", size, n)
-	}
-	// An entry a hundred windows old must be gone: re-sending it is
-	// delivered again rather than suppressed (it is far outside any live
-	// copy's lifetime, so this cannot double-deliver live traffic).
-	if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 1, SentTick: 1, Payload: bitp{}}, 0); err != nil {
-		t.Fatal(err)
-	}
-	recvWithin(t, bIn(1), 10*time.Second)
-	if got := b.DupsSuppressed(); got != 0 {
-		t.Errorf("DupsSuppressed = %d — evicted entry still deduplicating", got)
-	}
-}
-
 // TestTCPFlushCoalescing checks batched writes: with a flush window, a burst
 // of sends shares a handful of flushes instead of paying one per message.
 func TestTCPFlushCoalescing(t *testing.T) {

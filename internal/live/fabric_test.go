@@ -385,7 +385,7 @@ func TestFabricBrokenConnCountsUnacked(t *testing.T) {
 			if !pollUntil(5*time.Second, func() bool { return a.Dropped() == n-k }) {
 				t.Fatalf("Dropped = %d after the break, want %d", a.Dropped(), n-k)
 			}
-			if !pollUntil(5*time.Second, func() bool { _, pooled := a.pooled(addr); return !pooled }) {
+			if !pollUntil(5*time.Second, func() bool { return pooled(a, addr) == nil }) {
 				t.Fatal("broken connection still pooled")
 			}
 			if err := a.Send(testMsg(1, MsgRequest, n), 0); err != nil {

@@ -181,8 +181,8 @@ type Result struct {
 	// cleared state (hosted nodes only).
 	Recovered []bool
 	// Faults is the run's fault ledger: injected and real message losses,
-	// duplication and its suppression, per-phase fault rows, and the
-	// informed-fraction trajectory. Zero-valued when the transport stack
+	// injected duplicates (all delivered; the handlers absorb them),
+	// per-phase fault rows, and the informed-fraction trajectory. Zero-valued when the transport stack
 	// keeps no fault accounting.
 	Faults FaultReport
 	// Handlers exposes the final protocol state machines of hosted nodes

@@ -306,7 +306,7 @@ func TestTCPBreakerHalfOpenProbeExpires(t *testing.T) {
 	defer tr.Close()
 	tr.SetPeers(map[graph.NodeID]string{1: addr})
 	tr.breakerWait = cooldown
-	ps := tr.peer(addr)
+	ps := &routeTo(tr, addr).ps
 
 	tr.PeerDown(1) // the only node at addr: the breaker opens
 	if ps.state() != breakerOpen {

@@ -334,9 +334,10 @@ const maxDelayTicks = 1 << 16
 // the transports' quantization of latency to tick multiples) and routes by
 // sender: a sender hosted here means the call runs on the sender's shard
 // goroutine (see DeliverySink), so the sending shard routes it on its own
-// state; any other sender is a network arrival for the owner's mailbox.
+// state; any other sender is a network arrival for the owner's mailbox. A
+// sender or receiver outside the graph names no node: the sink refuses it.
 func (rt *Runtime) sink(msg Message, delay time.Duration) bool {
-	if msg.To < 0 || int(msg.To) >= len(rt.loc) {
+	if uint(msg.To) >= uint(len(rt.loc)) || uint(msg.From) >= uint(len(rt.loc)) {
 		return false
 	}
 	to := rt.loc[msg.To].shard
@@ -351,11 +352,9 @@ func (rt *Runtime) sink(msg Message, delay time.Duration) bool {
 		rt.abandoned.Add(1)
 		return true
 	}
-	if msg.From >= 0 && int(msg.From) < len(rt.loc) {
-		if from := rt.loc[msg.From].shard; from >= 0 {
-			rt.shards[from].send(to, msg, ticks)
-			return true
-		}
+	if from := rt.loc[msg.From].shard; from >= 0 {
+		rt.shards[from].send(to, msg, ticks)
+		return true
 	}
 	rt.shards[to].post(msg, ticks)
 	return true

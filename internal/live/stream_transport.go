@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -83,8 +84,15 @@ type wireMessage struct {
 // may start in any order) before it writes, and frames sent meanwhile wait
 // in its queue, so Send never blocks on the network, and a read loop waits
 // only on its socket.
+//
+// Routing is dense: the hosted set is a slice by NodeID, and the route table
+// maps each remote NodeID to its address's route (breaker and pooled
+// connection). Send resolves a message with two bounds-checked loads and one
+// atomic load, and takes no lock. SetPeers and SetPeerSockets publish a new
+// table copy-on-write, so each call costs O(n) in the nodes routed; call
+// them before the first Send.
 type StreamTransport struct {
-	hosted map[graph.NodeID]bool // read-only after construction
+	hosted []bool // by NodeID; read-only after construction (see Hosts)
 
 	// listeners are the transport's accept sockets (TCP, unix — a
 	// daemon typically has one TCP listener plus an optional unix socket).
@@ -97,18 +105,16 @@ type StreamTransport struct {
 	// still be configuring (an eager peer can dial in before SetFlushWindow).
 	flushWindow atomic.Int64 // time.Duration
 
-	peerMu  sync.RWMutex
-	peers   map[graph.NodeID]string
-	sockets map[string]string // peer TCP addr -> advertised unix socket path
+	// routes is the immutable route table the send path reads; peerMu
+	// serializes its two writers, SetPeers and SetPeerSockets.
+	peerMu sync.Mutex
+	routes atomic.Pointer[routeTable]
 
-	// outs is the routing pool: one outbound connection per peer address,
-	// evicted the moment it breaks so the next send redials. conns holds
-	// every connection, outbound and accepted, from creation until its
-	// loss count is settled, for Close and Drain to sweep.
-	connMu   sync.Mutex
-	outs     map[string]*connState
-	outsSnap atomic.Pointer[map[string]*connState] // republished under connMu on every change
-	conns    map[*connState]struct{}
+	// conns holds every connection, outbound and accepted, from creation
+	// until its loss count is settled, for Close and Drain to sweep. The
+	// routing pool lives on the routes (route.out).
+	connMu sync.Mutex
+	conns  map[*connState]struct{}
 
 	dialTimeout time.Duration // how long a writer retries dialing an unreachable peer
 
@@ -117,8 +123,6 @@ type StreamTransport struct {
 	queueLimit  int // frames per connection writer queue
 	breakerN    int // consecutive failures before a peer's breaker opens
 	breakerWait time.Duration
-
-	peerSt sync.Map // addr string -> *peerState, per peer listen address
 
 	bytesOut      atomic.Int64 // frame bytes written to sockets
 	flushes       atomic.Int64 // socket write batches (syscalls; see countingWriter)
@@ -161,10 +165,12 @@ type streamListener struct {
 // family constructors (NewTCPTransport, NewUnixTransport) attach theirs with
 // addListener before the transport is handed out.
 func newStreamTransport(local []graph.NodeID) *StreamTransport {
+	n := 0
+	for _, u := range local {
+		n = max(n, u+1)
+	}
 	t := &StreamTransport{
-		hosted:      make(map[graph.NodeID]bool, len(local)),
-		peers:       make(map[graph.NodeID]string),
-		outs:        make(map[string]*connState),
+		hosted:      make([]bool, n),
 		conns:       make(map[*connState]struct{}),
 		dialTimeout: 10 * time.Second, // generous, so a cluster's processes may start in any order
 		queueLimit:  DefaultQueueLimit,
@@ -173,8 +179,11 @@ func newStreamTransport(local []graph.NodeID) *StreamTransport {
 		closed:      make(chan struct{}),
 	}
 	for _, u := range local {
-		t.hosted[u] = true
+		if u >= 0 {
+			t.hosted[u] = true
+		}
 	}
+	t.routes.Store(&routeTable{byAddr: map[string]*route{}, sockets: map[string]string{}})
 	return t
 }
 
@@ -204,17 +213,77 @@ func (t *StreamTransport) Addr() net.Addr {
 	return t.listeners[0].ln.Addr()
 }
 
+// route is one peer address's sending state, shared by every node hosted
+// there: the address's circuit breaker and its pooled outbound connection.
+// A route lives as long as the transport; later route tables reuse it, so an
+// extension keeps the connection and the breaker.
+type route struct {
+	addr string
+	ps   peerState
+	// out is the pooled connection, nil until the first send and after a
+	// break, so the next send redials. conn sets it under connMu; evict
+	// clears it by compare-and-swap, so it never clears a successor.
+	out atomic.Pointer[connState]
+	// nodes counts the nodes the current table routes here; PeerDown trips
+	// the breaker once all of them are believed dead.
+	nodes atomic.Int32
+}
+
+// routeTable is one immutable snapshot of the routing state. Writers build
+// a new table and publish it; nothing in a published table changes.
+type routeTable struct {
+	byNode  []*route          // by NodeID; nil where no address is known
+	byAddr  map[string]*route // one route per address; read by the writers only
+	sockets map[string]string // peer TCP addr -> advertised unix socket path
+}
+
+// lookup returns u's route, nil for a node with no address. The unsigned
+// compare makes a negative ID a miss like one past the end.
+func (tab *routeTable) lookup(u graph.NodeID) *route {
+	if uint(u) < uint(len(tab.byNode)) {
+		return tab.byNode[u]
+	}
+	return nil
+}
+
 // SetPeers installs (or extends) the node→address map used to route remote
-// sends. Locally hosted nodes need no entry. Addresses select the fabric by
-// form: "host:port" dials TCP (upgraded to a unix socket when SetPeerSockets
-// advertises one and the host is local) and "unix://PATH" dials a unix socket
-// directly.
+// sends. Locally hosted nodes need no entry, and a negative ID names no node
+// and is skipped. Addresses select the fabric by form: "host:port" dials TCP
+// (upgraded to a unix socket when SetPeerSockets advertises one and the host
+// is local) and "unix://PATH" dials a unix socket directly.
+//
+// The route table is copy-on-write: each call copies it, O(n) in the nodes
+// routed, and nodes at an address already known join its route, pooled
+// connection and breaker included. Call it before the first Send; a later
+// call is safe, and the sends racing it use the old table or the new one.
 func (t *StreamTransport) SetPeers(addrs map[graph.NodeID]string) {
 	t.peerMu.Lock()
 	defer t.peerMu.Unlock()
-	for u, a := range addrs {
-		t.peers[u] = a
+	old := t.routes.Load()
+	n := len(old.byNode)
+	for u := range addrs {
+		n = max(n, u+1)
 	}
+	next := &routeTable{byNode: make([]*route, n), byAddr: maps.Clone(old.byAddr), sockets: old.sockets}
+	copy(next.byNode, old.byNode)
+	for u, a := range addrs {
+		if u < 0 {
+			continue
+		}
+		r := next.byAddr[a]
+		if r == nil {
+			r = &route{addr: a}
+			next.byAddr[a] = r
+		}
+		if prev := next.byNode[u]; prev != r {
+			if prev != nil {
+				prev.nodes.Add(-1)
+			}
+			r.nodes.Add(1)
+			next.byNode[u] = r
+		}
+	}
+	t.routes.Store(next)
 }
 
 // SetPeerSockets advertises unix socket paths for peers addressed by TCP:
@@ -223,24 +292,21 @@ func (t *StreamTransport) SetPeers(addrs map[graph.NodeID]string) {
 // TCP — the wire protocol is identical, only the kernel path shrinks. A peer
 // whose socket cannot be dialed falls back to TCP after a short grace period
 // (see dialPeer), so a stale advertisement degrades, it does not strand.
-// Call alongside SetPeers, before the first Send.
+// Like SetPeers it publishes a new route table; call it alongside SetPeers,
+// before the first Send.
 func (t *StreamTransport) SetPeerSockets(sockets map[string]string) {
 	t.peerMu.Lock()
 	defer t.peerMu.Unlock()
-	if t.sockets == nil {
-		t.sockets = make(map[string]string, len(sockets))
-	}
-	for addr, path := range sockets {
-		t.sockets[addr] = path
-	}
+	next := *t.routes.Load()
+	next.sockets = maps.Clone(next.sockets)
+	maps.Copy(next.sockets, sockets)
+	t.routes.Store(&next)
 }
 
 // socketFor returns the advertised unix socket for a TCP peer address, or ""
 // when none applies (no advertisement, or the address is not on this host).
 func (t *StreamTransport) socketFor(addr string) string {
-	t.peerMu.RLock()
-	sock := t.sockets[addr]
-	t.peerMu.RUnlock()
+	sock := t.routes.Load().sockets[addr]
 	if sock == "" || !addrIsLocalHost(addr) {
 		return ""
 	}
@@ -384,15 +450,6 @@ func (t *StreamTransport) Overload() OverloadCounts {
 	}
 }
 
-// peer returns (creating on first use) the adaptive state for a peer address.
-func (t *StreamTransport) peer(addr string) *peerState {
-	if v, ok := t.peerSt.Load(addr); ok {
-		return v.(*peerState)
-	}
-	v, _ := t.peerSt.LoadOrStore(addr, &peerState{})
-	return v.(*peerState)
-}
-
 // allowSend consults ps's circuit breaker; true when breakers are disabled.
 // The closed steady state is decided lock-free (see peerState.fastClosed).
 func (t *StreamTransport) allowSend(ps *peerState) bool {
@@ -402,13 +459,13 @@ func (t *StreamTransport) allowSend(ps *peerState) bool {
 	return ps.allow(t.breakerN, t.breakerWait, time.Now())
 }
 
-// peerFailure records n delivery failures against addr, counting the trip
-// when they open its breaker.
-func (t *StreamTransport) peerFailure(addr string, n int) {
+// peerFailure records n delivery failures against r's address, counting the
+// trip when they open its breaker.
+func (t *StreamTransport) peerFailure(r *route, n int) {
 	if t.breakerN <= 0 {
 		return
 	}
-	if t.peer(addr).failure(t.breakerN, t.breakerWait, time.Now(), n) {
+	if r.ps.failure(t.breakerN, t.breakerWait, time.Now(), n) {
 		t.ovBreakerOpen.Add(1)
 	}
 }
@@ -419,22 +476,11 @@ func (t *StreamTransport) peerFailure(addr string, n int) {
 // already written is left to the connection: acked, or counted lost if it
 // breaks.
 func (t *StreamTransport) PeerDown(u graph.NodeID) {
-	t.peerMu.RLock()
-	addr, ok := t.peers[u]
-	hosted := 0
-	if ok {
-		for _, a := range t.peers {
-			if a == addr {
-				hosted++
-			}
-		}
-	}
-	t.peerMu.RUnlock()
-	if !ok {
+	r := t.routes.Load().lookup(u)
+	if r == nil {
 		return
 	}
-	ps := t.peer(addr)
-	if ps.markDead(u, hosted) && t.breakerN > 0 && ps.trip(t.breakerWait, time.Now()) {
+	if r.ps.markDead(u, int(r.nodes.Load())) && t.breakerN > 0 && r.ps.trip(t.breakerWait, time.Now()) {
 		t.ovBreakerOpen.Add(1)
 	}
 }
@@ -442,15 +488,12 @@ func (t *StreamTransport) PeerDown(u graph.NodeID) {
 // PeerUp implements PeerStatusSink: node u refuted its suspicion or rejoined.
 // Its address's breaker closes so traffic resumes immediately.
 func (t *StreamTransport) PeerUp(u graph.NodeID) {
-	t.peerMu.RLock()
-	addr, ok := t.peers[u]
-	t.peerMu.RUnlock()
-	if !ok {
+	r := t.routes.Load().lookup(u)
+	if r == nil {
 		return
 	}
-	ps := t.peer(addr)
-	ps.markAlive(u)
-	ps.reset()
+	r.ps.markAlive(u)
+	r.ps.reset()
 }
 
 // Dropped returns the number of messages lost for any terminal reason since
@@ -514,16 +557,14 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if t.stopping() {
 		return ErrTransportClosed
 	}
-	if t.hosted[msg.To] {
+	if t.Hosts(msg.To) {
 		if s := t.sink.Load(); s == nil || !(*s)(msg, delay) {
 			t.dropsMisroute.Add(1) // no runtime took it; nothing holds it
 		}
 		return nil
 	}
-	t.peerMu.RLock()
-	addr, ok := t.peers[msg.To]
-	t.peerMu.RUnlock()
-	if !ok {
+	r := t.routes.Load().lookup(msg.To)
+	if r == nil {
 		return fmt.Errorf("live: no peer address for node %d", msg.To)
 	}
 	if delay > maxWireDelayUS*time.Microsecond {
@@ -533,7 +574,7 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if !t.allowSend(t.peer(addr)) {
+	if !t.allowSend(&r.ps) {
 		t.ovBreakerDrop.Add(1)
 		return nil
 	}
@@ -548,7 +589,7 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 		PayloadType: pt,
 		Payload:     data,
 	}
-	t.enqueue(addr, &w)
+	t.enqueue(r, &w)
 	return nil
 }
 
@@ -566,12 +607,12 @@ func (t *StreamTransport) isClosed() bool {
 // no sends and opens no connections.
 func (t *StreamTransport) stopping() bool { return t.isClosed() || t.draining.Load() }
 
-// enqueue queues w on addr's connection, creating it if needed. Missing
-// every queue — the transport is stopping, or the connection died twice in a
-// row — is a terminal, counted loss.
-func (t *StreamTransport) enqueue(addr string, w *wireMessage) {
+// enqueue queues w on r's connection, creating it if needed. Missing every
+// queue — the transport is stopping, or the connection died twice in a row —
+// is a terminal, counted loss.
+func (t *StreamTransport) enqueue(r *route, w *wireMessage) {
 	for attempt := 0; attempt < 2; attempt++ {
-		cs, err := t.conn(addr)
+		cs, err := t.conn(r)
 		if err != nil {
 			t.dropsClosed.Add(1)
 			return
@@ -586,8 +627,11 @@ func (t *StreamTransport) enqueue(addr string, w *wireMessage) {
 // Recv implements Transport's stub (see Transport): always nil.
 func (t *StreamTransport) Recv(graph.NodeID) <-chan Message { return nil }
 
-// Hosts implements SinkTransport.
-func (t *StreamTransport) Hosts(u graph.NodeID) bool { return t.hosted[u] }
+// Hosts implements SinkTransport. The unsigned compare makes a negative or
+// out-of-range ID, one forged on the wire included, a miss.
+func (t *StreamTransport) Hosts(u graph.NodeID) bool {
+	return uint(u) < uint(len(t.hosted)) && t.hosted[u]
+}
 
 // SetSink implements SinkTransport: locally destined sends and wire arrivals
 // for hosted nodes are handed to sink.
@@ -721,7 +765,7 @@ func (t *StreamTransport) acceptLoop(sl streamListener) {
 			return // listener closed
 		}
 		tuneUnixConn(c)
-		cs := t.newConnState("")
+		cs := t.newConnState(nil)
 		cs.attach(c, sl.local)
 		t.connMu.Lock()
 		if t.isClosed() {
@@ -745,9 +789,8 @@ func (t *StreamTransport) acceptLoop(sl streamListener) {
 // available — data frames and the ack it owes — through one buffered writer,
 // so a burst of same-tick messages costs one syscall instead of one each.
 type connState struct {
-	t    *StreamTransport
-	addr string     // peer listen address for pooled outbound conns; "" for accepted
-	ps   *peerState // the peer's breaker; nil on accepted conns
+	t *StreamTransport
+	r *route // the peer address's route for outbound conns; nil for accepted
 
 	// Set by attach: before the read and write loops start on an accepted
 	// connection, by the writer's dial (under connMu) on an outbound one.
@@ -896,18 +939,14 @@ func (w countingWriter) count(bytes, flushes int64) {
 	w.flushes.Add(flushes)
 }
 
-func (t *StreamTransport) newConnState(addr string) *connState {
-	cs := &connState{
+func (t *StreamTransport) newConnState(r *route) *connState {
+	return &connState{
 		t:       t,
-		addr:    addr,
+		r:       r,
 		notify:  make(chan struct{}, 1),
 		deadCh:  make(chan struct{}),
 		spaceCh: make(chan struct{}, 1),
 	}
-	if addr != "" {
-		cs.ps = t.peer(addr)
-	}
-	return cs
 }
 
 // attach binds the connection to its established stream.
@@ -1272,8 +1311,8 @@ func (cs *connState) finish() {
 func (t *StreamTransport) connBroken(cs *connState, failed []wireMessage) {
 	t.evict(cs) // first, so a send racing the death finds the queue markDead takes
 	leftover, first := cs.markDead()
-	if first && cs.addr != "" {
-		t.peerFailure(cs.addr, 1)
+	if first && cs.r != nil {
+		t.peerFailure(cs.r, 1)
 	}
 	requeue := append(failed, leftover...)
 	if len(requeue) == 0 {
@@ -1283,9 +1322,10 @@ func (t *StreamTransport) connBroken(cs *connState, failed []wireMessage) {
 		t.dropsClosed.Add(int64(len(requeue)))
 		return
 	}
-	// A fresh connection's own writer dials, so nothing here blocks.
+	// A fresh connection's own writer dials, so nothing here blocks. Only
+	// outbound connections queue data, so cs.r is set.
 	for i := range requeue {
-		t.enqueue(cs.addr, &requeue[i])
+		t.enqueue(cs.r, &requeue[i])
 	}
 }
 
@@ -1306,8 +1346,8 @@ func (t *StreamTransport) readLoop(cs *connState) {
 			}
 			return
 		}
-		if ack > 0 && cs.ackedUpTo(int64(ack)) && cs.ps != nil {
-			cs.ps.success()
+		if ack > 0 && cs.ackedUpTo(int64(ack)) && cs.r != nil {
+			cs.r.ps.success()
 		}
 		if len(msgs) == 0 {
 			continue // ack-only frame
@@ -1333,7 +1373,7 @@ func (t *StreamTransport) readLoop(cs *connState) {
 // deliverData decodes and routes one logical data message.
 // cs is the connection it arrived on, whose read loop owns the decoder memo.
 func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) {
-	if !t.hosted[graph.NodeID(w.To)] || t.hosted[graph.NodeID(w.From)] {
+	if !t.Hosts(w.To) || t.Hosts(w.From) {
 		// Misrouted (not hosted here), or forged: a node hosted here never
 		// reaches this transport over the wire, and the sink takes a hosted
 		// sender as proof that it runs on that node's shard goroutine.
@@ -1360,47 +1400,26 @@ func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) {
 	}
 }
 
-// publishOuts republishes the lock-free snapshot of the outbound pool.
-// Callers hold connMu. A reader may observe a connection a beat after it was
-// evicted; enqueue's dead check already covers that window (it exists even
-// with a locked lookup — a connection can die between lookup and enqueue).
-func (t *StreamTransport) publishOuts() {
-	next := make(map[string]*connState, len(t.outs))
-	for k, v := range t.outs {
-		next[k] = v
-	}
-	t.outsSnap.Store(&next)
-}
-
-// pooled is the lock-free pooled-connection lookup: one atomic load and a
-// read of an immutable snapshot. The send path pays this per message.
-func (t *StreamTransport) pooled(addr string) (*connState, bool) {
-	if m := t.outsSnap.Load(); m != nil {
-		cs, ok := (*m)[addr]
-		return cs, ok
-	}
-	return nil, false
-}
-
-// conn returns the pooled connection to addr, creating it on first use. It
-// never blocks on the network: a new connection's writer dials (see dial)
-// while frames queue behind it. A stopping transport opens no connections.
-func (t *StreamTransport) conn(addr string) (*connState, error) {
-	if cs, ok := t.pooled(addr); ok {
+// conn returns r's pooled connection, creating it on first use: the send
+// path pays one atomic load. It never blocks on the network: a new
+// connection's writer dials (see dial) while frames queue behind it. A
+// stopping transport opens no connections. A sender may still get a
+// connection a beat after it died; enqueue's dead check covers that.
+func (t *StreamTransport) conn(r *route) (*connState, error) {
+	if cs := r.out.Load(); cs != nil {
 		return cs, nil
 	}
 	t.connMu.Lock()
 	defer t.connMu.Unlock()
-	if cs, ok := t.outs[addr]; ok {
+	if cs := r.out.Load(); cs != nil {
 		return cs, nil
 	}
 	if t.stopping() {
 		return nil, ErrTransportClosed
 	}
-	cs := t.newConnState(addr)
-	t.outs[addr] = cs
+	cs := t.newConnState(r)
+	r.out.Store(cs)
 	t.conns[cs] = struct{}{}
-	t.publishOuts()
 	// wg.Add under connMu: Close sweeps conns behind it before it waits.
 	t.wg.Add(1)
 	go t.writeLoop(cs)
@@ -1416,7 +1435,7 @@ func (t *StreamTransport) conn(addr string) (*connState, error) {
 func (t *StreamTransport) dial(cs *connState) bool {
 	start := time.Now()
 	for {
-		c, local, err := t.dialPeer(cs.addr, time.Since(start))
+		c, local, err := t.dialPeer(cs.r.addr, time.Since(start))
 		if err == nil {
 			t.connMu.Lock()
 			if t.isClosed() {
@@ -1439,7 +1458,7 @@ func (t *StreamTransport) dial(cs *connState) bool {
 				t.dropsClosed.Add(int64(len(data)))
 			} else {
 				t.dropsGiveUp.Add(int64(len(data)))
-				t.peerFailure(cs.addr, max(len(data), 1))
+				t.peerFailure(cs.r, max(len(data), 1))
 			}
 			return false
 		}
@@ -1451,14 +1470,14 @@ func (t *StreamTransport) dial(cs *connState) bool {
 	}
 }
 
-// evict removes a broken connection from the routing pool so the next send
+// evict removes a broken connection from its route so the next send
 // redials.
 func (t *StreamTransport) evict(cs *connState) {
-	t.connMu.Lock()
-	if cs.addr != "" && t.outs[cs.addr] == cs {
-		delete(t.outs, cs.addr)
-		t.publishOuts()
+	if cs.r == nil {
+		return
 	}
+	t.connMu.Lock()
+	cs.r.out.CompareAndSwap(cs, nil)
 	t.connMu.Unlock()
 }
 

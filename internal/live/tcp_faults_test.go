@@ -33,6 +33,19 @@ func allAcked(tr *StreamTransport) bool {
 	return queued == 0 && unacked == 0
 }
 
+// routeTo returns tr's route for a peer address, nil if none is known.
+func routeTo(tr *StreamTransport, addr string) *route {
+	return tr.routes.Load().byAddr[addr]
+}
+
+// pooled returns tr's pooled connection to a peer address, nil if none.
+func pooled(tr *StreamTransport, addr string) *connState {
+	if r := routeTo(tr, addr); r != nil {
+		return r.out.Load()
+	}
+	return nil
+}
+
 // sinkInbox installs on tr a sink that feeds one buffered channel per
 // destination and returns the lookup: the test's view of what the
 // transport delivered. Install it before the first send, as a runtime
@@ -98,9 +111,7 @@ func TestFaultTCPRequeueRecoversConnLoss(t *testing.T) {
 	}
 
 	// Sever the pooled connection out from under the transport.
-	a.connMu.Lock()
-	cs := a.outs[b.Addr().String()]
-	a.connMu.Unlock()
+	cs := pooled(a, b.Addr().String())
 	if cs == nil {
 		t.Fatal("no pooled connection after first delivery")
 	}

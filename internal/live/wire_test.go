@@ -331,9 +331,7 @@ func TestTCPBrokenConnImmediateRedial(t *testing.T) {
 		t.Fatal("first send never acked")
 	}
 
-	a.connMu.Lock()
-	cs := a.outs[b.Addr().String()]
-	a.connMu.Unlock()
+	cs := pooled(a, b.Addr().String())
 	if cs == nil {
 		t.Fatal("no pooled connection after first delivery")
 	}

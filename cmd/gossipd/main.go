@@ -312,8 +312,7 @@ func run(args []string, out io.Writer) error {
 			f.InjectedDrops, f.PartitionDrops, f.TransportDrops, f.InjectedDups, f.Jittered, len(f.Phases))
 	}
 	if ov := res.Faults.Overload; ov != (gossip.LiveOverloadCounts{}) {
-		fmt.Fprintf(out, "overload: shed-queue=%d shed-pend=%d member-backpressured=%d breaker-opens=%d breaker-drops=%d\n",
-			ov.ShedQueue, ov.ShedPend, ov.MemberBackpressured, ov.BreakerOpens, ov.BreakerDrops)
+		fmt.Fprintf(out, "overload: shed-queue=%d member-backpressured=%d\n", ov.ShedQueue, ov.MemberBackpressured)
 	}
 	if opts.Membership != nil {
 		printMembership(out, res, hosted, *memDump)

@@ -321,9 +321,9 @@ type LiveFaultPhase = live.FaultPhase
 // Dropped() totals losses from every cause.
 type LiveFaultCounts = live.FaultCounts
 
-// LiveOverloadCounts is the named ledger of everything a live transport's
-// overload protection shed, refused, or trimmed: bounded-queue sheds,
-// membership backpressure, dead-peer flushes, and circuit-breaker activity.
+// LiveOverloadCounts is the named ledger of what a live transport's overload
+// protection shed or delayed: bounded-queue sheds and membership
+// backpressure.
 type LiveOverloadCounts = live.OverloadCounts
 
 // LiveDrainReport summarizes a graceful transport drain: what flushed, what

@@ -270,9 +270,9 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 			return Result{}, err
 		}
 		rt.memberCfg = opts.Membership.memberConfig(opts.Seed, g.N(), false)
-		// Feed membership verdicts to the transport's overload protection:
-		// sends to a peer the detector declares dead stop (its breaker
-		// trips), a refuted or recovered one is re-admitted.
+		// Feed membership verdicts to the transport: sends toward an
+		// address whose every node the detectors declare dead are refused,
+		// and a refuted or recovered node re-admits its address.
 		rt.peerSink, _ = tr.(PeerStatusSink)
 	}
 	if opts.DrainTicks <= 0 {

@@ -23,6 +23,16 @@ import (
 // frame references it with a single byte.
 const MemberPayloadType = "member.packet"
 
+// PeerStatusSink is implemented by transports that react to membership
+// verdicts: the runtime forwards every local detector's view transitions to
+// the transport, so sends toward an address whose every node the cluster
+// declared dead are refused, and a refuted or recovered node's address takes
+// sends again at once.
+type PeerStatusSink interface {
+	PeerDown(u graph.NodeID)
+	PeerUp(u graph.NodeID)
+}
+
 func init() {
 	RegisterPayload(MemberPayloadType,
 		func(p sim.Payload) ([]byte, bool) {
@@ -114,10 +124,11 @@ func (mc *MembershipConfig) seedsFor(u graph.NodeID) []int {
 
 // newMember builds node u's failure detector for this run. When the
 // transport reacts to membership verdicts (PeerStatusSink), every state
-// transition this detector applies is forwarded: a Dead verdict trips the
-// peer's circuit breaker and flushes its in-flight messages, an Alive one
-// (refutation, rejoin) re-admits it. First verdict wins — the forward is
-// idempotent on the transport side, so many local observers are harmless.
+// transition this detector applies is forwarded: a Dead verdict counts the
+// peer toward refusing its address (what is already queued or written stays
+// with the connection), an Alive one (refutation, rejoin) re-admits it. The
+// forward is idempotent on the transport side, so many local observers
+// sending the same verdict are harmless.
 func (rt *Runtime) newMember(u graph.NodeID) *member.Node {
 	cfg := rt.memberCfg
 	if sink := rt.peerSink; sink != nil {

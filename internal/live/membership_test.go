@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"gossip/internal/graph"
 	"gossip/internal/member"
@@ -247,5 +248,56 @@ func TestMemberDuplicatingFabricNoFalseDead(t *testing.T) {
 				t.Errorf("node %d logged a dead verdict with no crash injected: %v", v, ev)
 			}
 		}
+	}
+}
+
+// TestMemberDeadPeerRefusedOnSocket: membership verdicts reach a socket
+// transport. Every node runtime 1 hosts crashes, so runtime 0's detectors
+// declare them all dead; runtime 0 completes, and its transport then refuses
+// sends toward runtime 1's address, each refusal a counted loss and none
+// reaching runtime 1.
+func TestMemberDeadPeerRefusedOnSocket(t *testing.T) {
+	g := graph.Clique(8, 1)
+	crashes := map[graph.NodeID]CrashPlan{}
+	for u := graph.NodeID(4); u < 8; u++ { // runtime 1's half
+		crashes[u] = CrashPlan{At: 20}
+	}
+	trs, wait := unixPair(t, g, slowProto{source: 0, minTick: 400}, Options{
+		Seed: 1, Tick: testTick, MaxTicks: 4000, Crashes: crashes, Membership: memberTestConfig(),
+	})
+	res := wait()
+	if !res[0].Completed {
+		t.Fatal("runtime 0 did not complete")
+	}
+	for v := 0; v < 4; v++ {
+		dead := 0
+		for _, up := range res[0].Members[v] {
+			if up.Node >= 4 && up.St == member.Dead {
+				dead++
+			}
+		}
+		if dead != 4 {
+			t.Fatalf("node %d believes %d of runtime 1's 4 nodes dead: %+v", v, dead, res[0].Members[v])
+		}
+	}
+
+	a, b := trs[0], trs[1]
+	arrived := b.Dropped() // runtime 1 has returned: an arrival is a misroute there
+	for i, to := range []graph.NodeID{4, 5, 6, 7} {
+		before := a.Dropped()
+		if err := a.Send(Message{Kind: MsgRequest, From: 0, To: to, EdgeID: -1, Latency: 1, SentTick: 1 << 20,
+			Payload: bitp{informed: true}}, 0); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		if got := a.Dropped(); got != before+1 {
+			t.Fatalf("send %d to node %d: Dropped %d -> %d, want a refusal counted at once", i, to, before, got)
+		}
+	}
+	if q, u := a.stages(); q != 0 || u != 0 {
+		t.Fatalf("refused sends left %d queued, %d unacked", q, u)
+	}
+	time.Sleep(20 * time.Millisecond) // an admitted send would arrive meanwhile
+	if got := b.Dropped(); got != arrived {
+		t.Fatalf("runtime 1 counted %d arrivals after the refusals", got-arrived)
 	}
 }

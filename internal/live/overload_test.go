@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bufio"
 	"io"
 	"net"
 	"sync/atomic"
@@ -146,9 +145,11 @@ func TestOverloadMemberBackpressure(t *testing.T) {
 	}
 }
 
-// TestTCPBreakerTripsOnDialFailures: consecutive unreachable-peer failures
-// trip the breaker; once open, sends are refused without spending a dial.
-func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
+// TestTCPDialGiveUpCountsBurst: a burst of sends toward an unreachable
+// address queues behind one connection's dial, and its give-up counts every
+// one of them as a loss. The next send redials on a fresh connection and is
+// counted at that dial's own give-up.
+func TestTCPDialGiveUpCountsBurst(t *testing.T) {
 	// A port with nothing listening: grab one, then free it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -163,74 +164,52 @@ func TestTCPBreakerTripsOnDialFailures(t *testing.T) {
 	}
 	defer tr.Close()
 	tr.SetPeers(map[graph.NodeID]string{1: deadAddr})
-	tr.dialTimeout = time.Millisecond
-	tr.breakerN = 2            // trip after 2 failures,
-	tr.breakerWait = time.Hour // and stay open
+	tr.dialTimeout = 200 * time.Millisecond // the whole burst queues behind the first dial
 
-	// An undialable first transmission is a terminal, counted loss and one
-	// failure toward the breaker.
-	for i := 0; i < 2; i++ {
+	const burst = 8
+	for i := 0; i < burst; i++ {
 		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
 			t.Fatal(err)
 		}
-		if !pollUntil(5*time.Second, func() bool { return tr.Dropped() == int64(i+1) }) {
-			t.Fatalf("send %d: Dropped = %d, want %d", i, tr.Dropped(), i+1)
-		}
 	}
-	if !pollUntil(5*time.Second, func() bool { return tr.Overload().BreakerOpens >= 1 }) {
-		t.Fatalf("breaker never opened: %+v", tr.Overload())
+	first := pooled(tr, deadAddr)
+	if first == nil {
+		t.Fatal("no connection dialing after the burst")
+	}
+	if n := tr.queueDepth(); n != burst {
+		t.Fatalf("queueDepth = %d behind the dial, want %d", n, burst)
+	}
+	if !pollUntil(5*time.Second, func() bool { return tr.Dropped() == burst }) {
+		t.Fatalf("Dropped = %d, want %d given up", tr.Dropped(), burst)
+	}
+	if n := tr.dropsGiveUp.Load(); n != burst {
+		t.Fatalf("dropsGiveUp = %d, want %d", n, burst)
 	}
 	// Nothing reached the wire, so nothing is left unacked.
-	if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == 0 }) {
-		t.Fatalf("unacked = %d after trip, want 0", tr.unackedCount())
+	if n := tr.unackedCount(); n != 0 {
+		t.Fatalf("unacked = %d after the give-up, want 0", n)
 	}
-	// While open, admission is refused outright.
-	before := tr.Overload().BreakerDrops
-	if err := tr.Send(testMsg(1, MsgRequest, 50), 0); err != nil {
+
+	// The next send is not refused: it redials and gives up on its own.
+	if err := tr.Send(testMsg(1, MsgRequest, burst), 0); err != nil {
 		t.Fatal(err)
 	}
-	if !pollUntil(5*time.Second, func() bool { return tr.Overload().BreakerDrops > before }) {
-		t.Fatalf("open breaker admitted a send: %+v", tr.Overload())
+	if again := pooled(tr, deadAddr); again == nil || again == first {
+		t.Fatal("the send after the give-up did not redial on a fresh connection")
+	}
+	if !pollUntil(5*time.Second, func() bool { return tr.dropsGiveUp.Load() == burst+1 }) {
+		t.Fatalf("dropsGiveUp = %d after the redial, want %d", tr.dropsGiveUp.Load(), burst+1)
+	}
+	if n := tr.Dropped(); n != burst+1 {
+		t.Fatalf("Dropped = %d, want %d", n, burst+1)
 	}
 }
 
-// TestTCPBreakerOpensAtFirstDialGiveUp: a burst queued behind one dial that
-// gives up is one breaker failure per message, as if each had dialed for
-// itself, so at the default threshold the first give-up opens the breaker
-// instead of one give-up per dialTimeout.
-func TestTCPBreakerOpensAtFirstDialGiveUp(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := ln.Addr().String()
-	ln.Close()
-
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tr.SetPeers(map[graph.NodeID]string{1: deadAddr})
-	tr.dialTimeout = 200 * time.Millisecond // the whole burst queues behind the first dial
-	tr.breakerWait = time.Hour
-
-	for i := 0; i < DefaultBreakerThreshold; i++ {
-		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !pollUntil(5*time.Second, func() bool { return tr.Dropped() == DefaultBreakerThreshold }) {
-		t.Fatalf("Dropped = %d, want %d given up", tr.Dropped(), DefaultBreakerThreshold)
-	}
-	if got := tr.Overload().BreakerOpens; got != 1 {
-		t.Fatalf("BreakerOpens = %d after one give-up of %d queued messages, want 1", got, DefaultBreakerThreshold)
-	}
-}
-
-// TestTCPPeerDownTripsBreakerPeerUpHeals: a membership Dead verdict for the
-// only node at an address opens its breaker; an Alive verdict re-admits it.
-func TestTCPPeerDownTripsBreakerPeerUpHeals(t *testing.T) {
+// TestTCPPeerDownRefusesPeerUpHeals: a membership Dead verdict for the only
+// node at an address makes the transport refuse sends there, each one a
+// counted loss, without closing the pooled connection; an Alive verdict
+// re-admits the address.
+func TestTCPPeerDownRefusesPeerUpHeals(t *testing.T) {
 	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
 		t.Fatal(err)
@@ -242,29 +221,43 @@ func TestTCPPeerDownTripsBreakerPeerUpHeals(t *testing.T) {
 	}
 	defer dst.Close()
 	dstIn := sinkInbox(t, dst)
-	src.SetPeers(map[graph.NodeID]string{1: dst.Addr().String()})
+	addr := dst.Addr().String()
+	src.SetPeers(map[graph.NodeID]string{1: addr})
 
 	if err := src.Send(testMsg(1, MsgRequest, 1), 0); err != nil {
 		t.Fatal(err)
 	}
 	<-dstIn(1)
+	cs := pooled(src, addr)
 
 	src.PeerDown(1)
-	if ov := src.Overload(); ov.BreakerOpens != 1 {
-		t.Fatalf("BreakerOpens = %d after PeerDown, want 1", ov.BreakerOpens)
+	if !routeTo(src, addr).down.Load() {
+		t.Fatal("route not down after PeerDown of its only node")
 	}
-	before := src.Overload().BreakerDrops
+	before := src.Dropped()
 	if err := src.Send(testMsg(1, MsgRequest, 2), 0); err != nil {
 		t.Fatal(err)
 	}
-	if !pollUntil(5*time.Second, func() bool { return src.Overload().BreakerDrops > before }) {
-		t.Fatalf("dead peer's breaker admitted a send")
+	// The refusal is counted inside Send, before anything is queued.
+	if got := src.Dropped(); got != before+1 {
+		t.Fatalf("Dropped = %d after a refused send, want %d", got, before+1)
+	}
+	if n := src.queueDepth(); n != 0 {
+		t.Fatalf("queueDepth = %d after a refused send, want 0", n)
+	}
+	if pooled(src, addr) != cs {
+		t.Fatal("PeerDown closed the pooled connection")
 	}
 
 	src.PeerUp(1)
+	if routeTo(src, addr).down.Load() {
+		t.Fatal("route still down after PeerUp")
+	}
 	if err := src.Send(testMsg(1, MsgRequest, 3), 0); err != nil {
 		t.Fatal(err)
 	}
+	// The stream delivers in order, so tick 3 arriving first proves the
+	// refused tick 2 never reached the wire.
 	select {
 	case msg := <-dstIn(1):
 		if msg.SentTick != 3 {
@@ -272,159 +265,5 @@ func TestTCPPeerDownTripsBreakerPeerUpHeals(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("PeerUp did not re-admit sends")
-	}
-}
-
-// TestTCPBreakerHalfOpenProbeExpires: a half-open probe to a peer that never
-// acks does not strand the breaker. Once the probe has gone one cooldown
-// unacked, the next send is admitted as a new probe, and an ack from the
-// peer closes the breaker.
-func TestTCPBreakerHalfOpenProbeExpires(t *testing.T) {
-	const cooldown = 100 * time.Millisecond
-	var acking atomic.Bool
-	addr, stop := quietFabricPeer(t, "tcp", func(c net.Conn) {
-		defer c.Close()
-		var dec wireDec
-		br := bufio.NewReader(c)
-		decoded := uint64(0)
-		for {
-			_, msgs, _, err := dec.readFrameMulti(br)
-			if err != nil {
-				return
-			}
-			decoded += uint64(len(msgs))
-			if acking.Load() {
-				c.Write(new(wireEnc).appendFrame(nil, nil, decoded))
-			}
-		}
-	})
-	defer stop()
-	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tr.SetPeers(map[graph.NodeID]string{1: addr})
-	tr.breakerWait = cooldown
-	ps := &routeTo(tr, addr).ps
-
-	tr.PeerDown(1) // the only node at addr: the breaker opens
-	if ps.state() != breakerOpen {
-		t.Fatalf("state = %v after PeerDown, want open", ps.state())
-	}
-	time.Sleep(cooldown)
-	refused := func() int64 { return tr.Overload().BreakerDrops }
-
-	// The first send after the cooldown is the probe; it is written and
-	// never acked, and the send right behind it is refused.
-	if err := tr.Send(testMsg(1, MsgRequest, 1), 0); err != nil {
-		t.Fatal(err)
-	}
-	if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == 1 }) {
-		t.Fatalf("probe never written: unacked = %d", tr.unackedCount())
-	}
-	if err := tr.Send(testMsg(1, MsgRequest, 2), 0); err != nil {
-		t.Fatal(err)
-	}
-	if refused() != 1 || ps.state() != breakerHalfOpen {
-		t.Fatalf("second send during the probe: refused %d, state %v; want 1, half-open", refused(), ps.state())
-	}
-
-	// One cooldown later the silent probe has failed: the next send is the
-	// new probe, and the peer's ack for it closes the breaker.
-	time.Sleep(cooldown)
-	acking.Store(true)
-	if err := tr.Send(testMsg(1, MsgRequest, 3), 0); err != nil {
-		t.Fatal(err)
-	}
-	if refused() != 1 {
-		t.Fatalf("new probe refused: %d refusals", refused())
-	}
-	if !pollUntil(5*time.Second, func() bool { return ps.state() == breakerClosed }) {
-		t.Fatalf("state = %v after the probe was acked, want closed", ps.state())
-	}
-	if n := tr.unackedCount(); n != 0 {
-		t.Fatalf("unacked = %d after the cumulative ack, want 0", n)
-	}
-}
-
-// TestBreakerStateMachine drives peerState directly through closed → open →
-// half-open → closed, a half-open probe that expires unacked, and the
-// half-open → open relapse.
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	cooldown := time.Second
-	ps := &peerState{}
-
-	if !ps.allow(3, cooldown, now) {
-		t.Fatal("closed breaker refused a send")
-	}
-	if ps.failure(3, cooldown, now, 1) {
-		t.Fatal("tripped below threshold")
-	}
-	if ps.failure(3, cooldown, now, 1) {
-		t.Fatal("tripped below threshold")
-	}
-	if !ps.failure(3, cooldown, now, 1) {
-		t.Fatal("did not trip at threshold")
-	}
-	if ps.state() != breakerOpen {
-		t.Fatalf("state = %v, want open", ps.state())
-	}
-	if ps.allow(3, cooldown, now.Add(cooldown/2)) {
-		t.Fatal("open breaker admitted a send inside cooldown")
-	}
-
-	// Cooldown elapsed: exactly one probe passes.
-	probeAt := now.Add(2 * cooldown)
-	if !ps.allow(3, cooldown, probeAt) {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if ps.state() != breakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", ps.state())
-	}
-	if ps.allow(3, cooldown, probeAt) {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	// A probe that goes one cooldown without an ack has failed: the next
-	// send is admitted as the new probe, and only one.
-	if ps.allow(3, cooldown, probeAt.Add(cooldown/2)) {
-		t.Fatal("half-open breaker admitted a send while its probe was young")
-	}
-	probeAt = probeAt.Add(cooldown)
-	if !ps.allow(3, cooldown, probeAt) {
-		t.Fatal("half-open breaker refused a new probe after the last went a cooldown unacked")
-	}
-	if ps.state() != breakerHalfOpen {
-		t.Fatalf("state = %v after an unacked probe, want half-open", ps.state())
-	}
-	if ps.allow(3, cooldown, probeAt) {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-
-	// Probe succeeds: closed, failure count cleared.
-	ps.success()
-	if ps.state() != breakerClosed {
-		t.Fatalf("state = %v after probe success, want closed", ps.state())
-	}
-	if !ps.allow(3, cooldown, probeAt) {
-		t.Fatal("healed breaker refused a send")
-	}
-
-	// Trip again; this time the probe fails → straight back to open.
-	for i := 0; i < 3; i++ {
-		ps.failure(3, cooldown, probeAt, 1)
-	}
-	probe2 := probeAt.Add(2 * cooldown)
-	if !ps.allow(3, cooldown, probe2) {
-		t.Fatal("second half-open probe refused")
-	}
-	// The relapse is not a fresh trip (it was counted when the breaker first
-	// opened), but it must swing the state back to open.
-	if ps.failure(3, cooldown, probe2, 1) {
-		t.Fatal("half-open relapse reported a fresh trip")
-	}
-	if ps.state() != breakerOpen {
-		t.Fatalf("state = %v after failed probe, want open", ps.state())
 	}
 }

@@ -13,10 +13,12 @@ import (
 	"gossip/internal/graph"
 )
 
-// TestRoutePeerDownCountsNodes: an address hosting three nodes trips its
-// breaker only once all three are believed dead, a PeerUp in between heals
-// the count, and a PeerUp after the trip closes the breaker. No send is made,
-// so nothing dials the address.
+// TestRoutePeerDownCountsNodes: an address hosting three nodes goes down
+// only once all three are believed dead, a PeerUp in between heals the
+// count, and a PeerUp after that brings the address back. Every local
+// observer forwards the same verdict, so a repeated PeerDown counts its node
+// once, and a PeerUp for a node never declared dead changes nothing. The
+// only sends are made while the address is down, so nothing dials it.
 func TestRoutePeerDownCountsNodes(t *testing.T) {
 	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
@@ -25,30 +27,59 @@ func TestRoutePeerDownCountsNodes(t *testing.T) {
 	defer tr.Close()
 	const addr = "127.0.0.1:1"
 	tr.SetPeers(map[graph.NodeID]string{1: addr, 2: addr, 3: addr})
-	ps := &routeTo(tr, addr).ps
-	step := func(what string, f func(graph.NodeID), u graph.NodeID, want breakerState, opens int64) {
+	r := routeTo(tr, addr)
+	step := func(what string, f func(graph.NodeID), u graph.NodeID, down bool) {
 		t.Helper()
 		f(u)
-		if ps.state() != want || tr.Overload().BreakerOpens != opens {
-			t.Fatalf("after %s(%d): state %v, opens %d; want %v, %d", what, u, ps.state(), tr.Overload().BreakerOpens, want, opens)
+		if r.down.Load() != down {
+			t.Fatalf("after %s(%d): down %v, want %v", what, u, r.down.Load(), down)
 		}
 	}
-	step("PeerDown", tr.PeerDown, 1, breakerClosed, 0)
-	step("PeerDown", tr.PeerDown, 2, breakerClosed, 0)
-	step("PeerUp", tr.PeerUp, 1, breakerClosed, 0)
-	step("PeerDown", tr.PeerDown, 3, breakerClosed, 0) // 2 and 3 dead, 1 alive
-	step("PeerDown", tr.PeerDown, 1, breakerOpen, 1)   // the third
-	step("PeerUp", tr.PeerUp, 2, breakerClosed, 1)
+	step("PeerDown", tr.PeerDown, 1, false)
+	step("PeerDown", tr.PeerDown, 2, false)
+	step("PeerUp", tr.PeerUp, 1, false)
+	step("PeerDown", tr.PeerDown, 3, false) // 2 and 3 dead, 1 alive
+	step("PeerDown", tr.PeerDown, 1, true)  // the third
+	if err := tr.Send(testMsg(2, MsgRequest, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Dropped(); n != 1 {
+		t.Fatalf("Dropped = %d after a send to a down address, want 1", n)
+	}
+	step("PeerUp", tr.PeerUp, 2, false)
+
+	// Repeated verdicts for one node, as several observers send them, count
+	// it once: 1 and 3 are dead, 2 is alive however often 3 is reported.
+	for i := 0; i < 3; i++ {
+		step("PeerDown", tr.PeerDown, 3, false)
+	}
+	// Alive verdicts for a node never declared dead trip nothing and leave
+	// no debt: the one remaining death still brings the address down.
+	for i := 0; i < 3; i++ {
+		step("PeerUp", tr.PeerUp, 2, false)
+	}
+	step("PeerDown", tr.PeerDown, 2, true)
+	if err := tr.Send(testMsg(3, MsgRequest, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Dropped(); n != 2 {
+		t.Fatalf("Dropped = %d after a second refused send, want 2", n)
+	}
+	step("PeerUp", tr.PeerUp, 1, false)
 
 	// A node the table does not route, or an ID no node has, changes nothing.
-	step("PeerDown", tr.PeerDown, 1<<40, breakerClosed, 1)
-	step("PeerDown", tr.PeerDown, -1, breakerClosed, 1)
+	step("PeerDown", tr.PeerDown, 1<<40, false)
+	step("PeerDown", tr.PeerDown, -1, false)
+	step("PeerUp", tr.PeerUp, 1<<40, false)
+	if n := tr.queueDepth(); n != 0 {
+		t.Fatalf("queueDepth = %d, want 0: a refused send queues nothing", n)
+	}
 }
 
 // TestRouteReuseAcrossSetPeers: a second SetPeers after traffic that adds a
 // node at an address already routed puts it on the same route, so it shares
 // the pooled connection (one dial, one accepted connection at the peer) and
-// the breaker.
+// the membership verdicts.
 func TestRouteReuseAcrossSetPeers(t *testing.T) {
 	a, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {

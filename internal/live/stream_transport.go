@@ -86,9 +86,9 @@ type wireMessage struct {
 // only on its socket.
 //
 // Routing is dense: the hosted set is a slice by NodeID, and the route table
-// maps each remote NodeID to its address's route (breaker and pooled
-// connection). Send resolves a message with two bounds-checked loads and one
-// atomic load, and takes no lock. SetPeers and SetPeerSockets publish a new
+// maps each remote NodeID to its address's route (down flag and pooled
+// connection). Send resolves a message's route with two bounds-checked loads
+// and one atomic load, checks the route's down flag, and takes no lock. SetPeers and SetPeerSockets publish a new
 // table copy-on-write, so each call costs O(n) in the nodes routed; call
 // them before the first Send.
 type StreamTransport struct {
@@ -118,11 +118,7 @@ type StreamTransport struct {
 
 	dialTimeout time.Duration // how long a writer retries dialing an unreachable peer
 
-	// Overload-protection knobs (the queue cap is tunable via
-	// SetOverloadLimits); <= 0 disables the corresponding mechanism.
-	queueLimit  int // frames per connection writer queue
-	breakerN    int // consecutive failures before a peer's breaker opens
-	breakerWait time.Duration
+	queueLimit int // frames per connection writer queue (SetOverloadLimits); <= 0 disables the cap
 
 	bytesOut      atomic.Int64 // frame bytes written to sockets
 	flushes       atomic.Int64 // socket write batches (syscalls; see countingWriter)
@@ -135,12 +131,11 @@ type StreamTransport struct {
 	dropsClosed   atomic.Int64 // unacked or unwritten at Close, or abandoned by a drain
 	dropsDecode   atomic.Int64 // undecodable wire payloads or corrupt frames
 	dropsMisroute atomic.Int64 // not hosted here, forged, or no runtime attached to take it
+	dropsDown     atomic.Int64 // refused: every node at the address believed dead
 
 	// Overload ledger (see OverloadCounts for the meaning of each).
-	ovShedQueue   atomic.Int64
-	ovMemberWait  atomic.Int64
-	ovBreakerOpen atomic.Int64
-	ovBreakerDrop atomic.Int64
+	ovShedQueue  atomic.Int64
+	ovMemberWait atomic.Int64
 
 	draining  atomic.Bool // Drain started: no new sends, dials, or redial bursts
 	closed    chan struct{}
@@ -174,8 +169,6 @@ func newStreamTransport(local []graph.NodeID) *StreamTransport {
 		conns:       make(map[*connState]struct{}),
 		dialTimeout: 10 * time.Second, // generous, so a cluster's processes may start in any order
 		queueLimit:  DefaultQueueLimit,
-		breakerN:    DefaultBreakerThreshold,
-		breakerWait: DefaultBreakerCooldown,
 		closed:      make(chan struct{}),
 	}
 	for _, u := range local {
@@ -214,19 +207,25 @@ func (t *StreamTransport) Addr() net.Addr {
 }
 
 // route is one peer address's sending state, shared by every node hosted
-// there: the address's circuit breaker and its pooled outbound connection.
-// A route lives as long as the transport; later route tables reuse it, so an
-// extension keeps the connection and the breaker.
+// there: whether membership believes the address dead, and its pooled
+// outbound connection. A route lives as long as the transport; later route
+// tables reuse it, so an extension keeps the connection and the verdicts.
 type route struct {
 	addr string
-	ps   peerState
 	// out is the pooled connection, nil until the first send and after a
 	// break, so the next send redials. conn sets it under connMu; evict
 	// clears it by compare-and-swap, so it never clears a successor.
 	out atomic.Pointer[connState]
-	// nodes counts the nodes the current table routes here; PeerDown trips
-	// the breaker once all of them are believed dead.
+	// nodes counts the nodes the current table routes here; PeerDown sets
+	// down once all of them are believed dead.
 	nodes atomic.Int32
+	// down makes Send refuse the address. The unit that fails is the
+	// process, not the node, so PeerDown sets it only once every node
+	// routed here is in dead, the nodes membership declared dead. mu guards
+	// dead, which only PeerDown and PeerUp touch.
+	down atomic.Bool
+	mu   sync.Mutex
+	dead map[graph.NodeID]struct{}
 }
 
 // routeTable is one immutable snapshot of the routing state. Writers build
@@ -254,7 +253,7 @@ func (tab *routeTable) lookup(u graph.NodeID) *route {
 //
 // The route table is copy-on-write: each call copies it, O(n) in the nodes
 // routed, and nodes at an address already known join its route, pooled
-// connection and breaker included. Call it before the first Send; a later
+// connection and verdicts included. Call it before the first Send; a later
 // call is safe, and the sends racing it use the old table or the new one.
 func (t *StreamTransport) SetPeers(addrs map[graph.NodeID]string) {
 	t.peerMu.Lock()
@@ -439,73 +438,58 @@ func (t *StreamTransport) SetOverloadLimits(queueFrames int) {
 }
 
 // Overload returns the transport's overload-protection ledger: what the
-// bounded queues shed, what membership backpressure delayed, and what the
-// peer breakers refused.
+// bounded queues shed and what membership backpressure delayed.
 func (t *StreamTransport) Overload() OverloadCounts {
 	return OverloadCounts{
 		ShedQueue:           t.ovShedQueue.Load(),
 		MemberBackpressured: t.ovMemberWait.Load(),
-		BreakerOpens:        t.ovBreakerOpen.Load(),
-		BreakerDrops:        t.ovBreakerDrop.Load(),
-	}
-}
-
-// allowSend consults ps's circuit breaker; true when breakers are disabled.
-// The closed steady state is decided lock-free (see peerState.fastClosed).
-func (t *StreamTransport) allowSend(ps *peerState) bool {
-	if t.breakerN <= 0 || ps.fastClosed() {
-		return true
-	}
-	return ps.allow(t.breakerN, t.breakerWait, time.Now())
-}
-
-// peerFailure records n delivery failures against r's address, counting the
-// trip when they open its breaker.
-func (t *StreamTransport) peerFailure(r *route, n int) {
-	if t.breakerN <= 0 {
-		return
-	}
-	if r.ps.failure(t.breakerN, t.breakerWait, time.Now(), n) {
-		t.ovBreakerOpen.Add(1)
 	}
 }
 
 // PeerDown implements PeerStatusSink: the membership layer declared node u
-// dead. When every node hosted at u's address is believed dead the address's
-// breaker trips, halting new sends until a cooldown probe or PeerUp. What is
-// already written is left to the connection: acked, or counted lost if it
-// breaks.
+// dead. Once every node routed to u's address is believed dead, sends there
+// are refused until a PeerUp. Every local observer forwards the same
+// verdict, so a repeat counts u once. What is already queued or written is
+// left to the connection: written and acked, or counted lost if it breaks.
 func (t *StreamTransport) PeerDown(u graph.NodeID) {
 	r := t.routes.Load().lookup(u)
 	if r == nil {
 		return
 	}
-	if r.ps.markDead(u, int(r.nodes.Load())) && t.breakerN > 0 && r.ps.trip(t.breakerWait, time.Now()) {
-		t.ovBreakerOpen.Add(1)
+	r.mu.Lock()
+	if r.dead == nil {
+		r.dead = make(map[graph.NodeID]struct{})
 	}
+	r.dead[u] = struct{}{}
+	if n := int(r.nodes.Load()); n > 0 && len(r.dead) >= n {
+		r.down.Store(true)
+	}
+	r.mu.Unlock()
 }
 
-// PeerUp implements PeerStatusSink: node u refuted its suspicion or rejoined.
-// Its address's breaker closes so traffic resumes immediately.
+// PeerUp implements PeerStatusSink: node u refuted its suspicion or
+// rejoined, so its address takes sends again at once.
 func (t *StreamTransport) PeerUp(u graph.NodeID) {
 	r := t.routes.Load().lookup(u)
 	if r == nil {
 		return
 	}
-	r.ps.markAlive(u)
-	r.ps.reset()
+	r.mu.Lock()
+	delete(r.dead, u)
+	r.down.Store(false)
+	r.mu.Unlock()
 }
 
 // Dropped returns the number of messages lost for any terminal reason since
 // the transport started: messages behind a dial that gave up, written and
 // unacked when their connection broke or at Close, unwritten at Close,
-// undecodable payloads, misroutes, and everything the overload protection
-// shed or refused. A message whose ack a break destroyed counts even though
-// it may have arrived, so after a break delivered + Dropped() may exceed the
-// sends; without one it is exact.
+// undecodable payloads, misroutes, sends refused toward a dead address, and
+// everything the writer-queue cap shed. A message whose ack a break
+// destroyed counts even though it may have arrived, so after a break
+// delivered + Dropped() may exceed the sends; without one it is exact.
 func (t *StreamTransport) Dropped() int64 {
 	return t.dropsGiveUp.Load() + t.dropsBroken.Load() + t.dropsClosed.Load() +
-		t.dropsDecode.Load() + t.dropsMisroute.Load() + t.Overload().Shed()
+		t.dropsDecode.Load() + t.dropsMisroute.Load() + t.dropsDown.Load() + t.Overload().Shed()
 }
 
 // WireBytesOut returns the total frame bytes this transport wrote to its
@@ -550,9 +534,9 @@ func (t *StreamTransport) Faults() FaultReport {
 // Send implements Transport. A local destination goes to the sink (a send
 // it does not take is a misroute drop); a remote one is encoded at once (so
 // codec errors and delays past maxWireDelayUS surface here) and queued with
-// its delay in whole µs, rounded up. The breaker gates admission: a refused
-// send is a terminal, counted loss, like an injected drop. Send never waits
-// for a dial.
+// its delay in whole µs, rounded up. A send toward an address membership
+// declared dead (see PeerDown) is refused: a terminal, counted loss, like an
+// injected drop. Send never waits for a dial.
 func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if t.stopping() {
 		return ErrTransportClosed
@@ -574,8 +558,8 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if !t.allowSend(&r.ps) {
-		t.ovBreakerDrop.Add(1)
+	if r.down.Load() {
+		t.dropsDown.Add(1)
 		return nil
 	}
 	w := wireMessage{
@@ -661,7 +645,7 @@ func (t *StreamTransport) Close() error {
 		t.connMu.Lock()
 		for cs := range t.conns {
 			// Rescue backpressured enqueuers before the socket dies.
-			data, _ := cs.markDead()
+			data := cs.markDead()
 			t.dropsClosed.Add(int64(len(data)))
 			if cs.c != nil { // nil while its writer is still dialing
 				cs.c.SetWriteDeadline(time.Now().Add(closeAckWait))
@@ -1124,16 +1108,12 @@ func (cs *connState) release(n int) {
 	cs.qmu.Unlock()
 }
 
-// ackedUpTo records the peer's cumulative ack and reports whether it
-// advanced. Only the read loop calls it, so settle sees the final count.
-func (cs *connState) ackedUpTo(n int64) bool {
+// ackedUpTo records the peer's cumulative ack. Only the read loop calls it,
+// so settle sees the final count.
+func (cs *connState) ackedUpTo(n int64) {
 	cs.qmu.Lock()
-	advanced := n > cs.acked
-	if advanced {
-		cs.acked = n
-	}
+	cs.acked = max(cs.acked, n)
 	cs.qmu.Unlock()
-	return advanced
 }
 
 // unackedLocked returns the written messages the peer has not acked. An ack
@@ -1144,20 +1124,19 @@ func (cs *connState) unackedLocked() int64 {
 }
 
 // markDead stops further enqueues and returns whatever was still queued
-// (for re-queue or loss accounting) and whether this call was the one that
-// killed the connection. Idempotent; a later caller gets nil, false.
-func (cs *connState) markDead() ([]wireMessage, bool) {
+// (for re-queue or loss accounting). Idempotent; a later caller gets nil.
+func (cs *connState) markDead() []wireMessage {
 	cs.qmu.Lock()
 	if cs.dead {
 		cs.qmu.Unlock()
-		return nil, false
+		return nil
 	}
 	cs.dead = true
 	head := cs.qHead
 	cs.qHead, cs.qTail, cs.qLen = nil, nil, 0
 	cs.qmu.Unlock()
 	close(cs.deadCh)
-	return flattenChunks(head), true
+	return flattenChunks(head)
 }
 
 // settle counts the written messages the peer never acked into lostTo. The
@@ -1300,20 +1279,16 @@ func (cs *connState) finish() {
 }
 
 // connBroken handles a dead connection, from either loop: evict it from the
-// routing pool, stop enqueues, and record one breaker failure. failed — the
-// frames of the writer's cycle that did not flush, older than anything
-// still queued — and the queued frames re-queue toward a fresh connection,
-// or count as lost when the transport is draining or closed. A failed frame
-// may have partly got out, so its messages may arrive twice; the handlers
-// absorb the second copy.
+// routing pool and stop enqueues. failed — the frames of the writer's cycle
+// that did not flush, older than anything still queued — and the queued
+// frames re-queue toward a fresh connection, or count as lost when the
+// transport is draining or closed. A failed frame may have partly got out,
+// so its messages may arrive twice; the handlers absorb the second copy.
 // What the connection wrote and never got acked is counted when its read
 // loop settles it.
 func (t *StreamTransport) connBroken(cs *connState, failed []wireMessage) {
 	t.evict(cs) // first, so a send racing the death finds the queue markDead takes
-	leftover, first := cs.markDead()
-	if first && cs.r != nil {
-		t.peerFailure(cs.r, 1)
-	}
+	leftover := cs.markDead()
 	requeue := append(failed, leftover...)
 	if len(requeue) == 0 {
 		return
@@ -1329,9 +1304,9 @@ func (t *StreamTransport) connBroken(cs *connState, failed []wireMessage) {
 	}
 }
 
-// readLoop decodes the connection's frames: an ack that advances the
-// count credits the peer's breaker, and data messages are handed to the
-// sink and counted toward the ack this side owes. On its way out it settles
+// readLoop decodes the connection's frames: an ack records the peer's
+// count, and data messages are handed to the sink and counted toward the
+// ack this side owes. On its way out it settles
 // the connection's loss count and retires it.
 func (t *StreamTransport) readLoop(cs *connState) {
 	defer t.wg.Done()
@@ -1346,8 +1321,8 @@ func (t *StreamTransport) readLoop(cs *connState) {
 			}
 			return
 		}
-		if ack > 0 && cs.ackedUpTo(int64(ack)) && cs.r != nil {
-			cs.r.ps.success()
+		if ack > 0 {
+			cs.ackedUpTo(int64(ack))
 		}
 		if len(msgs) == 0 {
 			continue // ack-only frame
@@ -1429,9 +1404,8 @@ func (t *StreamTransport) conn(r *route) (*connState, error) {
 // dial connects an outbound connection from its writer, retrying until
 // dialTimeout so peers may start after us, and starts its read loop. False
 // means it stopped: closed (Close counts the queue), draining (the queue is
-// a closed-drop) or unreachable (a give-up and a breaker failure for each
-// message queued behind the dial, so a burst opens the breaker at the first
-// give-up).
+// a closed-drop) or unreachable (the queue is a give-up drop, and the next
+// send redials).
 func (t *StreamTransport) dial(cs *connState) bool {
 	start := time.Now()
 	for {
@@ -1452,13 +1426,12 @@ func (t *StreamTransport) dial(cs *connState) bool {
 		draining := t.draining.Load()
 		if draining || time.Since(start) > t.dialTimeout {
 			t.evict(cs)
-			data, _ := cs.markDead()
+			data := cs.markDead()
 			t.forget(cs) // no read loop: nothing was written
 			if draining {
 				t.dropsClosed.Add(int64(len(data)))
 			} else {
 				t.dropsGiveUp.Add(int64(len(data)))
-				t.peerFailure(cs.r, max(len(data), 1))
 			}
 			return false
 		}

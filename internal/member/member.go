@@ -135,8 +135,9 @@ type Config struct {
 	// OnChange, when non-nil, is invoked on every local view transition —
 	// the same transitions the event log records, including the ones Record
 	// leaves unlogged. The live runtime uses it to feed membership verdicts
-	// to the transport's peer circuit breakers. It is called with the node's
-	// lock held: it must be fast and must not call back into the Node.
+	// to the transport, which refuses sends toward dead peers. It is called
+	// with the node's lock held: it must be fast and must not call back into
+	// the Node.
 	OnChange func(v int, st State, inc uint32)
 }
 

@@ -145,11 +145,10 @@ func TestOverloadMemberBackpressure(t *testing.T) {
 	}
 }
 
-// TestTCPDialGiveUpCountsBurst: a burst of sends toward an unreachable
-// address queues behind one connection's dial, and its give-up counts every
-// one of them as a loss. The next send redials on a fresh connection and is
-// counted at that dial's own give-up.
-func TestTCPDialGiveUpCountsBurst(t *testing.T) {
+// deadAddrTransport returns a TCP transport whose node 1 is routed to a
+// port with nothing listening, giving up a dial after dialTimeout.
+func deadAddrTransport(t *testing.T, dialTimeout time.Duration) (*TCPTransport, string) {
+	t.Helper()
 	// A port with nothing listening: grab one, then free it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -162,9 +161,51 @@ func TestTCPDialGiveUpCountsBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
+	t.Cleanup(func() { tr.Close() })
 	tr.SetPeers(map[graph.NodeID]string{1: deadAddr})
-	tr.dialTimeout = 200 * time.Millisecond // the whole burst queues behind the first dial
+	tr.dialTimeout = dialTimeout
+	return tr, deadAddr
+}
+
+// TestTCPDialFailuresRedial: consecutive sends toward an unreachable address
+// are each a counted give-up loss, and none is refused: every one redials on
+// a fresh connection, and nothing is left unacked.
+func TestTCPDialFailuresRedial(t *testing.T) {
+	// Long enough to see each send's connection in the pool before it gives up.
+	tr, deadAddr := deadAddrTransport(t, 200*time.Millisecond)
+
+	var prev *connState
+	for i := 0; i < 3; i++ {
+		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
+			t.Fatal(err)
+		}
+		cs := pooled(tr, deadAddr)
+		if cs == nil || cs == prev {
+			t.Fatalf("send %d did not redial on a fresh connection", i)
+		}
+		prev = cs
+		if !pollUntil(5*time.Second, func() bool { return tr.Dropped() == int64(i+1) }) {
+			t.Fatalf("send %d: Dropped = %d, want %d", i, tr.Dropped(), i+1)
+		}
+		if n := tr.dropsGiveUp.Load(); n != int64(i+1) {
+			t.Fatalf("send %d: dropsGiveUp = %d, want %d", i, n, i+1)
+		}
+	}
+	if n := tr.dropsDown.Load(); n != 0 {
+		t.Fatalf("dropsDown = %d without a verdict, want 0", n)
+	}
+	if !pollUntil(5*time.Second, func() bool { return tr.unackedCount() == 0 }) {
+		t.Fatalf("unacked = %d after the give-ups, want 0", tr.unackedCount())
+	}
+}
+
+// TestTCPDialGiveUpCountsBurst: a burst of sends toward an unreachable
+// address queues behind one connection's dial, and its give-up counts every
+// one of them as a loss. The next send redials on a fresh connection and is
+// counted at that dial's own give-up.
+func TestTCPDialGiveUpCountsBurst(t *testing.T) {
+	// The whole burst queues behind the first dial.
+	tr, deadAddr := deadAddrTransport(t, 200*time.Millisecond)
 
 	const burst = 8
 	for i := 0; i < burst; i++ {

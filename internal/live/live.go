@@ -271,8 +271,9 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 		}
 		rt.memberCfg = opts.Membership.memberConfig(opts.Seed, g.N(), false)
 		// Feed membership verdicts to the transport: sends toward an
-		// address whose every node the detectors declare dead are refused,
-		// and a refuted or recovered node re-admits its address.
+		// address whose every node the detectors declare dead are refused
+		// (membership packets excepted), and a refuted or recovered node
+		// re-admits its address.
 		rt.peerSink, _ = tr.(PeerStatusSink)
 	}
 	if opts.DrainTicks <= 0 {

@@ -26,8 +26,8 @@ const MemberPayloadType = "member.packet"
 // PeerStatusSink is implemented by transports that react to membership
 // verdicts: the runtime forwards every local detector's view transitions to
 // the transport, so sends toward an address whose every node the cluster
-// declared dead are refused, and a refuted or recovered node's address takes
-// sends again at once.
+// declared dead are refused (membership packets excepted), and a refuted or
+// recovered node's address takes sends again at once.
 type PeerStatusSink interface {
 	PeerDown(u graph.NodeID)
 	PeerUp(u graph.NodeID)

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,5 +300,87 @@ func TestMemberDeadPeerRefusedOnSocket(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // an admitted send would arrive meanwhile
 	if got := b.Dropped(); got != arrived {
 		t.Fatalf("runtime 1 counted %d arrivals after the refusals", got-arrived)
+	}
+}
+
+// TestMemberRecoveredPeerReadmittedOnSocket: every node runtime 1 hosts
+// crashes and later recovers. Runtime 0's detectors declare them all dead,
+// so its transport refuses their address; a recovered node restarts at
+// incarnation 0 and learns of its Dead record only from the ack runtime 0
+// sends back to its probe. That membership reply must cross the refused
+// route, so the node refutes, PeerUp re-admits the address, and runtime 0's
+// pull responses inform the recovered nodes: runtime 1 completes.
+func TestMemberRecoveredPeerReadmittedOnSocket(t *testing.T) {
+	g := graph.Clique(8, 1)
+	crashes := map[graph.NodeID]CrashPlan{}
+	for u := graph.NodeID(4); u < 8; u++ { // runtime 1's half
+		crashes[u] = CrashPlan{At: 20, RecoverAt: 200}
+	}
+	trs, wait := unixPair(t, g, slowProto{source: 0, minTick: 300}, Options{
+		Seed: 1, Tick: testTick, MaxTicks: 4000, Crashes: crashes,
+		Membership: memberTestConfig(), Linger: time.Second,
+	})
+	a, b := trs[0], trs[1]
+	r := a.routes.Load().lookup(4)
+	// Watch the route: it must go down (every node dead) and come back up.
+	var wentDown, cameBack atomic.Bool
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if r.down.Load() {
+				wentDown.Store(true)
+			} else if wentDown.Load() {
+				cameBack.Store(true)
+			}
+		}
+	}()
+	res := wait()
+	close(stop)
+	<-watched
+	if !wentDown.Load() {
+		t.Fatal("runtime 0 never refused runtime 1's address; the crashes were not all detected before recovery")
+	}
+	if !cameBack.Load() || r.down.Load() {
+		t.Fatal("runtime 1's address was never re-admitted after its nodes recovered")
+	}
+	for i, rs := range res {
+		if !rs.Completed {
+			t.Fatalf("runtime %d did not complete", i)
+		}
+	}
+	for u := 4; u < 8; u++ {
+		if !res[1].Recovered[u] {
+			t.Fatalf("node %d not marked recovered", u)
+		}
+	}
+	for v := 0; v < 4; v++ {
+		for _, up := range res[0].Members[v] {
+			if up.Node >= 4 && up.St == member.Dead {
+				t.Errorf("node %d still believes %d dead at the end: %+v", v, up.Node, up)
+			}
+		}
+	}
+
+	// Sends to the re-admitted address are written again, not refused.
+	arrived := b.Dropped() // runtime 1 has returned: an arrival is a misroute there
+	refused := a.dropsDown.Load()
+	for _, to := range []graph.NodeID{4, 5, 6, 7} {
+		if err := a.Send(Message{Kind: MsgRequest, From: 0, To: to, EdgeID: -1, Latency: 1, SentTick: 1 << 20,
+			Payload: bitp{informed: true}}, 0); err != nil {
+			t.Fatalf("send to %d: %v", to, err)
+		}
+	}
+	if got := a.dropsDown.Load(); got != refused {
+		t.Fatalf("%d sends refused after re-admission", got-refused)
+	}
+	if !pollUntil(5*time.Second, func() bool { return b.Dropped() == arrived+4 }) {
+		t.Fatalf("runtime 1 counted %d of 4 arrivals after re-admission", b.Dropped()-arrived)
 	}
 }

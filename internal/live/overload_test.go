@@ -248,8 +248,9 @@ func TestTCPDialGiveUpCountsBurst(t *testing.T) {
 
 // TestTCPPeerDownRefusesPeerUpHeals: a membership Dead verdict for the only
 // node at an address makes the transport refuse sends there, each one a
-// counted loss, without closing the pooled connection; an Alive verdict
-// re-admits the address.
+// counted loss, without closing the pooled connection; a membership packet
+// still goes, since a recovered peer learns it must refute only from our
+// reply; an Alive verdict re-admits the address.
 func TestTCPPeerDownRefusesPeerUpHeals(t *testing.T) {
 	src, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
@@ -270,6 +271,10 @@ func TestTCPPeerDownRefusesPeerUpHeals(t *testing.T) {
 	}
 	<-dstIn(1)
 	cs := pooled(src, addr)
+	// The writer may still hold tick 1 for a moment after it arrived.
+	if !pollUntil(5*time.Second, func() bool { return allAcked(src) }) {
+		t.Fatal("tick 1 still unacked")
+	}
 
 	src.PeerDown(1)
 	if !routeTo(src, addr).down.Load() {
@@ -289,6 +294,22 @@ func TestTCPPeerDownRefusesPeerUpHeals(t *testing.T) {
 	if pooled(src, addr) != cs {
 		t.Fatal("PeerDown closed the pooled connection")
 	}
+	if err := src.Send(testMsg(1, MsgMember, 4), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.Dropped(); got != before+1 {
+		t.Fatalf("Dropped = %d after a membership send to a down address, want %d", got, before+1)
+	}
+	// The stream delivers in order, so the membership packet arriving next
+	// proves the refused tick 2 never reached the wire.
+	select {
+	case msg := <-dstIn(1):
+		if msg.Kind != MsgMember || msg.SentTick != 4 {
+			t.Fatalf("delivered kind %d tick %d, want the membership packet at tick 4", msg.Kind, msg.SentTick)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a membership packet to a down address was not delivered")
+	}
 
 	src.PeerUp(1)
 	if routeTo(src, addr).down.Load() {
@@ -297,8 +318,6 @@ func TestTCPPeerDownRefusesPeerUpHeals(t *testing.T) {
 	if err := src.Send(testMsg(1, MsgRequest, 3), 0); err != nil {
 		t.Fatal(err)
 	}
-	// The stream delivers in order, so tick 3 arriving first proves the
-	// refused tick 2 never reached the wire.
 	select {
 	case msg := <-dstIn(1):
 		if msg.SentTick != 3 {

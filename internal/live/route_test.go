@@ -17,8 +17,10 @@ import (
 // only once all three are believed dead, a PeerUp in between heals the
 // count, and a PeerUp after that brings the address back. Every local
 // observer forwards the same verdict, so a repeated PeerDown counts its node
-// once, and a PeerUp for a node never declared dead changes nothing. The
-// only sends are made while the address is down, so nothing dials it.
+// once, and a PeerUp for a node never declared dead changes nothing. A node
+// SetPeers adds to a down address is not yet dead, so the address comes
+// back; one it moves away no longer counts there. The only sends are made
+// while the address is down, so nothing dials it.
 func TestRoutePeerDownCountsNodes(t *testing.T) {
 	tr, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{0})
 	if err != nil {
@@ -66,6 +68,19 @@ func TestRoutePeerDownCountsNodes(t *testing.T) {
 		t.Fatalf("Dropped = %d after a second refused send, want 2", n)
 	}
 	step("PeerUp", tr.PeerUp, 1, false)
+
+	// A live node joins the down address: it takes sends again. Moving that
+	// node away leaves only dead nodes there, and the refusal returns.
+	step("PeerDown", tr.PeerDown, 1, true)
+	const elsewhere = "127.0.0.1:2"
+	step("SetPeers", func(u graph.NodeID) { tr.SetPeers(map[graph.NodeID]string{u: addr}) }, 4, false)
+	step("SetPeers", func(u graph.NodeID) { tr.SetPeers(map[graph.NodeID]string{u: elsewhere}) }, 4, true)
+	// Moving dead node 1 away leaves 2 and 3, both dead: still down. Its
+	// verdict does not stay behind, so one PeerUp brings the address back.
+	step("SetPeers", func(u graph.NodeID) { tr.SetPeers(map[graph.NodeID]string{u: elsewhere}) }, 1, true)
+	step("PeerUp", tr.PeerUp, 3, false)
+	step("PeerDown", tr.PeerDown, 3, true)
+	step("PeerUp", tr.PeerUp, 2, false)
 
 	// A node the table does not route, or an ID no node has, changes nothing.
 	step("PeerDown", tr.PeerDown, 1<<40, false)

@@ -216,16 +216,21 @@ type route struct {
 	// break, so the next send redials. conn sets it under connMu; evict
 	// clears it by compare-and-swap, so it never clears a successor.
 	out atomic.Pointer[connState]
-	// nodes counts the nodes the current table routes here; PeerDown sets
-	// down once all of them are believed dead.
+	// nodes counts the nodes the current table routes here.
 	nodes atomic.Int32
 	// down makes Send refuse the address. The unit that fails is the
-	// process, not the node, so PeerDown sets it only once every node
-	// routed here is in dead, the nodes membership declared dead. mu guards
-	// dead, which only PeerDown and PeerUp touch.
+	// process, not the node, so down is set only while every node routed
+	// here is in dead, the nodes membership declared dead. mu guards dead
+	// and every change to nodes or down.
 	down atomic.Bool
 	mu   sync.Mutex
 	dead map[graph.NodeID]struct{}
+}
+
+// settleLocked recomputes down from nodes and dead; r.mu must be held.
+func (r *route) settleLocked() {
+	n := int(r.nodes.Load())
+	r.down.Store(n > 0 && len(r.dead) >= n)
 }
 
 // routeTable is one immutable snapshot of the routing state. Writers build
@@ -276,9 +281,16 @@ func (t *StreamTransport) SetPeers(addrs map[graph.NodeID]string) {
 		}
 		if prev := next.byNode[u]; prev != r {
 			if prev != nil {
+				prev.mu.Lock()
+				delete(prev.dead, u) // a moved node no longer counts here
 				prev.nodes.Add(-1)
+				prev.settleLocked()
+				prev.mu.Unlock()
 			}
-			r.nodes.Add(1)
+			r.mu.Lock()
+			r.nodes.Add(1) // a node joining a down address is not yet dead
+			r.settleLocked()
+			r.mu.Unlock()
 			next.byNode[u] = r
 		}
 	}
@@ -448,9 +460,10 @@ func (t *StreamTransport) Overload() OverloadCounts {
 
 // PeerDown implements PeerStatusSink: the membership layer declared node u
 // dead. Once every node routed to u's address is believed dead, sends there
-// are refused until a PeerUp. Every local observer forwards the same
-// verdict, so a repeat counts u once. What is already queued or written is
-// left to the connection: written and acked, or counted lost if it breaks.
+// are refused, membership packets excepted (see Send), until a PeerUp.
+// Every local observer forwards the same verdict, so a repeat counts u once.
+// What is already queued or written is left to the connection: written and
+// acked, or counted lost if it breaks.
 func (t *StreamTransport) PeerDown(u graph.NodeID) {
 	r := t.routes.Load().lookup(u)
 	if r == nil {
@@ -461,9 +474,7 @@ func (t *StreamTransport) PeerDown(u graph.NodeID) {
 		r.dead = make(map[graph.NodeID]struct{})
 	}
 	r.dead[u] = struct{}{}
-	if n := int(r.nodes.Load()); n > 0 && len(r.dead) >= n {
-		r.down.Store(true)
-	}
+	r.settleLocked()
 	r.mu.Unlock()
 }
 
@@ -476,7 +487,7 @@ func (t *StreamTransport) PeerUp(u graph.NodeID) {
 	}
 	r.mu.Lock()
 	delete(r.dead, u)
-	r.down.Store(false)
+	r.settleLocked()
 	r.mu.Unlock()
 }
 
@@ -536,7 +547,11 @@ func (t *StreamTransport) Faults() FaultReport {
 // codec errors and delays past maxWireDelayUS surface here) and queued with
 // its delay in whole µs, rounded up. A send toward an address membership
 // declared dead (see PeerDown) is refused: a terminal, counted loss, like an
-// injected drop. Send never waits for a dial.
+// injected drop. Membership packets still go: the detector neither probes
+// nor syncs with a member it holds dead, so what it sends there answers a
+// packet it received, and a reply carries the Dead record a recovered peer
+// must refute to be re-admitted.
+// Send never waits for a dial.
 func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if t.stopping() {
 		return ErrTransportClosed
@@ -558,7 +573,7 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if r.down.Load() {
+	if r.down.Load() && msg.Kind != MsgMember {
 		t.dropsDown.Add(1)
 		return nil
 	}

@@ -21,13 +21,11 @@
 // listener itself and passes the bound socket to the child as an inherited
 // descriptor (gossipd -listen-fd), so nothing can steal a port between
 // reservation and listen. -local-fabric picks the intra-host transport
-// between the co-located daemons: "tcp" (default), "unix" (each daemon
-// listens on a run-scoped unix socket, learns every peer's socket via
-// -peer-sockets, and the run fails unless every frame rode the sockets), or
-// "auto" (same wiring, but only requires that the fast path was taken at
-// least once per daemon — the daemons themselves verify a peer's address is
-// local before upgrading it). Both socket modes assert on the daemons' final
-// "wire:" ledger lines (WireLocalFrames).
+// between the co-located daemons: "tcp" (default) or "unix": each daemon
+// also listens on a run-scoped unix socket, the shared -peers map names
+// every range by its daemon's socket ("lo-hi=unix://DIR/d<i>.sock"), and
+// the run fails unless every frame rode the sockets, as the daemons' final
+// "wire:" ledger lines (WireLocalFrames) report.
 //
 // The ≥1M-node configuration from the ROADMAP (8 daemons × 125k nodes, see
 // PERFORMANCE.md) is exercised by TestGossipctlMillionNodes, gated behind
@@ -100,7 +98,7 @@ func run(args []string, out io.Writer) error {
 		timeout  = fs.Duration("timeout", 10*time.Minute, "kill the fleet and fail after this long")
 		verbose  = fs.Bool("v", false, "stream per-daemon output, prefixed d<i>:")
 		pprof0   = fs.Int("pprof-base", 0, "serve daemon i's pprof on 127.0.0.1:(base+i) (0 = off)")
-		fabric   = fs.String("local-fabric", "tcp", "intra-host transport between the co-located daemons: tcp, unix (every frame must ride the sockets), or auto (daemons upgrade local peers to sockets; the run must use them at least once)")
+		fabric   = fs.String("local-fabric", "tcp", "intra-host transport between the co-located daemons: tcp, or unix (peers are addressed by unix socket; every frame must ride the sockets)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -112,9 +110,9 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-n %d < -daemons %d: every daemon needs at least one node", *n, *daemons)
 	}
 	switch *fabric {
-	case "tcp", "unix", "auto":
+	case "tcp", "unix":
 	default:
-		return fmt.Errorf("-local-fabric: %q (want tcp, unix or auto)", *fabric)
+		return fmt.Errorf("-local-fabric: %q (want tcp or unix)", *fabric)
 	}
 
 	// Contiguous partition: daemon i hosts [i·n/K, (i+1)·n/K).
@@ -131,32 +129,30 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	defer closeAll(lns)
-	var peerParts []string
-	for i, r := range ranges {
-		peerParts = append(peerParts, fmt.Sprintf("%d-%d=%s", r[0], r[1], addrs[i]))
-	}
-	peers := strings.Join(peerParts, ",")
 
-	// On the unix and auto fabrics every daemon listens on a socket in a
-	// run-scoped directory and learns every peer's socket, so sends between
-	// the co-located daemons skip TCP (the daemons verify the peer address is
-	// local before upgrading — that is the "auto" in -local-fabric auto).
+	// On the unix fabric every daemon also listens on a socket in a
+	// run-scoped directory, and the peer map names each range by its
+	// daemon's socket, so sends between the co-located daemons skip TCP.
 	var socks []string
-	var sockMap string
-	if *fabric != "tcp" {
+	if *fabric == "unix" {
 		dir, terr := os.MkdirTemp("", "gossipctl-")
 		if terr != nil {
 			return terr
 		}
 		defer os.RemoveAll(dir)
-		var sockParts []string
 		for i := range ranges {
-			sock := fmt.Sprintf("%s/d%d.sock", dir, i)
-			socks = append(socks, sock)
-			sockParts = append(sockParts, addrs[i]+"="+sock)
+			socks = append(socks, fmt.Sprintf("%s/d%d.sock", dir, i))
 		}
-		sockMap = strings.Join(sockParts, ",")
 	}
+	var peerParts []string
+	for i, r := range ranges {
+		addr := addrs[i]
+		if socks != nil {
+			addr = "unix://" + socks[i]
+		}
+		peerParts = append(peerParts, fmt.Sprintf("%d-%d=%s", r[0], r[1], addr))
+	}
+	peers := strings.Join(peerParts, ",")
 
 	common := []string{
 		"-graph", *graph, "-n", strconv.Itoa(*n),
@@ -198,7 +194,7 @@ func run(args []string, out io.Writer) error {
 		// The daemon inherits its pre-bound listener as fd 3 (ExtraFiles[0]).
 		args := append([]string{"-listen-fd", "3", "-nodes", fmt.Sprintf("%d-%d", ranges[i][0], ranges[i][1])}, common...)
 		if socks != nil {
-			args = append(args, "-listen-unix", socks[i], "-peer-sockets", sockMap)
+			args = append(args, "-listen-unix", socks[i])
 		}
 		if *pprof0 > 0 {
 			args = append(args, "-pprof", fmt.Sprintf("127.0.0.1:%d", *pprof0+i))
@@ -273,7 +269,7 @@ func run(args []string, out io.Writer) error {
 			failures = append(failures, fmt.Sprintf("daemon %d drain not clean:\n%s", i, r.raw.String()))
 		case *join && !(r.sawMember && r.memberOK):
 			failures = append(failures, fmt.Sprintf("daemon %d membership not converged:\n%s", i, r.raw.String()))
-		case *fabric != "tcp" && !(r.sawWire && r.localFrames > 0):
+		case *fabric == "unix" && !(r.sawWire && r.localFrames > 0):
 			failures = append(failures, fmt.Sprintf("daemon %d sent no frames over the local fabric (local-frames=%d):\n%s", i, r.localFrames, r.raw.String()))
 		case *fabric == "unix" && r.localFrames != r.frames:
 			failures = append(failures, fmt.Sprintf("daemon %d leaked frames onto TCP: local-frames=%d frames=%d", i, r.localFrames, r.frames))

@@ -63,37 +63,35 @@ func TestGossipctlSmallCluster(t *testing.T) {
 	}
 }
 
-// TestGossipctlLocalFabrics runs the small cluster once per socket fabric
-// mode: -local-fabric unix requires every frame to ride the unix sockets,
-// auto requires the fast path was taken at least once per daemon. Both
-// asserts live in run() itself (scanning the daemons' wire: ledgers); here
-// we additionally pin that the summary reports a nonzero local-frame count.
+// TestGossipctlLocalFabrics runs the small cluster on the unix fabric: the
+// peer map addresses every daemon by its socket, and run() itself fails the
+// fleet unless every frame rode the sockets (scanning the daemons' wire:
+// ledgers); here we additionally pin that the summary reports a nonzero
+// local-frame count.
 func TestGossipctlLocalFabrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster run is not -short friendly")
 	}
 	bin := buildGossipd(t)
-	for _, fabric := range []string{"unix", "auto"} {
-		t.Run(fabric, func(t *testing.T) {
-			var sb strings.Builder
-			args := []string{
-				"-gossipd", bin, "-daemons", "3",
-				"-graph", "ringchords", "-n", "300", "-chords", "4", "-latmax", "8",
-				"-proto", "flood", "-seed", "7", "-local-fabric", fabric,
-				"-tick", "2ms", "-linger", "1s", "-timeout", "2m",
-			}
-			if err := run(args, &sb); err != nil {
-				t.Fatalf("run(%v): %v\n%s", args, err, sb.String())
-			}
-			out := sb.String()
-			if !strings.Contains(out, "completed=true") {
-				t.Errorf("summary missing completion markers:\n%s", out)
-			}
-			if strings.Contains(out, "local-frames=0/") {
-				t.Errorf("no frames took the local fabric:\n%s", out)
-			}
-		})
-	}
+	t.Run("unix", func(t *testing.T) {
+		var sb strings.Builder
+		args := []string{
+			"-gossipd", bin, "-daemons", "3",
+			"-graph", "ringchords", "-n", "300", "-chords", "4", "-latmax", "8",
+			"-proto", "flood", "-seed", "7", "-local-fabric", "unix",
+			"-tick", "2ms", "-linger", "1s", "-timeout", "2m",
+		}
+		if err := run(args, &sb); err != nil {
+			t.Fatalf("run(%v): %v\n%s", args, err, sb.String())
+		}
+		out := sb.String()
+		if !strings.Contains(out, "completed=true") {
+			t.Errorf("summary missing completion markers:\n%s", out)
+		}
+		if strings.Contains(out, "local-frames=0/") {
+			t.Errorf("no frames took the local fabric:\n%s", out)
+		}
+	})
 }
 
 // TestGossipctlMembership runs the convergence variant: SWIM on, every
@@ -166,6 +164,7 @@ func TestGossipctlFlagErrors(t *testing.T) {
 		{[]string{"-daemons", "0"}, "-daemons"},
 		{[]string{"-daemons", "8", "-n", "4"}, "every daemon needs"},
 		{[]string{"-local-fabric", "shm"}, "-local-fabric"},
+		{[]string{"-local-fabric", "auto"}, "-local-fabric"},
 	} {
 		var sb strings.Builder
 		err := run(tt.args, &sb)

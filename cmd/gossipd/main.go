@@ -1,8 +1,9 @@
 // Command gossipd starts one daemon of a live gossip cluster: it hosts a
-// subset of a graph's nodes behind a TCP transport and runs a protocol to
-// completion together with its peer daemons. Every daemon is started with
-// the same graph flags and the same full peer map; they may start in any
-// order (the transport retries dials while peers come up).
+// subset of a graph's nodes behind a TCP listener, and optionally a unix
+// socket (-listen-unix), and runs a protocol to completion together with its
+// peer daemons. Every daemon is started with the same graph flags and the
+// same full peer map; they may start in any order (the transport retries
+// dials while peers come up).
 //
 // A two-process push-pull run over the 64-node ring of cliques:
 //
@@ -12,6 +13,10 @@
 //	gossipd -graph ringcliques -k 8 -s 8 -latency 4 \
 //	    -listen 127.0.0.1:7001 -nodes 32-63 \
 //	    -peers 0-31=127.0.0.1:7000,32-63=127.0.0.1:7001
+//
+// A peer address picks the fabric: "host:port" dials TCP, "unix://PATH"
+// dials the unix socket a co-located daemon opened with -listen-unix PATH,
+// e.g. -peers 0-31=unix:///tmp/d0.sock,32-63=unix:///tmp/d1.sock.
 //
 // Graphs: clique, star, path, cycle, grid, gnp, ringcliques, dumbbell,
 // chunglu (power-law, -beta/-avgdeg), ringchords (latency-1 ring plus random
@@ -91,9 +96,8 @@ func run(args []string, out io.Writer) error {
 		listen    = fs.String("listen", "127.0.0.1:0", "TCP listen address for this daemon")
 		listenFD  = fs.Int("listen-fd", 0, "inherit the TCP listener from this file descriptor instead of binding -listen (supervisors pass a pre-bound socket so reserved ports cannot be stolen; 0 = bind -listen)")
 		listenUDS = fs.String("listen-unix", "", "additionally listen on a unix socket at this path for co-located peers (empty = off)")
-		peerSocks = fs.String("peer-sockets", "", "unix socket paths advertised by co-located peer daemons, e.g. 127.0.0.1:7000=/tmp/d0.sock,...; sends to a local peer with a socket skip TCP")
 		nodesSpec = fs.String("nodes", "", "nodes hosted here, e.g. 0-31 or 0,5,9 (empty = all)")
-		peersSpec = fs.String("peers", "", "peer map, e.g. 0-31=host:7000,32-63=host:7001")
+		peersSpec = fs.String("peers", "", "peer map, e.g. 0-31=host:7000,32-63=host:7001; a co-located peer may be addressed by its unix socket, e.g. 32-63=unix:///tmp/d1.sock")
 		tick      = fs.Duration("tick", gossip.DefaultLiveTick, "wall-clock duration of one round")
 		maxTicks  = fs.Int("maxticks", 0, "tick budget (0 = default)")
 		linger    = fs.Duration("linger", 2*time.Second, "keep serving peers this long after local completion")
@@ -187,13 +191,6 @@ func run(args []string, out io.Writer) error {
 		if err := tr.ListenUnix(*listenUDS); err != nil {
 			return fmt.Errorf("-listen-unix: %w", err)
 		}
-	}
-	if *peerSocks != "" {
-		socks, serr := parsePeerSockets(*peerSocks)
-		if serr != nil {
-			return fmt.Errorf("-peer-sockets: %w", serr)
-		}
-		tr.SetPeerSockets(socks)
 	}
 	tr.SetFlushWindow(*flushWin)
 	tr.SetOverloadLimits(*queueCap)
@@ -327,9 +324,9 @@ func run(args []string, out io.Writer) error {
 		rep.Clean, rep.QueuedAtClose, rep.PendingAtClose,
 		rep.Wall.Round(time.Millisecond))
 	// The wire ledger, printed after the drain so the tail of the ack traffic
-	// is included. local-frames/local-bytes are the subset that rode a local
-	// fabric (unix socket or in-process ring) instead of TCP — cluster
-	// harnesses assert on them to prove the fast path was actually taken.
+	// is included. local-frames/local-bytes are the subset that rode a unix
+	// socket instead of TCP — cluster harnesses assert on them to prove the
+	// fast path was actually taken.
 	fmt.Fprintf(out, "wire: frames=%d bytes=%d local-frames=%d local-bytes=%d\n",
 		tr.WireFramesOut(), tr.WireBytesOut(), tr.WireLocalFrames(), tr.WireLocalBytes())
 	if derr != nil && !errors.Is(derr, context.DeadlineExceeded) {
@@ -470,7 +467,8 @@ func parseNodeSet(spec string, n int) ([]gossip.NodeID, error) {
 	return ids, nil
 }
 
-// parsePeers parses "0-31=host:port,32-63=host:port" into a full address map.
+// parsePeers parses "0-31=host:port,32-63=unix:///path" into a full address
+// map. Addresses pass through as given; the transport picks the fabric.
 func parsePeers(spec string, n int) (map[gossip.NodeID]string, error) {
 	peers := make(map[gossip.NodeID]string)
 	if spec == "" {
@@ -493,21 +491,6 @@ func parsePeers(spec string, n int) (map[gossip.NodeID]string, error) {
 		}
 	}
 	return peers, nil
-}
-
-// parsePeerSockets parses "host:port=/path/a.sock,host:port=/path/b.sock"
-// into the peer-address→socket map SetPeerSockets takes. Paths may not
-// contain commas.
-func parsePeerSockets(spec string) (map[string]string, error) {
-	socks := make(map[string]string)
-	for _, part := range strings.Split(spec, ",") {
-		addr, path, ok := strings.Cut(part, "=")
-		if !ok || addr == "" || path == "" {
-			return nil, fmt.Errorf("entry %q is not addr=path", part)
-		}
-		socks[addr] = path
-	}
-	return socks, nil
 }
 
 // parseCrashes parses "3=10,7=25:60" into node→crash plan: "node=tick"

@@ -239,6 +239,11 @@ func TestFlagErrors(t *testing.T) {
 			want: "flag provided but not defined: -max-pend",
 		},
 		{
+			name: "peer-sockets-flag-removed",
+			args: []string{"-graph", "clique", "-n", "4", "-peer-sockets", "127.0.0.1:7000=/tmp/d0.sock"},
+			want: "flag provided but not defined: -peer-sockets",
+		},
+		{
 			name: "negative-flushwindow",
 			args: []string{"-graph", "clique", "-n", "4", "-flushwindow", "-1ms"},
 			want: "-flushwindow",
@@ -345,11 +350,12 @@ func TestParseNodeSet(t *testing.T) {
 }
 
 func TestParsePeers(t *testing.T) {
-	peers, err := parsePeers("0-1=a:1,3=b:2", 4)
+	peers, err := parsePeers("0-1=a:1,3=b:2,2=unix:///tmp/d2.sock", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(peers) != 3 || peers[0] != "a:1" || peers[1] != "a:1" || peers[3] != "b:2" {
+	if len(peers) != 4 || peers[0] != "a:1" || peers[1] != "a:1" || peers[3] != "b:2" ||
+		peers[2] != "unix:///tmp/d2.sock" {
 		t.Errorf("parsePeers = %v", peers)
 	}
 }
@@ -387,22 +393,6 @@ func TestParsePartitions(t *testing.T) {
 	for _, w := range []string{"completed=true", "faults: injected-drops=", " dups=", "partitions=1\n"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("output missing %q:\n%s", w, out)
-		}
-	}
-}
-
-func TestParsePeerSockets(t *testing.T) {
-	socks, err := parsePeerSockets("127.0.0.1:7000=/tmp/d0.sock,127.0.0.1:7001=/tmp/d1.sock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(socks) != 2 || socks["127.0.0.1:7000"] != "/tmp/d0.sock" ||
-		socks["127.0.0.1:7001"] != "/tmp/d1.sock" {
-		t.Errorf("parsePeerSockets = %v", socks)
-	}
-	for _, bad := range []string{"no-equals", "=path", "addr="} {
-		if _, err := parsePeerSockets(bad); err == nil {
-			t.Errorf("parsePeerSockets(%q) accepted a malformed entry", bad)
 		}
 	}
 }
@@ -445,39 +435,33 @@ func TestListenFDInheritance(t *testing.T) {
 	}
 }
 
-// TestTwoDaemonUnixFabric pairs -listen-unix with -peer-sockets on both
-// sides of a dumbbell: every cross-daemon frame must ride the unix socket
-// (local-frames == frames in the wire ledger) and the drain must stay clean.
+// TestTwoDaemonUnixFabric addresses each side of a dumbbell by the unix
+// socket its daemon opens with -listen-unix: every cross-daemon frame must
+// ride the socket (local-frames == frames in the wire ledger) and the drain
+// must stay clean. Each daemon still has its TCP listener; nothing dials it.
 func TestTwoDaemonUnixFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-daemon cluster run is not -short friendly")
 	}
-	addrs := reservePorts(t, 2)
 	dir := t.TempDir()
 	socks := []string{filepath.Join(dir, "d0.sock"), filepath.Join(dir, "d1.sock")}
-	sockMap := fmt.Sprintf("%s=%s,%s=%s", addrs[0], socks[0], addrs[1], socks[1])
-	peers := fmt.Sprintf("0-3=%s,4-7=%s", addrs[0], addrs[1])
+	peers := fmt.Sprintf("0-3=unix://%s,4-7=unix://%s", socks[0], socks[1])
 	common := []string{
 		"-graph", "dumbbell", "-s", "4", "-latency", "2",
 		"-proto", "pushpull", "-seed", "7",
 		"-tick", "1ms", "-linger", "2s",
-		"-peers", peers, "-peer-sockets", sockMap,
+		"-listen", "127.0.0.1:0", "-peers", peers,
 	}
 	var wg sync.WaitGroup
 	outs := make([]strings.Builder, 2)
 	errs := make([]error, 2)
-	for i, spec := range []struct {
-		listen, unix, nodes string
-	}{
-		{addrs[0], socks[0], "0-3"},
-		{addrs[1], socks[1], "4-7"},
-	} {
+	for i, nodes := range []string{"0-3", "4-7"} {
 		wg.Add(1)
-		go func(i int, listen, unix, nodes string) {
+		go func(i int, nodes string) {
 			defer wg.Done()
-			args := append([]string{"-listen", listen, "-listen-unix", unix, "-nodes", nodes}, common...)
+			args := append([]string{"-listen-unix", socks[i], "-nodes", nodes}, common...)
 			errs[i] = run(args, &outs[i])
-		}(i, spec.listen, spec.unix, spec.nodes)
+		}(i, nodes)
 	}
 	wg.Wait()
 	for i := range outs {

@@ -558,8 +558,7 @@ func NewLiveTCPTransportFromListener(ln net.Listener, local []NodeID) (*LiveTCPT
 
 // NewLiveUnixTransport returns a stream transport listening on a unix domain
 // socket at path — the same wire format and batching as TCP without the TCP
-// stack. Peers dial it when their transports advertise the path via
-// SetPeerSockets.
+// stack. Peers dial it when their SetPeers maps nodes to "unix://" + path.
 func NewLiveUnixTransport(path string, local []NodeID) (*LiveTCPTransport, error) {
 	return live.NewUnixTransport(path, local)
 }

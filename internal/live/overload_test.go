@@ -246,6 +246,34 @@ func TestTCPDialGiveUpCountsBurst(t *testing.T) {
 	}
 }
 
+// TestTCPDialGivesUpOnPeerDown: a dial already under way when membership
+// declares its address dead stops at its next failed attempt instead of
+// retrying until dialTimeout, and its queue is a counted give-up loss.
+func TestTCPDialGivesUpOnPeerDown(t *testing.T) {
+	// A dial that would otherwise retry far past the test's deadline.
+	tr, deadAddr := deadAddrTransport(t, 30*time.Second)
+
+	const burst = 8
+	for i := 0; i < burst; i++ {
+		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pooled(tr, deadAddr) == nil {
+		t.Fatal("no connection dialing after the burst")
+	}
+	tr.PeerDown(1)
+	if !pollUntil(time.Second, func() bool { return tr.dropsGiveUp.Load() == burst }) {
+		t.Fatalf("dropsGiveUp = %d a second after the verdict, want %d", tr.dropsGiveUp.Load(), burst)
+	}
+	if cs := pooled(tr, deadAddr); cs != nil {
+		t.Fatal("the given-up connection is still pooled")
+	}
+	if n := tr.Dropped(); n != burst {
+		t.Fatalf("Dropped = %d, want %d", n, burst)
+	}
+}
+
 // TestTCPPeerDownRefusesPeerUpHeals: a membership Dead verdict for the only
 // node at an address makes the transport refuse sends there, each one a
 // counted loss, without closing the pooled connection; a membership packet

@@ -177,7 +177,6 @@ func TestRouteSendRacesSetPeers(t *testing.T) {
 		for round := 0; round < 20; round++ {
 			for u := 2; u <= nodes; u++ {
 				a.SetPeers(map[graph.NodeID]string{graph.NodeID(u): addr})
-				a.SetPeerSockets(map[string]string{addr: ""})
 			}
 		}
 		close(stop)

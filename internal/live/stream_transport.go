@@ -39,9 +39,7 @@ type wireMessage struct {
 //   - TCP (NewTCPTransport): the cross-machine fabric.
 //   - Unix domain sockets (NewUnixTransport, ListenUnix): co-located daemons
 //     skip the TCP stack — no checksums, no Nagle/cork logic, no loopback
-//     queueing. Dialed explicitly via "unix://PATH" peer addresses, or
-//     automatically when SetPeerSockets advertises a socket for a peer whose
-//     TCP address resolves to this host.
+//     queueing. Dialed for every "unix://PATH" peer address.
 //
 // Both fabrics share the wire codec, the super-frame batching, the ack and
 // loss accounting, and every counter below, so a mixed-fabric cluster is
@@ -88,9 +86,9 @@ type wireMessage struct {
 // Routing is dense: the hosted set is a slice by NodeID, and the route table
 // maps each remote NodeID to its address's route (down flag and pooled
 // connection). Send resolves a message's route with two bounds-checked loads
-// and one atomic load, checks the route's down flag, and takes no lock. SetPeers and SetPeerSockets publish a new
-// table copy-on-write, so each call costs O(n) in the nodes routed; call
-// them before the first Send.
+// and one atomic load, checks the route's down flag, and takes no lock.
+// SetPeers publishes a new table copy-on-write, so each call costs O(n) in
+// the nodes routed; call it before the first Send.
 type StreamTransport struct {
 	hosted []bool // by NodeID; read-only after construction (see Hosts)
 
@@ -106,7 +104,7 @@ type StreamTransport struct {
 	flushWindow atomic.Int64 // time.Duration
 
 	// routes is the immutable route table the send path reads; peerMu
-	// serializes its two writers, SetPeers and SetPeerSockets.
+	// serializes the calls of its one writer, SetPeers.
 	peerMu sync.Mutex
 	routes atomic.Pointer[routeTable]
 
@@ -176,7 +174,7 @@ func newStreamTransport(local []graph.NodeID) *StreamTransport {
 			t.hosted[u] = true
 		}
 	}
-	t.routes.Store(&routeTable{byAddr: map[string]*route{}, sockets: map[string]string{}})
+	t.routes.Store(&routeTable{byAddr: map[string]*route{}})
 	return t
 }
 
@@ -236,9 +234,8 @@ func (r *route) settleLocked() {
 // routeTable is one immutable snapshot of the routing state. Writers build
 // a new table and publish it; nothing in a published table changes.
 type routeTable struct {
-	byNode  []*route          // by NodeID; nil where no address is known
-	byAddr  map[string]*route // one route per address; read by the writers only
-	sockets map[string]string // peer TCP addr -> advertised unix socket path
+	byNode []*route          // by NodeID; nil where no address is known
+	byAddr map[string]*route // one route per address; read by SetPeers only
 }
 
 // lookup returns u's route, nil for a node with no address. The unsigned
@@ -252,9 +249,8 @@ func (tab *routeTable) lookup(u graph.NodeID) *route {
 
 // SetPeers installs (or extends) the node→address map used to route remote
 // sends. Locally hosted nodes need no entry, and a negative ID names no node
-// and is skipped. Addresses select the fabric by form: "host:port" dials TCP
-// (upgraded to a unix socket when SetPeerSockets advertises one and the host
-// is local) and "unix://PATH" dials a unix socket directly.
+// and is skipped. Addresses select the fabric by form: "unix://PATH" dials
+// a unix socket, anything else ("host:port") dials TCP.
 //
 // The route table is copy-on-write: each call copies it, O(n) in the nodes
 // routed, and nodes at an address already known join its route, pooled
@@ -268,7 +264,7 @@ func (t *StreamTransport) SetPeers(addrs map[graph.NodeID]string) {
 	for u := range addrs {
 		n = max(n, u+1)
 	}
-	next := &routeTable{byNode: make([]*route, n), byAddr: maps.Clone(old.byAddr), sockets: old.sockets}
+	next := &routeTable{byNode: make([]*route, n), byAddr: maps.Clone(old.byAddr)}
 	copy(next.byNode, old.byNode)
 	for u, a := range addrs {
 		if u < 0 {
@@ -297,46 +293,9 @@ func (t *StreamTransport) SetPeers(addrs map[graph.NodeID]string) {
 	t.routes.Store(next)
 }
 
-// SetPeerSockets advertises unix socket paths for peers addressed by TCP:
-// when a peer's "host:port" address resolves to this host and sockets maps
-// that address to a path, outbound connections dial the socket instead of
-// TCP — the wire protocol is identical, only the kernel path shrinks. A peer
-// whose socket cannot be dialed falls back to TCP after a short grace period
-// (see dialPeer), so a stale advertisement degrades, it does not strand.
-// Like SetPeers it publishes a new route table; call it alongside SetPeers,
-// before the first Send.
-func (t *StreamTransport) SetPeerSockets(sockets map[string]string) {
-	t.peerMu.Lock()
-	defer t.peerMu.Unlock()
-	next := *t.routes.Load()
-	next.sockets = maps.Clone(next.sockets)
-	maps.Copy(next.sockets, sockets)
-	t.routes.Store(&next)
-}
-
-// socketFor returns the advertised unix socket for a TCP peer address, or ""
-// when none applies (no advertisement, or the address is not on this host).
-func (t *StreamTransport) socketFor(addr string) string {
-	sock := t.routes.Load().sockets[addr]
-	if sock == "" || !addrIsLocalHost(addr) {
-		return ""
-	}
-	return sock
-}
-
-// unixScheme is the peer-address prefix that selects the unix fabric
-// explicitly. A plain "host:port" address dials TCP (possibly upgraded to an
-// advertised unix socket).
+// unixScheme is the peer-address prefix that selects the unix fabric. Any
+// other address dials TCP.
 const unixScheme = "unix://"
-
-// unixPreferGrace is how long a writer keeps retrying an advertised unix socket
-// before degrading to TCP. Co-located daemons may accept TCP before their
-// unix listener exists (gossipctl hands gossipd a pre-bound TCP listener fd,
-// while the unix socket is only bound during startup); without the grace
-// window the first dial would pool a TCP connection forever and the local
-// fast path would never engage. A genuinely stale advertisement still falls
-// back once the window passes.
-const unixPreferGrace = 2 * time.Second
 
 // unixSockBuf sizes each unix connection's kernel buffers. The distro
 // default (~208 KiB) was tuned for remote links, not for a firehose between
@@ -356,13 +315,10 @@ func tuneUnixConn(c net.Conn) net.Conn {
 }
 
 // dialPeer opens one stream to addr, choosing the connection family from the
-// address: "unix://PATH" dials the socket directly, plain "host:port" dials
-// TCP — upgraded to a unix socket when SetPeerSockets advertised one for a
-// peer on this host. elapsed is how long the writer has been
-// retrying this address, for the unix-preference grace window. The returned
-// flag reports whether the stream is a unix socket, which routes its traffic
-// into the WireLocal* counters.
-func (t *StreamTransport) dialPeer(addr string, elapsed time.Duration) (net.Conn, bool, error) {
+// address: "unix://PATH" dials the socket, anything else dials TCP. The
+// returned flag reports whether the stream is a unix socket, which routes its
+// traffic into the WireLocal* counters.
+func dialPeer(addr string) (net.Conn, bool, error) {
 	if path, ok := strings.CutPrefix(addr, unixScheme); ok {
 		c, err := net.DialTimeout("unix", path, 2*time.Second)
 		if err != nil {
@@ -370,62 +326,8 @@ func (t *StreamTransport) dialPeer(addr string, elapsed time.Duration) (net.Conn
 		}
 		return tuneUnixConn(c), true, nil
 	}
-	if sock := t.socketFor(addr); sock != "" {
-		c, err := net.DialTimeout("unix", sock, 2*time.Second)
-		if err == nil {
-			return tuneUnixConn(c), true, nil
-		}
-		if elapsed < unixPreferGrace {
-			return nil, false, fmt.Errorf("dial unix %s for %s: %w", sock, addr, err)
-		}
-		// Advertisement looks stale; degrade to TCP below.
-	}
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	return c, false, err
-}
-
-// localHostIPs caches this machine's interface addresses for
-// addrIsLocalHost. Interfaces are assumed stable for the process lifetime;
-// a daemon that gains addresses after start simply won't auto-upgrade peers
-// on those new addresses, which is a performance miss, not an error.
-var localHostIPs struct {
-	once sync.Once
-	set  map[string]bool
-}
-
-// addrIsLocalHost reports whether the host part of a "host:port" address
-// names this machine: "localhost", any loopback IP, or an IP assigned to a
-// local interface. Hostnames other than "localhost" are not resolved — DNS
-// in a dial decision would add latency and nondeterminism, and cluster
-// tooling passes literal IPs.
-func addrIsLocalHost(addr string) bool {
-	host, _, err := net.SplitHostPort(addr)
-	if err != nil {
-		return false
-	}
-	if host == "localhost" {
-		return true
-	}
-	ip := net.ParseIP(host)
-	if ip == nil {
-		return false
-	}
-	if ip.IsLoopback() {
-		return true
-	}
-	localHostIPs.once.Do(func() {
-		localHostIPs.set = make(map[string]bool)
-		ifAddrs, err := net.InterfaceAddrs()
-		if err != nil {
-			return
-		}
-		for _, a := range ifAddrs {
-			if ipn, ok := a.(*net.IPNet); ok {
-				localHostIPs.set[ipn.IP.String()] = true
-			}
-		}
-	})
-	return localHostIPs.set[ip.String()]
 }
 
 // SetFlushWindow makes every connection's writer wait this long after the
@@ -462,8 +364,10 @@ func (t *StreamTransport) Overload() OverloadCounts {
 // dead. Once every node routed to u's address is believed dead, sends there
 // are refused, membership packets excepted (see Send), until a PeerUp.
 // Every local observer forwards the same verdict, so a repeat counts u once.
-// What is already queued or written is left to the connection: written and
-// acked, or counted lost if it breaks.
+// A connection still dialing the address gives up at its next failed
+// attempt, its queue a counted loss (see dial); what an established
+// connection has queued or written is left to it: written and acked, or
+// counted lost if it breaks.
 func (t *StreamTransport) PeerDown(u graph.NodeID) {
 	r := t.routes.Load().lookup(u)
 	if r == nil {
@@ -1419,12 +1323,12 @@ func (t *StreamTransport) conn(r *route) (*connState, error) {
 // dial connects an outbound connection from its writer, retrying until
 // dialTimeout so peers may start after us, and starts its read loop. False
 // means it stopped: closed (Close counts the queue), draining (the queue is
-// a closed-drop) or unreachable (the queue is a give-up drop, and the next
-// send redials).
+// a closed-drop), or unreachable or declared dead by membership (the queue
+// is a give-up drop, and the next send redials).
 func (t *StreamTransport) dial(cs *connState) bool {
 	start := time.Now()
 	for {
-		c, local, err := t.dialPeer(cs.r.addr, time.Since(start))
+		c, local, err := dialPeer(cs.r.addr)
 		if err == nil {
 			t.connMu.Lock()
 			if t.isClosed() {
@@ -1439,7 +1343,7 @@ func (t *StreamTransport) dial(cs *connState) bool {
 			return true
 		}
 		draining := t.draining.Load()
-		if draining || time.Since(start) > t.dialTimeout {
+		if draining || cs.r.down.Load() || time.Since(start) > t.dialTimeout {
 			t.evict(cs)
 			data := cs.markDead()
 			t.forget(cs) // no read loop: nothing was written

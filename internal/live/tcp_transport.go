@@ -9,9 +9,8 @@ import (
 
 // TCPTransport is the TCP-listening face of the generic stream core. The
 // name survives from when TCP was the only fabric; every method — and the
-// ability to dial unix:// peers, or auto-upgrade co-located peers onto an
-// advertised unix socket — lives on StreamTransport, so the alias keeps the
-// established API (and its tests) unchanged.
+// ability to dial unix:// peers — lives on StreamTransport, so the alias
+// keeps the established API (and its tests) unchanged.
 type TCPTransport = StreamTransport
 
 // NewTCPTransport listens on listenAddr (e.g. "127.0.0.1:0") and returns a

@@ -12,9 +12,8 @@ import (
 // returns a transport hosting the given node IDs. The wire protocol is
 // byte-identical to TCP — same codec, same FrameBatch super-frames, same
 // cumulative acks and loss accounting — only the kernel path shrinks: no checksums,
-// no Nagle/cork logic, no loopback queueing. Peers dial it either explicitly
-// ("unix://PATH" in SetPeers) or automatically when their transport learns
-// the path via SetPeerSockets.
+// no Nagle/cork logic, no loopback queueing. Peers dial it when their
+// SetPeers maps nodes to "unix://PATH".
 func NewUnixTransport(path string, local []graph.NodeID) (*StreamTransport, error) {
 	t := newStreamTransport(local)
 	if err := t.ListenUnix(path); err != nil {
@@ -39,20 +38,6 @@ func (t *StreamTransport) ListenUnix(path string) error {
 		return err
 	}
 	return nil
-}
-
-// UnixAddr returns the socket path of the transport's first unix listener,
-// or "" when it has none. This is the path to advertise to co-located peers
-// via their SetPeerSockets.
-func (t *StreamTransport) UnixAddr() string {
-	t.connMu.Lock()
-	defer t.connMu.Unlock()
-	for _, sl := range t.listeners {
-		if ua, ok := sl.ln.Addr().(*net.UnixAddr); ok {
-			return ua.Name
-		}
-	}
-	return ""
 }
 
 // listenUnixSocket binds a stream listener at path, reclaiming the path from

@@ -1,13 +1,22 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite the TestShapesQuick goldens under testdata/shapes_quick")
+
 // TestShapesQuick runs every experiment that has a registered shape check at
 // quick scale and asserts the paper-claim shape holds — the reproduction as
-// a regression test.
+// a regression test. It also pins every quick-scale table byte for byte
+// against its golden in testdata/shapes_quick, so a change to the simulator,
+// a protocol or a generator that moves any figure shows here; `go test
+// -run TestShapesQuick -update ./internal/exp` rewrites the goldens.
 func TestShapesQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running shape checks")
@@ -22,7 +31,74 @@ func TestShapesQuick(t *testing.T) {
 			if err := VerifyShape(id, tb); err != nil {
 				t.Errorf("%v\n%s", err, tb)
 			}
+			checkGolden(t, filepath.Join("testdata", "shapes_quick", id+".golden"), goldenText(tb))
 		})
+	}
+}
+
+// timingRe matches a column header or note that reports wall-clock time,
+// which differs from run to run and is kept out of the goldens.
+var timingRe = regexp.MustCompile(`(?i)\bwall|\b(sec|ms|us|ns)\b`)
+
+// goldenText renders tb without its timing columns and timing note.
+func goldenText(tb *Table) string {
+	out := &Table{Title: tb.Title}
+	var keep []int
+	for i, c := range tb.Cols {
+		if !timingRe.MatchString(c) {
+			keep = append(keep, i)
+			out.Cols = append(out.Cols, c)
+		}
+	}
+	for _, row := range tb.Rows {
+		r := make([]string, 0, len(keep))
+		for _, i := range keep {
+			if i < len(row) {
+				r = append(r, row[i])
+			}
+		}
+		out.Rows = append(out.Rows, r)
+	}
+	if !timingRe.MatchString(tb.Note) {
+		out.Note = tb.Note
+	}
+	return out.String()
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden: %v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("table differs from %s (run with -update if the change is intended)\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+func TestGoldenTextStripsTiming(t *testing.T) {
+	tb := NewTable("x", "n", "wall (s)", "msgs/tick", "ms per round")
+	tb.Add(4, 1.5, 2.0, 3.0)
+	tb.Note = "wall time is machine-dependent"
+	got := goldenText(tb)
+	for _, drop := range []string{"wall", "ms per round", "1.500", "3.000"} {
+		if strings.Contains(got, drop) {
+			t.Errorf("goldenText kept %q:\n%s", drop, got)
+		}
+	}
+	if !strings.Contains(got, "msgs/tick") || !strings.Contains(got, "2.000") {
+		t.Errorf("goldenText dropped a count column:\n%s", got)
 	}
 }
 

@@ -132,7 +132,9 @@ func ChungLu(n int, beta, avgDeg float64, latency int, seed uint64) *Graph {
 		w[v] *= scale
 		total += w[v]
 	}
-	r := rng.Stream(seed, 0x636c) // "cl"
+	// The concrete stream keeps the O(n²) pair loop free of interface calls;
+	// it draws what rng.Stream(seed, 0x636c) would.
+	r := rng.NewSplitMix(seed, 0x636c) // "cl"
 	g := New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -193,6 +195,39 @@ func TestChungLuPowerLaw(t *testing.T) {
 	// Deterministic.
 	if g2 := ChungLu(300, 2.5, 8, 1, 7); g2.M() != g.M() {
 		t.Error("not deterministic for fixed seed")
+	}
+}
+
+// edgeHash is an FNV-1a hash of g's edge list in ID order.
+func edgeHash(g *Graph) uint64 {
+	h := fnv.New64a()
+	var b [12]byte
+	for _, e := range g.Edges() {
+		binary.LittleEndian.PutUint32(b[0:], uint32(e.U))
+		binary.LittleEndian.PutUint32(b[4:], uint32(e.V))
+		binary.LittleEndian.PutUint32(b[8:], uint32(e.Latency))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestChungLuEdgeListPinned pins the exact edge lists ChungLu draws, so a
+// change to its random stream or its probability expression shows here.
+func TestChungLuEdgeListPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+		m    int
+		hash uint64
+	}{
+		{2000, 3, 7855, 0xfabc521ba3f3d9e},
+		{2000, 4, 7786, 0xda29afee6a332fb6},
+		{500, 7, 1974, 0xa38d074fbf286804},
+	} {
+		g := ChungLu(tc.n, 2.5, 8, 16, tc.seed)
+		if g.M() != tc.m || edgeHash(g) != tc.hash {
+			t.Errorf("ChungLu(%d, seed %d): m=%d hash=%#x, want m=%d hash=%#x", tc.n, tc.seed, g.M(), edgeHash(g), tc.m, tc.hash)
+		}
 	}
 }
 

@@ -58,15 +58,24 @@ func Coin(p float64, seed uint64, vals ...uint64) bool {
 	return u < p
 }
 
-// source is a SplitMix64-backed rand.Source64. Seeding is O(1) — against the
-// ~600-word table initialization of math/rand's default source — which
-// matters because the simulator derives one stream per node per run, and at
-// benchmark scale source seeding otherwise dominates the profile.
-type source struct{ state uint64 }
+// SplitMix is a SplitMix64-backed rand.Source64 and the concrete stream
+// behind Stream. Seeding is O(1) — against the ~600-word table
+// initialization of math/rand's default source — which matters because the
+// simulator derives one stream per node per run, and at benchmark scale
+// source seeding otherwise dominates the profile. A generator whose inner
+// loop is a draw uses it directly (NewSplitMix) and so pays no interface
+// call per draw.
+type SplitMix struct{ state uint64 }
 
-func (s *source) Seed(seed int64) { s.state = uint64(seed) }
+// NewSplitMix returns the (seed, id) stream: its Uint64, Int63 and Float64
+// sequences are those of Stream(seed, id).
+func NewSplitMix(seed uint64, id uint64) SplitMix { return SplitMix{state: Hash(seed, id)} }
 
-func (s *source) Uint64() uint64 {
+// Seed resets the stream (rand.Source).
+func (s *SplitMix) Seed(seed int64) { s.state = uint64(seed) }
+
+// Uint64 returns the next 64 random bits (rand.Source64).
+func (s *SplitMix) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	x := s.state
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -74,12 +83,24 @@ func (s *source) Uint64() uint64 {
 	return x ^ (x >> 31)
 }
 
-func (s *source) Int63() int64 { return int64(s.Uint64() >> 1) }
+// Int63 returns a non-negative 63-bit integer (rand.Source).
+func (s *SplitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Float64 returns a float in [0, 1), bit for bit what (*rand.Rand).Float64
+// returns over the same stream: Int63 / 2⁶³, redrawn when that rounds to 1.
+func (s *SplitMix) Float64() float64 {
+	for {
+		if f := float64(s.Uint64()>>1) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // Stream returns a deterministic *rand.Rand derived from (seed, id). Distinct
 // ids yield independent-looking streams.
 func Stream(seed uint64, id uint64) *rand.Rand {
-	return rand.New(&source{state: Hash(seed, id)})
+	src := NewSplitMix(seed, id)
+	return rand.New(&src)
 }
 
 // New returns a deterministic *rand.Rand for a bare seed.
@@ -92,7 +113,7 @@ func New(seed uint64) *rand.Rand {
 // per run.
 var streamPool = sync.Pool{
 	New: func() interface{} {
-		return rand.New(&source{})
+		return rand.New(&SplitMix{})
 	},
 }
 

@@ -114,3 +114,21 @@ func TestQuickHashUniformHighBit(t *testing.T) {
 		t.Errorf("high-bit ratio %g, want ~0.5", ratio)
 	}
 }
+
+// TestSplitMixMatchesStream: the concrete stream draws exactly what the
+// *rand.Rand built on it draws, so a generator may swap one for the other
+// without changing its output.
+func TestSplitMixMatchesStream(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 3, 0xdeadbeef} {
+		r := Stream(seed, 0x636c)
+		s := NewSplitMix(seed, 0x636c)
+		for i := 0; i < 10000; i++ {
+			if got, want := s.Float64(), r.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: Float64 = %v, want %v", seed, i, got, want)
+			}
+		}
+		if got, want := s.Uint64(), r.Uint64(); got != want {
+			t.Fatalf("seed %d: Uint64 = %#x, want %#x", seed, got, want)
+		}
+	}
+}

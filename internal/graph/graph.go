@@ -32,6 +32,9 @@ type Graph struct {
 	n     int
 	edges []Edge
 	adj   [][]HalfEdge
+	// version counts mutations (AddEdge, SetLatency), so a dense view such
+	// as AdjCSR can tell whether it still describes the graph.
+	version uint64
 }
 
 // New returns an empty graph on n nodes.
@@ -69,6 +72,7 @@ func (g *Graph) AddEdge(u, v NodeID, latency int) (int, error) {
 		}
 	}
 	id := len(g.edges)
+	g.version++
 	g.edges = append(g.edges, Edge{U: u, V: v, Latency: latency})
 	g.adj[u] = append(g.adj[u], HalfEdge{To: v, Latency: latency, ID: id})
 	g.adj[v] = append(g.adj[v], HalfEdge{To: u, Latency: latency, ID: id})
@@ -113,6 +117,7 @@ func (g *Graph) SetLatency(id, latency int) error {
 	if latency < 1 {
 		return fmt.Errorf("graph: latency %d < 1", latency)
 	}
+	g.version++
 	e := &g.edges[id]
 	e.Latency = latency
 	for i := range g.adj[e.U] {
@@ -127,6 +132,11 @@ func (g *Graph) SetLatency(id, latency int) error {
 	}
 	return nil
 }
+
+// Version returns the graph's mutation count. It changes on every AddEdge
+// and SetLatency, so a view built at one version is current exactly while
+// Version still returns it.
+func (g *Graph) Version() uint64 { return g.version }
 
 // Neighbors returns u's incident half-edges in insertion order. The caller
 // must not modify the returned slice.

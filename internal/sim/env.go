@@ -61,38 +61,35 @@ func (e *nodeEnv) Initiate(idx int, payload Payload) (uint64, error) {
 	if e.node.initiated {
 		return 0, fmt.Errorf("sim: node %d already initiated in round %d", e.node.id, e.nw.round)
 	}
-	hes := e.nw.g.Neighbors(e.node.id)
-	if idx < 0 || idx >= len(hes) {
-		return 0, fmt.Errorf("sim: node %d edge index %d out of range [0,%d)", e.node.id, idx, len(hes))
+	nw := e.nw
+	row := nw.topology().Row(e.node.id)
+	if idx < 0 || idx >= len(row) {
+		return 0, fmt.Errorf("sim: node %d edge index %d out of range [0,%d)", e.node.id, idx, len(row))
 	}
 	e.node.initiated = true
-	he := hes[idx]
-	nw := e.nw
+	he := &row[idx]
 	nw.nextExch++
-	reqDelay := (he.Latency + 1) / 2
+	reqDelay := int(he.Lat+1) / 2
 	if nw.cfg.FullRTTDelivery {
-		reqDelay = he.Latency
+		reqDelay = int(he.Lat)
 	}
 	ev := nw.getEvent()
-	*ev = event{
-		kind:        evRequest,
-		from:        e.node.id,
-		to:          he.To,
-		edgeID:      he.ID,
-		toIdx:       nw.peerIdx[nw.nodeOff[e.node.id]+int32(idx)],
-		backIdx:     int32(idx),
-		payload:     payload,
-		initiatedAt: nw.round,
-		latency:     he.Latency,
-		exchangeID:  nw.nextExch,
-	}
+	ev.kind = evRequest
+	ev.from = int32(e.node.id)
+	ev.to = he.To
+	ev.edgeID = he.ID
+	ev.toIdx = he.Peer
+	ev.backIdx = int32(idx)
+	ev.latency = he.Lat
+	ev.initiatedAt = int32(nw.round)
+	ev.payload = payload
 	nw.schedule(nw.round+reqDelay, ev)
 	nw.metrics.Requests++
 	nw.metrics.EdgeActivations++
 	nw.loads[e.node.id].Initiated++
 	nw.metrics.Bytes += PayloadSize(payload)
 	if nw.cfg.Trace != nil {
-		nw.cfg.Trace(TraceEvent{Kind: TraceInitiate, Round: nw.round, From: e.node.id, To: he.To, EdgeID: he.ID, Latency: he.Latency})
+		nw.cfg.Trace(TraceEvent{Kind: TraceInitiate, Round: nw.round, From: e.node.id, To: int(he.To), EdgeID: int(he.ID), Latency: int(he.Lat)})
 	}
 	return nw.nextExch, nil
 }

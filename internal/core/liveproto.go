@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -14,73 +14,109 @@ import (
 
 // This file adapts the protocol state machines to the live wall-clock
 // runtime: live.Protocol descriptors (handler factory + local completion
-// goal) and the wire codecs the TCP transport needs to ship their payloads
-// between processes. The handlers themselves are untouched — the same state
-// machines run under both engines.
+// goal) and the wire codecs the stream transports need to ship their
+// payloads between processes. The handlers themselves are untouched — the
+// same state machines run under both engines.
 
-// Preallocated one-byte bit-payload encodings: encoders return them by
-// reference, so the hot path allocates nothing. The transport treats
-// payload bytes as read-only (see live.DecodeBit).
 var (
-	bitFalse = []byte{'0'}
-	bitTrue  = []byte{'1'}
+	_ live.WirePayload = bitPayload{}
+	_ live.WirePayload = rumorPayload{}
 )
 
 func init() {
-	// bitPayload crosses the wire as a single byte. It is by far the
-	// hottest payload (every push-pull exchange carries two), so it skips
-	// the JSON machinery entirely.
-	live.RegisterPayload("core.bit",
-		func(p sim.Payload) ([]byte, bool) {
-			b, ok := p.(bitPayload)
-			if !ok {
-				return nil, false
-			}
-			if b.informed {
-				return bitTrue, true
-			}
-			return bitFalse, true
-		},
-		func(data []byte) (sim.Payload, error) {
-			informed, err := live.DecodeBit(data)
-			if err != nil {
-				return nil, fmt.Errorf("core: bit payload: %w", err)
-			}
-			return bitPayload{informed: informed}, nil
-		})
+	live.RegisterPayload(bitPayload{}.WireType(), decodeBit)
+	live.RegisterPayload(rumorPayload{}.WireType(), decodeRumors)
+}
 
-	// rumorPayload (the knowledge snapshot RR Broadcast and EID ship)
-	// crosses the wire as capacity + member list.
-	type wireRumors struct {
-		N   int   `json:"n"`
-		Set []int `json:"s"`
+// WireType implements live.WirePayload.
+func (bitPayload) WireType() string { return "core.bit" }
+
+// AppendWire implements live.WirePayload. bitPayload is by far the hottest
+// payload (every push-pull exchange carries two), so it crosses the wire as
+// one byte: ASCII '0' or '1'.
+func (p bitPayload) AppendWire(dst []byte) []byte {
+	if p.informed {
+		return append(dst, '1')
 	}
-	live.RegisterPayload("core.rumors",
-		func(p sim.Payload) ([]byte, bool) {
-			rp, ok := p.(rumorPayload)
-			if !ok || rp.set == nil {
-				return nil, false
-			}
-			data, err := json.Marshal(wireRumors{N: rp.set.Cap(), Set: rp.set.Slice()})
-			if err != nil {
-				return nil, false
-			}
-			return data, true
-		},
-		func(data []byte) (sim.Payload, error) {
-			var w wireRumors
-			if err := json.Unmarshal(data, &w); err != nil {
-				return nil, fmt.Errorf("core: rumor payload: %w", err)
-			}
-			set := bitset.New(w.N)
-			for _, i := range w.Set {
-				if i < 0 || i >= w.N {
-					return nil, fmt.Errorf("core: rumor payload member %d out of range [0,%d)", i, w.N)
-				}
-				set.Add(i)
-			}
-			return rumorPayload{set: set}, nil
-		})
+	return append(dst, '0')
+}
+
+// decodeBit parses a bit payload: '0' or '1', nothing else.
+func decodeBit(data []byte) (sim.Payload, error) {
+	if len(data) == 1 && (data[0] == '0' || data[0] == '1') {
+		return bitPayload{informed: data[0] == '1'}, nil
+	}
+	return nil, fmt.Errorf("core: malformed bit payload %q", data)
+}
+
+// maxWireRumors bounds the capacity a decoded rumor set may claim: the
+// member count of a full set whose one-byte gaps fill a 4 MiB frame body,
+// the live wire's limit. A forged capacity costs the receiver at most a
+// 512 KiB bitset, never an arbitrary allocation.
+const maxWireRumors = 1 << 22
+
+// WireType implements live.WirePayload.
+func (rumorPayload) WireType() string { return "core.rumors" }
+
+// AppendWire implements live.WirePayload. A rumor set (the knowledge
+// snapshot RR Broadcast and EID ship) crosses the wire as uvarints: its
+// capacity, its member count, then each member as its gap from the previous
+// one minus one (the first member's gap counts from -1). A gap is at most its
+// member and a uvarint is never longer than the decimal digits it replaces,
+// so this is never longer than a JSON member list.
+func (p rumorPayload) AppendWire(dst []byte) []byte {
+	if p.set == nil {
+		return append(dst, 0, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(p.set.Cap()))
+	dst = binary.AppendUvarint(dst, uint64(p.set.Count()))
+	prev := -1
+	p.set.ForEach(func(i int) bool {
+		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
+		prev = i
+		return true
+	})
+	return dst
+}
+
+// decodeRumors parses a rumor payload, rejecting a capacity past
+// maxWireRumors, a member count the bytes cannot hold, a member past the
+// capacity and trailing bytes.
+func decodeRumors(data []byte) (sim.Payload, error) {
+	bad := func(format string, args ...any) (sim.Payload, error) {
+		return nil, fmt.Errorf("core: rumor payload: "+format, args...)
+	}
+	n, k := binary.Uvarint(data)
+	if k <= 0 {
+		return bad("truncated capacity")
+	}
+	if n > maxWireRumors {
+		return bad("capacity %d exceeds %d", n, maxWireRumors)
+	}
+	data = data[k:]
+	count, k := binary.Uvarint(data)
+	data = data[max(k, 0):]
+	if k <= 0 || count > n || count > uint64(len(data)) { // a gap costs >= 1 byte
+		return bad("member count does not fit capacity %d and %d bytes", n, len(data))
+	}
+	set := bitset.New(int(n))
+	prev := -1
+	for ; count > 0; count-- {
+		gap, k := binary.Uvarint(data)
+		if k <= 0 {
+			return bad("truncated member list")
+		}
+		if gap >= n-uint64(prev+1) {
+			return bad("member past capacity %d", n)
+		}
+		prev += 1 + int(gap)
+		set.Add(prev)
+		data = data[k:]
+	}
+	if len(data) > 0 {
+		return bad("%d trailing bytes", len(data))
+	}
+	return rumorPayload{set: set}, nil
 }
 
 // broadcastProto is the live.Protocol shape shared by the single-source

@@ -9,8 +9,8 @@ import (
 // BenchmarkLiveTCPCodec isolates the codec with no sockets: one encode+decode
 // round trip of a push-pull frame per iteration.
 func BenchmarkLiveTCPCodec(b *testing.B) {
-	w := wireMessage{Kind: 1, From: 0, To: 1, EdgeID: 1, Latency: 1, SentTick: 1,
-		PayloadType: "live_test.bit", Payload: []byte(`true`)}
+	w := []wireMessage{{Kind: 1, From: 0, To: 1, EdgeID: 1, Latency: 1, SentTick: 1,
+		Payload: bitp{informed: true}}}
 	b.Run("binary", func(b *testing.B) {
 		var enc wireEnc
 		var dec wireDec
@@ -19,11 +19,11 @@ func BenchmarkLiveTCPCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.SentTick++
-			r.buf = enc.appendFrame(r.buf[:0], &w, 0)
+			w[0].SentTick++
+			r.buf, _ = enc.appendBatchFrame(r.buf[:0], w, 0)
 			r.off = 0
 			br.Reset(r)
-			if _, _, _, err := dec.readFrameMulti(br); err != nil {
+			if _, _, err := dec.readFrameMulti(br); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -294,7 +294,7 @@ func TestFabricBrokenConnCountsUnacked(t *testing.T) {
 				br := bufio.NewReader(c)
 				decoded := 0
 				for {
-					_, msgs, _, err := dec.readFrameMulti(br)
+					_, msgs, err := dec.readFrameMulti(br)
 					if err != nil {
 						return
 					}
@@ -305,7 +305,7 @@ func TestFabricBrokenConnCountsUnacked(t *testing.T) {
 						continue
 					}
 					if decoded += len(msgs); decoded >= n {
-						c.Write(new(wireEnc).appendFrame(nil, nil, k))
+						c.Write(appendAckFrame(nil, k))
 						return
 					}
 				}
@@ -754,12 +754,12 @@ func wirePeer(t *testing.T, fabric string) (addr string, got <-chan wireMessage)
 		var dec wireDec
 		br := bufio.NewReader(c)
 		for {
-			_, msgs, _, err := dec.readFrameMulti(br)
+			_, msgs, err := dec.readFrameMulti(br)
 			if err != nil {
 				return
 			}
 			for _, m := range msgs {
-				m.PayloadType, m.Payload = "", nil
+				m.typ, m.data = nil, nil
 				ch <- m
 			}
 		}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -14,37 +15,28 @@ import (
 // resolution noise doesn't distort round alignment under -race.
 const testTick = 500 * time.Microsecond
 
-// bitp is the test payload: one informed bit, like core's bitPayload.
+// bitp is the test payload: one informed bit, like core's bitPayload, with
+// the same one-byte encoding so the benchmarks measure the same wire cost as
+// the real protocols.
 type bitp struct{ informed bool }
 
-func (bitp) SizeBytes() int { return 1 }
+func (bitp) SizeBytes() int   { return 1 }
+func (bitp) WireType() string { return "live_test.bit" }
 
-// Preallocated one-byte encodings, mirroring core's bit payload codec so the
-// benchmarks measure the same wire cost as the real protocols.
-var (
-	testBitFalse = []byte{'0'}
-	testBitTrue  = []byte{'1'}
-)
+func (p bitp) AppendWire(dst []byte) []byte {
+	if p.informed {
+		return append(dst, '1')
+	}
+	return append(dst, '0')
+}
 
 func init() {
-	RegisterPayload("live_test.bit",
-		func(p sim.Payload) ([]byte, bool) {
-			b, ok := p.(bitp)
-			if !ok {
-				return nil, false
-			}
-			if b.informed {
-				return testBitTrue, true
-			}
-			return testBitFalse, true
-		},
-		func(data []byte) (sim.Payload, error) {
-			informed, err := DecodeBit(data)
-			if err != nil {
-				return nil, err
-			}
-			return bitp{informed: informed}, nil
-		})
+	RegisterPayload(bitp{}.WireType(), func(data []byte) (sim.Payload, error) {
+		if len(data) == 1 && (data[0] == '0' || data[0] == '1') {
+			return bitp{informed: data[0] == '1'}, nil
+		}
+		return nil, fmt.Errorf("live_test: malformed bit payload %q", data)
+	})
 }
 
 // ppNode is a minimal push-pull handler (mirrors core's, which is not
@@ -265,46 +257,29 @@ func TestRunRequiresSink(t *testing.T) {
 	}
 }
 
+// TestCodecRoundTrip checks the payload codec seam: a registered type's
+// decoder rebuilds what its AppendWire wrote, an unregistered name resolves
+// to a decoder that fails, and Send refuses a payload that does not encode
+// itself while a nil payload goes.
 func TestCodecRoundTrip(t *testing.T) {
-	name, data, err := encodePayload(bitp{informed: true})
-	if err != nil || name != "live_test.bit" {
-		t.Fatalf("encode: name=%q err=%v", name, err)
-	}
-	p, err := decodePayload(name, data)
+	p := bitp{informed: true}
+	typ := lookupType(p.WireType())
+	got, err := typ.dec(p.AppendWire(nil))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if b, ok := p.(bitp); !ok || !b.informed {
-		t.Fatalf("round trip lost the payload: %#v", p)
+	if b, ok := got.(bitp); !ok || !b.informed {
+		t.Fatalf("round trip lost the payload: %#v", got)
 	}
-	// nil payloads travel as the empty name.
-	name, data, err = encodePayload(nil)
-	if err != nil || name != "" || data != nil {
-		t.Fatalf("nil encode: %q %v %v", name, data, err)
-	}
-	if p, err := decodePayload("", nil); err != nil || p != nil {
-		t.Fatalf("nil decode: %v %v", p, err)
-	}
-	if _, _, err := encodePayload(struct{ x int }{}); err == nil {
-		t.Fatal("want error for unregistered payload type")
-	}
-	if _, err := decodePayload("no-such-codec", nil); err == nil {
+	if _, err := lookupType("no-such-codec").dec(nil); err == nil {
 		t.Fatal("want error for unknown wire name")
 	}
-}
-
-// TestDecodeBit pins the bit payload's one-byte encoding: '0' and '1'
-// decode, anything else — the JSON bools included — is malformed.
-func TestDecodeBit(t *testing.T) {
-	for in, want := range map[string]bool{"0": false, "1": true} {
-		if got, err := DecodeBit([]byte(in)); err != nil || got != want {
-			t.Errorf("DecodeBit(%q) = %v, %v; want %v", in, got, err, want)
-		}
+	a, _ := tcpPair(t)
+	if err := a.Send(Message{To: 1, Payload: struct{ x int }{}}, 0); err == nil {
+		t.Fatal("want error for a payload that does not encode itself")
 	}
-	for _, in := range []string{"true", "false", "", "2", "01", "1\n"} {
-		if _, err := DecodeBit([]byte(in)); err == nil {
-			t.Errorf("DecodeBit(%q) accepted", in)
-		}
+	if err := a.Send(Message{To: 1}, 0); err != nil {
+		t.Fatalf("nil payload: %v", err)
 	}
 }
 

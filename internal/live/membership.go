@@ -18,11 +18,6 @@ import (
 // peer list instead of trusting the static roster, and the runtime's
 // completion check counts only members currently believed alive.
 
-// MemberPayloadType is the interned wire name of membership packets: the
-// first frame on a connection carrying one pays for the name, every later
-// frame references it with a single byte.
-const MemberPayloadType = "member.packet"
-
 // PeerStatusSink is implemented by transports that react to membership
 // verdicts: the runtime forwards every local detector's view transitions to
 // the transport, so sends toward an address whose every node the cluster
@@ -34,23 +29,11 @@ type PeerStatusSink interface {
 }
 
 func init() {
-	RegisterPayload(MemberPayloadType,
-		func(p sim.Payload) ([]byte, bool) {
-			pkt, ok := p.(member.Packet)
-			if !ok {
-				return nil, false
-			}
-			return pkt.AppendBinary(nil), true
-		},
-		func(data []byte) (sim.Payload, error) {
-			// DecodePacket builds fresh slices, so nothing aliases the
-			// transport's reused frame buffer.
-			pkt, err := member.DecodePacket(data)
-			if err != nil {
-				return nil, err
-			}
-			return pkt, nil
-		})
+	// DecodePacket builds fresh slices, so nothing aliases the transport's
+	// reused frame buffer.
+	RegisterPayload(member.Packet{}.WireType(), func(data []byte) (sim.Payload, error) {
+		return member.DecodePacket(data)
+	})
 }
 
 // MembershipConfig enables SWIM-style dynamic membership for a live run.

@@ -252,9 +252,9 @@ func TestRouteOutOfRangeIDsDropped(t *testing.T) {
 		{16, 9}, {1 << 40, 9}, {math.MaxInt64, 9}, {-1, 9}, {math.MinInt64, 9},
 	}
 	for i, ft := range bad {
-		w := wireMessage{Kind: uint8(MsgRequest), From: ft.from, To: ft.to, EdgeID: edge, Latency: 1, SentTick: i + 1}
-		w.PayloadType, w.Payload, _ = encodePayload(bitp{informed: true})
-		if _, err := c.Write(enc.appendFrame(nil, &w, 0)); err != nil {
+		w := wireMessage{Kind: uint8(MsgRequest), From: ft.from, To: ft.to, EdgeID: edge, Latency: 1, SentTick: i + 1,
+			Payload: bitp{informed: true}}
+		if _, err := c.Write(frameOf(&enc, nil, w, 0)); err != nil {
 			t.Fatalf("frame %d (from %d, to %d): %v", i, ft.from, ft.to, err)
 		}
 		if !pollUntil(5*time.Second, func() bool { return b.dropsMisroute.Load() == int64(i+1) }) {
@@ -269,7 +269,7 @@ func TestRouteOutOfRangeIDsDropped(t *testing.T) {
 	br, acked := bufio.NewReader(c), uint64(0)
 	var dec wireDec
 	for acked < uint64(len(bad)) {
-		ack, _, _, err := dec.readFrameMulti(br)
+		ack, _, err := dec.readFrameMulti(br)
 		if err != nil {
 			t.Fatalf("connection lost after %d acked: %v", acked, err)
 		}

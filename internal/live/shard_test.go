@@ -617,8 +617,8 @@ func TestShardForgedFromDropped(t *testing.T) {
 			edge = he.ID
 		}
 	}
-	forged := wireMessage{Kind: uint8(MsgRequest), From: int(u), To: int(v), EdgeID: edge, Latency: 1, SentTick: 1}
-	forged.PayloadType, forged.Payload, _ = encodePayload(bitp{informed: true})
+	forged := wireMessage{Kind: uint8(MsgRequest), From: int(u), To: int(v), EdgeID: edge, Latency: 1, SentTick: 1,
+		Payload: bitp{informed: true}}
 	if !pollUntil(5*time.Second, func() bool { return b.sink.Load() != nil }) {
 		t.Fatal("runtime never attached its sink")
 	}
@@ -627,7 +627,7 @@ func TestShardForgedFromDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write(new(wireEnc).appendFrame(nil, &forged, 0)); err != nil {
+	if _, err := c.Write(frameOf(new(wireEnc), nil, forged, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if !pollUntil(5*time.Second, func() bool { return b.dropsMisroute.Load() == 1 }) {

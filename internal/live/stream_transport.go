@@ -16,20 +16,25 @@ import (
 	"gossip/internal/sim"
 )
 
-// wireMessage is one data message as the wire codec (wire.go) encodes it.
-// Payloads travel as (registered type name, raw bytes) pairs — see codec.go.
+// wireMessage is one data message as the wire codec (wire.go) carries it.
 // DelayUS is the delay Send was given, in whole microseconds: the receiver
-// hands it to its sink, whose calendar applies it.
+// hands it to its sink, whose calendar applies it. Outbound, Payload is the
+// sender's payload (nil for none), which encodes itself into the frame when
+// the writer appends it (codec.go). Inbound, typ is the payload type's entry
+// in the connection's intern table (nil for none) and data the encoded
+// payload, aliasing the decoder's frame buffer.
 type wireMessage struct {
-	Kind        uint8
-	From        int
-	To          int
-	EdgeID      int
-	Latency     int
-	SentTick    int
-	DelayUS     uint64
-	PayloadType string
-	Payload     []byte
+	Kind     uint8
+	From     int
+	To       int
+	EdgeID   int
+	Latency  int
+	SentTick int
+	DelayUS  uint64
+	Payload  WirePayload
+
+	typ  *wireType
+	data []byte
 }
 
 // StreamTransport is the transport-family-generic stream core: length-prefixed
@@ -447,15 +452,15 @@ func (t *StreamTransport) Faults() FaultReport {
 }
 
 // Send implements Transport. A local destination goes to the sink (a send
-// it does not take is a misroute drop); a remote one is encoded at once (so
-// codec errors and delays past maxWireDelayUS surface here) and queued with
-// its delay in whole µs, rounded up. A send toward an address membership
-// declared dead (see PeerDown) is refused: a terminal, counted loss, like an
-// injected drop. Membership packets still go: the detector neither probes
-// nor syncs with a member it holds dead, so what it sends there answers a
-// packet it received, and a reply carries the Dead record a recovered peer
-// must refute to be re-admitted.
-// Send never waits for a dial.
+// it does not take is a misroute drop); a remote one is checked at once (a
+// payload that is not a WirePayload, or a delay past maxWireDelayUS, is an
+// error here) and queued with its delay in whole µs, rounded up, for the
+// writer to encode. A send toward an address membership declared dead (see
+// PeerDown) is refused: a terminal, counted loss, like an injected drop.
+// Membership packets still go: the detector neither probes nor syncs with a
+// member it holds dead, so what it sends there answers a packet it received,
+// and a reply carries the Dead record a recovered peer must refute to be
+// re-admitted. Send never waits for a dial.
 func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if t.stopping() {
 		return ErrTransportClosed
@@ -473,24 +478,23 @@ func (t *StreamTransport) Send(msg Message, delay time.Duration) error {
 	if delay > maxWireDelayUS*time.Microsecond {
 		return fmt.Errorf("live: delay %v exceeds the wire limit", delay)
 	}
-	pt, data, err := encodePayload(msg.Payload)
-	if err != nil {
-		return err
+	wp, ok := msg.Payload.(WirePayload)
+	if !ok && msg.Payload != nil {
+		return fmt.Errorf("live: payload type %T does not encode itself for the wire", msg.Payload)
 	}
 	if r.down.Load() && msg.Kind != MsgMember {
 		t.dropsDown.Add(1)
 		return nil
 	}
 	w := wireMessage{
-		Kind:        uint8(msg.Kind),
-		From:        int(msg.From),
-		To:          int(msg.To),
-		EdgeID:      msg.EdgeID,
-		Latency:     msg.Latency,
-		SentTick:    msg.SentTick,
-		DelayUS:     uint64((max(delay, 0) + time.Microsecond - 1) / time.Microsecond),
-		PayloadType: pt,
-		Payload:     data,
+		Kind:     uint8(msg.Kind),
+		From:     int(msg.From),
+		To:       int(msg.To),
+		EdgeID:   msg.EdgeID,
+		Latency:  msg.Latency,
+		SentTick: msg.SentTick,
+		DelayUS:  uint64((max(delay, 0) + time.Microsecond - 1) / time.Microsecond),
+		Payload:  wp,
 	}
 	t.enqueue(r, &w)
 	return nil
@@ -729,15 +733,6 @@ type connState struct {
 	bw  *bufio.Writer
 	enc wireEnc
 	buf []byte
-
-	// Read-loop-owned one-entry payload-decoder memo. The PayloadType
-	// strings a connection delivers come from its decoder's intern table, so
-	// consecutive messages of the same type share the exact string value and
-	// the equality test hits its pointer fast path — the codec registry's
-	// atomic load and map lookup are paid once per type switch, not per
-	// message.
-	decName string
-	decFn   PayloadDecoder
 }
 
 // chunkFrames is the per-chunk capacity of the writer queue, deliberately
@@ -787,23 +782,6 @@ func flattenChunks(head *msgChunk) []wireMessage {
 		c = next
 	}
 	return out
-}
-
-// decodePayload is the registry's decodePayload through the connection's
-// memo. Only the connection's read loop may call it.
-func (cs *connState) decodePayload(name string, data []byte) (sim.Payload, error) {
-	if name == "" {
-		return nil, nil
-	}
-	if name == cs.decName {
-		return cs.decFn(data)
-	}
-	dec, ok := codecState.Load().decoders[name]
-	if !ok {
-		return nil, fmt.Errorf("live: unknown wire payload type %q", name)
-	}
-	cs.decName, cs.decFn = name, dec
-	return dec(data)
 }
 
 // countingWriter counts bytes and socket write batches for WireBytesOut and
@@ -1069,16 +1047,6 @@ func (cs *connState) settle(lostTo *atomic.Int64) {
 	lostTo.Add(lost)
 }
 
-// batchMsgBytes estimates one sub-message's encoded footprint for splitting
-// an aggregation drain into super-frames: the payload plus a generous field
-// allowance, so a full chunk of maxBatchMsgs stays well under maxWireBody.
-func batchMsgBytes(w *wireMessage) int {
-	return 32 + len(w.Payload) + len(w.PayloadType)
-}
-
-// maxBatchBytes bounds the estimated bytes one super-frame aggregates.
-const maxBatchBytes = 1 << 20
-
 // writeCycle writes one taken chain: each chunk coalesces into FrameBatch
 // super-frames, the ack owed rides the first frame (or an ack-only frame when
 // there is no data), and one flush ends the cycle. Only once the flush
@@ -1094,28 +1062,22 @@ func (t *StreamTransport) writeCycle(cs *connState, chain *msgChunk) (int, error
 	n := 0
 	for c := chain; c != nil; c = c.next {
 		buf := cs.buf[:0]
-		data := c.msgs[:c.n]
-		for start := 0; start < len(data); {
-			end := start + 1
-			size := batchMsgBytes(&data[start])
-			for end < len(data) && end-start < maxBatchMsgs && size < maxBatchBytes {
-				size += batchMsgBytes(&data[end])
-				end++
-			}
-			buf = cs.enc.appendBatchFrame(buf, data[start:end], pendingAck)
+		for data := c.msgs[:c.n]; len(data) > 0; {
+			var k int
+			buf, k = cs.enc.appendBatchFrame(buf, data, pendingAck)
+			data = data[k:]
 			pendingAck = 0
 			cs.countFrames(1)
-			start = end
 		}
-		t.msgsOut.Add(int64(len(data)))
-		n += len(data)
+		t.msgsOut.Add(int64(c.n))
+		n += c.n
 		cs.buf = buf
 		if _, err := cs.bw.Write(buf); err != nil {
 			return n, err
 		}
 	}
 	if pendingAck != 0 {
-		cs.buf = cs.enc.appendFrame(cs.buf[:0], nil, pendingAck)
+		cs.buf = appendAckFrame(cs.buf[:0], pendingAck)
 		cs.countFrames(1)
 		if _, err := cs.bw.Write(cs.buf); err != nil {
 			return n, err
@@ -1186,8 +1148,8 @@ func (t *StreamTransport) writeLoop(cs *connState) {
 func (cs *connState) finish() {
 	if ack := cs.recvd.Load(); ack != cs.ackSent {
 		cs.countFrames(1)
-		cs.bw.Write(cs.enc.appendFrame(cs.buf[:0], nil, uint64(ack))) // a failed write surfaces in Flush
-		_ = cs.bw.Flush()                                             // best effort: the stream closes either way
+		cs.bw.Write(appendAckFrame(cs.buf[:0], uint64(ack))) // a failed write surfaces in Flush
+		_ = cs.bw.Flush()                                    // best effort: the stream closes either way
 	}
 	if hc, ok := cs.c.(interface{ CloseWrite() error }); ok {
 		hc.CloseWrite()
@@ -1233,7 +1195,7 @@ func (t *StreamTransport) readLoop(cs *connState) {
 	br := bufio.NewReaderSize(cs.c, 32<<10)
 	var dec wireDec
 	for {
-		ack, msgs, _, err := dec.readFrameMulti(br)
+		ack, msgs, err := dec.readFrameMulti(br)
 		if err != nil {
 			if errors.Is(err, errMalformedFrame) {
 				t.dropsDecode.Add(1) // corrupt frame; io errors are teardown
@@ -1259,14 +1221,13 @@ func (t *StreamTransport) readLoop(cs *connState) {
 		cs.recvd.Add(int64(len(msgs)))
 		cs.wake()
 		for i := range msgs {
-			t.deliverData(cs, &msgs[i])
+			t.deliverData(&msgs[i])
 		}
 	}
 }
 
 // deliverData decodes and routes one logical data message.
-// cs is the connection it arrived on, whose read loop owns the decoder memo.
-func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) {
+func (t *StreamTransport) deliverData(w *wireMessage) {
 	if !t.Hosts(w.To) || t.Hosts(w.From) {
 		// Misrouted (not hosted here), or forged: a node hosted here never
 		// reaches this transport over the wire, and the sink takes a hosted
@@ -1274,10 +1235,13 @@ func (t *StreamTransport) deliverData(cs *connState, w *wireMessage) {
 		t.dropsMisroute.Add(1)
 		return
 	}
-	payload, err := cs.decodePayload(w.PayloadType, w.Payload)
-	if err != nil {
-		t.dropsDecode.Add(1)
-		return
+	var payload sim.Payload
+	if w.typ != nil {
+		var err error
+		if payload, err = w.typ.dec(w.data); err != nil {
+			t.dropsDecode.Add(1)
+			return
+		}
 	}
 	msg := Message{
 		Kind:     MsgKind(w.Kind),

@@ -14,13 +14,63 @@ import (
 	"gossip/internal/graph"
 )
 
-// encodeFrames is a test helper running appendFrame through one encoder.
+// rawp is a codec test payload that carries its wire type name and bytes
+// verbatim, so a test can put any (type, bytes) pair on the wire.
+type rawp struct {
+	typ  string
+	data []byte
+}
+
+func (p rawp) WireType() string             { return p.typ }
+func (p rawp) AppendWire(dst []byte) []byte { return append(dst, p.data...) }
+
+// frameOf appends w to dst as a batch of one through enc: the frame a
+// writer emits for a lone message.
+func frameOf(enc *wireEnc, dst []byte, w wireMessage, ack uint64) []byte {
+	dst, _ = enc.appendBatchFrame(dst, []wireMessage{w}, ack)
+	return dst
+}
+
+// encodeFrames is a test helper encoding each message as its own frame
+// through one encoder.
 func encodeFrames(e *wireEnc, frames []wireMessage) []byte {
 	var out []byte
-	for i := range frames {
-		out = e.appendFrame(out, &frames[i], 0)
+	for _, w := range frames {
+		out = frameOf(e, out, w, 0)
 	}
 	return out
+}
+
+// wireForm returns a message's payload type name and bytes as the sender
+// appends them (outbound) or the decoder read them (inbound).
+func wireForm(w wireMessage) (string, []byte) {
+	switch {
+	case w.typ != nil:
+		return w.typ.name, w.data
+	case w.Payload != nil:
+		return w.Payload.WireType(), w.Payload.AppendWire(nil)
+	}
+	return "", nil
+}
+
+// sameMsg reports whether got carries want's fields and payload bytes.
+func sameMsg(got, want wireMessage) bool {
+	gt, gd := wireForm(got)
+	wt, wd := wireForm(want)
+	return got.Kind == want.Kind && got.From == want.From && got.To == want.To &&
+		got.EdgeID == want.EdgeID && got.Latency == want.Latency &&
+		got.SentTick == want.SentTick && got.DelayUS == want.DelayUS &&
+		gt == wt && bytes.Equal(gd, wd)
+}
+
+// outbound copies a decoded message into the form a sender queues, its
+// payload a rawp copied out of the decoder's buffers.
+func outbound(w wireMessage) wireMessage {
+	if w.typ != nil {
+		w.Payload = rawp{w.typ.name, bytes.Clone(w.data)}
+	}
+	w.typ, w.data = nil, nil
+	return w
 }
 
 // TestWireFrameRoundTrip encodes a table of messages and decodes them back,
@@ -30,11 +80,13 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	msgs := []wireMessage{
 		{Kind: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 0},
 		{Kind: 2, From: 255, To: 256, EdgeID: 12345, Latency: 7, SentTick: 99,
-			DelayUS: 3500, PayloadType: "live_test.bit", Payload: []byte(`true`)},
+			DelayUS: 3500, Payload: rawp{"live_test.bit", []byte(`true`)}},
 		{Kind: 0xFF, From: -1, To: -7, EdgeID: -3, Latency: -100, SentTick: -1 << 30,
 			DelayUS: maxWireDelayUS},
 		{Kind: 1, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 7,
-			PayloadType: "live_test.bit", Payload: []byte(`false`)},
+			Payload: rawp{"live_test.bit", []byte(`false`)}},
+		{Kind: 1, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 8,
+			Payload: rawp{"live_test.bit", bytes.Repeat([]byte{'x'}, 300)}}, // two-byte length
 	}
 	var enc wireEnc
 	wire := encodeFrames(&enc, msgs)
@@ -42,22 +94,18 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
 	for i, want := range msgs {
-		ack, msgs, _, err := dec.readFrameMulti(br)
+		ack, msgs, err := dec.readFrameMulti(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if len(msgs) != 1 || ack != 0 {
 			t.Fatalf("frame %d: %d messages, ack=%d", i, len(msgs), ack)
 		}
-		got := msgs[0]
-		if got.Kind != want.Kind || got.From != want.From ||
-			got.To != want.To || got.EdgeID != want.EdgeID || got.Latency != want.Latency ||
-			got.SentTick != want.SentTick || got.DelayUS != want.DelayUS ||
-			got.PayloadType != want.PayloadType || !bytes.Equal(got.Payload, want.Payload) {
+		if got := msgs[0]; !sameMsg(got, want) {
 			t.Errorf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, _, _, err := dec.readFrameMulti(br); err == nil {
+	if _, _, err := dec.readFrameMulti(br); err == nil {
 		t.Error("expected EOF after last frame")
 	}
 }
@@ -67,26 +115,26 @@ func TestWireFrameRoundTrip(t *testing.T) {
 // so repeat frames are strictly smaller.
 func TestWirePayloadTypeInterning(t *testing.T) {
 	m := wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
-		PayloadType: "core.rumors", Payload: []byte(`{"n":4,"s":"0a"}`)}
+		Payload: rawp{"core.rumors", []byte{4, 2, 0, 2}}}
 	var enc wireEnc
-	first := enc.appendFrame(nil, &m, 0)
-	second := enc.appendFrame(nil, &m, 0)
+	first := frameOf(&enc, nil, m, 0)
+	second := frameOf(&enc, nil, m, 0)
 	if len(second) >= len(first) {
 		t.Errorf("interned frame is %dB, first was %dB — expected smaller", len(second), len(first))
 	}
-	if want := len(first) - len(m.PayloadType) - 1; len(second) != want {
+	if want := len(first) - len(m.Payload.WireType()) - 1; len(second) != want {
 		// Reference costs 1 byte where the define cost 1 + nameLen(1) + name.
 		t.Errorf("interned frame is %dB, want %dB", len(second), want)
 	}
 	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), first...), second...)))
 	var dec wireDec
 	for i := 0; i < 2; i++ {
-		_, msgs, _, err := dec.readFrameMulti(br)
+		_, msgs, err := dec.readFrameMulti(br)
 		if err != nil || len(msgs) != 1 {
 			t.Fatalf("frame %d: %d messages, err %v", i, len(msgs), err)
 		}
-		if msgs[0].PayloadType != m.PayloadType {
-			t.Errorf("frame %d: PayloadType %q", i, msgs[0].PayloadType)
+		if !sameMsg(msgs[0], m) {
+			t.Errorf("frame %d: got %+v want %+v", i, msgs[0], m)
 		}
 	}
 }
@@ -96,11 +144,10 @@ func TestWirePayloadTypeInterning(t *testing.T) {
 // decodes as 0.
 func TestWireAckBatch(t *testing.T) {
 	const ack = 1000000
-	var enc wireEnc
-	ackOnly := enc.appendFrame(nil, nil, ack)
+	ackOnly := appendAckFrame(nil, ack)
 	m := wireMessage{Kind: 2, From: 1, To: 0, EdgeID: 2, Latency: 3, SentTick: 6}
-	withData := enc.appendFrame(nil, &m, ack)
-	without := new(wireEnc).appendFrame(nil, &m, 0)
+	withData := frameOf(new(wireEnc), nil, m, ack)
+	without := frameOf(new(wireEnc), nil, m, 0)
 
 	for _, tc := range []struct {
 		name    string
@@ -112,7 +159,7 @@ func TestWireAckBatch(t *testing.T) {
 		{"piggybacked", withData, ack, true},
 		{"no-ack", without, 0, true},
 	} {
-		gotAck, msgs, _, err := new(wireDec).readFrameMulti(bufio.NewReader(bytes.NewReader(tc.wire)))
+		gotAck, msgs, err := new(wireDec).readFrameMulti(bufio.NewReader(bytes.NewReader(tc.wire)))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -135,31 +182,38 @@ func TestWireAckBatch(t *testing.T) {
 // TestWireMalformedFrames checks the decoder rejects corrupt input with
 // errMalformedFrame (or a version error) instead of misreading it.
 func TestWireMalformedFrames(t *testing.T) {
-	var enc wireEnc
 	m := wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
-		PayloadType: "live_test.bit", Payload: []byte(`true`)}
-	good := enc.appendFrame(nil, &m, 2)
+		Payload: rawp{"live_test.bit", []byte(`true`)}}
+	good := frameOf(new(wireEnc), nil, m, 2)
+	untyped := frameOf(new(wireEnc), nil, wireMessage{Kind: 1}, 0)
+	untyped[len(untyped)-1] = 1 // a payload length after ptype 0
+	untyped = append(untyped, 'x')
+	untyped[1]++
 
 	cases := map[string][]byte{
-		"json leading byte":  []byte(`{"k":1}` + "\n"),
-		"bad version nibble": append([]byte{0x20 | good[0]&^wireVersionMask}, good[1:]...),
-		"truncated body":     good[:len(good)-3],
-		"body length lies":   append([]byte{good[0], byte(len(good))}, good[2:]...),
-		"type ref oob": (&wireEnc{names: map[string]uint64{m.PayloadType: 5}}).
-			appendFrame(nil, &m, 0), // encoder emits a table ref the decoder never saw defined
+		"json leading byte":   []byte(`{"k":1}` + "\n"),
+		"bad version nibble":  append([]byte{0x20 | good[0]&^wireVersionMask}, good[1:]...),
+		"v3 version nibble":   append([]byte{0x30 | good[0]&^wireVersionMask}, good[1:]...),
+		"retired data flag":   append([]byte{good[0] | 0x01}, good[1:]...),
+		"truncated body":      good[:len(good)-3],
+		"body length lies":    append([]byte{good[0], byte(len(good))}, good[2:]...),
+		"untyped payload":     untyped,
+		"ack-only with extra": append(appendAckFrame(nil, 1)[:1], 2, 1, 0),
+		// The encoder emits a table ref the decoder never saw defined.
+		"type ref oob": frameOf(&wireEnc{names: map[string]uint64{m.Payload.WireType(): 5}}, nil, m, 0),
 	}
 	for name, wire := range cases {
 		br := bufio.NewReader(bytes.NewReader(wire))
 		var dec wireDec
-		if _, _, _, err := dec.readFrameMulti(br); err == nil {
+		if _, _, err := dec.readFrameMulti(br); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
 	// Specifically: corrupt structure inside a well-framed body must be
 	// errMalformedFrame so the transport counts it as a decode drop.
-	br := bufio.NewReader(bytes.NewReader([]byte{wireVersion | wireFlagData, 1, 0x01}))
+	br := bufio.NewReader(bytes.NewReader([]byte{wireVersion | wireFlagBatch, 1, 0x01}))
 	var dec wireDec
-	if _, _, _, err := dec.readFrameMulti(br); !errors.Is(err, errMalformedFrame) {
+	if _, _, err := dec.readFrameMulti(br); !errors.Is(err, errMalformedFrame) {
 		t.Errorf("truncated data section: err = %v, want errMalformedFrame", err)
 	}
 }
@@ -175,8 +229,8 @@ func TestWireInternTableBounded(t *testing.T) {
 	frame := func(ptype string) {
 		seq++
 		m := wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4,
-			SentTick: int(seq), PayloadType: ptype, Payload: []byte(`true`)}
-		wire = enc.appendFrame(wire, &m, 0)
+			SentTick: int(seq), Payload: rawp{ptype, []byte(`true`)}}
+		wire = frameOf(&enc, wire, m, 0)
 	}
 	for i := 0; i < maxInternedTypes; i++ {
 		frame(fmt.Sprintf("live_test.flood%03d", i))
@@ -186,15 +240,15 @@ func TestWireInternTableBounded(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
 	for i := 0; i < maxInternedTypes; i++ {
-		if _, _, _, err := dec.readFrameMulti(br); err != nil {
+		if _, _, err := dec.readFrameMulti(br); err != nil {
 			t.Fatalf("frame %d (within cap): %v", i, err)
 		}
 	}
-	if _, _, _, err := dec.readFrameMulti(br); !errors.Is(err, errMalformedFrame) {
+	if _, _, err := dec.readFrameMulti(br); !errors.Is(err, errMalformedFrame) {
 		t.Fatalf("define past cap: err = %v, want errMalformedFrame", err)
 	}
-	if len(dec.names) != maxInternedTypes {
-		t.Fatalf("intern table grew to %d entries, cap is %d", len(dec.names), maxInternedTypes)
+	if len(dec.types) != maxInternedTypes {
+		t.Fatalf("intern table grew to %d entries, cap is %d", len(dec.types), maxInternedTypes)
 	}
 
 	// References to already-interned types must keep working at the cap.
@@ -204,30 +258,30 @@ func TestWireInternTableBounded(t *testing.T) {
 	enc2.lastTick = enc.lastTick
 	seq++
 	m := wireMessage{Kind: 1, From: 1, To: 2, EdgeID: 3, Latency: 4,
-		SentTick: int(seq), PayloadType: "live_test.flood000", Payload: []byte(`true`)}
-	wire2 = enc2.appendFrame(wire2, &m, 0)
+		SentTick: int(seq), Payload: rawp{"live_test.flood000", []byte(`true`)}}
+	wire2 = frameOf(&enc2, wire2, m, 0)
 	br2 := bufio.NewReader(bytes.NewReader(wire2))
-	_, msgs, _, err := dec.readFrameMulti(br2)
+	_, msgs, err := dec.readFrameMulti(br2)
 	if err != nil || len(msgs) != 1 {
 		t.Fatalf("reference at cap: %d messages, err %v", len(msgs), err)
 	}
-	if msgs[0].PayloadType != "live_test.flood000" {
-		t.Fatalf("reference at cap resolved to %q", msgs[0].PayloadType)
+	if got := msgs[0].typ.name; got != "live_test.flood000" {
+		t.Fatalf("reference at cap resolved to %q", got)
 	}
 }
 
 // TestTCPWireInterop checks what a transport does with a peer that is not its
-// own writer. The writer only emits FrameBatch frames, but the decoder still
-// accepts a single data frame (flag 0x1): it must be acked with a cumulative
-// count of 1 and delivered once — a batch of one, literally. A peer speaking
-// anything other than this version of the binary framing (a JSON line, a
-// version-1 frame, whose sub-messages lack the delay field, or a version-2
-// frame, whose sub-messages carry a sequence number), or one whose delay is
-// past the wire's limit, is one malformed frame: counted as a decode drop,
-// connection closed, nothing delivered.
+// own writer. A batch of one, built by hand, must be acked with a cumulative
+// count of 1 and delivered once. A peer speaking anything other than this
+// version of the binary framing (a JSON line, a version-1 frame, whose
+// sub-messages lack the delay field, a version-2 frame, whose sub-messages
+// carry a sequence number, or the single data frame, flag 0x1, that version 3
+// still decoded), or one whose delay is past the wire's limit, is one
+// malformed frame: counted as a decode drop, connection closed, nothing
+// delivered.
 func TestTCPWireInterop(t *testing.T) {
-	single := wireMessage{Kind: uint8(MsgRequest), From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3}
-	single.PayloadType, single.Payload, _ = encodePayload(bitp{informed: true})
+	single := wireMessage{Kind: uint8(MsgRequest), From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3,
+		Payload: bitp{informed: true}}
 	// The same message as older peers framed it, without a payload type:
 	// version 1 (header 0x11) with a sequence delta and no delay, version 2
 	// (header 0x21) with both.
@@ -239,21 +293,26 @@ func TestTCPWireInterop(t *testing.T) {
 	v2body := binary.AppendUvarint(append([]byte(nil), v1body...), 0) // delay
 	v1body = append(v1body, 0, 0)                                     // no payload type, empty payload
 	v2body = append(v2body, 0, 0)
-	v1 := append(binary.AppendUvarint([]byte{0x10 | wireFlagData}, uint64(len(v1body))), v1body...)
-	v2 := append(binary.AppendUvarint([]byte{0x20 | wireFlagData}, uint64(len(v2body))), v2body...)
+	v1 := append(binary.AppendUvarint([]byte{0x11}, uint64(len(v1body))), v1body...) // flag 0x1: one data message
+	v2 := append(binary.AppendUvarint([]byte{0x21}, uint64(len(v2body))), v2body...)
 	late := single
 	late.DelayUS = maxWireDelayUS + 1
+	// The v3 single data frame: the batch of one's body without its count,
+	// under flag 0x1.
+	one := frameOf(new(wireEnc), nil, single, 0)
+	v3single := append([]byte{wireVersion | 0x01, one[1] - 1}, one[3:]...)
 	for _, tc := range []struct {
 		name      string
 		wire      []byte
 		wantAck   uint64 // 0: the connection must be closed without an ack
 		wantDrops int64
 	}{
-		{"single-data-frame", new(wireEnc).appendFrame(nil, &single, 0), 1, 0},
+		{"batch-of-one", one, 1, 0},
+		{"single-data-frame", v3single, 0, 1},
 		{"json-first-byte", []byte(`{"k":1,"q":41,"f":0,"t":1}` + "\n"), 0, 1},
 		{"v1-frame", v1, 0, 1},
 		{"v2-frame", v2, 0, 1},
-		{"delay-past-limit", new(wireEnc).appendFrame(nil, &late, 0), 0, 1},
+		{"delay-past-limit", frameOf(new(wireEnc), nil, late, 0), 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, b := tcpPair(t)
@@ -267,7 +326,7 @@ func TestTCPWireInterop(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.SetReadDeadline(time.Now().Add(5 * time.Second))
-			ack, _, _, err := new(wireDec).readFrameMulti(bufio.NewReader(c))
+			ack, _, err := new(wireDec).readFrameMulti(bufio.NewReader(c))
 			if tc.wantAck != 0 {
 				if err != nil || ack != tc.wantAck {
 					t.Fatalf("reply ack = %d, err = %v; want an ack of %d", ack, err, tc.wantAck)

@@ -112,7 +112,7 @@ func BenchmarkMembershipPacketCodec(b *testing.B) {
 	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = p.AppendBinary(buf[:0])
+		buf = p.AppendWire(buf[:0])
 		if _, err := DecodePacket(buf); err != nil {
 			b.Fatal(err)
 		}

@@ -292,7 +292,7 @@ func TestMemberPacketRoundTrip(t *testing.T) {
 				Inc:  uint32(r.Uint64()),
 			})
 		}
-		enc := p.AppendBinary(nil)
+		enc := p.AppendWire(nil)
 		if p.SizeBytes() != len(enc) {
 			t.Fatalf("SizeBytes = %d, encoded length = %d", p.SizeBytes(), len(enc))
 		}
@@ -308,7 +308,7 @@ func TestMemberPacketRoundTrip(t *testing.T) {
 
 func TestMemberPacketMalformed(t *testing.T) {
 	valid := Packet{Kind: PktPing, From: 1, Origin: 1, Subject: 2, Seq: 3,
-		Updates: []Update{{Node: 2, St: Suspect, Inc: 4}}}.AppendBinary(nil)
+		Updates: []Update{{Node: 2, St: Suspect, Inc: 4}}}.AppendWire(nil)
 	if _, err := DecodePacket(valid); err != nil {
 		t.Fatalf("control: valid packet rejected: %v", err)
 	}
@@ -324,11 +324,11 @@ func TestMemberPacketMalformed(t *testing.T) {
 		{"trailing-bytes", append(append([]byte(nil), valid...), 0)},
 		{"bad-state", func() []byte {
 			p := Packet{Kind: PktAck, Updates: []Update{{Node: 1, St: 9, Inc: 0}}}
-			return p.AppendBinary(nil)
+			return p.AppendWire(nil)
 		}()},
 		{"huge-count", func() []byte {
 			// Header then a delta count far past maxPacketUpdates.
-			b := Packet{Kind: PktAck}.AppendBinary(nil)
+			b := Packet{Kind: PktAck}.AppendWire(nil)
 			b = b[:len(b)-1] // drop the zero count
 			return append(b, 0xff, 0xff, 0xff, 0xff, 0x7f)
 		}()},

@@ -62,13 +62,16 @@ type Envelope struct {
 
 // SizeBytes implements the simulator's payload accounting: the encoded
 // length, so live metrics charge membership traffic its real wire cost.
-func (p Packet) SizeBytes() int { return len(p.AppendBinary(nil)) }
+func (p Packet) SizeBytes() int { return len(p.AppendWire(nil)) }
 
-// AppendBinary appends the packet's wire form to dst: a kind byte, the
+// WireType names the packet encoding in the live transports' payload codec.
+func (Packet) WireType() string { return "member.packet" }
+
+// AppendWire appends the packet's wire form to dst: a kind byte, the
 // header fields as uvarints, then the delta count and per-delta
 // (node, state, incarnation) triples. The same varint vocabulary as the
 // live binary wire format, so a packet costs a few bytes plus ~3 per delta.
-func (p Packet) AppendBinary(dst []byte) []byte {
+func (p Packet) AppendWire(dst []byte) []byte {
 	dst = append(dst, byte(p.Kind))
 	dst = binary.AppendUvarint(dst, uint64(p.From))
 	dst = binary.AppendUvarint(dst, uint64(p.Origin))

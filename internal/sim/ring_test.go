@@ -92,6 +92,72 @@ func TestRingGrowthMidRun(t *testing.T) {
 	}
 }
 
+// TestRingGrowthDuringDelivery grows the ring from inside the delivery scan:
+// a response handler initiates over an edge whose latency outgrew the ring,
+// which moves the slot being scanned. The event queued behind that response
+// in the same slot must still be delivered in its round, and every
+// exchange must keep its exact timing.
+func TestRingGrowthDuringDelivery(t *testing.T) {
+	g := graph.New(4)
+	g.MustAddEdge(1, 0, 2)
+	slow := g.MustAddEdge(1, 3, 1)
+	g.MustAddEdge(2, 0, 1)
+	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 500})
+	capBefore := len(nw.ring)
+	lat := 8 * capBefore
+	if err := g.SetLatency(slow, lat); err != nil {
+		t.Fatal(err)
+	}
+	// Node 1's round-r request reaches node 0 in round r+1, and its
+	// response lands in round r+2's slot ahead of node 2's round-(r+1)
+	// request. Past the first lap of the ring, growth moves that slot to a
+	// new index.
+	r := capBefore + 1
+	grower := &initiateOnResponse{echoHandler: echoHandler{initiateAt: r, edgeIdx: 0, payload: "first"}, idx: 1}
+	late := &echoHandler{initiateAt: r + 1, edgeIdx: 0, payload: "late"}
+	hub, far := &echoHandler{}, &echoHandler{}
+	nw.SetHandler(0, hub)
+	nw.SetHandler(1, grower)
+	nw.SetHandler(2, late)
+	nw.SetHandler(3, far)
+	if _, err := nw.Run(func(nw *Network) bool { return len(grower.respRound) == 2 }); err != nil {
+		t.Fatal(err)
+	}
+	if len(nw.ring) <= capBefore {
+		t.Errorf("ring capacity %d did not grow past %d", len(nw.ring), capBefore)
+	}
+	if want := fmt.Sprint([]int{r + 1, r + 2}); fmt.Sprint(hub.reqRound) != want {
+		t.Errorf("hub requests at rounds %v, want %s", hub.reqRound, want)
+	}
+	if want := fmt.Sprint([]int{r + 2}); fmt.Sprint(late.respRound) != want {
+		t.Errorf("node 2's response at rounds %v, want %s", late.respRound, want)
+	}
+	if want := fmt.Sprint([]int{r + 2, r + 2 + lat}); fmt.Sprint(grower.respRound) != want {
+		t.Errorf("node 1's responses at rounds %v, want %s", grower.respRound, want)
+	}
+	if want := fmt.Sprint([]int{r + 2 + (lat+1)/2}); fmt.Sprint(far.reqRound) != want {
+		t.Errorf("slow request delivered at rounds %v, want %s", far.reqRound, want)
+	}
+}
+
+// initiateOnResponse is an echoHandler that initiates once more, over edge
+// idx, from inside its first OnResponse.
+type initiateOnResponse struct {
+	echoHandler
+	idx  int
+	sent bool
+}
+
+func (h *initiateOnResponse) OnResponse(ctx *Context, resp Response) {
+	h.echoHandler.OnResponse(ctx, resp)
+	if !h.sent {
+		h.sent = true
+		if _, err := ctx.Initiate(h.idx, "grow"); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // respRecorder wraps a handler to capture responses with their rounds.
 type respRecorder struct {
 	inner  Handler

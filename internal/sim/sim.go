@@ -465,15 +465,25 @@ func (nw *Network) Run(pred Predicate) (RunResult, error) {
 // response events, possibly delivered in this same round when the remaining
 // delay is zero) and response arrivals. Zero-delay responses are appended to
 // the current slot during the scan and flushed by the same loop, preserving
-// the old map-based engine's event order exactly. The slot is re-read every
-// iteration because a handler callback may grow either the slot (zero-delay
-// response) or the whole ring (an Initiate that outgrows it).
+// the old map-based engine's event order exactly. A handler callback may grow
+// the slot (a zero-delay response) or the whole ring (an Initiate that
+// outgrows it, which moves the slot), so the scan re-reads the slot when it
+// reaches the end of its copy, and recomputes the slot's index only when the
+// ring changed size. Events below the copy's length never change mid-scan.
 func (nw *Network) deliver() {
 	traced := nw.cfg.Trace != nil
+	size := len(nw.ring)
+	i := nw.round % size
+	slot := nw.ring[i]
 	for k := 0; ; k++ {
-		slot := nw.ring[nw.round%len(nw.ring)]
 		if k >= len(slot) {
-			break
+			if len(nw.ring) != size {
+				size = len(nw.ring)
+				i = nw.round % size
+			}
+			if slot = nw.ring[i]; k >= len(slot) {
+				break
+			}
 		}
 		ev := slot[k]
 		nw.inFlight--
@@ -532,8 +542,6 @@ func (nw *Network) deliver() {
 	}
 	// Reset the slot, keeping its backing array for a future round. Entries
 	// are nilled so the only live references to pooled events are the pool's.
-	i := nw.round % len(nw.ring)
-	slot := nw.ring[i]
 	for j := range slot {
 		slot[j] = nil
 	}

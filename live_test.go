@@ -253,3 +253,71 @@ func TestLiveLatencyEdgeMatchesSim(t *testing.T) {
 	}
 	t.Logf("sim %d rounds (node 1 informed at %d); live %d / %d ticks", simRes.Metrics.Rounds, simRes.InformedAt[1], results[0].Metrics.Ticks, ticks)
 }
+
+// TestLiveRRBroadcastOverUnixSockets runs RR Broadcast on two runtimes joined
+// by unix sockets, so its knowledge sets cross a real connection as
+// core.rumors payloads: the fixed schedule must complete all-to-all
+// dissemination, every node holding every rumor.
+func TestLiveRRBroadcastOverUnixSockets(t *testing.T) {
+	g := RingOfCliques(4, 4, 2) // 16 nodes; each runtime hosts two cliques
+	const seed = 3
+	rr, err := LiveRRBroadcast(g, 2, 0, LiveOptions{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := os.MkdirTemp("", "gsp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	var halves [2][]NodeID
+	for u := 0; u < g.N(); u++ {
+		halves[u/4%2] = append(halves[u/4%2], NodeID(u)) // cliques alternate
+	}
+	var trs [2]*live.TCPTransport
+	addrs := make(map[NodeID]string, g.N())
+	for i, nodes := range halves {
+		path := filepath.Join(dir, fmt.Sprintf("%d.sock", i))
+		tr, err := NewLiveUnixTransport(path, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[i] = tr
+		for _, u := range nodes {
+			addrs[u] = "unix://" + path
+		}
+	}
+	proto := &clusterDone{LiveProtocol: rr, done: make([]atomic.Bool, g.N())}
+	var wg sync.WaitGroup
+	var results [2]LiveResult
+	var errs [2]error
+	for i := range trs {
+		trs[i].SetPeers(addrs)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = RunLiveTransport(g, proto, trs[i], LiveOptions{
+				Seed: seed, Tick: 2 * time.Millisecond, MaxTicks: 4000, Nodes: halves[i],
+			})
+		}(i)
+	}
+	wg.Wait()
+	var bytes, msgs int64
+	for i, tr := range trs {
+		if errs[i] != nil || !results[i].Completed {
+			t.Fatalf("runtime %d: completed=%v err=%v", i, results[i].Completed, errs[i])
+		}
+		for _, u := range halves[i] {
+			if !results[i].Done[u] {
+				t.Errorf("node %d missing rumors after RR broadcast", u)
+			}
+		}
+		bytes += tr.WireBytesOut()
+		msgs += tr.WireMsgsOut()
+	}
+	if msgs == 0 {
+		t.Fatal("no message crossed the sockets")
+	}
+	t.Logf("%d messages crossed the sockets in %d wire bytes", msgs, bytes)
+}

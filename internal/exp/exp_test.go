@@ -52,22 +52,15 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 // TestAllExperimentsQuick executes every registered experiment at quick
-// scale: the complete harness must run green end to end.
+// scale: the complete harness must run green end to end, each table with at
+// least one row. It shares TestShapesQuick's parallel render of each ID.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running harness check")
 	}
 	for _, id := range IDs() {
 		id := id
-		t.Run(id, func(t *testing.T) {
-			tb, err := Run(id, ScaleQuick, 1)
-			if err != nil {
-				t.Fatalf("experiment %s: %v", id, err)
-			}
-			if len(tb.Rows) == 0 {
-				t.Fatalf("experiment %s produced no rows", id)
-			}
-		})
+		t.Run(id, func(t *testing.T) { parallelRender(t, id) })
 	}
 }
 

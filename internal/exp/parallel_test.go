@@ -3,8 +3,6 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -103,43 +101,20 @@ func TestParMapNested(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential is the harness's determinism contract: for
-// every registered experiment, the rendered table from a parallel run must be
-// byte-identical to a sequential run.
+// TestParallelMatchesSequential is the harness's determinism contract: every
+// registered experiment, rendered once with a single worker, must match the
+// golden that TestShapesQuick checks its parallel render against.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running harness check")
 	}
-	orig := MaxWorkers()
-	defer SetMaxWorkers(orig)
-
-	render := func(id string) string {
-		tb, err := Run(id, ScaleQuick, 1)
-		if err != nil {
-			t.Fatalf("experiment %s: %v", id, err)
-		}
-		var sb strings.Builder
-		if err := tb.Fprint(&sb); err != nil {
-			t.Fatalf("render %s: %v", id, err)
-		}
-		return sb.String()
+	if *update {
+		t.Skip("goldens are being rewritten from the parallel render")
 	}
-
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			SetMaxWorkers(1)
-			seq := render(id)
-			workers := runtime.GOMAXPROCS(0)
-			if workers < 2 {
-				workers = 2
-			}
-			SetMaxWorkers(workers)
-			par := render(id)
-			if seq != par {
-				t.Errorf("parallel output differs from sequential:\n--- sequential ---\n%s\n--- parallel (%d workers) ---\n%s",
-					seq, workers, par)
-			}
+			checkGolden(t, goldenPath(id), goldenText(runQuick(t, id, 1)))
 		})
 	}
 }

@@ -5,35 +5,68 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the TestShapesQuick goldens under testdata/shapes_quick")
 
-// TestShapesQuick runs every experiment that has a registered shape check at
-// quick scale and asserts the paper-claim shape holds — the reproduction as
-// a regression test. It also pins every quick-scale table byte for byte
-// against its golden in testdata/shapes_quick, so a change to the simulator,
-// a protocol or a generator that moves any figure shows here; `go test
-// -run TestShapesQuick -update ./internal/exp` rewrites the goldens.
+// TestShapesQuick renders every registered experiment once at quick scale
+// with at least two workers: it asserts the paper-claim shape where one is
+// registered (the reproduction as a regression test) and pins the table byte
+// for byte against its golden in testdata/shapes_quick, so a change to the
+// simulator, a protocol or a generator that moves any figure shows here;
+// `go test -run TestShapesQuick -update ./internal/exp` rewrites the goldens.
+// TestParallelMatchesSequential compares a one-worker render with the same
+// goldens, so together they prove a parallel run equals a sequential one.
 func TestShapesQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running shape checks")
 	}
-	for id := range shapeChecks {
+	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tb, err := Run(id, ScaleQuick, 1)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
+			tb := parallelRender(t, id)
 			if err := VerifyShape(id, tb); err != nil {
 				t.Errorf("%v\n%s", err, tb)
 			}
-			checkGolden(t, filepath.Join("testdata", "shapes_quick", id+".golden"), goldenText(tb))
+			checkGolden(t, goldenPath(id), goldenText(tb))
 		})
 	}
+}
+
+// parallelRenders caches each experiment's quick render under at least two
+// workers, so TestAllExperimentsQuick and TestShapesQuick check one table.
+var parallelRenders = map[string]*Table{}
+
+func parallelRender(t *testing.T, id string) *Table {
+	t.Helper()
+	if tb, ok := parallelRenders[id]; ok {
+		return tb
+	}
+	tb := runQuick(t, id, max(runtime.GOMAXPROCS(0), 2))
+	parallelRenders[id] = tb
+	return tb
+}
+
+// runQuick runs experiment id at quick scale under the given worker cap; the
+// run must succeed and produce at least one row.
+func runQuick(t *testing.T, id string, workers int) *Table {
+	t.Helper()
+	defer SetMaxWorkers(SetMaxWorkers(workers))
+	tb, err := Run(id, ScaleQuick, 1)
+	if err != nil {
+		t.Fatalf("experiment %s: %v", id, err)
+	}
+	if len(tb.Rows) == 0 {
+		t.Fatalf("experiment %s produced no rows", id)
+	}
+	return tb
+}
+
+func goldenPath(id string) string {
+	return filepath.Join("testdata", "shapes_quick", id+".golden")
 }
 
 // timingRe matches a column header or note that reports wall-clock time,

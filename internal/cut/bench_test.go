@@ -7,13 +7,42 @@ import (
 	"gossip/internal/graph"
 )
 
-func BenchmarkPhiExact16(b *testing.B) {
-	g := graph.RandomLatencies(graph.GNP(16, 0.4, 1, true, 5), 1, 4, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PhiExact(g, 2); err != nil {
-			b.Fatal(err)
-		}
+// exactBenchGraphs are the two 24-node (n = MaxExactN) graphs of E-T20's
+// quick scale, the largest exact ladders the experiments evaluate.
+func exactBenchGraphs() []equivCase {
+	return []equivCase{
+		{"clique24", graph.Clique(24, 1)},
+		{"ringcliques4x6", graph.RingOfCliques(4, 6, 2)},
+	}
+}
+
+// BenchmarkExactLadder times the whole exact φ_ℓ ladder in one Gray-code
+// pass (docs/PERFORMANCE.md, "The conductance engine").
+func BenchmarkExactLadder(b *testing.B) {
+	for _, tc := range exactBenchGraphs() {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := LadderCertificates(tc.g, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExactLadderRef runs the frozen per-rung enumeration over the same
+// ladders; one iteration takes seconds, so run it with -benchtime=1x.
+func BenchmarkExactLadderRef(b *testing.B) {
+	for _, tc := range exactBenchGraphs() {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, ell := range tc.g.Latencies() {
+					if _, err := refPhiExactCut(tc.g, ell); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

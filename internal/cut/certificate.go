@@ -2,7 +2,6 @@ package cut
 
 import (
 	"fmt"
-	"math"
 
 	"gossip/internal/graph"
 )
@@ -16,57 +15,14 @@ type Certificate struct {
 }
 
 // PhiExactCut returns φ_ℓ(G) together with a minimizing cut, by exhaustive
-// enumeration. It returns ErrTooLarge for g.N() > MaxExactN rather than
-// overflowing the cut mask (see the MaxExactN <= 63 guard in cut.go).
+// enumeration (a one-rung exactLadder). It returns ErrTooLarge for
+// g.N() > MaxExactN rather than overflowing the cut mask.
 func PhiExactCut(g *graph.Graph, ell int) (Certificate, error) {
-	n := g.N()
-	if n < 2 {
-		return Certificate{}, fmt.Errorf("cut: need n >= 2, got %d", n)
+	certs, err := exactLadder(g, []int{ell})
+	if err != nil {
+		return Certificate{}, err
 	}
-	if n > MaxExactN {
-		return Certificate{}, fmt.Errorf("%w: n=%d > %d", ErrTooLarge, n, MaxExactN)
-	}
-	deg := make([]int, n)
-	for u := 0; u < n; u++ {
-		deg[u] = g.Degree(u)
-	}
-	edges := g.Edges()
-	volAll := 2 * g.M()
-	best := math.Inf(1)
-	var bestMask uint64
-	for mask := uint64(0); mask < 1<<uint(n-1)-1; mask++ {
-		full := uint64(1) | mask<<1
-		volU := 0
-		for u := 0; u < n; u++ {
-			if full&(1<<uint(u)) != 0 {
-				volU += deg[u]
-			}
-		}
-		den := volU
-		if volAll-volU < den {
-			den = volAll - volU
-		}
-		if den == 0 {
-			continue
-		}
-		cutEdges := 0
-		for _, e := range edges {
-			if e.Latency <= ell && (full>>uint(e.U))&1 != (full>>uint(e.V))&1 {
-				cutEdges++
-			}
-		}
-		if phi := float64(cutEdges) / float64(den); phi < best {
-			best = phi
-			bestMask = full
-		}
-	}
-	cert := Certificate{Ell: ell, Phi: best}
-	for u := 0; u < n; u++ {
-		if bestMask&(1<<uint(u)) != 0 {
-			cert.Set = append(cert.Set, u)
-		}
-	}
-	return cert, nil
+	return certs[0], nil
 }
 
 // PhiHeuristicCut returns the best cut the heuristic finds, as a

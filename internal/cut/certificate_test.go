@@ -3,6 +3,7 @@ package cut
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -22,12 +23,12 @@ func TestPhiExactCutCertifies(t *testing.T) {
 	if math.Abs(phi-cert.Phi) > 1e-12 {
 		t.Errorf("certificate claims %g but realizes %g", cert.Phi, phi)
 	}
-	exact, err := PhiExact(g, 4)
+	ref, err := refPhiExactCut(g, 4)
 	if err != nil {
-		t.Fatalf("PhiExact: %v", err)
+		t.Fatalf("refPhiExactCut: %v", err)
 	}
-	if math.Abs(exact-cert.Phi) > 1e-12 {
-		t.Errorf("certificate φ=%g != exact φ=%g", cert.Phi, exact)
+	if !reflect.DeepEqual(ref, cert) {
+		t.Errorf("certificate %+v != frozen enumeration %+v", cert, ref)
 	}
 	// The natural minimizer of a dumbbell separates the two cliques.
 	if len(cert.Set) != 5 {

@@ -6,7 +6,12 @@
 // for small graphs (n <= MaxExactN) and used to validate the heuristic,
 // which combines spectral sweep cuts with sampled and structured cuts and
 // returns an upper bound on φ_ℓ that is empirically tight on the families
-// used in the experiments.
+// used in the experiments. One enumerator (exact.go) serves the whole φ_ℓ
+// ladder in a single pass: with node 0 fixed on the left, cut masks walk in
+// Gray-code order, so each step flips one node and moves the volume and each
+// latency class's cut count by that node's neighbour masks; prefix sums over
+// the classes give every rung's cut. Ties break to the numerically smallest
+// mask, so each certificate is the one a plain ascending scan would keep.
 //
 // The heuristic pipeline runs on a latency-sorted CSR view of the graph
 // (graph.BuildCSR): the edges of G_ℓ are slice prefixes of contiguous
@@ -22,7 +27,6 @@ package cut
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"gossip/internal/graph"
 )
@@ -34,27 +38,30 @@ var ErrTooLarge = errors.New("cut: graph too large for exact conductance")
 // MaxExactN is the largest node count accepted by exact enumeration.
 const MaxExactN = 24
 
-// The exact enumerators index a 64-bit cut mask by node (1<<u), so
+// The exact enumerator indexes a 64-bit cut mask by node (1<<u), so
 // MaxExactN may never exceed 63: this conversion fails to compile if the
-// limit is raised past the mask width, and the n > MaxExactN checks below
-// turn larger inputs into ErrTooLarge instead of a silent overflow.
+// limit is raised past the mask width, and exactLadder's n > MaxExactN check
+// turns larger inputs into ErrTooLarge instead of a silent overflow.
 const _ = uint64(63 - MaxExactN)
 
 // PhiCut returns the weight-ℓ conductance of the cut (set, V∖set):
 // |E_ℓ(U, V∖U)| / min(Vol(U), Vol(V∖U)). Volumes are taken in the full
 // graph, per Definition 1. It returns an error when either side is empty or
-// has zero volume.
+// has zero volume, or when set names a node twice or out of range.
 func PhiCut(g *graph.Graph, set []graph.NodeID, ell int) (float64, error) {
 	n := g.N()
-	if len(set) == 0 || len(set) >= n {
-		return 0, fmt.Errorf("cut: side sizes %d/%d invalid", len(set), n-len(set))
-	}
 	in := make([]bool, n)
 	for _, u := range set {
 		if u < 0 || u >= n {
 			return 0, fmt.Errorf("cut: node %d out of range", u)
 		}
+		if in[u] {
+			return 0, fmt.Errorf("cut: node %d repeated", u)
+		}
 		in[u] = true
+	}
+	if len(set) == 0 || len(set) >= n {
+		return 0, fmt.Errorf("cut: side sizes %d/%d invalid", len(set), n-len(set))
 	}
 	cutEdges := 0
 	for _, e := range g.Edges() {
@@ -63,65 +70,11 @@ func PhiCut(g *graph.Graph, set []graph.NodeID, ell int) (float64, error) {
 		}
 	}
 	volU := g.Volume(set)
-	volAll := 2 * g.M()
-	volOther := volAll - volU
-	den := volU
-	if volOther < den {
-		den = volOther
-	}
+	den := min(volU, 2*g.M()-volU)
 	if den == 0 {
 		return 0, fmt.Errorf("cut: zero volume side")
 	}
 	return float64(cutEdges) / float64(den), nil
-}
-
-// PhiExact returns φ_ℓ(G) = min over all cuts of the weight-ℓ conductance,
-// by exhaustive enumeration. It returns ErrTooLarge for g.N() > MaxExactN
-// rather than overflowing the cut mask.
-func PhiExact(g *graph.Graph, ell int) (float64, error) {
-	n := g.N()
-	if n < 2 {
-		return 0, fmt.Errorf("cut: need n >= 2, got %d", n)
-	}
-	if n > MaxExactN {
-		return 0, fmt.Errorf("%w: n=%d > %d", ErrTooLarge, n, MaxExactN)
-	}
-	deg := make([]int, n)
-	for u := 0; u < n; u++ {
-		deg[u] = g.Degree(u)
-	}
-	edges := g.Edges()
-	volAll := 2 * g.M()
-	best := math.Inf(1)
-	// Fix node 0 on the left to halve the enumeration; mask enumerates the
-	// membership of nodes 1..n-1 (mask 0 = the singleton cut {0}), skipping
-	// only the full set.
-	for mask := uint64(0); mask < 1<<uint(n-1)-1; mask++ {
-		full := uint64(1) | mask<<1
-		volU := 0
-		for u := 0; u < n; u++ {
-			if full&(1<<uint(u)) != 0 {
-				volU += deg[u]
-			}
-		}
-		den := volU
-		if volAll-volU < den {
-			den = volAll - volU
-		}
-		if den == 0 {
-			continue
-		}
-		cutEdges := 0
-		for _, e := range edges {
-			if e.Latency <= ell && (full>>uint(e.U))&1 != (full>>uint(e.V))&1 {
-				cutEdges++
-			}
-		}
-		if phi := float64(cutEdges) / float64(den); phi < best {
-			best = phi
-		}
-	}
-	return best, nil
 }
 
 // PhiHeuristic returns an upper bound on φ_ℓ(G) by taking the best
@@ -136,7 +89,7 @@ func PhiExact(g *graph.Graph, ell int) (float64, error) {
 //
 // On the constructed families of the paper (rings of cliques, layered rings,
 // bipartite gadgets) the true minimum cut belongs to one of these families,
-// so the bound is tight there; tests validate it against PhiExact.
+// so the bound is tight there; tests validate it against PhiExactCut.
 func PhiHeuristic(g *graph.Graph, ell int, seed uint64) float64 {
 	if g.N() < 2 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,23 +46,46 @@ func TestPhiCutValidation(t *testing.T) {
 	}
 }
 
+// TestPhiCutRejectsRepeatedNodes: a repeated node would count its degree
+// twice in the volume, so PhiCut refuses it like an out-of-range node.
+func TestPhiCutRejectsRepeatedNodes(t *testing.T) {
+	g := graph.Path(4, 1)
+	if phi, err := PhiCut(g, []graph.NodeID{0}, 1); err != nil || phi != 1 {
+		t.Fatalf("PhiCut({0}) = %g, %v; want 1", phi, err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  []graph.NodeID
+	}{
+		{"twice", []graph.NodeID{0, 0}},
+		{"distinct-pair-padded", []graph.NodeID{0, 1, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			phi, err := PhiCut(g, tc.set, 1)
+			if err == nil || !strings.Contains(err.Error(), "repeated") {
+				t.Errorf("PhiCut(%v) = %g, %v; want a repeated-node error", tc.set, phi, err)
+			}
+		})
+	}
+}
+
 func TestPhiExactClique(t *testing.T) {
 	// K4 unit latency: conductance of K_n is minimized by the balanced cut:
 	// 4 cut edges over volume 6 = 2/3... enumerate by hand: single node cut
 	// = 3/3 = 1; pair cut = 4/6 = 2/3.
 	g := graph.Clique(4, 1)
-	phi, err := PhiExact(g, 1)
+	cert, err := PhiExactCut(g, 1)
 	if err != nil {
-		t.Fatalf("PhiExact: %v", err)
+		t.Fatalf("PhiExactCut: %v", err)
 	}
-	if want := 2.0 / 3.0; math.Abs(phi-want) > 1e-12 {
-		t.Errorf("φ(K4) = %g, want %g", phi, want)
+	if want := 2.0 / 3.0; math.Abs(cert.Phi-want) > 1e-12 {
+		t.Errorf("φ(K4) = %g, want %g", cert.Phi, want)
 	}
 }
 
 func TestPhiExactRejectsLarge(t *testing.T) {
 	g := graph.Clique(MaxExactN+1, 1)
-	if _, err := PhiExact(g, 1); !errors.Is(err, ErrTooLarge) {
+	if _, err := PhiExactCut(g, 1); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -80,11 +104,11 @@ func TestPhiHeuristicMatchesExactSmall(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			exact, err := PhiExact(tt.g, tt.ell)
+			cert, err := PhiExactCut(tt.g, tt.ell)
 			if err != nil {
 				t.Fatalf("exact: %v", err)
 			}
-			heur := PhiHeuristic(tt.g, tt.ell, 1)
+			exact, heur := cert.Phi, PhiHeuristic(tt.g, tt.ell, 1)
 			if heur < exact-1e-12 {
 				t.Fatalf("heuristic %g below exact %g (impossible: heuristic is an upper bound)", heur, exact)
 			}
@@ -132,12 +156,12 @@ func TestWeightedConductanceUnitGraphIsClassical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WeightedConductance: %v", err)
 	}
-	classical, err := PhiExact(g, 1)
+	classical, err := PhiExactCut(g, 1)
 	if err != nil {
-		t.Fatalf("PhiExact: %v", err)
+		t.Fatalf("PhiExactCut: %v", err)
 	}
-	if res.EllStar != 1 || math.Abs(res.PhiStar-classical) > 1e-12 {
-		t.Errorf("φ*=%g ℓ*=%d, want classical φ=%g at ℓ=1", res.PhiStar, res.EllStar, classical)
+	if res.EllStar != 1 || math.Abs(res.PhiStar-classical.Phi) > 1e-12 {
+		t.Errorf("φ*=%g ℓ*=%d, want classical φ=%g at ℓ=1", res.PhiStar, res.EllStar, classical.Phi)
 	}
 }
 
@@ -204,12 +228,12 @@ func TestQuickHeuristicUpperBoundsExact(t *testing.T) {
 		n := 5 + r.Intn(8)
 		g := graph.RandomLatencies(graph.GNP(n, 0.5, 1, true, uint64(seed)), 1, 4, uint64(seed))
 		ell := 1 + r.Intn(4)
-		exact, err := PhiExact(g, ell)
+		exact, err := PhiExactCut(g, ell)
 		if err != nil {
 			return false
 		}
 		heur := PhiHeuristic(g, ell, uint64(seed))
-		return heur >= exact-1e-12
+		return heur >= exact.Phi-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -224,14 +248,14 @@ func TestQuickPhiMonotoneInEll(t *testing.T) {
 		g := graph.RandomLatencies(graph.GNP(n, 0.6, 1, true, uint64(seed)), 1, 5, uint64(seed))
 		prev := -1.0
 		for ell := 1; ell <= 5; ell++ {
-			phi, err := PhiExact(g, ell)
+			cert, err := PhiExactCut(g, ell)
 			if err != nil {
 				return false
 			}
-			if phi < prev-1e-12 {
+			if cert.Phi < prev-1e-12 {
 				return false
 			}
-			prev = phi
+			prev = cert.Phi
 		}
 		_ = r
 		return true

@@ -20,46 +20,21 @@ import (
 // the ladder is byte-identical at any worker count, including 1.
 
 // WeightedConductance computes φ* and ℓ* (Definition 2) by evaluating φ_ℓ at
-// every distinct edge latency and maximizing φ_ℓ/ℓ. Exact enumeration is
-// used when n <= MaxExactN, otherwise the heuristic. Levels are evaluated
-// concurrently up to par.MaxWorkers(); the result does not depend on the
+// every distinct edge latency and maximizing φ_ℓ/ℓ. Its ladder is read off
+// LadderCertificates: exact when n <= MaxExactN, otherwise the heuristic.
+// Work is spread up to par.MaxWorkers(); the result does not depend on the
 // worker count.
 func WeightedConductance(g *graph.Graph, seed uint64) (Result, error) {
-	lats := g.Latencies()
-	if len(lats) == 0 {
-		return Result{}, fmt.Errorf("cut: graph has no edges")
-	}
-	res := Result{Exact: g.N() <= MaxExactN}
-	var (
-		ladder []Ladder
-		err    error
-	)
-	if res.Exact {
-		ladder, err = par.Map(len(lats), func(k int) (Ladder, error) {
-			phi, err := PhiExact(g, lats[k])
-			if err != nil {
-				return Ladder{}, fmt.Errorf("exact φ_%d: %w", lats[k], err)
-			}
-			return Ladder{Ell: lats[k], Phi: phi, Ratio: phi / float64(lats[k])}, nil
-		})
-	} else {
-		var certs []Certificate
-		certs, err = heuristicCerts(g, seed, lats)
-		if err == nil {
-			ladder = make([]Ladder, len(certs))
-			for k, c := range certs {
-				ladder[k] = Ladder{Ell: c.Ell, Phi: c.Phi, Ratio: c.Phi / float64(c.Ell)}
-			}
-		}
-	}
+	certs, err := LadderCertificates(g, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Ladder = ladder
+	res := Result{Exact: g.N() <= MaxExactN, Ladder: make([]Ladder, len(certs))}
 	bestIdx := 0
-	for i, l := range res.Ladder {
-		if l.Ratio > res.Ladder[bestIdx].Ratio {
-			bestIdx = i
+	for k, c := range certs {
+		res.Ladder[k] = Ladder{Ell: c.Ell, Phi: c.Phi, Ratio: c.Phi / float64(c.Ell)}
+		if res.Ladder[k].Ratio > res.Ladder[bestIdx].Ratio {
+			bestIdx = k
 		}
 	}
 	res.PhiStar = res.Ladder[bestIdx].Phi
@@ -121,23 +96,17 @@ func heuristicCerts(g *graph.Graph, seed uint64, lats []int) ([]Certificate, err
 }
 
 // LadderCertificates returns the cut witnessing φ_ℓ at every distinct
-// latency level: for n <= MaxExactN the exact minimizing cuts, otherwise the
-// certificates behind WeightedConductance's heuristic ladder — the Phi of
-// certificate k equals Ladder[k].Phi of WeightedConductance(g, seed) exactly,
-// because both come from the same warm-started chain.
+// latency level: for n <= MaxExactN the exact minimizing cuts of one
+// exactLadder pass, otherwise the certificates of the warm-started heuristic
+// chain. This is the one place the exact/heuristic split is decided;
+// WeightedConductance's ladder is read off these certificates.
 func LadderCertificates(g *graph.Graph, seed uint64) ([]Certificate, error) {
 	lats := g.Latencies()
 	if len(lats) == 0 {
 		return nil, fmt.Errorf("cut: graph has no edges")
 	}
 	if g.N() <= MaxExactN {
-		return par.Map(len(lats), func(k int) (Certificate, error) {
-			cert, err := PhiExactCut(g, lats[k])
-			if err != nil {
-				return Certificate{}, fmt.Errorf("exact φ_%d: %w", lats[k], err)
-			}
-			return cert, nil
-		})
+		return exactLadder(g, lats)
 	}
 	return heuristicCerts(g, seed, lats)
 }

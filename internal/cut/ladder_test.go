@@ -184,9 +184,10 @@ func TestLadderCertificatesWitnessLadder(t *testing.T) {
 	}
 }
 
-// TestLadderExactPathMatchesReference pins the n <= MaxExactN path: both
-// implementations delegate to PhiExact, so results are identical including
-// the Exact flag.
+// TestLadderExactPathMatchesReference pins the n <= MaxExactN path: the
+// engine reads every rung off one exactLadder pass and the reference calls
+// the frozen refPhiExactCut once per rung, so results are identical
+// including the Exact flag.
 func TestLadderExactPathMatchesReference(t *testing.T) {
 	for _, tc := range []equivCase{
 		{"dumbbell", graph.Dumbbell(4, 5)},

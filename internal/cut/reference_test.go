@@ -27,15 +27,13 @@ func WeightedConductanceRef(g *graph.Graph, seed uint64) (Result, error) {
 	}
 	res := Result{Exact: g.N() <= MaxExactN}
 	for _, ell := range lats {
-		var (
-			phi float64
-			err error
-		)
+		var phi float64
 		if res.Exact {
-			phi, err = PhiExact(g, ell)
+			cert, err := refPhiExactCut(g, ell)
 			if err != nil {
 				return Result{}, fmt.Errorf("exact φ_%d: %w", ell, err)
 			}
+			phi = cert.Phi
 		} else {
 			cert, err := refPhiRefined(g, ell, seed)
 			if err != nil {
@@ -54,6 +52,62 @@ func WeightedConductanceRef(g *graph.Graph, seed uint64) (Result, error) {
 	res.PhiStar = res.Ladder[bestIdx].Phi
 	res.EllStar = res.Ladder[bestIdx].Ell
 	return res, nil
+}
+
+// refPhiExactCut is the exhaustive enumeration exactLadder replaced, frozen
+// as the oracle for the exact ladder: one rung per call, masks in ascending
+// order with node 0 fixed on the left, and every mask rescans all degrees
+// and all edges. The first minimizing mask wins, so ties go to the
+// numerically smallest.
+func refPhiExactCut(g *graph.Graph, ell int) (Certificate, error) {
+	n := g.N()
+	if n < 2 {
+		return Certificate{}, fmt.Errorf("cut: need n >= 2, got %d", n)
+	}
+	if n > MaxExactN {
+		return Certificate{}, fmt.Errorf("%w: n=%d > %d", ErrTooLarge, n, MaxExactN)
+	}
+	deg := make([]int, n)
+	for u := 0; u < n; u++ {
+		deg[u] = g.Degree(u)
+	}
+	edges := g.Edges()
+	volAll := 2 * g.M()
+	best := math.Inf(1)
+	var bestMask uint64
+	for mask := uint64(0); mask < 1<<uint(n-1)-1; mask++ {
+		full := uint64(1) | mask<<1
+		volU := 0
+		for u := 0; u < n; u++ {
+			if full&(1<<uint(u)) != 0 {
+				volU += deg[u]
+			}
+		}
+		den := volU
+		if volAll-volU < den {
+			den = volAll - volU
+		}
+		if den == 0 {
+			continue
+		}
+		cutEdges := 0
+		for _, e := range edges {
+			if e.Latency <= ell && (full>>uint(e.U))&1 != (full>>uint(e.V))&1 {
+				cutEdges++
+			}
+		}
+		if phi := float64(cutEdges) / float64(den); phi < best {
+			best = phi
+			bestMask = full
+		}
+	}
+	cert := Certificate{Ell: ell, Phi: best}
+	for u := 0; u < n; u++ {
+		if bestMask&(1<<uint(u)) != 0 {
+			cert.Set = append(cert.Set, u)
+		}
+	}
+	return cert, nil
 }
 
 // refPhiRefined is the pre-CSR PhiRefined: sweep heuristic plus local

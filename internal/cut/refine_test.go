@@ -49,12 +49,12 @@ func TestRefineImprovesPerturbedStart(t *testing.T) {
 	if ref.Phi >= start.Phi {
 		t.Errorf("refinement did not improve: %g -> %g", start.Phi, ref.Phi)
 	}
-	exact, err := PhiExact(g, 4)
+	exact, err := PhiExactCut(g, 4)
 	if err != nil {
-		t.Fatalf("PhiExact: %v", err)
+		t.Fatalf("PhiExactCut: %v", err)
 	}
-	if math.Abs(ref.Phi-exact) > 1e-12 {
-		t.Errorf("refined φ=%g, want exact %g", ref.Phi, exact)
+	if math.Abs(ref.Phi-exact.Phi) > 1e-12 {
+		t.Errorf("refined φ=%g, want exact %g", ref.Phi, exact.Phi)
 	}
 	if len(ref.Set) != 6 {
 		t.Errorf("refined side size %d, want 6 (the bridge cut)", len(ref.Set))
@@ -72,12 +72,12 @@ func TestPhiRefinedAtLeastAsGoodAsHeuristic(t *testing.T) {
 		if ref.Phi > heur+1e-12 {
 			t.Errorf("ℓ=%d: refined %g worse than heuristic %g", ell, ref.Phi, heur)
 		}
-		exact, err := PhiExact(g, ell)
+		exact, err := PhiExactCut(g, ell)
 		if err != nil {
-			t.Fatalf("PhiExact: %v", err)
+			t.Fatalf("PhiExactCut: %v", err)
 		}
-		if ref.Phi < exact-1e-12 {
-			t.Errorf("ℓ=%d: refined %g below exact %g (impossible)", ell, ref.Phi, exact)
+		if ref.Phi < exact.Phi-1e-12 {
+			t.Errorf("ℓ=%d: refined %g below exact %g (impossible)", ell, ref.Phi, exact.Phi)
 		}
 	}
 }

@@ -119,12 +119,19 @@ func TestMemberLiveCompletionSkipsDetectedDead(t *testing.T) {
 	tr := NewChanTransport(g.N())
 	defer tr.Close()
 	const recoverAt = 3000
+	// Node 3 crashes on its first tick, before it can be done: a later crash
+	// races the broadcast, which can reach every node, node 3 included, and
+	// complete before any verdict. Every node is a seed, so each survivor
+	// knows node 3 from tick 0: no node declares dead a peer it never heard
+	// of, and a single-seed join need not reach the others before the crash.
+	mc := memberTestConfig()
+	mc.Seeds = []graph.NodeID{0, 1, 2, 3, 4, 5}
 	res, err := Run(g, ppProto{source: 0}, tr, Options{
 		Seed:       1,
 		Tick:       testTick,
 		MaxTicks:   3500,
-		Crashes:    map[graph.NodeID]CrashPlan{3: {At: 2, RecoverAt: recoverAt}},
-		Membership: memberTestConfig(),
+		Crashes:    map[graph.NodeID]CrashPlan{3: {At: 1, RecoverAt: recoverAt}},
+		Membership: mc,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -43,4 +44,30 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	n := copy(p, r.buf[r.off:])
 	r.off += n
 	return n, nil
+}
+
+// BenchmarkEnqueueAtCap sends steadily toward a parked connection already at
+// its writer-queue cap, so every send sheds the oldest queued frame.
+func BenchmarkEnqueueAtCap(b *testing.B) {
+	for _, limit := range []int{1024, 8192} {
+		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
+			tr, cleanup := overloadPair(b)
+			defer cleanup()
+			tr.SetOverloadLimits(limit)
+			msg := testMsg(1, MsgRequest, 0)
+			for i := 0; i < limit; i++ {
+				if err := tr.Send(msg, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				msg.SentTick = i
+				if err := tr.Send(msg, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

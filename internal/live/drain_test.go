@@ -263,7 +263,7 @@ func TestTCPClusterDrainLeaksNothing(t *testing.T) {
 		go func(ft *FaultTransport, nodes []graph.NodeID) {
 			res, err := Run(g, ppProto{source: 0}, ft, Options{
 				Seed: 23, Tick: testTick, Nodes: nodes, NHint: g.N(),
-				Linger: 2 * time.Second,
+				Linger: 100 * time.Millisecond,
 			})
 			if err == nil && !res.Completed {
 				err = errors.New("run did not complete")

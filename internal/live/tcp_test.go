@@ -58,7 +58,7 @@ func TestTCPClusterPushPull(t *testing.T) {
 				Seed:   11,
 				Tick:   time.Millisecond,
 				Nodes:  hosted[i],
-				Linger: 2 * time.Second,
+				Linger: 100 * time.Millisecond,
 			})
 		}(i)
 	}

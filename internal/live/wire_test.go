@@ -452,11 +452,11 @@ func TestTCPClusterBothFormats(t *testing.T) {
 	var ea, eb error
 	done := make(chan struct{}, 2)
 	go func() {
-		ra, ea = Run(g, ppProto{source: 0}, ta, Options{Seed: 5, Tick: time.Millisecond, Nodes: left, Linger: 2 * time.Second})
+		ra, ea = Run(g, ppProto{source: 0}, ta, Options{Seed: 5, Tick: time.Millisecond, Nodes: left, Linger: 100 * time.Millisecond})
 		done <- struct{}{}
 	}()
 	go func() {
-		rb, eb = Run(g, ppProto{source: 0}, tb, Options{Seed: 5, Tick: time.Millisecond, Nodes: right, Linger: 2 * time.Second})
+		rb, eb = Run(g, ppProto{source: 0}, tb, Options{Seed: 5, Tick: time.Millisecond, Nodes: right, Linger: 100 * time.Millisecond})
 		done <- struct{}{}
 	}()
 	<-done

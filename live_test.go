@@ -100,7 +100,7 @@ func TestRunLiveTCPRingOfCliques(t *testing.T) {
 				Seed:   9,
 				Tick:   time.Millisecond,
 				Nodes:  hosted[i],
-				Linger: 2 * time.Second,
+				Linger: 100 * time.Millisecond,
 			})
 		}(i)
 	}

@@ -92,8 +92,6 @@ func run(args []string, out io.Writer) error {
 		linger   = fs.Duration("linger", 2*time.Second, "daemon linger after local completion")
 		flushWin = fs.Duration("flushwindow", 200*time.Microsecond, "daemon flush window (super-frame aggregation width)")
 		nodesPer = fs.Int("nodes-per-shard", 0, "per-daemon shard sizing (0 = gossipd default)")
-		queueCap = fs.Int("queue-frames", 0, "per-connection writer queue cap (0 = gossipd default, negative = unbounded)")
-		mailCap  = fs.Int("mailbox", 0, "per-shard cap on waiting network arrivals, in posts (0 = gossipd default, negative = unbounded)")
 		join     = fs.Bool("join", false, "enable SWIM membership from seed node 0 and check convergence")
 		timeout  = fs.Duration("timeout", 10*time.Minute, "kill the fleet and fail after this long")
 		verbose  = fs.Bool("v", false, "stream per-daemon output, prefixed d<i>:")
@@ -171,12 +169,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *nodesPer > 0 {
 		common = append(common, "-nodes-per-shard", strconv.Itoa(*nodesPer))
-	}
-	if *queueCap != 0 {
-		common = append(common, "-queue-frames", strconv.Itoa(*queueCap))
-	}
-	if *mailCap != 0 {
-		common = append(common, "-mailbox", strconv.Itoa(*mailCap))
 	}
 	if *join {
 		common = append(common, "-join", "0")

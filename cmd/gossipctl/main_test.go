@@ -119,13 +119,8 @@ func TestGossipctlMembership(t *testing.T) {
 //
 //	GOSSIPCTL_1M=1 go test ./cmd/gossipctl -run MillionNodes -timeout 30m -v
 //
-// The run lifts the overload caps (-mailbox -1, -queue-frames -1): a
-// 1M-node flood frontier is wider than the protective defaults, and flood
-// has no protocol-level repair, so a shed cross-daemon arrival can strand a
-// hosted range a few nodes short of completion. (Posts between a daemon's
-// own nodes are never shed; the mailbox cap only bounds arrivals from other
-// daemons.) On a dedicated box the right configuration is deep queues
-// (memory is the buffer), which is exactly what these knobs are for.
+// It runs at the defaults: nothing is shed, so flood, which has no
+// protocol-level repair, cannot strand a hosted range short of completion.
 func TestGossipctlMillionNodes(t *testing.T) {
 	if os.Getenv("GOSSIPCTL_1M") == "" {
 		t.Skip("set GOSSIPCTL_1M=1 to run the 1M-node cluster experiment")
@@ -138,7 +133,6 @@ func TestGossipctlMillionNodes(t *testing.T) {
 		"-proto", "flood", "-seed", "9",
 		"-tick", "50ms", "-linger", "10s",
 		"-flushwindow", "2ms", "-nodes-per-shard", "200000",
-		"-mailbox", "-1", "-queue-frames", "-1",
 		"-timeout", "25m", "-v",
 	}
 	err := run(args, &sb)
@@ -165,6 +159,8 @@ func TestGossipctlFlagErrors(t *testing.T) {
 		{[]string{"-daemons", "8", "-n", "4"}, "every daemon needs"},
 		{[]string{"-local-fabric", "shm"}, "-local-fabric"},
 		{[]string{"-local-fabric", "auto"}, "-local-fabric"},
+		{[]string{"-queue-frames", "-1"}, "flag provided but not defined: -queue-frames"},
+		{[]string{"-mailbox", "-1"}, "flag provided but not defined: -mailbox"},
 	} {
 		var sb strings.Builder
 		err := run(tt.args, &sb)

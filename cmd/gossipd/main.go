@@ -117,8 +117,6 @@ func run(args []string, out io.Writer) error {
 		avgDeg    = fs.Float64("avgdeg", 8, "chunglu: expected average degree")
 		shards    = fs.Int("shards", 0, "event-loop shards hosted nodes are multiplexed onto (0 = one per CPU core)")
 		nodesPer  = fs.Int("nodes-per-shard", 0, "size shards by node count instead: ceil(hosted/this) shards (0 = use -shards)")
-		queueCap  = fs.Int("queue-frames", 0, "per-connection writer queue cap in frames; overflow sheds gossip oldest-first (0 = default, negative = unbounded — for dedicated bulk runs)")
-		mailCap   = fs.Int("mailbox", 0, "per-shard cap on waiting network arrivals, in posts; overflow sheds gossip from other daemons (0 = default, negative = unbounded)")
 
 		joinSpec = fs.String("join", "", "enable SWIM membership, bootstrapping from these seed nodes, e.g. 0 or 0,32 (empty = membership off)")
 		probeIvl = fs.Int("probe-interval", 0, "membership probe interval in ticks (0 = default)")
@@ -193,7 +191,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	tr.SetFlushWindow(*flushWin)
-	tr.SetOverloadLimits(*queueCap)
 	// Hosted nodes route in-process; map them to our own address so peer
 	// validation below only flags genuinely unreachable nodes.
 	for _, u := range hosted {
@@ -230,15 +227,14 @@ func run(args []string, out io.Writer) error {
 	}()
 
 	opts := gossip.LiveOptions{
-		Seed:       *seed,
-		Tick:       *tick,
-		MaxTicks:   *maxTicks,
-		Nodes:      hosted,
-		Crashes:    crashes,
-		Linger:     *linger,
-		Interrupt:  interrupt,
-		Shards:     nShards,
-		MailboxCap: *mailCap,
+		Seed:      *seed,
+		Tick:      *tick,
+		MaxTicks:  *maxTicks,
+		Nodes:     hosted,
+		Crashes:   crashes,
+		Linger:    *linger,
+		Interrupt: interrupt,
+		Shards:    nShards,
 	}
 	if *joinSpec != "" {
 		seeds, err := parseNodeSet(*joinSpec, g.N())
@@ -307,9 +303,6 @@ func run(args []string, out io.Writer) error {
 	if f := res.Faults; f.Dropped() > 0 || f.InjectedDups > 0 || len(f.Phases) > 0 {
 		fmt.Fprintf(out, "faults: injected-drops=%d partition-drops=%d transport-drops=%d dups=%d jittered=%d partitions=%d\n",
 			f.InjectedDrops, f.PartitionDrops, f.TransportDrops, f.InjectedDups, f.Jittered, len(f.Phases))
-	}
-	if ov := res.Faults.Overload; ov != (gossip.LiveOverloadCounts{}) {
-		fmt.Fprintf(out, "overload: shed-queue=%d member-backpressured=%d\n", ov.ShedQueue, ov.MemberBackpressured)
 	}
 	if opts.Membership != nil {
 		printMembership(out, res, hosted, *memDump)

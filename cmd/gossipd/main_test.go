@@ -244,6 +244,16 @@ func TestFlagErrors(t *testing.T) {
 			want: "flag provided but not defined: -peer-sockets",
 		},
 		{
+			name: "queue-frames-flag-removed",
+			args: []string{"-graph", "clique", "-n", "4", "-queue-frames", "-1"},
+			want: "flag provided but not defined: -queue-frames",
+		},
+		{
+			name: "mailbox-flag-removed",
+			args: []string{"-graph", "clique", "-n", "4", "-mailbox", "-1"},
+			want: "flag provided but not defined: -mailbox",
+		},
+		{
 			name: "negative-flushwindow",
 			args: []string{"-graph", "clique", "-n", "4", "-flushwindow", "-1ms"},
 			want: "-flushwindow",

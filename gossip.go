@@ -321,9 +321,8 @@ type LiveFaultPhase = live.FaultPhase
 // Dropped() totals losses from every cause.
 type LiveFaultCounts = live.FaultCounts
 
-// LiveOverloadCounts is the named ledger of what a live transport's overload
-// protection shed or delayed: bounded-queue sheds and membership
-// backpressure.
+// LiveOverloadCounts is a live transport's overload ledger. Nothing sheds,
+// so every count reads zero.
 type LiveOverloadCounts = live.OverloadCounts
 
 // LiveDrainReport summarizes a graceful transport drain: what flushed, what
@@ -414,11 +413,6 @@ type LiveOptions struct {
 	// the hosted node count). Goroutine and timer cost scale with shards,
 	// not nodes.
 	Shards int
-	// MailboxCap bounds the network arrivals waiting in each shard's
-	// mailbox, in posts (0 = a protective default, negative = unbounded).
-	// Overflowing gossip arrivals are shed and counted; messages between
-	// the runtime's own nodes never count against it and are never shed.
-	MailboxCap int
 }
 
 func (o LiveOptions) liveOptions() live.Options {
@@ -434,7 +428,6 @@ func (o LiveOptions) liveOptions() live.Options {
 		Interrupt:  o.Interrupt,
 		DrainTicks: o.DrainTicks,
 		Shards:     o.Shards,
-		MailboxCap: o.MailboxCap,
 	}
 }
 

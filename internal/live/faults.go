@@ -204,8 +204,7 @@ type FaultPhaseReport struct {
 // watcher tick (filled in by Run).
 type FaultReport struct {
 	FaultCounts
-	// Overload is the transport's overload-protection ledger (zero when the
-	// stack has no TCP transport or nothing was shed).
+	// Overload is always zero: nothing sheds (see OverloadCounts).
 	Overload OverloadCounts
 	// Phases holds one row per configured FaultConfig.Phases entry, in order
 	// (nil when no FaultTransport with phases was in the stack). The whole-run
@@ -253,6 +252,7 @@ var _ SinkTransport = (*FaultTransport)(nil)
 var _ FaultReporter = (*FaultTransport)(nil)
 var _ Drainer = (*FaultTransport)(nil)
 var _ PeerStatusSink = (*FaultTransport)(nil)
+var _ congestion = (*FaultTransport)(nil)
 
 // NewFaultTransport wraps inner with the given fault plan. The caller keeps
 // ownership of inner's lifetime; closing the FaultTransport closes inner.
@@ -400,7 +400,7 @@ func (t *FaultTransport) SetSink(sink DeliverySink) bool {
 func (t *FaultTransport) Close() error { return t.inner.Close() }
 
 // Faults implements FaultReporter: the per-phase ledger and its totals, plus
-// whatever the inner transport reports (its real losses and overload).
+// whatever the inner transport reports (its real losses).
 func (t *FaultTransport) Faults() FaultReport {
 	rep := FaultReport{FaultCounts: FaultCounts{InjectedDups: t.dups.Load()}}
 	for i := range t.phases {
@@ -422,7 +422,6 @@ func (t *FaultTransport) Faults() FaultReport {
 	if fr, ok := t.inner.(FaultReporter); ok {
 		inner := fr.Faults()
 		rep.FaultCounts.add(inner.FaultCounts)
-		rep.Overload.add(inner.Overload)
 	}
 	return rep
 }
@@ -433,6 +432,12 @@ func (t *FaultTransport) Drain(ctx context.Context) (DrainReport, error) {
 		return d.Drain(ctx)
 	}
 	return DrainReport{}, t.inner.Close()
+}
+
+// congested forwards the inner transport's congestion (see congestion).
+func (t *FaultTransport) congested() bool {
+	c, ok := t.inner.(congestion)
+	return ok && c.congested()
 }
 
 // PeerDown / PeerUp forward membership verdicts to the inner transport.

@@ -113,12 +113,6 @@ type Options struct {
 	// the hosted node count). More shards buy parallelism, fewer buy cache
 	// density; the default is right for almost everything.
 	Shards int
-	// MailboxCap bounds the network arrivals waiting in each shard's
-	// mailbox, in posts (0 = the protective DefaultMailboxCap, negative =
-	// unbounded). When full, gossip arrivals are shed into the overload
-	// ledger; membership traffic is always admitted. Messages between this
-	// runtime's own nodes never count against it and are never shed.
-	MailboxCap int
 }
 
 // DefaultDrainTicks is the post-interrupt grace period, in ticks.
@@ -214,10 +208,9 @@ type Runtime struct {
 	leaving   atomic.Bool  // interrupted: broadcast leave, answer, don't initiate
 	doneN     atomic.Int64 // hosted nodes whose done flag is set (watch fast path)
 	stopN     atomic.Int64 // hosted nodes whose exhausted flag is set
-	mailShed  atomic.Int64 // gossip arrivals shed by full shard mailboxes
 	abandoned atomic.Int64 // posts a stopped shard never delivered, delays past maxDelayTicks
-	mailCap   int          // resolved Options.MailboxCap (<=0 = unbounded)
 	peerSink  PeerStatusSink
+	cong      congestion // the transport's congestion, nil when it reports none
 	wg        sync.WaitGroup
 }
 
@@ -233,9 +226,6 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 	if opts.MaxTicks <= 0 {
 		opts.MaxTicks = DefaultMaxTicks
 	}
-	if opts.MailboxCap == 0 {
-		opts.MailboxCap = DefaultMailboxCap
-	}
 	rt := &Runtime{
 		g:      g,
 		proto:  proto,
@@ -245,9 +235,8 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 		csr:    graph.BuildAdjCSR(g),
 		stopCh: make(chan struct{}),
 	}
-	if opts.MailboxCap > 0 {
-		rt.mailCap = opts.MailboxCap
-	}
+	// A congested transport holds the shards' initiation (see shard.tick).
+	rt.cong, _ = tr.(congestion)
 	if rt.nhint <= 0 {
 		rt.nhint = g.N()
 	}
@@ -387,7 +376,6 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 	if fr, ok := tr.(FaultReporter); ok {
 		res.Faults = fr.Faults()
 	}
-	res.Faults.Overload.ShedQueue += rt.mailShed.Load()
 	res.Faults.TransportDrops += rt.abandoned.Load()
 	res.Faults.InformedOverTime = informedOverTime
 	if !completed && !interrupted {

@@ -94,9 +94,10 @@ func (n *node) Initiate(idx int, payload sim.Payload) (uint64, error) {
 // onTick advances the node's round counter and runs the handler's Tick, the
 // live analogue of the simulator's phase B. The wall counter keeps advancing
 // while the node is down so a scheduled recovery knows when to fire. hold is
-// the shard's backpressure: the wall clock, crash and recovery plans, leave
-// and the failure detector still run, but the protocol takes no round, so
-// the node starts no exchange.
+// the shard's backpressure (a destination shard behind, or a congested
+// transport): the wall clock, crash and recovery plans, leave and the
+// failure detector still run, but the protocol takes no round, so the node
+// starts no exchange.
 func (n *node) onTick(hold bool) {
 	n.wall++
 	if n.halted {

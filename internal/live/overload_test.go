@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -93,7 +92,7 @@ func queuedTicks(tr *TCPTransport) []int {
 	defer cs.qmu.Unlock()
 	var ticks []int
 	for c := cs.qHead; c != nil; c = c.next {
-		for _, w := range c.live() {
+		for _, w := range c.msgs[:c.n] {
 			ticks = append(ticks, w.SentTick)
 		}
 	}
@@ -114,267 +113,147 @@ func testMsg(to graph.NodeID, kind MsgKind, tick int) Message {
 		SentTick: tick, Payload: bitp{informed: true}}
 }
 
-// TestOverloadQueueShedOldest: past the writer-queue cap, gossip newcomers
-// shed the oldest queued gossip frame — a terminal, counted loss.
-func TestOverloadQueueShedOldest(t *testing.T) {
+// TestOverloadCongestionHoldsNotSheds: a parked writer's queue that grows
+// past one super-frame marks its transport congested instead of shedding:
+// every frame stays queued and nothing counts as lost. The writer taking the
+// queue clears the mark, and so does the connection dying.
+func TestOverloadCongestionHoldsNotSheds(t *testing.T) {
 	tr, cleanup := overloadPair(t)
 	defer cleanup()
-	tr.SetOverloadLimits(4)
 
-	const sends = 20
+	tick := 0
+	fill := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			if err := tr.Send(testMsg(1, MsgRequest, tick), 0); err != nil {
+				t.Fatal(err)
+			}
+			tick++
+		}
+	}
+	fill(chunkFrames)
+	if tr.congested() {
+		t.Fatalf("congested at %d queued frames, one full super-frame", chunkFrames)
+	}
+	fill(1)
+	if !tr.congested() {
+		t.Fatalf("not congested at %d queued frames", chunkFrames+1)
+	}
+	if got := queuedTicks(tr); !slices.Equal(got, tickRange(0, chunkFrames+1)) {
+		t.Fatalf("queued %d frames, want ticks 0..%d in order", len(got), chunkFrames)
+	}
+	if shed, dropped := tr.Overload().Shed(), tr.Dropped(); shed != 0 || dropped != 0 {
+		t.Fatalf("Shed() = %d, Dropped() = %d; want nothing lost", shed, dropped)
+	}
+
+	cs := tr.routes.Load().lookup(1).out.Load()
+	chain := cs.take()
+	if tr.congested() {
+		t.Fatal("still congested after the writer took the queue")
+	}
+	cs.release(len(flattenChunks(chain)))
+
+	fill(chunkFrames + 1)
+	if !tr.congested() {
+		t.Fatal("not congested after refilling past one super-frame")
+	}
+	if data := cs.markDead(); len(data) != chunkFrames+1 {
+		t.Fatalf("markDead returned %d frames, want %d", len(data), chunkFrames+1)
+	}
+	if tr.congested() {
+		t.Fatal("still congested after the connection died")
+	}
+}
+
+// TestOverloadRequeueAcrossChunks: a queue spanning several chunks survives
+// a broken connection whole. The parked queue re-queues toward a fresh
+// connection, flattened across its chunks, and every frame reaches a real
+// peer once, in order, with nothing counted lost.
+func TestOverloadRequeueAcrossChunks(t *testing.T) {
+	const sends = 2*chunkFrames + 500 // three chunks, the last one partial
+	peer, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	in := sinkInbox(t, peer)(1)
+	addr := peer.Addr().String()
+	tr, err := parkedSender(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
 	for i := 0; i < sends; i++ {
 		if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if got := queuedTicks(tr); !slices.Equal(got, tickRange(0, sends)) {
+		t.Fatalf("queued %d frames, want ticks 0..%d in order", len(got), sends-1)
+	}
+
+	// Un-park: sever the parked connection once its dial has attached it.
+	// Its read loop re-queues the queue toward a fresh connection, whose
+	// writer runs with no flush window.
+	cs := pooled(tr, addr)
+	var c net.Conn
 	if !pollUntil(5*time.Second, func() bool {
-		return tr.Overload().ShedQueue == sends-4 && tr.queueDepth() == 4
+		tr.connMu.Lock()
+		defer tr.connMu.Unlock()
+		c = cs.c
+		return c != nil
 	}) {
-		t.Fatalf("ShedQueue = %d, queueDepth = %d; want %d shed, 4 queued",
-			tr.Overload().ShedQueue, tr.queueDepth(), sends-4)
+		t.Fatal("the parked connection never dialed")
 	}
-	if got := tr.Dropped(); got < sends-4 {
-		t.Fatalf("Dropped() = %d, want >= %d (sheds are drops)", got, sends-4)
-	}
-	if ov := tr.Faults().Overload; ov.ShedQueue != sends-4 {
-		t.Fatalf("Faults().Overload.ShedQueue = %d, want %d", ov.ShedQueue, sends-4)
-	}
-}
-
-// TestOverloadShedYields: a send that sheds gives up its processor before
-// it returns, so the writer it woke can drain the queue. On one processor a
-// goroutine started just before such a send runs only if the send yields.
-// A handful of sends are tried because the scheduler occasionally resumes
-// the yielding goroutine first.
-func TestOverloadShedYields(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	tr, cleanup := overloadPair(t)
-	defer cleanup()
-	tr.SetOverloadLimits(4)
-
-	tick := 0
-	send := func() {
-		if err := tr.Send(testMsg(1, MsgRequest, tick), 0); err != nil {
-			t.Fatal(err)
+	tr.SetFlushWindow(0)
+	c.Close()
+	for want := 0; want < sends; want++ {
+		if m := recvWithin(t, in, 10*time.Second); m.SentTick != want {
+			t.Fatalf("delivered tick %d, want %d", m.SentTick, want)
 		}
-		tick++
 	}
-	for tick < 4 {
-		send()
+	if !pollUntil(5*time.Second, func() bool { return allAcked(tr) }) {
+		t.Fatal("the re-queued frames were never acked")
 	}
-	if !pollUntil(5*time.Second, func() bool { return tr.queueDepth() == 4 }) {
-		t.Fatalf("queueDepth = %d, want 4", tr.queueDepth())
+	select {
+	case m := <-in:
+		t.Fatalf("delivered tick %d past the queue", m.SentTick)
+	default:
 	}
-	yielded := false
-	for i := 0; i < 8 && !yielded; i++ {
-		var ran atomic.Bool
-		done := make(chan struct{})
-		go func() {
-			ran.Store(true)
-			close(done)
-		}()
-		send()
-		yielded = ran.Load()
-		<-done
+	if got := tr.Dropped(); got != 0 {
+		t.Fatalf("Dropped = %d, want 0", got)
 	}
-	if !yielded {
-		t.Fatal("no shedding send yielded its processor")
-	}
-	if got := tr.Overload().ShedQueue; got == 0 {
-		t.Fatal("no send was shed")
+	if tr.congested() {
+		t.Fatal("still congested once every frame was written")
 	}
 }
 
-// TestOverloadMemberBackpressure: membership frames are never shed — they
-// preempt gossip from a full queue, and when the queue is all membership
-// traffic a membership newcomer blocks (bounded) instead of dropping.
-func TestOverloadMemberBackpressure(t *testing.T) {
-	tr, cleanup := overloadPair(t)
-	defer cleanup()
-	tr.SetOverloadLimits(2)
-
-	// Fill the queue with membership frames.
-	for i := 0; i < 2; i++ {
-		if err := tr.Send(testMsg(1, MsgMember, i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !pollUntil(5*time.Second, func() bool { return tr.queueDepth() == 2 }) {
-		t.Fatalf("queueDepth = %d, want 2", tr.queueDepth())
-	}
-
-	// A gossip newcomer cannot displace membership: it is shed itself.
-	if err := tr.Send(testMsg(1, MsgRequest, 100), 0); err != nil {
-		t.Fatal(err)
-	}
-	if !pollUntil(5*time.Second, func() bool { return tr.Overload().ShedQueue == 1 }) {
-		t.Fatalf("ShedQueue = %d, want 1 (gossip newcomer shed)", tr.Overload().ShedQueue)
-	}
-
-	// A membership newcomer applies backpressure: it blocks rather than drop.
-	sent := make(chan error, 1)
-	go func() { sent <- tr.Send(testMsg(1, MsgMember, 101), 0) }()
-	if !pollUntil(5*time.Second, func() bool { return tr.Overload().MemberBackpressured == 1 }) {
-		t.Fatalf("MemberBackpressured = %d, want 1", tr.Overload().MemberBackpressured)
-	}
-	if tr.Overload().ShedQueue != 1 {
-		t.Fatalf("membership frame was shed: ShedQueue = %d", tr.Overload().ShedQueue)
-	}
-	// Close rescues the blocked enqueuer.
-	cleanup()
-	if err := <-sent; err != nil && err != ErrTransportClosed {
-		t.Fatalf("backpressured send returned %v", err)
-	}
-}
-
-// TestOverloadShedAcrossChunks: with a cap wider than one queue chunk,
-// shedding walks the head offset through whole chunks and recycles them:
-// the survivors are exactly the newest frames, in order, and they reach a
-// real peer in that order once the connection breaks and re-queues them.
-// A membership frame at the head is never shed: the gossip behind it goes.
-func TestOverloadShedAcrossChunks(t *testing.T) {
-	const limit, sends = 1500, 5000 // the cap spans two chunks
-	if limit <= chunkFrames {
-		t.Fatalf("limit %d fits one chunk of %d frames", limit, chunkFrames)
-	}
-
-	t.Run("gossip", func(t *testing.T) {
-		peer, err := NewTCPTransport("127.0.0.1:0", []graph.NodeID{1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer peer.Close()
-		in := sinkInbox(t, peer)(1)
-		addr := peer.Addr().String()
-		tr, err := parkedSender(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		tr.SetOverloadLimits(limit)
-
-		for i := 0; i < sends; i++ {
-			if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if shed, depth := tr.Overload().ShedQueue, tr.queueDepth(); shed != sends-limit || depth != limit {
-			t.Fatalf("ShedQueue = %d, queueDepth = %d; want %d shed, %d queued", shed, depth, sends-limit, limit)
-		}
-		if got := queuedTicks(tr); !slices.Equal(got, tickRange(sends-limit, sends)) {
-			t.Fatalf("queued %d frames, want ticks %d..%d: %v", len(got), sends-limit, sends-1, got)
-		}
-
-		// Un-park: sever the parked connection once its dial has attached
-		// it. Its read loop re-queues the survivors toward a fresh
-		// connection, whose writer runs with no flush window.
-		cs := pooled(tr, addr)
-		var c net.Conn
-		if !pollUntil(5*time.Second, func() bool {
-			tr.connMu.Lock()
-			defer tr.connMu.Unlock()
-			c = cs.c
-			return c != nil
-		}) {
-			t.Fatal("the parked connection never dialed")
-		}
-		tr.SetFlushWindow(0)
-		c.Close()
-		for want := sends - limit; want < sends; want++ {
-			if m := recvWithin(t, in, 10*time.Second); m.SentTick != want {
-				t.Fatalf("delivered tick %d, want %d", m.SentTick, want)
-			}
-		}
-		if !pollUntil(5*time.Second, func() bool { return allAcked(tr) }) {
-			t.Fatal("the re-queued survivors were never acked")
-		}
-		select {
-		case m := <-in:
-			t.Fatalf("delivered tick %d past the survivors", m.SentTick)
-		default:
-		}
-		if got := tr.Dropped(); got != sends-limit {
-			t.Fatalf("Dropped = %d, want the %d shed", got, sends-limit)
-		}
-	})
-
-	t.Run("member at head", func(t *testing.T) {
-		tr, cleanup := overloadPair(t)
-		defer cleanup()
-		tr.SetOverloadLimits(limit)
-
-		if err := tr.Send(testMsg(1, MsgMember, -1), 0); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < limit; i++ {
-			if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The first shed takes the gossip frame right behind the membership
-		// frame, which stays first.
-		if got := queuedTicks(tr); tr.Overload().ShedQueue != 1 || len(got) < 2 || got[0] != -1 || got[1] != 1 {
-			t.Fatalf("after one shed: ShedQueue = %d, queue %v; want 1 shed and the queue to open [-1 1]", tr.Overload().ShedQueue, got)
-		}
-		for i := limit; i < sends; i++ {
-			if err := tr.Send(testMsg(1, MsgRequest, i), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		shed := sends + 1 - limit
-		if got, depth := tr.Overload().ShedQueue, tr.queueDepth(); got != int64(shed) || depth != limit {
-			t.Fatalf("ShedQueue = %d, queueDepth = %d; want %d shed, %d queued", got, depth, shed, limit)
-		}
-		want := append([]int{-1}, tickRange(shed, sends)...)
-		if got := queuedTicks(tr); !slices.Equal(got, want) {
-			t.Fatalf("queued %d frames, want tick -1 then %d..%d: %v", len(got), shed, sends-1, got)
-		}
-	})
-}
-
-// TestFlattenChunksReadsLiveEntries: teardown and re-queue take only a
-// chunk's live entries, msgs[off:n], never the slots shedding left behind.
+// TestFlattenChunksReadsLiveEntries: teardown and re-queue take every
+// chunk's queued entries, msgs[:n], head first.
 func TestFlattenChunksReadsLiveEntries(t *testing.T) {
-	head, tail := getChunk(), getChunk()
-	head.next = tail
-	for i := 0; i < 10; i++ {
-		head.msgs[i].SentTick = i
+	head, mid, tail := getChunk(), getChunk(), getChunk()
+	head.next, mid.next = mid, tail
+	tick := 0
+	for _, c := range []*msgChunk{head, mid, tail} {
+		c.n = 3 + tick/2
+		for i := 0; i < c.n; i++ {
+			c.msgs[i].SentTick = tick
+			tick++
+		}
 	}
-	head.off, head.n = 4, 10 // ticks 0..3 were shed; their slots are stale
-	for i := 0; i < 5; i++ {
-		tail.msgs[i].SentTick = 10 + i
-	}
-	tail.n = 5
+	tail.msgs[tail.n].SentTick = -1 // a stale slot past n
 	var got []int
 	for _, w := range flattenChunks(head) {
 		got = append(got, w.SentTick)
 	}
-	if want := tickRange(4, 15); !slices.Equal(got, want) {
+	if want := tickRange(0, tick); !slices.Equal(got, want) {
 		t.Fatalf("flattened ticks %v, want %v", got, want)
 	}
 }
 
-// TestGetChunkResetsOffset: a chunk recycled with its head offset advanced
-// comes back from getChunk empty, offset included.
-func TestGetChunkResetsOffset(t *testing.T) {
-	// A sync.Pool may drop what it is given (the race detector does so at
-	// random), so recycle until the dirty chunk itself comes back.
-	for try := 0; try < 100; try++ {
-		dirty := &msgChunk{next: new(msgChunk), off: 7, n: 9}
-		chunkPool.Put(dirty)
-		c := getChunk()
-		if c.next != nil || c.off != 0 || c.n != 0 {
-			t.Fatalf("getChunk returned next=%p off=%d n=%d, want an empty chunk", c.next, c.off, c.n)
-		}
-		if c == dirty {
-			return
-		}
-	}
-	t.Fatal("the pool never handed the recycled chunk back")
-}
-
-// TestWriteCycleReadsLiveEntries: the writer encodes and counts only a
-// chunk's live entries.
+// TestWriteCycleReadsLiveEntries: the writer encodes and counts a chunk's
+// queued entries, msgs[:n], and never a stale slot past them.
 func TestWriteCycleReadsLiveEntries(t *testing.T) {
 	st := &StreamTransport{}
 	var out bytes.Buffer
@@ -383,7 +262,7 @@ func TestWriteCycleReadsLiveEntries(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		head.msgs[i].SentTick = i
 	}
-	head.off, head.n = 6, 10
+	head.n = 4
 	n, err := st.writeCycle(cs, head)
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +285,7 @@ func TestWriteCycleReadsLiveEntries(t *testing.T) {
 			got = append(got, w.SentTick)
 		}
 	}
-	if want := tickRange(6, 10); !slices.Equal(got, want) {
+	if want := tickRange(0, 4); !slices.Equal(got, want) {
 		t.Fatalf("wrote ticks %v, want %v", got, want)
 	}
 }

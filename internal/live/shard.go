@@ -25,16 +25,18 @@ import (
 //     to a per-destination outbox, which the end of every drain or sweep pass
 //     hands over in one locked append — one lock per destination per pass;
 //   - arriving from the network (the sender is hosted elsewhere): posted to
-//     the owner's mailbox under its lock, capped and shed when full.
+//     the owner's mailbox under its lock; the posting reader waits while
+//     the mailbox already holds one sweep's worth (see post).
 //
-// Posts within the process are never shed. What bounds memory instead is
-// flow control on initiation: a shard's nodes start no new exchanges while
-// any destination still holds more than one sweep's worth of the posts this
-// shard handed it (its hosted count). Everything else goes on — the sweep
-// still advances wall clocks, crash and recovery plans and the failure
-// detector, and the shard keeps firing its calendar, draining its mailbox
-// and answering requests — so no response is ever refused and two shards
-// waiting on each other both keep draining: backpressure cannot deadlock.
+// No post is ever shed. What bounds memory instead is flow control on
+// initiation: a shard's nodes start no new exchanges while any destination
+// still holds more than one sweep's worth of the posts this shard handed it
+// (its hosted count), or while the transport reports a congested connection
+// (see congestion). Everything else goes on — the sweep still advances wall
+// clocks, crash and recovery plans and the failure detector, and the shard
+// keeps firing its calendar, draining its mailbox and answering requests —
+// so no response is ever refused and two shards waiting on each other both
+// keep draining: backpressure cannot deadlock.
 
 // post is one mailbox or outbox entry: a message and its remaining delivery
 // delay in protocol ticks (<= 0 delivers on the owner's next drain).
@@ -63,9 +65,10 @@ type shard struct {
 	out [][]post  // out[d]: posts for shard d, handed over once per pass
 
 	mu      sync.Mutex
-	q       []post // mailbox, guarded by mu
-	qSpare  []post // drained buffer kept for reuse
-	netQ    int    // network arrivals in q: the part MailboxCap bounds
+	q       []post    // mailbox, guarded by mu
+	qSpare  []post    // drained buffer kept for reuse
+	netQ    int       // network arrivals in q: the part post bounds
+	space   sync.Cond // on mu: drainMail or stop made room for a waiting post
 	stopped bool
 	// fromQ[d] is the number of shard d's handed-over posts in q: handover
 	// adds to it and drainMail zeroes it, both under mu; shard d reads it
@@ -75,18 +78,9 @@ type shard struct {
 	notify chan struct{} // cap 1: wakes the loop for a fresh mailbox post
 }
 
-// DefaultMailboxCap bounds the network arrivals waiting in one shard's
-// mailbox. Without it a degree hotspot (say a star center) lets a remote
-// sender outrun the owning shard and the queue — and the process — grows
-// without bound. When full, gossip arrivals are shed and counted in the
-// overload ledger (ShedQueue); membership traffic is always admitted. Posts
-// from this process's own nodes never count against it and are never shed.
-// Options.MailboxCap overrides it per run (negative = unbounded).
-const DefaultMailboxCap = 1 << 16
-
 // newShard builds shard id of nShards hosting nNodes nodes.
 func newShard(rt *Runtime, id, nShards, nNodes int) *shard {
-	return &shard{
+	s := &shard{
 		rt:     rt,
 		id:     id,
 		nodes:  make([]node, nNodes),
@@ -94,22 +88,32 @@ func newShard(rt *Runtime, id, nShards, nNodes int) *shard {
 		fromQ:  make([]atomic.Int64, nShards),
 		notify: make(chan struct{}, 1),
 	}
+	s.space.L = &s.mu
+	return s
 }
 
-// post enqueues a network arrival for a node this shard owns. A full mailbox
-// sheds gossip into the overload ledger; a stopped shard counts the message
-// as abandoned. Either way the message is handled: the sink never refuses
-// it back to the transport.
+// post enqueues a network arrival for a node this shard owns. While the
+// mailbox already holds one sweep's worth of network arrivals (the shard's
+// hosted count, the bound fromQ applies to in-process posts) it waits for
+// the next drain; a shard that stops meanwhile, or had stopped, counts the
+// message as abandoned. Nothing is shed, and the sink never refuses the
+// message back to the transport.
+//
+// In a running cluster only a stream transport's read loop reaches post, so
+// a full mailbox stops that reader: the socket buffer fills, the sender's writer blocks, its queue
+// grows and its runtime holds initiation (see congestion). The flow control
+// is TCP's own. The wait cannot deadlock: a shard never waits on the network
+// (Send never blocks, and in-process posts go through handover), every pass
+// of its loop drains the mailbox and wakes the waiters, and stop releases
+// every waiter.
 func (s *shard) post(msg Message, delayTicks int64) {
 	s.mu.Lock()
+	for !s.stopped && s.netQ >= len(s.nodes) {
+		s.space.Wait()
+	}
 	if s.stopped {
 		s.mu.Unlock()
 		s.rt.abandoned.Add(1)
-		return
-	}
-	if mc := s.rt.mailCap; mc > 0 && s.netQ >= mc && msg.Kind != MsgMember {
-		s.mu.Unlock()
-		s.rt.mailShed.Add(1)
 		return
 	}
 	s.q = append(s.q, post{msg: msg, delayTicks: delayTicks})
@@ -175,6 +179,18 @@ func (s *shard) backpressured() bool {
 	return false
 }
 
+// stop marks the shard stopped and releases every post waiting for room;
+// those, and whatever is still queued or armed here, will never be
+// delivered: they count as abandoned, as a transport counts the deliveries
+// it abandons at Close.
+func (s *shard) stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.space.Broadcast()
+	s.rt.abandoned.Add(int64(len(s.q) + s.cal.armed + len(s.due)))
+	s.mu.Unlock()
+}
+
 // run is the shard's event loop: start every handler, then alternate between
 // protocol ticks (calendar deliveries + a node sweep) and mailbox drains until
 // the runtime stops.
@@ -188,12 +204,7 @@ func (s *shard) run() {
 			s.tick()
 		}
 		s.handover() // whatever Start sent, if the runtime stopped before a pass
-		s.mu.Lock()
-		s.stopped = true
-		// Whatever is still queued or armed here will never be delivered:
-		// count it, as a transport counts the deliveries it abandons at Close.
-		s.rt.abandoned.Add(int64(len(s.q) + s.cal.armed + len(s.due)))
-		s.mu.Unlock()
+		s.stop()
 		// Unwind coroutine handlers (sim.Proc) so a shut-down runtime never
 		// leaks a parked proc goroutine.
 		for i := range s.nodes {
@@ -244,9 +255,10 @@ func (s *shard) run() {
 // tick advances the shard to the current wall tick: every due calendar
 // delivery fires (in deadline order — a long scheduler stall is a jump, not a
 // spin), the mailbox drains, each owned node takes one onTick — which starts
-// no exchange while backpressure holds it — and the outboxes are handed over. A
-// stalled shard runs one node sweep per loop pass, mirroring how a per-node
-// ticker dropped missed ticks instead of replaying them.
+// no exchange while backpressure or a congested transport holds it — and the
+// outboxes are handed over. A stalled shard runs one node sweep per loop
+// pass, mirroring how a per-node ticker dropped missed ticks instead of
+// replaying them.
 func (s *shard) tick() {
 	target := int64(time.Since(s.rt.epoch) / s.rt.opts.Tick)
 	if target <= s.cal.now {
@@ -264,7 +276,7 @@ func (s *shard) tick() {
 		s.cal.recycle(slot)
 	}
 	s.drainMail()
-	hold := s.backpressured()
+	hold := s.backpressured() || (s.rt.cong != nil && s.rt.cong.congested())
 	for i := range s.nodes {
 		s.nodes[i].onTick(hold)
 	}
@@ -278,7 +290,8 @@ func (s *shard) tick() {
 // tick, as the timer transports guaranteed), delayed posts arm on the
 // calendar. What arrives meanwhile waits for the next drain, so producers
 // that keep pace with the drain cannot keep the shard from its calendar and
-// keep their backpressure in step with it.
+// keep their backpressure in step with it. Taking the mailbox wakes the
+// posts waiting for room.
 func (s *shard) drainMail() {
 	s.drainDue()
 	s.mu.Lock()
@@ -288,6 +301,7 @@ func (s *shard) drainMail() {
 		for i := range s.fromQ {
 			s.fromQ[i].Store(0)
 		}
+		s.space.Broadcast()
 	}
 	s.mu.Unlock()
 	for _, p := range q {

@@ -16,50 +16,61 @@ import (
 	"gossip/internal/sim"
 )
 
-// TestShardMailboxCap: a full mailbox sheds gossip arrivals (counted in the
-// overload ledger) but always admits membership traffic, and a stopped shard
-// counts every arrival as abandoned.
-func TestShardMailboxCap(t *testing.T) {
-	s := &shard{rt: &Runtime{mailCap: DefaultMailboxCap}, notify: make(chan struct{}, 1)}
-	s.q, s.netQ = make([]post, DefaultMailboxCap), DefaultMailboxCap
+// TestShardPostWaitsForDrain: a shard's mailbox takes one sweep's worth of
+// network arrivals (its hosted count); the next post waits until the shard
+// drains it, and a shard that stops releases a waiting post, counting its
+// message as abandoned.
+func TestShardPostWaitsForDrain(t *testing.T) {
+	const nodes = 2
+	s := newShard(&Runtime{}, 0, 1, nodes)
+	queued := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.q)
+	}
+	// post in the background; the returned channel closes once it returns.
+	post := func(tick int) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.post(Message{Kind: MsgRequest, SentTick: tick}, 1)
+		}()
+		return done
+	}
+	blocked := func(done chan struct{}) bool {
+		select {
+		case <-done:
+			return false
+		case <-time.After(20 * time.Millisecond):
+			return true
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		s.post(Message{Kind: MsgRequest, SentTick: i}, 1)
+	}
+	waiter := post(nodes)
+	if !blocked(waiter) || queued() != nodes {
+		t.Fatalf("a post past %d arrivals did not wait: %d queued", nodes, queued())
+	}
+	s.drainMail()
+	<-waiter
+	if got := queued(); got != 1 || s.cal.armed != nodes {
+		t.Fatalf("after the drain: %d queued, %d armed; want 1, %d", got, s.cal.armed, nodes)
+	}
 
-	s.post(Message{Kind: MsgRequest}, 0)
-	if got := len(s.q); got != DefaultMailboxCap {
-		t.Fatalf("gossip post enqueued past the cap: len(q) = %d, want %d", got, DefaultMailboxCap)
+	s.post(Message{Kind: MsgRequest, SentTick: nodes + 1}, 1)
+	waiter = post(nodes + 2)
+	if !blocked(waiter) {
+		t.Fatal("a post into a full mailbox did not wait")
 	}
-	if got := s.rt.mailShed.Load(); got != 1 {
-		t.Fatalf("mailShed = %d, want 1", got)
+	s.stop()
+	<-waiter
+	if got, want := s.rt.abandoned.Load(), int64(nodes+nodes+1); got != want || queued() != nodes {
+		t.Fatalf("after stop: abandoned = %d, %d queued; want %d, %d", got, queued(), want, nodes)
 	}
-
-	s.post(Message{Kind: MsgMember}, 0)
-	if got := len(s.q); got != DefaultMailboxCap+1 {
-		t.Fatalf("membership post not admitted past the cap: len(q) = %d, want %d", got, DefaultMailboxCap+1)
-	}
-	if got := s.rt.mailShed.Load(); got != 1 {
-		t.Fatalf("mailShed after membership post = %d, want 1", got)
-	}
-
-	// An unbounded mailbox (mailCap <= 0, from Options.MailboxCap < 0)
-	// admits gossip past any depth — bulk runs on dedicated hardware trade
-	// memory for zero local loss.
-	u := &shard{rt: &Runtime{}, notify: make(chan struct{}, 1)}
-	u.q, u.netQ = make([]post, DefaultMailboxCap), DefaultMailboxCap
-	u.post(Message{Kind: MsgRequest}, 0)
-	if got := len(u.q); got != DefaultMailboxCap+1 {
-		t.Fatalf("unbounded mailbox shed: len(q) = %d, want %d", got, DefaultMailboxCap+1)
-	}
-	if got := u.rt.mailShed.Load(); got != 0 {
-		t.Fatalf("unbounded mailbox counted a shed: mailShed = %d", got)
-	}
-
-	u.stopped = true
-	u.post(Message{Kind: MsgRequest}, 0)
-	u.post(Message{Kind: MsgMember}, 0)
-	if got := len(u.q); got != DefaultMailboxCap+1 {
-		t.Fatalf("stopped shard enqueued: len(q) = %d, want %d", got, DefaultMailboxCap+1)
-	}
-	if got := u.rt.abandoned.Load(); got != 2 {
-		t.Fatalf("stopped shard abandoned = %d, want 2", got)
+	s.post(Message{Kind: MsgRequest}, 1)
+	if got, want := s.rt.abandoned.Load(), int64(nodes+nodes+2); got != want {
+		t.Fatalf("a post to a stopped shard: abandoned = %d, want %d", got, want)
 	}
 }
 
@@ -68,7 +79,7 @@ func TestShardMailboxCap(t *testing.T) {
 // the shard, so it cannot grow the ring; a delay at the horizon is posted.
 func TestSinkDelayHorizon(t *testing.T) {
 	rt := &Runtime{opts: Options{Tick: time.Millisecond}, loc: []nodeLoc{{0, 0}, {-1, -1}}}
-	s := &shard{rt: rt, notify: make(chan struct{}, 1)}
+	s := newShard(rt, 0, 1, 1)
 	rt.shards = []*shard{s}
 	msg := Message{Kind: MsgRequest, From: 1, To: 0} // a network arrival for node 0
 
@@ -212,22 +223,6 @@ func TestCalendarAgainstReference(t *testing.T) {
 	}
 }
 
-// TestShardLosslessAtMailboxCapOne: posts between the shards of one runtime
-// never touch the mailbox cap, so even a cap of one post sheds nothing —
-// flow control on initiation bounds them instead.
-func TestShardLosslessAtMailboxCapOne(t *testing.T) {
-	g := graph.RingChords(20_000, 4, 16, 1)
-	tr := NewChanTransport(g.N())
-	defer tr.Close()
-	res, err := Run(g, ppProto{source: 0}, tr, Options{Seed: 1, Tick: 200 * time.Microsecond, Shards: 4, MailboxCap: 1})
-	if err != nil || !res.Completed {
-		t.Fatalf("completed=%v err=%v", res.Completed, err)
-	}
-	if got := res.Faults.Overload.ShedQueue; got != 0 {
-		t.Fatalf("ShedQueue = %d, want 0: same-process posts must never be shed", got)
-	}
-}
-
 // TestShardHotspotStar is the degree hotspot that starved a capped mailbox
 // (every leaf shard shedding into the center's) and exhausted memory with an
 // uncapped one: a star on four shards completes with nothing shed, within a
@@ -275,12 +270,14 @@ func TestShardHotspotStar(t *testing.T) {
 
 // heldProto is push-pull whose node gate blocks in Tick until open is
 // closed, so the shard hosting gate stops draining its mailbox. It records
-// the highest round any node below gate has ticked and closes rejoined when
-// it builds node crash's handler a second time (its recovery).
+// the highest round any node below gate has ticked, counts the requests
+// those nodes answer when answered is set, and closes rejoined when it
+// builds node crash's handler a second time (its recovery).
 type heldProto struct {
 	gate, crash graph.NodeID
 	open        chan struct{}
 	round       *atomic.Int64
+	answered    *atomic.Int64
 	built       *atomic.Int32
 	rejoined    func()
 }
@@ -314,6 +311,13 @@ func (n *heldNode) Tick(ctx *sim.Context) {
 		}
 	}
 	n.ppNode.Tick(ctx)
+}
+
+func (n *heldNode) OnRequest(ctx *sim.Context, req sim.Request) sim.Payload {
+	if n.id < n.p.gate && n.p.answered != nil {
+		n.p.answered.Add(1)
+	}
+	return n.ppNode.OnRequest(ctx, req)
 }
 
 // memberSends counts the membership packets nodes below from send.
@@ -393,17 +397,22 @@ func TestShardHeldBackKeepsClock(t *testing.T) {
 
 // tappedTransport is a stream transport whose sink counts every remote
 // arrival the runtime's sink took, and hands it to onTake when that is set:
-// the receive side of a two-runtime ledger.
+// the receive side of a two-runtime ledger. onAttach, when set, runs once
+// a runtime's sink is installed and before its shards start.
 type tappedTransport struct {
 	*StreamTransport
-	nodes  []graph.NodeID // hosted, in order
-	took   atomic.Int64
-	onTake func(Message) // set before the first run
+	nodes    []graph.NodeID // hosted, in order
+	took     atomic.Int64
+	onTake   func(Message) // set before the first run
+	onAttach func()        // set before each run
 }
 
 func (tr *tappedTransport) SetSink(sink DeliverySink) bool {
 	if sink == nil {
 		return tr.StreamTransport.SetSink(nil)
+	}
+	if tr.onAttach != nil {
+		defer tr.onAttach()
 	}
 	return tr.StreamTransport.SetSink(func(m Message, d time.Duration) bool {
 		if !sink(m, d) {
@@ -445,8 +454,15 @@ func streamPair(t *testing.T, fabric string, g *graph.Graph) [2]*tappedTransport
 
 // runPair runs proto on both runtimes of a pair at once, with opts (Nodes
 // filled in), and returns a wait function reporting both runs' results.
+// Neither runtime starts before both have attached their sinks, so no
+// arrival finds no runtime to take it.
 func runPair(t *testing.T, g *graph.Graph, proto Protocol, trs [2]*tappedTransport, opts Options) func() [2]Result {
 	t.Helper()
+	var attached sync.WaitGroup
+	attached.Add(len(trs))
+	for _, tr := range trs {
+		tr.onAttach = func() { attached.Done(); attached.Wait() }
+	}
 	var wg sync.WaitGroup
 	var res [2]Result
 	for i := range trs {
@@ -519,8 +535,8 @@ func TestShardSaturatedUnixNoDuplicates(t *testing.T) {
 // its messages repeat the first run's identities (edge, from, tick, kind),
 // yet each is a new message: on each run every message a peer wrote reaches
 // the receiver's sink or counts in the receiver's Dropped() as a decode or
-// misroute drop (its queue sheds and breaks are losses of its own sends,
-// which the peer never wrote).
+// misroute drop (its breaks are losses of its own sends, which the peer
+// never wrote).
 func TestStreamRerunLosesNothing(t *testing.T) {
 	g := graph.RingChords(4000, 4, 16, 1)
 	opts := Options{Seed: 1, Tick: time.Millisecond, Linger: 100 * time.Millisecond}
@@ -577,26 +593,6 @@ func TestStreamRerunLosesNothing(t *testing.T) {
 	}
 }
 
-// TestShardCapShedsRemoteArrivals: the mailbox cap keeps its job for socket
-// traffic. Two runtimes over unix:// at MailboxCap 1 shed arrivals from the
-// other runtime and count them in ShedQueue, beside whatever the
-// transports' own queues shed.
-func TestShardCapShedsRemoteArrivals(t *testing.T) {
-	g := graph.RingChords(2000, 4, 16, 1)
-	trs, wait := unixPair(t, g, ppProto{source: 0}, Options{
-		Seed: 1, Tick: time.Millisecond, MaxTicks: 60, Shards: 2, MailboxCap: 1,
-	})
-	res := wait()
-	var mailbox int64
-	for i, r := range res {
-		mailbox += r.Faults.Overload.ShedQueue - trs[i].Overload().ShedQueue
-	}
-	if mailbox <= 0 {
-		t.Fatalf("no remote arrival shed by a one-post mailbox (runtime ShedQueue %d and %d)",
-			res[0].Faults.Overload.ShedQueue, res[1].Faults.Overload.ShedQueue)
-	}
-}
-
 // TestShardForgedFromDropped: a wire message claiming a sender the receiving
 // transport hosts is forged — such a node never crosses the wire — and the
 // runtime's sink would run it on that sender's shard state from a reader
@@ -639,6 +635,128 @@ func TestShardForgedFromDropped(t *testing.T) {
 		if n := countTrue(r.Done); n != 0 {
 			t.Fatalf("runtime %d: %d nodes informed by a forged message", i, n)
 		}
+	}
+}
+
+// TestShardCongestionHoldsSender: a receiver that stops draining holds its
+// sender back through the wire alone. Over unix://, the shard of runtime 1
+// hosting the gate node blocks in that node's Tick, so its mailbox fills and
+// the reader posting to it stops; the socket fills, runtime 0's writer
+// blocks behind it, its queue passes one super-frame, and runtime 0 is held:
+// its nodes take no protocol round, yet they still answer the requests
+// runtime 1's other shard sends, and nothing is lost. Once the gate opens,
+// both runtimes complete.
+func TestShardCongestionHoldsSender(t *testing.T) {
+	const half, askers = 128, 4
+	// Runtime 0 hosts [0, half); runtime 1 hosts [half, 2*half) on two
+	// shards, the gate's first. Runtime 0's nodes reach the gate's shard,
+	// node 0 (the only one informed) only that shard, so no node learns the
+	// rumor while the gate is held and neither runtime completes early. The
+	// other shard asks runtime 0 through its first askers nodes alone, which
+	// the rest of that shard asks in turn: runtime 0 has requests to answer
+	// while held, few enough that the answers queued meanwhile drain fast.
+	g := graph.New(2 * half)
+	other := graph.NodeID(half + half/2)
+	for u := graph.NodeID(0); u < half; u++ {
+		for v := graph.NodeID(half); v < other; v++ {
+			g.MustAddEdge(u, v, 1)
+		}
+		for v := other; v < other+askers && u > 0; v++ {
+			g.MustAddEdge(u, v, 1)
+		}
+	}
+	for v := other + askers; v < 2*half; v++ {
+		g.MustAddEdge(v, other+v%askers, 1)
+	}
+	proto := heldProto{gate: half, crash: -1, open: make(chan struct{}),
+		round: new(atomic.Int64), answered: new(atomic.Int64)}
+	trs := streamPair(t, "unix", g)
+	// Each runtime lingers while the other drains what queued up behind the
+	// gate.
+	linger := time.Second
+	if raceEnabled {
+		linger = 3 * time.Second
+	}
+	wait := runPair(t, g, proto, trs, Options{
+		Seed: 1, Tick: time.Millisecond, Shards: 2, MaxTicks: 1 << 20, Linger: linger,
+	})
+	release := sync.OnceFunc(func() { close(proto.open) })
+	defer release() // never leave the gate's shard blocked, even on failure
+
+	// A burst can mark runtime 0 congested for a moment before the socket
+	// fills, so the hold counts only once it lasts: congested at both ends
+	// of a window in which no round was taken.
+	held := false
+	for deadline := time.Now().Add(20 * time.Second); !held && time.Now().Before(deadline); {
+		if !trs[0].congested() {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		time.Sleep(10 * time.Millisecond) // let each shard finish the sweep it was in
+		r1, a1 := proto.round.Load(), proto.answered.Load()
+		time.Sleep(50 * time.Millisecond)
+		r2, a2 := proto.round.Load(), proto.answered.Load()
+		if !trs[0].congested() || r2 != r1 {
+			continue
+		}
+		held = true
+		if a2 <= a1 {
+			t.Fatalf("runtime 0 stopped answering while held: %d requests answered, %d 50 ms later", a1, a2)
+		}
+		t.Logf("held at round %d; requests answered %d -> %d", r1, a1, a2)
+	}
+	if !held {
+		t.Fatal("runtime 0 was never held behind the stalled receiver")
+	}
+	for i, tr := range trs {
+		if shed, dropped := tr.Overload().Shed(), tr.Dropped(); shed != 0 || dropped != 0 {
+			t.Errorf("runtime %d while held: shed %d, Dropped() = %d; want nothing lost", i, shed, dropped)
+		}
+	}
+
+	release()
+	for i, r := range wait() {
+		if !r.Completed {
+			t.Errorf("runtime %d did not complete after the release (%d ticks)", i, r.Metrics.Ticks)
+		}
+	}
+}
+
+// TestShardHotspotStarAcrossRuntimes: the degree hotspot split across two
+// runtimes. A 40k-node star's center is in runtime 0 and its leaves in both,
+// so runtime 1's 20k leaves all pull from one remote shard far faster than
+// it drains. The center's full mailbox stops runtime 0's reader, the wire
+// holds runtime 1's writer, and its congested queue holds runtime 1's
+// initiation: on both fabrics both runtimes complete with nothing shed and
+// nothing lost.
+func TestShardHotspotStarAcrossRuntimes(t *testing.T) {
+	g := graph.New(40_000) // star, each edge added from the leaf's side
+	for v := 1; v < g.N(); v++ {
+		g.MustAddEdge(graph.NodeID(v), 0, 1)
+	}
+	for _, fabric := range fabrics {
+		t.Run(fabric, func(t *testing.T) {
+			trs := streamPair(t, fabric, g)
+			// Runtime 0 completes first and lingers while runtime 1's leaves
+			// still pull from the center and their last requests arrive:
+			// 0.2-0.5 s after runtime 0 completes, or 2-3 s under the race
+			// detector (2 cores).
+			linger := time.Second
+			if raceEnabled {
+				linger = 6 * time.Second
+			}
+			res := runPair(t, g, ppProto{source: 0}, trs, Options{
+				Seed: 1, Tick: 200 * time.Microsecond, Shards: 2, Linger: linger,
+			})()
+			for i, r := range res {
+				if !r.Completed {
+					t.Errorf("runtime %d did not complete (%d ticks)", i, r.Metrics.Ticks)
+				}
+				if shed, dropped := r.Faults.Overload.ShedQueue, trs[i].Dropped(); shed != 0 || dropped != 0 {
+					t.Errorf("runtime %d: ShedQueue = %d, Dropped() = %d; want 0", i, shed, dropped)
+				}
+			}
+		})
 	}
 }
 
@@ -705,7 +823,7 @@ func TestShardStopAccountsEveryMessage(t *testing.T) {
 			delivered += n.requests + n.responses
 		}
 		sent := res.Metrics.Messages()
-		dropped := res.Faults.Dropped() + res.Faults.Overload.ShedQueue
+		dropped := res.Faults.Dropped()
 		if int64(sent) != int64(delivered)+dropped {
 			t.Fatalf("round %d: sent %d, delivered %d, counted %d: %d unaccounted",
 				round, sent, delivered, dropped, int64(sent)-int64(delivered)-dropped)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"maps"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,8 +85,10 @@ type wireMessage struct {
 // Outbound connections are created on first use and pooled per destination
 // address; each one's writer dials (with retries, so a cluster's processes
 // may start in any order) before it writes, and frames sent meanwhile wait
-// in its queue, so Send never blocks on the network, and a read loop waits
-// only on its socket.
+// in its queue, so Send never blocks on the network. A read loop waits only
+// on its socket and on the receiving shard's drain, so a receiver that falls
+// behind stops reading and TCP's window holds the sender's writer, whose
+// growing queue then holds the sender's initiation (see congested).
 //
 // Routing is dense: the hosted set is a slice by NodeID, and the route table
 // maps each remote NodeID to its address's route (down flag and pooled
@@ -122,7 +123,9 @@ type StreamTransport struct {
 
 	dialTimeout time.Duration // how long a writer retries dialing an unreachable peer
 
-	queueLimit int // frames per connection writer queue (SetOverloadLimits); <= 0 disables the cap
+	// congestedN counts the connections whose writer queue outgrew one
+	// super-frame since their writer last took it (see congested).
+	congestedN atomic.Int32
 
 	bytesOut      atomic.Int64 // frame bytes written to sockets
 	flushes       atomic.Int64 // socket write batches (syscalls; see countingWriter)
@@ -137,10 +140,6 @@ type StreamTransport struct {
 	dropsMisroute atomic.Int64 // not hosted here, forged, or no runtime attached to take it
 	dropsDown     atomic.Int64 // refused: every node at the address believed dead
 
-	// Overload ledger (see OverloadCounts for the meaning of each).
-	ovShedQueue  atomic.Int64
-	ovMemberWait atomic.Int64
-
 	draining  atomic.Bool // Drain started: no new sends, dials, or redial bursts
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -152,6 +151,7 @@ var _ SinkTransport = (*StreamTransport)(nil)
 var _ FaultReporter = (*StreamTransport)(nil)
 var _ Drainer = (*StreamTransport)(nil)
 var _ PeerStatusSink = (*StreamTransport)(nil)
+var _ congestion = (*StreamTransport)(nil)
 
 // streamListener is one accept socket plus its fabric locality: connections
 // accepted from a unix listener count toward the WireLocal* ledger.
@@ -172,7 +172,6 @@ func newStreamTransport(local []graph.NodeID) *StreamTransport {
 		hosted:      make([]bool, n),
 		conns:       make(map[*connState]struct{}),
 		dialTimeout: 10 * time.Second, // generous, so a cluster's processes may start in any order
-		queueLimit:  DefaultQueueLimit,
 		closed:      make(chan struct{}),
 	}
 	for _, u := range local {
@@ -348,23 +347,16 @@ func (t *StreamTransport) SetFlushWindow(d time.Duration) {
 	t.flushWindow.Store(int64(d))
 }
 
-// SetOverloadLimits tunes the transport's bounded queues: queueFrames caps
-// each connection's writer queue. Zero keeps the current value, negative
-// disables the cap. Call before the first Send.
-func (t *StreamTransport) SetOverloadLimits(queueFrames int) {
-	if queueFrames != 0 {
-		t.queueLimit = queueFrames
-	}
-}
+// Overload returns the transport's overload ledger, which always reads zero:
+// no queue sheds (see congested).
+func (t *StreamTransport) Overload() OverloadCounts { return OverloadCounts{} }
 
-// Overload returns the transport's overload-protection ledger: what the
-// bounded queues shed and what membership backpressure delayed.
-func (t *StreamTransport) Overload() OverloadCounts {
-	return OverloadCounts{
-		ShedQueue:           t.ovShedQueue.Load(),
-		MemberBackpressured: t.ovMemberWait.Load(),
-	}
-}
+// congested reports whether some connection's writer queue has grown past
+// one full super-frame (chunkFrames) since its writer last took it: the
+// writer is stuck behind a full socket or a dial. The runtime then holds
+// initiation until it clears (see shard.tick); responses and membership
+// frames still queue, so Send never blocks and no frame is shed.
+func (t *StreamTransport) congested() bool { return t.congestedN.Load() > 0 }
 
 // PeerDown implements PeerStatusSink: the membership layer declared node u
 // dead. Once every node routed to u's address is believed dead, sends there
@@ -404,13 +396,13 @@ func (t *StreamTransport) PeerUp(u graph.NodeID) {
 // Dropped returns the number of messages lost for any terminal reason since
 // the transport started: messages behind a dial that gave up, written and
 // unacked when their connection broke or at Close, unwritten at Close,
-// undecodable payloads, misroutes, sends refused toward a dead address, and
-// everything the writer-queue cap shed. A message whose ack a break
-// destroyed counts even though it may have arrived, so after a break
-// delivered + Dropped() may exceed the sends; without one it is exact.
+// undecodable payloads, misroutes, and sends refused toward a dead address.
+// A message whose ack a break destroyed counts even though it may have
+// arrived, so after a break delivered + Dropped() may exceed the sends;
+// without one it is exact.
 func (t *StreamTransport) Dropped() int64 {
 	return t.dropsGiveUp.Load() + t.dropsBroken.Load() + t.dropsClosed.Load() +
-		t.dropsDecode.Load() + t.dropsMisroute.Load() + t.dropsDown.Load() + t.Overload().Shed()
+		t.dropsDecode.Load() + t.dropsMisroute.Load() + t.dropsDown.Load()
 }
 
 // WireBytesOut returns the total frame bytes this transport wrote to its
@@ -446,10 +438,7 @@ func (t *StreamTransport) WireLocalBytes() int64 { return t.localBytes.Load() }
 
 // Faults implements FaultReporter with the transport's real-network ledger.
 func (t *StreamTransport) Faults() FaultReport {
-	return FaultReport{
-		FaultCounts: FaultCounts{TransportDrops: t.Dropped()},
-		Overload:    t.Overload(),
-	}
+	return FaultReport{FaultCounts: FaultCounts{TransportDrops: t.Dropped()}}
 }
 
 // Send implements Transport. A local destination goes to the sink (a send
@@ -568,7 +557,6 @@ func (t *StreamTransport) Close() error {
 		}
 		t.connMu.Lock()
 		for cs := range t.conns {
-			// Rescue backpressured enqueuers before the socket dies.
 			data := cs.markDead()
 			t.dropsClosed.Add(int64(len(data)))
 			if cs.c != nil { // nil while its writer is still dialing
@@ -711,6 +699,10 @@ type connState struct {
 	qLen  int
 	held  int // data frames the writer took and has not yet written
 	dead  bool
+	// congested is set once qLen passes chunkFrames and cleared when the
+	// writer takes the queue or the connection dies; each set counts once
+	// in the transport's congestedN.
+	congested bool
 
 	// The delivery ledger of what this side sent, under qmu. written counts
 	// data messages whose write cycle flushed; acked is the peer's
@@ -725,9 +717,8 @@ type connState struct {
 	recvd   atomic.Int64
 	ackSent int64
 
-	notify  chan struct{} // wake the writer (capacity 1)
-	deadCh  chan struct{} // closed by markDead
-	spaceCh chan struct{} // writer signals queue space to backpressured enqueuers
+	notify chan struct{} // wake the writer (capacity 1)
+	deadCh chan struct{} // closed by markDead
 
 	// Writer-goroutine-owned state: the buffered writer, the encoder's
 	// intern table and scratch, and the frame build buffer.
@@ -739,8 +730,8 @@ type connState struct {
 // chunkFrames is the per-chunk capacity of the writer queue, deliberately
 // equal to maxBatchMsgs so one full chunk encodes as exactly one full-size
 // super-frame and the framing an unthrottled sender produces is byte-for-byte
-// what a contiguous queue produced. A chunk that has shed frames from its
-// head holds fewer, and encodes as one smaller super-frame.
+// what a contiguous queue produced. It is also the depth past which a queue
+// marks its transport congested.
 const chunkFrames = maxBatchMsgs
 
 // msgChunk is one fixed-size segment of a connection's writer queue. A
@@ -748,41 +739,37 @@ const chunkFrames = maxBatchMsgs
 // against an unthrottled sender that means repeatedly allocating, zeroing and
 // copying a multi-megabyte array while the GC rescans all of it — the
 // dominant cost on the local-fabric hot path. Chunks never move once linked:
-// enqueue fills the tail at n, shedding advances the head offset off, and
-// the writer consumes whole chunks head-first, reading msgs[off:n]; retired
-// chunks recycle through chunkPool. Entries are not cleared on recycle; the
+// enqueue fills the tail at n, and the writer consumes whole chunks
+// head-first; retired chunks recycle through chunkPool. Entries are not cleared on recycle; the
 // next fill overwrites them, and anything stale past n is at worst a
 // short-lived payload reference.
 type msgChunk struct {
-	next   *msgChunk
-	off, n int // live entries are msgs[off:n]
-	msgs   [chunkFrames]wireMessage
+	next *msgChunk
+	n    int // queued entries are msgs[:n]
+	msgs [chunkFrames]wireMessage
 }
 
 var chunkPool = sync.Pool{New: func() any { return new(msgChunk) }}
 
 func getChunk() *msgChunk {
 	c := chunkPool.Get().(*msgChunk)
-	c.next, c.off, c.n = nil, 0, 0
+	c.next, c.n = nil, 0
 	return c
 }
-
-// live returns the chunk's queued frames.
-func (c *msgChunk) live() []wireMessage { return c.msgs[c.off:c.n] }
 
 // flattenChunks copies a chunk chain into one slice (cold path: connection
 // teardown), recycling the chunks.
 func flattenChunks(head *msgChunk) []wireMessage {
 	n := 0
 	for c := head; c != nil; c = c.next {
-		n += len(c.live())
+		n += c.n
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]wireMessage, 0, n)
 	for c := head; c != nil; {
-		out = append(out, c.live()...)
+		out = append(out, c.msgs[:c.n]...)
 		next := c.next
 		chunkPool.Put(c)
 		c = next
@@ -828,11 +815,10 @@ func (w countingWriter) count(bytes, flushes int64) {
 
 func (t *StreamTransport) newConnState(r *route) *connState {
 	return &connState{
-		t:       t,
-		r:       r,
-		notify:  make(chan struct{}, 1),
-		deadCh:  make(chan struct{}),
-		spaceCh: make(chan struct{}, 1),
+		t:      t,
+		r:      r,
+		notify: make(chan struct{}, 1),
+		deadCh: make(chan struct{}),
 	}
 }
 
@@ -855,64 +841,15 @@ func (cs *connState) countFrames(n int64) {
 	}
 }
 
-// memberWaitMax bounds how long a backpressured membership enqueue blocks
-// before it queues past the cap anyway — the escape hatch that keeps a
-// stalled connection from wedging a node goroutine (and with it the whole
-// runtime's shutdown) forever.
-const memberWaitMax = 2 * time.Second
-
-// enqueue queues one data frame for the writer, enforcing the transport's
-// writer-queue cap. Past the cap, gossip frames shed the oldest queued gossip
-// frame (a terminal, counted loss; push-pull re-converges) and membership frames apply hard backpressure: they shed
-// gossip to make room for themselves, and block when the queue is entirely
-// membership traffic. A call that shed yields its processor once before it
-// returns, so the writer it woke drains the queue instead of the sender
-// refilling it. Returns false only when the connection is dead (the caller
-// redials); a shed newcomer returns true — it was handled, terminally.
+// enqueue appends one data frame to the writer queue and wakes the writer.
+// Nothing is shed and nothing waits: a queue that grows past one super-frame
+// marks the transport congested, which holds the runtime's initiation
+// instead. Returns false only when the connection is dead (the caller
+// redials).
 func (cs *connState) enqueue(w *wireMessage) bool {
-	t := cs.t
-	limit := t.queueLimit
-	isMember := MsgKind(w.Kind) == MsgMember
-	shed := int64(0)
-	counted := false // MemberBackpressured once per blocking episode
-	deadline := time.Time{}
 	cs.qmu.Lock()
-	for !cs.dead && limit > 0 && cs.qLen >= limit {
-		// Shed the oldest queued gossip frame; membership frames are never
-		// shed from the queue.
-		if cs.shedOldestGossipLocked() {
-			shed++
-			continue
-		}
-		// Queue entirely membership frames. A gossip newcomer is shed; a
-		// membership newcomer waits for the writer. The wait is bounded so a
-		// wedged connection cannot stall the caller forever: past the
-		// deadline the frame is queued anyway (the cap overshoots by at most
-		// the number of waiters).
-		if !isMember {
-			cs.qmu.Unlock()
-			t.ovShedQueue.Add(shed + 1)
-			return true
-		}
-		if !counted {
-			counted = true
-			deadline = time.Now().Add(memberWaitMax)
-			t.ovMemberWait.Add(1)
-		} else if time.Now().After(deadline) {
-			break
-		}
-		cs.qmu.Unlock()
-		select {
-		case <-cs.spaceCh:
-		case <-cs.deadCh:
-		case <-t.closed:
-		case <-time.After(10 * time.Millisecond):
-		}
-		cs.qmu.Lock()
-	}
 	if cs.dead {
 		cs.qmu.Unlock()
-		t.ovShedQueue.Add(shed)
 		return false
 	}
 	if cs.qTail == nil || cs.qTail.n == chunkFrames {
@@ -927,50 +864,21 @@ func (cs *connState) enqueue(w *wireMessage) bool {
 	cs.qTail.msgs[cs.qTail.n] = *w
 	cs.qTail.n++
 	cs.qLen++
+	if cs.qLen > chunkFrames && !cs.congested {
+		cs.congested = true
+		cs.t.congestedN.Add(1)
+	}
 	cs.qmu.Unlock()
 	cs.wake()
-	if shed > 0 {
-		// The sender has outrun the writer. Shedding is O(1), so nothing
-		// else would slow it: hand the processor to the writer just woken
-		// instead of refilling the queue only to shed again.
-		t.ovShedQueue.Add(shed)
-		runtime.Gosched()
-	}
 	return true
 }
 
-// shedOldestGossipLocked removes the oldest queued gossip frame; false means
-// the queue holds only membership frames. Caller holds qmu. In the common
-// case that frame is the first live entry of its chunk: its slot is cleared
-// and the chunk's head offset advances, O(1). When membership frames sit
-// ahead of it in its chunk, they shift one slot toward it first, so the
-// copy is only as long as that membership run and the queue order holds.
-func (cs *connState) shedOldestGossipLocked() bool {
-	var prev *msgChunk
-	for c := cs.qHead; c != nil; prev, c = c, c.next {
-		for i := c.off; i < c.n; i++ {
-			if MsgKind(c.msgs[i].Kind) == MsgMember {
-				continue
-			}
-			copy(c.msgs[c.off+1:i+1], c.msgs[c.off:i])
-			c.msgs[c.off] = wireMessage{} // drop the payload reference
-			c.off++
-			cs.qLen--
-			if c.off == c.n {
-				if prev == nil {
-					cs.qHead = c.next
-				} else {
-					prev.next = c.next
-				}
-				if cs.qTail == c {
-					cs.qTail = prev
-				}
-				chunkPool.Put(c)
-			}
-			return true
-		}
+// uncongestLocked clears the connection's congested mark; caller holds qmu.
+func (cs *connState) uncongestLocked() {
+	if cs.congested {
+		cs.congested = false
+		cs.t.congestedN.Add(-1)
 	}
-	return false
 }
 
 func (cs *connState) wake() {
@@ -987,14 +895,8 @@ func (cs *connState) take() *msgChunk {
 	cs.held += cs.qLen
 	data := cs.qHead
 	cs.qHead, cs.qTail, cs.qLen = nil, nil, 0
+	cs.uncongestLocked()
 	cs.qmu.Unlock()
-	if data != nil {
-		// The queue emptied: wake one backpressured membership enqueuer.
-		select {
-		case cs.spaceCh <- struct{}{}:
-		default:
-		}
-	}
 	return data
 }
 
@@ -1050,6 +952,7 @@ func (cs *connState) markDead() []wireMessage {
 	cs.dead = true
 	head := cs.qHead
 	cs.qHead, cs.qTail, cs.qLen = nil, nil, 0
+	cs.uncongestLocked()
 	cs.qmu.Unlock()
 	close(cs.deadCh)
 	return flattenChunks(head)
@@ -1081,16 +984,15 @@ func (t *StreamTransport) writeCycle(cs *connState, chain *msgChunk) (int, error
 	n := 0
 	for c := chain; c != nil; c = c.next {
 		buf := cs.buf[:0]
-		live := c.live()
-		for data := live; len(data) > 0; {
+		for data := c.msgs[:c.n]; len(data) > 0; {
 			var k int
 			buf, k = cs.enc.appendBatchFrame(buf, data, pendingAck)
 			data = data[k:]
 			pendingAck = 0
 			cs.countFrames(1)
 		}
-		t.msgsOut.Add(int64(len(live)))
-		n += len(live)
+		t.msgsOut.Add(int64(c.n))
+		n += c.n
 		cs.buf = buf
 		if _, err := cs.bw.Write(buf); err != nil {
 			return n, err

@@ -50,11 +50,10 @@ var ErrTransportClosed = errors.New("live: transport closed")
 // runtime: the transport hands msg and delay to the destination's
 // DeliverySink (a stream transport carries the delay on the wire). Send
 // never blocks on delivery, on any transport: not on a receiver, not on the
-// network. (The one wait left is local and bounded: a membership frame's
-// backpressure on a stream connection's full writer queue, at most
-// memberWaitMax.) A message no sink takes — none is installed, or the sink
+// network. A message no sink takes — none is installed, or the sink
 // refused it — is a counted drop, mirroring a message lost to a crashed
-// node; a stream transport's read loop likewise waits only on its socket.
+// node. A stream transport's read loop waits only on its socket and on the
+// receiving shard's drain (see DeliverySink).
 // Payloads must be treated as immutable once passed to Send, exactly as the
 // round engine requires.
 //
@@ -97,6 +96,14 @@ type Drainer interface {
 	Drain(ctx context.Context) (DrainReport, error)
 }
 
+// congestion is implemented by transports whose sends can outrun the wire:
+// congested reports that some connection's writer is far enough behind that
+// the runtime should start no new exchange. The runtime reads it once per
+// shard sweep; responses and membership traffic go on regardless.
+type congestion interface {
+	congested() bool
+}
+
 // DeliverySink is how a transport delivers: it hands every message for a
 // hosted node — local sends and network arrivals alike — straight to the
 // runtime, which applies delay on its shards' calendars. The sink reports
@@ -104,7 +111,10 @@ type Drainer interface {
 // the transport then counts the message as dropped, as it does when no sink
 // is installed.
 //
-// Sinks must be non-blocking and safe for concurrent use, with one rule on
+// Sinks must be safe for concurrent use. A sink may wait for the owning
+// shard's next drain before it takes a network arrival (see shard.post), but
+// never on the network, so a caller that is not a shard goroutine may block
+// briefly; a shard goroutine's own sends never wait. There is one rule on
 // who calls them: the runtime routes a message whose From it hosts on that
 // node's own shard state, without a lock. So while a runtime is attached,
 // only its shard goroutines (and sim.Proc coroutines, which run in lockstep

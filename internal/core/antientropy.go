@@ -13,6 +13,7 @@ import (
 // latency knowledge, spanners, or schedules, which is why it survives
 // crashes (the FAULT experiment's all-to-all column).
 type antiEntropyNode struct {
+	sim.NodeLocal
 	know *bitset.Set
 }
 

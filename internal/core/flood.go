@@ -13,6 +13,7 @@ import (
 // responder also learns the rumor, so flooding completes in
 // O(D + Δ·ℓ_max)-ish time and serves as the deterministic baseline.
 type floodNode struct {
+	sim.NodeLocal
 	informed bool
 	next     int // next neighbor index to contact
 }
@@ -53,10 +54,10 @@ func Flood(g *graph.Graph, source graph.NodeID, cfg sim.Config) (BroadcastResult
 		return BroadcastResult{}, fmt.Errorf("core: source %d out of range [0,%d)", source, g.N())
 	}
 	nw := sim.NewNetwork(g, cfg)
-	nodes := make([]*floodNode, g.N())
-	for u := 0; u < g.N(); u++ {
-		nodes[u] = &floodNode{informed: u == source}
-		nw.SetHandler(u, nodes[u])
+	nodes := make([]floodNode, g.N())
+	for u := range nodes {
+		nodes[u].informed = u == source
+		nw.SetHandler(u, &nodes[u])
 	}
 	informedAt := make([]int, g.N())
 	for u := range informedAt {

@@ -31,6 +31,7 @@ const (
 // the random phone call protocol: every round, call a uniformly random
 // neighbor and exchange knowledge of the rumor.
 type pushPullNode struct {
+	sim.NodeLocal
 	informed bool
 	informer graph.NodeID // who delivered the rumor (-1 = source/uninformed)
 	mode     PushPullMode
@@ -125,10 +126,10 @@ func PushPull(g *graph.Graph, source graph.NodeID, mode PushPullMode, cfg sim.Co
 		cfg.KnownLatencies = true // the bias needs the latencies
 	}
 	nw := sim.NewNetwork(g, cfg)
-	nodes := make([]*pushPullNode, g.N())
-	for u := 0; u < g.N(); u++ {
-		nodes[u] = &pushPullNode{informed: u == source, informer: -1, mode: mode}
-		nw.SetHandler(u, nodes[u])
+	nodes := make([]pushPullNode, g.N())
+	for u := range nodes {
+		nodes[u] = pushPullNode{informed: u == source, informer: -1, mode: mode}
+		nw.SetHandler(u, &nodes[u])
 	}
 	informedAt := make([]int, g.N())
 	for u := range informedAt {
@@ -138,8 +139,8 @@ func PushPull(g *graph.Graph, source graph.NodeID, mode PushPullMode, cfg sim.Co
 	res, err := nw.Run(allInformed(nodesInformed(nodes), informedAt))
 	out := BroadcastResult{Metrics: res.Metrics, Completed: res.Completed, InformedAt: informedAt, Loads: nw.Loads()}
 	out.Informer = make([]graph.NodeID, g.N())
-	for u, nd := range nodes {
-		out.Informer[u] = nd.informer
+	for u := range nodes {
+		out.Informer[u] = nodes[u].informer
 	}
 	if err != nil {
 		return out, fmt.Errorf("push-pull on %v: %w", g, err)
@@ -147,25 +148,36 @@ func PushPull(g *graph.Graph, source graph.NodeID, mode PushPullMode, cfg sim.Co
 	return out, nil
 }
 
-func nodesInformed(nodes []*pushPullNode) func(u int) bool {
+func nodesInformed(nodes []pushPullNode) func(u int) bool {
 	return func(u int) bool { return nodes[u].informed }
 }
 
 // allInformed builds the completion predicate for broadcast runs: every
 // non-crashed node is informed. Crashed nodes are excluded, so broadcast
-// under fault injection completes when the survivors converge.
+// under fault injection completes when the survivors converge. It stamps
+// informedAt[u] with the round u is first seen informed, and each round
+// walks only the nodes not yet stamped.
 func allInformed(informed func(u int) bool, informedAt []int) sim.Predicate {
+	var waiting []int32
+	for u, at := range informedAt {
+		if at < 0 {
+			waiting = append(waiting, int32(u))
+		}
+	}
 	return func(nw *sim.Network) bool {
 		all := true
-		for u := range informedAt {
-			if informed(u) {
-				if informedAt[u] < 0 {
-					informedAt[u] = nw.Round()
-				}
-			} else if !nw.Crashed(u) {
+		left := waiting[:0]
+		for _, u := range waiting {
+			if informed(int(u)) {
+				informedAt[u] = nw.Round()
+				continue
+			}
+			left = append(left, u)
+			if !nw.Crashed(int(u)) {
 				all = false
 			}
 		}
+		waiting = left
 		return all
 	}
 }

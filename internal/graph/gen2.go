@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"gossip/internal/par"
 	"gossip/internal/rng"
 )
 
@@ -136,16 +138,12 @@ func ChungLu(n int, beta, avgDeg float64, latency int, seed uint64) *Graph {
 	// it draws what rng.Stream(seed, 0x636c) would.
 	r := rng.NewSplitMix(seed, 0x636c) // "cl"
 	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			p := w[u] * w[v] / total
-			if p > 1 {
-				p = 1
-			}
-			if r.Float64() < p {
-				g.MustAddEdge(u, v, latency)
-			}
-		}
+	pairs, ok := chungLuChunks(w, total, r)
+	if !ok {
+		pairs = chungLuInOrder(w, total, r)
+	}
+	for _, e := range pairs {
+		g.MustAddEdge(int(e[0]), int(e[1]), latency)
 	}
 	for v := 1; v < n; v++ {
 		if !g.HasEdge(v-1, v) && g.Degree(v) == 0 {
@@ -159,6 +157,83 @@ func ChungLu(n int, beta, avgDeg float64, latency int, seed uint64) *Graph {
 	}
 	return g
 }
+
+// chungLuInOrder draws ChungLu's pair loop from r and returns the pairs it
+// keeps, in pair order.
+func chungLuInOrder(w []float64, total float64, r rng.SplitMix) [][2]int32 {
+	var pairs [][2]int32
+	for u := range w {
+		for v := u + 1; v < len(w); v++ {
+			p := w[u] * w[v] / total
+			if p > 1 {
+				p = 1
+			}
+			if r.Float64() < p {
+				pairs = append(pairs, [2]int32{int32(u), int32(v)})
+			}
+		}
+	}
+	return pairs
+}
+
+// chungLuChunks is chungLuInOrder drawn in row chunks across the par
+// workers. Pair (u, v) takes draw Σ_{u'<u}(n−1−u') + (v−u−1) of r, and
+// rng.SplitMix is counter-based, so a chunk starts its own copy of r at its
+// first row's draw without drawing the rows before it. A Float64 that rounds
+// to 1 (probability about 2⁻⁵⁴ a draw) is redrawn, which shifts every later
+// draw; a chunk that meets one reports false, and the caller redraws the
+// whole loop in order.
+func chungLuChunks(w []float64, total float64, r rng.SplitMix) ([][2]int32, bool) {
+	n := len(w)
+	draws := func(u int) uint64 { return uint64(u)*uint64(n-1) - uint64(u)*uint64(u-1)/2 }
+	// Chunks of about equal pair counts, several per worker so that the
+	// short rows at the end do not leave a worker idle.
+	chunks := 4 * par.MaxWorkers()
+	starts := []int{0}
+	for c, u := 1, 0; c < chunks; c++ {
+		goal := draws(n) * uint64(c) / uint64(chunks)
+		for u < n && draws(u) < goal {
+			u++
+		}
+		if u > starts[len(starts)-1] {
+			starts = append(starts, u)
+		}
+	}
+	starts = append(starts, n)
+	out, err := par.Map(len(starts)-1, func(c int) ([][2]int32, error) {
+		s := r
+		s.Skip(draws(starts[c]))
+		var pairs [][2]int32
+		for u := starts[c]; u < starts[c+1]; u++ {
+			for v := u + 1; v < n; v++ {
+				p := w[u] * w[v] / total
+				if p > 1 {
+					p = 1
+				}
+				// r.Float64, with its redraw refused.
+				f := float64(s.Uint64()>>1) / (1 << 63)
+				if f == 1 {
+					return nil, errRedraw
+				}
+				if f < p {
+					pairs = append(pairs, [2]int32{int32(u), int32(v)})
+				}
+			}
+		}
+		return pairs, nil
+	})
+	if err != nil {
+		return nil, false
+	}
+	var all [][2]int32
+	for _, pairs := range out {
+		all = append(all, pairs...)
+	}
+	return all, true
+}
+
+// errRedraw reports a chunk whose stream hit a Float64 redraw.
+var errRedraw = errors.New("graph: ChungLu draw needs a redraw")
 
 // RingChords returns a cycle on n nodes augmented with roughly chords·n/2
 // random chord edges (so expected chord-degree ≈ chords per node). Ring edges

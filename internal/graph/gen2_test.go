@@ -2,10 +2,14 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"gossip/internal/par"
+	"gossip/internal/rng"
 )
 
 func TestTorus(t *testing.T) {
@@ -314,4 +318,79 @@ func TestRingChordsValidation(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// chungLuWeights returns ChungLu's weights and their total for n nodes.
+func chungLuWeights(n int) ([]float64, float64) {
+	w := make([]float64, n)
+	total := 0.0
+	for v := range w {
+		w[v] = 40 / float64(v+1)
+		total += w[v]
+	}
+	return w, total
+}
+
+// TestChungLuChunksMatchInOrder: the chunked pair loop keeps exactly the
+// pairs the in-order loop keeps, at every worker count.
+func TestChungLuChunksMatchInOrder(t *testing.T) {
+	w, total := chungLuWeights(700)
+	for _, workers := range []int{1, 2, 3, 8} {
+		func() {
+			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
+			for seed := uint64(1); seed <= 3; seed++ {
+				r := rng.NewSplitMix(seed, 0x636c)
+				got, ok := chungLuChunks(w, total, r)
+				if !ok {
+					t.Fatalf("seed %d: chunks hit a redraw", seed)
+				}
+				if want := chungLuInOrder(w, total, r); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%d workers, seed %d: %d chunked pairs differ from %d in order", workers, seed, len(got), len(want))
+				}
+			}
+		}()
+	}
+}
+
+// TestChungLuRedrawFallsBack plants a draw that Float64 must redraw in the
+// middle of the pair loop: the chunked loop must refuse it, so ChungLu
+// takes the in-order loop, which redraws as rand.Float64 does.
+func TestChungLuRedrawFallsBack(t *testing.T) {
+	const n = 300
+	w, total := chungLuWeights(n)
+	// Draw k of a stream is mix(state + (k+1)·γ); pick the state that makes
+	// the draw for pair (150, 151) all ones, which Float64 rounds to 1.
+	k := uint64(150*(n-1) - 150*149/2)
+	var r rng.SplitMix
+	r.Seed(int64(unmix(^uint64(0)) - (k+1)*0x9e3779b97f4a7c15))
+	probe := r
+	probe.Skip(k)
+	if f := float64(probe.Uint64()>>1) / (1 << 63); f != 1 {
+		t.Fatalf("planted draw gives %v, want 1", f)
+	}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(2))
+	if _, ok := chungLuChunks(w, total, r); ok {
+		t.Fatal("chunked loop accepted a stream that needs a redraw")
+	}
+	pairs := chungLuInOrder(w, total, r)
+	if len(pairs) == 0 {
+		t.Fatal("in-order loop kept no pairs")
+	}
+}
+
+// unmix inverts SplitMix64's output mix.
+func unmix(x uint64) uint64 {
+	inv := func(c uint64) uint64 {
+		y := c
+		for i := 0; i < 6; i++ {
+			y *= 2 - c*y
+		}
+		return y
+	}
+	x ^= x>>31 ^ x>>62
+	x *= inv(0x94d049bb133111eb)
+	x ^= x>>27 ^ x>>54
+	x *= inv(0xbf58476d1ce4e5b9)
+	x ^= x>>30 ^ x>>60
+	return x
 }

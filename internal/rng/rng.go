@@ -12,10 +12,7 @@
 //     regardless of goroutine scheduling or iteration order.
 package rng
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 // splitmix64 advances the SplitMix64 state and returns the next output.
 // Reference: Steele, Lea, Flood, "Fast Splittable Pseudorandom Number
@@ -83,6 +80,10 @@ func (s *SplitMix) Uint64() uint64 {
 	return x ^ (x >> 31)
 }
 
+// Skip advances the stream past k draws of Uint64 in O(1): draw i of a
+// stream is a mix of its seed plus (i+1)·γ, so a stream can start anywhere.
+func (s *SplitMix) Skip(k uint64) { s.state += k * 0x9e3779b97f4a7c15 }
+
 // Int63 returns a non-negative 63-bit integer (rand.Source).
 func (s *SplitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
 
@@ -106,27 +107,4 @@ func Stream(seed uint64, id uint64) *rand.Rand {
 // New returns a deterministic *rand.Rand for a bare seed.
 func New(seed uint64) *rand.Rand {
 	return Stream(seed, 0)
-}
-
-// streamPool recycles *rand.Rand values so short-lived networks (benchmark
-// iterations, experiment trials) do not allocate one Rand + source per node
-// per run.
-var streamPool = sync.Pool{
-	New: func() interface{} {
-		return rand.New(&SplitMix{})
-	},
-}
-
-// Acquire returns a pooled *rand.Rand reseeded to the (seed, id) stream —
-// the sequence is identical to Stream(seed, id)'s. Release it when the run
-// finishes; the caller must not use it after Release.
-func Acquire(seed uint64, id uint64) *rand.Rand {
-	r := streamPool.Get().(*rand.Rand)
-	r.Seed(int64(Hash(seed, id))) //nolint:gosec // deterministic simulation, not crypto
-	return r
-}
-
-// Release returns an Acquired stream to the pool.
-func Release(r *rand.Rand) {
-	streamPool.Put(r)
 }

@@ -132,3 +132,17 @@ func TestSplitMixMatchesStream(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitMixSkip: skipping k draws lands where k draws would.
+func TestSplitMixSkip(t *testing.T) {
+	for _, k := range []uint64{0, 1, 7, 1000} {
+		a, b := NewSplitMix(9, 4), NewSplitMix(9, 4)
+		for i := uint64(0); i < k; i++ {
+			a.Uint64()
+		}
+		b.Skip(k)
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Errorf("after %d draws: %#x, after Skip(%d): %#x", k, x, k, y)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"gossip/internal/graph"
+	"gossip/internal/par"
 )
 
 // BenchmarkEngineRounds measures raw engine throughput: n state-machine
@@ -22,7 +24,57 @@ func BenchmarkEngineRounds(b *testing.B) {
 	}
 }
 
-type benchHandler struct{}
+// BenchmarkPushPullRingOfCliques broadcasts one bit by push-pull over
+// RingOfCliques(64, 64, 32) (n = 4,096, ℓ = 32 bridges) until every node
+// has it. The graph is above the shard floor and the par worker cap
+// follows GOMAXPROCS, so -cpu 1,2 shows how the engine alone scales from
+// one shard to two.
+func BenchmarkPushPullRingOfCliques(b *testing.B) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(runtime.GOMAXPROCS(0)))
+	g := graph.RingOfCliques(64, 64, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw := NewNetwork(g, Config{Seed: 1})
+		nodes := make([]bitHandler, g.N())
+		nodes[0].informed = true
+		for u := range nodes {
+			nw.SetHandler(u, &nodes[u])
+		}
+		res, err := nw.Run(func(*Network) bool {
+			for u := range nodes {
+				if !nodes[u].informed {
+					return false
+				}
+			}
+			return true
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Metrics.Rounds), "rounds/op")
+	}
+}
+
+// bitHandler is push-pull on one bit.
+type bitHandler struct {
+	NodeLocal
+	informed bool
+}
+
+func (h *bitHandler) Start(ctx *Context) {}
+func (h *bitHandler) Tick(ctx *Context) {
+	_, _ = ctx.Initiate(ctx.Rand().Intn(ctx.Degree()), h.informed)
+}
+func (h *bitHandler) OnRequest(ctx *Context, req Request) Payload {
+	h.informed = h.informed || req.Payload.(bool)
+	return h.informed
+}
+func (h *bitHandler) OnResponse(ctx *Context, resp Response) {
+	h.informed = h.informed || resp.Payload.(bool)
+}
+func (h *bitHandler) Done() bool { return false }
+
+type benchHandler struct{ NodeLocal }
 
 func (h *benchHandler) Start(ctx *Context) {}
 func (h *benchHandler) Tick(ctx *Context) {

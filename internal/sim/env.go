@@ -12,9 +12,10 @@ import (
 // implements it for wall-clock execution over real concurrent transports.
 //
 // An Env is per-node: every method answers for the single node it serves,
-// and Initiate is only ever called from that node's engine callbacks (the
-// round engine's single goroutine, or the node's own goroutine in a live
-// runtime), so implementations need no internal locking for it.
+// and Initiate is only ever called from that node's engine callbacks, which
+// run on one goroutine per node at a time (a round-engine shard's, or the
+// node's own goroutine in a live runtime), so implementations need no
+// internal locking for it.
 type Env interface {
 	// NodeID returns the identity of the node this environment serves.
 	NodeID() graph.NodeID
@@ -40,9 +41,11 @@ type Env interface {
 // the round simulator use this to drive Handlers unchanged.
 func NewContext(env Env) *Context { return &Context{env: env} }
 
-// nodeEnv is the round simulator's Env: it binds a Network to one node.
+// nodeEnv is the round simulator's Env: it binds a Network to one node and
+// the shard that runs it.
 type nodeEnv struct {
 	nw   *Network
+	sh   *shard
 	node *nodeState
 }
 
@@ -68,12 +71,13 @@ func (e *nodeEnv) Initiate(idx int, payload Payload) (uint64, error) {
 	}
 	e.node.initiated = true
 	he := &row[idx]
-	nw.nextExch++
-	reqDelay := int(he.Lat+1) / 2
-	if nw.cfg.FullRTTDelivery {
-		reqDelay = int(he.Lat)
+	var id uint64
+	if !nw.sharded {
+		nw.nextExch++
+		id = nw.nextExch
 	}
-	ev := nw.getEvent()
+	sh := e.sh
+	ev := sh.getEvent()
 	ev.kind = evRequest
 	ev.from = int32(e.node.id)
 	ev.to = he.To
@@ -83,13 +87,13 @@ func (e *nodeEnv) Initiate(idx int, payload Payload) (uint64, error) {
 	ev.latency = he.Lat
 	ev.initiatedAt = int32(nw.round)
 	ev.payload = payload
-	nw.schedule(nw.round+reqDelay, ev)
-	nw.metrics.Requests++
-	nw.metrics.EdgeActivations++
-	nw.loads[e.node.id].Initiated++
-	nw.metrics.Bytes += PayloadSize(payload)
+	sh.send(nw.round+nw.reqDelay(he.Lat), ev)
+	sh.metrics.Requests++
+	sh.metrics.EdgeActivations++
+	e.node.load.Initiated++
+	sh.metrics.Bytes += PayloadSize(payload)
 	if nw.cfg.Trace != nil {
 		nw.cfg.Trace(TraceEvent{Kind: TraceInitiate, Round: nw.round, From: e.node.id, To: int(he.To), EdgeID: int(he.ID), Latency: int(he.Lat)})
 	}
-	return nw.nextExch, nil
+	return id, nil
 }

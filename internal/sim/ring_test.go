@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gossip/internal/graph"
+	"gossip/internal/par"
 )
 
 // TestRingGrowsForRaisedLatency raises an edge latency far beyond the
@@ -15,7 +16,7 @@ func TestRingGrowsForRaisedLatency(t *testing.T) {
 	g := graph.New(2)
 	id := g.MustAddEdge(0, 1, 1)
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 500})
-	capBefore := len(nw.ring)
+	capBefore := len(nw.shards[0].ring)
 	// Raise the latency after the network sized its ring for maxLatency 1.
 	lat := 8 * capBefore
 	if err := g.SetLatency(id, lat); err != nil {
@@ -28,8 +29,8 @@ func TestRingGrowsForRaisedLatency(t *testing.T) {
 	if _, err := nw.Run(func(nw *Network) bool { return len(a.gotResponses) > 0 }); err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.ring) <= capBefore {
-		t.Errorf("ring capacity %d did not grow past %d for latency %d", len(nw.ring), capBefore, lat)
+	if len(nw.shards[0].ring) <= capBefore {
+		t.Errorf("ring capacity %d did not grow past %d for latency %d", len(nw.shards[0].ring), capBefore, lat)
 	}
 	if want := 1 + (lat+1)/2; b.reqRound[0] != want {
 		t.Errorf("request delivered at round %d, want %d", b.reqRound[0], want)
@@ -47,7 +48,7 @@ func TestRingGrowthMidRun(t *testing.T) {
 	slow := g.MustAddEdge(0, 1, 2)
 	g.MustAddEdge(0, 2, 1)
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 500})
-	capBefore := len(nw.ring)
+	capBefore := len(nw.shards[0].ring)
 	lat := 4 * capBefore // scheduled once the ring has already seen traffic
 	b := &echoHandler{}
 	c := &echoHandler{}
@@ -79,8 +80,8 @@ func TestRingGrowthMidRun(t *testing.T) {
 	if _, err := nw.Run(func(nw *Network) bool { return len(aResp) == 2 }); err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.ring) <= capBefore {
-		t.Errorf("ring capacity %d did not grow past %d", len(nw.ring), capBefore)
+	if len(nw.shards[0].ring) <= capBefore {
+		t.Errorf("ring capacity %d did not grow past %d", len(nw.shards[0].ring), capBefore)
 	}
 	// The short exchange (latency 1, initiated round 1) must still land at
 	// round 2 after the remap; the long one at 2+lat.
@@ -103,7 +104,7 @@ func TestRingGrowthDuringDelivery(t *testing.T) {
 	slow := g.MustAddEdge(1, 3, 1)
 	g.MustAddEdge(2, 0, 1)
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 500})
-	capBefore := len(nw.ring)
+	capBefore := len(nw.shards[0].ring)
 	lat := 8 * capBefore
 	if err := g.SetLatency(slow, lat); err != nil {
 		t.Fatal(err)
@@ -123,8 +124,8 @@ func TestRingGrowthDuringDelivery(t *testing.T) {
 	if _, err := nw.Run(func(nw *Network) bool { return len(grower.respRound) == 2 }); err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.ring) <= capBefore {
-		t.Errorf("ring capacity %d did not grow past %d", len(nw.ring), capBefore)
+	if len(nw.shards[0].ring) <= capBefore {
+		t.Errorf("ring capacity %d did not grow past %d", len(nw.shards[0].ring), capBefore)
 	}
 	if want := fmt.Sprint([]int{r + 1, r + 2}); fmt.Sprint(hub.reqRound) != want {
 		t.Errorf("hub requests at rounds %v, want %s", hub.reqRound, want)
@@ -184,8 +185,8 @@ func TestCongestionRequeueOnWrappedSlot(t *testing.T) {
 	leaves := 6
 	g := graph.Star(leaves+1, 1) // node 0 = hub; maxLatency 1 → minimal ring
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 100, MaxResponsesPerRound: 1})
-	if len(nw.ring) != 4 {
-		t.Fatalf("ring capacity %d, want the minimum 4 (the test needs wrap-around)", len(nw.ring))
+	if len(nw.shards[0].ring) != 4 {
+		t.Fatalf("ring capacity %d, want the minimum 4 (the test needs wrap-around)", len(nw.shards[0].ring))
 	}
 	hub := &echoHandler{}
 	nw.SetHandler(0, hub)
@@ -301,41 +302,59 @@ func TestEventPoolReuse(t *testing.T) {
 	}
 	// 500 rounds × 2 events each would be 1000 allocations without pooling;
 	// with reuse the pool stays within a couple of blocks.
-	if free := len(nw.free); free > 2*eventBlockSize {
+	if free := len(nw.shards[0].free); free > 2*eventBlockSize {
 		t.Errorf("free list holds %d events (> %d): pool is leaking instead of reusing", free, 2*eventBlockSize)
 	}
 }
 
-// TestSteadyStateExchangeAllocatesNothing: once the event pool and the ring
-// slots have reached their working size, an exchange (Initiate, request
-// delivery, response delivery) allocates nothing. Every node of a 64-clique
-// initiates every round over latency-3 edges, so each round looks the same
-// and the warm-up reaches the peak. The pool of *event is deliberate:
-// storing events by value in the ring slots was as fast but kept every
-// slot at its peak capacity, raising the benchmark's peak RSS from about
-// 185 to over 300 MiB.
+// TestSteadyStateExchangeAllocatesNothing: once the event pools, the ring
+// slots and (sharded) the outboxes have reached their working size, an
+// exchange (Initiate, request delivery, response delivery) allocates
+// nothing, and neither does a sharded round's handoff between workers.
+// Every node initiates every round over latency-3 edges, so each round
+// looks alike and the warm-up reaches the peak. The pool of *event is
+// deliberate: storing events by value in the ring slots was as fast but
+// kept every slot at its peak capacity, raising the benchmark's peak RSS
+// from about 185 to over 300 MiB.
 func TestSteadyStateExchangeAllocatesNothing(t *testing.T) {
-	g := graph.Clique(64, 3)
-	nw := NewNetwork(g, Config{Seed: 1})
-	defer nw.Close()
-	for u := 0; u < g.N(); u++ {
-		nw.SetHandler(u, &benchHandler{})
-		nw.nodes[u].handler.Start(&nw.nodes[u].ctx)
-	}
-	// One round as Run executes it, without the predicate and stall checks.
-	round := func() {
-		nw.round++
-		nw.deliver()
-		nw.tick()
-	}
-	for i := 0; i < 50; i++ {
-		round()
-	}
-	before := nw.metrics.Requests
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Errorf("steady-state round allocates %.1f times, want 0", allocs)
-	}
-	if got := nw.metrics.Requests - before; got != 101*g.N() {
-		t.Errorf("%d exchanges started in the measured rounds, want %d", got, 101*g.N())
+	defer par.SetMaxWorkers(par.SetMaxWorkers(2))
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		shards int
+	}{
+		{"one shard", graph.Clique(64, 3), 1},
+		{"sharded", graph.Torus(32, 64, 3), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			nw := NewNetwork(g, Config{Seed: 1})
+			defer nw.Close()
+			for u := 0; u < g.N(); u++ {
+				nw.SetHandler(u, &benchHandler{})
+			}
+			if err := nw.start(); err != nil {
+				t.Fatal(err)
+			}
+			if len(nw.shards) != tc.shards {
+				t.Fatalf("%d shards, want %d", len(nw.shards), tc.shards)
+			}
+			// One round as Run executes it, without the predicate and
+			// stall checks.
+			round := func() {
+				nw.round++
+				nw.step()
+			}
+			for i := 0; i < 200; i++ {
+				round()
+			}
+			before := nw.Metrics().Requests
+			if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+				t.Errorf("steady-state round allocates %.1f times, want 0", allocs)
+			}
+			if got := nw.Metrics().Requests - before; got != 101*g.N() {
+				t.Errorf("%d exchanges started in the measured rounds, want %d", got, 101*g.N())
+			}
+		})
 	}
 }

@@ -17,12 +17,18 @@
 // Protocols attach to nodes either as state machines (Handler) or as
 // sequential coroutines (Proc, see proc.go), which the engine drives in
 // lockstep with the round barrier.
+//
+// A network whose handlers are all node-local (see NodeLocal) and that is
+// large enough runs each round on several shards at once, one goroutine per
+// contiguous node range (see shard.go); every other network runs on one.
+// Both give the same result bit for bit.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"gossip/internal/graph"
 	"gossip/internal/rng"
@@ -130,6 +136,14 @@ type Metrics struct {
 // Messages returns the total message count (requests + responses).
 func (m Metrics) Messages() int { return m.Requests + m.Responses }
 
+// add accumulates o's message counts into m (Rounds is the network's).
+func (m *Metrics) add(o *Metrics) {
+	m.Requests += o.Requests
+	m.Responses += o.Responses
+	m.Bytes += o.Bytes
+	m.EdgeActivations += o.EdgeActivations
+}
+
 // NodeLoad reports one node's share of the traffic.
 type NodeLoad struct {
 	Initiated int // exchanges this node initiated
@@ -162,14 +176,20 @@ type event struct {
 	payload     Payload
 }
 
+// nodeState is one node's engine state. The fields a delivery touches come
+// first, so that serving a request reads and writes one cache line.
 type nodeState struct {
-	id        graph.NodeID
 	handler   Handler
-	env       nodeEnv
-	ctx       Context
+	load      NodeLoad
 	initiated bool // initiated an exchange this round
 	served    int  // requests answered this round (MaxResponsesPerRound)
-	crashed   bool
+	id        graph.NodeID
+	env       nodeEnv
+	ctx       Context
+	// rand backs ctx.Rand in place, so a node's stream lives in its own
+	// state, in node order, and not in a heap object that a node of
+	// another shard may share a cache line with.
+	rand nodeRand
 }
 
 // eventBlockSize is how many pooled events are allocated at once when the
@@ -181,11 +201,11 @@ const eventBlockSize = 64
 // Its hot path runs on three dense structures. adj is the graph's packed
 // half-edge table (graph.AdjCSR): Initiate reads one 16-byte entry for the
 // neighbor, the latency, the edge id and the edge's index at the responder,
-// so no per-node slice header and no second index array are touched. ring
-// is the round calendar of pooled *event pointers, and free is the pool.
-// Storing events by value in the ring slots was measured as no faster and
-// rejected: every slot keeps its peak capacity, which raised the benchmark's
-// peak RSS from about 185 to over 300 MiB.
+// so no per-node slice header and no second index array are touched. Each
+// shard's ring is the round calendar of pooled *event pointers, and its free
+// list is the pool. Storing events by value in the ring slots was measured
+// as no faster and rejected: every slot keeps its peak capacity, which
+// raised the benchmark's peak RSS from about 185 to over 300 MiB.
 type Network struct {
 	g   *graph.Graph
 	cfg Config
@@ -195,20 +215,28 @@ type Network struct {
 	// nodes is indexed by NodeID; states are stored contiguously so that
 	// per-node engine structures cost one allocation, not n.
 	nodes []nodeState
-	// ring is the event calendar: ring[r % len(ring)] holds the events that
-	// complete at absolute round r. Its size covers the largest possible
-	// delivery delay (maxLatency under FullRTTDelivery, ⌈maxLatency/2⌉
-	// otherwise) plus the +1 congestion requeue, and grows on demand if a
-	// latency is raised after construction.
-	ring [][]*event
-	// free is the event free list: delivered events return here and are
-	// reused by later initiations, so steady-state delivery does not allocate.
-	free     []*event
-	inFlight int
+	// crashed[v] reports that v has fail-stopped. It lives apart from the
+	// node states, which their shards write every round, so a predicate
+	// that asks Crashed for every node reads lines no other core dirties.
+	crashed []bool
+	// shards partition the nodes into contiguous ranges in node order.
+	// Until Run decides otherwise there is one, holding every node.
+	shards []*shard
+	// starts[i] is shards[i].lo, kept dense for owner.
+	starts []int32
+	// sharded is len(shards) > 1: events then travel through the shards'
+	// outboxes instead of straight onto a calendar (see shard.go).
+	sharded bool
+	// fused is a sharded round's shape: one phase on every shard, or two
+	// when a response with no delay left may cross shards (see shard).
+	fused bool
+	// gate hands the shards' workers their phases (sharded runs).
+	gate    gate
+	workers sync.WaitGroup
+
 	round    int
-	metrics  Metrics
+	rounds   int // Metrics.Rounds
 	nextExch uint64
-	loads    []NodeLoad
 	closed   bool
 }
 
@@ -225,14 +253,16 @@ func NewNetwork(g *graph.Graph, cfg Config) *Network {
 	if ringSize < 4 {
 		ringSize = 4
 	}
-	return &Network{
-		g:     g,
-		cfg:   cfg,
-		adj:   graph.BuildAdjCSR(g),
-		nodes: make([]nodeState, g.N()),
-		ring:  make([][]*event, ringSize),
-		loads: make([]NodeLoad, g.N()),
+	nw := &Network{
+		g:       g,
+		cfg:     cfg,
+		adj:     graph.BuildAdjCSR(g),
+		nodes:   make([]nodeState, g.N()),
+		crashed: make([]bool, g.N()),
 	}
+	nw.shards = []*shard{{nw: nw, hi: g.N(), ring: make([][]*event, ringSize)}}
+	nw.starts = []int32{0}
+	return nw
 }
 
 // topology returns the packed view of g, re-packing it first if g was
@@ -244,26 +274,20 @@ func (nw *Network) topology() *graph.AdjCSR {
 	return nw.adj
 }
 
-// getEvent pops a pooled event, allocating a fresh block when the pool is
-// empty. All fields are overwritten by the caller.
-func (nw *Network) getEvent() *event {
-	if n := len(nw.free); n > 0 {
-		ev := nw.free[n-1]
-		nw.free = nw.free[:n-1]
-		return ev
+// reqDelay is how many rounds a request takes over an edge of latency lat.
+func (nw *Network) reqDelay(lat int32) int {
+	if nw.cfg.FullRTTDelivery {
+		return int(lat)
 	}
-	blk := make([]event, eventBlockSize)
-	for i := 1; i < len(blk); i++ {
-		nw.free = append(nw.free, &blk[i])
-	}
-	return &blk[0]
+	return int(lat+1) / 2
 }
 
-// putEvent returns a delivered event to the pool. The payload reference is
-// dropped so protocol state can be collected.
-func (nw *Network) putEvent(ev *event) {
-	ev.payload = nil
-	nw.free = append(nw.free, ev)
+// respDelay is how many rounds a response takes after its request arrived.
+func (nw *Network) respDelay(lat int32) int {
+	if nw.cfg.FullRTTDelivery {
+		return 0
+	}
+	return int(lat - (lat+1)/2)
 }
 
 // Graph returns the underlying graph.
@@ -276,12 +300,20 @@ func (nw *Network) Round() int { return nw.round }
 func (nw *Network) NHint() int { return nw.cfg.NHint }
 
 // Metrics returns a copy of the accumulated metrics.
-func (nw *Network) Metrics() Metrics { return nw.metrics }
+func (nw *Network) Metrics() Metrics {
+	m := Metrics{Rounds: nw.rounds}
+	for _, sh := range nw.shards {
+		m.add(&sh.metrics)
+	}
+	return m
+}
 
 // Loads returns a copy of the per-node traffic loads.
 func (nw *Network) Loads() []NodeLoad {
-	out := make([]NodeLoad, len(nw.loads))
-	copy(out, nw.loads)
+	out := make([]NodeLoad, len(nw.nodes))
+	for u := range nw.nodes {
+		out[u] = nw.nodes[u].load
+	}
 	return out
 }
 
@@ -290,8 +322,10 @@ func (nw *Network) SetHandler(u graph.NodeID, h Handler) {
 	st := &nw.nodes[u]
 	st.id = u
 	st.handler = h
-	st.env = nodeEnv{nw: nw, node: st}
-	st.ctx = Context{env: &st.env}
+	st.env = nodeEnv{nw: nw, sh: nw.shards[0], node: st}
+	st.rand.src = rng.NewSplitMix(nw.cfg.Seed, uint64(u)+1)
+	st.rand.r = *rand.New(&st.rand.src)
+	st.ctx = Context{env: &st.env, rand: &st.rand.r}
 }
 
 // Handler returns the handler attached to node u.
@@ -305,6 +339,12 @@ type Context struct {
 	env   Env
 	rand  *rand.Rand
 	views []EdgeView // lazily built, reused by Neighbors
+}
+
+// nodeRand is one node's random stream, stored in place.
+type nodeRand struct {
+	r   rand.Rand
+	src rng.SplitMix
 }
 
 // ID returns the node's identifier.
@@ -347,12 +387,11 @@ func (c *Context) Neighbors() []EdgeView {
 
 // Rand returns the node's deterministic random stream. The stream depends
 // only on (seed, node), so a protocol makes identical random choices under
-// every runtime that preserves its tick count. The *rand.Rand comes from a
-// pool (reseeded on acquisition, so the stream is unaffected) and must not be
-// retained after the run.
+// every runtime that preserves its tick count. The round simulator keeps the
+// stream in the node's own state, so it must not be retained after the run.
 func (c *Context) Rand() *rand.Rand {
 	if c.rand == nil {
-		c.rand = rng.Acquire(c.env.Seed(), uint64(c.env.NodeID())+1)
+		c.rand = rng.Stream(c.env.Seed(), uint64(c.env.NodeID())+1)
 	}
 	return c.rand
 }
@@ -373,39 +412,6 @@ func PayloadSize(p Payload) int {
 	return 1
 }
 
-// schedule places ev on the ring calendar for absolute round at. The ring is
-// sized for the graph's maximum latency at construction; it grows (rarely)
-// if a latency was raised after the network was built.
-func (nw *Network) schedule(at int, ev *event) {
-	if at-nw.round >= len(nw.ring) {
-		nw.growRing(at - nw.round + 1)
-	}
-	i := at % len(nw.ring)
-	nw.ring[i] = append(nw.ring[i], ev)
-	nw.inFlight++
-}
-
-// growRing resizes the calendar to hold at least need future rounds,
-// rehashing live slots by their absolute round. All live events sit in
-// rounds [nw.round, nw.round+len(ring)), which makes the absolute round of
-// slot i recoverable.
-func (nw *Network) growRing(need int) {
-	old := nw.ring
-	size := len(old) * 2
-	for size < need {
-		size *= 2
-	}
-	fresh := make([][]*event, size)
-	for i, evs := range old {
-		if len(evs) == 0 {
-			continue
-		}
-		r := nw.round + ((i-nw.round%len(old))+len(old))%len(old)
-		fresh[r%size] = evs
-	}
-	nw.ring = fresh
-}
-
 // Predicate inspects global state each round; Run stops when it returns
 // true. A nil predicate stops only when every handler is Done.
 type Predicate func(nw *Network) bool
@@ -421,21 +427,12 @@ type RunResult struct {
 // every handler reports Done, the round budget is exhausted (ErrMaxRounds),
 // or no progress is possible (ErrStalled).
 func (nw *Network) Run(pred Predicate) (RunResult, error) {
-	if nw.closed {
-		return RunResult{}, errors.New("sim: network already closed")
-	}
-	for u := range nw.nodes {
-		if nw.nodes[u].handler == nil {
-			return RunResult{}, fmt.Errorf("sim: node %d has no handler", u)
-		}
+	if err := nw.start(); err != nil {
+		return RunResult{}, err
 	}
 	defer nw.Close()
-	for u := range nw.nodes {
-		st := &nw.nodes[u]
-		st.handler.Start(&st.ctx)
-	}
 	if pred != nil && pred(nw) {
-		return RunResult{Metrics: nw.metrics, Completed: true}, nil
+		return RunResult{Metrics: nw.Metrics(), Completed: true}, nil
 	}
 	for nw.round = 1; nw.round <= nw.cfg.MaxRounds; nw.round++ {
 		nw.applyCrashes()
@@ -444,124 +441,75 @@ func (nw *Network) Run(pred Predicate) (RunResult, error) {
 				nw.nodes[u].served = 0
 			}
 		}
-		nw.deliver()
-		active := nw.tick()
-		nw.metrics.Rounds = nw.round
+		active := nw.step()
+		nw.rounds = nw.round
 		if pred != nil && pred(nw) {
-			return RunResult{Metrics: nw.metrics, Completed: true}, nil
+			return RunResult{Metrics: nw.Metrics(), Completed: true}, nil
 		}
 		if nw.allDone() {
-			return RunResult{Metrics: nw.metrics, Completed: pred == nil}, nil
+			return RunResult{Metrics: nw.Metrics(), Completed: pred == nil}, nil
 		}
-		if !active && nw.inFlight == 0 {
-			return RunResult{Metrics: nw.metrics}, fmt.Errorf("%w (round %d)", ErrStalled, nw.round)
+		if !active && nw.inFlight() == 0 {
+			return RunResult{Metrics: nw.Metrics()}, fmt.Errorf("%w (round %d)", ErrStalled, nw.round)
 		}
 	}
-	nw.metrics.Rounds = nw.cfg.MaxRounds
-	return RunResult{Metrics: nw.metrics}, fmt.Errorf("%w (%d)", ErrMaxRounds, nw.cfg.MaxRounds)
+	nw.rounds = nw.cfg.MaxRounds
+	return RunResult{Metrics: nw.Metrics()}, fmt.Errorf("%w (%d)", ErrMaxRounds, nw.cfg.MaxRounds)
 }
 
-// deliver processes phase A of the round: request arrivals (which generate
-// response events, possibly delivered in this same round when the remaining
-// delay is zero) and response arrivals. Zero-delay responses are appended to
-// the current slot during the scan and flushed by the same loop, preserving
-// the old map-based engine's event order exactly. A handler callback may grow
-// the slot (a zero-delay response) or the whole ring (an Initiate that
-// outgrows it, which moves the slot), so the scan re-reads the slot when it
-// reaches the end of its copy, and recomputes the slot's index only when the
-// ring changed size. Events below the copy's length never change mid-scan.
-func (nw *Network) deliver() {
-	traced := nw.cfg.Trace != nil
-	size := len(nw.ring)
-	i := nw.round % size
-	slot := nw.ring[i]
-	for k := 0; ; k++ {
-		if k >= len(slot) {
-			if len(nw.ring) != size {
-				size = len(nw.ring)
-				i = nw.round % size
-			}
-			if slot = nw.ring[i]; k >= len(slot) {
-				break
-			}
-		}
-		ev := slot[k]
-		nw.inFlight--
-		if nw.nodes[ev.to].crashed {
-			// Fail-stop: a crashed node neither answers requests nor
-			// consumes responses; the message is lost.
-			nw.putEvent(ev)
-			continue
-		}
-		switch ev.kind {
-		case evRequest:
-			st := &nw.nodes[ev.to]
-			if nw.cfg.MaxResponsesPerRound > 0 && st.served >= nw.cfg.MaxResponsesPerRound {
-				// In-degree bound reached: the request waits in the
-				// responder's queue until a later round (not traced —
-				// only the eventual delivery is an observable event).
-				nw.schedule(nw.round+1, ev)
-				continue
-			}
-			st.served++
-			nw.loads[ev.to].Answered++
-			if traced {
-				nw.cfg.Trace(TraceEvent{Kind: TraceRequest, Round: nw.round, From: int(ev.from), To: int(ev.to), EdgeID: int(ev.edgeID), Latency: int(ev.latency)})
-			}
-			respPayload := st.handler.OnRequest(&st.ctx, Request{
-				From:      int(ev.from),
-				EdgeIndex: int(ev.toIdx),
-				Payload:   ev.payload,
-			})
-			respDelay := int(ev.latency - (ev.latency+1)/2)
-			if nw.cfg.FullRTTDelivery {
-				respDelay = 0
-			}
-			// The request's event travels back as the response.
-			ev.kind = evResponse
-			ev.from, ev.to = ev.to, ev.from
-			ev.toIdx, ev.backIdx = ev.backIdx, ev.toIdx
-			ev.payload = respPayload
-			nw.schedule(nw.round+respDelay, ev)
-			nw.metrics.Responses++
-			nw.metrics.Bytes += PayloadSize(respPayload)
-		case evResponse:
-			st := &nw.nodes[ev.to]
-			if traced {
-				nw.cfg.Trace(TraceEvent{Kind: TraceResponse, Round: nw.round, From: int(ev.from), To: int(ev.to), EdgeID: int(ev.edgeID), Latency: int(ev.latency)})
-			}
-			st.handler.OnResponse(&st.ctx, Response{
-				From:        int(ev.from),
-				EdgeIndex:   int(ev.toIdx),
-				Payload:     ev.payload,
-				Latency:     int(ev.latency),
-				InitiatedAt: int(ev.initiatedAt),
-			})
-			nw.putEvent(ev)
+// start checks that every node has a handler, splits the network into
+// shards, and calls every handler's Start.
+func (nw *Network) start() error {
+	if nw.closed {
+		return errors.New("sim: network already closed")
+	}
+	for u := range nw.nodes {
+		if nw.nodes[u].handler == nil {
+			return fmt.Errorf("sim: node %d has no handler", u)
 		}
 	}
-	// Reset the slot, keeping its backing array for a future round. Entries
-	// are nilled so the only live references to pooled events are the pool's.
-	for j := range slot {
-		slot[j] = nil
-	}
-	nw.ring[i] = slot[:0]
-}
-
-// tick runs phase B: every non-done handler gets a Tick. It reports whether
-// any handler is still active (not done).
-func (nw *Network) tick() bool {
-	active := false
+	nw.split(nw.shardCount())
 	for u := range nw.nodes {
 		st := &nw.nodes[u]
-		st.initiated = false
-		if st.crashed || st.handler.Done() {
-			continue
-		}
-		active = true
-		st.handler.Tick(&st.ctx)
+		st.handler.Start(&st.ctx)
+	}
+	return nil
+}
+
+// step runs one round after the crashes: phase A delivers the arrivals
+// (which answer requests, possibly with responses delivered in this same
+// round when the remaining delay is zero), phase B ticks every handler. It
+// reports whether any handler is still active (not done).
+func (nw *Network) step() bool {
+	if !nw.sharded {
+		sh := nw.shards[0]
+		sh.deliver()
+		sh.tick()
+		return sh.active
+	}
+	// Shards read the packed topology concurrently, so re-pack it here if
+	// the predicate raised a latency.
+	nw.topology()
+	if nw.fused {
+		nw.phase(phaseRound)
+	} else {
+		nw.phase(phaseDeliver)
+		nw.phase(phaseTick)
+	}
+	active := false
+	for _, sh := range nw.shards {
+		active = active || sh.active
 	}
 	return active
+}
+
+// inFlight counts the events scheduled and not yet delivered.
+func (nw *Network) inFlight() int {
+	n := 0
+	for _, sh := range nw.shards {
+		n += sh.inFlight
+	}
+	return n
 }
 
 // applyCrashes fail-stops the nodes whose crash round has arrived.
@@ -571,44 +519,39 @@ func (nw *Network) applyCrashes() {
 	}
 	for v, r := range nw.cfg.Crashes {
 		if r == nw.round && v >= 0 && v < len(nw.nodes) {
-			nw.nodes[v].crashed = true
+			nw.crashed[v] = true
 			nw.trace(TraceEvent{Kind: TraceCrash, Round: nw.round, From: v, To: -1})
 		}
 	}
 }
 
 // Crashed reports whether node v has fail-stopped.
-func (nw *Network) Crashed(v graph.NodeID) bool { return nw.nodes[v].crashed }
+func (nw *Network) Crashed(v graph.NodeID) bool { return nw.crashed[v] }
 
 func (nw *Network) allDone() bool {
 	for u := range nw.nodes {
-		st := &nw.nodes[u]
-		if st.crashed {
-			continue
-		}
-		if !st.handler.Done() {
+		if !nw.crashed[u] && !nw.nodes[u].handler.Done() {
 			return false
 		}
 	}
 	return true
 }
 
-// Close releases engine resources: it stops all coroutine handlers (waiting
-// for their goroutines to exit) and returns the nodes' pooled random streams.
-// Safe to call twice.
+// Close releases engine resources: it stops the shard workers and all
+// coroutine handlers, waiting for their goroutines to exit. Safe to call
+// twice.
 func (nw *Network) Close() {
 	if nw.closed {
 		return
 	}
 	nw.closed = true
+	if nw.sharded {
+		nw.gate.open(phaseStop)
+		nw.workers.Wait()
+	}
 	for u := range nw.nodes {
-		st := &nw.nodes[u]
-		if p, ok := st.handler.(*Proc); ok {
+		if p, ok := nw.nodes[u].handler.(*Proc); ok {
 			p.stop()
-		}
-		if st.ctx.rand != nil {
-			rng.Release(st.ctx.rand)
-			st.ctx.rand = nil
 		}
 	}
 }

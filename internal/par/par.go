@@ -36,6 +36,13 @@ func SetMaxWorkers(n int) int {
 // MaxWorkers returns the current per-call worker cap.
 func MaxWorkers() int { return int(maxWorkers.Load()) }
 
+// running counts the worker goroutines of every Map call in progress.
+var running atomic.Int64
+
+// Running returns how many worker goroutines Map calls have started and not
+// yet ended, across every call in the process: a sequential Map starts none.
+func Running() int { return int(running.Load()) }
+
 // Map evaluates fn for every index in [0, n) — concurrently when the worker
 // cap allows — and returns the results in index order. On failure it returns
 // the error of the lowest failing index, matching what a sequential loop
@@ -62,8 +69,10 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
 		wg.Add(1)
+		running.Add(1)
 		go func() {
 			defer wg.Done()
+			defer running.Add(-1)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {

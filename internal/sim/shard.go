@@ -54,32 +54,27 @@ func (nw *Network) shardCount() int {
 // its own calendar, event pool and counters. A one-shard network runs
 // everything on shard 0, on the goroutine that called Run.
 //
-// On a sharded network an event bound for another shard's node goes into
-// the sending shard's outbox for that shard, never straight onto a calendar,
-// and the destination shard files it at its next phase (the barrier between
-// the two orders the hand-over). Outboxes are kept per round parity, so a
-// shard fills this round's while its peers drain the last round's.
+// On a sharded network every event goes into the sending shard's outbox for
+// the destination's shard, never straight onto a calendar, and the
+// destination files it at its next phase (the barrier between the two
+// orders the hand-over). A round is two phases on every shard: file the
+// requests and deliver the slot; then file the responses and tick.
 //
 //   - Requests, staged by the tick, are filed at the start of the next
 //     round. The tick stages them in node order, and the shards are filed
 //     in shard order, which is node order: each calendar slot gets the
 //     requests exactly as the sequential tick appends them.
-//   - Responses, staged by the delivery, are filed before the requests of
-//     the same round's tick. Each outbox holds them in the order its shard
-//     served the requests, which is ascending initiation round; the filer
-//     merges the outboxes by initiation round. A node initiates once per
-//     round, so the responses to one node arrive in exactly the sequential
-//     order.
+//   - Responses, staged by the delivery, are filed before the tick of the
+//     same round. Each outbox holds them in the order its shard served the
+//     requests, which is ascending initiation round; the filer merges the
+//     outboxes by initiation round. A node initiates once per round, so the
+//     responses to one node arrive in exactly the sequential order. A
+//     response with no delay left (ℓ = 1, or FullRTTDelivery) is delivered
+//     as it is filed: after every event of the round's slot and before its
+//     initiator's tick, where the sequential scan delivers it.
 //
-// A response with no delay left (ℓ = 1, or FullRTTDelivery) must reach its
-// initiator before that node's tick of the same round, after every event of
-// the round's slot, as the sequential scan delivers it. When no such edge
-// crosses a shard boundary, that response stays inside its shard and goes
-// onto the slot being scanned, as on one shard, and a round is one phase on
-// every shard: file, deliver, tick. Otherwise a round is two phases: file
-// the requests and deliver; then file the responses (delivering those with
-// no delay left) and tick.
-//
+// A phase writes only the outboxes the next phase reads, and reads only
+// those the last one wrote, so one set of outboxes serves every round.
 // A node-local handler observes only its own node's event order, so the
 // result is bit-identical to the one-shard engine's.
 type shard struct {
@@ -101,9 +96,8 @@ type shard struct {
 	inFlight int // events this shard scheduled minus those it delivered
 	metrics  Metrics
 	active   bool // some node of the shard was not done at its last tick
-	// reqOut[r&1][d] and respOut[r&1][d] are the outboxes to shard d that
-	// round r fills (sharded runs).
-	reqOut, respOut [2][][]staged
+	// reqOut[d] and respOut[d] are the outboxes to shard d (sharded runs).
+	reqOut, respOut [][]staged
 	pos             []int    // merge cursors over the shards' respOut
 	panicked        any      // a handler panic caught on a worker, rethrown by Run
 	_               [64]byte // keeps the next shard's counters off these lines
@@ -148,18 +142,12 @@ func (sh *shard) send(at int, ev *event) {
 		sh.schedule(at, ev)
 		return
 	}
-	p := nw.round & 1
 	d := nw.owner(ev.to)
 	e := staged{ev: ev, at: int32(at), init: ev.initiatedAt}
-	switch {
-	case ev.kind == evRequest:
-		sh.reqOut[p][d] = append(sh.reqOut[p][d], e)
-	case at == nw.round && nw.fused:
-		// No delay left and, in a one-phase round, bound for this shard:
-		// onto the slot being scanned.
-		sh.schedule(at, ev)
-	default:
-		sh.respOut[p][d] = append(sh.respOut[p][d], e)
+	if ev.kind == evRequest {
+		sh.reqOut[d] = append(sh.reqOut[d], e)
+	} else {
+		sh.respOut[d] = append(sh.respOut[d], e)
 	}
 }
 
@@ -305,30 +293,29 @@ func (sh *shard) tick() {
 	sh.active = active
 }
 
-// fileRequests moves the requests every shard's tick of round parity p
-// staged for this shard onto its calendar, in shard order.
-func (sh *shard) fileRequests(p int) {
+// fileRequests moves the requests every shard's last tick staged for this
+// shard onto its calendar, in shard order.
+func (sh *shard) fileRequests() {
 	for _, src := range sh.nw.shards {
-		box := src.reqOut[p][sh.id]
+		box := src.reqOut[sh.id]
 		for _, e := range box {
 			sh.schedule(int(e.at), e.ev)
 		}
-		src.reqOut[p][sh.id] = box[:0]
+		src.reqOut[sh.id] = box[:0]
 	}
 }
 
-// fileResponses moves the responses every shard's delivery of round parity
-// p staged for this shard onto its calendar, merging the outboxes by
-// initiation round. In a two-phase round (now) it files the responses of
-// the current round, and delivers those with no delay left on the spot.
-func (sh *shard) fileResponses(p int, now bool) {
+// fileResponses moves the responses every shard's delivery of this round
+// staged for this shard onto its calendar, merging the outboxes by
+// initiation round, and delivers those with no delay left on the spot.
+func (sh *shard) fileResponses() {
 	nw := sh.nw
 	for {
 		// The earliest initiation round still at the head of an outbox;
 		// each outbox is ascending in it.
 		next := int32(math.MaxInt32)
 		for s, src := range nw.shards {
-			if box := src.respOut[p][sh.id]; sh.pos[s] < len(box) && box[sh.pos[s]].init < next {
+			if box := src.respOut[sh.id]; sh.pos[s] < len(box) && box[sh.pos[s]].init < next {
 				next = box[sh.pos[s]].init
 			}
 		}
@@ -336,10 +323,10 @@ func (sh *shard) fileResponses(p int, now bool) {
 			break
 		}
 		for s, src := range nw.shards {
-			box := src.respOut[p][sh.id]
-			for ; sh.pos[s] < len(box) && box[sh.pos[s]].init == next; sh.pos[s]++ {
-				e := box[sh.pos[s]]
-				if !now || int(e.at) > nw.round {
+			box, k := src.respOut[sh.id], sh.pos[s]
+			for ; k < len(box) && box[k].init == next; k++ {
+				e := box[k]
+				if int(e.at) > nw.round {
 					sh.schedule(int(e.at), e.ev)
 					continue
 				}
@@ -350,10 +337,11 @@ func (sh *shard) fileResponses(p int, now bool) {
 					sh.complete(&nw.nodes[ev.to], ev)
 				}
 			}
+			sh.pos[s] = k
 		}
 	}
 	for s, src := range nw.shards {
-		src.respOut[p][sh.id] = src.respOut[p][sh.id][:0]
+		src.respOut[sh.id] = src.respOut[sh.id][:0]
 		sh.pos[s] = 0
 	}
 }
@@ -363,11 +351,8 @@ func (sh *shard) fileResponses(p int, now bool) {
 type phase uint8
 
 const (
-	// phaseRound is a whole one-phase round: file the last round's
-	// responses and requests, deliver the slot, tick the nodes.
-	phaseRound phase = iota
 	// phaseDeliver files the last round's requests, then delivers the slot.
-	phaseDeliver
+	phaseDeliver phase = iota
 	// phaseTick files this round's responses, then ticks the nodes.
 	phaseTick
 	// phaseStop ends the workers.
@@ -382,18 +367,12 @@ func (sh *shard) run(ph phase) {
 			sh.panicked = r
 		}
 	}()
-	p := sh.nw.round & 1
 	switch ph {
-	case phaseRound:
-		sh.fileResponses(p^1, false)
-		sh.fileRequests(p ^ 1)
-		sh.deliver()
-		sh.tick()
 	case phaseDeliver:
-		sh.fileRequests(p ^ 1)
+		sh.fileRequests()
 		sh.deliver()
 	case phaseTick:
-		sh.fileResponses(p, true)
+		sh.fileResponses()
 		sh.tick()
 	}
 }
@@ -434,8 +413,8 @@ func (nw *Network) work(sh *shard, w *waiter) {
 
 // gate is the sharded round's barrier. The main goroutine publishes a phase
 // and bumps epoch; each worker runs the phase and counts pending down; the
-// last one wakes the main goroutine. Every wait polls for a while before it
-// parks (see spinBudget).
+// last one wakes the main goroutine. A wait polls for a while before it
+// parks when the process is not crowded (see spinBudget and crowded).
 type gate struct {
 	ph      phase
 	epoch   atomic.Uint32
@@ -444,15 +423,13 @@ type gate struct {
 	workers []*waiter
 }
 
-// init readies the gate for w shards. Its waiters poll only when every
-// shard can hold a processor at once; otherwise a poller could keep out the
-// very shard it waits for.
+// init readies the gate for w shards.
 func (g *gate) init(w int) {
-	spin := w <= runtime.GOMAXPROCS(0)
-	g.main.spin, g.main.ch = spin, make(chan struct{}, 1)
+	procs := runtime.GOMAXPROCS(0)
+	g.main.procs, g.main.ch = procs, make(chan struct{}, 1)
 	g.workers = make([]*waiter, w-1)
 	for k := range g.workers {
-		g.workers[k] = &waiter{spin: spin, ch: make(chan struct{}, 1)}
+		g.workers[k] = &waiter{procs: procs, ch: make(chan struct{}, 1)}
 	}
 }
 
@@ -466,18 +443,30 @@ func (g *gate) open(ph phase) {
 	}
 }
 
+// liveShards counts the shards of every sharded network that Run has split
+// and Close has not yet stopped: each is a goroutine with a round's work.
+var liveShards atomic.Int32
+
+// crowded reports whether more goroutines have work than there are
+// processors: the shards of every live sharded network plus the cells
+// par.Map is evaluating (a network nested in a par.Map cell counts twice,
+// which errs toward parking). A crowded barrier parks at once, since a
+// poller could keep out the very shard it waits for.
+func crowded(procs int) bool {
+	return int(liveShards.Load())+par.Running() > procs
+}
+
 // spinBudget is how long a waiter polls its condition before it parks. A
 // round's shards finish within a few microseconds of each other, and a
 // waiter that polls keeps its goroutine, and so its shard's data, on the
 // same core; one that parks is woken wherever the scheduler finds room and
 // leaves its cache behind. The poll yields the processor every few thousand
-// checks, so a network nested in a busy par.Map lets the other goroutines
-// run, and a long wait still ends in a park.
+// checks, and a long wait still ends in a park.
 const spinBudget = 500 * time.Microsecond
 
 // waiter parks one goroutine until a condition holds.
 type waiter struct {
-	spin     bool // poll for up to spinBudget before parking
+	procs    int // GOMAXPROCS when the gate was made
 	sleeping atomic.Bool
 	ch       chan struct{} // capacity 1
 }
@@ -488,7 +477,7 @@ func (w *waiter) wait(ready func() bool) {
 	if ready() {
 		return
 	}
-	if w.spin {
+	if !crowded(w.procs) {
 		start := time.Now()
 		for i := 1; ; i++ {
 			if ready() {
@@ -592,34 +581,21 @@ func (nw *Network) split(w int) {
 			u++
 		}
 		sh.hi = u
-		// One allocation for the shard's four outbox rows, padded so that
+		// One allocation for the shard's two outbox rows, padded so that
 		// no other shard's rows share a cache line with them: every staged
 		// event writes a row entry.
-		rows := make([][]staged, 4*w+8)
-		for p := range sh.reqOut {
-			sh.reqOut[p] = rows[(2*p)*w : (2*p+1)*w]
-			sh.respOut[p] = rows[(2*p+1)*w : (2*p+2)*w]
-		}
-		sh.pos = make([]int, w)
+		rows := make([][]staged, 2*w+8)
+		sh.reqOut, sh.respOut = rows[:w], rows[w:2*w]
+		// The merge cursors are written once per merge step; the padding
+		// keeps another shard's cursors off their line.
+		sh.pos = make([]int, w, w+8)
 		nw.shards[k] = sh
 		nw.starts[k] = int32(sh.lo)
 		for v := sh.lo; v < sh.hi; v++ {
 			nw.nodes[v].env.sh = sh
 		}
 	}
-	// A round is one phase unless a response with no delay left can cross
-	// a shard boundary.
-	nw.fused = true
-	for _, sh := range nw.shards {
-		lo, hi := int32(sh.lo), int32(sh.hi)
-		for u := sh.lo; u < sh.hi; u++ {
-			for _, he := range adj.Row(u) {
-				if (he.To < lo || he.To >= hi) && nw.respDelay(he.Lat) == 0 {
-					nw.fused = false
-				}
-			}
-		}
-	}
+	liveShards.Add(int32(w))
 	nw.gate.init(w)
 	for k, wt := range nw.gate.workers {
 		nw.workers.Add(1)

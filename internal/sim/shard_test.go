@@ -52,7 +52,6 @@ func (u *unmarkedHandler) Done() bool                             { return false
 // shardRun is what a run leaves behind, for byte-for-byte comparison.
 type shardRun struct {
 	shards int
-	fused  bool
 	out    string
 }
 
@@ -78,7 +77,6 @@ func runSharded(t *testing.T, g *graph.Graph, cfg Config, workers, rounds int, m
 	}
 	return shardRun{
 		shards: len(nw.shards),
-		fused:  nw.fused,
 		out:    fmt.Sprint(res, nw.Metrics(), nw.Loads(), hashes),
 	}
 }
@@ -90,24 +88,23 @@ func hashNodes(int) (Handler, func() uint64) {
 
 // TestShardedMatchesOneShard runs the same node-local protocol on one shard
 // and on several: every node's full event history (folded into its hash),
-// the metrics and the loads must match exactly. The graphs cover both round
-// shapes — one phase when no zero-delay response crosses shards (latency ≥ 2,
-// or latency-1 edges only inside a shard) and two phases otherwise — and
-// every split of a latency into request and response delay.
+// the metrics and the loads must match exactly. The graphs cover zero-delay
+// responses across shards (latency 1, FullRTTDelivery), only inside them
+// (latency-1 clique edges), or nowhere (latency ≥ 2), and every split of a
+// latency into request and response delay.
 func TestShardedMatchesOneShard(t *testing.T) {
 	torus := func(lat int) *graph.Graph { return graph.Torus(32, 64, lat) }
 	cases := []struct {
 		name    string
 		g       *graph.Graph
 		workers int
-		fused   bool
 	}{
-		{"torus ℓ=1", torus(1), 2, false},
-		{"torus ℓ=3", torus(3), 2, true},
-		{"torus ℓ∈[1,6]", graph.RandomLatencies(torus(1), 1, 6, 7), 2, false},
-		{"torus ℓ∈[2,7]", graph.RandomLatencies(torus(1), 2, 7, 7), 2, true},
-		{"cliques ℓ=1 inside", graph.RingOfCliques(32, 64, 5), 2, true},
-		{"torus ℓ∈[2,7] three shards", graph.RandomLatencies(graph.Torus(48, 64, 1), 2, 7, 9), 3, true},
+		{"torus ℓ=1", torus(1), 2},
+		{"torus ℓ=3", torus(3), 2},
+		{"torus ℓ∈[1,6]", graph.RandomLatencies(torus(1), 1, 6, 7), 2},
+		{"torus ℓ∈[2,7]", graph.RandomLatencies(torus(1), 2, 7, 7), 2},
+		{"cliques ℓ=1 inside", graph.RingOfCliques(32, 64, 5), 2},
+		{"torus ℓ∈[2,7] three shards", graph.RandomLatencies(graph.Torus(48, 64, 1), 2, 7, 9), 3},
 	}
 	for _, tc := range cases {
 		crashes := map[graph.NodeID]int{3: 4, tc.g.N() / 2: 9, tc.g.N() - 1: 2}
@@ -124,9 +121,6 @@ func TestShardedMatchesOneShard(t *testing.T) {
 				many := runSharded(t, tc.g, v.cfg, tc.workers, 30, hashNodes)
 				if one.shards != 1 || many.shards != tc.workers {
 					t.Fatalf("ran on %d and %d shards, want 1 and %d", one.shards, many.shards, tc.workers)
-				}
-				if fused := tc.fused && !v.cfg.FullRTTDelivery; many.fused != fused {
-					t.Errorf("one-phase rounds = %v, want %v", many.fused, fused)
 				}
 				if one.out != many.out {
 					t.Errorf("sharded run differs from one shard:\n one: %.300s\nmany: %.300s", one.out, many.out)
@@ -195,9 +189,7 @@ func TestShardCuts(t *testing.T) {
 	for u := 0; u < g.N(); u++ {
 		nw.SetHandler(u, &hashHandler{})
 	}
-	if err := nw.start(); err != nil {
-		t.Fatal(err)
-	}
+	nw.start()
 	if len(nw.shards) != 3 {
 		t.Fatalf("%d shards, want 3", len(nw.shards))
 	}
@@ -215,5 +207,97 @@ func TestShardCuts(t *testing.T) {
 	}
 	if next != g.N() {
 		t.Fatalf("shards end at %d, want %d", next, g.N())
+	}
+}
+
+// TestShardedInsideMap: sharded networks nested in par.Map cells run at
+// once, their barriers see the process as crowded and park, and each still
+// gives the one-shard result. Closing them leaves no shard counted.
+func TestShardedInsideMap(t *testing.T) {
+	g := graph.RandomLatencies(graph.Torus(32, 64, 1), 1, 6, 3)
+	cfg := Config{Seed: 4}
+	one := runSharded(t, g, cfg, 1, 30, hashNodes)
+	defer par.SetMaxWorkers(par.SetMaxWorkers(2))
+	if crowded(2) {
+		t.Fatal("crowded before any network or Map ran")
+	}
+	type cell struct {
+		out               string
+		shards            int
+		crowdedBeforeStop bool
+	}
+	cells, err := par.Map(2, func(int) (cell, error) {
+		nw := NewNetwork(g, cfg)
+		sums := make([]func() uint64, g.N())
+		for u := 0; u < g.N(); u++ {
+			var h Handler
+			h, sums[u] = hashNodes(u)
+			nw.SetHandler(u, h)
+		}
+		var c cell
+		res, err := nw.Run(func(nw *Network) bool {
+			c.crowdedBeforeStop = crowded(2)
+			return nw.Round() >= 30
+		})
+		hashes := make([]uint64, g.N())
+		for u := range hashes {
+			hashes[u] = sums[u]()
+		}
+		c.out, c.shards = fmt.Sprint(res, nw.Metrics(), nw.Loads(), hashes), len(nw.shards)
+		return c, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if c.shards != 2 {
+			t.Errorf("cell %d ran on %d shards, want 2", i, c.shards)
+		}
+		if !c.crowdedBeforeStop {
+			t.Errorf("cell %d: a sharded network inside par.Map was not crowded", i)
+		}
+		if c.out != one.out {
+			t.Errorf("cell %d differs from one shard:\n one: %.300s\ncell: %.300s", i, one.out, c.out)
+		}
+	}
+	if n := liveShards.Load(); n != 0 {
+		t.Errorf("%d shards still counted after every network closed", n)
+	}
+}
+
+// startPanicHandler panics in Start on the last node.
+type startPanicHandler struct {
+	hashHandler
+	last bool
+}
+
+func (h *startPanicHandler) Start(ctx *Context) {
+	if h.last {
+		panic("start failed")
+	}
+}
+
+// TestStartPanicStopsShards: a handler whose Start panics after the split
+// still has Run close the network, so its shard workers stop.
+func TestStartPanicStopsShards(t *testing.T) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(2))
+	g := graph.Torus(32, 64, 3)
+	nw := NewNetwork(g, Config{Seed: 1})
+	for u := 0; u < g.N(); u++ {
+		nw.SetHandler(u, &startPanicHandler{last: u == g.N()-1})
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "start failed" {
+				t.Fatalf("recovered %v, want the Start panic", r)
+			}
+		}()
+		nw.Run(nil)
+	}()
+	if len(nw.shards) != 2 {
+		t.Fatalf("%d shards, want 2", len(nw.shards))
+	}
+	if !nw.closed || liveShards.Load() != 0 {
+		t.Errorf("closed = %v with %d shards counted, want a closed network and none", nw.closed, liveShards.Load())
 	}
 }

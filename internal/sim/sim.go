@@ -227,9 +227,6 @@ type Network struct {
 	// sharded is len(shards) > 1: events then travel through the shards'
 	// outboxes instead of straight onto a calendar (see shard.go).
 	sharded bool
-	// fused is a sharded round's shape: one phase on every shard, or two
-	// when a response with no delay left may cross shards (see shard).
-	fused bool
 	// gate hands the shards' workers their phases (sharded runs).
 	gate    gate
 	workers sync.WaitGroup
@@ -427,10 +424,16 @@ type RunResult struct {
 // every handler reports Done, the round budget is exhausted (ErrMaxRounds),
 // or no progress is possible (ErrStalled).
 func (nw *Network) Run(pred Predicate) (RunResult, error) {
-	if err := nw.start(); err != nil {
-		return RunResult{}, err
+	if nw.closed {
+		return RunResult{}, errors.New("sim: network already closed")
+	}
+	for u := range nw.nodes {
+		if nw.nodes[u].handler == nil {
+			return RunResult{}, fmt.Errorf("sim: node %d has no handler", u)
+		}
 	}
 	defer nw.Close()
+	nw.start()
 	if pred != nil && pred(nw) {
 		return RunResult{Metrics: nw.Metrics(), Completed: true}, nil
 	}
@@ -457,23 +460,13 @@ func (nw *Network) Run(pred Predicate) (RunResult, error) {
 	return RunResult{Metrics: nw.Metrics()}, fmt.Errorf("%w (%d)", ErrMaxRounds, nw.cfg.MaxRounds)
 }
 
-// start checks that every node has a handler, splits the network into
-// shards, and calls every handler's Start.
-func (nw *Network) start() error {
-	if nw.closed {
-		return errors.New("sim: network already closed")
-	}
-	for u := range nw.nodes {
-		if nw.nodes[u].handler == nil {
-			return fmt.Errorf("sim: node %d has no handler", u)
-		}
-	}
+// start splits the network into shards and calls every handler's Start.
+func (nw *Network) start() {
 	nw.split(nw.shardCount())
 	for u := range nw.nodes {
 		st := &nw.nodes[u]
 		st.handler.Start(&st.ctx)
 	}
-	return nil
 }
 
 // step runs one round after the crashes: phase A delivers the arrivals
@@ -490,12 +483,8 @@ func (nw *Network) step() bool {
 	// Shards read the packed topology concurrently, so re-pack it here if
 	// the predicate raised a latency.
 	nw.topology()
-	if nw.fused {
-		nw.phase(phaseRound)
-	} else {
-		nw.phase(phaseDeliver)
-		nw.phase(phaseTick)
-	}
+	nw.phase(phaseDeliver)
+	nw.phase(phaseTick)
 	active := false
 	for _, sh := range nw.shards {
 		active = active || sh.active
@@ -548,6 +537,7 @@ func (nw *Network) Close() {
 	if nw.sharded {
 		nw.gate.open(phaseStop)
 		nw.workers.Wait()
+		liveShards.Add(-int32(len(nw.shards)))
 	}
 	for u := range nw.nodes {
 		if p, ok := nw.nodes[u].handler.(*Proc); ok {

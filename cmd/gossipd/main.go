@@ -99,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		nodesSpec = fs.String("nodes", "", "nodes hosted here, e.g. 0-31 or 0,5,9 (empty = all)")
 		peersSpec = fs.String("peers", "", "peer map, e.g. 0-31=host:7000,32-63=host:7001; a co-located peer may be addressed by its unix socket, e.g. 32-63=unix:///tmp/d1.sock")
 		tick      = fs.Duration("tick", gossip.DefaultLiveTick, "wall-clock duration of one round")
-		maxTicks  = fs.Int("maxticks", 0, "tick budget (0 = default)")
+		maxTicks  = fs.Int("maxticks", 0, "budget in sweeps (about ticks), held ones included (0 = default)")
 		linger    = fs.Duration("linger", 2*time.Second, "keep serving peers this long after local completion")
 		drainWait = fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown deadline: how long SIGTERM/SIGINT waits for queues to flush before closing anyway")
 		crashSpec = fs.String("crash", "", "crash injection, e.g. 3=10,7=25:60 (node=tick[:recover-tick])")

@@ -376,7 +376,10 @@ type LiveOptions struct {
 	// An edge of latency ℓ delays a request by ⌈ℓ/2⌉ ticks and its
 	// response by ⌊ℓ/2⌋, as in the simulator.
 	Tick time.Duration
-	// MaxTicks bounds the run (0 = a generous default).
+	// MaxTicks bounds the run in sweeps, held ones included (0 = a
+	// generous default). A runtime that keeps up sweeps once per tick, so a
+	// run that never completes returns ErrLiveMaxTicks after about
+	// MaxTicks·Tick, even while backpressure holds its nodes.
 	MaxTicks int
 	// NHint is the polynomial size bound known to nodes (0 = exact).
 	NHint int

@@ -60,15 +60,25 @@ func PushPullAllToAll(g *graph.Graph, cfg sim.Config) (AllToAllResult, error) {
 		nodes[u] = st
 		nw.SetHandler(u, st)
 	}
+	// Knowledge only grows and crashes are fail-stop, so an entry once
+	// settled for u (u itself, a rumor u knows, a crashed node) stays
+	// settled: u's cursor resumes past them, and the nodes before first are
+	// complete. A run checks each (u, v) pair once, not once per round.
+	cursor := make([]int, g.N())
+	first := 0
 	res, err := nw.Run(func(nw *sim.Network) bool {
-		for u, nd := range nodes {
+		for ; first < len(nodes); first++ {
+			u := first
 			if nw.Crashed(u) {
 				continue
 			}
-			for v := range nodes {
-				if v != u && !nw.Crashed(v) && !nd.know.Contains(v) {
-					return false
-				}
+			know, v := nodes[u].know, cursor[u]
+			for v < len(nodes) && (v == u || know.Contains(v) || nw.Crashed(v)) {
+				v++
+			}
+			cursor[u] = v
+			if v < len(nodes) {
+				return false
 			}
 		}
 		return true

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"io"
 	"testing"
+
+	"gossip/internal/graph"
 )
 
 // BenchmarkLiveTCPCodec isolates the codec with no sockets: one encode+decode
@@ -78,5 +80,34 @@ func BenchmarkEnqueue(b *testing.B) {
 		if i%chunkFrames == chunkFrames-1 {
 			drain()
 		}
+	}
+}
+
+// BenchmarkShardSweep times one sweep of a shard hosting 10k nodes whose
+// handlers initiate nothing, so what it measures is the sweep itself: a
+// working sweep visits every node (Done, Tick, the done flag), while a
+// held or quiesced one, with membership off, touches no node at all.
+func BenchmarkShardSweep(b *testing.B) {
+	const n = 10_000
+	g := graph.New(n) // no edges: a node's Tick initiates nothing
+	for _, mode := range []string{"working", "held", "quiesced"} {
+		b.Run(mode, func(b *testing.B) {
+			tr := NewChanTransport(n)
+			defer tr.Close()
+			rt := sweepRuntime(b, g, ppProto{source: 0}, tr, Options{Seed: 1, Shards: 1, MaxTicks: 1 << 62})
+			switch mode {
+			case "held":
+				rt.cong = alwaysCongested{}
+			case "quiesced":
+				rt.quiesced.Store(true)
+			}
+			s := rt.shards[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.tick()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/node")
+		})
 	}
 }

@@ -31,8 +31,10 @@
 package live
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +73,12 @@ type Options struct {
 	// Tick is the wall-clock duration of one protocol round (default
 	// DefaultTick). Latency delays scale with it.
 	Tick time.Duration
-	// MaxTicks is the per-node round budget (default DefaultMaxTicks).
+	// MaxTicks is the run's budget in sweeps (default DefaultMaxTicks):
+	// every hosted node stops once its shard has swept MaxTicks times,
+	// whether or not backpressure held it meanwhile. A shard sweeps once
+	// per tick it keeps up with, so a run that never completes returns
+	// ErrMaxTicks after about MaxTicks·Tick, later by the ticks a late
+	// timer or a slow sweep skipped.
 	MaxTicks int
 	// NHint is the network-size upper bound known to nodes (0 = exact n).
 	NHint int
@@ -220,6 +227,62 @@ type Runtime struct {
 // vacuously, as in the simulator). The caller keeps ownership of the
 // transport and must Close it after Run returns.
 func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, error) {
+	rt, st, err := newRuntime(g, proto, tr, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	opts = rt.opts
+
+	// The transport hands every message for a hosted node to the runtime's
+	// sink (see shard.go). Installed only now, once the shards it routes to
+	// exist, and checked before any of them starts.
+	if !st.SetSink(rt.sink) {
+		return Result{}, errors.New("live: transport refused the runtime's delivery sink")
+	}
+
+	start := time.Now()
+	rt.epoch = start
+	for _, sh := range rt.shards {
+		rt.wg.Add(1)
+		go sh.run()
+	}
+
+	completed, interrupted, informedOverTime := rt.watch()
+	wall := time.Since(start)
+	if interrupted {
+		// Graceful stop: the nodes have been told to broadcast their leave
+		// (see shard.sweep); keep serving for the grace window so it
+		// propagates.
+		time.Sleep(time.Duration(opts.DrainTicks) * opts.Tick)
+	} else if completed && opts.Linger > 0 {
+		// Keep answering peers' pulls; our own nodes are done but a slower
+		// runtime may still need the rumor from us. Quiescing stops the
+		// nodes from initiating (and inflating metrics) while they linger.
+		rt.quiesced.Store(true)
+		time.Sleep(opts.Linger)
+	}
+	close(rt.stopCh)
+	rt.wg.Wait()
+	st.SetSink(nil)
+
+	res := rt.collect(wall)
+	res.Completed = completed
+	res.Interrupted = interrupted
+	if fr, ok := tr.(FaultReporter); ok {
+		res.Faults = fr.Faults()
+	}
+	res.Faults.TransportDrops += rt.abandoned.Load()
+	res.Faults.InformedOverTime = informedOverTime
+	if !completed && !interrupted {
+		return res, fmt.Errorf("%w (%d ticks, %d nodes done)", ErrMaxTicks, res.Metrics.Ticks, countTrue(res.Done))
+	}
+	return res, nil
+}
+
+// newRuntime validates a run's options and lays its hosted nodes out on
+// shards, each with its crash and recovery schedule. Nothing runs yet and no
+// sink is installed.
+func newRuntime(g *graph.Graph, proto Protocol, tr Transport, opts Options) (*Runtime, SinkTransport, error) {
 	if opts.Tick <= 0 {
 		opts.Tick = DefaultTick
 	}
@@ -245,18 +308,18 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 	// silently never firing (satellite of the membership PR).
 	for v, plan := range opts.Crashes {
 		if v < 0 || v >= g.N() {
-			return Result{}, fmt.Errorf("live: crash plan for node %d out of range [0,%d)", v, g.N())
+			return nil, nil, fmt.Errorf("live: crash plan for node %d out of range [0,%d)", v, g.N())
 		}
 		if plan.At < 0 || plan.RecoverAt < 0 {
-			return Result{}, fmt.Errorf("live: node %d crash plan has negative tick (at=%d recover=%d)", v, plan.At, plan.RecoverAt)
+			return nil, nil, fmt.Errorf("live: node %d crash plan has negative tick (at=%d recover=%d)", v, plan.At, plan.RecoverAt)
 		}
 		if plan.RecoverAt > 0 && plan.RecoverAt <= plan.At {
-			return Result{}, fmt.Errorf("live: node %d recovery tick %d not after crash tick %d", v, plan.RecoverAt, plan.At)
+			return nil, nil, fmt.Errorf("live: node %d recovery tick %d not after crash tick %d", v, plan.RecoverAt, plan.At)
 		}
 	}
 	if opts.Membership != nil {
 		if err := opts.Membership.validate(g.N()); err != nil {
-			return Result{}, err
+			return nil, nil, err
 		}
 		rt.memberCfg = opts.Membership.memberConfig(opts.Seed, g.N(), false)
 		// Feed membership verdicts to the transport: sends toward an
@@ -281,23 +344,23 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 	// cannot take one cannot run.
 	st, ok := tr.(SinkTransport)
 	if !ok {
-		return Result{}, errors.New("live: transport cannot deliver to a runtime (not a SinkTransport)")
+		return nil, nil, errors.New("live: transport cannot deliver to a runtime (not a SinkTransport)")
 	}
 	seen := make(map[graph.NodeID]bool, len(hosted))
 	for _, u := range hosted {
 		if u < 0 || u >= g.N() {
-			return Result{}, fmt.Errorf("live: hosted node %d out of range [0,%d)", u, g.N())
+			return nil, nil, fmt.Errorf("live: hosted node %d out of range [0,%d)", u, g.N())
 		}
 		if seen[u] {
-			return Result{}, fmt.Errorf("live: node %d hosted twice", u)
+			return nil, nil, fmt.Errorf("live: node %d hosted twice", u)
 		}
 		seen[u] = true
 		if !st.Hosts(u) {
-			return Result{}, fmt.Errorf("live: transport does not host node %d", u)
+			return nil, nil, fmt.Errorf("live: transport does not host node %d", u)
 		}
 	}
 	if len(hosted) == 0 {
-		return Result{}, errors.New("live: no nodes to host")
+		return nil, nil, errors.New("live: no nodes to host")
 	}
 
 	// Partition the hosted nodes into contiguous dense shard slices. The
@@ -325,63 +388,30 @@ func Run(g *graph.Graph, proto Protocol, tr Transport, opts Options) (Result, er
 			plan := opts.Crashes[u]
 			n := &sh.nodes[j]
 			n.rt = rt
+			n.sh = sh
 			n.id = u
 			n.h = proto.NewHandler(u)
-			n.crashAt = plan.At
 			n.recoverAt = plan.RecoverAt
 			n.ctx = sim.NewContext(n)
 			if opts.Membership != nil {
 				n.mem.Store(rt.newMember(u))
 			}
+			if plan.At > 0 {
+				sh.crashes = append(sh.crashes, planned{at: plan.At, idx: int32(j)})
+				if plan.RecoverAt > 0 {
+					sh.recoveries = append(sh.recoveries, planned{at: plan.RecoverAt, idx: int32(j)})
+				}
+			}
 			rt.loc[u] = nodeLoc{shard: int32(sh.id), idx: int32(j)}
 			rt.local = append(rt.local, n)
 		}
+		bySweep := func(a, b planned) int { return cmp.Compare(a.at, b.at) }
+		slices.SortStableFunc(sh.crashes, bySweep)
+		slices.SortStableFunc(sh.recoveries, bySweep)
 		rt.shards = append(rt.shards, sh)
 	}
 
-	// The transport hands every message for a hosted node to the runtime's
-	// sink (see shard.go). Installed only now, once the shards it routes to
-	// exist, and checked before any of them starts.
-	if !st.SetSink(rt.sink) {
-		return Result{}, errors.New("live: transport refused the runtime's delivery sink")
-	}
-
-	start := time.Now()
-	rt.epoch = start
-	for _, sh := range rt.shards {
-		rt.wg.Add(1)
-		go sh.run()
-	}
-
-	completed, interrupted, informedOverTime := rt.watch()
-	wall := time.Since(start)
-	if interrupted {
-		// Graceful stop: the nodes have been told to broadcast their leave
-		// (see onTick); keep serving for the grace window so it propagates.
-		time.Sleep(time.Duration(opts.DrainTicks) * opts.Tick)
-	} else if completed && opts.Linger > 0 {
-		// Keep answering peers' pulls; our own nodes are done but a slower
-		// runtime may still need the rumor from us. Quiescing stops the
-		// nodes from initiating (and inflating metrics) while they linger.
-		rt.quiesced.Store(true)
-		time.Sleep(opts.Linger)
-	}
-	close(rt.stopCh)
-	rt.wg.Wait()
-	st.SetSink(nil)
-
-	res := rt.collect(wall)
-	res.Completed = completed
-	res.Interrupted = interrupted
-	if fr, ok := tr.(FaultReporter); ok {
-		res.Faults = fr.Faults()
-	}
-	res.Faults.TransportDrops += rt.abandoned.Load()
-	res.Faults.InformedOverTime = informedOverTime
-	if !completed && !interrupted {
-		return res, fmt.Errorf("%w (%d ticks, %d nodes done)", ErrMaxTicks, res.Metrics.Ticks, countTrue(res.Done))
-	}
-	return res, nil
+	return rt, st, nil
 }
 
 // watch polls the nodes' outward flags once per tick until every reachable

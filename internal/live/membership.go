@@ -161,7 +161,7 @@ func (n *node) memberTick() {
 	if m == nil {
 		return
 	}
-	n.sendMember(m.Tick(n.wall))
+	n.sendMember(m.Tick(n.sh.sweeps))
 }
 
 // sendMember ships membership envelopes as MsgMember messages. Each packet
@@ -178,7 +178,7 @@ func (n *node) sendMember(envs []member.Envelope) {
 			To:       graph.NodeID(env.To),
 			EdgeID:   n.memEdge,
 			Latency:  1,
-			SentTick: n.wall,
+			SentTick: n.sh.sweeps,
 			Payload:  env.Pkt,
 		}
 		n.m.MemberPackets++
@@ -200,5 +200,5 @@ func (n *node) handleMember(msg Message) {
 	if !ok {
 		return // misrouted or foreign payload: drop, as with corrupt frames
 	}
-	n.sendMember(m.Receive(pkt, n.wall))
+	n.sendMember(m.Receive(pkt, n.sh.sweeps))
 }

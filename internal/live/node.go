@@ -22,16 +22,15 @@ import (
 // runtime watcher.
 type node struct {
 	rt  *Runtime
+	sh  *shard // owner: its sweep count is the node's wall clock
 	id  graph.NodeID
 	h   sim.Handler
 	ctx *sim.Context
 
 	tick      int  // protocol round counter (frozen while halted)
-	wall      int  // wall-clock tick counter (advances even while halted)
 	initiated bool // initiated an exchange this tick
 	nextExch  uint64
-	crashAt   int // fail-stop at this wall tick (0 = never)
-	recoverAt int // rejoin with cleared state at this wall tick (0 = never)
+	recoverAt int // planned recovery sweep (0 = never): the watcher's permanent-crash test
 	halted    bool
 	left      bool // broadcast its membership leave (graceful stop)
 
@@ -91,46 +90,20 @@ func (n *node) Initiate(idx int, payload sim.Payload) (uint64, error) {
 	return n.nextExch, nil
 }
 
-// onTick advances the node's round counter and runs the handler's Tick, the
-// live analogue of the simulator's phase B. The wall counter keeps advancing
-// while the node is down so a scheduled recovery knows when to fire. hold is
-// the shard's backpressure (a destination shard behind, or a congested
-// transport): the wall clock, crash and recovery plans, leave and the
-// failure detector still run, but the protocol takes no round, so the node
-// starts no exchange.
-func (n *node) onTick(hold bool) {
-	n.wall++
+// onTick runs the node's part of a working sweep, the live analogue of the
+// simulator's phase B: the failure detector ticks (member is whether the run
+// has one), then a handler that has not terminated takes one protocol round.
+// The shard calls it only on sweeps on which its nodes may initiate: not
+// held, quiesced, leaving or out of budget (see shard.sweep).
+func (n *node) onTick(member bool) {
 	if n.halted {
-		if n.recoverAt > 0 && n.wall >= n.recoverAt {
-			n.rejoin()
-		}
 		return
-	}
-	if n.crashAt > 0 && n.wall >= n.crashAt {
-		n.halt()
-		return
-	}
-	if n.rt.leaving.Load() && !n.left {
-		// Graceful stop: announce our departure once — peers mark us dead at
-		// our current incarnation instead of burning a suspicion timeout —
-		// then keep answering through the grace window without initiating.
-		n.left = true
-		if m := n.mem.Load(); m != nil {
-			n.sendMember(m.Leave(n.wall))
-		}
 	}
 	// The failure detector ticks for as long as the process is up — through
 	// quiescence and past protocol termination — because peers rely on our
 	// acks and deltas to keep their views truthful.
-	n.memberTick()
-	if n.left || n.rt.quiesced.Load() {
-		// The runtime completed and is lingering for slower peers: stop
-		// initiating new exchanges but keep answering requests.
-		return
-	}
-	if n.tick >= n.rt.opts.MaxTicks {
-		n.setExhausted(true)
-		return
+	if member {
+		n.memberTick()
 	}
 	if n.h.Done() {
 		// Locally terminated handlers are no longer ticked (as in the round
@@ -139,9 +112,6 @@ func (n *node) onTick(hold bool) {
 		// a fixed-schedule protocol that missed its window fails closed
 		// instead of hanging until the tick budget runs dry.
 		n.setExhausted(true)
-		return
-	}
-	if hold {
 		return
 	}
 	n.tick++
@@ -162,17 +132,12 @@ func (n *node) halt() {
 
 // rejoin brings a crashed node back at its scheduled recovery tick with a
 // fresh handler — cleared protocol state, as a process restarted from disk
-// would have — while keeping its seeded random stream and round budget.
+// would have — while keeping its seeded random stream and round counter.
 func (n *node) rejoin() {
 	n.halted = false
 	n.crashed.Store(false)
 	n.recovered.Store(true)
-	n.setExhausted(false)
-	// The plan is consumed: without this the crash condition would re-fire
-	// on the very next tick (wall is already past crashAt). recoverAt is
-	// left untouched — the watcher goroutine reads it, and with crashAt
-	// cleared the recovery branch is unreachable anyway.
-	n.crashAt = 0
+	n.setExhausted(n.sh.sweeps > n.rt.opts.MaxTicks) // a spent budget stays spent
 	n.h = n.rt.proto.NewHandler(n.id)
 	n.initiated = false
 	if n.mem.Load() != nil {

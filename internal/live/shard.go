@@ -32,17 +32,25 @@ import (
 // initiation: a shard's nodes start no new exchanges while any destination
 // still holds more than one sweep's worth of the posts this shard handed it
 // (its hosted count), or while the transport reports a congested connection
-// (see congestion). Everything else goes on — the sweep still advances wall
-// clocks, crash and recovery plans and the failure detector, and the shard
-// keeps firing its calendar, draining its mailbox and answering requests —
-// so no response is ever refused and two shards waiting on each other both
-// keep draining: backpressure cannot deadlock.
+// (see congestion). Everything else goes on — the sweep still advances the
+// shard's wall clock, crash and recovery plans and the failure detector, and
+// the shard keeps firing its calendar, draining its mailbox and answering
+// requests — so no response is ever refused and two shards waiting on each
+// other both keep draining: backpressure cannot deadlock. A held sweep
+// touches no node at all unless the run has membership (see sweep).
 
 // post is one mailbox or outbox entry: a message and its remaining delivery
 // delay in protocol ticks (<= 0 delivers on the owner's next drain).
 type post struct {
 	msg        Message
 	delayTicks int64
+}
+
+// planned is one entry of a shard's crash or recovery schedule: the sweep it
+// fires on and the node's index in the shard.
+type planned struct {
+	at  int
+	idx int32
 }
 
 // nodeLoc locates a hosted node: its owning shard and its index in that
@@ -63,6 +71,10 @@ type shard struct {
 	cal calendar  // delayed deliveries to this shard's nodes; its now is the shard's protocol tick
 	due []Message // zero-delay same-shard deliveries joining the current drain
 	out [][]post  // out[d]: posts for shard d, handed over once per pass
+
+	sweeps     int       // sweeps run so far: every hosted node's wall clock
+	crashes    []planned // crash plans not yet fired, by sweep
+	recoveries []planned // recovery plans not yet fired, by sweep
 
 	mu      sync.Mutex
 	q       []post    // mailbox, guarded by mu
@@ -254,11 +266,9 @@ func (s *shard) run() {
 
 // tick advances the shard to the current wall tick: every due calendar
 // delivery fires (in deadline order — a long scheduler stall is a jump, not a
-// spin), the mailbox drains, each owned node takes one onTick — which starts
-// no exchange while backpressure or a congested transport holds it — and the
-// outboxes are handed over. A stalled shard runs one node sweep per loop
-// pass, mirroring how a per-node ticker dropped missed ticks instead of
-// replaying them.
+// spin), the mailbox drains, the nodes take one sweep, and the outboxes are
+// handed over. A stalled shard runs one sweep per loop pass, mirroring how a
+// per-node ticker dropped missed ticks instead of replaying them.
 func (s *shard) tick() {
 	target := int64(time.Since(s.rt.epoch) / s.rt.opts.Tick)
 	if target <= s.cal.now {
@@ -276,12 +286,62 @@ func (s *shard) tick() {
 		s.cal.recycle(slot)
 	}
 	s.drainMail()
-	hold := s.backpressured() || (s.rt.cong != nil && s.rt.cong.congested())
-	for i := range s.nodes {
-		s.nodes[i].onTick(hold)
-	}
+	s.sweep()
 	s.drainDue()
 	s.handover()
+}
+
+// sweep advances the shard's wall clock one tick. The crash plans due fire
+// first and the recovery plans due last, so a node is down from its crash
+// sweep through its recovery sweep inclusive and takes no round on either.
+// In between, the run-wide state is read once: on a working sweep every
+// node takes onTick; on an idle one — held by backpressure (a destination
+// shard behind, or a congested transport), quiesced, leaving, or past the
+// run's budget of MaxTicks sweeps — no node takes a round, and the nodes
+// are visited only to tick their failure detectors and, once, to announce
+// their leave.
+func (s *shard) sweep() {
+	s.sweeps++
+	for len(s.crashes) > 0 && s.crashes[0].at <= s.sweeps {
+		s.nodes[s.crashes[0].idx].halt()
+		s.crashes = s.crashes[1:]
+	}
+	rt := s.rt
+	if s.sweeps == rt.opts.MaxTicks+1 {
+		// The budget counts sweeps, which go on while held, so a run held
+		// forever still ends.
+		for i := range s.nodes {
+			s.nodes[i].setExhausted(true)
+		}
+	}
+	leaving := rt.leaving.Load()
+	member := rt.opts.Membership != nil
+	switch {
+	case !leaving && s.sweeps <= rt.opts.MaxTicks && !rt.quiesced.Load() &&
+		!s.backpressured() && (rt.cong == nil || !rt.cong.congested()):
+		for i := range s.nodes {
+			s.nodes[i].onTick(member)
+		}
+	case member:
+		for i := range s.nodes {
+			n := &s.nodes[i]
+			if n.halted {
+				continue
+			}
+			if leaving && !n.left {
+				// Graceful stop: announce the departure once — peers mark
+				// the node dead at its current incarnation instead of
+				// burning a suspicion timeout — then keep answering.
+				n.left = true
+				n.sendMember(n.mem.Load().Leave(s.sweeps))
+			}
+			n.memberTick()
+		}
+	}
+	for len(s.recoveries) > 0 && s.recoveries[0].at <= s.sweeps {
+		s.nodes[s.recoveries[0].idx].rejoin()
+		s.recoveries = s.recoveries[1:]
+	}
 }
 
 // drainMail delivers the zero-delay same-shard posts, then takes the mailbox

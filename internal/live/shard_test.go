@@ -272,7 +272,8 @@ func TestShardHotspotStar(t *testing.T) {
 // closed, so the shard hosting gate stops draining its mailbox. It records
 // the highest round any node below gate has ticked, counts the requests
 // those nodes answer when answered is set, and closes rejoined when it
-// builds node crash's handler a second time (its recovery).
+// builds node crash's handler a second time (its recovery). With pad set,
+// its requests carry pad bytes of padding instead of the rumor bit.
 type heldProto struct {
 	gate, crash graph.NodeID
 	open        chan struct{}
@@ -280,6 +281,7 @@ type heldProto struct {
 	answered    *atomic.Int64
 	built       *atomic.Int32
 	rejoined    func()
+	pad         int
 }
 
 type heldNode struct {
@@ -310,7 +312,24 @@ func (n *heldNode) Tick(ctx *sim.Context) {
 			}
 		}
 	}
+	if d := ctx.Degree(); n.p.pad > 0 && d > 0 {
+		_, _ = ctx.Initiate(ctx.Rand().Intn(d), padp(n.p.pad))
+		return
+	}
 	n.ppNode.Tick(ctx)
+}
+
+// padp is a payload of that many bytes of padding.
+type padp int
+
+func (p padp) SizeBytes() int               { return int(p) }
+func (padp) WireType() string               { return "live_test.pad" }
+func (p padp) AppendWire(dst []byte) []byte { return append(dst, make([]byte, p)...) }
+
+func init() {
+	RegisterPayload(padp(0).WireType(), func(data []byte) (sim.Payload, error) {
+		return padp(len(data)), nil
+	})
 }
 
 func (n *heldNode) OnRequest(ctx *sim.Context, req sim.Request) sim.Payload {
@@ -719,6 +738,65 @@ func TestShardCongestionHoldsSender(t *testing.T) {
 		if !r.Completed {
 			t.Errorf("runtime %d did not complete after the release (%d ticks)", i, r.Metrics.Ticks)
 		}
+	}
+}
+
+// TestShardBudgetEndsHeldRun: a run's budget counts sweeps, which go on
+// while backpressure holds it, so a runtime held forever still ends. Over
+// unix://, runtime 1's gate shard blocks in Tick and never drains again;
+// runtime 0's nodes all send it padded requests, so runtime 0 is held
+// within a few dozen rounds and takes none after. It still returns
+// ErrMaxTicks within MaxTicks·Tick plus a grace window, having taken fewer
+// rounds than its budget: a budget of rounds would have held it until the
+// gate opened.
+func TestShardBudgetEndsHeldRun(t *testing.T) {
+	const half, budget, tick = 64, 400, time.Millisecond
+	g := graph.New(2 * half)
+	for u := graph.NodeID(0); u < half; u++ {
+		for v := graph.NodeID(half); v < half+half/2; v++ {
+			g.MustAddEdge(u, v, 1)
+		}
+	}
+	proto := heldProto{gate: half, crash: -1, open: make(chan struct{}), round: new(atomic.Int64), pad: 4 << 10}
+	release := sync.OnceFunc(func() { close(proto.open) })
+	defer release() // never leave the gate's shard blocked, even on failure
+	trs := streamPair(t, "unix", g)
+	var attached sync.WaitGroup
+	attached.Add(len(trs))
+	type out struct {
+		res  Result
+		err  error
+		took time.Duration
+	}
+	outs := [2]chan out{make(chan out, 1), make(chan out, 1)}
+	for i, tr := range trs {
+		tr.onAttach = func() { attached.Done(); attached.Wait() }
+		go func() {
+			start := time.Now()
+			res, err := Run(g, proto, tr, Options{Seed: 1, Tick: tick, Shards: 2, MaxTicks: budget, Nodes: tr.nodes})
+			outs[i] <- out{res, err, time.Since(start)}
+		}()
+	}
+	grace := time.Second
+	if raceEnabled {
+		grace = 3 * time.Second
+	}
+	var o out
+	select {
+	case o = <-outs[0]:
+	case <-time.After(budget*tick + grace):
+		t.Fatalf("held runtime still running %v past its budget of %d ticks of %v", grace, budget, tick)
+	}
+	if !errors.Is(o.err, ErrMaxTicks) {
+		t.Fatalf("held runtime returned %v, want ErrMaxTicks", o.err)
+	}
+	if o.res.Metrics.Ticks >= budget {
+		t.Fatalf("runtime 0 took %d rounds of its %d-tick budget: never held, the check proves nothing", o.res.Metrics.Ticks, budget)
+	}
+	t.Logf("held at round %d; returned after %v", o.res.Metrics.Ticks, o.took)
+	release()
+	if o := <-outs[1]; o.err != nil && !errors.Is(o.err, ErrMaxTicks) {
+		t.Fatalf("runtime 1: %v", o.err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gossip/internal/exp"
+	"gossip/internal/graph"
 	"gossip/internal/spanner"
 )
 
@@ -92,7 +93,7 @@ func BenchmarkPushPullRingOfCliques(b *testing.B) { benchPushPull(b, RingOfCliqu
 func BenchmarkPushPullDumbbell(b *testing.B) { benchPushPull(b, Dumbbell(64, 32)) }
 
 func BenchmarkFloodGrid(b *testing.B) {
-	g := Grid(16, 16, 3)
+	g := graph.Grid(16, 16, 3)
 	for i := 0; i < b.N; i++ {
 		if _, err := RunFlood(g, 0, Options{Seed: uint64(i) + 1}); err != nil {
 			b.Fatal(err)
@@ -146,7 +147,7 @@ func BenchmarkPathDiscovery(b *testing.B) {
 func BenchmarkSpannerBuild(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := GNP(n, 0.2, 1, true, 5)
+			g := graph.GNP(n, 0.2, 1, true, 5)
 			for i := 0; i < b.N; i++ {
 				if _, err := spanner.Build(g, 4, n, uint64(i)+1); err != nil {
 					b.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gossip/internal/graph"
 	"gossip/internal/live"
 )
 
@@ -138,7 +139,7 @@ func TestChaosPushPullRingOfCliques(t *testing.T) {
 // the robustness the paper's conclusion credits it with.
 func TestChaosPushPullPropertyCompletes(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		g := GNP(24, 0.3, 1, true, seed) // forced connected
+		g := graph.GNP(24, 0.3, 1, true, seed) // forced connected
 		res, err := RunLive(g, LivePushPull(0), LiveOptions{
 			Seed: seed,
 			Tick: chaosTick,
@@ -338,7 +339,7 @@ func TestDuplicatingUnixPairPushPull(t *testing.T) {
 	addrs := make(map[NodeID]string, g.N())
 	for i := range trs {
 		path := filepath.Join(dir, fmt.Sprintf("%d.sock", i))
-		tr, err := NewLiveUnixTransport(path, hosted[i])
+		tr, err := live.NewUnixTransport(path, hosted[i])
 		if err != nil {
 			t.Fatal(err)
 		}

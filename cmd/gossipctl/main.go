@@ -11,11 +11,17 @@
 //	gossipctl -gossipd ./gossipd -daemons 4 -graph ringchords -n 10000 \
 //	    -chords 4 -latmax 16 -proto flood -tick 5ms -linger 2s
 //
-// All graph and protocol flags are passed through to every daemon unchanged,
-// so the fleet agrees on the graph by construction. -join additionally
-// enables SWIM membership (bootstrapping from node 0) and reports the
-// aggregated view convergence. -timeout bounds the whole run: on expiry the
-// fleet is killed and the run fails.
+// The graph flags are gossipd's own (one graphio.Spec, forwarded with its
+// Args), and they and the protocol flags reach every daemon unchanged, so
+// the fleet agrees on the graph by construction. -n is also the node count
+// gossipctl partitions across the daemons without building the graph, so
+// only the families of -n nodes run as they are (clique, star, path, cycle,
+// gnp, chunglu, ringchords, t6); for any other graph, export it with
+// gossipsim -proto "" -edgelist FILE and pass -load FILE -n <its nodes>.
+//
+// -join additionally enables SWIM membership (bootstrapping from node 0)
+// and reports the aggregated view convergence. -timeout bounds the whole
+// run: on expiry the fleet is killed and the run fails.
 //
 // Listen ports are reserved race-free: gossipctl binds each daemon's TCP
 // listener itself and passes the bound socket to the child as an inherited
@@ -44,6 +50,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"gossip/internal/graphio"
 )
 
 func main() {
@@ -71,24 +79,15 @@ type daemonReport struct {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gossipctl", flag.ContinueOnError)
+	var spec graphio.Spec
+	spec.Register(fs)
 	var (
 		gossipd  = fs.String("gossipd", "gossipd", "path to the gossipd binary")
 		daemons  = fs.Int("daemons", 4, "number of gossipd processes to launch")
-		n        = fs.Int("n", 10000, "total node count, partitioned contiguously across daemons")
-		graph    = fs.String("graph", "ringchords", "graph family (passed through to every daemon)")
-		chords   = fs.Int("chords", 4, "ringchords: expected chord edges per node")
-		latMax   = fs.Int("latmax", 16, "ringchords: chord latency bound")
-		latency  = fs.Int("latency", 1, "edge latency (family dependent)")
-		kFlag    = fs.Int("k", 8, "cliques in ring / grid rows")
-		sFlag    = fs.Int("s", 8, "clique size / grid cols")
-		p        = fs.Float64("p", 0.1, "GNP edge probability")
-		beta     = fs.Float64("beta", 2.5, "chunglu degree exponent")
-		avgDeg   = fs.Float64("avgdeg", 8, "chunglu average degree")
 		proto    = fs.String("proto", "flood", "protocol: pushpull, flood or rr")
 		source   = fs.Int("source", 0, "broadcast source node")
-		seed     = fs.Uint64("seed", 1, "deterministic run seed (same on every daemon)")
 		tick     = fs.Duration("tick", 2*time.Millisecond, "wall-clock duration of one round")
-		maxTicks = fs.Int("maxticks", 0, "tick budget per daemon (0 = gossipd default)")
+		maxTicks = fs.Int("maxticks", 0, "budget per daemon in shard sweeps, held ones included, about one per tick (0 = gossipd default)")
 		linger   = fs.Duration("linger", 2*time.Second, "daemon linger after local completion")
 		flushWin = fs.Duration("flushwindow", 200*time.Microsecond, "daemon flush window (super-frame aggregation width)")
 		nodesPer = fs.Int("nodes-per-shard", 0, "per-daemon shard sizing (0 = gossipd default)")
@@ -104,8 +103,9 @@ func run(args []string, out io.Writer) error {
 	if *daemons < 1 {
 		return fmt.Errorf("-daemons: must be >= 1")
 	}
-	if *n < *daemons {
-		return fmt.Errorf("-n %d < -daemons %d: every daemon needs at least one node", *n, *daemons)
+	n := spec.N
+	if n < *daemons {
+		return fmt.Errorf("-n %d < -daemons %d: every daemon needs at least one node", n, *daemons)
 	}
 	switch *fabric {
 	case "tcp", "unix":
@@ -116,7 +116,7 @@ func run(args []string, out io.Writer) error {
 	// Contiguous partition: daemon i hosts [i·n/K, (i+1)·n/K).
 	ranges := make([][2]int, *daemons)
 	for i := 0; i < *daemons; i++ {
-		ranges[i] = [2]int{i * *n / *daemons, (i+1)**n / *daemons - 1}
+		ranges[i] = [2]int{i * n / *daemons, (i+1)*n / *daemons - 1}
 	}
 	// Reserve one listener per daemon and HOLD it: the bound socket is passed
 	// to the daemon as an inherited descriptor (-listen-fd), so no other
@@ -152,18 +152,12 @@ func run(args []string, out io.Writer) error {
 	}
 	peers := strings.Join(peerParts, ",")
 
-	common := []string{
-		"-graph", *graph, "-n", strconv.Itoa(*n),
-		"-chords", strconv.Itoa(*chords), "-latmax", strconv.Itoa(*latMax),
-		"-latency", strconv.Itoa(*latency),
-		"-k", strconv.Itoa(*kFlag), "-s", strconv.Itoa(*sFlag),
-		"-p", fmt.Sprint(*p), "-beta", fmt.Sprint(*beta), "-avgdeg", fmt.Sprint(*avgDeg),
+	common := append(spec.Args(),
 		"-proto", *proto, "-source", strconv.Itoa(*source),
-		"-seed", strconv.FormatUint(*seed, 10),
 		"-tick", tick.String(), "-linger", linger.String(),
 		"-flushwindow", flushWin.String(),
 		"-peers", peers,
-	}
+	)
 	if *maxTicks > 0 {
 		common = append(common, "-maxticks", strconv.Itoa(*maxTicks))
 	}
@@ -175,7 +169,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "gossipctl: daemons=%d nodes=%d graph=%s proto=%s peers=%d-ranges local-fabric=%s\n",
-		*daemons, *n, *graph, *proto, len(ranges), *fabric)
+		*daemons, n, spec.Name(), *proto, len(ranges), *fabric)
 
 	start := time.Now()
 	reports := make([]daemonReport, *daemons)

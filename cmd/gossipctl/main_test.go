@@ -94,6 +94,31 @@ func TestGossipctlLocalFabrics(t *testing.T) {
 	})
 }
 
+// TestGossipctlForwardsGraphSpec: a family other than ringchords, with
+// non-default parameters, reaches every daemon through the forwarded spec.
+// The family's node count is -n, which gossipctl partitions.
+func TestGossipctlForwardsGraphSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process cluster run is not -short friendly")
+	}
+	bin := buildGossipd(t)
+	var sb strings.Builder
+	args := []string{
+		"-gossipd", bin, "-daemons", "2", "-v",
+		"-graph", "chunglu", "-n", "40", "-beta", "2.8", "-avgdeg", "6", "-latency", "2", "-latmax", "5",
+		"-proto", "flood", "-seed", "9",
+		"-tick", "2ms", "-linger", "500ms", "-timeout", "2m",
+	}
+	if err := run(args, &sb); err != nil {
+		t.Fatalf("run(%v): %v\n%s", args, err, sb.String())
+	}
+	for _, w := range []string{"d0: gossipd: graph=chunglu nodes=40 hosting=20", "d1: gossipd: graph=chunglu nodes=40 hosting=20", "gossipctl: completed=true"} {
+		if !strings.Contains(sb.String(), w) {
+			t.Errorf("output missing %q:\n%s", w, sb.String())
+		}
+	}
+}
+
 // TestGossipctlMembership runs the convergence variant: SWIM on, every
 // daemon's aggregated view must exist with zero false deaths.
 func TestGossipctlMembership(t *testing.T) {

@@ -18,10 +18,10 @@
 // dials the unix socket a co-located daemon opened with -listen-unix PATH,
 // e.g. -peers 0-31=unix:///tmp/d0.sock,32-63=unix:///tmp/d1.sock.
 //
-// Graphs: clique, star, path, cycle, grid, gnp, ringcliques, dumbbell,
-// chunglu (power-law, -beta/-avgdeg), ringchords (latency-1 ring plus random
-// chords with latencies in [1,-latmax], O(n·d) — the million-node family), or
-// -load FILE (.json as graphio JSON, anything else as an edge list).
+// Graphs: every family gossipsim builds (see -graph's help), among them
+// ringchords (latency-1 ring plus random chords with latencies in
+// [1,-latmax], O(n·d) — the million-node family), or -load FILE (.json as
+// graphio JSON, anything else as an edge list).
 // Protocols: pushpull, flood, rr.
 //
 // Frames are a compact length-prefixed binary format, and everything bound
@@ -43,8 +43,10 @@
 // Chaos flags inject deterministic faults (same -seed + same flags = same
 // faults on every daemon): -drop and -dup are per-message probabilities,
 // -jitter adds up to that many ticks of extra delay, -crash takes
-// "node=tick" (permanent) or "node=tick:tick2" (recover at tick2), and
-// -partition cuts all edges between two node sets for a tick window:
+// "node=sweep" (permanent) or "node=sweep:sweep2" (recover at sweep2),
+// counting the shard sweeps of the node's runtime (held ones included, so a
+// sweep is about a tick), and -partition cuts all edges between two node
+// sets for a tick window:
 //
 //	-partition "50:150:0-31/32-63"   # cut halves during ticks [50,150)
 //	-partition "50:0:0-31/32-63"     # ... and never heal (until = 0)
@@ -82,17 +84,11 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gossipd", flag.ContinueOnError)
+	var spec graphio.Spec
+	spec.Register(fs)
 	var (
-		graphName = fs.String("graph", "ringcliques", "graph family")
-		loadPath  = fs.String("load", "", "load the graph from a file instead of -graph")
-		n         = fs.Int("n", 64, "node count (clique/star/path/cycle/gnp)")
-		k         = fs.Int("k", 8, "cliques in ring / grid rows")
-		s         = fs.Int("s", 8, "clique size / grid cols")
-		latency   = fs.Int("latency", 1, "edge or bridge latency (family dependent)")
-		p         = fs.Float64("p", 0.1, "GNP edge probability")
-		proto     = fs.String("proto", "pushpull", "protocol: pushpull or flood")
+		proto     = fs.String("proto", "pushpull", "protocol: pushpull, flood or rr")
 		source    = fs.Int("source", 0, "broadcast source node")
-		seed      = fs.Uint64("seed", 1, "deterministic run seed (same on every daemon)")
 		listen    = fs.String("listen", "127.0.0.1:0", "TCP listen address for this daemon")
 		listenFD  = fs.Int("listen-fd", 0, "inherit the TCP listener from this file descriptor instead of binding -listen (supervisors pass a pre-bound socket so reserved ports cannot be stolen; 0 = bind -listen)")
 		listenUDS = fs.String("listen-unix", "", "additionally listen on a unix socket at this path for co-located peers (empty = off)")
@@ -102,7 +98,7 @@ func run(args []string, out io.Writer) error {
 		maxTicks  = fs.Int("maxticks", 0, "budget in sweeps (about ticks), held ones included (0 = default)")
 		linger    = fs.Duration("linger", 2*time.Second, "keep serving peers this long after local completion")
 		drainWait = fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown deadline: how long SIGTERM/SIGINT waits for queues to flush before closing anyway")
-		crashSpec = fs.String("crash", "", "crash injection, e.g. 3=10,7=25:60 (node=tick[:recover-tick])")
+		crashSpec = fs.String("crash", "", "crash injection, e.g. 3=10,7=25:60 (node=sweep[:recover-sweep], counting the node's shard sweeps, held ones included)")
 		drop      = fs.Float64("drop", 0, "per-message drop probability in [0,1]")
 		dup       = fs.Float64("dup", 0, "per-message duplication probability in [0,1]")
 		jitter    = fs.Int("jitter", 0, "extra delivery delay of up to this many ticks per message")
@@ -111,10 +107,6 @@ func run(args []string, out io.Writer) error {
 		rrK       = fs.Int("rrk", 0, "RR broadcast latency bound k (0 = the graph's max edge latency)")
 		flushWin  = fs.Duration("flushwindow", 0, "wait this long after the first queued frame before flushing, widening write batches (0 = flush when the queue drains)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address, e.g. 127.0.0.1:6060 (empty = off)")
-		chords    = fs.Int("chords", 4, "ringchords: expected chord edges per node")
-		latMax    = fs.Int("latmax", 16, "ringchords: chord latencies drawn uniformly from [1,latmax]")
-		beta      = fs.Float64("beta", 2.5, "chunglu: degree exponent (must be > 2)")
-		avgDeg    = fs.Float64("avgdeg", 8, "chunglu: expected average degree")
 		shards    = fs.Int("shards", 0, "event-loop shards hosted nodes are multiplexed onto (0 = one per CPU core)")
 		nodesPer  = fs.Int("nodes-per-shard", 0, "size shards by node count instead: ceil(hosted/this) shards (0 = use -shards)")
 
@@ -140,7 +132,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "pprof: listening on %s\n", pln.Addr())
 	}
 
-	g, err := loadGraph(*loadPath, *graphName, *n, *k, *s, *latency, *p, *chords, *latMax, *beta, *avgDeg, *seed)
+	g, err := spec.Build()
 	if err != nil {
 		return err
 	}
@@ -227,7 +219,7 @@ func run(args []string, out io.Writer) error {
 	}()
 
 	opts := gossip.LiveOptions{
-		Seed:      *seed,
+		Seed:      spec.Seed,
 		Tick:      *tick,
 		MaxTicks:  *maxTicks,
 		Nodes:     hosted,
@@ -253,7 +245,7 @@ func run(args []string, out io.Writer) error {
 	if *drop > 0 || *dup > 0 || *jitter > 0 || len(phases) > 0 {
 		fseed := *faultSeed
 		if fseed == 0 {
-			fseed = *seed
+			fseed = spec.Seed
 		}
 		opts.Faults = &gossip.LiveFaultConfig{
 			Seed:        fseed,
@@ -288,7 +280,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "gossipd: graph=%s nodes=%d hosting=%d listen=%s proto=%s seed=%d tick=%v\n",
-		describeGraph(*loadPath, *graphName), g.N(), len(hosted), tr.Addr(), *proto, *seed, *tick)
+		spec.Name(), g.N(), len(hosted), tr.Addr(), *proto, spec.Seed, *tick)
 
 	res, err := gossip.RunLiveTransport(g, lp, tr, opts)
 	informed := 0
@@ -382,51 +374,6 @@ func resolveShards(shards, nodesPer, hosted int) (int, error) {
 		return n, nil
 	}
 	return shards, nil
-}
-
-func loadGraph(loadPath, name string, n, k, s, latency int, p float64, chords, latMax int, beta, avgDeg float64, seed uint64) (*gossip.Graph, error) {
-	if loadPath != "" {
-		f, err := os.Open(loadPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if strings.HasSuffix(loadPath, ".json") {
-			return graphio.DecodeJSON(f)
-		}
-		return graphio.ReadEdgeList(f)
-	}
-	switch name {
-	case "clique":
-		return gossip.Clique(n, latency), nil
-	case "star":
-		return gossip.Star(n, latency), nil
-	case "path":
-		return gossip.Path(n, latency), nil
-	case "cycle":
-		return gossip.Cycle(n, latency), nil
-	case "grid":
-		return gossip.Grid(k, s, latency), nil
-	case "gnp":
-		return gossip.GNP(n, p, latency, true, seed), nil
-	case "ringcliques":
-		return gossip.RingOfCliques(k, s, latency), nil
-	case "dumbbell":
-		return gossip.Dumbbell(s, latency), nil
-	case "chunglu":
-		return gossip.ChungLu(n, beta, avgDeg, latency, seed), nil
-	case "ringchords":
-		return gossip.RingChords(n, chords, latMax, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown graph family %q", name)
-	}
-}
-
-func describeGraph(loadPath, name string) string {
-	if loadPath != "" {
-		return loadPath
-	}
-	return name
 }
 
 // parseNodeSet parses "0-31", "0,5,9", or a mix; empty means all n nodes.

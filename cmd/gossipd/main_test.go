@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"gossip"
+	"gossip/internal/graphio"
 )
 
 // TestSingleDaemonHostsAll is the smoke test: one daemon hosting every node
@@ -31,6 +33,36 @@ func TestSingleDaemonHostsAll(t *testing.T) {
 		if !strings.Contains(out, w) {
 			t.Errorf("output missing %q:\n%s", w, out)
 		}
+	}
+}
+
+// TestGraphFamilies floods every registered family, and a -load file, on
+// one daemon hosting every node.
+func TestGraphFamilies(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte("4 3\n0 1 2\n1 2 1\n2 3 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	names := append([]string{path}, graphio.Families()...)
+	for _, name := range names {
+		graph := []string{"-graph", name}
+		if name == path {
+			graph = []string{"-load", path}
+		}
+		t.Run(filepath.Base(name), func(t *testing.T) {
+			args := append([]string{"-n", "24", "-k", "3", "-s", "4", "-latency", "2", "-latmax", "4",
+				"-p", "0.2", "-phi", "0.2", "-avgdeg", "6", "-delta", "8",
+				"-proto", "flood", "-listen", "127.0.0.1:0", "-tick", "200us", "-linger", "0s"}, graph...)
+			var sb strings.Builder
+			if err := run(args, &sb); err != nil {
+				t.Fatalf("run(%v): %v\n%s", args, err, sb.String())
+			}
+			for _, w := range []string{"gossipd: graph=" + name + " nodes=", "completed=true"} {
+				if !strings.Contains(sb.String(), w) {
+					t.Errorf("output missing %q:\n%s", w, sb.String())
+				}
+			}
+		})
 	}
 }
 

@@ -1,15 +1,20 @@
-// Command gossipsim runs one dissemination protocol on one graph family and
-// prints the resulting metrics.
+// Command gossipsim builds one graph, prints its statistics, optionally
+// analyzes and exports it, and runs one dissemination protocol on it,
+// printing the resulting metrics. With -proto "" it stops after the graph:
+// statistics, -analyze and the -json/-edgelist/-dot exports.
 //
 // Usage:
 //
 //	gossipsim -graph ringcliques -k 8 -s 8 -latency 4 -proto pushpull -seed 1
 //	gossipsim -graph clique -n 64 -proto generaleid
 //	gossipsim -graph t7 -n 64 -phi 0.1 -latency 4 -proto pushpull
+//	gossipsim -graph ring8 -n 64 -alpha 0.25 -latency 8 -proto "" -analyze -dot ring.dot
+//	gossipsim -load ring.json -proto flood
 //
 // Graphs: clique, star, path, cycle, grid, gnp, ringcliques, dumbbell,
-// chunglu (power-law, -beta/-avgdeg/-latmax), t6, t7, ring8 (the Theorem 8
-// layered ring).
+// chunglu (power-law, -beta/-avgdeg/-latmax), ringchords (-chords/-latmax),
+// t6, t7, ring8 (the Theorem 8 layered ring), or -load FILE (.json as
+// graphio JSON, anything else as an edge list).
 // Protocols: pushpull, pushonly, flood, dtg, rr, eid, generaleid, tseq,
 // pathdiscovery, discovereid, unified.
 package main
@@ -24,6 +29,7 @@ import (
 	"strings"
 
 	"gossip"
+	"gossip/internal/graphio"
 	"gossip/internal/viz"
 )
 
@@ -36,22 +42,11 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gossipsim", flag.ContinueOnError)
+	var spec graphio.Spec
+	spec.Register(fs)
 	var (
-		graphName = fs.String("graph", "ringcliques", "graph family")
-		proto     = fs.String("proto", "pushpull", "protocol to run")
-		n         = fs.Int("n", 64, "node count (clique/star/path/cycle/gnp/t6/t7/ring8)")
-		k         = fs.Int("k", 4, "cliques in ring / grid rows")
-		s         = fs.Int("s", 8, "clique size / grid cols")
-		latency   = fs.Int("latency", 1, "edge or bridge latency (family dependent)")
-		p         = fs.Float64("p", 0.1, "GNP edge probability")
-		phi       = fs.Float64("phi", 0.1, "Theorem 7 fast-edge probability")
-		alpha     = fs.Float64("alpha", 0.25, "Theorem 8 conductance parameter α")
-		beta      = fs.Float64("beta", 2.5, "chunglu power-law degree exponent (>2)")
-		avgDeg    = fs.Float64("avgdeg", 8, "chunglu expected average degree")
-		latMax    = fs.Int("latmax", 0, "chunglu: draw latencies uniformly from [latency, latmax] (0 = uniform -latency)")
-		delta     = fs.Int("delta", 16, "Theorem 6 max degree Δ")
+		proto     = fs.String("proto", "pushpull", "protocol to run (empty = build, analyze and export the graph only)")
 		source    = fs.Int("source", 0, "broadcast source node")
-		seed      = fs.Uint64("seed", 1, "deterministic run seed")
 		maxRounds = fs.Int("maxrounds", 0, "round budget (0 = default)")
 		d         = fs.Int("d", 0, "diameter parameter for eid/tseq/rr/dtg (0 = computed)")
 		analyze   = fs.Bool("analyze", false, "also print φ*/ℓ* analysis")
@@ -59,6 +54,9 @@ func run(args []string, out io.Writer) error {
 		tracePath = fs.String("trace", "", "write the engine event trace to this file")
 		svgPath   = fs.String("svg", "", "write an SVG timeline of the run to this file")
 		trials    = fs.Int("trials", 1, "repeat the run with seeds seed..seed+trials-1 and report statistics")
+		jsonPath  = fs.String("json", "", "write the graph as JSON to this file")
+		edgePath  = fs.String("edgelist", "", "write the graph as plain edge-list text to this file")
+		dotPath   = fs.String("dot", "", "write the graph as Graphviz DOT to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,16 +65,12 @@ func run(args []string, out io.Writer) error {
 		defer gossip.SetAnalysisWorkers(gossip.SetAnalysisWorkers(1))
 	}
 
-	g, err := buildGraph(*graphName, genParams{
-		N: *n, K: *k, S: *s, Latency: *latency, LatMax: *latMax,
-		P: *p, Phi: *phi, Alpha: *alpha, Beta: *beta, AvgDeg: *avgDeg,
-		Delta: *delta, Seed: *seed,
-	})
+	g, err := spec.Build()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "graph=%s nodes=%d edges=%d Δ=%d ℓmax=%d\n",
-		*graphName, g.N(), g.M(), g.MaxDegree(), g.MaxLatency())
+	fmt.Fprintf(out, "graph=%s nodes=%d edges=%d Δ=%d ℓmax=%d connected=%v\n",
+		spec.Name(), g.N(), g.M(), g.MaxDegree(), g.MaxLatency(), g.Connected())
 
 	diam := *d
 	if diam <= 0 {
@@ -84,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "weighted diameter ≈ %d\n", diam)
 	if *analyze {
-		wc, err := gossip.WeightedConductance(g, *seed)
+		wc, err := gossip.WeightedConductance(g, spec.Seed)
 		if err != nil {
 			return fmt.Errorf("conductance: %w", err)
 		}
@@ -93,8 +87,27 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  φ_%d = %.5f (φ/ℓ = %.5f)\n", l.Ell, l.Phi, l.Ratio)
 		}
 	}
+	for _, exp := range []struct {
+		path  string
+		write func(io.Writer, *gossip.Graph) error
+	}{
+		{path: *jsonPath, write: graphio.EncodeJSON},
+		{path: *edgePath, write: graphio.WriteEdgeList},
+		{path: *dotPath, write: graphio.WriteDOT},
+	} {
+		if exp.path == "" {
+			continue
+		}
+		if err := writeFile(exp.path, g, exp.write); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %s\n", exp.path)
+	}
+	if *proto == "" {
+		return nil
+	}
 
-	opts := gossip.Options{Seed: *seed, MaxRounds: *maxRounds}
+	opts := gossip.Options{Seed: spec.Seed, MaxRounds: *maxRounds}
 	if *trials > 1 {
 		return runTrials(out, *proto, g, *source, diam, opts, *trials)
 	}
@@ -132,7 +145,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("create svg file: %w", err)
 		}
 		defer f.Close()
-		title := fmt.Sprintf("%s on %s (n=%d)", *proto, *graphName, g.N())
+		title := fmt.Sprintf("%s on %s (n=%d)", *proto, spec.Name(), g.N())
 		if err := viz.Timeline(f, g.N(), rec.Events, viz.TimelineOptions{Title: title}); err != nil {
 			return err
 		}
@@ -141,63 +154,16 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// genParams bundles the family-selector knobs shared by gossipsim and
-// graphgen.
-type genParams struct {
-	N, K, S       int
-	Latency       int
-	LatMax        int // chunglu: latencies uniform in [Latency, LatMax]
-	P, Phi, Alpha float64
-	Beta, AvgDeg  float64
-	Delta         int
-	Seed          uint64
-}
-
-func buildGraph(name string, gp genParams) (*gossip.Graph, error) {
-	switch name {
-	case "clique":
-		return gossip.Clique(gp.N, gp.Latency), nil
-	case "star":
-		return gossip.Star(gp.N, gp.Latency), nil
-	case "path":
-		return gossip.Path(gp.N, gp.Latency), nil
-	case "cycle":
-		return gossip.Cycle(gp.N, gp.Latency), nil
-	case "grid":
-		return gossip.Grid(gp.K, gp.S, gp.Latency), nil
-	case "gnp":
-		return gossip.GNP(gp.N, gp.P, gp.Latency, true, gp.Seed), nil
-	case "ringcliques":
-		return gossip.RingOfCliques(gp.K, gp.S, gp.Latency), nil
-	case "dumbbell":
-		return gossip.Dumbbell(gp.S, gp.Latency), nil
-	case "chunglu":
-		g := gossip.ChungLu(gp.N, gp.Beta, gp.AvgDeg, gp.Latency, gp.Seed)
-		if gp.LatMax > gp.Latency {
-			g = gossip.RandomLatencies(g, gp.Latency, gp.LatMax, gp.Seed)
-		}
-		return g, nil
-	case "t6":
-		h, err := gossip.NewTheoremSixNetwork(gp.N, gp.Delta, gp.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return h.G, nil
-	case "t7":
-		tn, err := gossip.NewTheoremSevenNetwork(gp.N, gp.Phi, gp.Latency, gp.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return tn.G, nil
-	case "ring8":
-		rn, err := gossip.NewRingNetwork(gp.N, gp.Alpha, gp.Latency, gp.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return rn.G, nil
-	default:
-		return nil, fmt.Errorf("unknown graph family %q", name)
+func writeFile(path string, g *gossip.Graph, write func(io.Writer, *gossip.Graph) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := write(f, g); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runTrials repeats the protocol across consecutive seeds and prints

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gossip/internal/check"
+	"gossip/internal/core"
 )
 
 // TestConformanceMatrix sweeps the engine options (delivery model, crashes,
@@ -83,7 +84,7 @@ func TestConformanceAllToAll(t *testing.T) {
 		{Seed: 5, Crashes: map[NodeID]int{2: 3}},
 		{Seed: 5, MaxResponsesPerRound: 1, MaxRounds: 200000},
 	} {
-		res, err := RunPushPullAllToAll(g, opts)
+		res, err := core.PushPullAllToAll(g, opts.simConfig())
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}

@@ -4,8 +4,10 @@
 //
 // The package exposes three layers:
 //
-//   - Graphs: latency-weighted graphs, standard generators, and the paper's
-//     lower-bound gadget constructions (Figures 1–2).
+//   - Graphs: latency-weighted graphs, the generators the examples and the
+//     benchmark use, and the Theorem 6 lower-bound network. Every family
+//     the commands build, the Theorem 7 and 8 constructions among them, is
+//     in internal/graph.
 //   - Analysis: weighted conductance φ*, critical latency ℓ* (Definition 2),
 //     and the φ_ℓ ladder.
 //   - Protocols: one-call runners for every algorithm in the paper —
@@ -42,9 +44,6 @@ import (
 // network model of the paper (Section 1).
 type Graph = graph.Graph
 
-// Edge is an undirected latency-weighted edge.
-type Edge = graph.Edge
-
 // NodeID identifies a node (0..N-1).
 type NodeID = graph.NodeID
 
@@ -55,31 +54,11 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 var (
 	// Clique returns the complete graph K_n.
 	Clique = graph.Clique
-	// Star returns a star with center 0.
-	Star = graph.Star
-	// Path returns the path 0-1-...-(n-1).
-	Path = graph.Path
-	// Cycle returns the n-cycle.
-	Cycle = graph.Cycle
-	// Grid returns the rows×cols grid.
-	Grid = graph.Grid
-	// GNP returns an Erdős–Rényi graph, optionally forced connected.
-	GNP = graph.GNP
 	// RingOfCliques returns k cliques of size s joined in a ring by bridges
 	// of the given latency — a family with conductance known by design.
 	RingOfCliques = graph.RingOfCliques
 	// Dumbbell returns two cliques joined by one bridge edge.
 	Dumbbell = graph.Dumbbell
-	// Torus returns the rows×cols torus.
-	Torus = graph.Torus
-	// Hypercube returns the 2^dim-node hypercube.
-	Hypercube = graph.Hypercube
-	// CompleteBinaryTree returns the n-node complete binary tree.
-	CompleteBinaryTree = graph.CompleteBinaryTree
-	// RandomRegular returns a connected random near-d-regular graph.
-	RandomRegular = graph.RandomRegular
-	// Caterpillar returns a spine path with pendant leaves per spine node.
-	Caterpillar = graph.Caterpillar
 	// ChungLu returns a power-law random graph with degree exponent beta and
 	// the given expected average degree — the heavy-tailed family the
 	// conductance-engine benchmarks run on.
@@ -88,21 +67,11 @@ var (
 	// heterogeneous latency — O(n·chords) construction, the family the
 	// million-node cluster harness generates.
 	RingChords = graph.RingChords
-	// RandomLatencies re-draws a graph's latencies uniformly from [lo, hi].
-	RandomLatencies = graph.RandomLatencies
 )
 
-// Lower-bound constructions of Section 3 (see internal/graph for details).
-var (
-	// NewGadget builds the guessing-game gadget G(P) or G_sym(P) (Figure 1).
-	NewGadget = graph.NewGadget
-	// NewTheoremSixNetwork builds the Ω(Δ) network H of Theorem 6.
-	NewTheoremSixNetwork = graph.NewTheoremSixNetwork
-	// NewTheoremSevenNetwork builds the Ω(1/φ+ℓ) network of Theorem 7.
-	NewTheoremSevenNetwork = graph.NewTheoremSevenNetwork
-	// NewRingNetwork builds the layered ring of Theorem 8 (Figure 2).
-	NewRingNetwork = graph.NewRingNetwork
-)
+// NewTheoremSixNetwork builds the Ω(Δ) lower-bound network H of Theorem 6
+// (Section 3; see internal/graph for the construction).
+var NewTheoremSixNetwork = graph.NewTheoremSixNetwork
 
 // Options configures a protocol run. The zero value is usable.
 type Options struct {
@@ -195,20 +164,6 @@ func RunLocalBroadcast(g *Graph, ell int, opts Options) (LocalBroadcastResult, e
 	return core.LocalBroadcastDTG(g, ell, opts.simConfig())
 }
 
-// RunPushPullAllToAll runs the all-to-all random phone call protocol
-// (anti-entropy): every node ends with every surviving node's rumor; no
-// latency knowledge or schedules needed, so it is robust to crashes.
-func RunPushPullAllToAll(g *Graph, opts Options) (AllToAllResult, error) {
-	return core.PushPullAllToAll(g, opts.simConfig())
-}
-
-// RunLocalBroadcastRandom solves ℓ-local broadcast with the randomized
-// strategy (each round, exchange with a random not-yet-heard ℓ-neighbor) —
-// the ablation counterpart of the deterministic ℓ-DTG.
-func RunLocalBroadcastRandom(g *Graph, ell int, opts Options) (LocalBroadcastResult, error) {
-	return core.LocalBroadcastRandom(g, ell, opts.simConfig())
-}
-
 // RunRRBroadcast builds an oriented spanner of the latency-<=k subgraph and
 // runs RR Broadcast (Algorithm 2) for the Lemma 15 schedule. With k >= D it
 // solves all-to-all dissemination in O(D·log² n) rounds (Corollary 16).
@@ -252,16 +207,6 @@ func RunDiscoverEID(g *Graph, opts Options) (AllToAllResult, error) {
 	return core.DiscoverEID(g, opts.simConfig())
 }
 
-// TreeBroadcastResult reports a shortest-path-tree broadcast run.
-type TreeBroadcastResult = core.TreeBroadcastResult
-
-// RunTreeBroadcast solves all-to-all dissemination over the shortest-path
-// tree rooted at root — the naive baseline whose unbounded fan-out motivates
-// the spanner's O(log n) orientation (see the ABL-TREE experiment).
-func RunTreeBroadcast(g *Graph, root NodeID, opts Options) (TreeBroadcastResult, error) {
-	return core.TreeBroadcast(g, root, opts.simConfig())
-}
-
 // RunUnified runs the combined algorithm of Theorem 20: push-pull
 // interleaved with the spanner-based algorithm (General EID when latencies
 // are known, the discovery variant otherwise); completion is twice the
@@ -292,17 +237,14 @@ type LiveProtocol = live.Protocol
 // channel transport automatically.
 type LiveTransport = live.Transport
 
-// LiveMetrics aggregates the cost of a live run (ticks, messages, bytes,
-// wall time); Sim() converts it to the simulator's Metrics shape.
-type LiveMetrics = live.Metrics
-
 // LiveResult reports a live run, including its fault ledger (Faults) and
 // per-node crash/recovery outcomes.
 type LiveResult = live.Result
 
-// LiveCrash schedules a crash-recovery epoch for one node: fail-stop at tick
-// At; if RecoverAt > 0, rejoin at that tick with cleared protocol state.
-// RecoverAt == 0 means the crash is permanent.
+// LiveCrash schedules a crash-recovery epoch for one node: fail-stop at sweep
+// At of the node's shard; if RecoverAt > 0, rejoin at that sweep with cleared
+// protocol state. RecoverAt == 0 means the crash is permanent. Sweeps count
+// as LiveOptions.MaxTicks does: held ones included, about one per tick.
 type LiveCrash = live.CrashPlan
 
 // LiveFaultConfig is a deterministic fault plan for a live run: whole-run
@@ -333,28 +275,6 @@ type LiveDrainReport = live.DrainReport
 // the TCP and channel transports and the chaos decorator implement it.
 type LiveDrainer = live.Drainer
 
-// LiveVerifyRecovery asserts the post-heal invariants of a chaos run: the
-// run completed, every survivor is informed, and no false dead declaration
-// survived. It returns nil when the cluster fully recovered.
-func LiveVerifyRecovery(res LiveResult, survivors []NodeID) error {
-	return live.VerifyRecovery(res, survivors)
-}
-
-// LiveFaultReport is the fault ledger of a live run: counters, one row per
-// configured fault phase, and the informed-fraction-over-time trajectory.
-type LiveFaultReport = live.FaultReport
-
-// LiveFaultTransport decorates any LiveTransport with seeded fault
-// injection; see NewLiveFaultTransport.
-type LiveFaultTransport = live.FaultTransport
-
-// NewLiveFaultTransport wraps a transport with the given fault plan. Most
-// callers can set LiveOptions.Faults instead and let RunLive wrap for them;
-// use this directly to stack faults over a custom transport arrangement.
-func NewLiveFaultTransport(inner LiveTransport, cfg LiveFaultConfig) *LiveFaultTransport {
-	return live.NewFaultTransport(inner, cfg)
-}
-
 // LiveCutBetween returns the IDs of all edges between node sets a and b —
 // the cut's edge set, ready for LiveFaultPhase.Cut.
 func LiveCutBetween(g *Graph, a, b []NodeID) []int {
@@ -384,14 +304,15 @@ type LiveOptions struct {
 	// NHint is the polynomial size bound known to nodes (0 = exact).
 	NHint int
 	// Crashes schedules crash-recovery epochs: Crashes[v] halts node v at
-	// tick At (it stops ticking and drops messages unanswered) and, when
-	// RecoverAt is set, rejoins it there with cleared state. Completion is
+	// sweep At, counted as MaxTicks counts (it stops ticking and drops
+	// messages unanswered) and, when RecoverAt is set, rejoins it there with
+	// cleared state. Completion is
 	// defined among reachable survivors: permanently crashed nodes don't
 	// count; recovering nodes do.
 	Crashes map[NodeID]LiveCrash
-	// Faults, when non-nil, wraps the run's transport in a
-	// LiveFaultTransport injecting the configured chaos (drops, dups,
-	// jitter, staged phases); the resulting ledger lands in LiveResult.Faults.
+	// Faults, when non-nil, wraps the run's transport in a fault-injecting
+	// decorator (drops, dups, jitter, staged phases); the resulting ledger
+	// lands in LiveResult.Faults.
 	Faults *LiveFaultConfig
 	// Nodes restricts this runtime to a subset of the graph's nodes (nil =
 	// all) — the multi-process deployment case; see RunLiveTransport.
@@ -453,42 +374,15 @@ func (o LiveOptions) faultWrap(tr LiveTransport) LiveTransport {
 // internal/member; see docs/ALGORITHMS.md for the state machine.
 type LiveMembership = live.MembershipConfig
 
-// MemberState is a member's health in a node's local view: MemberAlive,
-// MemberSuspect, or MemberDead.
-type MemberState = member.State
-
-// Membership states, in escalation order. Only a refutation (an alive record
-// with a strictly higher incarnation) revives a suspected or dead member.
+// Membership states of a node's local view, in escalation order. Only a
+// refutation (an alive record with a strictly higher incarnation) revives a
+// suspected or dead member. LiveResult.Members reports each node's final
+// table.
 const (
 	MemberAlive   = member.Alive
 	MemberSuspect = member.Suspect
 	MemberDead    = member.Dead
 )
-
-// MemberUpdate is one membership delta: node v in a state at an incarnation.
-// LiveResult.Members reports each node's final table as a sorted slice of
-// these.
-type MemberUpdate = member.Update
-
-// MemberEvent is one local membership view transition, the unit of the event
-// logs in LiveResult.MemberEvents (recorded under LiveMembership.Record).
-type MemberEvent = member.Event
-
-// MemberConfig is the detector tuning used by the deterministic membership
-// driver (MemberCluster); LiveMembership lowers to it for live runs.
-type MemberConfig = member.Config
-
-// MemberCluster is the deterministic lockstep membership driver: the same
-// SWIM state machines the live runtime runs, driven tick-by-tick with
-// repeatable packet schedules — the tool behind the churn experiments and
-// the byte-identical event-log tests.
-type MemberCluster = member.Cluster
-
-// NewMemberCluster builds an n-node lockstep membership cluster; nil seedsOf
-// bootstraps every node from node 0 (the single-seed join topology).
-func NewMemberCluster(n int, cfg MemberConfig, seedsOf func(v int) []int) *MemberCluster {
-	return member.NewCluster(n, cfg, seedsOf)
-}
 
 // LivePushPull returns the live protocol for push-pull broadcast from
 // source — the identical state machine RunPushPull drives in the simulator.
@@ -527,8 +421,8 @@ func RunLive(g *Graph, proto LiveProtocol, opts LiveOptions) (LiveResult, error)
 // caller-supplied transport, hosting only opts.Nodes (nil = all). This is
 // the multi-process entry point: each process hosts a node subset behind a
 // NewLiveTCPTransport and the cluster jointly executes the protocol. When
-// opts.Faults is set, the transport is wrapped in a LiveFaultTransport for
-// the run. The caller keeps ownership of the transport and must Close it
+// opts.Faults is set, the transport is wrapped in a fault injector for the
+// run. The caller keeps ownership of the transport and must Close it
 // after the run (the wrapper closes with it).
 func RunLiveTransport(g *Graph, proto LiveProtocol, tr LiveTransport, opts LiveOptions) (LiveResult, error) {
 	return live.Run(g, proto, opts.faultWrap(tr), opts.liveOptions())
@@ -552,13 +446,6 @@ func NewLiveTCPTransportFromListener(ln net.Listener, local []NodeID) (*LiveTCPT
 	return live.NewTCPTransportFromListener(ln, local)
 }
 
-// NewLiveUnixTransport returns a stream transport listening on a unix domain
-// socket at path — the same wire format and batching as TCP without the TCP
-// stack. Peers dial it when their SetPeers maps nodes to "unix://" + path.
-func NewLiveUnixTransport(path string, local []NodeID) (*LiveTCPTransport, error) {
-	return live.NewUnixTransport(path, local)
-}
-
 // Conductance reports the weighted conductance analysis of a graph.
 type Conductance = cut.Result
 
@@ -568,17 +455,9 @@ func WeightedConductance(g *Graph, seed uint64) (Conductance, error) {
 	return cut.WeightedConductance(g, seed)
 }
 
-// PhiCut returns the weight-ℓ conductance of a specific cut (Definition 1).
-func PhiCut(g *Graph, set []NodeID, ell int) (float64, error) {
-	return cut.PhiCut(g, set, ell)
-}
-
 // SetAnalysisWorkers caps the number of concurrent workers analysis fan-outs
 // (the φ_ℓ ladder, experiment sweeps) may use, and returns the previous cap.
 // n <= 1 forces fully sequential evaluation. Results never depend on the
 // cap: parallel runs merge in index order and are byte-identical to
 // sequential ones. The default is GOMAXPROCS.
 func SetAnalysisWorkers(n int) int { return par.SetMaxWorkers(n) }
-
-// AnalysisWorkers returns the current analysis worker cap.
-func AnalysisWorkers() int { return par.MaxWorkers() }

@@ -2,6 +2,9 @@ package gossip
 
 import (
 	"testing"
+
+	"gossip/internal/cut"
+	"gossip/internal/graph"
 )
 
 // TestPublicAPISurface exercises every public runner end to end on small
@@ -62,28 +65,28 @@ func TestPublicAPISurface(t *testing.T) {
 	if wc.PhiStar <= 0 || wc.EllStar < 1 {
 		t.Errorf("conductance = %+v", wc)
 	}
-	if _, err := PhiCut(g, []NodeID{0, 1, 2, 3, 4}, 2); err != nil {
+	if _, err := cut.PhiCut(g, []NodeID{0, 1, 2, 3, 4}, 2); err != nil {
 		t.Fatalf("PhiCut: %v", err)
 	}
 }
 
 func TestPublicGadgets(t *testing.T) {
-	if _, err := NewGadget(4, nil, true, 8); err != nil {
+	if _, err := graph.NewGadget(4, nil, true, 8); err != nil {
 		t.Errorf("NewGadget: %v", err)
 	}
 	if _, err := NewTheoremSixNetwork(16, 4, 1); err != nil {
 		t.Errorf("NewTheoremSixNetwork: %v", err)
 	}
-	if _, err := NewTheoremSevenNetwork(8, 0.3, 2, 1); err != nil {
+	if _, err := graph.NewTheoremSevenNetwork(8, 0.3, 2, 1); err != nil {
 		t.Errorf("NewTheoremSevenNetwork: %v", err)
 	}
-	if _, err := NewRingNetwork(32, 0.25, 2, 1); err != nil {
+	if _, err := graph.NewRingNetwork(32, 0.25, 2, 1); err != nil {
 		t.Errorf("NewRingNetwork: %v", err)
 	}
 }
 
 func TestPushOnlyBaseline(t *testing.T) {
-	g := Star(32, 1)
+	g := graph.Star(32, 1)
 	po, err := RunPushOnly(g, 1, Options{Seed: 3, MaxRounds: 100000})
 	if err != nil || !po.Completed {
 		t.Fatalf("RunPushOnly: %v", err)

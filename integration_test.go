@@ -3,6 +3,8 @@ package gossip
 import (
 	"fmt"
 	"testing"
+
+	"gossip/internal/graph"
 )
 
 // TestIntegrationMatrix runs every dissemination protocol against every
@@ -17,19 +19,19 @@ func TestIntegrationMatrix(t *testing.T) {
 		g    *Graph
 	}{
 		{name: "clique", g: Clique(12, 1)},
-		{name: "star", g: Star(12, 2)},
-		{name: "path", g: Path(10, 3)},
-		{name: "cycle", g: Cycle(10, 2)},
-		{name: "grid", g: Grid(3, 4, 2)},
-		{name: "torus", g: Torus(3, 4, 1)},
-		{name: "hypercube", g: Hypercube(3, 2)},
-		{name: "tree", g: CompleteBinaryTree(15, 1)},
-		{name: "caterpillar", g: Caterpillar(4, 2, 2)},
+		{name: "star", g: graph.Star(12, 2)},
+		{name: "path", g: graph.Path(10, 3)},
+		{name: "cycle", g: graph.Cycle(10, 2)},
+		{name: "grid", g: graph.Grid(3, 4, 2)},
+		{name: "torus", g: graph.Torus(3, 4, 1)},
+		{name: "hypercube", g: graph.Hypercube(3, 2)},
+		{name: "tree", g: graph.CompleteBinaryTree(15, 1)},
+		{name: "caterpillar", g: graph.Caterpillar(4, 2, 2)},
 		{name: "ringcliques", g: RingOfCliques(3, 4, 3)},
 		{name: "dumbbell", g: Dumbbell(6, 5)},
-		{name: "randreg", g: RandomRegular(14, 4, 2, 7)},
-		{name: "gnp", g: GNP(14, 0.3, 1, true, 7)},
-		{name: "mixed", g: RandomLatencies(GNP(12, 0.4, 1, true, 9), 1, 5, 9)},
+		{name: "randreg", g: graph.RandomRegular(14, 4, 2, 7)},
+		{name: "gnp", g: graph.GNP(14, 0.3, 1, true, 7)},
+		{name: "mixed", g: graph.RandomLatencies(graph.GNP(12, 0.4, 1, true, 9), 1, 5, 9)},
 	}
 	type proto struct {
 		name string

@@ -1,6 +1,7 @@
 // Package graphio serializes latency-weighted graphs: a JSON format used by
 // the tools and a plain edge-list text format convenient for hand-authored
-// topologies and interchange with other systems.
+// topologies and interchange with other systems. Its Spec is the one place
+// the commands pick a graph: a generated family, or a file in either format.
 package graphio
 
 import (

@@ -56,9 +56,11 @@ const DefaultMaxTicks = 30_000
 var ErrMaxTicks = errors.New("live: all nodes stopped before completion")
 
 // CrashPlan schedules a crash-recovery epoch for one node: fail-stop at
-// wall tick At; if RecoverAt > 0, rejoin at that tick with cleared protocol
-// state (as a process restarted from scratch would), keeping its seeded
-// random stream. RecoverAt == 0 means the crash is permanent.
+// sweep At of the node's shard; if RecoverAt > 0, rejoin at that sweep with
+// cleared protocol state (as a process restarted from scratch would),
+// keeping its seeded random stream. RecoverAt == 0 means the crash is
+// permanent. Sweeps count as MaxTicks does: held ones included, about one
+// per tick, later by the ticks a late timer or a slow sweep skipped.
 type CrashPlan struct {
 	At        int
 	RecoverAt int
@@ -87,7 +89,7 @@ type Options struct {
 	// topology.
 	Nodes []graph.NodeID
 	// Crashes schedules crash-recovery epochs: Crashes[v] halts node v at
-	// its At tick — it stops ticking and drops incoming messages
+	// its At sweep — it stops ticking and drops incoming messages
 	// unanswered — and, when RecoverAt is set, rejoins it with cleared
 	// state. A node scheduled to recover still counts toward completion; a
 	// permanently crashed node does not (Completed is defined among

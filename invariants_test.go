@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gossip/internal/check"
+	"gossip/internal/graph"
 )
 
 // TestBroadcastInvariants checks the model's physics on every broadcast
@@ -16,11 +17,11 @@ func TestBroadcastInvariants(t *testing.T) {
 		g    *Graph
 	}{
 		{name: "clique", g: Clique(24, 2)},
-		{name: "path", g: Path(16, 5)},
+		{name: "path", g: graph.Path(16, 5)},
 		{name: "ringcliques", g: RingOfCliques(4, 6, 7)},
 		{name: "dumbbell", g: Dumbbell(8, 12)},
-		{name: "mixed", g: RandomLatencies(GNP(20, 0.3, 1, true, 3), 1, 9, 3)},
-		{name: "torus", g: Torus(4, 4, 3)},
+		{name: "mixed", g: graph.RandomLatencies(graph.GNP(20, 0.3, 1, true, 3), 1, 9, 3)},
+		{name: "torus", g: graph.Torus(4, 4, 3)},
 	}
 	protos := []struct {
 		name string

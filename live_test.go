@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gossip/internal/graph"
 	"gossip/internal/live"
 	"gossip/internal/sim"
 )
@@ -123,7 +124,7 @@ func TestRunLiveTCPRingOfCliques(t *testing.T) {
 
 // TestLiveFloodCompletes exercises the second live protocol end to end.
 func TestLiveFloodCompletes(t *testing.T) {
-	g := Grid(4, 4, 1)
+	g := graph.Grid(4, 4, 1)
 	res, err := RunLive(g, LiveFlood(0), LiveOptions{Seed: 5, Tick: 500 * time.Microsecond})
 	if err != nil {
 		t.Fatalf("RunLive flood: %v", err)
@@ -219,7 +220,7 @@ func TestLiveLatencyEdgeMatchesSim(t *testing.T) {
 	addrs := make(map[NodeID]string, 2)
 	for i := range trs {
 		path := filepath.Join(dir, fmt.Sprintf("%d.sock", i))
-		tr, err := NewLiveUnixTransport(path, []NodeID{NodeID(i)})
+		tr, err := live.NewUnixTransport(path, []NodeID{NodeID(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +279,7 @@ func TestLiveRRBroadcastOverUnixSockets(t *testing.T) {
 	addrs := make(map[NodeID]string, g.N())
 	for i, nodes := range halves {
 		path := filepath.Join(dir, fmt.Sprintf("%d.sock", i))
-		tr, err := NewLiveUnixTransport(path, nodes)
+		tr, err := live.NewUnixTransport(path, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,13 +3,16 @@ package gossip
 import (
 	"testing"
 	"testing/quick"
+
+	"gossip/internal/core"
+	"gossip/internal/graph"
 )
 
 // randomConnectedGraph derives a small random weighted graph from a seed.
 func randomConnectedGraph(seed uint64) *Graph {
 	n := 6 + int(seed%10)
 	maxLat := 1 + int(seed%5)
-	return RandomLatencies(GNP(n, 0.35, 1, true, seed), 1, maxLat, seed^0x5151)
+	return graph.RandomLatencies(graph.GNP(n, 0.35, 1, true, seed), 1, maxLat, seed^0x5151)
 }
 
 // TestQuickGeneralEIDInvariants quick-checks the Theorem 19 / Lemma 18
@@ -80,7 +83,7 @@ func TestQuickLocalBroadcastVariantsAgree(t *testing.T) {
 		g := randomConnectedGraph(seed)
 		ell := 1 + int(seed%3)
 		a, errA := RunLocalBroadcast(g, ell, Options{Seed: seed})
-		b, errB := RunLocalBroadcastRandom(g, ell, Options{Seed: seed})
+		b, errB := core.LocalBroadcastRandom(g, ell, Options{Seed: seed}.simConfig())
 		if errA != nil || errB != nil || !a.Completed || !b.Completed {
 			return false
 		}

@@ -205,6 +205,13 @@ func TestRunNoPhi(t *testing.T) {
 	}
 }
 
+func TestRunBadFamily(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-graph", "nope", "-proto", ""}, &sb); err == nil {
+		t.Error("unknown family should fail")
+	}
+}
+
 func TestJSONExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.json")
 	var sb strings.Builder

@@ -13,11 +13,12 @@
 //
 // The graph flags are gossipd's own (one graphio.Spec, forwarded with its
 // Args), and they and the protocol flags reach every daemon unchanged, so
-// the fleet agrees on the graph by construction. -n is also the node count
-// gossipctl partitions across the daemons without building the graph, so
-// only the families of -n nodes run as they are (clique, star, path, cycle,
-// gnp, chunglu, ringchords, t6); for any other graph, export it with
-// gossipsim -proto "" -edgelist FILE and pass -load FILE -n <its nodes>.
+// the fleet agrees on the graph by construction. gossipctl partitions the
+// graph's nodes across the daemons. For a family of exactly -n nodes
+// (clique, star, path, cycle, gnp, chunglu, ringchords, t6) it takes -n as
+// the count and builds nothing, so a large ringchords fleet costs it no
+// generation; any other family, or a -load file, it builds or loads once to
+// count the nodes.
 //
 // -join additionally enables SWIM membership (bootstrapping from node 0)
 // and reports the aggregated view convergence. -timeout bounds the whole
@@ -103,9 +104,12 @@ func run(args []string, out io.Writer) error {
 	if *daemons < 1 {
 		return fmt.Errorf("-daemons: must be >= 1")
 	}
-	n := spec.N
+	n, err := spec.NodeCount()
+	if err != nil {
+		return err
+	}
 	if n < *daemons {
-		return fmt.Errorf("-n %d < -daemons %d: every daemon needs at least one node", n, *daemons)
+		return fmt.Errorf("%d nodes < -daemons %d: every daemon needs at least one node", n, *daemons)
 	}
 	switch *fabric {
 	case "tcp", "unix":

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gossip/internal/graph"
+	"gossip/internal/graphio"
 )
 
 var (
@@ -119,6 +122,55 @@ func TestGossipctlForwardsGraphSpec(t *testing.T) {
 	}
 }
 
+// TestGossipctlCountsNodes: a family whose node count is not -n, and a
+// loaded file, are partitioned by the graph's own node count, with no -n.
+// t7 on -n 32 has 64 nodes; the grid file has 20.
+func TestGossipctlCountsNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process cluster run is not -short friendly")
+	}
+	bin := buildGossipd(t)
+	path := filepath.Join(t.TempDir(), "grid.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphio.WriteEdgeList(f, graph.Grid(4, 5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		// Push-pull, not flood: the source's daemon may complete first and
+		// stop initiating while it lingers, and flood's far side learns the
+		// rumor only from pushes across the cut (t7's right side never
+		// does: its nodes share no edge).
+		{"t7", []string{"-graph", "t7", "-n", "32", "-proto", "pushpull"},
+			[]string{"d0: gossipd: graph=t7 nodes=64 hosting=32", "d1: gossipd: graph=t7 nodes=64 hosting=32"}},
+		{"load", []string{"-load", path, "-proto", "pushpull"},
+			[]string{"nodes=20 hosting=10", "gossipctl: daemons=2 nodes=20"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sb strings.Builder
+			args := append([]string{"-gossipd", bin, "-daemons", "2", "-v", "-seed", "3",
+				"-tick", "2ms", "-linger", "500ms", "-timeout", "2m"}, tc.args...)
+			if err := run(args, &sb); err != nil {
+				t.Fatalf("run(%v): %v\n%s", args, err, sb.String())
+			}
+			for _, w := range append(tc.want, "gossipctl: completed=true drains-clean=true") {
+				if !strings.Contains(sb.String(), w) {
+					t.Errorf("output missing %q:\n%s", w, sb.String())
+				}
+			}
+		})
+	}
+}
+
 // TestGossipctlMembership runs the convergence variant: SWIM on, every
 // daemon's aggregated view must exist with zero false deaths.
 func TestGossipctlMembership(t *testing.T) {
@@ -181,7 +233,8 @@ func TestGossipctlFlagErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-daemons", "0"}, "-daemons"},
-		{[]string{"-daemons", "8", "-n", "4"}, "every daemon needs"},
+		{[]string{"-graph", "clique", "-daemons", "8", "-n", "4"}, "every daemon needs"},
+		{[]string{"-graph", "ringcliques", "-k", "2", "-s", "3", "-daemons", "8"}, "every daemon needs"},
 		{[]string{"-local-fabric", "shm"}, "-local-fabric"},
 		{[]string{"-local-fabric", "auto"}, "-local-fabric"},
 		{[]string{"-queue-frames", "-1"}, "flag provided but not defined: -queue-frames"},

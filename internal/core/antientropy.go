@@ -27,7 +27,7 @@ func (n *antiEntropyNode) Tick(ctx *sim.Context) {
 		return
 	}
 	// The payload is a snapshot: the engine requires immutability.
-	if _, err := ctx.Initiate(ctx.Rand().Intn(deg), snapshotRumors(n.know)); err != nil {
+	if err := ctx.Initiate(ctx.Rand().Intn(deg), snapshotRumors(n.know)); err != nil {
 		panic(err) // impossible: single initiation per Tick
 	}
 }

@@ -26,7 +26,7 @@ func (n *floodNode) Tick(ctx *sim.Context) {
 	if !n.informed || n.next >= ctx.Degree() {
 		return
 	}
-	if _, err := ctx.Initiate(n.next, bitPayload{informed: true}); err != nil {
+	if err := ctx.Initiate(n.next, bitPayload{informed: true}); err != nil {
 		panic(fmt.Sprintf("core: flood initiate: %v", err))
 	}
 	n.next++

@@ -9,7 +9,6 @@ import (
 	"gossip/internal/graph"
 	"gossip/internal/live"
 	"gossip/internal/sim"
-	"gossip/internal/spanner"
 )
 
 // This file adapts the protocol state machines to the live wall-clock
@@ -171,10 +170,8 @@ func FloodLive(source graph.NodeID) live.Protocol {
 // crash-recovery rejoins) and read by LocalDone from node goroutines, hence
 // the lock; a descriptor serves one run at a time.
 type rrLiveProto struct {
-	out    [][]int // per-node spanner out-edges as neighbor indices
-	k      int
-	rounds int
-	n      int
+	plan *rrPlan
+	n    int
 
 	mu     sync.Mutex
 	states map[graph.NodeID]*eidState
@@ -190,15 +187,7 @@ func (p *rrLiveProto) NewHandler(u graph.NodeID) sim.Handler {
 	p.mu.Lock()
 	p.states[u] = st
 	p.mu.Unlock()
-	containers := st.containers
-	out := p.out[u]
-	k, rounds := p.k, p.rounds
-	proc := sim.NewProc(func(pr *sim.Proc) {
-		runRR(pr, st.rumors, out, knownLatencies(pr), k, rounds)
-	})
-	proc.HandleRequests(knowledgeResponder(containers))
-	proc.HandleResponses(knowledgeResponses(containers))
-	return proc
+	return p.plan.proc(u, st)
 }
 
 func (p *rrLiveProto) LocalDone(u graph.NodeID, _ sim.Handler) bool {
@@ -217,38 +206,12 @@ func (p *rrLiveProto) LocalDone(u graph.NodeID, _ sim.Handler) bool {
 // overrides the Baswana–Sen parameter (0 = ⌈log₂ n̂⌉); seed must match the
 // run's seed so every process builds the identical spanner.
 func RRBroadcastLive(g *graph.Graph, k, spannerParam, nHint int, seed uint64) (live.Protocol, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: RR broadcast needs k >= 1, got %d", k)
-	}
-	nHat := g.N()
-	if nHint > nHat {
-		nHat = nHint
-	}
-	ks := spannerParam
-	if ks <= 0 {
-		ks = spannerK(nHat)
-	}
-	sub := g.Subgraph(k)
-	sp, err := spanner.Build(sub, ks, nHat, seed)
+	plan, err := newRRPlan(g, k, spannerParam, nHint, seed)
 	if err != nil {
-		return nil, fmt.Errorf("RR broadcast spanner: %w", err)
-	}
-	kRR := (2*ks - 1) * k
-	out := make([][]int, g.N())
-	for u := 0; u < g.N(); u++ {
-		for _, oe := range sp.Out[u] {
-			for idx, he := range g.Neighbors(u) {
-				if he.To == oe.To {
-					out[u] = append(out[u], idx)
-					break
-				}
-			}
-		}
+		return nil, err
 	}
 	return &rrLiveProto{
-		out:    out,
-		k:      k,
-		rounds: kRR*sp.MaxOutDegree() + kRR,
+		plan:   plan,
 		n:      g.N(),
 		states: make(map[graph.NodeID]*eidState, g.N()),
 	}, nil

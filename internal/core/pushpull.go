@@ -74,7 +74,7 @@ func (n *pushPullNode) Tick(ctx *sim.Context) {
 	}
 	// One initiation per round; errors are impossible here because Tick runs
 	// once per round, but keep the engine honest.
-	if _, err := ctx.Initiate(idx, bitPayload{informed: n.informed}); err != nil {
+	if err := ctx.Initiate(idx, bitPayload{informed: n.informed}); err != nil {
 		panic(fmt.Sprintf("core: push-pull initiate: %v", err))
 	}
 }

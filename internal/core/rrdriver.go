@@ -30,48 +30,16 @@ type RRBroadcastResult struct {
 // spannerParam overrides the Baswana–Sen parameter k_s (0 = the EID default
 // ⌈log₂ n⌉); it is the knob of the spanner-k ablation.
 func RRBroadcast(g *graph.Graph, k, spannerParam int, cfg sim.Config) (RRBroadcastResult, error) {
-	if k < 1 {
-		return RRBroadcastResult{}, fmt.Errorf("core: RR broadcast needs k >= 1, got %d", k)
+	plan, err := newRRPlan(g, k, spannerParam, cfg.NHint, cfg.Seed)
+	if err != nil {
+		return RRBroadcastResult{}, err
 	}
 	cfg.KnownLatencies = true
-	nHat := g.N()
-	if cfg.NHint > nHat {
-		nHat = cfg.NHint
-	}
-	ks := spannerParam
-	if ks <= 0 {
-		ks = spannerK(nHat)
-	}
-	sub := g.Subgraph(k)
-	sp, err := spanner.Build(sub, ks, nHat, cfg.Seed)
-	if err != nil {
-		return RRBroadcastResult{}, fmt.Errorf("RR broadcast spanner: %w", err)
-	}
-	kRR := (2*ks - 1) * k
-	rounds := kRR*sp.MaxOutDegree() + kRR
-
 	nw := sim.NewNetwork(g, cfg)
 	states := make([]*eidState, g.N())
 	for u := 0; u < g.N(); u++ {
-		st := &eidState{rumors: newRumorKnowledge(g.N(), u), terminatedAt: -1}
-		states[u] = st
-		// Map spanner out-edges to this node's neighbor indices.
-		out := make([]int, 0, len(sp.Out[u]))
-		for _, oe := range sp.Out[u] {
-			for idx, he := range g.Neighbors(u) {
-				if he.To == oe.To {
-					out = append(out, idx)
-					break
-				}
-			}
-		}
-		containers := st.containers
-		proc := sim.NewProc(func(p *sim.Proc) {
-			runRR(p, st.rumors, out, knownLatencies(p), k, rounds)
-		})
-		proc.HandleRequests(knowledgeResponder(containers))
-		proc.HandleResponses(knowledgeResponses(containers))
-		nw.SetHandler(u, proc)
+		states[u] = &eidState{rumors: newRumorKnowledge(g.N(), u), terminatedAt: -1}
+		nw.SetHandler(u, plan.proc(u, states[u]))
 	}
 	completeAt := -1
 	res, err := nw.Run(func(nw *sim.Network) bool {
@@ -91,9 +59,9 @@ func RRBroadcast(g *graph.Graph, k, spannerParam int, cfg sim.Config) (RRBroadca
 	})
 	out := RRBroadcastResult{
 		Metrics:          res.Metrics,
-		SpannerSize:      sp.Size(),
-		MaxOutDegree:     sp.MaxOutDegree(),
-		Stretch:          spanner.Stretch(sub, sp),
+		SpannerSize:      plan.sp.Size(),
+		MaxOutDegree:     plan.sp.MaxOutDegree(),
+		Stretch:          spanner.Stretch(plan.sub, plan.sp),
 		RoundsToComplete: completeAt,
 	}
 	out.Completed = completeAt >= 0
@@ -101,4 +69,61 @@ func RRBroadcast(g *graph.Graph, k, spannerParam int, cfg sim.Config) (RRBroadca
 		return out, fmt.Errorf("RR broadcast on %v: %w", g, err)
 	}
 	return out, nil
+}
+
+// rrPlan is the part of RR Broadcast both engines share, built once per run
+// from the seed every process agrees on: the spanner of G_k, each node's
+// oriented out-edges as indices into its neighbor list, and the Lemma 15
+// schedule of kRR·Δ_out + kRR rounds with kRR = (2k_s−1)·k.
+type rrPlan struct {
+	k      int
+	sub    *graph.Graph // G_k
+	sp     *spanner.Spanner
+	out    [][]int
+	rounds int
+}
+
+// newRRPlan builds the plan for G_k of g. spannerParam overrides the
+// Baswana–Sen parameter k_s (0 = ⌈log₂ n̂⌉, n̂ the larger of n and nHint).
+func newRRPlan(g *graph.Graph, k, spannerParam, nHint int, seed uint64) (*rrPlan, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("core: RR broadcast needs k >= 1, got %d", k)
+	}
+	nHat := g.N()
+	if nHint > nHat {
+		nHat = nHint
+	}
+	ks := spannerParam
+	if ks <= 0 {
+		ks = spannerK(nHat)
+	}
+	sub := g.Subgraph(k)
+	sp, err := spanner.Build(sub, ks, nHat, seed)
+	if err != nil {
+		return nil, fmt.Errorf("RR broadcast spanner: %w", err)
+	}
+	out := make([][]int, g.N())
+	for u := range out {
+		for _, oe := range sp.Out[u] {
+			for idx, he := range g.Neighbors(u) {
+				if he.To == oe.To {
+					out[u] = append(out[u], idx)
+					break
+				}
+			}
+		}
+	}
+	kRR := (2*ks - 1) * k
+	return &rrPlan{k: k, sub: sub, sp: sp, out: out, rounds: kRR*sp.MaxOutDegree() + kRR}, nil
+}
+
+// proc is node u's RR Broadcast coroutine over st's rumors.
+func (pl *rrPlan) proc(u graph.NodeID, st *eidState) *sim.Proc {
+	out := pl.out[u]
+	proc := sim.NewProc(func(p *sim.Proc) {
+		runRR(p, st.rumors, out, knownLatencies(p), pl.k, pl.rounds)
+	})
+	proc.HandleRequests(knowledgeResponder(st.containers))
+	proc.HandleResponses(knowledgeResponses(st.containers))
+	return proc
 }

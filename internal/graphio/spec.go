@@ -26,41 +26,45 @@ type Spec struct {
 }
 
 // families is the registry of generated graph families, in help-text order.
+// exactN marks the families whose graphs have exactly N nodes; the others
+// read N as a size parameter (t7, ring8) or not at all (grid, ringcliques,
+// dumbbell).
 var families = []struct {
-	name  string
-	build func(s *Spec) (*graph.Graph, error)
+	name   string
+	exactN bool
+	build  func(s *Spec) (*graph.Graph, error)
 }{
-	{"clique", func(s *Spec) (*graph.Graph, error) { return graph.Clique(s.N, s.Latency), nil }},
-	{"star", func(s *Spec) (*graph.Graph, error) { return graph.Star(s.N, s.Latency), nil }},
-	{"path", func(s *Spec) (*graph.Graph, error) { return graph.Path(s.N, s.Latency), nil }},
-	{"cycle", func(s *Spec) (*graph.Graph, error) { return graph.Cycle(s.N, s.Latency), nil }},
-	{"grid", func(s *Spec) (*graph.Graph, error) { return graph.Grid(s.K, s.S, s.Latency), nil }},
-	{"gnp", func(s *Spec) (*graph.Graph, error) { return graph.GNP(s.N, s.P, s.Latency, true, s.Seed), nil }},
-	{"ringcliques", func(s *Spec) (*graph.Graph, error) { return graph.RingOfCliques(s.K, s.S, s.Latency), nil }},
-	{"dumbbell", func(s *Spec) (*graph.Graph, error) { return graph.Dumbbell(s.S, s.Latency), nil }},
-	{"chunglu", func(s *Spec) (*graph.Graph, error) {
+	{"clique", true, func(s *Spec) (*graph.Graph, error) { return graph.Clique(s.N, s.Latency), nil }},
+	{"star", true, func(s *Spec) (*graph.Graph, error) { return graph.Star(s.N, s.Latency), nil }},
+	{"path", true, func(s *Spec) (*graph.Graph, error) { return graph.Path(s.N, s.Latency), nil }},
+	{"cycle", true, func(s *Spec) (*graph.Graph, error) { return graph.Cycle(s.N, s.Latency), nil }},
+	{"grid", false, func(s *Spec) (*graph.Graph, error) { return graph.Grid(s.K, s.S, s.Latency), nil }},
+	{"gnp", true, func(s *Spec) (*graph.Graph, error) { return graph.GNP(s.N, s.P, s.Latency, true, s.Seed), nil }},
+	{"ringcliques", false, func(s *Spec) (*graph.Graph, error) { return graph.RingOfCliques(s.K, s.S, s.Latency), nil }},
+	{"dumbbell", false, func(s *Spec) (*graph.Graph, error) { return graph.Dumbbell(s.S, s.Latency), nil }},
+	{"chunglu", true, func(s *Spec) (*graph.Graph, error) {
 		g := graph.ChungLu(s.N, s.Beta, s.AvgDeg, s.Latency, s.Seed)
 		if s.LatMax > s.Latency {
 			g = graph.RandomLatencies(g, s.Latency, s.LatMax, s.Seed)
 		}
 		return g, nil
 	}},
-	{"ringchords", func(s *Spec) (*graph.Graph, error) { return graph.RingChords(s.N, s.Chords, s.LatMax, s.Seed), nil }},
-	{"t6", func(s *Spec) (*graph.Graph, error) {
+	{"ringchords", true, func(s *Spec) (*graph.Graph, error) { return graph.RingChords(s.N, s.Chords, s.LatMax, s.Seed), nil }},
+	{"t6", true, func(s *Spec) (*graph.Graph, error) {
 		h, err := graph.NewTheoremSixNetwork(s.N, s.Delta, s.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return h.G, nil
 	}},
-	{"t7", func(s *Spec) (*graph.Graph, error) {
+	{"t7", false, func(s *Spec) (*graph.Graph, error) {
 		tn, err := graph.NewTheoremSevenNetwork(s.N, s.Phi, s.Latency, s.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return tn.G, nil
 	}},
-	{"ring8", func(s *Spec) (*graph.Graph, error) {
+	{"ring8", false, func(s *Spec) (*graph.Graph, error) {
 		rn, err := graph.NewRingNetwork(s.N, s.Alpha, s.Latency, s.Seed)
 		if err != nil {
 			return nil, err
@@ -84,7 +88,7 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 	own := flag.NewFlagSet("graph", flag.ContinueOnError)
 	own.StringVar(&s.Family, "graph", "ringcliques", "graph family: "+strings.Join(Families(), ", "))
 	own.StringVar(&s.Load, "load", "", "load the graph from this file instead of -graph (.json as graphio JSON, anything else as an edge list)")
-	own.IntVar(&s.N, "n", 64, "node count (every family but grid, ringcliques and dumbbell)")
+	own.IntVar(&s.N, "n", 64, "node count (t7, ring8: size parameter; grid, ringcliques, dumbbell: unused)")
 	own.IntVar(&s.K, "k", 8, "ringcliques: cliques in the ring; grid: rows")
 	own.IntVar(&s.S, "s", 8, "ringcliques, dumbbell: clique size; grid: cols")
 	own.IntVar(&s.Latency, "latency", 1, "edge or bridge latency (family dependent)")
@@ -138,6 +142,24 @@ func (s *Spec) Build() (g *graph.Graph, err error) {
 		return f.build(s)
 	}
 	return nil, fmt.Errorf("unknown graph family %q (want %s)", s.Family, strings.Join(Families(), ", "))
+}
+
+// NodeCount returns how many nodes the graph has. A family of exactly N
+// nodes answers N without building anything; any other family, or a file,
+// is built or loaded to count.
+func (s *Spec) NodeCount() (int, error) {
+	if s.Load == "" {
+		for _, f := range families {
+			if f.name == s.Family && f.exactN {
+				return s.N, nil
+			}
+		}
+	}
+	g, err := s.Build()
+	if err != nil {
+		return 0, err
+	}
+	return g.N(), nil
 }
 
 func load(path string) (*graph.Graph, error) {

@@ -171,3 +171,37 @@ func TestSpecLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecNodeCount: NodeCount agrees with the built graph for every family
+// and for a loaded file, so the exactN column is true where it is set, and
+// it builds nothing for a family of exactly -n nodes (t6 rejects these
+// parameters, but its count is still -n).
+func TestSpecNodeCount(t *testing.T) {
+	for _, name := range Families() {
+		s := parseSpec(t, "-graph", name, "-n", "40", "-k", "4", "-s", "5", "-delta", "8")
+		g, err := s.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c, err := s.NodeCount(); err != nil || c != g.N() {
+			t.Errorf("%s: NodeCount = %d, %v; the graph has %d nodes", name, c, err, g.N())
+		}
+	}
+	path := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteEdgeList(f, graph.Dumbbell(5, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := parseSpec(t, "-load", path, "-n", "64").NodeCount(); err != nil || c != 10 {
+		t.Errorf("-load dumbbell: NodeCount = %d, %v, want 10", c, err)
+	}
+	if c, err := parseSpec(t, "-graph", "t6", "-n", "8", "-delta", "16").NodeCount(); err != nil || c != 8 {
+		t.Errorf("t6 -n 8: NodeCount = %d, %v, want 8 without a build", c, err)
+	}
+}

@@ -46,7 +46,7 @@ type ppNode struct{ informed bool }
 func (n *ppNode) Start(ctx *sim.Context) {}
 func (n *ppNode) Tick(ctx *sim.Context) {
 	if d := ctx.Degree(); d > 0 {
-		_, _ = ctx.Initiate(ctx.Rand().Intn(d), bitp{informed: n.informed})
+		_ = ctx.Initiate(ctx.Rand().Intn(d), bitp{informed: n.informed})
 	}
 }
 func (n *ppNode) OnRequest(ctx *sim.Context, req sim.Request) sim.Payload {

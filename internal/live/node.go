@@ -29,8 +29,7 @@ type node struct {
 
 	tick      int  // protocol round counter (frozen while halted)
 	initiated bool // initiated an exchange this tick
-	nextExch  uint64
-	recoverAt int // planned recovery sweep (0 = never): the watcher's permanent-crash test
+	recoverAt int  // planned recovery sweep (0 = never): the watcher's permanent-crash test
 	halted    bool
 	left      bool // broadcast its membership leave (graceful stop)
 
@@ -60,13 +59,13 @@ func (n *node) KnownLatencies() bool { return n.rt.proto.KnownLatencies() }
 // Initiate implements sim.Env: the request is handed to the transport with
 // the paper's split delivery delay (⌈ℓ/2⌉ ticks out, ⌊ℓ/2⌋ back), scaled by
 // the tick duration.
-func (n *node) Initiate(idx int, payload sim.Payload) (uint64, error) {
+func (n *node) Initiate(idx int, payload sim.Payload) error {
 	if n.initiated {
-		return 0, fmt.Errorf("live: node %d already initiated in tick %d", n.id, n.tick)
+		return fmt.Errorf("live: node %d already initiated in tick %d", n.id, n.tick)
 	}
 	deg := n.rt.csr.Degree(n.id)
 	if idx < 0 || idx >= deg {
-		return 0, fmt.Errorf("live: node %d edge index %d out of range [0,%d)", n.id, idx, deg)
+		return fmt.Errorf("live: node %d edge index %d out of range [0,%d)", n.id, idx, deg)
 	}
 	he := n.rt.csr.Half(n.id, idx)
 	msg := Message{
@@ -80,14 +79,13 @@ func (n *node) Initiate(idx int, payload sim.Payload) (uint64, error) {
 	}
 	delay := time.Duration((he.Latency+1)/2) * n.rt.opts.Tick
 	if err := n.rt.tr.Send(msg, delay); err != nil {
-		return 0, err
+		return err
 	}
 	n.initiated = true
-	n.nextExch++
 	n.m.Requests++
 	n.m.EdgeActivations++
 	n.m.Bytes += sim.PayloadSize(payload)
-	return n.nextExch, nil
+	return nil
 }
 
 // onTick runs the node's part of a working sweep, the live analogue of the
@@ -151,7 +149,7 @@ func (n *node) rejoin() {
 }
 
 // stopHandler unwinds coroutine handlers (sim.Proc) so a crashed or
-// shut-down node never leaks a parked proc goroutine. Plain state-machine
+// shut-down node never leaves a parked body behind. Plain state-machine
 // handlers have nothing to stop.
 func (n *node) stopHandler() {
 	if s, ok := n.h.(interface{ Stop() }); ok {

@@ -218,7 +218,7 @@ func (s *shard) run() {
 		s.handover() // whatever Start sent, if the runtime stopped before a pass
 		s.stop()
 		// Unwind coroutine handlers (sim.Proc) so a shut-down runtime never
-		// leaks a parked proc goroutine.
+		// leaves a parked proc body behind.
 		for i := range s.nodes {
 			s.nodes[i].stopHandler()
 		}

@@ -313,7 +313,7 @@ func (n *heldNode) Tick(ctx *sim.Context) {
 		}
 	}
 	if d := ctx.Degree(); n.p.pad > 0 && d > 0 {
-		_, _ = ctx.Initiate(ctx.Rand().Intn(d), padp(n.p.pad))
+		_ = ctx.Initiate(ctx.Rand().Intn(d), padp(n.p.pad))
 		return
 	}
 	n.ppNode.Tick(ctx)

@@ -66,13 +66,12 @@ func (n *callNode) OnResponse(ctx *sim.Context, resp sim.Response) {
 type nodeState struct {
 	tick               int
 	initiated, halted  bool
-	nextExch           uint64
 	done, exhausted    bool
 	requests, memberPk int
 }
 
 func stateOf(n *node) nodeState {
-	return nodeState{n.tick, n.initiated, n.halted, n.nextExch, n.done.Load(), n.exhausted.Load(), n.m.Requests, n.m.MemberPackets}
+	return nodeState{n.tick, n.initiated, n.halted, n.done.Load(), n.exhausted.Load(), n.m.Requests, n.m.MemberPackets}
 }
 
 // TestShardIdleSweepTouchesNoNode: a sweep on which no node may initiate —

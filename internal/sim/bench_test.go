@@ -63,7 +63,7 @@ type bitHandler struct {
 
 func (h *bitHandler) Start(ctx *Context) {}
 func (h *bitHandler) Tick(ctx *Context) {
-	_, _ = ctx.Initiate(ctx.Rand().Intn(ctx.Degree()), h.informed)
+	_ = ctx.Initiate(ctx.Rand().Intn(ctx.Degree()), h.informed)
 }
 func (h *bitHandler) OnRequest(ctx *Context, req Request) Payload {
 	h.informed = h.informed || req.Payload.(bool)
@@ -78,7 +78,7 @@ type benchHandler struct{ NodeLocal }
 
 func (h *benchHandler) Start(ctx *Context) {}
 func (h *benchHandler) Tick(ctx *Context) {
-	_, _ = ctx.Initiate(ctx.Rand().Intn(ctx.Degree()), nil)
+	_ = ctx.Initiate(ctx.Rand().Intn(ctx.Degree()), nil)
 }
 func (h *benchHandler) OnRequest(ctx *Context, req Request) Payload { return nil }
 func (h *benchHandler) OnResponse(ctx *Context, resp Response)      {}

@@ -13,9 +13,9 @@ import (
 //
 // An Env is per-node: every method answers for the single node it serves,
 // and Initiate is only ever called from that node's engine callbacks, which
-// run on one goroutine per node at a time (a round-engine shard's, or the
-// node's own goroutine in a live runtime), so implementations need no
-// internal locking for it.
+// run on one goroutine per node at a time (the round-engine or live shard
+// that owns the node, or a Proc body that shard resumes), so
+// implementations need no internal locking for it.
 type Env interface {
 	// NodeID returns the identity of the node this environment serves.
 	NodeID() graph.NodeID
@@ -32,9 +32,9 @@ type Env interface {
 	Seed() uint64
 	// KnownLatencies reports whether nodes may observe adjacent latencies.
 	KnownLatencies() bool
-	// Initiate starts an exchange on the node's idx-th edge and returns its
-	// exchange ID. At most one initiation per node per round is allowed.
-	Initiate(idx int, payload Payload) (uint64, error)
+	// Initiate starts an exchange on the node's idx-th edge. At most one
+	// initiation per node per round is allowed.
+	Initiate(idx int, payload Payload) error
 }
 
 // NewContext builds a Context over an engine backend. Runtimes other than
@@ -60,22 +60,17 @@ func (e *nodeEnv) KnownLatencies() bool { return e.nw.cfg.KnownLatencies }
 
 // Initiate schedules the request event on the round calendar; the paper's
 // split delivery (⌈ℓ/2⌉ out, ⌊ℓ/2⌋ back) happens in Network.deliver.
-func (e *nodeEnv) Initiate(idx int, payload Payload) (uint64, error) {
+func (e *nodeEnv) Initiate(idx int, payload Payload) error {
 	if e.node.initiated {
-		return 0, fmt.Errorf("sim: node %d already initiated in round %d", e.node.id, e.nw.round)
+		return fmt.Errorf("sim: node %d already initiated in round %d", e.node.id, e.nw.round)
 	}
 	nw := e.nw
 	row := nw.topology().Row(e.node.id)
 	if idx < 0 || idx >= len(row) {
-		return 0, fmt.Errorf("sim: node %d edge index %d out of range [0,%d)", e.node.id, idx, len(row))
+		return fmt.Errorf("sim: node %d edge index %d out of range [0,%d)", e.node.id, idx, len(row))
 	}
 	e.node.initiated = true
 	he := &row[idx]
-	var id uint64
-	if !nw.sharded {
-		nw.nextExch++
-		id = nw.nextExch
-	}
 	sh := e.sh
 	ev := sh.getEvent()
 	ev.kind = evRequest
@@ -95,5 +90,5 @@ func (e *nodeEnv) Initiate(idx int, payload Payload) (uint64, error) {
 	if nw.cfg.Trace != nil {
 		nw.cfg.Trace(TraceEvent{Kind: TraceInitiate, Round: nw.round, From: e.node.id, To: int(he.To), EdgeID: int(he.ID), Latency: int(he.Lat)})
 	}
-	return id, nil
+	return nil
 }

@@ -1,21 +1,25 @@
+//go:build go1.23
+
 package sim
 
 import (
-	"fmt"
+	"iter"
 	"math/rand"
 
 	"gossip/internal/graph"
 )
 
-// ProcFunc is the body of a coroutine protocol. It runs on its own goroutine
-// in strict lockstep with the engine: user code executes only between round
-// barriers, so a ProcFunc may freely share state with its request/response
-// handlers without additional locking.
+// ProcFunc is the body of a coroutine protocol. It runs as a coroutine that
+// the engine owning the node resumes in strict lockstep: user code executes
+// only between round barriers, on the engine's behalf, so a ProcFunc may
+// freely share state with its request/response handlers without additional
+// locking.
 type ProcFunc func(p *Proc)
 
-// errProcStopped is the sentinel used to unwind a proc goroutine when the
-// network shuts down before the proc returns. It never escapes this package:
-// the proc runner recovers it.
+// procStopped unwinds a parked body through the user's frames when the
+// proc is stopped before its body returns: a body blocked in Exchange,
+// Yield or WaitRounds has no other way out. It never escapes this package:
+// run recovers it, so Stop returns cleanly.
 type procStopped struct{}
 
 // Proc adapts a sequential ProcFunc to the Handler interface. Protocols like
@@ -27,28 +31,35 @@ type procStopped struct{}
 //	p.Yield()             // wait one round
 //
 // Incoming requests are answered by the handler installed with
-// HandleRequests, which runs while the proc goroutine is parked.
+// HandleRequests, which runs while the body is parked.
 type Proc struct {
 	fn         ProcFunc
 	onRequest  func(p *Proc, req Request) Payload
 	onResponse func(p *Proc, resp Response)
 
 	ctx      *Context
-	started  bool
 	finished bool
 
-	stepCh chan struct{} // engine -> proc: run until you park
-	parkCh chan struct{} // proc -> engine: parked (or finished)
-	stopCh chan struct{} // closed on shutdown
-	doneCh chan struct{} // closed when the goroutine exits
+	// resume runs the body until it parks again, reporting false once it
+	// has returned; yield parks it; stop unwinds it (see Start).
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 
-	park      parkState
-	blockIDs  map[uint64]bool      // exchange IDs awaited by Exchange
-	arrived   map[uint64]*Response // responses for blocked exchanges
-	nextWake  int
-	awaitedID uint64
+	park     parkKind
+	nextWake int
+	// A body blocks on at most one Exchange at a time: awaiting is set
+	// while it waits for the response to the exchange it initiated on edge
+	// awaitIdx in round awaitRound, and resp holds that response once it
+	// arrives.
+	awaiting   bool
+	awaitIdx   int
+	awaitRound int
+	resp       Response
 }
 
+// parkKind is what a parked body waits for. The zero value is a body not
+// yet resumed for the first time.
 type parkKind uint8
 
 const (
@@ -57,22 +68,8 @@ const (
 	parkWaitResp
 )
 
-type parkState struct {
-	kind parkKind
-}
-
 // NewProc wraps fn as a coroutine handler.
-func NewProc(fn ProcFunc) *Proc {
-	return &Proc{
-		fn:       fn,
-		stepCh:   make(chan struct{}),
-		parkCh:   make(chan struct{}),
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
-		blockIDs: make(map[uint64]bool),
-		arrived:  make(map[uint64]*Response),
-	}
-}
+func NewProc(fn ProcFunc) *Proc { return &Proc{fn: fn} }
 
 // HandleRequests installs the responder: fn is called for every incoming
 // request and returns the response payload. It must be installed before the
@@ -88,78 +85,51 @@ func (p *Proc) HandleResponses(fn func(p *Proc, resp Response)) *Proc {
 	return p
 }
 
-// Start launches the proc goroutine, parked until the first round.
+// Start creates the body's coroutine, which first runs on the first Tick.
 func (p *Proc) Start(ctx *Context) {
 	p.ctx = ctx
-	p.started = true
-	go func() {
-		defer close(p.doneCh)
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procStopped); ok {
-					// Clean shutdown unwind: the engine is blocked in stop()
-					// waiting on doneCh, so this write cannot race with it.
-					p.finished = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.waitStep() // park until round 1
-		p.fn(p)
-		// finished must be visible to the engine before it regains control,
-		// or it would tick (and resume) a proc that no longer exists.
-		p.finished = true
-		// Signal the engine that this tick's work is over; the engine is
-		// waiting on parkCh inside resume().
-		p.parkCh <- struct{}{}
-	}()
+	p.resume, p.stop = iter.Pull(p.run)
 }
 
-// Tick resumes the proc goroutine when its park condition is satisfied.
+// run is the coroutine: the body, with the stop unwinding recovered. Any
+// other panic propagates to whoever resumed the body.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procStopped); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.fn(p)
+}
+
+// Tick resumes the body when its park condition is satisfied.
 func (p *Proc) Tick(ctx *Context) {
 	if p.finished {
 		return
 	}
-	switch p.park.kind {
-	case parkYield:
-		p.resume()
+	switch p.park {
 	case parkWaitRound:
-		if ctx.Round() >= p.nextWake {
-			p.resume()
+		if ctx.Round() < p.nextWake {
+			return
 		}
 	case parkWaitResp:
-		if p.arrived[p.awaitedID] != nil {
-			p.resume()
+		if p.awaiting {
+			return
 		}
-	default:
-		// First tick after Start.
-		p.resume()
 	}
+	_, alive := p.resume()
+	p.finished = !alive
 }
 
-// resume hands control to the proc goroutine and waits until it parks again
-// or finishes. Engine and proc never run concurrently.
-func (p *Proc) resume() {
-	p.stepCh <- struct{}{}
-	<-p.parkCh
-}
-
-// waitStep parks the proc goroutine until the engine resumes it. It panics
-// with procStopped if the network shut down.
-func (p *Proc) waitStep() {
-	select {
-	case <-p.stepCh:
-	case <-p.stopCh:
+// parkAs records the park condition and hands control back to the engine.
+func (p *Proc) parkAs(kind parkKind) {
+	p.park = kind
+	if !p.yield(struct{}{}) {
 		panic(procStopped{})
 	}
-}
-
-// parkAs records the park condition and yields control back to the engine.
-func (p *Proc) parkAs(st parkState) {
-	p.park = st
-	p.parkCh <- struct{}{}
-	p.waitStep()
 }
 
 // OnRequest implements Handler by delegating to the installed responder.
@@ -170,15 +140,13 @@ func (p *Proc) OnRequest(ctx *Context, req Request) Payload {
 	return p.onRequest(p, req)
 }
 
-// OnResponse implements Handler: responses awaited by Exchange are stored for
-// the blocked proc; all others go to the HandleResponses callback.
+// OnResponse implements Handler: the response a blocked Exchange awaits is
+// kept for it, matched by the edge it came back on and the round it was
+// initiated in; all others go to the HandleResponses callback.
 func (p *Proc) OnResponse(ctx *Context, resp Response) {
-	// Exchange IDs are not exposed on Response, so blocked exchanges are
-	// matched through the awaited set keyed by the internal exchange ID
-	// recorded at initiation; see Exchange.
-	if id := p.matchBlocked(resp); id != 0 {
-		r := resp
-		p.arrived[id] = &r
+	if p.awaiting && resp.EdgeIndex == p.awaitIdx && resp.InitiatedAt == p.awaitRound {
+		p.awaiting = false
+		p.resp = resp
 		return
 	}
 	if p.onResponse != nil {
@@ -186,47 +154,23 @@ func (p *Proc) OnResponse(ctx *Context, resp Response) {
 	}
 }
 
-// matchBlocked finds the blocked exchange this response answers, if any.
-// A response matches when it came back on the same edge index with the same
-// initiation round as a registered blocking exchange.
-func (p *Proc) matchBlocked(resp Response) uint64 {
-	key := blockKey(resp.EdgeIndex, resp.InitiatedAt)
-	if p.blockIDs[key] {
-		delete(p.blockIDs, key)
-		return key
-	}
-	return 0
-}
-
-func blockKey(edgeIdx, round int) uint64 {
-	return uint64(edgeIdx)<<32 | uint64(uint32(round))
-}
-
 // Done implements Handler.
 func (p *Proc) Done() bool { return p.finished }
 
-// Stop shuts the proc goroutine down from outside the round engine. The
-// live runtime calls it for crashed or shut-down nodes so a parked proc
-// goroutine never outlives its node; it must be called with the proc parked
-// (i.e. from the goroutine that drives the handler), and is idempotent.
-func (p *Proc) Stop() { p.stop() }
-
-// stop shuts the proc goroutine down and waits for it to exit. Called by
-// Network.Close with the proc parked.
-func (p *Proc) stop() {
-	if !p.started {
+// Stop unwinds the body if it is parked and marks the proc finished. The
+// round simulator calls it on Close, and the live runtime for crashed or
+// shut-down nodes, so a parked body never outlives its node. It must be
+// called from the engine that owns the node, never from the body, and is
+// idempotent.
+func (p *Proc) Stop() {
+	if p.stop == nil {
 		return
 	}
-	select {
-	case <-p.doneCh:
-		return
-	default:
-	}
-	close(p.stopCh)
-	<-p.doneCh
+	p.stop()
+	p.finished = true
 }
 
-// ---- API available to the ProcFunc goroutine ----
+// ---- API available to the ProcFunc body ----
 
 // ID returns the node's identifier.
 func (p *Proc) ID() graph.NodeID { return p.ctx.ID() }
@@ -250,9 +194,7 @@ func (p *Proc) Neighbors() []EdgeView { return p.ctx.Neighbors() }
 func (p *Proc) Rand() *rand.Rand { return p.ctx.Rand() }
 
 // Yield parks the proc until the next round.
-func (p *Proc) Yield() {
-	p.parkAs(parkState{kind: parkYield})
-}
+func (p *Proc) Yield() { p.parkAs(parkYield) }
 
 // WaitRounds parks the proc for k rounds (k <= 0 behaves like Yield).
 func (p *Proc) WaitRounds(k int) {
@@ -261,17 +203,14 @@ func (p *Proc) WaitRounds(k int) {
 		return
 	}
 	p.nextWake = p.Round() + k
-	p.parkAs(parkState{kind: parkWaitRound})
+	p.parkAs(parkWaitRound)
 }
 
 // Send initiates an exchange on edge idx without blocking for the response
 // (which will be delivered to the HandleResponses callback). If this node
 // already initiated an exchange this round, Send waits for the next round.
 func (p *Proc) Send(idx int, payload Payload) {
-	for {
-		if _, err := p.ctx.Initiate(idx, payload); err == nil {
-			return
-		}
+	for p.ctx.Initiate(idx, payload) != nil {
 		p.Yield()
 	}
 }
@@ -280,27 +219,10 @@ func (p *Proc) Send(idx int, payload Payload) {
 // returns, which takes exactly the edge latency in rounds. Responses to
 // other in-flight Sends are still delivered to HandleResponses while blocked.
 func (p *Proc) Exchange(idx int, payload Payload) Response {
-	var initRound int
-	for {
-		initRound = p.Round()
-		if _, err := p.ctx.Initiate(idx, payload); err == nil {
-			break
-		}
+	for p.ctx.Initiate(idx, payload) != nil {
 		p.Yield()
 	}
-	key := blockKey(idx, initRound)
-	if p.blockIDs[key] {
-		// Two blocking exchanges on the same edge in the same round are
-		// impossible (one initiation per round); defend anyway.
-		panic(fmt.Sprintf("sim: duplicate blocking exchange on edge %d round %d", idx, initRound))
-	}
-	p.blockIDs[key] = true
-	p.awaitedID = key
-	p.parkAs(parkState{kind: parkWaitResp})
-	resp := p.arrived[key]
-	delete(p.arrived, key)
-	if resp == nil {
-		panic(fmt.Sprintf("sim: resumed without response on edge %d round %d", idx, initRound))
-	}
-	return *resp
+	p.awaiting, p.awaitIdx, p.awaitRound = true, idx, p.Round()
+	p.parkAs(parkWaitResp)
+	return p.resp
 }

@@ -59,7 +59,7 @@ func TestRingGrowthMidRun(t *testing.T) {
 		case 1:
 			// Seed the calendar with a short exchange so growth has a live
 			// event to remap.
-			if _, err := ctx.Initiate(1, "short"); err != nil {
+			if err := ctx.Initiate(1, "short"); err != nil {
 				panic(err)
 			}
 			// Raise the slow edge under the engine's feet; round 2's
@@ -68,7 +68,7 @@ func TestRingGrowthMidRun(t *testing.T) {
 				panic(err)
 			}
 		case 2:
-			if _, err := ctx.Initiate(0, "long"); err != nil {
+			if err := ctx.Initiate(0, "long"); err != nil {
 				panic(err)
 			}
 		}
@@ -153,7 +153,7 @@ func (h *initiateOnResponse) OnResponse(ctx *Context, resp Response) {
 	h.echoHandler.OnResponse(ctx, resp)
 	if !h.sent {
 		h.sent = true
-		if _, err := ctx.Initiate(h.idx, "grow"); err != nil {
+		if err := ctx.Initiate(h.idx, "grow"); err != nil {
 			panic(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestCongestionRequeueOnWrappedSlot(t *testing.T) {
 		v := v
 		leaf := &funcHandler{tick: func(ctx *Context) {
 			if ctx.Round() == 1 {
-				if _, err := ctx.Initiate(0, fmt.Sprintf("leaf-%d", v)); err != nil {
+				if err := ctx.Initiate(0, fmt.Sprintf("leaf-%d", v)); err != nil {
 					panic(err)
 				}
 			}
@@ -245,7 +245,7 @@ func TestZeroDelayResponseFlushOrder(t *testing.T) {
 		v := v
 		nw.SetHandler(v, &funcHandler{tick: func(ctx *Context) {
 			if ctx.Round() == 1 {
-				if _, err := ctx.Initiate(0, v); err != nil {
+				if err := ctx.Initiate(0, v); err != nil {
 					panic(err)
 				}
 			}
@@ -291,7 +291,7 @@ func TestEventPoolReuse(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 1000})
 	every := &funcHandler{tick: func(ctx *Context) {
-		if _, err := ctx.Initiate(0, "x"); err != nil {
+		if err := ctx.Initiate(0, "x"); err != nil {
 			panic(err)
 		}
 	}}

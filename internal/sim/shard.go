@@ -9,14 +9,12 @@ import (
 	"gossip/internal/par"
 )
 
-// NodeLocal marks a handler whose callbacks touch only its own node's state,
-// call Initiate only from Tick, and ignore the exchange ID Initiate returns.
-// A protocol declares it by embedding NodeLocal in its handler type. When
-// every handler of a network carries the mark, Run may tick and deliver the
-// nodes of different shards at once: one node's callbacks still run one at
-// a time and in exactly the sequential order, so such a handler cannot tell
-// the difference. A sharded round cannot number its exchanges in sequence,
-// so there Initiate returns 0 as the exchange ID.
+// NodeLocal marks a handler whose callbacks touch only its own node's state
+// and call Initiate only from Tick. A protocol declares it by embedding
+// NodeLocal in its handler type. When every handler of a network carries
+// the mark, Run may tick and deliver the nodes of different shards at once:
+// one node's callbacks still run one at a time and in exactly the
+// sequential order, so such a handler cannot tell the difference.
 type NodeLocal struct{}
 
 func (NodeLocal) nodeLocal() {}

@@ -21,7 +21,7 @@ type hashHandler struct {
 func (h *hashHandler) Start(ctx *Context) {}
 
 func (h *hashHandler) Tick(ctx *Context) {
-	if _, err := ctx.Initiate(ctx.Rand().Intn(ctx.Degree()), h.sum); err != nil {
+	if err := ctx.Initiate(ctx.Rand().Intn(ctx.Degree()), h.sum); err != nil {
 		panic(err)
 	}
 }

@@ -231,14 +231,13 @@ type Network struct {
 	gate    gate
 	workers sync.WaitGroup
 
-	round    int
-	rounds   int // Metrics.Rounds
-	nextExch uint64
-	closed   bool
+	round  int
+	rounds int // Metrics.Rounds
+	closed bool
 }
 
-// NewNetwork creates a network over g. Attach handlers with SetHandler (or
-// SetProc) for every node before calling Run.
+// NewNetwork creates a network over g. Attach a handler (a state machine or
+// a Proc) with SetHandler for every node before calling Run.
 func NewNetwork(g *graph.Graph, cfg Config) *Network {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
@@ -395,8 +394,8 @@ func (c *Context) Rand() *rand.Rand {
 
 // Initiate starts an exchange on the node's idx-th edge carrying the given
 // request payload. At most one initiation per node per round is allowed; a
-// second call in the same round returns an error. It returns the exchange ID.
-func (c *Context) Initiate(idx int, payload Payload) (uint64, error) {
+// second call in the same round returns an error.
+func (c *Context) Initiate(idx int, payload Payload) error {
 	return c.env.Initiate(idx, payload)
 }
 
@@ -526,9 +525,8 @@ func (nw *Network) allDone() bool {
 	return true
 }
 
-// Close releases engine resources: it stops the shard workers and all
-// coroutine handlers, waiting for their goroutines to exit. Safe to call
-// twice.
+// Close releases engine resources: it stops the shard workers and unwinds
+// every coroutine handler's body. Safe to call twice.
 func (nw *Network) Close() {
 	if nw.closed {
 		return
@@ -541,7 +539,7 @@ func (nw *Network) Close() {
 	}
 	for u := range nw.nodes {
 		if p, ok := nw.nodes[u].handler.(*Proc); ok {
-			p.stop()
+			p.Stop()
 		}
 	}
 }

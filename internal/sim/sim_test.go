@@ -26,7 +26,7 @@ func (h *echoHandler) Start(ctx *Context) {}
 
 func (h *echoHandler) Tick(ctx *Context) {
 	if ctx.Round() == h.initiateAt && h.payload != nil {
-		if _, err := ctx.Initiate(h.edgeIdx, h.payload); err != nil {
+		if err := ctx.Initiate(h.edgeIdx, h.payload); err != nil {
 			panic(err)
 		}
 	}
@@ -113,10 +113,10 @@ func TestOneInitiationPerRound(t *testing.T) {
 			if ctx.Round() != 1 {
 				return
 			}
-			if _, err := ctx.Initiate(0, "a"); err != nil {
+			if err := ctx.Initiate(0, "a"); err != nil {
 				panic(err)
 			}
-			_, errSecond = ctx.Initiate(1, "b")
+			errSecond = ctx.Initiate(1, "b")
 		},
 	}
 	nw.SetHandler(0, greedy)
@@ -136,7 +136,7 @@ func TestInitiateValidation(t *testing.T) {
 	var gotErr error
 	h := &funcHandler{tick: func(ctx *Context) {
 		if ctx.Round() == 1 {
-			_, gotErr = ctx.Initiate(5, "x")
+			gotErr = ctx.Initiate(5, "x")
 		}
 	}}
 	nw.SetHandler(0, h)
@@ -305,27 +305,74 @@ func TestProcWaitRounds(t *testing.T) {
 }
 
 func TestProcShutdownNoLeak(t *testing.T) {
-	// A proc that would wait forever must be torn down by Close without
-	// leaking its goroutine.
+	// A proc that would wait forever must be unwound by Close without
+	// leaking its coroutine: one parked in WaitRounds, and one parked in an
+	// Exchange toward a peer that crashed, so its response never comes.
 	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		g := graph.Path(2, 1)
-		nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 5})
-		nw.SetHandler(0, NewProc(func(p *Proc) {
-			p.WaitRounds(1 << 30)
-		}))
-		nw.SetHandler(1, NewProc(func(p *Proc) {}))
-		_, err := nw.Run(nil)
-		if err == nil {
-			t.Fatal("expected round-budget error")
+	for _, tc := range []struct {
+		name    string
+		crashes map[graph.NodeID]int
+		body    ProcFunc
+	}{
+		{"wait", nil, func(p *Proc) { p.WaitRounds(1 << 30) }},
+		{"exchange-to-crashed", map[graph.NodeID]int{1: 1}, func(p *Proc) { p.Exchange(0, "x") }},
+	} {
+		unwound := 0
+		for i := 0; i < 10; i++ {
+			g := graph.Path(2, 1)
+			nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 5, Crashes: tc.crashes})
+			nw.SetHandler(0, NewProc(func(p *Proc) {
+				defer func() { unwound++ }()
+				tc.body(p)
+			}))
+			nw.SetHandler(1, NewProc(func(p *Proc) {}))
+			_, err := nw.Run(nil)
+			if err == nil {
+				t.Fatalf("%s: expected round-budget error", tc.name)
+			}
+			nw.Close()
 		}
-		nw.Close()
+		if unwound != 10 {
+			t.Errorf("%s: %d of 10 parked bodies unwound", tc.name, unwound)
+		}
 	}
 	runtime.Gosched()
 	runtime.GC()
 	after := runtime.NumGoroutine()
 	if after > before+2 {
 		t.Errorf("goroutines grew from %d to %d; proc leak", before, after)
+	}
+}
+
+// TestProcPanicUnwindsOthers: a body that panics surfaces as a panic from
+// Network.Run on the caller's goroutine, where it can be recovered, and Run
+// still unwinds every other parked body on its way out.
+func TestProcPanicUnwindsOthers(t *testing.T) {
+	const n = 4
+	g := graph.Clique(n, 1)
+	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 100})
+	unwound := 0
+	for u := 0; u < n; u++ {
+		nw.SetHandler(u, NewProc(func(p *Proc) {
+			if p.ID() == 2 {
+				p.WaitRounds(3)
+				panic("boom")
+			}
+			defer func() { unwound++ }()
+			p.Exchange(0, "x")
+			p.WaitRounds(1 << 30)
+		}))
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, _ = nw.Run(nil)
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want the body's panic", got)
+	}
+	if unwound != n-1 {
+		t.Errorf("%d of %d parked bodies unwound", unwound, n-1)
 	}
 }
 

@@ -61,11 +61,12 @@ var (
 	Dumbbell = graph.Dumbbell
 	// ChungLu returns a power-law random graph with degree exponent beta and
 	// the given expected average degree — the heavy-tailed family the
-	// conductance-engine benchmarks run on.
+	// conductance-engine benchmarks run on. Construction is O(n + m), so it
+	// reaches a million nodes in seconds.
 	ChungLu = graph.ChungLu
 	// RingChords returns a latency-1 ring overlaid with random chords of
 	// heterogeneous latency — O(n·chords) construction, the family the
-	// million-node cluster harness generates.
+	// cluster harness generates.
 	RingChords = graph.RingChords
 )
 

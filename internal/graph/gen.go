@@ -11,7 +11,7 @@ func Clique(n, latency int) *Graph {
 	g := New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v, latency)
+			g.addFresh(u, v, latency)
 		}
 	}
 	return g
@@ -99,7 +99,7 @@ func RingOfCliques(k, s, bridgeLatency int) *Graph {
 		base := c * s
 		for u := 0; u < s; u++ {
 			for v := u + 1; v < s; v++ {
-				g.MustAddEdge(base+u, base+v, 1)
+				g.addFresh(base+u, base+v, 1)
 			}
 		}
 	}
@@ -117,8 +117,8 @@ func Dumbbell(s, bridgeLatency int) *Graph {
 	g := New(2 * s)
 	for u := 0; u < s; u++ {
 		for v := u + 1; v < s; v++ {
-			g.MustAddEdge(u, v, 1)
-			g.MustAddEdge(s+u, s+v, 1)
+			g.addFresh(u, v, 1)
+			g.addFresh(s+u, s+v, 1)
 		}
 	}
 	g.MustAddEdge(s-1, s, bridgeLatency)
@@ -126,7 +126,9 @@ func Dumbbell(s, bridgeLatency int) *Graph {
 }
 
 // RandomLatencies returns a copy of g whose edge latencies are drawn
-// uniformly from [lo, hi].
+// uniformly from [lo, hi], in edge ID order. It is O(n + m): the
+// adjacency rows are rewritten once from the edge list, not per edge as
+// SetLatency would.
 func RandomLatencies(g *Graph, lo, hi int, seed uint64) *Graph {
 	if lo < 1 || hi < lo {
 		panic(fmt.Sprintf("graph: bad latency range [%d,%d]", lo, hi))
@@ -134,9 +136,13 @@ func RandomLatencies(g *Graph, lo, hi int, seed uint64) *Graph {
 	cp := g.Clone()
 	r := rng.Stream(seed, 0x6c61) // "la"
 	for id := range cp.edges {
-		if err := cp.SetLatency(id, lo+r.Intn(hi-lo+1)); err != nil {
-			panic(err)
+		cp.edges[id].Latency = lo + r.Intn(hi-lo+1)
+	}
+	for _, row := range cp.adj {
+		for i := range row {
+			row[i].Latency = cp.edges[row[i].ID].Latency
 		}
 	}
+	cp.version += uint64(len(cp.edges)) // one per edge, as SetLatency counts
 	return cp
 }

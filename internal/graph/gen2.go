@@ -1,11 +1,9 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"gossip/internal/par"
 	"gossip/internal/rng"
 )
 
@@ -115,11 +113,33 @@ func Caterpillar(spine, legs, latency int) *Graph {
 // {u,v} appears independently with probability min(1, w_u·w_v/Σw). β in
 // (2, 3] matches the social-network regime of Doerr, Fouz and Friedrich
 // (related work: rumors spread in Θ(log n) there). A path backbone keeps
-// the graph connected.
+// the graph connected. Construction is O(n + m) (chungLuPairs).
 func ChungLu(n int, beta, avgDeg float64, latency int, seed uint64) *Graph {
 	if n < 2 || beta <= 2 || avgDeg <= 0 {
 		panic(fmt.Sprintf("graph: ChungLu needs n>=2, β>2, avgDeg>0 (got %d, %g, %g)", n, beta, avgDeg))
 	}
+	w, total := chungLuWeights(n, beta, avgDeg)
+	g := New(n)
+	r := rng.NewSplitMix(seed, 0x636c) // "cl"
+	chungLuPairs(w, total, &r, func(u, v int) { g.addFresh(u, v, latency) })
+	for v := 1; v < n; v++ {
+		// An isolated v has no edge to v-1 yet.
+		if g.Degree(v) == 0 {
+			g.addFresh(v-1, v, latency)
+		}
+	}
+	// Final connectivity stitch across remaining components, which share
+	// no edge.
+	comps := g.Components()
+	for i := 1; i < len(comps); i++ {
+		g.addFresh(comps[0][0], comps[i][0], latency)
+	}
+	return g
+}
+
+// chungLuWeights returns ChungLu's expected degrees, decreasing in v, and
+// their total.
+func chungLuWeights(n int, beta, avgDeg float64) ([]float64, float64) {
 	w := make([]float64, n)
 	sum := 0.0
 	exp := -1 / (beta - 1)
@@ -134,114 +154,47 @@ func ChungLu(n int, beta, avgDeg float64, latency int, seed uint64) *Graph {
 		w[v] *= scale
 		total += w[v]
 	}
-	// The concrete stream keeps the O(n²) pair loop free of interface calls;
-	// it draws what rng.Stream(seed, 0x636c) would.
-	r := rng.NewSplitMix(seed, 0x636c) // "cl"
-	g := New(n)
-	pairs, ok := chungLuChunks(w, total, r)
-	if !ok {
-		pairs = chungLuInOrder(w, total, r)
-	}
-	for _, e := range pairs {
-		g.MustAddEdge(int(e[0]), int(e[1]), latency)
-	}
-	for v := 1; v < n; v++ {
-		if !g.HasEdge(v-1, v) && g.Degree(v) == 0 {
-			g.MustAddEdge(v-1, v, latency)
-		}
-	}
-	// Final connectivity stitch across remaining components.
-	comps := g.Components()
-	for i := 1; i < len(comps); i++ {
-		g.MustAddEdge(comps[0][0], comps[i][0], latency)
-	}
-	return g
+	return w, total
 }
 
-// chungLuInOrder draws ChungLu's pair loop from r and returns the pairs it
-// keeps, in pair order.
-func chungLuInOrder(w []float64, total float64, r rng.SplitMix) [][2]int32 {
-	var pairs [][2]int32
-	for u := range w {
-		for v := u + 1; v < len(w); v++ {
-			p := w[u] * w[v] / total
-			if p > 1 {
-				p = 1
-			}
-			if r.Float64() < p {
-				pairs = append(pairs, [2]int32{int32(u), int32(v)})
-			}
-		}
-	}
-	return pairs
-}
-
-// chungLuChunks is chungLuInOrder drawn in row chunks across the par
-// workers. Pair (u, v) takes draw Σ_{u'<u}(n−1−u') + (v−u−1) of r, and
-// rng.SplitMix is counter-based, so a chunk starts its own copy of r at its
-// first row's draw without drawing the rows before it. A Float64 that rounds
-// to 1 (probability about 2⁻⁵⁴ a draw) is redrawn, which shifts every later
-// draw; a chunk that meets one reports false, and the caller redraws the
-// whole loop in order.
-func chungLuChunks(w []float64, total float64, r rng.SplitMix) ([][2]int32, bool) {
+// chungLuPairs calls keep(u, v) for each pair u < v it keeps, in pair order,
+// keeping each independently with probability min(1, w[u]·w[v]/total). It
+// draws by Miller–Hagberg skip sampling ("Efficient generation of networks
+// with given expected degrees", WAW 2011): along row u, a geometric skip with
+// parameter p jumps over the pairs a probability-p coin would reject, and
+// the pair landed on is kept with probability q/p, q its own probability.
+// That is exact only while q <= p along the row, so w must be non-increasing
+// (ChungLu's weights are). A row costs O(1 + its kept pairs) draws from r.
+func chungLuPairs(w []float64, total float64, r *rng.SplitMix, keep func(u, v int)) {
 	n := len(w)
-	draws := func(u int) uint64 { return uint64(u)*uint64(n-1) - uint64(u)*uint64(u-1)/2 }
-	// Chunks of about equal pair counts, several per worker so that the
-	// short rows at the end do not leave a worker idle.
-	chunks := 4 * par.MaxWorkers()
-	starts := []int{0}
-	for c, u := 1, 0; c < chunks; c++ {
-		goal := draws(n) * uint64(c) / uint64(chunks)
-		for u < n && draws(u) < goal {
-			u++
-		}
-		if u > starts[len(starts)-1] {
-			starts = append(starts, u)
-		}
-	}
-	starts = append(starts, n)
-	out, err := par.Map(len(starts)-1, func(c int) ([][2]int32, error) {
-		s := r
-		s.Skip(draws(starts[c]))
-		var pairs [][2]int32
-		for u := starts[c]; u < starts[c+1]; u++ {
-			for v := u + 1; v < n; v++ {
-				p := w[u] * w[v] / total
-				if p > 1 {
-					p = 1
+	for u := 0; u < n-1; u++ {
+		p := math.Min(1, w[u]*w[u+1]/total)
+		for v := u + 1; v < n && p > 0; v++ {
+			if p < 1 {
+				// Clamped before the conversion: for a tiny p the quotient
+				// overflows int (or is +Inf), and such a skip ends the row.
+				skip := math.Log1p(-r.Float64()) / math.Log1p(-p)
+				if !(skip < float64(n-v)) {
+					break
 				}
-				// r.Float64, with its redraw refused.
-				f := float64(s.Uint64()>>1) / (1 << 63)
-				if f == 1 {
-					return nil, errRedraw
-				}
-				if f < p {
-					pairs = append(pairs, [2]int32{int32(u), int32(v)})
-				}
+				v += int(skip)
 			}
+			q := math.Min(1, w[u]*w[v]/total)
+			if r.Float64() < q/p {
+				keep(u, v)
+			}
+			p = q
 		}
-		return pairs, nil
-	})
-	if err != nil {
-		return nil, false
 	}
-	var all [][2]int32
-	for _, pairs := range out {
-		all = append(all, pairs...)
-	}
-	return all, true
 }
-
-// errRedraw reports a chunk whose stream hit a Float64 redraw.
-var errRedraw = errors.New("graph: ChungLu draw needs a redraw")
 
 // RingChords returns a cycle on n nodes augmented with roughly chords·n/2
 // random chord edges (so expected chord-degree ≈ chords per node). Ring edges
 // have latency 1; chords draw latencies uniformly from [1, latMax] — the
 // paper's heterogeneous-latency regime: a fast local ring overlaid with slow
 // long-range links. Construction is O(n·chords) time and memory, never
-// touching the n² pair space, which makes it the generator of choice for the
-// million-node cluster harness where GNP and ChungLu are unaffordable.
+// touching the n² pair space; it is the million-node cluster harness's
+// generator.
 func RingChords(n, chords, latMax int, seed uint64) *Graph {
 	if n < 3 || chords < 0 || latMax < 1 {
 		panic(fmt.Sprintf("graph: RingChords needs n>=3, chords>=0, latMax>=1 (got %d, %d, %d)", n, chords, latMax))

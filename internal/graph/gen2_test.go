@@ -2,13 +2,12 @@ package graph
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"gossip/internal/par"
 	"gossip/internal/rng"
 )
 
@@ -224,13 +223,84 @@ func TestChungLuEdgeListPinned(t *testing.T) {
 		m    int
 		hash uint64
 	}{
-		{2000, 3, 7855, 0xfabc521ba3f3d9e},
-		{2000, 4, 7786, 0xda29afee6a332fb6},
-		{500, 7, 1974, 0xa38d074fbf286804},
+		{2000, 3, 7845, 0x70c6a71cabbf7d77},
+		{2000, 4, 7844, 0x74084346bb8111f0},
+		{500, 7, 1944, 0x1f053ff8c0b3758e},
 	} {
 		g := ChungLu(tc.n, 2.5, 8, 16, tc.seed)
 		if g.M() != tc.m || edgeHash(g) != tc.hash {
 			t.Errorf("ChungLu(%d, seed %d): m=%d hash=%#x, want m=%d hash=%#x", tc.n, tc.seed, g.M(), edgeHash(g), tc.m, tc.hash)
+		}
+	}
+}
+
+// TestCliqueFamiliesEdgeListPinned pins the clique builders' edge lists
+// (order and latencies), which the scan-free insert must not change.
+func TestCliqueFamiliesEdgeListPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		m    int
+		hash uint64
+	}{
+		{"Clique(64)", Clique(64, 1), 2016, 0x354aec4d8cd46e25},
+		{"RingOfCliques(64,64,32)", RingOfCliques(64, 64, 32), 129088, 0x355c8622ef652ea5},
+		{"Dumbbell(512,64)", Dumbbell(512, 64), 261633, 0xf629918b7a75204f},
+	} {
+		if tc.g.M() != tc.m || edgeHash(tc.g) != tc.hash {
+			t.Errorf("%s: m=%d hash=%#x, want m=%d hash=%#x", tc.name, tc.g.M(), edgeHash(tc.g), tc.m, tc.hash)
+		}
+	}
+}
+
+// TestChungLuPairsDistribution: over many streams, each pair is kept with
+// frequency min(1, w_u·w_v/Σw) within 5σ, pairs of probability 1 always,
+// and keep sees each pair at most once, in pair order.
+func TestChungLuPairsDistribution(t *testing.T) {
+	const n, trials = 24, 4000
+	w, total := chungLuWeights(n, 2.5, 6)
+	var kept [n][n]int
+	for seed := uint64(1); seed <= trials; seed++ {
+		r := rng.NewSplitMix(seed, 0x636c)
+		lastU, lastV := -1, -1
+		chungLuPairs(w, total, &r, func(u, v int) {
+			if u >= v || v >= n || u < lastU || (u == lastU && v <= lastV) {
+				t.Fatalf("seed %d: pair (%d,%d) after (%d,%d)", seed, u, v, lastU, lastV)
+			}
+			lastU, lastV = u, v
+			kept[u][v]++
+		})
+	}
+	sure := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			p := math.Min(1, w[u]*w[v]/total)
+			if p == 1 {
+				sure++
+				if kept[u][v] != trials {
+					t.Errorf("pair (%d,%d) has p=1 but was kept %d/%d times", u, v, kept[u][v], trials)
+				}
+				continue
+			}
+			freq := float64(kept[u][v]) / trials
+			if sigma := math.Sqrt(p * (1 - p) / trials); math.Abs(freq-p) > 5*sigma {
+				t.Errorf("pair (%d,%d): kept %.4f, want %.4f ± %.4f", u, v, freq, p, 5*sigma)
+			}
+		}
+	}
+	if sure == 0 {
+		t.Fatal("no pair has p=1; the weights do not reach min(1, ·)")
+	}
+}
+
+// TestChungLuTinyAvgDeg: at tiny probabilities a row's skip overflows int
+// (or the product underflows to 0); the row must end, and the backbone
+// still connects the graph.
+func TestChungLuTinyAvgDeg(t *testing.T) {
+	for _, avgDeg := range []float64{1e-9, 1e-30, 1e-300} {
+		g := ChungLu(1000, 2.5, avgDeg, 1, 3)
+		if g.N() != 1000 || !g.Connected() {
+			t.Errorf("avgDeg %g: n=%d connected=%v", avgDeg, g.N(), g.Connected())
 		}
 	}
 }
@@ -318,79 +388,4 @@ func TestRingChordsValidation(t *testing.T) {
 			fn()
 		}()
 	}
-}
-
-// chungLuWeights returns ChungLu's weights and their total for n nodes.
-func chungLuWeights(n int) ([]float64, float64) {
-	w := make([]float64, n)
-	total := 0.0
-	for v := range w {
-		w[v] = 40 / float64(v+1)
-		total += w[v]
-	}
-	return w, total
-}
-
-// TestChungLuChunksMatchInOrder: the chunked pair loop keeps exactly the
-// pairs the in-order loop keeps, at every worker count.
-func TestChungLuChunksMatchInOrder(t *testing.T) {
-	w, total := chungLuWeights(700)
-	for _, workers := range []int{1, 2, 3, 8} {
-		func() {
-			defer par.SetMaxWorkers(par.SetMaxWorkers(workers))
-			for seed := uint64(1); seed <= 3; seed++ {
-				r := rng.NewSplitMix(seed, 0x636c)
-				got, ok := chungLuChunks(w, total, r)
-				if !ok {
-					t.Fatalf("seed %d: chunks hit a redraw", seed)
-				}
-				if want := chungLuInOrder(w, total, r); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%d workers, seed %d: %d chunked pairs differ from %d in order", workers, seed, len(got), len(want))
-				}
-			}
-		}()
-	}
-}
-
-// TestChungLuRedrawFallsBack plants a draw that Float64 must redraw in the
-// middle of the pair loop: the chunked loop must refuse it, so ChungLu
-// takes the in-order loop, which redraws as rand.Float64 does.
-func TestChungLuRedrawFallsBack(t *testing.T) {
-	const n = 300
-	w, total := chungLuWeights(n)
-	// Draw k of a stream is mix(state + (k+1)·γ); pick the state that makes
-	// the draw for pair (150, 151) all ones, which Float64 rounds to 1.
-	k := uint64(150*(n-1) - 150*149/2)
-	var r rng.SplitMix
-	r.Seed(int64(unmix(^uint64(0)) - (k+1)*0x9e3779b97f4a7c15))
-	probe := r
-	probe.Skip(k)
-	if f := float64(probe.Uint64()>>1) / (1 << 63); f != 1 {
-		t.Fatalf("planted draw gives %v, want 1", f)
-	}
-	defer par.SetMaxWorkers(par.SetMaxWorkers(2))
-	if _, ok := chungLuChunks(w, total, r); ok {
-		t.Fatal("chunked loop accepted a stream that needs a redraw")
-	}
-	pairs := chungLuInOrder(w, total, r)
-	if len(pairs) == 0 {
-		t.Fatal("in-order loop kept no pairs")
-	}
-}
-
-// unmix inverts SplitMix64's output mix.
-func unmix(x uint64) uint64 {
-	inv := func(c uint64) uint64 {
-		y := c
-		for i := 0; i < 6; i++ {
-			y *= 2 - c*y
-		}
-		return y
-	}
-	x ^= x>>31 ^ x>>62
-	x *= inv(0x94d049bb133111eb)
-	x ^= x>>27 ^ x>>54
-	x *= inv(0xbf58476d1ce4e5b9)
-	x ^= x>>30 ^ x>>60
-	return x
 }

@@ -71,12 +71,18 @@ func (g *Graph) AddEdge(u, v NodeID, latency int) (int, error) {
 			return 0, fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 		}
 	}
+	return g.addFresh(u, v, latency), nil
+}
+
+// addFresh is AddEdge without its checks, in O(1): for generators that emit
+// each pair of distinct in-range nodes at most once, with a latency >= 1.
+func (g *Graph) addFresh(u, v NodeID, latency int) int {
 	id := len(g.edges)
 	g.version++
 	g.edges = append(g.edges, Edge{U: u, V: v, Latency: latency})
 	g.adj[u] = append(g.adj[u], HalfEdge{To: v, Latency: latency, ID: id})
 	g.adj[v] = append(g.adj[v], HalfEdge{To: u, Latency: latency, ID: id})
-	return id, nil
+	return id
 }
 
 // MustAddEdge is AddEdge for generators building well-formed graphs; it

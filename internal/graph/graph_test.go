@@ -213,6 +213,34 @@ func TestRandomLatenciesRange(t *testing.T) {
 	}
 }
 
+// TestRandomLatenciesPinned pins the latencies RandomLatencies draws, and
+// checks that every half-edge carries its edge's latency and that the copy's
+// version counts one write per edge, as per-edge SetLatency calls would.
+func TestRandomLatenciesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		hash uint64
+	}{
+		{"gnp", RandomLatencies(GNP(300, 0.05, 1, true, 2), 1, 16, 3), 0x3df2d737f8ac40d1},
+		{"grid", RandomLatencies(Grid(8, 8, 1), 1, 8, 5), 0x46a31a66aac1861},
+	} {
+		if h := edgeHash(tc.g); h != tc.hash {
+			t.Errorf("%s: hash=%#x, want %#x", tc.name, h, tc.hash)
+		}
+		for u := 0; u < tc.g.N(); u++ {
+			for _, he := range tc.g.Neighbors(u) {
+				if he.Latency != tc.g.Edges()[he.ID].Latency {
+					t.Fatalf("%s: half-edge %d→%d has latency %d, edge %d has %d", tc.name, u, he.To, he.Latency, he.ID, tc.g.Edges()[he.ID].Latency)
+				}
+			}
+		}
+		if tc.g.Version() != uint64(tc.g.M()) {
+			t.Errorf("%s: version %d after %d latency writes", tc.name, tc.g.Version(), tc.g.M())
+		}
+	}
+}
+
 func TestQuickDijkstraTriangleInequality(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -80,10 +80,6 @@ func (s *SplitMix) Uint64() uint64 {
 	return x ^ (x >> 31)
 }
 
-// Skip advances the stream past k draws of Uint64 in O(1): draw i of a
-// stream is a mix of its seed plus (i+1)·γ, so a stream can start anywhere.
-func (s *SplitMix) Skip(k uint64) { s.state += k * 0x9e3779b97f4a7c15 }
-
 // Int63 returns a non-negative 63-bit integer (rand.Source).
 func (s *SplitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
 

@@ -64,12 +64,14 @@ func BenchmarkPhiRefined256(b *testing.B) {
 	}
 }
 
-// withBackbone lowers the latency of a BFS spanning tree's edges to 1, so
-// every G_ℓ is connected and the full φ_ℓ ladder is live — the workload the
-// ladder engine exists for (a level with disconnected G_ℓ short-circuits to
-// φ_ℓ = 0 in both implementations). This models overlay networks with a fast
-// core and heterogeneous long links.
+// withBackbone returns g with the latency of a BFS spanning tree's edges
+// lowered to 1, so every G_ℓ is connected and the full φ_ℓ ladder is live —
+// the workload the ladder engine exists for (a level with disconnected G_ℓ
+// short-circuits to φ_ℓ = 0 in both implementations). This models overlay
+// networks with a fast core and heterogeneous long links. The copy adds the
+// edges in g's edge order, so edge IDs and adjacency order are g's.
 func withBackbone(g *graph.Graph) *graph.Graph {
+	tree := make([]bool, g.M())
 	seen := make([]bool, g.N())
 	seen[0] = true
 	queue := []graph.NodeID{0}
@@ -78,18 +80,24 @@ func withBackbone(g *graph.Graph) *graph.Graph {
 		for _, he := range g.Neighbors(u) {
 			if !seen[he.To] {
 				seen[he.To] = true
-				if err := g.SetLatency(he.ID, 1); err != nil {
-					panic(err)
-				}
+				tree[he.ID] = true
 				queue = append(queue, he.To)
 			}
 		}
 	}
-	return g
+	out := graph.New(g.N())
+	for id, e := range g.Edges() {
+		lat := e.Latency
+		if tree[id] {
+			lat = 1
+		}
+		out.MustAddEdge(e.U, e.V, lat)
+	}
+	return out
 }
 
-// Ladder benchmark instances are built once and shared: generation (the
-// Chung-Lu sampler is quadratic in n) must not pollute the timings.
+// Ladder benchmark instances are built once and shared: generation must not
+// pollute the timings.
 var (
 	benchOnce    sync.Once
 	benchChungLu *graph.Graph // n = 20k power-law graph, 8 latency classes

@@ -5,7 +5,7 @@ package graph
 // Entry per half-edge (four to a cache line), plus a 12-byte cross-index
 // record per edge. The per-message operations
 //
-//   - fetch neighbor i of node u with its latency and edge id (Half, Row),
+//   - fetch neighbor i of node u with its latency and edge id (Row),
 //   - find the same edge's index in the neighbor's row (Entry.Peer), and
 //   - resolve (node, edge id) to the node's neighbor-list index (EdgeIndex)
 //
@@ -16,12 +16,9 @@ package graph
 // equivalence suite holds the two engines to identical indices, so the flat
 // rows mirror the adjacency order exactly.
 //
-// Like CSR, an AdjCSR snapshots the graph at construction. Version reports
-// the Graph.Version it was built at; a holder that must follow later
-// SetLatency calls (the round simulator) compares the two and rebuilds.
+// A graph is fixed once built, so one AdjCSR serves a whole run.
 type AdjCSR struct {
 	n        int
-	ver      uint64
 	rowStart []int32 // len n+1; row u is ents[rowStart[u]:rowStart[u+1]]
 	ents     []Entry // len 2m; adjacency order
 	edges    []edgeRec
@@ -47,7 +44,7 @@ type edgeRec struct {
 // assumed dense in [0, M) — the contract of HalfEdge.ID.
 func BuildAdjCSR(g *Graph) *AdjCSR {
 	n := g.N()
-	c := &AdjCSR{n: n, ver: g.Version()}
+	c := &AdjCSR{n: n}
 	c.rowStart = make([]int32, n+1)
 	for u := 0; u < n; u++ {
 		c.rowStart[u+1] = c.rowStart[u] + int32(g.Degree(u))
@@ -83,9 +80,6 @@ func (c *AdjCSR) N() int { return c.n }
 // M reports the number of (undirected) edges.
 func (c *AdjCSR) M() int { return len(c.edges) }
 
-// Version reports the Graph.Version the view was built at.
-func (c *AdjCSR) Version() uint64 { return c.ver }
-
 // Degree returns u's degree.
 func (c *AdjCSR) Degree(u NodeID) int {
 	return int(c.rowStart[u+1] - c.rowStart[u])
@@ -95,12 +89,6 @@ func (c *AdjCSR) Degree(u NodeID) int {
 // Graph.Neighbors(u)[i]. The caller must not modify it.
 func (c *AdjCSR) Row(u NodeID) []Entry {
 	return c.ents[c.rowStart[u]:c.rowStart[u+1]]
-}
-
-// Half returns neighbor i of u, equal to Graph.Neighbors(u)[i].
-func (c *AdjCSR) Half(u NodeID, i int) HalfEdge {
-	e := &c.ents[c.rowStart[u]+int32(i)]
-	return HalfEdge{To: NodeID(e.To), Latency: int(e.Lat), ID: int(e.ID)}
 }
 
 // EdgeIndex resolves edge id to its index in u's neighbor list — the value

@@ -14,19 +14,16 @@ import (
 // distinct latencies advances each cursor O(deg) times total.
 //
 // The view also caches the quantities every conductance sweep needs: the
-// full-graph degree of each node (volumes in Definition 1 are taken in G,
-// not G_ℓ), the total volume 2m, the sorted distinct latencies, and a
-// globally latency-sorted edge list for incremental connectivity walks.
-//
-// A CSR snapshots the graph at construction time: SetLatency on the
-// underlying Graph is not reflected. Build a fresh view after mutating.
+// total volume 2m, the sorted distinct latencies, and a globally
+// latency-sorted edge list for incremental connectivity walks. A node's
+// full-graph degree (volumes in Definition 1 are taken in G, not G_ℓ) is its
+// row length.
 type CSR struct {
 	n        int
 	volAll   int     // 2m
 	rowStart []int32 // len n+1; row u is to[rowStart[u]:rowStart[u+1]]
 	to       []int32 // len 2m; neighbor ids, latency-sorted within each row
 	lat      []int32 // len 2m; latencies aligned with to, nondecreasing per row
-	deg      []int32 // len n; full-graph degree (cached volume terms)
 	lats     []int   // sorted distinct latencies ("levels" of the ladder)
 
 	// Edges sorted by latency (ties by original edge id), for incremental
@@ -39,10 +36,8 @@ func BuildCSR(g *Graph) *CSR {
 	n := g.N()
 	c := &CSR{n: n, volAll: 2 * g.M(), lats: g.Latencies()}
 	c.rowStart = make([]int32, n+1)
-	c.deg = make([]int32, n)
 	for u := 0; u < n; u++ {
-		c.deg[u] = int32(g.Degree(u))
-		c.rowStart[u+1] = c.rowStart[u] + c.deg[u]
+		c.rowStart[u+1] = c.rowStart[u] + int32(g.Degree(u))
 	}
 	m2 := int(c.rowStart[n])
 	c.to = make([]int32, m2)
@@ -122,7 +117,7 @@ func (c *CSR) N() int { return c.n }
 func (c *CSR) VolAll() int { return c.volAll }
 
 // Degree returns u's full-graph degree (its volume contribution).
-func (c *CSR) Degree(u NodeID) int { return int(c.deg[u]) }
+func (c *CSR) Degree(u NodeID) int { return int(c.rowStart[u+1] - c.rowStart[u]) }
 
 // Levels returns the sorted distinct edge latencies. Callers must not
 // modify the returned slice.
@@ -259,15 +254,6 @@ func (c *CSR) DistancesFrom(src NodeID, dist []int32, heapBuf []int64) []int64 {
 		}
 	}
 	return h
-}
-
-// ConnectivityLevels reports, for each level in Levels() order, whether G_ℓ
-// is connected. Connectivity is monotone in ℓ, so the result is false^k then
-// true^(L-k); it is computed in one union-find pass over the latency-sorted
-// edge list.
-func (c *CSR) ConnectivityLevels() []bool {
-	conn, _ := c.LadderComponents(false)
-	return conn
 }
 
 // LadderComponents walks the ladder with one union-find pass (path halving)

@@ -139,12 +139,13 @@ func TestCSRComponentsMatchSubgraph(t *testing.T) {
 	}
 }
 
-// TestCSRConnectivityLevels cross-checks the union-find walk against the
-// per-level BFS answer and asserts monotonicity (false* then true*).
+// TestCSRConnectivityLevels cross-checks LadderComponents' union-find walk
+// against the per-level BFS answer and asserts monotonicity (false* then
+// true*).
 func TestCSRConnectivityLevels(t *testing.T) {
 	for name, g := range csrTestGraphs() {
 		c := BuildCSR(g)
-		conn := c.ConnectivityLevels()
+		conn, _ := c.LadderComponents(false)
 		if len(conn) != len(c.Levels()) {
 			t.Fatalf("%s: %d connectivity entries for %d levels", name, len(conn), len(c.Levels()))
 		}

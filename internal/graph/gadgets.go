@@ -16,7 +16,8 @@ type Pair struct {
 // Gadget is the guessing-game network of Section 3.2 (Figure 1): a complete
 // bipartite graph on L = {0..m-1} and R = {m..2m-1} plus a latency-1 clique
 // on L (and on R when symmetric, i.e. G_sym(P)). Cross edges in the target
-// set are "fast" (latency 1); all other cross edges are "slow".
+// set are "fast" (latency 1, or ℓ in the Theorem 7 network); all other cross
+// edges are "slow".
 type Gadget struct {
 	G      *Graph
 	M      int    // |L| = |R|
@@ -34,18 +35,24 @@ func (gd *Gadget) Right(j int) NodeID { return gd.M + j }
 // NewGadget builds G(P) (sym=false) or G_sym(P) (sym=true) on 2m nodes with
 // the given target set; non-target cross edges get latency slow.
 func NewGadget(m int, target []Pair, sym bool, slow int) (*Gadget, error) {
+	return newGadget(m, target, sym, slow, 1)
+}
+
+// newGadget is NewGadget with target cross edges at latency fast (Theorem 7
+// uses ℓ) instead of 1.
+func newGadget(m int, target []Pair, sym bool, slow, fast int) (*Gadget, error) {
 	if m < 2 {
 		return nil, fmt.Errorf("graph: gadget needs m >= 2, got %d", m)
 	}
 	if slow < 1 {
 		return nil, fmt.Errorf("graph: gadget slow latency %d < 1", slow)
 	}
-	fast := make(map[Pair]bool, len(target))
+	isFast := make(map[Pair]bool, len(target))
 	for _, p := range target {
 		if p.A < 0 || p.A >= m || p.B < 0 || p.B >= m {
 			return nil, fmt.Errorf("graph: target pair %v out of range [0,%d)", p, m)
 		}
-		fast[p] = true
+		isFast[p] = true
 	}
 	g := New(2 * m)
 	// Clique on L (latency 1).
@@ -65,8 +72,8 @@ func NewGadget(m int, target []Pair, sym bool, slow int) (*Gadget, error) {
 	for a := 0; a < m; a++ {
 		for b := 0; b < m; b++ {
 			lat := slow
-			if fast[Pair{A: a, B: b}] {
-				lat = 1
+			if isFast[Pair{A: a, B: b}] {
+				lat = fast
 			}
 			g.MustAddEdge(a, m+b, lat)
 		}
@@ -158,36 +165,12 @@ func NewTheoremSevenNetwork(n int, phi float64, ell int, seed uint64) (*TheoremS
 	if ell < 1 {
 		return nil, fmt.Errorf("graph: theorem 7 needs ℓ >= 1, got %d", ell)
 	}
-	target := RandomTarget(n, phi, seed)
-	slow := 2 * n
-	gd, err := NewGadget(n, target, false, slow)
+	// Fast cross edges carry latency ℓ (not 1) in this construction.
+	gd, err := newGadget(n, RandomTarget(n, phi, seed), false, 2*n, ell)
 	if err != nil {
 		return nil, err
 	}
-	// Fast cross edges carry latency ℓ (not 1) in this construction.
-	if ell != 1 {
-		for _, p := range target {
-			u, v := gd.Left(p.A), gd.Right(p.B)
-			lat, ok := gd.G.EdgeLatency(u, v)
-			if !ok || lat != 1 {
-				return nil, fmt.Errorf("graph: internal: target edge (%d,%d) missing", u, v)
-			}
-			id := edgeID(gd.G, u, v)
-			if err := gd.G.SetLatency(id, ell); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return &TheoremSevenNetwork{Gadget: gd, G: gd.G, Phi: phi, Ell: ell}, nil
-}
-
-func edgeID(g *Graph, u, v NodeID) int {
-	for _, he := range g.Neighbors(u) {
-		if he.To == v {
-			return he.ID
-		}
-	}
-	return -1
 }
 
 // RingNetwork is the Theorem 8 construction (Figure 2): k node layers of

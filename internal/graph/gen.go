@@ -126,9 +126,9 @@ func Dumbbell(s, bridgeLatency int) *Graph {
 }
 
 // RandomLatencies returns a copy of g whose edge latencies are drawn
-// uniformly from [lo, hi], in edge ID order. It is O(n + m): the
-// adjacency rows are rewritten once from the edge list, not per edge as
-// SetLatency would.
+// uniformly from [lo, hi], in edge ID order. It is O(n + m): the copy's
+// adjacency rows are rewritten once from its edge list before it is
+// returned.
 func RandomLatencies(g *Graph, lo, hi int, seed uint64) *Graph {
 	if lo < 1 || hi < lo {
 		panic(fmt.Sprintf("graph: bad latency range [%d,%d]", lo, hi))
@@ -143,6 +143,5 @@ func RandomLatencies(g *Graph, lo, hi int, seed uint64) *Graph {
 			row[i].Latency = cp.edges[row[i].ID].Latency
 		}
 	}
-	cp.version += uint64(len(cp.edges)) // one per edge, as SetLatency counts
 	return cp
 }

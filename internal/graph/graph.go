@@ -27,14 +27,13 @@ type HalfEdge struct {
 }
 
 // Graph is an undirected graph with integer edge latencies. The zero value
-// is not usable; construct with New.
+// is not usable; construct with New. An edge's latency is set by the AddEdge
+// that inserts it and is final: the paper's latency-weighted graph is part of
+// the input, so views packed from a built graph (CSR, AdjCSR) stay current.
 type Graph struct {
 	n     int
 	edges []Edge
 	adj   [][]HalfEdge
-	// version counts mutations (AddEdge, SetLatency), so a dense view such
-	// as AdjCSR can tell whether it still describes the graph.
-	version uint64
 }
 
 // New returns an empty graph on n nodes.
@@ -78,7 +77,6 @@ func (g *Graph) AddEdge(u, v NodeID, latency int) (int, error) {
 // each pair of distinct in-range nodes at most once, with a latency >= 1.
 func (g *Graph) addFresh(u, v NodeID, latency int) int {
 	id := len(g.edges)
-	g.version++
 	g.edges = append(g.edges, Edge{U: u, V: v, Latency: latency})
 	g.adj[u] = append(g.adj[u], HalfEdge{To: v, Latency: latency, ID: id})
 	g.adj[v] = append(g.adj[v], HalfEdge{To: u, Latency: latency, ID: id})
@@ -114,35 +112,6 @@ func (g *Graph) EdgeLatency(u, v NodeID) (int, bool) {
 	}
 	return 0, false
 }
-
-// SetLatency updates the latency of an existing edge by edge ID.
-func (g *Graph) SetLatency(id, latency int) error {
-	if id < 0 || id >= len(g.edges) {
-		return fmt.Errorf("graph: edge id %d out of range", id)
-	}
-	if latency < 1 {
-		return fmt.Errorf("graph: latency %d < 1", latency)
-	}
-	g.version++
-	e := &g.edges[id]
-	e.Latency = latency
-	for i := range g.adj[e.U] {
-		if g.adj[e.U][i].ID == id {
-			g.adj[e.U][i].Latency = latency
-		}
-	}
-	for i := range g.adj[e.V] {
-		if g.adj[e.V][i].ID == id {
-			g.adj[e.V][i].Latency = latency
-		}
-	}
-	return nil
-}
-
-// Version returns the graph's mutation count. It changes on every AddEdge
-// and SetLatency, so a view built at one version is current exactly while
-// Version still returns it.
-func (g *Graph) Version() uint64 { return g.version }
 
 // Neighbors returns u's incident half-edges in insertion order. The caller
 // must not modify the returned slice.

@@ -63,21 +63,21 @@ func (n *node) Initiate(idx int, payload sim.Payload) error {
 	if n.initiated {
 		return fmt.Errorf("live: node %d already initiated in tick %d", n.id, n.tick)
 	}
-	deg := n.rt.csr.Degree(n.id)
-	if idx < 0 || idx >= deg {
-		return fmt.Errorf("live: node %d edge index %d out of range [0,%d)", n.id, idx, deg)
+	row := n.rt.csr.Row(n.id)
+	if idx < 0 || idx >= len(row) {
+		return fmt.Errorf("live: node %d edge index %d out of range [0,%d)", n.id, idx, len(row))
 	}
-	he := n.rt.csr.Half(n.id, idx)
+	he := &row[idx]
 	msg := Message{
 		Kind:     MsgRequest,
 		From:     n.id,
-		To:       he.To,
-		EdgeID:   he.ID,
-		Latency:  he.Latency,
+		To:       int(he.To),
+		EdgeID:   int(he.ID),
+		Latency:  int(he.Lat),
 		SentTick: n.tick,
 		Payload:  payload,
 	}
-	delay := time.Duration((he.Latency+1)/2) * n.rt.opts.Tick
+	delay := time.Duration((he.Lat+1)/2) * n.rt.opts.Tick
 	if err := n.rt.tr.Send(msg, delay); err != nil {
 		return err
 	}

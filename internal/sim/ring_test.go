@@ -2,130 +2,42 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"gossip/internal/graph"
 	"gossip/internal/par"
 )
 
-// TestRingGrowsForRaisedLatency raises an edge latency far beyond the
-// calendar capacity chosen at construction: schedule must grow the ring and
-// remap live events to their absolute rounds, and the round-trip timing must
-// stay exact.
-func TestRingGrowsForRaisedLatency(t *testing.T) {
-	g := graph.New(2)
-	id := g.MustAddEdge(0, 1, 1)
-	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 500})
-	capBefore := len(nw.shards[0].ring)
-	// Raise the latency after the network sized its ring for maxLatency 1.
-	lat := 8 * capBefore
-	if err := g.SetLatency(id, lat); err != nil {
-		t.Fatal(err)
-	}
-	a := &echoHandler{initiateAt: 1, edgeIdx: 0, payload: "grow"}
-	b := &echoHandler{}
-	nw.SetHandler(0, a)
-	nw.SetHandler(1, b)
-	if _, err := nw.Run(func(nw *Network) bool { return len(a.gotResponses) > 0 }); err != nil {
-		t.Fatal(err)
-	}
-	if len(nw.shards[0].ring) <= capBefore {
-		t.Errorf("ring capacity %d did not grow past %d for latency %d", len(nw.shards[0].ring), capBefore, lat)
-	}
-	if want := 1 + (lat+1)/2; b.reqRound[0] != want {
-		t.Errorf("request delivered at round %d, want %d", b.reqRound[0], want)
-	}
-	if want := 1 + lat; a.respRound[0] != want {
-		t.Errorf("response delivered at round %d, want %d", a.respRound[0], want)
-	}
-}
-
-// TestRingGrowthMidRun keeps a long-latency exchange in flight while a
-// second initiation forces the ring to grow: the remap must preserve the
-// absolute delivery round of the already-scheduled event.
-func TestRingGrowthMidRun(t *testing.T) {
-	g := graph.New(3)
-	slow := g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(0, 2, 1)
-	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 500})
-	capBefore := len(nw.shards[0].ring)
-	lat := 4 * capBefore // scheduled once the ring has already seen traffic
-	b := &echoHandler{}
-	c := &echoHandler{}
-	var aResp []Response
-	var aRespRound []int
-	a := &funcHandler{tick: func(ctx *Context) {
-		switch ctx.Round() {
-		case 1:
-			// Seed the calendar with a short exchange so growth has a live
-			// event to remap.
-			if err := ctx.Initiate(1, "short"); err != nil {
-				panic(err)
-			}
-			// Raise the slow edge under the engine's feet; round 2's
-			// initiation outgrows the ring while "short" is in flight.
-			if err := g.SetLatency(slow, lat); err != nil {
-				panic(err)
-			}
-		case 2:
-			if err := ctx.Initiate(0, "long"); err != nil {
-				panic(err)
-			}
-		}
-	}}
-	aWrap := &respRecorder{inner: a, resp: &aResp, rounds: &aRespRound}
-	nw.SetHandler(0, aWrap)
-	nw.SetHandler(1, b)
-	nw.SetHandler(2, c)
-	if _, err := nw.Run(func(nw *Network) bool { return len(aResp) == 2 }); err != nil {
-		t.Fatal(err)
-	}
-	if len(nw.shards[0].ring) <= capBefore {
-		t.Errorf("ring capacity %d did not grow past %d", len(nw.shards[0].ring), capBefore)
-	}
-	// The short exchange (latency 1, initiated round 1) must still land at
-	// round 2 after the remap; the long one at 2+lat.
-	if aRespRound[0] != 2 {
-		t.Errorf("short response delivered at round %d, want 2", aRespRound[0])
-	}
-	if want := 2 + lat; aRespRound[1] != want {
-		t.Errorf("long response delivered at round %d, want %d", aRespRound[1], want)
-	}
-}
-
-// TestRingGrowthDuringDelivery grows the ring from inside the delivery scan:
-// a response handler initiates over an edge whose latency outgrew the ring,
-// which moves the slot being scanned. The event queued behind that response
-// in the same slot must still be delivered in its round, and every
-// exchange must keep its exact timing.
-func TestRingGrowthDuringDelivery(t *testing.T) {
+// TestInitiateDuringDelivery initiates from inside the delivery scan: a
+// response handler starts an exchange over the slow edge while node 2's
+// request waits behind that response in the same slot. The later event must
+// still be delivered in its round, every exchange must keep its exact
+// timing, and the ring keeps its length.
+func TestInitiateDuringDelivery(t *testing.T) {
+	const lat = 32
 	g := graph.New(4)
 	g.MustAddEdge(1, 0, 2)
-	slow := g.MustAddEdge(1, 3, 1)
+	g.MustAddEdge(1, 3, lat)
 	g.MustAddEdge(2, 0, 1)
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 500})
-	capBefore := len(nw.shards[0].ring)
-	lat := 8 * capBefore
-	if err := g.SetLatency(slow, lat); err != nil {
-		t.Fatal(err)
-	}
+	size := len(nw.shards[0].ring)
 	// Node 1's round-r request reaches node 0 in round r+1, and its
 	// response lands in round r+2's slot ahead of node 2's round-(r+1)
-	// request. Past the first lap of the ring, growth moves that slot to a
-	// new index.
-	r := capBefore + 1
-	grower := &initiateOnResponse{echoHandler: echoHandler{initiateAt: r, edgeIdx: 0, payload: "first"}, idx: 1}
+	// request. r is past the first lap of the ring.
+	r := size + 1
+	caller := &initiateOnResponse{echoHandler: echoHandler{initiateAt: r, edgeIdx: 0, payload: "first"}, idx: 1}
 	late := &echoHandler{initiateAt: r + 1, edgeIdx: 0, payload: "late"}
 	hub, far := &echoHandler{}, &echoHandler{}
 	nw.SetHandler(0, hub)
-	nw.SetHandler(1, grower)
+	nw.SetHandler(1, caller)
 	nw.SetHandler(2, late)
 	nw.SetHandler(3, far)
-	if _, err := nw.Run(func(nw *Network) bool { return len(grower.respRound) == 2 }); err != nil {
+	if _, err := nw.Run(func(nw *Network) bool { return len(caller.respRound) == 2 }); err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.shards[0].ring) <= capBefore {
-		t.Errorf("ring capacity %d did not grow past %d", len(nw.shards[0].ring), capBefore)
+	if len(nw.shards[0].ring) != size {
+		t.Errorf("ring length %d, want %d", len(nw.shards[0].ring), size)
 	}
 	if want := fmt.Sprint([]int{r + 1, r + 2}); fmt.Sprint(hub.reqRound) != want {
 		t.Errorf("hub requests at rounds %v, want %s", hub.reqRound, want)
@@ -133,12 +45,119 @@ func TestRingGrowthDuringDelivery(t *testing.T) {
 	if want := fmt.Sprint([]int{r + 2}); fmt.Sprint(late.respRound) != want {
 		t.Errorf("node 2's response at rounds %v, want %s", late.respRound, want)
 	}
-	if want := fmt.Sprint([]int{r + 2, r + 2 + lat}); fmt.Sprint(grower.respRound) != want {
-		t.Errorf("node 1's responses at rounds %v, want %s", grower.respRound, want)
+	if want := fmt.Sprint([]int{r + 2, r + 2 + lat}); fmt.Sprint(caller.respRound) != want {
+		t.Errorf("node 1's responses at rounds %v, want %s", caller.respRound, want)
 	}
 	if want := fmt.Sprint([]int{r + 2 + (lat+1)/2}); fmt.Sprint(far.reqRound) != want {
 		t.Errorf("slow request delivered at rounds %v, want %s", far.reqRound, want)
 	}
+}
+
+// TestMaxLatencyExchangeFixedRing runs exchanges over ℓmax edges at the two
+// longest reaches of the calendar: under FullRTTDelivery a request is due
+// ℓmax rounds ahead, also when it is initiated from inside the delivery
+// scan, and under MaxResponsesPerRound a hub requeues what it cannot serve
+// one round ahead, past the ring's first lap. Every delivery must land in
+// its exact round, and the ring's length must never change.
+func TestMaxLatencyExchangeFixedRing(t *testing.T) {
+	const lat = 9 // ring of lat+2 = 11 slots
+	t.Run("FullRTTDelivery", func(t *testing.T) {
+		g := graph.New(3)
+		g.MustAddEdge(0, 1, lat)
+		g.MustAddEdge(0, 2, 2)
+		g.MustAddEdge(2, 1, lat)
+		nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 200, FullRTTDelivery: true})
+		size := len(nw.shards[0].ring)
+		// Node 0 initiates over the slow edge every round, so every slot
+		// of the ring holds a live request. Node 2's round-1 exchange with
+		// node 0 completes in round 3's delivery, where node 2 initiates
+		// over its slow edge: that request must not land in the slot
+		// being scanned.
+		const exchanges = 3 * lat
+		var resp []Response
+		var respRound []int
+		every := &funcHandler{tick: func(ctx *Context) {
+			if ctx.Round() <= exchanges {
+				if err := ctx.Initiate(0, ctx.Round()); err != nil {
+					panic(err)
+				}
+			}
+		}}
+		far := &echoHandler{}
+		caller := &initiateOnResponse{echoHandler: echoHandler{initiateAt: 1, edgeIdx: 0, payload: "near"}, idx: 1}
+		nw.SetHandler(0, &respRecorder{inner: every, resp: &resp, rounds: &respRound})
+		nw.SetHandler(1, far)
+		nw.SetHandler(2, caller)
+		if _, err := nw.Run(func(nw *Network) bool {
+			if len(nw.shards[0].ring) != size {
+				t.Fatalf("round %d: ring length %d, want %d", nw.Round(), len(nw.shards[0].ring), size)
+			}
+			return len(resp) == exchanges && len(caller.respRound) == 2
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// The request of round r arrives at r+ℓ and its response, with no
+		// delay left, in the same round.
+		var from0, from2 []int
+		for k, req := range far.gotRequests {
+			if req.From == 0 {
+				from0 = append(from0, far.reqRound[k])
+			} else {
+				from2 = append(from2, far.reqRound[k])
+			}
+		}
+		if len(from0) != exchanges {
+			t.Fatalf("node 1 got %d requests from node 0, want %d", len(from0), exchanges)
+		}
+		for k := 0; k < exchanges; k++ {
+			if want := 1 + k + lat; from0[k] != want || respRound[k] != want {
+				t.Fatalf("exchange %d: request at round %d, response at %d, want both %d", k, from0[k], respRound[k], want)
+			}
+		}
+		if want := fmt.Sprint([]int{3 + lat}); fmt.Sprint(from2) != want {
+			t.Errorf("node 2's slow request at rounds %v, want %s", from2, want)
+		}
+		if want := fmt.Sprint([]int{3, 3 + lat}); fmt.Sprint(caller.respRound) != want {
+			t.Errorf("node 2's responses at rounds %v, want %s", caller.respRound, want)
+		}
+	})
+	t.Run("MaxResponsesPerRound", func(t *testing.T) {
+		leaves := 3 * (lat + 2)
+		g := graph.Star(leaves+1, lat) // node 0 = hub
+		nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 200, MaxResponsesPerRound: 1})
+		size := len(nw.shards[0].ring)
+		hub := &echoHandler{}
+		nw.SetHandler(0, hub)
+		var leafRounds []int
+		for v := 1; v <= leaves; v++ {
+			nw.SetHandler(v, &echoHandler{initiateAt: 1, edgeIdx: 0, payload: v})
+		}
+		if _, err := nw.Run(func(nw *Network) bool {
+			if len(nw.shards[0].ring) != size {
+				t.Fatalf("round %d: ring length %d, want %d", nw.Round(), len(nw.shards[0].ring), size)
+			}
+			return nw.Metrics().Responses == leaves && nw.inFlight() == 0
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for v := 1; v <= leaves; v++ {
+			leafRounds = append(leafRounds, nw.nodes[v].handler.(*echoHandler).respRound...)
+		}
+		sort.Ints(leafRounds)
+		// Every request arrives at 1+⌈ℓ/2⌉; the hub serves one a round,
+		// and each response takes ⌊ℓ/2⌋ more.
+		if len(hub.reqRound) != leaves || len(leafRounds) != leaves {
+			t.Fatalf("hub served %d requests, leaves got %d responses, want %d each", len(hub.reqRound), len(leafRounds), leaves)
+		}
+		for i := 0; i < leaves; i++ {
+			if want := 1 + (lat+1)/2 + i; hub.reqRound[i] != want {
+				t.Errorf("hub served request %d at round %d, want %d", i, hub.reqRound[i], want)
+			}
+			if want := 1 + lat + i; leafRounds[i] != want {
+				t.Errorf("response %d delivered at round %d, want %d", i, leafRounds[i], want)
+			}
+		}
+	})
 }
 
 // initiateOnResponse is an echoHandler that initiates once more, over edge
@@ -153,7 +172,7 @@ func (h *initiateOnResponse) OnResponse(ctx *Context, resp Response) {
 	h.echoHandler.OnResponse(ctx, resp)
 	if !h.sent {
 		h.sent = true
-		if err := ctx.Initiate(h.idx, "grow"); err != nil {
+		if err := ctx.Initiate(h.idx, "again"); err != nil {
 			panic(err)
 		}
 	}

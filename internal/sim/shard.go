@@ -80,11 +80,8 @@ type shard struct {
 	id     int
 	lo, hi int // owned nodes [lo, hi)
 	// ring is the event calendar: ring[r % len(ring)] holds the events bound
-	// for this shard's nodes that complete at absolute round r. Its size
-	// covers the largest possible delivery delay (maxLatency under
-	// FullRTTDelivery, ⌈maxLatency/2⌉ otherwise) plus the +1 congestion
-	// requeue, and grows on demand if a latency is raised after
-	// construction.
+	// for this shard's nodes that complete at absolute round r. Its size is
+	// fixed at NewNetwork (see schedule).
 	ring [][]*event
 	// free is the event free list: delivered events return here and are
 	// reused by later initiations, so steady-state delivery does not
@@ -149,37 +146,23 @@ func (sh *shard) send(at int, ev *event) {
 	}
 }
 
-// schedule places ev on the calendar for absolute round at. The ring is
-// sized for the graph's maximum latency at construction; it grows (rarely)
-// if a latency was raised after the network was built.
+// schedule places ev on the calendar for absolute round at.
+//
+// The ring has max(ℓmax+2, 4) slots, fixed at NewNetwork, and the graph's
+// latencies are fixed once it is built, so every event is due fewer rounds
+// ahead than the ring is long: no two live rounds share a slot, and an
+// Initiate from inside a delivery never lands on the slot being scanned.
+//   - a request is due ⌈ℓ/2⌉ rounds after its initiation, ℓ ≤ ℓmax under
+//     FullRTTDelivery;
+//   - a response is due ⌊ℓ/2⌋ rounds after its request arrived, 0 under
+//     FullRTTDelivery (appended to the slot being delivered);
+//   - a request over MaxResponsesPerRound is requeued 1 round ahead;
+//   - a sharded request is staged in its round's tick and filed at the
+//     next round's start, one round late, so it is filed at most ℓmax−1
+//     rounds ahead.
 func (sh *shard) schedule(at int, ev *event) {
-	if at-sh.nw.round >= len(sh.ring) {
-		sh.growRing(at - sh.nw.round + 1)
-	}
 	i := at % len(sh.ring)
 	sh.ring[i] = append(sh.ring[i], ev)
-}
-
-// growRing resizes the calendar to hold at least need future rounds,
-// rehashing live slots by their absolute round. All live events sit in
-// rounds [round, round+len(ring)), which makes the absolute round of slot i
-// recoverable.
-func (sh *shard) growRing(need int) {
-	old := sh.ring
-	round := sh.nw.round
-	size := len(old) * 2
-	for size < need {
-		size *= 2
-	}
-	fresh := make([][]*event, size)
-	for i, evs := range old {
-		if len(evs) == 0 {
-			continue
-		}
-		r := round + ((i-round%len(old))+len(old))%len(old)
-		fresh[r%size] = evs
-	}
-	sh.ring = fresh
 }
 
 // deliver processes phase A of the round for the shard's nodes: request
@@ -188,22 +171,16 @@ func (sh *shard) growRing(need int) {
 // shard, zero-delay responses are appended to the current slot during the
 // scan and flushed by the same loop, preserving the old map-based engine's
 // event order exactly. A handler callback may grow the slot (a zero-delay
-// response) or the whole ring (an Initiate that outgrows it, which moves the
-// slot), so the scan re-reads the slot when it reaches the end of its copy,
-// and recomputes the slot's index only when the ring changed size. Events
-// below the copy's length never change mid-scan.
+// response appended, which may move its backing array), so the scan re-reads
+// the slot when it reaches the end of its copy. Events below the copy's
+// length never change mid-scan.
 func (sh *shard) deliver() {
 	nw := sh.nw
 	traced := nw.cfg.Trace != nil
-	size := len(sh.ring)
-	i := nw.round % size
+	i := nw.round % len(sh.ring)
 	slot := sh.ring[i]
 	for k := 0; ; k++ {
 		if k >= len(slot) {
-			if len(sh.ring) != size {
-				size = len(sh.ring)
-				i = nw.round % size
-			}
 			if slot = sh.ring[i]; k >= len(slot) {
 				break
 			}
@@ -542,7 +519,7 @@ func (nw *Network) split(w int) {
 	if w <= 1 {
 		return
 	}
-	adj := nw.topology()
+	adj := nw.adj
 	n := len(nw.nodes)
 	inv := make([]float64, n) // 1/deg
 	for u := range inv {

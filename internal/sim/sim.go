@@ -209,8 +209,7 @@ const eventBlockSize = 64
 type Network struct {
 	g   *graph.Graph
 	cfg Config
-	// adj is g's packed topology, rebuilt by topology when a SetLatency
-	// after construction has moved g's version past it.
+	// adj is g's packed topology, built once: a graph is fixed once built.
 	adj *graph.AdjCSR
 	// nodes is indexed by NodeID; states are stored contiguously so that
 	// per-node engine structures cost one allocation, not n.
@@ -259,15 +258,6 @@ func NewNetwork(g *graph.Graph, cfg Config) *Network {
 	nw.shards = []*shard{{nw: nw, hi: g.N(), ring: make([][]*event, ringSize)}}
 	nw.starts = []int32{0}
 	return nw
-}
-
-// topology returns the packed view of g, re-packing it first if g was
-// mutated since it was built (a latency raised mid-run).
-func (nw *Network) topology() *graph.AdjCSR {
-	if nw.adj.Version() != nw.g.Version() {
-		nw.adj = graph.BuildAdjCSR(nw.g)
-	}
-	return nw.adj
 }
 
 // reqDelay is how many rounds a request takes over an edge of latency lat.
@@ -479,9 +469,6 @@ func (nw *Network) step() bool {
 		sh.tick()
 		return sh.active
 	}
-	// Shards read the packed topology concurrently, so re-pack it here if
-	// the predicate raised a latency.
-	nw.topology()
 	nw.phase(phaseDeliver)
 	nw.phase(phaseTick)
 	active := false

@@ -265,11 +265,7 @@ func run(args []string, out io.Writer) error {
 	case "rr":
 		k := *rrK
 		if k <= 0 {
-			for _, e := range g.Edges() {
-				if e.Latency > k {
-					k = e.Latency
-				}
-			}
+			k = g.MaxLatency()
 		}
 		lp, err = gossip.LiveRRBroadcast(g, k, 0, opts)
 		if err != nil {
@@ -433,8 +429,9 @@ func parsePeers(spec string, n int) (map[gossip.NodeID]string, error) {
 	return peers, nil
 }
 
-// parseCrashes parses "3=10,7=25:60" into node→crash plan: "node=tick"
-// crashes permanently, "node=tick:tick2" rejoins with cleared state at tick2.
+// parseCrashes parses "3=10,7=25:60" into node→crash plan: "node=sweep"
+// crashes permanently at that sweep of the node's shard, "node=sweep:sweep2"
+// rejoins with cleared state at sweep2.
 func parseCrashes(spec string, n int) (map[gossip.NodeID]gossip.LiveCrash, error) {
 	if spec == "" {
 		return nil, nil

@@ -28,9 +28,10 @@ func Example() {
 
 // Building a custom topology edge by edge.
 func ExampleNewGraph() {
-	g := gossip.NewGraph(3)
-	g.MustAddEdge(0, 1, 1)  // fast LAN link
-	g.MustAddEdge(1, 2, 10) // slow WAN link
+	b := gossip.NewGraph(3)
+	b.MustAddEdge(0, 1, 1)  // fast LAN link
+	b.MustAddEdge(1, 2, 10) // slow WAN link
+	g := b.Build()
 	fmt.Println("diameter:", g.WeightedDiameter())
 	// Output:
 	// diameter: 11

@@ -68,23 +68,23 @@ func main() {
 // buildTopology wires datacenters×replicas nodes: LAN cliques per
 // datacenter, WAN ring between datacenters (plus one chord for resilience).
 func buildTopology() *gossip.Graph {
-	g := gossip.NewGraph(datacenters * replicas)
+	b := gossip.NewGraph(datacenters * replicas)
 	for dc := 0; dc < datacenters; dc++ {
 		base := dc * replicas
 		for i := 0; i < replicas; i++ {
 			for j := i + 1; j < replicas; j++ {
-				g.MustAddEdge(base+i, base+j, lanLatency)
+				b.MustAddEdge(base+i, base+j, lanLatency)
 			}
 		}
 	}
 	for dc := 0; dc < datacenters; dc++ {
 		next := (dc + 1) % datacenters
 		// Gateway replicas 0 of each datacenter carry the WAN links.
-		g.MustAddEdge(dc*replicas, next*replicas, wanLatency)
+		b.MustAddEdge(dc*replicas, next*replicas, wanLatency)
 	}
 	// A chord between opposite datacenters halves the WAN diameter.
-	g.MustAddEdge(0, datacenters/2*replicas+1, wanLatency)
-	return g
+	b.MustAddEdge(0, datacenters/2*replicas+1, wanLatency)
+	return b.Build()
 }
 
 func sameRound(rounds []int) bool {

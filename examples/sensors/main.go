@@ -63,23 +63,23 @@ func main() {
 // 1–2 (radio quality varies), diagonal neighbors at latency 3.
 func buildSensorGrid() *gossip.Graph {
 	id := func(r, c int) int { return r*cols + c }
-	g := gossip.NewGraph(rows * cols)
+	b := gossip.NewGraph(rows * cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
 				lat := 1 + (r+c)%2
-				g.MustAddEdge(id(r, c), id(r, c+1), lat)
+				b.MustAddEdge(id(r, c), id(r, c+1), lat)
 			}
 			if r+1 < rows {
 				lat := 1 + (r*c)%2
-				g.MustAddEdge(id(r, c), id(r+1, c), lat)
+				b.MustAddEdge(id(r, c), id(r+1, c), lat)
 			}
 			if r+1 < rows && c+1 < cols {
-				g.MustAddEdge(id(r, c), id(r+1, c+1), 3)
+				b.MustAddEdge(id(r, c), id(r+1, c+1), 3)
 			}
 		}
 	}
-	return g
+	return b.Build()
 }
 
 func sameRound(rounds []int) bool {

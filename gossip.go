@@ -47,8 +47,14 @@ type Graph = graph.Graph
 // NodeID identifies a node (0..N-1).
 type NodeID = graph.NodeID
 
-// NewGraph returns an empty graph on n nodes; add edges with AddEdge.
-func NewGraph(n int) *Graph { return graph.New(n) }
+// GraphBuilder collects the edges of a graph: add them with AddEdge (which
+// rejects self loops, duplicates, out-of-range endpoints and latencies < 1),
+// then freeze them into a Graph with Build.
+type GraphBuilder = graph.Builder
+
+// NewGraph returns a builder for a graph on n nodes; add edges with AddEdge
+// and call Build for the Graph.
+func NewGraph(n int) *GraphBuilder { return graph.New(n) }
 
 // Generators for standard topologies (uniform latency unless noted).
 var (

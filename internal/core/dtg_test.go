@@ -16,10 +16,10 @@ func requireLocalBroadcast(t *testing.T, g *graph.Graph, ell int, res LocalBroad
 	}
 	for u := 0; u < g.N(); u++ {
 		for _, he := range g.Neighbors(u) {
-			if he.Latency > ell {
+			if int(he.Lat) > ell {
 				continue
 			}
-			if !res.Know[u][he.To] {
+			if !res.Know[u][int(he.To)] {
 				t.Errorf("node %d missing rumor of ℓ-neighbor %d", u, he.To)
 			}
 			if !res.Know[he.To][u] {
@@ -53,14 +53,15 @@ func TestDTGStar(t *testing.T) {
 func TestDTGLatencyFilter(t *testing.T) {
 	// Path with alternating latencies 1 and 9; 1-DTG must cover only the
 	// latency-1 edges.
-	g := graph.New(8)
+	gb := graph.New(8)
 	for v := 1; v < 8; v++ {
 		lat := 1
 		if v%2 == 0 {
 			lat = 9
 		}
-		g.MustAddEdge(v-1, v, lat)
+		gb.MustAddEdge(v-1, v, lat)
 	}
+	g := gb.Build()
 	res, err := LocalBroadcastDTG(g, 1, sim.Config{Seed: 3})
 	if err != nil {
 		t.Fatalf("DTG: %v", err)

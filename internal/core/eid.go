@@ -91,10 +91,10 @@ func gatherAndBuildSpanner(p *sim.Proc, st *eidState, lat latFunc, d, nHat int, 
 	ks := spannerK(nHat)
 	// Fresh gathering each attempt: latency knowledge may have improved and
 	// stale partial adjacency entries must not survive.
-	own := make([]graph.HalfEdge, 0, p.Degree())
+	own := make([]graph.Entry, 0, p.Degree())
 	for _, e := range p.Neighbors() {
 		if l := lat(e.Index); l != unknownLatency {
-			own = append(own, graph.HalfEdge{To: e.To, Latency: l, ID: e.EdgeID})
+			own = append(own, graph.Entry{To: int32(e.To), Lat: int32(l), ID: int32(e.EdgeID)})
 		}
 	}
 	st.nb = newNbKnowledge(p.ID(), own)

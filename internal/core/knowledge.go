@@ -72,7 +72,7 @@ func (k *rumorKnowledge) digest() uint64 {
 // adjEntry is one node's adjacency list as shared during gathering.
 type adjEntry struct {
 	Node  graph.NodeID
-	Edges []graph.HalfEdge // To and Latency are meaningful; ID is local
+	Edges []graph.Entry // To and Lat are meaningful; ID is local
 }
 
 // nbPayload carries a snapshot of known adjacency lists.
@@ -94,15 +94,15 @@ func (p nbPayload) SizeBytes() int {
 // nbKnowledge accumulates the adjacency lists of other nodes — the
 // "neighborhood discovery" state of Theorem 14's proof.
 type nbKnowledge struct {
-	adj    map[graph.NodeID][]graph.HalfEdge
+	adj    map[graph.NodeID][]graph.Entry
 	direct map[graph.NodeID]bool
 }
 
 var _ knowledge = (*nbKnowledge)(nil)
 
-func newNbKnowledge(self graph.NodeID, own []graph.HalfEdge) *nbKnowledge {
+func newNbKnowledge(self graph.NodeID, own []graph.Entry) *nbKnowledge {
 	k := &nbKnowledge{
-		adj:    make(map[graph.NodeID][]graph.HalfEdge, 8),
+		adj:    make(map[graph.NodeID][]graph.Entry, 8),
 		direct: make(map[graph.NodeID]bool, 8),
 	}
 	k.adj[self] = own
@@ -139,19 +139,20 @@ func (k *nbKnowledge) Direct(id graph.NodeID) bool { return k.direct[id] }
 // buildGraph assembles the gathered adjacency knowledge into a graph on n
 // nodes containing every known edge with latency <= maxLatency (0 = all).
 func (k *nbKnowledge) buildGraph(n, maxLatency int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.New(n)
 	for u, edges := range k.adj {
 		for _, he := range edges {
-			if maxLatency > 0 && he.Latency > maxLatency {
+			to, lat := int(he.To), int(he.Lat)
+			if maxLatency > 0 && lat > maxLatency {
 				continue
 			}
-			if he.To < 0 || he.To >= n || g.HasEdge(u, he.To) {
+			if to < 0 || to >= n || b.HasEdge(u, to) {
 				continue
 			}
-			g.MustAddEdge(u, he.To, he.Latency)
+			b.MustAddEdge(u, to, lat)
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // ---- termination-check status tables ----

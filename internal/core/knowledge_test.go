@@ -59,17 +59,17 @@ func TestQuickDigestInjectiveish(t *testing.T) {
 }
 
 func TestNbKnowledgeFirstCopyWins(t *testing.T) {
-	own := []graph.HalfEdge{{To: 1, Latency: 2}}
+	own := []graph.Entry{{To: 1, Lat: 2}}
 	k := newNbKnowledge(0, own)
 	if !k.Has(0) || k.Has(1) {
 		t.Fatal("initial adjacency wrong")
 	}
-	p1 := nbPayload{entries: []adjEntry{{Node: 1, Edges: []graph.HalfEdge{{To: 0, Latency: 2}}}}}
+	p1 := nbPayload{entries: []adjEntry{{Node: 1, Edges: []graph.Entry{{To: 0, Lat: 2}}}}}
 	if !k.Merge(p1) {
 		t.Fatal("nb payload not recognized")
 	}
 	// A conflicting later copy must not overwrite (adjacency is a fact).
-	p2 := nbPayload{entries: []adjEntry{{Node: 1, Edges: []graph.HalfEdge{{To: 9, Latency: 9}}}}}
+	p2 := nbPayload{entries: []adjEntry{{Node: 1, Edges: []graph.Entry{{To: 9, Lat: 9}}}}}
 	k.Merge(p2)
 	if len(k.adj[1]) != 1 || k.adj[1][0].To != 0 {
 		t.Errorf("adjacency of node 1 overwritten: %v", k.adj[1])
@@ -77,9 +77,9 @@ func TestNbKnowledgeFirstCopyWins(t *testing.T) {
 }
 
 func TestNbBuildGraphFiltersLatency(t *testing.T) {
-	k := newNbKnowledge(0, []graph.HalfEdge{{To: 1, Latency: 2}, {To: 2, Latency: 9}})
+	k := newNbKnowledge(0, []graph.Entry{{To: 1, Lat: 2}, {To: 2, Lat: 9}})
 	k.Merge(nbPayload{entries: []adjEntry{
-		{Node: 1, Edges: []graph.HalfEdge{{To: 0, Latency: 2}, {To: 2, Latency: 3}}},
+		{Node: 1, Edges: []graph.Entry{{To: 0, Lat: 2}, {To: 2, Lat: 3}}},
 	}})
 	g := k.buildGraph(3, 5)
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
@@ -95,7 +95,7 @@ func TestNbBuildGraphFiltersLatency(t *testing.T) {
 }
 
 func TestNbBuildGraphIgnoresOutOfRange(t *testing.T) {
-	k := newNbKnowledge(0, []graph.HalfEdge{{To: 7, Latency: 1}})
+	k := newNbKnowledge(0, []graph.Entry{{To: 7, Lat: 1}})
 	g := k.buildGraph(2, 0)
 	if g.M() != 0 {
 		t.Errorf("out-of-range endpoint produced %d edges", g.M())
@@ -155,7 +155,7 @@ func TestPayloadSizes(t *testing.T) {
 	if rp.SizeBytes() != 16 {
 		t.Errorf("128-bit rumor payload = %d bytes, want 16", rp.SizeBytes())
 	}
-	np := nbPayload{entries: []adjEntry{{Node: 0, Edges: make([]graph.HalfEdge, 3)}}}
+	np := nbPayload{entries: []adjEntry{{Node: 0, Edges: make([]graph.Entry, 3)}}}
 	if np.SizeBytes() != 8+24 {
 		t.Errorf("nb payload size = %d", np.SizeBytes())
 	}

@@ -32,8 +32,9 @@ func TestPushPullPathRespectssLatency(t *testing.T) {
 	// A 2-node graph with a single latency-10 edge: the exchange takes
 	// exactly 10 rounds, so the rumor arrives at round ⌈10/2⌉ = 5 at the
 	// earliest (one-way) and the run completes by round 10.
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 10)
+	gb := graph.New(2)
+	gb.MustAddEdge(0, 1, 10)
+	g := gb.Build()
 	res, err := PushPull(g, 0, ModePushPull, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatalf("PushPull: %v", err)

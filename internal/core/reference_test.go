@@ -90,12 +90,12 @@ func referencePushPull(g *graph.Graph, source graph.NodeID, seed uint64, maxRoun
 			}
 			he := adj[rands[v].Intn(len(adj))]
 			pending = append(pending, delivery{
-				at:      round + (he.Latency+1)/2,
-				to:      he.To,
+				at:      round + (int(he.Lat)+1)/2,
+				to:      int(he.To),
 				informs: informed[v],
 				isReq:   true,
 				from:    v,
-				latency: he.Latency,
+				latency: int(he.Lat),
 			})
 		}
 	}

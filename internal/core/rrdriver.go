@@ -106,7 +106,7 @@ func newRRPlan(g *graph.Graph, k, spannerParam, nHint int, seed uint64) (*rrPlan
 	for u := range out {
 		for _, oe := range sp.Out[u] {
 			for idx, he := range g.Neighbors(u) {
-				if he.To == oe.To {
+				if int(he.To) == oe.To {
 					out[u] = append(out[u], idx)
 					break
 				}

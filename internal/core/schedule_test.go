@@ -108,9 +108,10 @@ func TestRunRRFixedDuration(t *testing.T) {
 // TestRunProbeWindow verifies the discovery window: edges with latency <= b
 // probed in a 2b window are learned; slower edges are not.
 func TestRunProbeWindow(t *testing.T) {
-	g := graph.New(3)
-	g.MustAddEdge(0, 1, 2) // fast: learnable at b=2
-	g.MustAddEdge(0, 2, 9) // slow: not learnable at b=2
+	gb := graph.New(3)
+	gb.MustAddEdge(0, 1, 2) // fast: learnable at b=2
+	gb.MustAddEdge(0, 2, 9) // slow: not learnable at b=2
+	g := gb.Build()
 	nw := sim.NewNetwork(g, sim.Config{Seed: 1, MaxRounds: 100})
 	dst := newDiscState()
 	var window int

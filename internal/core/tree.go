@@ -49,10 +49,10 @@ func TreeBroadcast(g *graph.Graph, root graph.NodeID, cfg sim.Config) (TreeBroad
 	}
 	for v := 0; v < g.N(); v++ {
 		for idx, he := range g.Neighbors(v) {
-			if he.To != root && parentEdge[he.To] >= 0 {
-				// v is he.To's parent iff he.To's parent edge leads to v.
-				pe := g.Neighbors(he.To)[parentEdge[he.To]]
-				if pe.To == v {
+			if to := int(he.To); to != root && parentEdge[to] >= 0 {
+				// v is to's parent iff to's parent edge leads to v.
+				pe := g.Neighbors(to)[parentEdge[to]]
+				if int(pe.To) == v {
 					out[v] = append(out[v], idx)
 				}
 			}
@@ -131,7 +131,7 @@ func shortestPathTree(g *graph.Graph, root graph.NodeID) ([]int, int, error) {
 			depth = dist[v]
 		}
 		for idx, he := range g.Neighbors(v) {
-			if dist[he.To]+he.Latency == dist[v] {
+			if dist[he.To]+int(he.Lat) == dist[v] {
 				parentEdge[v] = idx
 				break
 			}

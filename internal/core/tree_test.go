@@ -50,8 +50,9 @@ func TestTreeBroadcastValidation(t *testing.T) {
 	if _, err := TreeBroadcast(graph.Clique(4, 1), 9, sim.Config{}); err == nil {
 		t.Error("out-of-range root should fail")
 	}
-	disconnected := graph.New(3)
-	disconnected.MustAddEdge(0, 1, 1)
+	disconnectedb := graph.New(3)
+	disconnectedb.MustAddEdge(0, 1, 1)
+	disconnected := disconnectedb.Build()
 	if _, err := TreeBroadcast(disconnected, 0, sim.Config{}); err == nil {
 		t.Error("disconnected graph should fail")
 	}
@@ -67,7 +68,7 @@ func TestShortestPathTreeProperties(t *testing.T) {
 	for v := 1; v < g.N(); v++ {
 		pe := g.Neighbors(v)[parentEdge[v]]
 		// Parent relation realizes the shortest-path recurrence.
-		if dist[pe.To]+pe.Latency != dist[v] {
+		if dist[pe.To]+int(pe.Lat) != dist[v] {
 			t.Errorf("node %d parent edge not on a shortest path", v)
 		}
 	}

@@ -81,18 +81,19 @@ func withBackbone(g *graph.Graph) *graph.Graph {
 			if !seen[he.To] {
 				seen[he.To] = true
 				tree[he.ID] = true
-				queue = append(queue, he.To)
+				queue = append(queue, int(he.To))
 			}
 		}
 	}
-	out := graph.New(g.N())
+	outb := graph.New(g.N())
 	for id, e := range g.Edges() {
 		lat := e.Latency
 		if tree[id] {
 			lat = 1
 		}
-		out.MustAddEdge(e.U, e.V, lat)
+		outb.MustAddEdge(e.U, e.V, lat)
 	}
+	out := outb.Build()
 	return out
 }
 

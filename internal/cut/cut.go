@@ -64,8 +64,8 @@ func PhiCut(g *graph.Graph, set []graph.NodeID, ell int) (float64, error) {
 		return 0, fmt.Errorf("cut: side sizes %d/%d invalid", len(set), n-len(set))
 	}
 	cutEdges := 0
-	for _, e := range g.Edges() {
-		if e.Latency <= ell && in[e.U] != in[e.V] {
+	for id := 0; id < g.M(); id++ {
+		if e := g.Edge(id); e.Latency <= ell && in[e.U] != in[e.V] {
 			cutEdges++
 		}
 	}

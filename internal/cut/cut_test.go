@@ -166,7 +166,7 @@ func TestWeightedConductanceUnitGraphIsClassical(t *testing.T) {
 }
 
 func TestWeightedConductanceNoEdges(t *testing.T) {
-	if _, err := WeightedConductance(graph.New(3), 1); err == nil {
+	if _, err := WeightedConductance(graph.New(3).Build(), 1); err == nil {
 		t.Error("edgeless graph should fail")
 	}
 }

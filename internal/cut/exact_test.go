@@ -42,9 +42,10 @@ func checkExactLadder(t *testing.T, g *graph.Graph) {
 // more than one enumeration block, and isolated nodes (node 0 among them),
 // whose cuts can have a zero-volume side.
 func TestExactLadderMatchesReference(t *testing.T) {
-	isolated := graph.New(5)
-	isolated.MustAddEdge(1, 2, 2)
-	isolated.MustAddEdge(2, 3, 1)
+	isolatedb := graph.New(5)
+	isolatedb.MustAddEdge(1, 2, 2)
+	isolatedb.MustAddEdge(2, 3, 1)
+	isolated := isolatedb.Build()
 	for _, tc := range []equivCase{
 		{"clique-12", graph.Clique(12, 1)},
 		{"dumbbell-10", graph.Dumbbell(10, 6)},
@@ -66,17 +67,17 @@ func TestExactLadderMatchesReference(t *testing.T) {
 // v = 10 it is the last mask of block 0, so a walk that stops one step short
 // misses it.
 func pendantPair(n, v int) *graph.Graph {
-	g := graph.New(n)
-	g.MustAddEdge(0, v, 1)
-	g.MustAddEdge(0, 1, 2)
+	gb := graph.New(n)
+	gb.MustAddEdge(0, v, 1)
+	gb.MustAddEdge(0, 1, 2)
 	for a := 1; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			if a != v && b != v {
-				g.MustAddEdge(a, b, 1)
+				gb.MustAddEdge(a, b, 1)
 			}
 		}
 	}
-	return g
+	return gb.Build()
 }
 
 // FuzzExactLadder decodes bytes into a graph of at most 14 nodes with
@@ -90,16 +91,18 @@ func FuzzExactLadder(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		g := graph.New(2 + int(data[0])%13)
+		n := 2 + int(data[0])%13
+		gb := graph.New(n)
 		data = data[1:]
-		for u := 0; u < g.N() && len(data) > 0; u++ {
-			for v := u + 1; v < g.N() && len(data) > 0; v++ {
+		for u := 0; u < n && len(data) > 0; u++ {
+			for v := u + 1; v < n && len(data) > 0; v++ {
 				if b := data[0]; b&1 == 1 {
-					g.MustAddEdge(u, v, 1+int(b>>1)%4)
+					gb.MustAddEdge(u, v, 1+int(b>>1)%4)
 				}
 				data = data[1:]
 			}
 		}
+		g := gb.Build()
 		if g.M() > 0 {
 			checkExactLadder(t, g)
 		}
@@ -109,7 +112,7 @@ func FuzzExactLadder(f *testing.F) {
 // TestPhiExactCutEdgeless: with no edges no cut has volume on both sides,
 // so φ is +Inf and the certificate names no node, as in the frozen loop.
 func TestPhiExactCutEdgeless(t *testing.T) {
-	g := graph.New(3)
+	g := graph.New(3).Build()
 	got, err := PhiExactCut(g, 1)
 	if err != nil {
 		t.Fatalf("PhiExactCut: %v", err)

@@ -187,7 +187,7 @@ func refBestSweepCut(g *graph.Graph, order []graph.NodeID, ell int) ([]graph.Nod
 		u := order[i]
 		volU += g.Degree(u)
 		for _, he := range g.Neighbors(u) {
-			if he.Latency > ell {
+			if int(he.Lat) > ell {
 				continue
 			}
 			if pos[he.To] > i {
@@ -219,7 +219,7 @@ func refSpectralOrder(g *graph.Graph, ell int, seed uint64) []graph.NodeID {
 	total := 0.0
 	for u := 0; u < n; u++ {
 		for _, he := range g.Neighbors(u) {
-			if he.Latency <= ell {
+			if int(he.Lat) <= ell {
 				deg[u]++
 			}
 		}
@@ -251,7 +251,7 @@ func refSpectralOrder(g *graph.Graph, ell int, seed uint64) []graph.NodeID {
 			sum := 0.0
 			cnt := 0.0
 			for _, he := range g.Neighbors(u) {
-				if he.Latency <= ell {
+				if int(he.Lat) <= ell {
 					sum += x[he.To]
 					cnt++
 				}
@@ -319,7 +319,7 @@ func refRefine(g *graph.Graph, cert Certificate, maxPasses int) Certificate {
 			}
 			dCut := 0
 			for _, he := range g.Neighbors(v) {
-				if he.Latency > cert.Ell {
+				if int(he.Lat) > cert.Ell {
 					continue
 				}
 				if in[he.To] == in[v] {

@@ -34,19 +34,16 @@ type CSR struct {
 // BuildCSR constructs the latency-sorted CSR view of g.
 func BuildCSR(g *Graph) *CSR {
 	n := g.N()
-	c := &CSR{n: n, volAll: 2 * g.M(), lats: g.Latencies()}
-	c.rowStart = make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		c.rowStart[u+1] = c.rowStart[u] + int32(g.Degree(u))
-	}
+	// The rows have g's bounds, so they share its immutable row index.
+	c := &CSR{n: n, volAll: 2 * g.M(), lats: g.Latencies(), rowStart: g.rowStart}
 	m2 := int(c.rowStart[n])
 	c.to = make([]int32, m2)
 	c.lat = make([]int32, m2)
 	for u := 0; u < n; u++ {
 		i := c.rowStart[u]
-		for _, he := range g.Neighbors(u) {
-			c.to[i] = int32(he.To)
-			c.lat[i] = int32(he.Latency)
+		for _, e := range g.Neighbors(u) {
+			c.to[i] = e.To
+			c.lat[i] = e.Lat
 			i++
 		}
 		// Rows have no parallel edges, so (lat, to) keys are distinct and any
@@ -62,23 +59,24 @@ func BuildCSR(g *Graph) *CSR {
 	}
 	// Counting sort of the edge list by latency class: stable, so ties keep
 	// original edge-id order, matching a stable comparison sort.
-	edges := g.Edges()
-	latIdx := make([]int32, len(edges))
+	m := g.M()
+	latIdx := make([]int32, m)
 	count := make([]int32, len(c.lats)+1)
-	for i, e := range edges {
-		k := int32(sort.SearchInts(c.lats, e.Latency))
-		latIdx[i] = k
+	for id := range latIdx {
+		k := int32(sort.SearchInts(c.lats, g.Edge(id).Latency))
+		latIdx[id] = k
 		count[k+1]++
 	}
 	for k := 1; k < len(count); k++ {
 		count[k] += count[k-1]
 	}
-	c.edgeU = make([]int32, len(edges))
-	c.edgeV = make([]int32, len(edges))
-	c.edgeLat = make([]int32, len(edges))
-	for i, e := range edges {
-		p := count[latIdx[i]]
-		count[latIdx[i]]++
+	c.edgeU = make([]int32, m)
+	c.edgeV = make([]int32, m)
+	c.edgeLat = make([]int32, m)
+	for id, k := range latIdx {
+		e := g.Edge(id)
+		p := count[k]
+		count[k]++
 		c.edgeU[p] = int32(e.U)
 		c.edgeV[p] = int32(e.V)
 		c.edgeLat[p] = int32(e.Latency)

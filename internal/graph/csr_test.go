@@ -52,9 +52,9 @@ func TestCSRPrefixMatchesFilteredNeighbors(t *testing.T) {
 			c.AdvanceEnds(ends, ell)
 			for u := 0; u < g.N(); u++ {
 				var want []int32
-				for _, he := range g.Neighbors(u) {
-					if he.Latency <= ell {
-						want = append(want, int32(he.To))
+				for _, e := range g.Neighbors(u) {
+					if int(e.Lat) <= ell {
+						want = append(want, e.To)
 					}
 				}
 				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })

@@ -54,31 +54,32 @@ func newGadget(m int, target []Pair, sym bool, slow, fast int) (*Gadget, error) 
 		}
 		isFast[p] = true
 	}
-	g := New(2 * m)
+	// Every pair below is added once, so the adds are unchecked.
+	b := New(2 * m)
 	// Clique on L (latency 1).
 	for u := 0; u < m; u++ {
 		for v := u + 1; v < m; v++ {
-			g.MustAddEdge(u, v, 1)
+			b.add(u, v, 1)
 		}
 	}
 	if sym {
 		for u := 0; u < m; u++ {
 			for v := u + 1; v < m; v++ {
-				g.MustAddEdge(m+u, m+v, 1)
+				b.add(m+u, m+v, 1)
 			}
 		}
 	}
 	// Complete bipartite cross edges.
 	for a := 0; a < m; a++ {
-		for b := 0; b < m; b++ {
+		for j := 0; j < m; j++ {
 			lat := slow
-			if isFast[Pair{A: a, B: b}] {
+			if isFast[Pair{A: a, B: j}] {
 				lat = fast
 			}
-			g.MustAddEdge(a, m+b, lat)
+			b.add(a, m+j, lat)
 		}
 	}
-	return &Gadget{G: g, M: m, Target: append([]Pair(nil), target...), Sym: sym, Slow: slow}, nil
+	return &Gadget{G: b.Build(), M: m, Target: append([]Pair(nil), target...), Sym: sym, Slow: slow}, nil
 }
 
 // SingletonTarget returns a single uniformly random pair from A×B — the
@@ -125,20 +126,22 @@ func NewTheoremSixNetwork(n, delta int, seed uint64) (*TheoremSixNetwork, error)
 	if err != nil {
 		return nil, err
 	}
-	g := New(n)
-	for _, e := range gd.G.Edges() {
-		g.MustAddEdge(e.U, e.V, e.Latency)
+	b := New(n)
+	for id := 0; id < gd.G.M(); id++ {
+		e := gd.G.Edge(id)
+		b.add(e.U, e.V, e.Latency)
 	}
 	// Clique on the remaining n-2Δ vertices.
 	for u := 2 * delta; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v, 1)
+			b.add(u, v, 1)
 		}
 	}
 	// Attach the clique (if any) to a single gadget vertex.
 	if n > 2*delta {
-		g.MustAddEdge(2*delta, 0, 1)
+		b.add(2*delta, 0, 1)
 	}
+	g := b.Build()
 	return &TheoremSixNetwork{Gadget: &Gadget{G: g, M: gd.M, Target: gd.Target, Sym: true, Slow: n}, G: g, Delta: delta}, nil
 }
 
@@ -216,7 +219,7 @@ func NewRingNetwork(n int, alpha float64, ell int, seed uint64) (*RingNetwork, e
 	if k < 3 {
 		k = 3
 	}
-	g := New(k * s)
+	b := New(k * s)
 	layers := make([][]NodeID, k)
 	for i := 0; i < k; i++ {
 		layers[i] = make([]NodeID, s)
@@ -225,8 +228,8 @@ func NewRingNetwork(n int, alpha float64, ell int, seed uint64) (*RingNetwork, e
 		}
 		// Latency-1 clique inside the layer.
 		for a := 0; a < s; a++ {
-			for b := a + 1; b < s; b++ {
-				g.MustAddEdge(layers[i][a], layers[i][b], 1)
+			for c := a + 1; c < s; c++ {
+				b.add(layers[i][a], layers[i][c], 1)
 			}
 		}
 	}
@@ -236,17 +239,17 @@ func NewRingNetwork(n int, alpha float64, ell int, seed uint64) (*RingNetwork, e
 		next := (i + 1) % k
 		fa, fb := r.Intn(s), r.Intn(s)
 		for a := 0; a < s; a++ {
-			for b := 0; b < s; b++ {
+			for c := 0; c < s; c++ {
 				lat := ell
-				if a == fa && b == fb {
+				if a == fa && c == fb {
 					lat = 1
 				}
-				g.MustAddEdge(layers[i][a], layers[next][b], lat)
+				b.add(layers[i][a], layers[next][c], lat)
 			}
 		}
 		fast = append(fast, Edge{U: layers[i][fa], V: layers[next][fb], Latency: 1})
 	}
-	return &RingNetwork{G: g, Layers: layers, K: k, S: s, Alpha: alpha, Ell: ell, Fast: fast, C: c}, nil
+	return &RingNetwork{G: b.Build(), Layers: layers, K: k, S: s, Alpha: alpha, Ell: ell, Fast: fast, C: c}, nil
 }
 
 // HalfCut returns the cut C of Lemma 9: the ring split into two contiguous

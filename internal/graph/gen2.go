@@ -14,15 +14,15 @@ func Torus(rows, cols, latency int) *Graph {
 	if rows < 3 || cols < 3 {
 		panic(fmt.Sprintf("graph: Torus needs rows, cols >= 3 (got %d,%d)", rows, cols))
 	}
-	g := New(rows * cols)
+	b := New(rows * cols)
 	id := func(r, c int) NodeID { return ((r+rows)%rows)*cols + (c+cols)%cols }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			g.MustAddEdge(id(r, c), id(r, c+1), latency)
-			g.MustAddEdge(id(r, c), id(r+1, c), latency)
+			b.MustAddEdge(id(r, c), id(r, c+1), latency)
+			b.MustAddEdge(id(r, c), id(r+1, c), latency)
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // Hypercube returns the dim-dimensional hypercube on 2^dim nodes, uniform
@@ -32,26 +32,26 @@ func Hypercube(dim, latency int) *Graph {
 		panic(fmt.Sprintf("graph: Hypercube dimension %d out of [1,20]", dim))
 	}
 	n := 1 << uint(dim)
-	g := New(n)
+	b := New(n)
 	for u := 0; u < n; u++ {
-		for b := 0; b < dim; b++ {
-			v := u ^ (1 << uint(b))
+		for bit := 0; bit < dim; bit++ {
+			v := u ^ (1 << uint(bit))
 			if u < v {
-				g.MustAddEdge(u, v, latency)
+				b.MustAddEdge(u, v, latency)
 			}
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // CompleteBinaryTree returns the complete binary tree on n nodes (heap
 // layout: children of i are 2i+1 and 2i+2), uniform latency.
 func CompleteBinaryTree(n, latency int) *Graph {
-	g := New(n)
+	b := New(n)
 	for v := 1; v < n; v++ {
-		g.MustAddEdge((v-1)/2, v, latency)
+		b.MustAddEdge((v-1)/2, v, latency)
 	}
-	return g
+	return b.Build()
 }
 
 // RandomRegular returns a connected random d-regular-ish multigraph-free
@@ -63,7 +63,7 @@ func RandomRegular(n, d int, latency int, seed uint64) *Graph {
 		panic(fmt.Sprintf("graph: RandomRegular needs 2 <= d < n (got d=%d, n=%d)", d, n))
 	}
 	r := rng.Stream(seed, 0x7272) // "rr"
-	g := New(n)
+	b := New(n)
 	// Pairing model: n·d half-edge stubs shuffled and paired; invalid pairs
 	// (loops, duplicates) are skipped — degrees may fall one short.
 	stubs := make([]NodeID, 0, n*d)
@@ -75,18 +75,15 @@ func RandomRegular(n, d int, latency int, seed uint64) *Graph {
 	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	for i := 0; i+1 < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
-		if u == v || g.HasEdge(u, v) || g.Degree(u) > d || g.Degree(v) > d {
+		if u == v || b.HasEdge(u, v) || b.Degree(u) > d || b.Degree(v) > d {
 			continue
 		}
-		g.MustAddEdge(u, v, latency)
+		b.MustAddEdge(u, v, latency)
 	}
-	// Guarantee connectivity.
-	for v := 1; v < n; v++ {
-		if g.HopDistances(0)[v] == Inf && !g.HasEdge(v-1, v) {
-			g.MustAddEdge(v-1, v, latency)
-		}
-	}
-	return g
+	// Guarantee connectivity: join each component's smallest node v to v-1,
+	// which node 0's component or an earlier join has connected to 0.
+	b.stitch(latency, func(v NodeID) NodeID { return v - 1 })
+	return b.Build()
 }
 
 // Caterpillar returns a path of length spine where every spine node carries
@@ -96,16 +93,16 @@ func Caterpillar(spine, legs, latency int) *Graph {
 	if spine < 1 || legs < 0 {
 		panic(fmt.Sprintf("graph: Caterpillar needs spine >= 1, legs >= 0 (got %d,%d)", spine, legs))
 	}
-	g := New(spine * (1 + legs))
+	b := New(spine * (1 + legs))
 	for v := 1; v < spine; v++ {
-		g.MustAddEdge(v-1, v, latency)
+		b.MustAddEdge(v-1, v, latency)
 	}
 	for s := 0; s < spine; s++ {
 		for l := 0; l < legs; l++ {
-			g.MustAddEdge(s, spine+s*legs+l, latency)
+			b.MustAddEdge(s, spine+s*legs+l, latency)
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // ChungLu returns a power-law random graph: node v gets expected degree
@@ -119,22 +116,20 @@ func ChungLu(n int, beta, avgDeg float64, latency int, seed uint64) *Graph {
 		panic(fmt.Sprintf("graph: ChungLu needs n>=2, β>2, avgDeg>0 (got %d, %g, %g)", n, beta, avgDeg))
 	}
 	w, total := chungLuWeights(n, beta, avgDeg)
-	g := New(n)
+	// Expected edges, plus a little for the variance and the backbone.
+	b := newBuilder(n, int(total/2)+int(math.Sqrt(total))+n/16)
 	r := rng.NewSplitMix(seed, 0x636c) // "cl"
-	chungLuPairs(w, total, &r, func(u, v int) { g.addFresh(u, v, latency) })
+	chungLuPairs(w, total, &r, func(u, v int) { b.add(u, v, latency) })
 	for v := 1; v < n; v++ {
 		// An isolated v has no edge to v-1 yet.
-		if g.Degree(v) == 0 {
-			g.addFresh(v-1, v, latency)
+		if b.Degree(v) == 0 {
+			b.add(v-1, v, latency)
 		}
 	}
 	// Final connectivity stitch across remaining components, which share
 	// no edge.
-	comps := g.Components()
-	for i := 1; i < len(comps); i++ {
-		g.addFresh(comps[0][0], comps[i][0], latency)
-	}
-	return g
+	b.stitch(latency, func(NodeID) NodeID { return 0 })
+	return b.Build()
 }
 
 // chungLuWeights returns ChungLu's expected degrees, decreasing in v, and
@@ -200,33 +195,29 @@ func RingChords(n, chords, latMax int, seed uint64) *Graph {
 		panic(fmt.Sprintf("graph: RingChords needs n>=3, chords>=0, latMax>=1 (got %d, %d, %d)", n, chords, latMax))
 	}
 	r := rng.Stream(seed, 0x7263) // "rc"
-	g := New(n)
-	g.edges = make([]Edge, 0, n+n*chords/2)
+	b := newBuilder(n, n+n*chords/2)
 	for v := 0; v < n; v++ {
-		g.adj[v] = make([]HalfEdge, 0, 2+chords)
-	}
-	for v := 0; v < n; v++ {
-		g.MustAddEdge(v, (v+1)%n, 1)
+		b.add(v, (v+1)%n, 1)
 	}
 	// Sample chord endpoints independently; collisions with existing edges
 	// are skipped, not retried — on sparse graphs the loss is negligible and
 	// the bound on attempts keeps the construction strictly linear.
 	for i := 0; i < n*chords/2; i++ {
 		u, v := r.Intn(n), r.Intn(n)
-		if u == v || g.HasEdge(u, v) {
+		if u == v || b.HasEdge(u, v) {
 			continue
 		}
-		g.MustAddEdge(u, v, 1+r.Intn(latMax))
+		b.add(u, v, 1+r.Intn(latMax))
 	}
-	return g
+	return b.Build()
 }
 
 // Components returns the connected components as slices of node IDs, in
 // increasing order of their smallest member.
 func (g *Graph) Components() [][]NodeID {
-	seen := make([]bool, g.n)
+	seen := make([]bool, g.N())
 	var comps [][]NodeID
-	for start := 0; start < g.n; start++ {
+	for start := 0; start < g.N(); start++ {
 		if seen[start] {
 			continue
 		}
@@ -237,43 +228,14 @@ func (g *Graph) Components() [][]NodeID {
 			u := queue[0]
 			queue = queue[1:]
 			comp = append(comp, u)
-			for _, he := range g.adj[u] {
-				if !seen[he.To] {
-					seen[he.To] = true
-					queue = append(queue, he.To)
+			for _, e := range g.Neighbors(u) {
+				if !seen[e.To] {
+					seen[e.To] = true
+					queue = append(queue, int(e.To))
 				}
 			}
 		}
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int, 8)
-	for u := 0; u < g.n; u++ {
-		h[len(g.adj[u])]++
-	}
-	return h
-}
-
-// InducedSubgraph returns the subgraph induced by the given node set,
-// along with the mapping from new IDs (0..len(set)-1) to original IDs.
-func (g *Graph) InducedSubgraph(set []NodeID) (*Graph, []NodeID) {
-	idx := make(map[NodeID]int, len(set))
-	orig := make([]NodeID, len(set))
-	for i, u := range set {
-		idx[u] = i
-		orig[i] = u
-	}
-	sub := New(len(set))
-	for _, e := range g.edges {
-		iu, okU := idx[e.U]
-		iv, okV := idx[e.V]
-		if okU && okV {
-			sub.MustAddEdge(iu, iv, e.Latency)
-		}
-	}
-	return sub, orig
 }

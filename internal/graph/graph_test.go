@@ -1,42 +1,54 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// TestAddEdgeValidation: the builder's checked add rejects self loops,
+// duplicates in either orientation, out-of-range endpoints and latencies
+// outside [1, MaxInt32], with the errors graphio surfaces.
 func TestAddEdgeValidation(t *testing.T) {
-	g := New(3)
+	b := New(3)
 	tests := []struct {
 		name    string
 		u, v    NodeID
 		lat     int
-		wantErr bool
+		wantErr string
 	}{
 		{name: "ok", u: 0, v: 1, lat: 1},
-		{name: "self loop", u: 2, v: 2, lat: 1, wantErr: true},
-		{name: "duplicate", u: 0, v: 1, lat: 2, wantErr: true},
-		{name: "duplicate reversed", u: 1, v: 0, lat: 2, wantErr: true},
-		{name: "out of range", u: 0, v: 3, lat: 1, wantErr: true},
-		{name: "negative node", u: -1, v: 1, lat: 1, wantErr: true},
-		{name: "zero latency", u: 1, v: 2, lat: 0, wantErr: true},
+		{name: "self loop", u: 2, v: 2, lat: 1, wantErr: "graph: self loop at 2"},
+		{name: "duplicate", u: 0, v: 1, lat: 2, wantErr: "graph: duplicate edge (0,1)"},
+		{name: "duplicate reversed", u: 1, v: 0, lat: 2, wantErr: "graph: duplicate edge (1,0)"},
+		{name: "out of range", u: 0, v: 3, lat: 1, wantErr: "graph: edge (0,3) out of range [0,3)"},
+		{name: "negative node", u: -1, v: 1, lat: 1, wantErr: "graph: edge (-1,1) out of range [0,3)"},
+		{name: "zero latency", u: 1, v: 2, lat: 0, wantErr: "graph: latency 0 < 1 on edge (1,2)"},
+		{name: "latency too wide", u: 1, v: 2, lat: 1 << 32, wantErr: "graph: latency 4294967296 > 2147483647 on edge (1,2)"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := g.AddEdge(tt.u, tt.v, tt.lat)
-			if (err != nil) != tt.wantErr {
-				t.Errorf("AddEdge(%d,%d,%d) err = %v, wantErr = %v", tt.u, tt.v, tt.lat, err, tt.wantErr)
+			_, err := b.AddEdge(tt.u, tt.v, tt.lat)
+			if got := fmt.Sprint(err); err == nil && tt.wantErr != "" || err != nil && got != tt.wantErr {
+				t.Errorf("AddEdge(%d,%d,%d) err = %v, want %q", tt.u, tt.v, tt.lat, err, tt.wantErr)
 			}
 		})
+	}
+	if !b.HasEdge(1, 0) || b.HasEdge(1, 1) || b.HasEdge(1, 2) {
+		t.Error("HasEdge disagrees with the one accepted edge")
+	}
+	if g := b.Build(); g.M() != 1 || g.MaxLatency() != 1 {
+		t.Errorf("built %v, want the one accepted edge", g)
 	}
 }
 
 func TestAccessors(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 5)
-	g.MustAddEdge(1, 2, 3)
-	g.MustAddEdge(2, 3, 7)
+	b := New(4)
+	b.MustAddEdge(0, 1, 5)
+	b.MustAddEdge(1, 2, 3)
+	b.MustAddEdge(2, 3, 7)
+	g := b.Build()
 	if g.N() != 4 || g.M() != 3 {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}
@@ -66,10 +78,11 @@ func TestAccessors(t *testing.T) {
 func TestDistancesAndDiameter(t *testing.T) {
 	// Triangle with a shortcut: 0-1 (lat 10), 0-2 (lat 1), 2-1 (lat 2):
 	// dist(0,1) should be 3 via node 2.
-	g := New(3)
-	g.MustAddEdge(0, 1, 10)
-	g.MustAddEdge(0, 2, 1)
-	g.MustAddEdge(2, 1, 2)
+	b := New(3)
+	b.MustAddEdge(0, 1, 10)
+	b.MustAddEdge(0, 2, 1)
+	b.MustAddEdge(2, 1, 2)
+	g := b.Build()
 	d := g.Distances(0)
 	if d[1] != 3 || d[2] != 1 {
 		t.Errorf("Distances(0) = %v", d)
@@ -83,9 +96,10 @@ func TestDistancesAndDiameter(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(2, 3, 1)
+	b := New(4)
+	b.MustAddEdge(0, 1, 1)
+	b.MustAddEdge(2, 3, 1)
+	g := b.Build()
 	if g.Connected() {
 		t.Error("disconnected graph reported connected")
 	}
@@ -95,24 +109,16 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestSubgraph(t *testing.T) {
-	g := New(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 5)
+	b := New(3)
+	b.MustAddEdge(0, 1, 1)
+	b.MustAddEdge(1, 2, 5)
+	g := b.Build()
 	sub := g.Subgraph(2)
 	if sub.M() != 1 || !sub.HasEdge(0, 1) || sub.HasEdge(1, 2) {
 		t.Errorf("Subgraph(2) wrong: m=%d", sub.M())
 	}
 	if sub.N() != 3 {
 		t.Errorf("Subgraph node count = %d", sub.N())
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := Path(4, 2)
-	cp := g.Clone()
-	cp.MustAddEdge(0, 3, 1)
-	if g.HasEdge(0, 3) {
-		t.Error("clone mutation leaked into original")
 	}
 }
 
@@ -216,9 +222,9 @@ func TestRandomLatenciesPinned(t *testing.T) {
 			t.Errorf("%s: hash=%#x, want %#x", tc.name, h, tc.hash)
 		}
 		for u := 0; u < tc.g.N(); u++ {
-			for _, he := range tc.g.Neighbors(u) {
-				if he.Latency != tc.g.Edges()[he.ID].Latency {
-					t.Fatalf("%s: half-edge %d→%d has latency %d, edge %d has %d", tc.name, u, he.To, he.Latency, he.ID, tc.g.Edges()[he.ID].Latency)
+			for _, e := range tc.g.Neighbors(u) {
+				if want := tc.g.Edge(int(e.ID)).Latency; int(e.Lat) != want {
+					t.Fatalf("%s: half-edge %d→%d has latency %d, edge %d has %d", tc.name, u, e.To, e.Lat, e.ID, want)
 				}
 			}
 		}

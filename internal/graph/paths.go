@@ -10,19 +10,19 @@ const Inf = math.MaxInt64 / 4
 
 // HopDistances returns BFS hop distances from src (Inf if unreachable).
 func (g *Graph) HopDistances(src NodeID) []int {
-	dist := make([]int, g.n)
+	dist := make([]int, g.N())
 	for i := range dist {
 		dist[i] = Inf
 	}
 	dist[src] = 0
-	queue := make([]NodeID, 0, g.n)
+	queue := make([]NodeID, 0, g.N())
 	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, he := range g.adj[u] {
-			if dist[he.To] == Inf {
-				dist[he.To] = dist[u] + 1
-				queue = append(queue, he.To)
+		for _, e := range g.Neighbors(u) {
+			if dist[e.To] == Inf {
+				dist[e.To] = dist[u] + 1
+				queue = append(queue, int(e.To))
 			}
 		}
 	}
@@ -52,7 +52,7 @@ func (h *distHeap) Pop() interface{} {
 // Distances returns Dijkstra latency-weighted distances from src
 // (Inf if unreachable).
 func (g *Graph) Distances(src NodeID) []int {
-	dist := make([]int, g.n)
+	dist := make([]int, g.N())
 	var h distHeap
 	g.distancesInto(src, dist, &h)
 	return dist
@@ -72,11 +72,11 @@ func (g *Graph) distancesInto(src NodeID, dist []int, h *distHeap) {
 		if it.dist > dist[it.node] {
 			continue
 		}
-		for _, he := range g.adj[it.node] {
-			nd := it.dist + he.Latency
-			if nd < dist[he.To] {
-				dist[he.To] = nd
-				heap.Push(h, distItem{node: he.To, dist: nd})
+		for _, e := range g.Neighbors(it.node) {
+			nd := it.dist + int(e.Lat)
+			if nd < dist[e.To] {
+				dist[e.To] = nd
+				heap.Push(h, distItem{node: int(e.To), dist: nd})
 			}
 		}
 	}
@@ -92,14 +92,14 @@ func (g *Graph) DistancesWithin(src NodeID, limit int) map[NodeID]int {
 		if d, ok := dist[it.node]; ok && it.dist > d {
 			continue
 		}
-		for _, he := range g.adj[it.node] {
-			nd := it.dist + he.Latency
+		for _, e := range g.Neighbors(it.node) {
+			to, nd := int(e.To), it.dist+int(e.Lat)
 			if nd > limit {
 				continue
 			}
-			if d, ok := dist[he.To]; !ok || nd < d {
-				dist[he.To] = nd
-				heap.Push(h, distItem{node: he.To, dist: nd})
+			if d, ok := dist[to]; !ok || nd < d {
+				dist[to] = nd
+				heap.Push(h, distItem{node: to, dist: nd})
 			}
 		}
 	}
@@ -108,7 +108,7 @@ func (g *Graph) DistancesWithin(src NodeID, limit int) map[NodeID]int {
 
 // Connected reports whether the graph is connected (true for n <= 1).
 func (g *Graph) Connected() bool {
-	if g.n <= 1 {
+	if g.N() <= 1 {
 		return true
 	}
 	dist := g.HopDistances(0)
@@ -120,26 +120,14 @@ func (g *Graph) Connected() bool {
 	return true
 }
 
-// Eccentricity returns the maximum latency-weighted distance from src, or Inf
-// if some node is unreachable.
-func (g *Graph) Eccentricity(src NodeID) int {
-	ecc := 0
-	for _, d := range g.Distances(src) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
 // WeightedDiameter returns D, the maximum latency-weighted distance between
 // any pair of nodes (Inf if disconnected). O(n · m log n). The dist and heap
 // buffers are shared across the n Dijkstra sweeps.
 func (g *Graph) WeightedDiameter() int {
 	d := 0
-	dist := make([]int, g.n)
+	dist := make([]int, g.N())
 	var h distHeap
-	for u := 0; u < g.n; u++ {
+	for u := 0; u < g.N(); u++ {
 		g.distancesInto(u, dist, &h)
 		for _, e := range dist {
 			if e > d {
@@ -153,7 +141,7 @@ func (g *Graph) WeightedDiameter() int {
 // HopDiameter returns the maximum BFS hop distance between any pair of nodes.
 func (g *Graph) HopDiameter() int {
 	d := 0
-	for u := 0; u < g.n; u++ {
+	for u := 0; u < g.N(); u++ {
 		for _, h := range g.HopDistances(u) {
 			if h > d {
 				d = h
@@ -168,7 +156,7 @@ func (g *Graph) HopDiameter() int {
 // cheap enough for large graphs. The true diameter is in
 // [result, 2*result].
 func (g *Graph) WeightedDiameterApprox() int {
-	if g.n == 0 {
+	if g.N() == 0 {
 		return 0
 	}
 	d0 := g.Distances(0)

@@ -15,6 +15,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("1 0\n")
 	f.Add("2 1\n0 1 -3\n")
 	f.Add("999999999999999999999 1\n0 1 1\n")
+	f.Add("2 1\n0 1 4294967297\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadEdgeList(strings.NewReader(in))
 		if err != nil {
@@ -41,6 +42,7 @@ func FuzzDecodeJSON(f *testing.F) {
 	f.Add(`{`)
 	f.Add(`{"n":-5}`)
 	f.Add(`{"n":2,"edges":[{"u":0,"v":0,"latency":1}]}`)
+	f.Add(`{"n":2,"edges":[{"u":0,"v":1,"latency":4294967297}]}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := DecodeJSON(strings.NewReader(in))
 		if err != nil {

@@ -18,6 +18,12 @@ import (
 // malformed header cannot trigger an enormous allocation (found by fuzzing).
 const MaxNodes = 1 << 22
 
+// MaxLatency bounds an edge latency accepted from untrusted input. The round
+// simulator keeps a calendar of ℓmax+2 rounds, so an enormous latency would
+// be an enormous allocation; 2^20 is far above any latency the generators
+// give a graph the tools can run.
+const MaxLatency = 1 << 20
+
 // JSONGraph is the on-disk JSON shape.
 type JSONGraph struct {
 	N     int        `json:"n"`
@@ -63,13 +69,22 @@ func build(n int, edges []JSONEdge) (*graph.Graph, error) {
 	if n > MaxNodes {
 		return nil, fmt.Errorf("graphio: node count %d exceeds limit %d", n, MaxNodes)
 	}
-	g := graph.New(n)
+	b := graph.New(n)
 	for i, e := range edges {
-		if _, err := g.AddEdge(e.U, e.V, e.Latency); err != nil {
+		if err := addEdge(b, e.U, e.V, e.Latency); err != nil {
 			return nil, fmt.Errorf("graphio: edge %d: %w", i, err)
 		}
 	}
-	return g, nil
+	return b.Build(), nil
+}
+
+// addEdge is b.AddEdge with the latency bound for untrusted input.
+func addEdge(b *graph.Builder, u, v, latency int) error {
+	if latency > MaxLatency {
+		return fmt.Errorf("latency %d exceeds limit %d", latency, MaxLatency)
+	}
+	_, err := b.AddEdge(u, v, latency)
+	return err
 }
 
 // WriteEdgeList writes the text format:
@@ -94,7 +109,7 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	var (
-		g      *graph.Graph
+		b      *graph.Builder
 		wantM  int
 		gotM   int
 		lineNo int
@@ -105,7 +120,7 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if g == nil {
+		if b == nil {
 			var n int
 			if _, err := fmt.Sscanf(line, "%d %d", &n, &wantM); err != nil {
 				return nil, fmt.Errorf("graphio: line %d: header %q: %w", lineNo, line, err)
@@ -116,14 +131,14 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 			if n > MaxNodes {
 				return nil, fmt.Errorf("graphio: line %d: node count %d exceeds limit %d", lineNo, n, MaxNodes)
 			}
-			g = graph.New(n)
+			b = graph.New(n)
 			continue
 		}
 		var u, v, lat int
 		if _, err := fmt.Sscanf(line, "%d %d %d", &u, &v, &lat); err != nil {
 			return nil, fmt.Errorf("graphio: line %d: edge %q: %w", lineNo, line, err)
 		}
-		if _, err := g.AddEdge(u, v, lat); err != nil {
+		if err := addEdge(b, u, v, lat); err != nil {
 			return nil, fmt.Errorf("graphio: line %d: %w", lineNo, err)
 		}
 		gotM++
@@ -131,13 +146,13 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graphio: read: %w", err)
 	}
-	if g == nil {
+	if b == nil {
 		return nil, fmt.Errorf("graphio: empty input")
 	}
 	if gotM != wantM {
 		return nil, fmt.Errorf("graphio: header declares %d edges, found %d", wantM, gotM)
 	}
-	return g, nil
+	return b.Build(), nil
 }
 
 // WriteDOT renders the graph in Graphviz DOT with latency labels.

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,25 +73,32 @@ func TestEdgeListCommentsAndBlanks(t *testing.T) {
 	}
 }
 
+// TestReadEdgeListErrors: malformed input is rejected; where want is set,
+// the error is the builder's, wrapped with the line it came from, or the
+// latency limit.
 func TestReadEdgeListErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		in   string
+		want string
 	}{
 		{name: "empty", in: ""},
 		{name: "bad header", in: "x y\n"},
 		{name: "negative header", in: "-1 0\n"},
 		{name: "bad edge line", in: "2 1\n0 x 1\n"},
-		{name: "self loop", in: "2 1\n0 0 1\n"},
-		{name: "duplicate", in: "2 2\n0 1 1\n1 0 2\n"},
+		{name: "self loop", in: "2 1\n0 0 1\n", want: "graphio: line 2: graph: self loop at 0"},
+		{name: "duplicate", in: "2 2\n0 1 1\n1 0 2\n", want: "graphio: line 3: graph: duplicate edge (1,0)"},
 		{name: "count mismatch", in: "3 2\n0 1 1\n"},
-		{name: "out of range", in: "2 1\n0 5 1\n"},
-		{name: "zero latency", in: "2 1\n0 1 0\n"},
+		{name: "out of range", in: "2 1\n0 5 1\n", want: "graphio: line 2: graph: edge (0,5) out of range [0,2)"},
+		{name: "zero latency", in: "2 1\n0 1 0\n", want: "graphio: line 2: graph: latency 0 < 1 on edge (0,1)"},
+		{name: "latency over limit", in: fmt.Sprintf("2 1\n0 1 %d\n", MaxLatency+1), want: "graphio: line 2: latency 1048577 exceeds limit 1048576"},
+		{name: "latency wider than int32", in: "2 1\n0 1 4294967297\n", want: "graphio: line 2: latency 4294967297 exceeds limit 1048576"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadEdgeList(strings.NewReader(tt.in)); err == nil {
-				t.Errorf("input %q should fail", tt.in)
+			_, err := ReadEdgeList(strings.NewReader(tt.in))
+			if err == nil || tt.want != "" && err.Error() != tt.want {
+				t.Errorf("input %q: err = %v, want %q", tt.in, err, tt.want)
 			}
 		})
 	}
@@ -100,15 +108,19 @@ func TestDecodeJSONErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		in   string
+		want string
 	}{
 		{name: "garbage", in: "{"},
 		{name: "negative n", in: `{"n": -1, "edges": []}`},
-		{name: "bad edge", in: `{"n": 2, "edges": [{"u":0,"v":0,"latency":1}]}`},
+		{name: "bad edge", in: `{"n": 2, "edges": [{"u":0,"v":0,"latency":1}]}`, want: "graphio: edge 0: graph: self loop at 0"},
+		{name: "duplicate", in: `{"n": 2, "edges": [{"u":0,"v":1,"latency":1},{"u":1,"v":0,"latency":1}]}`, want: "graphio: edge 1: graph: duplicate edge (1,0)"},
+		{name: "latency wider than int32", in: `{"n": 2, "edges": [{"u":0,"v":1,"latency":4294967297}]}`, want: "graphio: edge 0: latency 4294967297 exceeds limit 1048576"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := DecodeJSON(strings.NewReader(tt.in)); err == nil {
-				t.Errorf("input %q should fail", tt.in)
+			_, err := DecodeJSON(strings.NewReader(tt.in))
+			if err == nil || tt.want != "" && err.Error() != tt.want {
+				t.Errorf("input %q: err = %v, want %q", tt.in, err, tt.want)
 			}
 		})
 	}
@@ -157,5 +169,24 @@ func TestHugeNodeCountRejected(t *testing.T) {
 	}
 	if _, err := DecodeJSON(strings.NewReader(`{"n": 9999999999, "edges": []}`)); err == nil {
 		t.Error("huge JSON node count accepted")
+	}
+}
+
+// TestMaxLatencyLoads: both loaders accept a latency of exactly MaxLatency
+// and keep it, in ℓmax and in the packed rows.
+func TestMaxLatencyLoads(t *testing.T) {
+	edgeList := fmt.Sprintf("2 1\n0 1 %d\n", MaxLatency)
+	jsonGraph := fmt.Sprintf(`{"n":2,"edges":[{"u":0,"v":1,"latency":%d}]}`, MaxLatency)
+	for name, load := range map[string]func() (*graph.Graph, error){
+		"edge list": func() (*graph.Graph, error) { return ReadEdgeList(strings.NewReader(edgeList)) },
+		"JSON":      func() (*graph.Graph, error) { return DecodeJSON(strings.NewReader(jsonGraph)) },
+	} {
+		g, err := load()
+		if err != nil {
+			t.Fatalf("%s: latency %d rejected: %v", name, MaxLatency, err)
+		}
+		if g.MaxLatency() != MaxLatency || int(g.Neighbors(1)[0].Lat) != MaxLatency {
+			t.Errorf("%s: ℓmax %d, row latency %d, want %d", name, g.MaxLatency(), g.Neighbors(1)[0].Lat, MaxLatency)
+		}
 	}
 }

@@ -89,7 +89,7 @@ func BenchmarkEnqueue(b *testing.B) {
 // held or quiesced one, with membership off, touches no node at all.
 func BenchmarkShardSweep(b *testing.B) {
 	const n = 10_000
-	g := graph.New(n) // no edges: a node's Tick initiates nothing
+	g := graph.New(n).Build() // no edges: a node's Tick initiates nothing
 	for _, mode := range []string{"working", "held", "quiesced"} {
 		b.Run(mode, func(b *testing.B) {
 			tr := NewChanTransport(n)

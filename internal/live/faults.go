@@ -135,9 +135,9 @@ func CutBetween(g *graph.Graph, a, b []graph.NodeID) []int {
 	var ids []int
 	for _, u := range a {
 		for _, he := range g.Neighbors(u) {
-			if inB[he.To] && !seen[he.ID] {
-				seen[he.ID] = true
-				ids = append(ids, he.ID)
+			if inB[int(he.To)] && !seen[int(he.ID)] {
+				seen[int(he.ID)] = true
+				ids = append(ids, int(he.ID))
 			}
 		}
 	}

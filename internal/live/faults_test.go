@@ -24,9 +24,9 @@ func scriptedFeed(g *graph.Graph, ticks int) []Message {
 				feed = append(feed, Message{
 					Kind:     MsgRequest,
 					From:     graph.NodeID(u),
-					To:       he.To,
-					EdgeID:   he.ID,
-					Latency:  he.Latency,
+					To:       int(he.To),
+					EdgeID:   int(he.ID),
+					Latency:  int(he.Lat),
 					SentTick: tick,
 				})
 			}
@@ -193,7 +193,7 @@ func TestFaultTransportZeroRatePassThrough(t *testing.T) {
 // Until <= 0 never heals.
 func TestPartitionWindow(t *testing.T) {
 	g := graph.Path(2, 1) // a single edge
-	edgeID := g.Neighbors(0)[0].ID
+	edgeID := int(g.Neighbors(0)[0].ID)
 
 	cfg := FaultConfig{Seed: 1, Phases: []FaultPhase{{From: 2, Until: 5, Cut: []int{edgeID}}}}
 	got, rep := runScripted(t, g, scriptedFeed(g, 7), cfg)

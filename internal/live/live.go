@@ -201,13 +201,12 @@ type Result struct {
 
 // Runtime drives the hosted nodes of one live run.
 type Runtime struct {
-	g         *graph.Graph
+	g         *graph.Graph // the topology; its packed rows are what nodes read
 	proto     Protocol
 	tr        Transport
 	opts      Options
 	nhint     int
-	csr       *graph.AdjCSR // dense adjacency-order topology view
-	local     []*node       // pointers into the shards' dense node slices
+	local     []*node // pointers into the shards' dense node slices
 	shards    []*shard
 	loc       []nodeLoc     // node ID -> owning shard and slot ({-1,-1} = hosted elsewhere)
 	epoch     time.Time     // shard tick zero
@@ -297,7 +296,6 @@ func newRuntime(g *graph.Graph, proto Protocol, tr Transport, opts Options) (*Ru
 		tr:     tr,
 		opts:   opts,
 		nhint:  opts.NHint,
-		csr:    graph.BuildAdjCSR(g),
 		stopCh: make(chan struct{}),
 	}
 	// A congested transport holds the shards' initiation (see shard.tick).
@@ -313,10 +311,10 @@ func newRuntime(g *graph.Graph, proto Protocol, tr Transport, opts Options) (*Ru
 			return nil, nil, fmt.Errorf("live: crash plan for node %d out of range [0,%d)", v, g.N())
 		}
 		if plan.At < 0 || plan.RecoverAt < 0 {
-			return nil, nil, fmt.Errorf("live: node %d crash plan has negative tick (at=%d recover=%d)", v, plan.At, plan.RecoverAt)
+			return nil, nil, fmt.Errorf("live: node %d crash plan has negative sweep (at=%d recover=%d)", v, plan.At, plan.RecoverAt)
 		}
 		if plan.RecoverAt > 0 && plan.RecoverAt <= plan.At {
-			return nil, nil, fmt.Errorf("live: node %d recovery tick %d not after crash tick %d", v, plan.RecoverAt, plan.At)
+			return nil, nil, fmt.Errorf("live: node %d recovery sweep %d not after crash sweep %d", v, plan.RecoverAt, plan.At)
 		}
 	}
 	if opts.Membership != nil {

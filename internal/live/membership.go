@@ -153,7 +153,7 @@ func (rt *Runtime) believedDead(v graph.NodeID) bool {
 	return observers > 0
 }
 
-// memberTick drives the node's failure detector one wall tick and ships the
+// memberTick drives the node's failure detector one shard sweep and ships the
 // resulting probes/syncs. Runs even while the runtime quiesces — the
 // detector must keep answering and probing for as long as the process lives.
 func (n *node) memberTick() {

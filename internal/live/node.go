@@ -63,7 +63,7 @@ func (n *node) Initiate(idx int, payload sim.Payload) error {
 	if n.initiated {
 		return fmt.Errorf("live: node %d already initiated in tick %d", n.id, n.tick)
 	}
-	row := n.rt.csr.Row(n.id)
+	row := n.rt.g.Neighbors(n.id)
 	if idx < 0 || idx >= len(row) {
 		return fmt.Errorf("live: node %d edge index %d out of range [0,%d)", n.id, idx, len(row))
 	}
@@ -167,7 +167,7 @@ func (n *node) handle(msg Message) {
 		n.handleMember(msg)
 		return
 	}
-	idx := n.rt.csr.EdgeIndex(n.id, msg.EdgeID)
+	idx := n.rt.g.EdgeIndex(n.id, msg.EdgeID)
 	if idx < 0 {
 		return // not an edge of ours: misrouted or corrupt
 	}

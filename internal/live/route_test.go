@@ -228,7 +228,7 @@ func TestRouteOutOfRangeIDsDropped(t *testing.T) {
 	edge := -1
 	for _, he := range g.Neighbors(8) {
 		if he.To == 9 {
-			edge = he.ID
+			edge = int(he.ID)
 		}
 	}
 	if !pollUntil(5*time.Second, func() bool { return b.sink.Load() != nil }) {

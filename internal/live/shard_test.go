@@ -228,12 +228,13 @@ func TestCalendarAgainstReference(t *testing.T) {
 // uncapped one: a star on four shards completes with nothing shed, within a
 // small multiple of the simulator's rounds on the same graph and seed.
 func TestShardHotspotStar(t *testing.T) {
-	// graph.Star, with each edge added from the leaf's side: the duplicate
-	// check scans the first endpoint's edges, and a leaf has none yet.
-	g := graph.New(20_000)
-	for v := 1; v < g.N(); v++ {
-		g.MustAddEdge(graph.NodeID(v), 0, 1)
+	// graph.Star, with each edge added from the leaf's side.
+	const n = 20_000
+	gb := graph.New(n)
+	for v := 1; v < n; v++ {
+		gb.MustAddEdge(graph.NodeID(v), 0, 1)
 	}
+	g := gb.Build()
 	nw := sim.NewNetwork(g, sim.Config{Seed: 1})
 	for u := 0; u < g.N(); u++ {
 		nw.SetHandler(graph.NodeID(u), &ppNode{informed: u == 0})
@@ -361,12 +362,13 @@ func (t *memberSends) Send(msg Message, delay time.Duration) error {
 // keeps sending. Once shard 1 drains again, the run completes.
 func TestShardHeldBackKeepsClock(t *testing.T) {
 	const half, crashAt, recoverAt = 64, 30, 40
-	g := graph.New(2 * half) // complete bipartite: every edge crosses shards
+	gb := graph.New(2 * half) // complete bipartite: every edge crosses shards
 	for u := 0; u < half; u++ {
 		for v := half; v < 2*half; v++ {
-			g.MustAddEdge(graph.NodeID(u), graph.NodeID(v), 1)
+			gb.MustAddEdge(graph.NodeID(u), graph.NodeID(v), 1)
 		}
 	}
+	g := gb.Build()
 	rejoined := make(chan struct{})
 	proto := heldProto{
 		gate: half, crash: 1, open: make(chan struct{}),
@@ -628,8 +630,8 @@ func TestShardForgedFromDropped(t *testing.T) {
 	u, v := graph.NodeID(8), graph.NodeID(9) // both hosted by b
 	edge := -1
 	for _, he := range g.Neighbors(u) {
-		if he.To == v {
-			edge = he.ID
+		if int(he.To) == v {
+			edge = int(he.ID)
 		}
 	}
 	forged := wireMessage{Kind: uint8(MsgRequest), From: int(u), To: int(v), EdgeID: edge, Latency: 1, SentTick: 1,
@@ -674,19 +676,20 @@ func TestShardCongestionHoldsSender(t *testing.T) {
 	// other shard asks runtime 0 through its first askers nodes alone, which
 	// the rest of that shard asks in turn: runtime 0 has requests to answer
 	// while held, few enough that the answers queued meanwhile drain fast.
-	g := graph.New(2 * half)
+	gb := graph.New(2 * half)
 	other := graph.NodeID(half + half/2)
 	for u := graph.NodeID(0); u < half; u++ {
 		for v := graph.NodeID(half); v < other; v++ {
-			g.MustAddEdge(u, v, 1)
+			gb.MustAddEdge(u, v, 1)
 		}
 		for v := other; v < other+askers && u > 0; v++ {
-			g.MustAddEdge(u, v, 1)
+			gb.MustAddEdge(u, v, 1)
 		}
 	}
 	for v := other + askers; v < 2*half; v++ {
-		g.MustAddEdge(v, other+v%askers, 1)
+		gb.MustAddEdge(v, other+v%askers, 1)
 	}
+	g := gb.Build()
 	proto := heldProto{gate: half, crash: -1, open: make(chan struct{}),
 		round: new(atomic.Int64), answered: new(atomic.Int64)}
 	trs := streamPair(t, "unix", g)
@@ -751,12 +754,13 @@ func TestShardCongestionHoldsSender(t *testing.T) {
 // gate opened.
 func TestShardBudgetEndsHeldRun(t *testing.T) {
 	const half, budget, tick = 64, 400, time.Millisecond
-	g := graph.New(2 * half)
+	gb := graph.New(2 * half)
 	for u := graph.NodeID(0); u < half; u++ {
 		for v := graph.NodeID(half); v < half+half/2; v++ {
-			g.MustAddEdge(u, v, 1)
+			gb.MustAddEdge(u, v, 1)
 		}
 	}
+	g := gb.Build()
 	proto := heldProto{gate: half, crash: -1, open: make(chan struct{}), round: new(atomic.Int64), pad: 4 << 10}
 	release := sync.OnceFunc(func() { close(proto.open) })
 	defer release() // never leave the gate's shard blocked, even on failure
@@ -808,10 +812,12 @@ func TestShardBudgetEndsHeldRun(t *testing.T) {
 // initiation: on both fabrics both runtimes complete with nothing shed and
 // nothing lost.
 func TestShardHotspotStarAcrossRuntimes(t *testing.T) {
-	g := graph.New(40_000) // star, each edge added from the leaf's side
-	for v := 1; v < g.N(); v++ {
-		g.MustAddEdge(graph.NodeID(v), 0, 1)
+	const n = 40_000
+	gb := graph.New(n) // star, each edge added from the leaf's side
+	for v := 1; v < n; v++ {
+		gb.MustAddEdge(graph.NodeID(v), 0, 1)
 	}
+	g := gb.Build()
 	for _, fabric := range fabrics {
 		t.Run(fabric, func(t *testing.T) {
 			trs := streamPair(t, fabric, g)

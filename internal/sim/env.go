@@ -65,7 +65,7 @@ func (e *nodeEnv) Initiate(idx int, payload Payload) error {
 		return fmt.Errorf("sim: node %d already initiated in round %d", e.node.id, e.nw.round)
 	}
 	nw := e.nw
-	row := nw.adj.Row(e.node.id)
+	row := nw.g.Neighbors(e.node.id)
 	if idx < 0 || idx >= len(row) {
 		return fmt.Errorf("sim: node %d edge index %d out of range [0,%d)", e.node.id, idx, len(row))
 	}

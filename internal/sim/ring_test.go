@@ -16,10 +16,11 @@ import (
 // timing, and the ring keeps its length.
 func TestInitiateDuringDelivery(t *testing.T) {
 	const lat = 32
-	g := graph.New(4)
-	g.MustAddEdge(1, 0, 2)
-	g.MustAddEdge(1, 3, lat)
-	g.MustAddEdge(2, 0, 1)
+	gb := graph.New(4)
+	gb.MustAddEdge(1, 0, 2)
+	gb.MustAddEdge(1, 3, lat)
+	gb.MustAddEdge(2, 0, 1)
+	g := gb.Build()
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 500})
 	size := len(nw.shards[0].ring)
 	// Node 1's round-r request reaches node 0 in round r+1, and its
@@ -62,10 +63,11 @@ func TestInitiateDuringDelivery(t *testing.T) {
 func TestMaxLatencyExchangeFixedRing(t *testing.T) {
 	const lat = 9 // ring of lat+2 = 11 slots
 	t.Run("FullRTTDelivery", func(t *testing.T) {
-		g := graph.New(3)
-		g.MustAddEdge(0, 1, lat)
-		g.MustAddEdge(0, 2, 2)
-		g.MustAddEdge(2, 1, lat)
+		gb := graph.New(3)
+		gb.MustAddEdge(0, 1, lat)
+		gb.MustAddEdge(0, 2, 2)
+		gb.MustAddEdge(2, 1, lat)
+		g := gb.Build()
 		nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 200, FullRTTDelivery: true})
 		size := len(nw.shards[0].ring)
 		// Node 0 initiates over the slow edge every round, so every slot
@@ -254,10 +256,11 @@ func TestCongestionRequeueOnWrappedSlot(t *testing.T) {
 // is appended to the slot being scanned and must be delivered in the same
 // round, after the request, in initiation order.
 func TestZeroDelayResponseFlushOrder(t *testing.T) {
-	g := graph.New(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(0, 2, 1)
-	g.MustAddEdge(1, 2, 1)
+	gb := graph.New(3)
+	gb.MustAddEdge(0, 1, 1)
+	gb.MustAddEdge(0, 2, 1)
+	gb.MustAddEdge(1, 2, 1)
+	g := gb.Build()
 	var rec Recorder
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 10, Trace: rec.Tracer()})
 	for v := 0; v < 3; v++ {
@@ -306,8 +309,9 @@ func TestZeroDelayResponseFlushOrder(t *testing.T) {
 // list and are reused: after a run far longer than the pool block size, the
 // pool must have allocated only a handful of blocks.
 func TestEventPoolReuse(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 1)
+	gb := graph.New(2)
+	gb.MustAddEdge(0, 1, 1)
+	g := gb.Build()
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 1000})
 	every := &funcHandler{tick: func(ctx *Context) {
 		if err := ctx.Initiate(0, "x"); err != nil {

@@ -519,11 +519,11 @@ func (nw *Network) split(w int) {
 	if w <= 1 {
 		return
 	}
-	adj := nw.adj
+	g := nw.g
 	n := len(nw.nodes)
 	inv := make([]float64, n) // 1/deg
 	for u := range inv {
-		if d := adj.Degree(u); d > 0 {
+		if d := g.Degree(u); d > 0 {
 			inv[u] = 1 / float64(d)
 		}
 	}
@@ -531,8 +531,8 @@ func (nw *Network) split(w int) {
 	total := 0.0
 	for u := range weight {
 		weight[u] = 2
-		for _, he := range adj.Row(u) {
-			weight[u] += inv[he.To]
+		for _, e := range g.Neighbors(u) {
+			weight[u] += inv[e.To]
 		}
 		total += weight[u]
 	}

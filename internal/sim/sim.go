@@ -198,10 +198,10 @@ const eventBlockSize = 64
 
 // Network drives a set of handlers over a latency-weighted graph.
 //
-// Its hot path runs on three dense structures. adj is the graph's packed
-// half-edge table (graph.AdjCSR): Initiate reads one 16-byte entry for the
-// neighbor, the latency, the edge id and the edge's index at the responder,
-// so no per-node slice header and no second index array are touched. Each
+// Its hot path runs on three dense structures. The graph's packed rows are
+// the first: Initiate reads one 16-byte entry for the neighbor, the latency,
+// the edge id and the edge's index at the responder, so no per-node slice
+// header and no second index array are touched. Each
 // shard's ring is the round calendar of pooled *event pointers, and its free
 // list is the pool. Storing events by value in the ring slots was measured
 // as no faster and rejected: every slot keeps its peak capacity, which
@@ -209,8 +209,6 @@ const eventBlockSize = 64
 type Network struct {
 	g   *graph.Graph
 	cfg Config
-	// adj is g's packed topology, built once: a graph is fixed once built.
-	adj *graph.AdjCSR
 	// nodes is indexed by NodeID; states are stored contiguously so that
 	// per-node engine structures cost one allocation, not n.
 	nodes []nodeState
@@ -251,7 +249,6 @@ func NewNetwork(g *graph.Graph, cfg Config) *Network {
 	nw := &Network{
 		g:       g,
 		cfg:     cfg,
-		adj:     graph.BuildAdjCSR(g),
 		nodes:   make([]nodeState, g.N()),
 		crashed: make([]bool, g.N()),
 	}
@@ -348,10 +345,10 @@ func (c *Context) Degree() int { return c.env.Graph().Degree(c.env.NodeID()) }
 // Neighbor returns the node's idx-th incident edge. Latency is included only
 // when the network has known latencies.
 func (c *Context) Neighbor(idx int) EdgeView {
-	he := c.env.Graph().Neighbors(c.env.NodeID())[idx]
-	ev := EdgeView{To: he.To, Index: idx, EdgeID: he.ID}
+	e := c.env.Graph().Neighbors(c.env.NodeID())[idx]
+	ev := EdgeView{To: int(e.To), Index: idx, EdgeID: int(e.ID)}
 	if c.env.KnownLatencies() {
-		ev.Latency = he.Latency
+		ev.Latency = int(e.Lat)
 	}
 	return ev
 }

@@ -46,8 +46,9 @@ func (h *echoHandler) OnResponse(ctx *Context, resp Response) {
 func (h *echoHandler) Done() bool { return false }
 
 func pair(latency int) (*graph.Graph, *Network, *echoHandler, *echoHandler) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, latency)
+	gb := graph.New(2)
+	gb.MustAddEdge(0, 1, latency)
+	g := gb.Build()
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 100})
 	a := &echoHandler{initiateAt: 1, edgeIdx: 0, payload: "hello"}
 	b := &echoHandler{}
@@ -86,8 +87,9 @@ func TestExchangeRoundTripEqualsLatency(t *testing.T) {
 }
 
 func TestFullRTTDeliveryAblation(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 8)
+	gb := graph.New(2)
+	gb.MustAddEdge(0, 1, 8)
+	g := gb.Build()
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 100, FullRTTDelivery: true})
 	a := &echoHandler{initiateAt: 1, edgeIdx: 0, payload: "x"}
 	b := &echoHandler{}
@@ -228,8 +230,9 @@ func TestMetricsAccounting(t *testing.T) {
 // ---- Proc (coroutine) layer ----
 
 func TestProcExchangeBlocksExactly(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 6)
+	gb := graph.New(2)
+	gb.MustAddEdge(0, 1, 6)
+	g := gb.Build()
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 100})
 	var started, finished int
 	p0 := NewProc(func(p *Proc) {
@@ -255,10 +258,11 @@ func TestProcExchangeBlocksExactly(t *testing.T) {
 func TestProcSendNonBlocking(t *testing.T) {
 	// A proc sends on a slow edge and continues sending on fast ones while
 	// the slow exchange is in flight (non-blocking model).
-	g := graph.New(3)
-	slow := g.MustAddEdge(0, 1, 10)
+	gb := graph.New(3)
+	slow := gb.MustAddEdge(0, 1, 10)
 	_ = slow
-	g.MustAddEdge(0, 2, 1)
+	gb.MustAddEdge(0, 2, 1)
+	g := gb.Build()
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 100})
 	var fastResponses, slowResponses int
 	p0 := NewProc(func(p *Proc) {

@@ -56,8 +56,9 @@ func TestProcStressLockstep(t *testing.T) {
 // take exactly k·ℓ rounds.
 func TestProcManyBlockingExchanges(t *testing.T) {
 	const k, lat = 25, 3
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, lat)
+	gb := graph.New(2)
+	gb.MustAddEdge(0, 1, lat)
+	g := gb.Build()
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 10 * k * lat})
 	var elapsed int
 	p0 := NewProc(func(p *Proc) {

@@ -8,8 +8,9 @@ import (
 )
 
 func TestRecorderCapturesLifecycle(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 4)
+	gb := graph.New(2)
+	gb.MustAddEdge(0, 1, 4)
+	g := gb.Build()
 	var rec Recorder
 	nw := NewNetwork(g, Config{Seed: 1, MaxRounds: 50, Trace: rec.Tracer()})
 	a := &echoHandler{initiateAt: 1, edgeIdx: 0, payload: "x"}

@@ -59,7 +59,7 @@ func (s *Spanner) Has(u, v graph.NodeID) bool {
 // UndirectedGraph returns the spanner as a latency-weighted graph on the
 // same node set, with edges in canonical order.
 func (s *Spanner) UndirectedGraph() *graph.Graph {
-	g := graph.New(s.N)
+	b := graph.New(s.N)
 	keys := make([][2]graph.NodeID, 0, len(s.edges))
 	for key := range s.edges {
 		keys = append(keys, key)
@@ -85,9 +85,9 @@ func (s *Spanner) UndirectedGraph() *graph.Graph {
 				}
 			}
 		}
-		g.MustAddEdge(key[0], key[1], lat)
+		b.MustAddEdge(key[0], key[1], lat)
 	}
-	return g
+	return b.Build()
 }
 
 func edgeKey(u, v graph.NodeID) [2]graph.NodeID {
@@ -162,7 +162,8 @@ func BuildDetailed(g *graph.Graph, k, nHat int, seed uint64) (*Spanner, *Detail,
 	detail := &Detail{}
 	if k == 1 {
 		// A 1-spanner is the graph itself; orient out of the smaller ID.
-		for _, e := range g.Edges() {
+		for id := 0; id < g.M(); id++ {
+			e := g.Edge(id)
 			sp.addEdge(e.U, e.V, e.Latency)
 		}
 		return sp, detail, nil
@@ -214,8 +215,8 @@ func BuildDetailed(g *graph.Graph, k, nHat int, seed uint64) (*Spanner, *Detail,
 				}
 				c := center[he.To]
 				b, ok := bests[c]
-				if !ok || weightLess(he.Latency, v, he.To, b.lat, v, b.u) {
-					bests[c] = best{lat: he.Latency, u: he.To, edgeID: he.ID}
+				if !ok || weightLess(int(he.Lat), v, int(he.To), b.lat, v, b.u) {
+					bests[c] = best{lat: int(he.Lat), u: int(he.To), edgeID: int(he.ID)}
 				}
 			}
 			// Least edge among adjacent *sampled* clusters, if any.
@@ -241,7 +242,7 @@ func BuildDetailed(g *graph.Graph, k, nHat int, seed uint64) (*Spanner, *Detail,
 				}
 				for _, he := range g.Neighbors(v) {
 					if alive[he.ID] && center[he.To] >= 0 {
-						kills = append(kills, he.ID)
+						kills = append(kills, int(he.ID))
 					}
 				}
 				newCenter[v] = -1
@@ -265,7 +266,7 @@ func BuildDetailed(g *graph.Graph, k, nHat int, seed uint64) (*Spanner, *Detail,
 			}
 			for _, he := range g.Neighbors(v) {
 				if alive[he.ID] && center[he.To] >= 0 && discard[center[he.To]] {
-					kills = append(kills, he.ID)
+					kills = append(kills, int(he.ID))
 				}
 			}
 		}
@@ -275,8 +276,8 @@ func BuildDetailed(g *graph.Graph, k, nHat int, seed uint64) (*Spanner, *Detail,
 		center = newCenter
 		detail.Centers = append(detail.Centers, append([]graph.NodeID(nil), center...))
 		// Remove intra-cluster edges of the new clustering.
-		for id, e := range g.Edges() {
-			if alive[id] && center[e.U] >= 0 && center[e.U] == center[e.V] {
+		for id := range alive {
+			if e := g.Edge(id); alive[id] && center[e.U] >= 0 && center[e.U] == center[e.V] {
 				alive[id] = false
 			}
 		}
@@ -296,8 +297,8 @@ func BuildDetailed(g *graph.Graph, k, nHat int, seed uint64) (*Spanner, *Detail,
 			}
 			c := center[he.To]
 			b, ok := bests[c]
-			if !ok || weightLess(he.Latency, v, he.To, b.lat, v, b.u) {
-				bests[c] = best{lat: he.Latency, u: he.To}
+			if !ok || weightLess(int(he.Lat), v, int(he.To), b.lat, v, b.u) {
+				bests[c] = best{lat: int(he.Lat), u: int(he.To)}
 			}
 		}
 		for _, b := range bests {

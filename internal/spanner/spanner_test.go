@@ -146,12 +146,13 @@ func TestBallRestrictedAgreement(t *testing.T) {
 	for v := 0; v < n; v++ {
 		// Ball of hop radius k+2 around v.
 		hop := g.HopDistances(v)
-		ball := graph.New(n)
+		ballb := graph.New(n)
 		for _, e := range g.Edges() {
 			if hop[e.U] <= k+2 && hop[e.V] <= k+2 {
-				ball.MustAddEdge(e.U, e.V, e.Latency)
+				ballb.MustAddEdge(e.U, e.V, e.Latency)
 			}
 		}
+		ball := ballb.Build()
 		local, err := Build(ball, k, n, seed)
 		if err != nil {
 			t.Fatalf("Build(ball %d): %v", v, err)

@@ -201,10 +201,11 @@ func TestLiveLatencyEdgeMatchesSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paced two-runtime run is not -short friendly")
 	}
-	g := NewGraph(2)
-	if _, err := g.AddEdge(0, 1, 8); err != nil {
+	b := NewGraph(2)
+	if _, err := b.AddEdge(0, 1, 8); err != nil {
 		t.Fatal(err)
 	}
+	g := b.Build()
 	const seed = 7
 	simRes, err := RunPushPull(g, 0, Options{Seed: seed})
 	if err != nil {

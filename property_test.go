@@ -89,10 +89,10 @@ func TestQuickLocalBroadcastVariantsAgree(t *testing.T) {
 		}
 		for u := 0; u < g.N(); u++ {
 			for _, he := range g.Neighbors(u) {
-				if he.Latency > ell {
+				if int(he.Lat) > ell {
 					continue
 				}
-				if !a.Know[u][he.To] || !b.Know[u][he.To] {
+				if !a.Know[u][int(he.To)] || !b.Know[u][int(he.To)] {
 					return false
 				}
 			}
